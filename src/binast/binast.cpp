@@ -8,7 +8,12 @@ namespace mira::binast {
 
 using isa::Instruction;
 using isa::Opcode;
+using isa::Operand;
 using isa::OperandKind;
+
+bool BinaryLoop::contains(std::uint32_t blockId) const {
+  return std::binary_search(blocks.begin(), blocks.end(), blockId);
+}
 
 std::map<std::uint32_t, std::size_t> AsmFunction::lineCounts() const {
   std::map<std::uint32_t, std::size_t> out;
@@ -21,7 +26,7 @@ int AsmFunction::innermostLoopOf(std::uint32_t blockId) const {
   int best = -1;
   std::size_t bestSize = 0;
   for (std::size_t i = 0; i < loops.size(); ++i) {
-    if (!loops[i].blocks.count(blockId))
+    if (!loops[i].contains(blockId))
       continue;
     if (best < 0 || loops[i].blocks.size() < bestSize) {
       best = static_cast<int>(i);
@@ -40,180 +45,280 @@ const AsmFunction *BinaryAst::find(const std::string &name) const {
 
 namespace {
 
+/// Forward cursor over an object's line table. For non-decreasing query
+/// addresses it answers exactly what MiraObject::lineForAddress does (the
+/// line of the last entry in the longest table prefix at or before the
+/// address) in one pass over the table, instead of one scan per
+/// instruction. A query below the previous one restarts the pass.
+class LineCursor {
+public:
+  explicit LineCursor(const std::vector<objfile::LineEntry> &table)
+      : table_(table) {}
+
+  std::uint32_t lineAt(std::uint64_t address) {
+    if (address < last_) {
+      next_ = 0;
+      line_ = 0;
+    }
+    last_ = address;
+    while (next_ < table_.size() && table_[next_].address <= address)
+      line_ = table_[next_++].line;
+    return line_;
+  }
+
+private:
+  const std::vector<objfile::LineEntry> &table_;
+  std::size_t next_ = 0;
+  std::uint32_t line_ = 0;
+  std::uint64_t last_ = 0;
+};
+
+/// Jump target of a control transfer with an immediate operand.
+std::optional<std::uint64_t> jumpTarget(const Instruction &inst) {
+  if (inst.operands.empty() || inst.operands[0].kind != OperandKind::Imm)
+    return std::nullopt;
+  return static_cast<std::uint64_t>(inst.operands[0].imm);
+}
+
 /// Build basic blocks from a decoded instruction stream. Leaders: offset
-/// 0, jump targets, instructions following control transfers.
+/// 0, jump targets, instructions following control transfers. Block
+/// start addresses ascend with block ids, so the block list itself is the
+/// address -> block lookup.
 void buildBlocks(AsmFunction &fn) {
-  std::set<std::uint64_t> leaders;
-  if (!fn.instructions.empty())
-    leaders.insert(fn.instructions.front().inst.address);
+  if (fn.instructions.empty())
+    return;
+  std::vector<std::uint64_t> leaders{fn.instructions.front().inst.address};
   for (const AsmInstruction &ai : fn.instructions) {
     const Instruction &inst = ai.inst;
     if (isa::isConditionalJump(inst.opcode) ||
-        isa::isUnconditionalJump(inst.opcode)) {
-      if (!inst.operands.empty() &&
-          inst.operands[0].kind == OperandKind::Imm)
-        leaders.insert(static_cast<std::uint64_t>(inst.operands[0].imm));
-    }
-    if (isa::isControlTransfer(inst.opcode) && !isa::isCall(inst.opcode)) {
-      std::uint64_t next = inst.address + inst.encodedSize();
-      leaders.insert(next);
-    }
+        isa::isUnconditionalJump(inst.opcode))
+      if (auto target = jumpTarget(inst))
+        leaders.push_back(*target);
+    if (isa::isControlTransfer(inst.opcode) && !isa::isCall(inst.opcode))
+      leaders.push_back(inst.address + inst.encodedSize());
   }
+  std::sort(leaders.begin(), leaders.end());
+  leaders.erase(std::unique(leaders.begin(), leaders.end()), leaders.end());
 
-  std::map<std::uint64_t, std::uint32_t> blockAt; // startAddress -> id
-  AsmBlock current;
-  bool open = false;
+  // Instruction addresses ascend, so one cursor walks the leaders.
+  std::vector<std::uint32_t> starts;
+  std::size_t leader = 0;
   for (std::uint32_t i = 0; i < fn.instructions.size(); ++i) {
-    const AsmInstruction &ai = fn.instructions[i];
-    if (leaders.count(ai.inst.address)) {
-      if (open)
-        fn.blocks.push_back(std::move(current));
-      current = AsmBlock{};
-      current.id = static_cast<std::uint32_t>(fn.blocks.size());
-      current.startAddress = ai.inst.address;
-      open = true;
-    }
-    current.instrIndices.push_back(i);
+    const std::uint64_t address = fn.instructions[i].inst.address;
+    while (leader < leaders.size() && leaders[leader] < address)
+      ++leader;
+    if (leader < leaders.size() && leaders[leader] == address)
+      starts.push_back(i);
   }
-  if (open)
-    fn.blocks.push_back(std::move(current));
-  for (const AsmBlock &b : fn.blocks)
-    blockAt[b.startAddress] = b.id;
+  const auto instructionCount =
+      static_cast<std::uint32_t>(fn.instructions.size());
+  fn.blocks.resize(starts.size());
+  for (std::size_t b = 0; b < starts.size(); ++b) {
+    AsmBlock &block = fn.blocks[b];
+    block.id = static_cast<std::uint32_t>(b);
+    block.startAddress = fn.instructions[starts[b]].inst.address;
+    const std::uint32_t end =
+        b + 1 < starts.size() ? starts[b + 1] : instructionCount;
+    block.instrIndices.reserve(end - starts[b]);
+    for (std::uint32_t i = starts[b]; i < end; ++i)
+      block.instrIndices.push_back(i);
+  }
 
-  // Successors.
+  auto blockAt = [&fn](std::uint64_t address) -> const AsmBlock * {
+    auto it = std::lower_bound(fn.blocks.begin(), fn.blocks.end(), address,
+                               [](const AsmBlock &b, std::uint64_t a) {
+                                 return b.startAddress < a;
+                               });
+    return it != fn.blocks.end() && it->startAddress == address ? &*it
+                                                                : nullptr;
+  };
   for (AsmBlock &b : fn.blocks) {
-    if (b.instrIndices.empty())
-      continue;
-    const Instruction &last =
-        fn.instructions[b.instrIndices.back()].inst;
-    auto addSucc = [&](std::uint64_t addr) {
-      auto it = blockAt.find(addr);
-      if (it != blockAt.end())
-        b.successors.push_back(it->second);
+    const Instruction &last = fn.instructions[b.instrIndices.back()].inst;
+    auto addSucc = [&](std::optional<std::uint64_t> address) {
+      if (!address)
+        return;
+      if (const AsmBlock *succ = blockAt(*address))
+        b.successors.push_back(succ->id);
     };
-    std::uint64_t fallthrough = last.address + last.encodedSize();
+    const std::uint64_t fallthrough = last.address + last.encodedSize();
     if (isa::isUnconditionalJump(last.opcode)) {
-      if (!last.operands.empty() &&
-          last.operands[0].kind == OperandKind::Imm)
-        addSucc(static_cast<std::uint64_t>(last.operands[0].imm));
+      addSucc(jumpTarget(last));
     } else if (isa::isConditionalJump(last.opcode)) {
-      if (!last.operands.empty() &&
-          last.operands[0].kind == OperandKind::Imm)
-        addSucc(static_cast<std::uint64_t>(last.operands[0].imm));
+      addSucc(jumpTarget(last));
       addSucc(fallthrough);
-    } else if (isa::isReturn(last.opcode)) {
-      // no successors
-    } else {
+    } else if (!isa::isReturn(last.opcode)) {
       addSucc(fallthrough);
     }
   }
 }
 
-/// Iterative dominator computation (entry = block 0). Small functions, so
-/// the simple set-intersection algorithm is fine.
-std::vector<std::set<std::uint32_t>> computeDominators(const AsmFunction &fn) {
-  std::size_t n = fn.blocks.size();
-  std::map<std::uint32_t, std::vector<std::uint32_t>> preds;
-  for (const AsmBlock &b : fn.blocks)
-    for (std::uint32_t s : b.successors)
-      preds[s].push_back(b.id);
+/// Predecessor lists of every block, flattened: the predecessors of
+/// block b are list[start[b] .. start[b + 1]), in block order.
+struct Predecessors {
+  std::vector<std::uint32_t> start;
+  std::vector<std::uint32_t> list;
 
-  std::set<std::uint32_t> all;
-  for (std::uint32_t i = 0; i < n; ++i)
-    all.insert(i);
-  std::vector<std::set<std::uint32_t>> dom(n, all);
-  if (n > 0)
-    dom[0] = {0};
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::uint32_t i = 1; i < n; ++i) {
-      std::set<std::uint32_t> next = all;
-      bool hasPred = false;
-      for (std::uint32_t p : preds[i]) {
-        hasPred = true;
-        std::set<std::uint32_t> inter;
-        for (std::uint32_t d : next)
-          if (dom[p].count(d))
-            inter.insert(d);
-        next = std::move(inter);
-      }
-      if (!hasPred)
-        next.clear(); // unreachable
-      next.insert(i);
-      if (next != dom[i]) {
-        dom[i] = std::move(next);
-        changed = true;
+  explicit Predecessors(const AsmFunction &fn)
+      : start(fn.blocks.size() + 1, 0) {
+    for (const AsmBlock &b : fn.blocks)
+      for (std::uint32_t s : b.successors)
+        ++start[s + 1];
+    for (std::size_t b = 0; b < fn.blocks.size(); ++b)
+      start[b + 1] += start[b];
+    list.resize(start.back());
+    std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+    for (const AsmBlock &b : fn.blocks)
+      for (std::uint32_t s : b.successors)
+        list[fill[s]++] = b.id;
+  }
+
+  const std::uint32_t *begin(std::uint32_t b) const {
+    return list.data() + start[b];
+  }
+  const std::uint32_t *end(std::uint32_t b) const {
+    return list.data() + start[b + 1];
+  }
+};
+
+/// Dominator sets as one bit matrix: row b holds the blocks dominating b.
+class Dominators {
+public:
+  /// Iterative fixed point (entry = block 0), swept in block order: a
+  /// block's set is itself plus the intersection of its predecessors'
+  /// sets, and a block with no predecessors is dominated only by itself.
+  Dominators(const AsmFunction &fn, const Predecessors &preds)
+      : words_((fn.blocks.size() + 63) / 64),
+        bits_(fn.blocks.size() * words_, ~std::uint64_t{0}) {
+    const auto n = static_cast<std::uint32_t>(fn.blocks.size());
+    if (n == 0)
+      return;
+    // Clear the padding bits past the last block in every row.
+    if (n % 64)
+      for (std::uint32_t b = 0; b < n; ++b)
+        row(b)[words_ - 1] = (std::uint64_t{1} << (n % 64)) - 1;
+    std::fill(row(0), row(0) + words_, 0);
+    row(0)[0] = 1;
+    std::vector<std::uint64_t> next(words_);
+    bool changed = true;
+    while (changed) {
+      changed = false;
+      for (std::uint32_t b = 1; b < n; ++b) {
+        if (preds.begin(b) == preds.end(b)) {
+          std::fill(next.begin(), next.end(), 0);
+        } else {
+          std::copy(row(*preds.begin(b)), row(*preds.begin(b)) + words_,
+                    next.begin());
+          for (const std::uint32_t *p = preds.begin(b) + 1; p != preds.end(b);
+               ++p)
+            for (std::size_t w = 0; w < words_; ++w)
+              next[w] &= row(*p)[w];
+        }
+        next[b / 64] |= std::uint64_t{1} << (b % 64);
+        if (!std::equal(next.begin(), next.end(), row(b))) {
+          std::copy(next.begin(), next.end(), row(b));
+          changed = true;
+        }
       }
     }
   }
-  return dom;
+
+  /// True when block `d` dominates block `b`.
+  bool dominates(std::uint32_t d, std::uint32_t b) const {
+    return (bits_[b * words_ + d / 64] >> (d % 64)) & 1;
+  }
+
+private:
+  std::uint64_t *row(std::uint32_t b) { return bits_.data() + b * words_; }
+
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;
+};
+
+/// The immediate that `operand` holds when `from` executes, if the latch
+/// loads it there: the nearest earlier MOV writing the operand, followed
+/// back through register and stack-slot copies until one moves an
+/// immediate. A step constant the allocator spilled travels
+/// `mov r10, imm; mov [slot], r10; mov r11, [slot]; add reg, r11`.
+std::optional<std::int64_t>
+immediateIn(const AsmFunction &fn, const AsmBlock &latch,
+            std::vector<std::uint32_t>::const_reverse_iterator from,
+            Operand operand) {
+  for (auto it = from; it != latch.instrIndices.rend(); ++it) {
+    const Instruction &inst = fn.instructions[*it].inst;
+    if (inst.opcode != Opcode::MOV || inst.operands.size() != 2 ||
+        !(inst.operands[0] == operand))
+      continue;
+    const Operand &source = inst.operands[1];
+    if (source.kind == OperandKind::Imm)
+      return source.imm;
+    if (source.kind != OperandKind::Reg && source.kind != OperandKind::Mem)
+      return std::nullopt;
+    operand = source;
+  }
+  return std::nullopt;
+}
+
+/// Induction step: the latch's `add reg, imm`, or `add reg, reg` whose
+/// source holds an immediate, closest to the jump.
+void findInductionStep(const AsmFunction &fn, BinaryLoop &loop) {
+  const AsmBlock &latch = fn.blocks[loop.latchBlock];
+  for (auto it = latch.instrIndices.rbegin(); it != latch.instrIndices.rend();
+       ++it) {
+    const Instruction &inst = fn.instructions[*it].inst;
+    if (inst.opcode != Opcode::ADD || inst.operands.size() != 2 ||
+        inst.operands[0].kind != OperandKind::Reg)
+      continue;
+    if (inst.operands[1].kind == OperandKind::Reg) {
+      if (auto step = immediateIn(fn, latch, it, inst.operands[1])) {
+        loop.step = *step;
+        loop.inductionReg = inst.operands[0].reg;
+        if (loop.step)
+          break;
+      }
+    } else if (inst.operands[1].kind == OperandKind::Imm) {
+      loop.step = inst.operands[1].imm;
+      loop.inductionReg = inst.operands[0].reg;
+      break;
+    }
+  }
 }
 
 /// Natural-loop discovery: a back edge is u -> h where h dominates u;
 /// the loop body is collected by walking predecessors from the latch
 /// until the header.
 void findLoops(AsmFunction &fn) {
-  std::vector<std::set<std::uint32_t>> dom = computeDominators(fn);
-  // Predecessor map.
-  std::map<std::uint32_t, std::vector<std::uint32_t>> preds;
-  for (const AsmBlock &b : fn.blocks)
-    for (std::uint32_t s : b.successors)
-      preds[s].push_back(b.id);
+  const Predecessors preds(fn);
+  const Dominators dom(fn, preds);
+  std::vector<bool> inLoop(fn.blocks.size());
+  std::vector<std::uint32_t> work;
 
   for (const AsmBlock &b : fn.blocks) {
     for (std::uint32_t succ : b.successors) {
-      if (!dom[b.id].count(succ))
+      if (!dom.dominates(succ, b.id))
         continue; // not a back edge (header must dominate the latch)
       // back edge b -> succ
       BinaryLoop loop;
       loop.headerBlock = succ;
       loop.latchBlock = b.id;
-      loop.blocks.insert(succ);
-      std::vector<std::uint32_t> work{b.id};
+      std::fill(inLoop.begin(), inLoop.end(), false);
+      inLoop[succ] = true;
+      std::size_t members = 1;
+      work.assign(1, b.id);
       while (!work.empty()) {
         std::uint32_t n = work.back();
         work.pop_back();
-        if (loop.blocks.count(n))
+        if (inLoop[n])
           continue;
-        loop.blocks.insert(n);
-        for (std::uint32_t p : preds[n])
-          work.push_back(p);
+        inLoop[n] = true;
+        ++members;
+        work.insert(work.end(), preds.begin(n), preds.end(n));
       }
+      loop.blocks.reserve(members);
+      for (std::uint32_t blk = 0; blk < fn.blocks.size(); ++blk)
+        if (inLoop[blk])
+          loop.blocks.push_back(blk);
 
-      // Induction step: the latch's 'add reg, imm' closest to the jump.
-      const AsmBlock &latch = fn.blocks[b.id];
-      for (auto it = latch.instrIndices.rbegin();
-           it != latch.instrIndices.rend(); ++it) {
-        const Instruction &inst = fn.instructions[*it].inst;
-        if (inst.opcode == Opcode::ADD && inst.operands.size() == 2 &&
-            inst.operands[0].kind == OperandKind::Reg &&
-            inst.operands[1].kind == OperandKind::Reg) {
-          // add dst, stepReg — the step constant was loaded by a MOV just
-          // before; find it.
-          isa::Reg stepReg = inst.operands[1].reg;
-          for (auto it2 = it; it2 != latch.instrIndices.rend(); ++it2) {
-            const Instruction &prev = fn.instructions[*it2].inst;
-            if (prev.opcode == Opcode::MOV && prev.operands.size() == 2 &&
-                prev.operands[0].kind == OperandKind::Reg &&
-                prev.operands[0].reg == stepReg &&
-                prev.operands[1].kind == OperandKind::Imm) {
-              loop.step = prev.operands[1].imm;
-              loop.inductionReg = inst.operands[0].reg;
-              break;
-            }
-          }
-          if (loop.step)
-            break;
-        }
-        if (inst.opcode == Opcode::ADD && inst.operands.size() == 2 &&
-            inst.operands[0].kind == OperandKind::Reg &&
-            inst.operands[1].kind == OperandKind::Imm) {
-          loop.step = inst.operands[1].imm;
-          loop.inductionReg = inst.operands[0].reg;
-          break;
-        }
-      }
+      findInductionStep(fn, loop);
 
       // Instruction accounting and source line.
       const AsmBlock &header = fn.blocks[loop.headerBlock];
@@ -221,14 +326,9 @@ void findLoops(AsmFunction &fn) {
       for (std::uint32_t idx : header.instrIndices)
         if (!loop.sourceLine && fn.instructions[idx].line)
           loop.sourceLine = fn.instructions[idx].line;
-      for (std::uint32_t blk : loop.blocks) {
-        if (blk == loop.headerBlock)
-          continue;
-        for (std::uint32_t idx : fn.blocks[blk].instrIndices) {
-          ++loop.bodyInstrCount;
-          ++loop.bodyLineCounts[fn.instructions[idx].line];
-        }
-      }
+      for (std::uint32_t blk : loop.blocks)
+        if (blk != loop.headerBlock)
+          loop.bodyInstrCount += fn.blocks[blk].instrIndices.size();
       fn.loops.push_back(std::move(loop));
     }
   }
@@ -239,6 +339,7 @@ void findLoops(AsmFunction &fn) {
 std::optional<BinaryAst> buildBinaryAst(const objfile::MiraObject &object,
                                         DiagnosticEngine &diags) {
   BinaryAst ast;
+  LineCursor lines(object.lineTable);
   for (const objfile::FunctionSymbol &sym : object.symbols) {
     AsmFunction fn;
     fn.name = sym.name;
@@ -257,7 +358,7 @@ std::optional<BinaryAst> buildBinaryAst(const objfile::MiraObject &object,
     fn.instructions.reserve(decoded->size());
     for (Instruction &inst : *decoded) {
       AsmInstruction ai;
-      ai.line = object.lineForAddress(sym.offset + inst.address);
+      ai.line = lines.lineAt(sym.offset + inst.address);
       ai.inst = std::move(inst);
       fn.instructions.push_back(std::move(ai));
     }

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,7 @@ struct AsmBlock {
 struct BinaryLoop {
   std::uint32_t headerBlock = 0;
   std::uint32_t latchBlock = 0;
-  std::set<std::uint32_t> blocks;   // all blocks including header/latch
+  std::vector<std::uint32_t> blocks; // sorted ids, including header/latch
   std::int64_t step = 0;            // induction increment found in latch
   isa::Reg inductionReg = isa::Reg::NONE;
   std::uint32_t sourceLine = 0;     // line of the header's compare
@@ -46,8 +45,8 @@ struct BinaryLoop {
   /// header executes trips+1 times, body+latch execute trips times.
   std::size_t headerInstrCount = 0;
   std::size_t bodyInstrCount = 0; // includes latch
-  /// Per-line instruction counts of one body iteration (body + latch).
-  std::map<std::uint32_t, std::size_t> bodyLineCounts;
+
+  bool contains(std::uint32_t blockId) const;
 };
 
 struct AsmFunction {

@@ -1,7 +1,6 @@
 #include "bridge/bridge.h"
 
 #include <algorithm>
-#include <set>
 
 namespace mira::bridge {
 
@@ -11,12 +10,19 @@ using binast::BinaryLoop;
 FunctionBridge::FunctionBridge(const frontend::FunctionDecl &source,
                                const binast::AsmFunction &binary)
     : source_(&source), binary_(&binary) {
-  instrLoop_.assign(binary.instructions.size(), -1);
-  for (std::size_t b = 0; b < binary.blocks.size(); ++b) {
-    int loop = binary.innermostLoopOf(static_cast<std::uint32_t>(b));
-    for (std::uint32_t idx : binary.blocks[b].instrIndices)
-      instrLoop_[idx] = loop;
+  byLine_.reserve(binary.instructions.size());
+  for (const binast::AsmBlock &block : binary.blocks) {
+    const int li = binary.innermostLoopOf(block.id);
+    const BinaryLoop *loop =
+        li < 0 ? nullptr : &binary.loops[static_cast<std::size_t>(li)];
+    for (std::uint32_t idx : block.instrIndices)
+      byLine_.push_back({binary.instructions[idx].line, loop, block.id,
+                         binary.instructions[idx].inst.opcode});
   }
+  std::sort(byLine_.begin(), byLine_.end(),
+            [](const IndexedInstr &a, const IndexedInstr &b) {
+              return a.line < b.line;
+            });
 }
 
 LoopBinding FunctionBridge::loopsAtLine(std::uint32_t line) const {
@@ -31,55 +37,26 @@ LoopBinding FunctionBridge::loopsAtLine(std::uint32_t line) const {
   return binding;
 }
 
-std::size_t FunctionBridge::bodyInstrsAtLine(const BinaryLoop &loop,
-                                             std::uint32_t line) const {
-  auto it = loop.bodyLineCounts.find(line);
-  return it == loop.bodyLineCounts.end() ? 0 : it->second;
-}
-
-std::size_t FunctionBridge::instrsOutsideLoopsAtLine(
-    std::uint32_t line) const {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < binary_->instructions.size(); ++i)
-    if (instrLoop_[i] < 0 && binary_->instructions[i].line == line)
-      ++count;
-  return count;
-}
-
 std::vector<std::uint32_t> FunctionBridge::coveredLines() const {
-  std::set<std::uint32_t> lines;
-  for (const auto &ai : binary_->instructions)
-    lines.insert(ai.line);
-  return {lines.begin(), lines.end()};
+  std::vector<std::uint32_t> lines;
+  for (const IndexedInstr &instr : byLine_)
+    if (lines.empty() || lines.back() != instr.line)
+      lines.push_back(instr.line);
+  return lines;
 }
 
 std::map<isa::Opcode, std::size_t>
 FunctionBridge::opcodesAtLine(std::uint32_t line,
                               const BinaryLoop *loop) const {
   std::map<isa::Opcode, std::size_t> out;
-  for (std::size_t i = 0; i < binary_->instructions.size(); ++i) {
-    if (binary_->instructions[i].line != line)
-      continue;
-    int li = instrLoop_[i];
-    if (!loop) {
-      if (li >= 0)
-        continue;
-    } else {
-      if (li < 0)
-        continue;
-      const BinaryLoop &enclosing = binary_->loops[static_cast<std::size_t>(li)];
-      if (&enclosing != loop)
-        continue;
-      // Exclude the header block: counted separately as (trips+1).
-      bool inHeader = false;
-      for (std::uint32_t idx :
-           binary_->blocks[loop->headerBlock].instrIndices)
-        if (idx == i)
-          inHeader = true;
-      if (inHeader)
-        continue;
-    }
-    ++out[binary_->instructions[i].inst.opcode];
+  auto it = std::lower_bound(byLine_.begin(), byLine_.end(), line,
+                             [](const IndexedInstr &instr, std::uint32_t l) {
+                               return instr.line < l;
+                             });
+  for (; it != byLine_.end() && it->line == line; ++it) {
+    // Exclude the header block: counted separately as (trips+1).
+    if (it->loop == loop && !(loop && it->block == loop->headerBlock))
+      ++out[it->opcode];
   }
   return out;
 }
@@ -93,20 +70,7 @@ FunctionBridge::headerOpcodes(const BinaryLoop &loop) const {
 }
 
 std::map<isa::Opcode, std::size_t> FunctionBridge::prologueOpcodes() const {
-  std::map<isa::Opcode, std::size_t> out;
-  for (std::size_t i = 0; i < binary_->instructions.size(); ++i)
-    if (instrLoop_[i] < 0 && binary_->instructions[i].line == 0)
-      ++out[binary_->instructions[i].inst.opcode];
-  return out;
-}
-
-bool FunctionBridge::instrInsideLoop(std::uint32_t instrIdx,
-                                     const BinaryLoop *&loop) const {
-  int li = instrLoop_[instrIdx];
-  if (li < 0)
-    return false;
-  loop = &binary_->loops[static_cast<std::size_t>(li)];
-  return true;
+  return opcodesAtLine(0, nullptr);
 }
 
 ProgramBridge::ProgramBridge(const frontend::TranslationUnit &unit,

@@ -36,6 +36,9 @@ struct LoopBinding {
 
 class FunctionBridge {
 public:
+  /// Indexes the function's instructions by line, block and innermost
+  /// loop once, so every line query below reads only the instructions
+  /// at that line.
   FunctionBridge(const frontend::FunctionDecl &source,
                  const binast::AsmFunction &binary);
 
@@ -46,20 +49,12 @@ public:
   /// for-statement line), i.e. the machine loops compiled from it.
   LoopBinding loopsAtLine(std::uint32_t line) const;
 
-  /// Instruction count at `line` restricted to blocks inside `loop`
-  /// excluding its header block.
-  std::size_t bodyInstrsAtLine(const binast::BinaryLoop &loop,
-                               std::uint32_t line) const;
-
-  /// Instructions at `line` not inside any binary loop (loop prologues,
-  /// hoisted bound computation, epilogues).
-  std::size_t instrsOutsideLoopsAtLine(std::uint32_t line) const;
-
   /// All distinct lines with at least one machine instruction.
   std::vector<std::uint32_t> coveredLines() const;
 
-  /// Opcode histogram of instructions at `line` within `loop` bodies
-  /// (nullptr loop = outside all loops).
+  /// Opcode histogram of instructions at `line` whose innermost loop is
+  /// `loop`, excluding its header block (nullptr loop = outside all
+  /// loops).
   std::map<isa::Opcode, std::size_t>
   opcodesAtLine(std::uint32_t line, const binast::BinaryLoop *loop) const;
 
@@ -72,14 +67,17 @@ public:
   std::map<isa::Opcode, std::size_t> prologueOpcodes() const;
 
 private:
-  bool instrInsideLoop(std::uint32_t instrIdx,
-                       const binast::BinaryLoop *&loop) const;
+  struct IndexedInstr {
+    std::uint32_t line;
+    const binast::BinaryLoop *loop; // innermost enclosing loop, or nullptr
+    std::uint32_t block;
+    isa::Opcode opcode;
+  };
 
   const frontend::FunctionDecl *source_;
   const binast::AsmFunction *binary_;
-  // instruction index -> enclosing innermost loop (index into
-  // binary().loops) or -1
-  std::vector<int> instrLoop_;
+  // Every instruction, sorted by line (then address).
+  std::vector<IndexedInstr> byLine_;
 };
 
 /// All function bridges of a translation unit against a binary AST.

@@ -45,7 +45,20 @@ struct Context {
   std::int64_t ratioNum = 1;
   std::int64_t ratioDen = 1;
   std::optional<Expr> overrideCount;
+  /// The count above, once computed. Every statement of a region reads
+  /// it, so the domain is counted once per region instead of once per
+  /// statement. nested() copies start without it, and the walker seeds
+  /// it where it has just counted the same domain.
+  std::optional<Expr> total;
 };
+
+/// A copy of `ctx` for a nested region, without the memoized total: the
+/// caller changes the fields it derives from, or seeds it.
+Context nested(const Context &ctx) {
+  Context out = ctx;
+  out.total.reset();
+  return out;
+}
 
 /// Pattern-match `expr % K == 0` / `expr % K != 0`.
 std::optional<Congruence> matchCongruence(const Expression &cond) {
@@ -152,12 +165,15 @@ private:
                           Expr::intConst(ctx.ratioDen));
   }
 
-  /// Absolute execution count at the current context.
-  Expr totalCount(const Context &ctx) {
+  /// Absolute execution count at the current context, counted once.
+  Expr totalCount(Context &ctx) {
     if (ctx.overrideCount)
       return *ctx.overrideCount;
-    CountResult res = polyhedral::countIterations(ctx.domain);
-    return applyRatio(ctx, res.count * ctx.extraMultiplier);
+    if (!ctx.total)
+      ctx.total = applyRatio(
+          ctx, polyhedral::countIterations(ctx.domain).count *
+                   ctx.extraMultiplier);
+    return *ctx.total;
   }
 
   void addOpcodeStep(const std::map<isa::Opcode, std::size_t> &opcodes,
@@ -284,8 +300,8 @@ private:
     if (stmt.expr)
       collectCalls(*stmt.expr, total);
 
-    Context thenCtx = ctx;
-    Context elseCtx = ctx;
+    Context thenCtx = nested(ctx);
+    Context elseCtx = nested(ctx);
     bool modeled = false;
 
     if (auto cong = matchCongruence(*stmt.expr)) {
@@ -298,6 +314,7 @@ private:
       CountResult thenRes = polyhedral::countIterations(thenCtx.domain);
       if (!thenRes.requiresAnnotation) {
         modeled = true;
+        thenCtx.total = applyRatio(ctx, thenRes.count * ctx.extraMultiplier);
         if (!thenRes.note.empty())
           model_.notes.push_back(thenRes.note);
       }
@@ -310,6 +327,7 @@ private:
         CountResult thenRes = polyhedral::countIterations(thenCtx.domain);
         if (!thenRes.requiresAnnotation) {
           modeled = true;
+          thenCtx.total = applyRatio(ctx, thenRes.count * ctx.extraMultiplier);
           if (!thenRes.exact)
             note(thenRes.note);
           // Else branch: single-constraint guards invert exactly; the
@@ -319,9 +337,7 @@ private:
             AffineConstraint inverted{-(*guards)[0].expr - AffineExpr(1)};
             elseCtx.domain = ctx.domain.withGuard(inverted);
           } else {
-            Expr thenCount = applyRatio(
-                ctx, thenRes.count * ctx.extraMultiplier);
-            elseCtx.overrideCount = total - thenCount;
+            elseCtx.overrideCount = total - *thenCtx.total;
           }
         }
       }
@@ -399,7 +415,7 @@ private:
 
     Expr entries = totalCount(ctx);
     Expr bodyAbs;
-    Context bodyCtx = ctx;
+    Context bodyCtx = nested(ctx);
 
     if (ann && ann->get("lp_iters")) {
       std::string value = *ann->get("lp_iters");
@@ -462,6 +478,7 @@ private:
     else if (!res.note.empty())
       model_.notes.push_back(res.note);
     bodyAbs = applyRatio(ctx, res.count * ctx.extraMultiplier);
+    bodyCtx.total = bodyAbs;
     emitLoopMachineCounts(stmt, line, bodyAbs, entries, bodyCtx, &info);
   }
 
@@ -482,7 +499,7 @@ private:
            " cannot be counted statically; supply {lp_iters:..}");
     }
     Expr bodyAbs = entries * perEntry;
-    Context bodyCtx = ctx;
+    Context bodyCtx = nested(ctx);
     bodyCtx.extraMultiplier = ctx.extraMultiplier * perEntry;
     emitLoopMachineCounts(stmt, line, bodyAbs, entries, bodyCtx, nullptr);
   }

@@ -230,23 +230,30 @@ bool Client::analyzePipelined(const std::vector<SourceItem> &items,
       std::this_thread::sleep_for(std::chrono::milliseconds(
           retryHintMillis ? retryHintMillis : 10));
     }
-    // Write every outstanding request up front, then read the replies
-    // back: the daemon answers strictly in request order, so the i-th
-    // reply frame belongs to the i-th frame of this round.
-    for (std::size_t idx : pending) {
-      const std::string request =
-          encodeAnalyzeRequest(items[idx], packOptions(options), version_);
-      if (request.size() > kMaxFrameBytes)
-        return fail(ErrorKind::protocol, "request of " + std::to_string(request.size()) +
-                    " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
-                    "-byte frame cap; split the request");
-      if (!net::writeFrame(socket_.fd(), request)) {
-        disconnect();
-        return fail(ErrorKind::transport, "send failed (daemon gone?)");
-      }
-    }
+    // Keep at most kPipelineWindow requests outstanding, reading one
+    // reply before writing the next request beyond it. Writing every
+    // request first deadlocks once the unread replies fill the socket
+    // buffers: the daemon blocks sending them and stops reading, and the
+    // client blocks sending the rest. The daemon answers strictly in
+    // request order, so the i-th reply frame belongs to the i-th frame
+    // of this round.
     std::vector<std::size_t> refused;
-    for (std::size_t idx : pending) {
+    std::size_t sent = 0;
+    for (std::size_t received = 0; received < pending.size(); ++received) {
+      for (; sent < pending.size() && sent < received + kPipelineWindow;
+           ++sent) {
+        const std::string request = encodeAnalyzeRequest(
+            items[pending[sent]], packOptions(options), version_);
+        if (request.size() > kMaxFrameBytes)
+          return fail(ErrorKind::protocol, "request of " + std::to_string(request.size()) +
+                      " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+                      "-byte frame cap; split the request");
+        if (!net::writeFrame(socket_.fd(), request)) {
+          disconnect();
+          return fail(ErrorKind::transport, "send failed (daemon gone?)");
+        }
+      }
+      const std::size_t idx = pending[received];
       std::string reply;
       MessageType type{};
       if (!receiveReply(type, reply))

@@ -117,16 +117,23 @@ public:
                     std::vector<ClientOutcome> &outcomes);
 
   /// Analyze many sources as individual pipelined requests on this one
-  /// connection: all frames are written up front and the replies —
-  /// which the daemon guarantees arrive in request order — are read
-  /// back in sequence. Unlike analyzeBatch the daemon treats each item
-  /// as its own request, so items refused with Busy are retried in
-  /// follow-up rounds (honoring the retry hint) while accepted items'
-  /// results are kept. Outcomes arrive in input order; payload bytes
-  /// are identical to one-shot analyze() calls of the same items.
+  /// connection: up to kPipelineWindow frames are in flight at once and
+  /// the replies — which the daemon guarantees arrive in request order —
+  /// are read back in sequence. The bounded window keeps the unread
+  /// replies within the socket buffers, so any number of items is safe.
+  /// Unlike analyzeBatch the daemon treats each item as its own request,
+  /// so items refused with Busy are retried in follow-up rounds (honoring
+  /// the retry hint) while accepted items' results are kept. Outcomes
+  /// arrive in input order; payload bytes are identical to one-shot
+  /// analyze() calls of the same items.
   bool analyzePipelined(const std::vector<SourceItem> &items,
                         const core::MiraOptions &options,
                         std::vector<ClientOutcome> &outcomes);
+
+  /// Requests analyzePipelined() keeps in flight. Eight replies of the
+  /// largest corpus payloads (about 14 KB) stay well inside a default
+  /// 208 KB Unix socket buffer.
+  static constexpr std::size_t kPipelineWindow = 8;
 
   /// Loop-coverage summary of one source (protocol v2). Served from the
   /// daemon's cached coverage summary when warm — no recompilation.

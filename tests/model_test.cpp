@@ -1,12 +1,19 @@
 // Model / arch / baseline / bridge unit tests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+
 #include "arch/arch.h"
 #include "baseline/pbound.h"
 #include "core/artifacts.h"
 #include "core/mira.h"
 #include "model/model.h"
 #include "model/python_emitter.h"
+#include "model/serialize.h"
+#include "support/hash.h"
+#include "workloads/coverage_suite.h"
+#include "workloads/workloads.h"
 
 namespace mira {
 namespace {
@@ -122,6 +129,263 @@ TEST(PythonEmitter, OpcodeKeysWhenRequested) {
   options.categoryKeys = false;
   std::string py = emitPython(m, options);
   EXPECT_NE(py.find("'addsd'"), std::string::npos);
+}
+
+// ------------------------------------------------------ model byte pins
+
+// Generated programs of the benchmark corpus's nest and pipeline
+// families (tag comments dropped), fixed here so their bytes never move.
+const std::string kPinnedNestA = R"(double k0(int n) {
+  double acc = 0.0;
+  for (int i = 0; i < n; i += 2) {
+    acc = acc - 0.8;
+  }
+  return acc;
+}
+
+double k1(int n) {
+  double acc = 0.0;
+  acc = acc + k0(n);
+  for (int i = 0; i < n; i++) {
+    for (int j = i; j < n; j++) {
+      if (j % 5 != 0) {
+        acc = acc - 0.7;
+        acc = acc * 1.000004;
+        acc = acc * 1.000008;
+      }
+    }
+  }
+  return acc;
+}
+
+double driver(int n) {
+  double total = 0.0;
+  total = total + k0(n);
+  total = total + k1(n);
+  return total;
+}
+)";
+
+const std::string kPinnedNestB = R"(double k0(int n) {
+  double acc = 0.0;
+  for (int i = 0; i < n; i++) {
+    for (int j = 0; j < n; j++) {
+      if (j >= 1) {
+        acc = acc - 0.9;
+        acc = acc - 0.3;
+      }
+    }
+  }
+  return acc;
+}
+
+double k1(int n) {
+  double acc = 0.0;
+  for (int i = 0; i < n; i++) {
+    for (int j = 0; j < n; j++) {
+      for (int k = 0; k < n; k++) {
+        if (k % 5 != 0) {
+          acc = acc * 1.000006;
+        }
+      }
+    }
+  }
+  return acc;
+}
+
+double k2(int n) {
+  double acc = 0.0;
+  acc = acc + k1(n);
+  for (int i = 0; i < n; i++) {
+    acc = acc * 1.000008;
+    acc = acc * 1.000007;
+    acc = acc - 0.9;
+  }
+  return acc;
+}
+
+double driver(int n) {
+  double total = 0.0;
+  total = total + k0(n);
+  total = total + k1(n);
+  total = total + k2(n);
+  return total;
+}
+)";
+
+const std::string kPinnedNestC = R"(double k0(int n) {
+  double acc = 0.0;
+  for (int i = 0; i < n; i++) {
+    for (int j = i; j < n; j++) {
+      for (int k = j; k < n; k++) {
+        if (k >= 3) {
+          acc = acc * 1.000005;
+          acc = acc * 1.000003;
+          acc = acc + 0.7;
+        }
+      }
+    }
+  }
+  return acc;
+}
+
+double k1(int n) {
+  double acc = 0.0;
+  acc = acc + k0(n);
+  for (int i = 0; i < n; i++) {
+    if (i % 3 != 0) {
+      acc = acc + 0.3;
+      acc = acc + 0.6;
+    }
+  }
+  return acc;
+}
+
+double k2(int n) {
+  double acc = 0.0;
+  for (int i = 1; i <= n; i++) {
+    for (int j = 0; j < n; j += 4) {
+      acc = acc - 0.6;
+    }
+  }
+  return acc;
+}
+
+double driver(int n) {
+  double total = 0.0;
+  total = total + k0(n);
+  total = total + k1(n);
+  total = total + k2(n);
+  return total;
+}
+)";
+
+const std::string kPinnedPipelineA = R"(void stage0(double* x, double* y, double* z, int n) {
+  for (int i = 0; i < n; i++) {
+    z[i] = x[i] + y[i] - y[i];
+  }
+}
+
+void stage1(double* x, double* y, double* z, int n) {
+  for (int i = 0; i < n; i++) {
+    z[i] = x[i] / y[i];
+  }
+}
+
+void stage2(double* x, double* y, double* z, int n) {
+  for (int i = 0; i < n; i += 2) {
+    z[i] = x[i] / y[i] - y[i];
+  }
+}
+
+double dot(double* x, double* y, int n) {
+  double s = 0.0;
+  for (int i = 0; i < n; i++) {
+    s = s + x[i] * y[i];
+  }
+  return s;
+}
+
+double driver(int n) {
+  double a[n];
+  double b[n];
+  double c[n];
+  double d[n];
+  for (int i = 0; i < n; i++) {
+    a[i] = 5.0;
+    b[i] = 5.0;
+    c[i] = 1.0;
+    d[i] = 2.0;
+  }
+  stage0(a, b, c, n);
+  stage1(b, c, d, n);
+  stage2(c, d, a, n);
+  double r = a[0];
+  r = r + dot(a, c, n);
+  return r;
+}
+)";
+
+const std::string kPinnedPipelineB = R"(void stage0(double* x, double* y, double* z, int n) {
+  for (int i = 0; i < n; i++) {
+    z[i] = x[i] / y[i] / y[i];
+  }
+}
+
+double driver(int n) {
+  double a[n];
+  double b[n];
+  double c[n];
+  double d[n];
+  for (int i = 0; i < n; i++) {
+    a[i] = 1.0;
+    b[i] = 3.0;
+    c[i] = 8.0;
+    d[i] = 5.0;
+  }
+  stage0(a, b, c, n);
+  double r = c[0];
+  return r;
+}
+)";
+
+// FNV-1a of model::serializeModel under default options. Every other
+// byte-identity test compares two serving paths within one build; these
+// digests were recorded from an earlier build, so a walker, binast or
+// bridge change that alters the bytes the same way on every path still
+// fails here. A deliberate model change must update them.
+TEST(ModelBytes, PinnedAcrossCommits) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"dgemm", 0x5798948a494f059cull},
+      {"fig5", 0x4e8010dd02b08e39ull},
+      {"listings", 0x857024f8635a8773ull},
+      {"minife", 0xd3b1e8d068c8e3e9ull},
+      {"stream", 0xb26c50a0affb7400ull},
+      {"adm", 0x59324a683406df70ull},
+      {"applu", 0xdaaf660b70a148d3ull},
+      {"apsi", 0x136c7976e902757full},
+      {"dyfesm", 0x236ca8b142d29c76ull},
+      {"lucas", 0xcc50322c9fb724c3ull},
+      {"mdg", 0xeb252ebceeae1161ull},
+      {"mg3d", 0xf744305cc321c64aull},
+      {"mgrid", 0x1699acad56d9301eull},
+      {"quake", 0xed249e5eb5af9f94ull},
+      {"swim", 0xd43e5842f6695234ull},
+      {"nest_a", 0x323a285c77601ae3ull},
+      {"nest_b", 0x65ef4ffc25e461fcull},
+      {"nest_c", 0x7e7859c18af7484cull},
+      {"pipeline_a", 0x6df6849c7ef14d85ull},
+      {"pipeline_b", 0x280aedd84fdd20a6ull},
+  };
+  std::vector<std::pair<std::string, const std::string *>> sources;
+  for (const auto &kernel : workloads::coverageSuite())
+    sources.emplace_back(kernel.name, &kernel.source);
+  for (const auto &workload : workloads::figSeriesWorkloads())
+    sources.emplace_back(workload.name, workload.source);
+  sources.emplace_back("nest_a", &kPinnedNestA);
+  sources.emplace_back("nest_b", &kPinnedNestB);
+  sources.emplace_back("nest_c", &kPinnedNestC);
+  sources.emplace_back("pipeline_a", &kPinnedPipelineA);
+  sources.emplace_back("pipeline_b", &kPinnedPipelineB);
+  ASSERT_EQ(sources.size(), pinned.size());
+
+  for (const auto &[name, source] : sources) {
+    core::AnalysisSpec spec;
+    spec.name = name + ".mc";
+    spec.source = *source;
+    spec.artifacts = core::kArtifactModel;
+    const core::Artifacts artifacts = core::analyze(spec);
+    ASSERT_TRUE(artifacts.ok && artifacts.model) << name;
+    std::string bytes;
+    serializeModel(*artifacts.model, bytes);
+    char actual[32];
+    std::snprintf(actual, sizeof actual, "0x%016llxull",
+                  static_cast<unsigned long long>(fnv1a(bytes)));
+    auto it = pinned.find(name);
+    ASSERT_NE(it, pinned.end()) << name;
+    EXPECT_EQ(fnv1a(bytes), it->second)
+        << "model bytes of " << name << " moved; now " << actual;
+  }
 }
 
 } // namespace

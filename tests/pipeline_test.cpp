@@ -143,6 +143,35 @@ TEST(Pipeline, TriangularNestFPIExact) {
   }
 }
 
+TEST(Pipeline, DepthThreeRectangularAndInclusiveNestsFPIExact) {
+  // All 8 depth-3 nests whose levels each run `0 .. n-1` or `1 .. n`.
+  // Register pressure in the inclusive shapes makes the allocator spill
+  // a latch's step constant through a stack slot, and the binary loop
+  // must still recover its step for the main/remainder split.
+  const char *vars[] = {"i", "j", "k"};
+  for (int shape = 0; shape < 8; ++shape) {
+    std::string src = "double f(int n) {\n  double acc = 0.0;\n";
+    std::string name;
+    for (int d = 0; d < 3; ++d) {
+      const bool inclusive = shape & (4 >> d);
+      const std::string v = vars[d];
+      name += inclusive ? 'i' : 'r';
+      src += std::string(2 * d + 2, ' ') + "for (int " + v +
+             (inclusive ? " = 1; " + v + " <= n; " : " = 0; " + v + " < n; ") +
+             v + "++) {\n";
+    }
+    src += "        acc = acc + 0.5;\n      }\n    }\n  }\n  return acc;\n}\n";
+    auto a = analyzeOk(src);
+    ASSERT_TRUE(a != nullptr) << name;
+    for (std::int64_t n = 1; n <= 6; ++n) {
+      auto staticFPI = a->staticFPI("f", {{"n", n}});
+      ASSERT_TRUE(staticFPI.has_value()) << name;
+      double dynamicFPI = simFPI(*a, "f", {Value::ofInt(n)});
+      EXPECT_DOUBLE_EQ(*staticFPI, dynamicFPI) << name << " n=" << n;
+    }
+  }
+}
+
 TEST(Pipeline, BranchInLoopUsesGuardedPolyhedron) {
   // Paper Fig. 4(b): affine guard shrinks the count; the model must be
   // exact, not approximate.

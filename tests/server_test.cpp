@@ -7,8 +7,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -935,6 +939,84 @@ TEST(AnalysisServerTest, BusyRefusalsAreRetriedUntilAllSucceed) {
     if (sample.name == "server_busy_rejections_total")
       busyRejections = sample.value;
   EXPECT_GE(busyRejections, 1u);
+}
+
+TEST(AnalysisServerTest, PipelinedCorpusOnOneConnectionDoesNotDeadlock) {
+  // 510 corpus-sized sources (tagged copies of the embedded workloads)
+  // pipelined on one connection to a warm daemon, which answers each
+  // as fast as it arrives: several times what the socket buffers hold
+  // in either direction, so a client that wrote every request before
+  // reading a reply would block in send while the daemon blocks sending
+  // replies. The watchdog turns such a hang into a failure.
+  std::vector<SourceItem> items;
+  std::vector<std::pair<std::string, const std::string *>> sources;
+  for (const auto &workload : workloads::figSeriesWorkloads())
+    sources.emplace_back(workload.name, workload.source);
+  for (std::size_t i = 0; items.size() < 510; ++i) {
+    const auto &[name, source] = sources[i % sources.size()];
+    items.push_back({name + "_" + std::to_string(i) + ".mc",
+                     *source + "// copy " + std::to_string(i) + "\n"});
+  }
+  std::vector<std::string> reference;
+  for (const SourceItem &item : items) {
+    core::AnalysisSpec spec;
+    spec.name = item.name;
+    spec.source = item.source;
+    spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
+                     core::kArtifactCoverage;
+    core::Artifacts direct = core::analyze(spec);
+    ASSERT_TRUE(direct.ok && direct.coverage) << direct.diagnostics;
+    reference.push_back(driver::serializeArtifactPayload(
+        direct.model.get(), &*direct.coverage, direct.diagnostics,
+        item.name));
+  }
+
+  DaemonFixture daemon;
+  ASSERT_TRUE(daemon.started());
+  {
+    Client warm;
+    ASSERT_TRUE(warm.connect(daemon.socketPath())) << warm.lastError();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      ClientOutcome outcome;
+      ASSERT_TRUE(warm.analyze(items[i].name, items[i].source,
+                               core::MiraOptions(), outcome))
+          << warm.lastError();
+      ASSERT_EQ(outcome.payload, reference[i]) << items[i].name;
+    }
+  }
+
+  std::mutex mutex;
+  std::condition_variable finished;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!finished.wait_for(lock, std::chrono::seconds(60),
+                           [&] { return done; })) {
+      std::fprintf(stderr, "analyzePipelined did not finish in 60 s: "
+                           "client and daemon deadlocked\n");
+      std::_Exit(EXIT_FAILURE);
+    }
+  });
+  Client client;
+  std::vector<ClientOutcome> outcomes;
+  const bool connected = client.connect(daemon.socketPath());
+  const bool pipelined =
+      connected &&
+      client.analyzePipelined(items, core::MiraOptions(), outcomes);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    done = true;
+  }
+  finished.notify_one();
+  watchdog.join();
+
+  ASSERT_TRUE(pipelined) << client.lastError();
+  ASSERT_EQ(outcomes.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(outcomes[i].name, items[i].name) << "reply order broke at " << i;
+    EXPECT_EQ(outcomes[i].payload, reference[i]) << "payload differs at " << i;
+  }
+  EXPECT_TRUE(client.ping()) << client.lastError();
 }
 
 TEST(AnalysisServerTest, GracefulDrainAnswersInFlightRequestThenExits) {
