@@ -29,13 +29,13 @@ void printAblation() {
     auto &a = bench::analyzeCached(workloads::streamSource(), "stream.mc");
     DiagnosticEngine diags;
     auto srcOnly = baseline::generateSourceOnlyModel(
-        *a.program->unit, a.program->sema.callGraph, diags);
+        *a.program->get()->unit, a.program->get()->sema.callGraph, diags);
     std::int64_t n = 1'000'000;
     auto r = bench::simulateFF(a, "stream_main",
                                {Value::ofInt(n), Value::ofInt(10)});
     double dyn = r.fpiOf("stream_main");
     model::Env env{{"n", n}, {"ntimes", 10}};
-    auto mira = a.model.evaluate("stream_main", env);
+    auto mira = a.model->evaluate("stream_main", env);
     auto pb = srcOnly.evaluate("stream_main", env);
     std::printf("%-28s | %12s | %12s | %9s | %12s | %9s\n",
                 "STREAM 1M x10 (vectorized)", bench::fmtCount(dyn).c_str(),
@@ -50,12 +50,12 @@ void printAblation() {
     auto &a = bench::analyzeCached(workloads::dgemmSource(), "dgemm.mc");
     DiagnosticEngine diags;
     auto srcOnly = baseline::generateSourceOnlyModel(
-        *a.program->unit, a.program->sema.callGraph, diags);
+        *a.program->get()->unit, a.program->get()->sema.callGraph, diags);
     std::int64_t n = 256;
     auto r = bench::simulateFF(a, "dgemm_main", {Value::ofInt(n)});
     double dyn = r.fpiOf("dgemm_main");
     model::Env env{{"n", n}, {"total", n * n}};
-    auto mira = a.model.evaluate("dgemm_main", env);
+    auto mira = a.model->evaluate("dgemm_main", env);
     auto pb = srcOnly.evaluate("dgemm_main", env);
     std::printf("%-28s | %12s | %12s | %9s | %12s | %9s\n",
                 "DGEMM 256 (scalar kernel)", bench::fmtCount(dyn).c_str(),
@@ -70,7 +70,7 @@ void printAblation() {
     auto &a = bench::analyzeCached(workloads::minifeSource(), "minife.mc");
     DiagnosticEngine diags;
     auto srcOnly = baseline::generateSourceOnlyModel(
-        *a.program->unit, a.program->sema.callGraph, diags);
+        *a.program->get()->unit, a.program->get()->sema.callGraph, diags);
     int s = 30, iters = 100;
     auto r = bench::simulateFF(a, "cg_solve",
                                {Value::ofInt(s), Value::ofInt(s),
@@ -82,7 +82,7 @@ void printAblation() {
                    // The source-only baseline has no annotation support:
                    // the CSR loop bounds stay as parameters jbeg/jend.
                    {"jbeg", 0},          {"jend", 7}};
-    auto mira = a.model.evaluate("cg_solve", env);
+    auto mira = a.model->evaluate("cg_solve", env);
     auto pb = srcOnly.evaluate("cg_solve", env);
     std::printf("%-28s | %12s | %12s | %9s | %12s | %9s\n",
                 "miniFE 30^3 cg_solve", bench::fmtCount(dyn).c_str(),
@@ -103,7 +103,7 @@ void BM_SourceOnlyModelGeneration(benchmark::State &state) {
   for (auto _ : state) {
     DiagnosticEngine diags;
     auto m = baseline::generateSourceOnlyModel(
-        *a.program->unit, a.program->sema.callGraph, diags);
+        *a.program->get()->unit, a.program->get()->sema.callGraph, diags);
     benchmark::DoNotOptimize(m);
   }
 }

@@ -14,8 +14,8 @@
 // the warm fresh-process-vs-warm-daemon gap, with the two cold reports
 // checked byte-identical), and
 // (f) the coverage artifact ladder: a full cold compute vs. the
-// recompile-on-demand path (what a schema-v1 cache entry degrades to)
-// vs. the schema-v2 summary served from a warm disk cache vs. a warm
+// recompile-on-demand path (what a warm simulation pays for its program)
+// vs. the cached summary served from a warm disk cache vs. a warm
 // daemon answering over the wire (BM_CoverageWarmDaemon). On
 // multi-core hosts the 4-thread batch must beat serial by >1.5x; on
 // single-core containers the table still prints and flags the
@@ -42,16 +42,16 @@ namespace {
 
 using namespace mira;
 
-std::vector<driver::AnalysisRequest> batchRequests() {
-  std::vector<driver::AnalysisRequest> requests;
+std::vector<core::AnalysisSpec> batchRequests() {
+  std::vector<core::AnalysisSpec> requests;
   for (const auto &kernel : workloads::coverageSuite()) {
-    driver::AnalysisRequest request;
+    core::AnalysisSpec request;
     request.name = kernel.name;
     request.source = kernel.source;
     requests.push_back(std::move(request));
   }
   for (const auto &workload : workloads::figSeriesWorkloads()) {
-    driver::AnalysisRequest request;
+    core::AnalysisSpec request;
     request.name = workload.name;
     request.source = *workload.source;
     requests.push_back(std::move(request));
@@ -60,13 +60,13 @@ std::vector<driver::AnalysisRequest> batchRequests() {
 }
 
 /// Wall seconds for one cold batch (cache off so every request computes).
-double timeBatch(const std::vector<driver::AnalysisRequest> &requests,
+double timeBatch(const std::vector<core::AnalysisSpec> &requests,
                  std::size_t threads) {
   driver::BatchOptions options;
   options.threads = threads;
   options.useCache = false;
   driver::BatchAnalyzer analyzer(options);
-  auto outcomes = analyzer.run(requests);
+  auto outcomes = analyzer.runArtifacts(requests);
   for (const auto &outcome : outcomes) {
     if (!outcome.ok) {
       std::fprintf(stderr, "batch analysis of %s failed:\n%s\n",
@@ -106,9 +106,9 @@ void printSpeedupTable() {
 
   // Cache fast path: a warm identical batch should be pure hits.
   driver::BatchAnalyzer analyzer(driver::BatchOptions{4, true});
-  analyzer.run(requests);
+  analyzer.runArtifacts(requests);
   double coldSeconds = analyzer.stats().wallSeconds;
-  analyzer.run(requests);
+  analyzer.runArtifacts(requests);
   std::printf("\ncache: cold %.4f s -> warm %.4f s (%zu hits / %zu miss)\n",
               coldSeconds, analyzer.stats().wallSeconds,
               analyzer.stats().cacheHits, analyzer.stats().cacheMisses);
@@ -127,13 +127,13 @@ void printSpeedupTable() {
   std::size_t warmHits = 0, warmMisses = 0, coldStores = 0;
   {
     driver::BatchAnalyzer cold(diskOptions);
-    cold.run(requests);
+    cold.runArtifacts(requests);
     diskCold = cold.stats().wallSeconds;
     coldStores = cold.stats().diskStores;
   }
   {
     driver::BatchAnalyzer warm(diskOptions);
-    warm.run(requests);
+    warm.runArtifacts(requests);
     diskWarm = warm.stats().wallSeconds;
     warmHits = warm.stats().diskHits;
     warmMisses = warm.stats().diskMisses;
@@ -192,10 +192,10 @@ void printSpeedupTable() {
     oneShot.threads = 1;
     auto start = now();
     driver::BatchAnalyzer fresh(oneShot); // a "new process" every time
-    driver::AnalysisRequest request;
+    core::AnalysisSpec request;
     request.name = "@minife";
     request.source = daemonSource;
-    if (!fresh.analyzeSingle(request).ok)
+    if (!fresh.analyzeArtifacts(request).ok)
       std::abort();
     oneShotSeconds += elapsed(start);
   }
@@ -291,10 +291,10 @@ void printManifestBatchPhase() {
   // the manifest content hashes. A fresh analyzer per call stands in
   // for a fresh process.
   auto runLocal = [&](const std::string &cacheDir) {
-    std::vector<driver::AnalysisRequest> local;
+    std::vector<core::AnalysisSpec> local;
     local.reserve(selection.entries.size());
     for (const auto &entry : selection.entries) {
-      driver::AnalysisRequest request;
+      core::AnalysisSpec request;
       request.name = entry.path;
       std::ifstream in(corpusDir / entry.path, std::ios::binary);
       request.source.assign(std::istreambuf_iterator<char>(in), {});
@@ -304,7 +304,7 @@ void printManifestBatchPhase() {
     batchOptions.threads = 2;
     batchOptions.cacheDir = cacheDir;
     driver::BatchAnalyzer analyzer(batchOptions);
-    auto outcomes = analyzer.run(local);
+    auto outcomes = analyzer.runArtifacts(local);
     driver::BatchReport report;
     report.stats = analyzer.stats();
     report.entries.reserve(outcomes.size());
@@ -500,14 +500,9 @@ void printInternPhase() {
 }
 
 std::vector<core::AnalysisSpec> coverageSpecs() {
-  std::vector<core::AnalysisSpec> specs;
-  for (driver::AnalysisRequest &request : batchRequests()) {
-    core::AnalysisSpec spec;
-    spec.name = std::move(request.name);
-    spec.source = std::move(request.source);
+  std::vector<core::AnalysisSpec> specs = batchRequests();
+  for (core::AnalysisSpec &spec : specs)
     spec.artifacts = core::kArtifactCoverage | core::kArtifactDiagnostics;
-    specs.push_back(std::move(spec));
-  }
   return specs;
 }
 
@@ -540,8 +535,8 @@ void printCoveragePhase() {
         std::abort();
   }
 
-  // Rung 2 — recompile-on-demand: what a schema-v1 cache entry (model
-  // only, no summary) degrades to — parse -> codegen, no model stage.
+  // Rung 2 — recompile-on-demand: what a warm simulation pays for its
+  // program — parse -> codegen, no model stage — plus one AST walk.
   double recompileSeconds = 0;
   {
     auto start = now();
@@ -557,7 +552,7 @@ void printCoveragePhase() {
     recompileSeconds = elapsed(start);
   }
 
-  // Rung 3 — schema-v2 summary from a warm disk cache: deserialization
+  // Rung 3 — cached summary from a warm disk cache: deserialization
   // only, no compiler at all.
   const std::string cacheDir =
       (std::filesystem::temp_directory_path() / "mira_bench_coverage")
@@ -624,10 +619,10 @@ void printCoveragePhase() {
   std::printf("%zu sources, ms/source:\n", specs.size());
   std::printf("  cold full compute       : %8.4f\n",
               coldSeconds * perSource);
-  std::printf("  recompile-on-demand (v1): %8.4f (%.1fx vs cold)\n",
+  std::printf("  recompile-on-demand     : %8.4f (%.1fx vs cold)\n",
               recompileSeconds * perSource,
               recompileSeconds > 0 ? coldSeconds / recompileSeconds : 0.0);
-  std::printf("  warm v2 summary         : %8.4f (%.1fx vs cold, "
+  std::printf("  warm cached summary     : %8.4f (%.1fx vs cold, "
               "%zu from summaries, %zu recompiles)\n",
               summarySeconds * perSource,
               summarySeconds > 0 ? coldSeconds / summarySeconds : 0.0,
@@ -684,7 +679,7 @@ void BM_CoverageWarmDaemon(benchmark::State &state) {
 BENCHMARK(BM_CoverageWarmDaemon)->Unit(benchmark::kMillisecond);
 
 void BM_CoverageRecompileOnDemand(benchmark::State &state) {
-  // The schema-v1 degradation path in isolation: parse -> sema ->
+  // The recompile-on-demand path in isolation: parse -> sema ->
   // codegen (no model generation) plus one AST walk, per iteration.
   const std::string &source = workloads::fig5Source();
   for (auto _ : state) {
@@ -801,13 +796,13 @@ void BM_BatchAnalyzeWarmDiskCache(benchmark::State &state) {
   options.cacheDir = cacheDir;
   {
     driver::BatchAnalyzer seed(options);
-    seed.run(requests); // populate the directory
+    seed.runArtifacts(requests); // populate the directory
   }
   for (auto _ : state) {
     // A fresh analyzer per iteration: every request goes memory-miss ->
     // disk-hit, timing deserialization rather than analysis.
     driver::BatchAnalyzer analyzer(options);
-    auto outcomes = analyzer.run(requests);
+    auto outcomes = analyzer.runArtifacts(requests);
     benchmark::DoNotOptimize(outcomes.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -870,9 +865,9 @@ BENCHMARK(BM_ExprEqualsInterned)->Unit(benchmark::kNanosecond);
 void BM_BatchAnalyzeWarmCache(benchmark::State &state) {
   auto requests = batchRequests();
   driver::BatchAnalyzer analyzer(driver::BatchOptions{4, true});
-  analyzer.run(requests); // populate
+  analyzer.runArtifacts(requests); // populate
   for (auto _ : state) {
-    auto outcomes = analyzer.run(requests);
+    auto outcomes = analyzer.runArtifacts(requests);
     benchmark::DoNotOptimize(outcomes.size());
   }
   state.SetItemsProcessed(state.iterations() *

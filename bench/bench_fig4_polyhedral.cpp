@@ -34,7 +34,7 @@ void printFig4() {
       "columns: symbolic count / brute-force enumeration / executed");
 
   auto runListing = [&](const char *fn) {
-    auto r = core::simulate(*a.program, fn, {});
+    auto r = core::simulate(*a.program->get(), fn, {});
     return r.ok ? r.returnValue.i : -1;
   };
 
@@ -76,7 +76,7 @@ void printFig4() {
   }
   {
     // (d) Listing 3: min/max bounds — not convex, annotation required.
-    const auto *fn = a.model.find("listing3");
+    const auto *fn = a.model->find("listing3");
     std::printf("(d) Listing 3 (min/max bounds)         : requires "
                 "annotation -> parameters jlo/jhi\n");
     if (fn)

@@ -29,13 +29,13 @@ void printFig5() {
       "Fig. 5: statically generated Python model for the class-A example\n"
       "(b) generated foo function and (c) generated driver follow");
   model::PythonEmitOptions options;
-  std::puts(model::emitPython(a.model, options).c_str());
+  std::puts(model::emitPython(*a.model, options).c_str());
   bench::printRule();
 
   // Cross-check: evaluating the model with the annotation parameter y=8
   // matches executing the program (len[i] = 8 in the driver).
-  auto counts = a.model.evaluate("A::foo", {{"y", 8}});
-  auto r = core::simulate(*a.program, "fig5_main", {sim::Value::ofInt(64)});
+  auto counts = a.model->evaluate("A::foo", {{"y", 8}});
+  auto r = core::simulate(*a.program->get(), "fig5_main", {sim::Value::ofInt(64)});
   std::printf("model FPI of A::foo at y=8: %s, executed: %s (error %s)\n",
               bench::fmtCount(counts ? counts->fpInstructions : -1).c_str(),
               bench::fmtCount(r.fpiOf("A::foo")).c_str(),
@@ -58,7 +58,7 @@ BENCHMARK(BM_FullModelGeneration)->Unit(benchmark::kMillisecond);
 void BM_PythonEmission(benchmark::State &state) {
   auto &a = bench::analyzeCached(workloads::fig5Source(), "fig5.mc");
   for (auto _ : state) {
-    std::string py = model::emitPython(a.model);
+    std::string py = model::emitPython(*a.model);
     benchmark::DoNotOptimize(py);
   }
 }

@@ -64,16 +64,16 @@ void printSeries() {
                         {"n",
                          static_cast<std::int64_t>(sz.nx) * sz.ny * sz.nz}};
       std::printf("%s:\n", sz.label);
-      auto wax = a.model.evaluate("waxpby", env);
+      auto wax = a.model->evaluate("waxpby", env);
       std::printf("  %-20s | sim %12s | mira %12s\n", "waxpby",
                   bench::fmtCount(r.fpiPerCall("waxpby")).c_str(),
                   bench::fmtCount(wax ? wax->fpInstructions : -1).c_str());
-      auto mv = a.model.evaluate("MatVec::operator()", env);
+      auto mv = a.model->evaluate("MatVec::operator()", env);
       std::printf("  %-20s | sim %12s | mira %12s\n", "matvec operator()",
                   bench::fmtCount(r.fpiPerCall("MatVec::operator()"))
                       .c_str(),
                   bench::fmtCount(mv ? mv->fpInstructions : -1).c_str());
-      auto cg = a.model.evaluate("cg_solve", env);
+      auto cg = a.model->evaluate("cg_solve", env);
       std::printf("  %-20s | sim %12s | mira %12s\n", "cg_solve",
                   bench::fmtCount(r.fpiOf("cg_solve")).c_str(),
                   bench::fmtCount(cg ? cg->fpInstructions : -1).c_str());

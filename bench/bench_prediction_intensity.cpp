@@ -20,7 +20,7 @@ model::Env minifeEnv(int nx, int ny, int nz, int iters) {
 void printPrediction() {
   auto &a = bench::analyzeCached(workloads::minifeSource(), "minife.mc");
   model::Env env = minifeEnv(35, 40, 45, 200);
-  auto counts = a.model.evaluate("cg_solve", env);
+  auto counts = a.model->evaluate("cg_solve", env);
   if (!counts) {
     std::fprintf(stderr, "model evaluation failed\n");
     std::abort();
@@ -68,7 +68,7 @@ void BM_IntensityDerivation(benchmark::State &state) {
   auto &a = bench::analyzeCached(workloads::minifeSource(), "minife.mc");
   model::Env env = minifeEnv(35, 40, 45, 200);
   for (auto _ : state) {
-    auto counts = a.model.evaluate("cg_solve", env);
+    auto counts = a.model->evaluate("cg_solve", env);
     auto categories = counts->categories(arch::haswellDescription());
     double intensity =
         arch::ArchDescription::arithmeticIntensity(categories);

@@ -32,7 +32,6 @@ void printTradeoff() {
   auto t0 = clock::now();
   core::Artifacts artifacts = core::analyze(spec, diags);
   auto t1 = clock::now();
-  auto analysis = artifacts.resultV1;
   double generationMs = ms(t1 - t0);
 
   const std::vector<std::int64_t> sweep = {100'000,   500'000,  1'000'000,
@@ -45,9 +44,9 @@ void printTradeoff() {
   for (std::int64_t n : sweep) {
     auto e0 = clock::now();
     auto staticFPI =
-        analysis->staticFPI("stream_main", {{"n", n}, {"ntimes", 10}});
+        artifacts.staticFPI("stream_main", {{"n", n}, {"ntimes", 10}});
     auto e1 = clock::now();
-    auto r = bench::simulateFF(*analysis, "stream_main",
+    auto r = bench::simulateFF(artifacts, "stream_main",
                                {Value::ofInt(n), Value::ofInt(10)});
     auto e2 = clock::now();
     benchmark::DoNotOptimize(staticFPI);

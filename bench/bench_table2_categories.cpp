@@ -31,7 +31,7 @@ void printTable2AndFig6() {
   // iterations (we use the same).
   model::Env env = minifeEnv(35, 40, 45, 200);
   std::string error;
-  auto counts = a.model.evaluate("cg_solve", env, &error);
+  auto counts = a.model->evaluate("cg_solve", env, &error);
   if (!counts) {
     std::fprintf(stderr, "model evaluation failed: %s\n", error.c_str());
     std::abort();
@@ -94,7 +94,7 @@ void BM_ModelEvaluation_CgSolve(benchmark::State &state) {
   auto &a = bench::analyzeCached(workloads::minifeSource(), "minife.mc");
   model::Env env = minifeEnv(35, 40, 45, 200);
   for (auto _ : state) {
-    auto counts = a.model.evaluate("cg_solve", env);
+    auto counts = a.model->evaluate("cg_solve", env);
     benchmark::DoNotOptimize(counts);
   }
 }
@@ -102,7 +102,7 @@ BENCHMARK(BM_ModelEvaluation_CgSolve);
 
 void BM_CategoryAggregation(benchmark::State &state) {
   auto &a = bench::analyzeCached(workloads::minifeSource(), "minife.mc");
-  auto counts = a.model.evaluate("cg_solve", minifeEnv(35, 40, 45, 200));
+  auto counts = a.model->evaluate("cg_solve", minifeEnv(35, 40, 45, 200));
   for (auto _ : state) {
     auto categories = counts->categories(arch::haswellDescription());
     benchmark::DoNotOptimize(categories);

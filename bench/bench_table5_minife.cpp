@@ -57,7 +57,7 @@ void printTable5() {
       double dynamicFPI =
           row.perCall ? r.fpiPerCall(row.fn) : r.fpiOf(row.fn);
       std::string error;
-      auto counts = a.model.evaluate(row.fn, env, &error);
+      auto counts = a.model->evaluate(row.fn, env, &error);
       double staticFPI = counts ? counts->fpInstructions : -1;
       std::printf("%-10s | %-22s | %12s | %12s | %10s\n", s.label,
                   row.label, bench::fmtCount(dynamicFPI).c_str(),
@@ -74,7 +74,7 @@ void BM_ModelEvaluation(benchmark::State &state) {
   auto &a = bench::analyzeCached(workloads::minifeSource(), "minife.mc");
   model::Env env = minifeEnv(35, 40, 45);
   for (auto _ : state) {
-    auto counts = a.model.evaluate("cg_solve", env);
+    auto counts = a.model->evaluate("cg_solve", env);
     benchmark::DoNotOptimize(counts);
   }
 }

@@ -7,7 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <memory>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -19,12 +19,13 @@
 
 namespace mira::bench {
 
-/// Analyze-once helper for the table printers. Guarded by a mutex so
-/// multi-threaded google-benchmark registrations can share it.
-inline core::AnalysisResult &analyzeCached(const std::string &source,
-                                           const std::string &name) {
+/// Analyze-once helper for the table printers: the model plus the live
+/// program it came from. Guarded by a mutex so multi-threaded
+/// google-benchmark registrations can share it.
+inline const core::Artifacts &analyzeCached(const std::string &source,
+                                            const std::string &name) {
   static std::mutex mutex;
-  static std::map<std::string, std::unique_ptr<core::AnalysisResult>> cache;
+  static std::map<std::string, core::Artifacts> cache;
   std::lock_guard<std::mutex> lock(mutex);
   auto it = cache.find(name);
   if (it == cache.end()) {
@@ -35,25 +36,22 @@ inline core::AnalysisResult &analyzeCached(const std::string &source,
     spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
                      core::kArtifactProgram;
     core::Artifacts artifacts = core::analyze(spec, diags);
-    if (!artifacts.ok || !artifacts.resultV1) {
+    if (!artifacts.ok) {
       std::fprintf(stderr, "analysis of %s failed:\n%s\n", name.c_str(),
                    diags.str().c_str());
       std::abort();
     }
-    it = cache
-             .emplace(name, std::make_unique<core::AnalysisResult>(
-                                *artifacts.resultV1))
-             .first;
+    it = cache.emplace(name, std::move(artifacts)).first;
   }
-  return *it->second;
+  return it->second;
 }
 
-inline sim::SimResult simulateFF(const core::AnalysisResult &analysis,
+inline sim::SimResult simulateFF(const core::Artifacts &analysis,
                                  const std::string &fn,
                                  const std::vector<sim::Value> &args) {
   sim::SimOptions options;
   options.fastForward = true;
-  auto r = core::simulate(*analysis.program, fn, args, options);
+  auto r = core::simulate(*analysis.program->get(), fn, args, options);
   if (!r.ok) {
     std::fprintf(stderr, "simulation of %s failed: %s\n", fn.c_str(),
                  r.error.c_str());

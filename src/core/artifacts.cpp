@@ -95,21 +95,15 @@ Artifacts analyze(const AnalysisSpec &spec, DiagnosticEngine &diags) {
   }
 
   if (spec.artifacts & kArtifactModel) {
-    // Same stage sequence the removed v1 analyzeSource ran, so models
-    // and diagnostics through this path stay byte-identical to v1
-    // results (pinned by tests/artifact_test.cpp).
-    auto result = std::make_shared<AnalysisResult>();
-    result->program = program;
-    result->model = metrics::generateModel(
-        *program->unit, program->sema.callGraph, *program->bridge,
-        spec.options.metrics, diags, spec.options.modelPool);
+    auto generated = std::make_shared<const model::PerformanceModel>(
+        metrics::generateModel(*program->unit, program->sema.callGraph,
+                               *program->bridge, spec.options.metrics, diags,
+                               spec.options.modelPool));
     if (diags.hasErrors()) {
       out.diagnostics = diags.str();
       return out;
     }
-    out.resultV1 = result;
-    out.model = std::shared_ptr<const model::PerformanceModel>(
-        out.resultV1, &result->model);
+    out.model = std::move(generated);
   }
 
   out.ok = true;

@@ -1,16 +1,11 @@
 /// \file
-/// Artifact-oriented analysis API (v2): one request/result pair used by
+/// Artifact-oriented analysis API: one request/result pair used by
 /// every layer — one-shot calls, the batch driver, the disk cache, and
 /// the serving daemon.
 ///
 /// The paper's workflow is one pipeline with several consumers: model
 /// evaluation, Python emission, loop-coverage statistics, and simulated
-/// ground truth. The v1 surface (core::analyzeSource) was all-or-nothing
-/// — it always generated the model and always handed back a live
-/// compiled program — which meant a cache or daemon hit that restored
-/// only the model could never answer coverage or simulation questions.
-///
-/// v2 turns the request inside out: an AnalysisSpec names the source and
+/// ground truth. An AnalysisSpec names the source and
 /// declares *which artifacts* the caller needs (ArtifactMask), and the
 /// returned Artifacts carries exactly those, each servable from the
 /// cheapest layer that has it. The key enabling type is ProgramHandle: a
@@ -19,15 +14,15 @@
 /// binary; the handle re-runs parse→sema→codegen — skipping model
 /// generation, the expensive stage — on first use, memoized and
 /// thread-safe). Coverage additionally travels as a serialized summary
-/// in cache schema v2, so a warm cache answers `mira-cli coverage`
+/// in every cache entry, so a warm cache answers `mira-cli coverage`
 /// without touching the compiler at all.
 ///
 /// Layering: core::analyze() here is the uncached one-shot entry;
 /// driver::BatchAnalyzer::analyzeArtifacts() adds the memory → disk →
 /// recompile → full-compute fulfillment planning; the daemon serves the
-/// same specs over the wire (docs/PROTOCOL.md v2). Results through any
+/// same specs over the wire (docs/PROTOCOL.md). Results through any
 /// path are byte-identical to a one-shot run (the invariant every layer
-/// pins in tests). docs/MIGRATION.md maps v1 calls onto this API.
+/// pins in tests).
 #pragma once
 
 #include <cstdint>
@@ -52,7 +47,7 @@ inline constexpr ArtifactMask kArtifactDiagnostics = 1u << 1; ///< rendered text
 inline constexpr ArtifactMask kArtifactProgram = 1u << 2;     ///< ProgramHandle
 inline constexpr ArtifactMask kArtifactCoverage = 1u << 3;    ///< LoopCoverage
 inline constexpr ArtifactMask kArtifactSimulation = 1u << 4;  ///< SimResult
-/// What v1 analyzeSource produced: model + diagnostics.
+/// What an analyze request asks for: model + diagnostics.
 inline constexpr ArtifactMask kArtifactDefault =
     kArtifactModel | kArtifactDiagnostics;
 inline constexpr ArtifactMask kArtifactAll =
@@ -70,7 +65,7 @@ struct SimulationArgs {
 };
 
 /// One analysis request: a named source, pipeline options, and the set
-/// of artifacts the caller wants. The unit of work of the whole v2
+/// of artifacts the caller wants. The unit of work of the whole
 /// surface — `core::analyze`, `driver::BatchAnalyzer`, and the daemon's
 /// wire requests all consume exactly this.
 struct AnalysisSpec {
@@ -139,11 +134,10 @@ struct Artifacts {
   // Per-request fulfillment provenance, set by the batch layer: each
   // flag marks the one request whose producer did the corresponding
   // disk-level work (duplicate requests sharing the value carry false),
-  // so summing flags over any request set reproduces the counter deltas
-  // a dedicated registry would show — without assuming the registry is
-  // private to the run. This is what lets the serving daemon assemble a
-  // BatchReport byte-identical to a local run while other traffic
-  // shares its metrics (driver::tallyBatchStats).
+  // so summing flags over any request set counts each disk operation
+  // once, whatever other traffic shares the registry. This is what lets
+  // the serving daemon assemble a BatchReport byte-identical to a local
+  // run (driver::tallyBatchStats).
   bool diskHit = false;          ///< producer restored this value from disk
   bool diskMiss = false;         ///< producer consulted the disk level and missed
   bool diskStored = false;       ///< producer persisted this value to disk
@@ -157,15 +151,11 @@ struct Artifacts {
   /// kArtifactProgram: live or recompile-on-demand (see ProgramHandle).
   std::shared_ptr<ProgramHandle> program;
   /// kArtifactCoverage — also attached opportunistically when the
-  /// serving layer already has it (a v2 cache entry), since that costs
-  /// nothing; absent only when neither requested nor available.
+  /// serving layer already has it (every cached value does), since that
+  /// costs nothing; absent only when neither requested nor available.
   std::optional<sema::LoopCoverage> coverage;
   /// kArtifactSimulation: executed with AnalysisSpec::simulation.
   std::shared_ptr<const sim::SimResult> simulation;
-  /// Compatibility view for v1 consumers (AnalysisOutcome::analysis):
-  /// the same model (and program, when live) as an AnalysisResult. Null
-  /// when !ok or when the model was not produced.
-  std::shared_ptr<const AnalysisResult> resultV1;
   double seconds = 0; ///< wall time spent fulfilling this spec
 
   /// Shorthand mirroring AnalysisResult::staticFPI: evaluate FPI (the

@@ -37,8 +37,8 @@ namespace mira::core {
 /// analyzer, the daemon, and every metrics view.
 class MetricsRegistry {
 public:
-  /// Monotonically increasing counter. Never reset; per-interval views
-  /// (e.g. BatchStats for one run) are computed as snapshot deltas.
+  /// Monotonically increasing counter. Never reset; an interval's count
+  /// is the difference of two snapshots.
   class Counter {
   public:
     void add(std::uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }

@@ -16,9 +16,7 @@
 // (optimize/vectorize) -> object emission -> disassembly -> bridge ->
 // metric generation -> model. simulate runs the same binary's semantics
 // and returns the dynamic ground-truth counters (the TAU/PAPI
-// substitute). The deprecated v1 entry point (analyzeSource) was removed
-// as of schema v2; docs/MIGRATION.md maps every v1 call to its v2
-// replacement.
+// substitute).
 //
 // Thread-safety contract: core::analyze keeps no shared mutable state —
 // every request owns its DiagnosticEngine and all pipeline-internal
@@ -63,15 +61,10 @@ struct MiraOptions {
   ThreadPool *modelPool = nullptr;
 };
 
-/// v1 result shape: a model plus (when computed in-process) the live
-/// compiled program. Cache layers may restore the model without the
-/// program (`program == nullptr`); the v2 API's ProgramHandle
-/// (core/artifacts.h) is how such results regain a program on demand.
+/// A model as the payload codec (driver::deserializeArtifactPayload)
+/// restores it. Compiled programs never travel with it: the artifact
+/// API's ProgramHandle (core/artifacts.h) recompiles on demand.
 struct AnalysisResult {
-  /// Shared const since the v2 redesign: the same compiled program backs
-  /// this result, the batch cache, and any ProgramHandle. Deref/null
-  /// checks work as before.
-  std::shared_ptr<const CompiledProgram> program;
   model::PerformanceModel model;
 
   /// Shorthand: evaluate FPI (the paper's headline metric) for a

@@ -56,13 +56,6 @@ std::uint64_t requestKey(const core::AnalysisSpec &spec) {
   return requestKeyFromContentHash(fnv1a(spec.source), spec.options);
 }
 
-std::uint64_t requestKey(const AnalysisRequest &request) {
-  core::AnalysisSpec spec;
-  spec.source = request.source;
-  spec.options = request.options;
-  return requestKey(spec);
-}
-
 // --------------------------------------------------- shard planning
 
 bool parseShardSpec(const std::string &text, ShardSpec &shard) {
@@ -325,52 +318,13 @@ BatchReport mergeBatchReports(const std::vector<BatchReport> &parts) {
 
 // ------------------------------------------------------ payload codecs
 
-// v1 payload layout (schema 1, still read from old disk entries and
-// written to v1 wire clients):
-//   [ok u8][producerName str][diagnostics str][model bytes when ok]
-std::string serializeOutcomePayloadV1(const core::AnalysisResult *analysis,
-                                      const std::string &diagnostics,
-                                      const std::string &producerName) {
-  std::string out;
-  bio::putU8(out, analysis ? 1 : 0);
-  bio::putString(out, producerName);
-  bio::putString(out, diagnostics);
-  if (analysis)
-    model::serializeModel(analysis->model, out);
-  return out;
-}
-
-bool deserializeOutcomePayloadV1(
-    const std::string &payload,
-    std::shared_ptr<const core::AnalysisResult> &analysis,
-    std::string &diagnostics, std::string &producerName) {
-  bio::Reader r{payload, 0};
-  std::uint8_t ok = 0;
-  if (!r.u8(ok) || ok > 1)
-    return false;
-  if (!r.str(producerName) || !r.str(diagnostics))
-    return false;
-  if (!ok) {
-    analysis = nullptr;
-    return r.remaining() == 0;
-  }
-  auto result = std::make_shared<core::AnalysisResult>();
-  std::size_t offset = r.offset;
-  if (!model::deserializeModel(payload, offset, result->model))
-    return false;
-  if (offset != payload.size())
-    return false; // trailing garbage: treat as corrupt
-  analysis = std::move(result);
-  return true;
-}
-
-// v2 payload layout (schema 2 — bump kCacheSchemaVersion when changing
+// Payload layout (schema 2 — bump kCacheSchemaVersion when changing
 // this): [ok u8][producerName str][diagnostics str] then, when ok,
 // [hasCoverage u8][loops u64][statements u64][inLoop u64]?[model bytes].
-// Shared by the disk cache and the v2 wire protocol (docs/PROTOCOL.md),
+// Shared by the disk cache and the wire protocol (docs/PROTOCOL.md),
 // which is what makes a daemon-served result byte-identical to a
-// disk-cached one by construction. hasCoverage is 0 only for values that
-// round-tripped through a v1 entry (the summary was never stored).
+// disk-cached one by construction. This code writes hasCoverage = 1 for
+// every ok value it caches; the driver recomputes an entry without it.
 std::string serializeArtifactPayload(const model::PerformanceModel *model,
                                      const sema::LoopCoverage *coverage,
                                      const std::string &diagnostics,
@@ -479,26 +433,6 @@ void BatchAnalyzer::clearCache() {
   cache_.clear();
 }
 
-core::AnalysisSpec BatchAnalyzer::toSpec(const AnalysisRequest &request) {
-  core::AnalysisSpec spec;
-  spec.name = request.name;
-  spec.source = request.source;
-  spec.options = request.options;
-  spec.artifacts = core::kArtifactDefault;
-  return spec;
-}
-
-AnalysisOutcome BatchAnalyzer::toOutcome(core::Artifacts &&artifacts) {
-  AnalysisOutcome outcome;
-  outcome.name = std::move(artifacts.name);
-  outcome.ok = artifacts.ok;
-  outcome.cacheHit = artifacts.cacheHit;
-  outcome.analysis = std::move(artifacts.resultV1);
-  outcome.diagnostics = std::move(artifacts.diagnostics);
-  outcome.seconds = artifacts.seconds;
-  return outcome;
-}
-
 BatchAnalyzer::CacheValue
 BatchAnalyzer::computeValue(const core::AnalysisSpec &spec) {
   CacheValue value;
@@ -533,7 +467,6 @@ BatchAnalyzer::computeValue(const core::AnalysisSpec &spec) {
     value.diagnostics = std::move(artifacts.diagnostics);
     if (artifacts.ok) {
       value.ok = true;
-      value.analysis = std::move(artifacts.resultV1);
       value.model = std::move(artifacts.model);
       value.coverage = artifacts.coverage;
       value.program = std::move(artifacts.program);
@@ -551,23 +484,19 @@ BatchAnalyzer::CacheValue
 BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
                             std::uint64_t key) {
   if (disk_) {
-    std::uint32_t version = 0;
-    if (auto payload = disk_->load(key, version)) {
+    if (auto payload = disk_->load(key)) {
       CacheValue value;
       value.fromDisk = true;
-      const bool parsed =
-          version >= 2
-              ? deserializeArtifactPayload(*payload, value.analysis,
-                                           value.coverage, value.diagnostics,
-                                           value.producerName)
-              : deserializeOutcomePayloadV1(*payload, value.analysis,
-                                            value.diagnostics,
-                                            value.producerName);
-      if (parsed) {
-        value.ok = value.analysis != nullptr;
-        if (value.analysis) {
+      std::shared_ptr<const core::AnalysisResult> analysis;
+      // An ok entry must carry its coverage summary, so every cached
+      // value can answer coverage without the compiled program.
+      if (deserializeArtifactPayload(*payload, analysis, value.coverage,
+                                     value.diagnostics, value.producerName) &&
+          (!analysis || value.coverage)) {
+        value.ok = analysis != nullptr;
+        if (analysis) {
           value.model = std::shared_ptr<const model::PerformanceModel>(
-              value.analysis, &value.analysis->model);
+              analysis, &analysis->model);
           // The entry restores without the compiled program; program-
           // needing artifacts reattach it lazily at recompile cost.
           value.program = core::ProgramHandle::deferred(
@@ -579,7 +508,7 @@ BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
       // Validated by the store but structurally unusable (e.g. written
       // by a build with different serializer semantics under the same
       // schema version — a bug, but one that must degrade to a
-      // recompute, not a failure).
+      // recompute, not a failure). The store below overwrites it.
     }
     disk_misses_.increment();
   }
@@ -615,7 +544,6 @@ core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
     artifacts.diagnostics = "(diagnostics from identical source '" +
                             value.producerName + "')\n" +
                             artifacts.diagnostics;
-  artifacts.resultV1 = value.analysis;
   if (!artifacts.ok)
     return artifacts;
 
@@ -624,39 +552,28 @@ core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
   if (spec.artifacts & core::kArtifactProgram)
     artifacts.program = value.program;
 
-  // A program-needing artifact materializes the handle exactly once per
-  // cache value, no matter how many requests want it concurrently; only
-  // the request that actually recompiled counts toward `recompiles`.
-  const auto materialize = [&]() -> std::shared_ptr<const core::CompiledProgram> {
-    if (!value.program)
-      return nullptr;
+  // Every cached value carries its coverage summary (the no-cache path
+  // computes it when asked), so attaching it is free: the serving
+  // layers forward it in payloads even when it was not requested.
+  if (value.coverage) {
+    artifacts.coverage = *value.coverage;
+    if ((spec.artifacts & core::kArtifactCoverage) && cacheHit) {
+      coverage_from_cache_.increment();
+      artifacts.coverageFromCache = true;
+    }
+  }
+
+  if (spec.artifacts & core::kArtifactSimulation) {
+    // Simulation materializes the handle exactly once per cache value,
+    // no matter how many requests want it concurrently; only the request
+    // that actually recompiled counts toward `recompiles`.
     bool compiledNow = false;
-    auto program = value.program->get(&compiledNow);
+    auto program = value.program ? value.program->get(&compiledNow) : nullptr;
     if (compiledNow) {
       artifacts.recompiled = true;
       recompiles_.increment();
     }
-    return program;
-  };
-
-  if (spec.artifacts & core::kArtifactCoverage) {
-    if (value.coverage) {
-      artifacts.coverage = *value.coverage;
-      if (cacheHit) {
-        coverage_from_cache_.increment();
-        artifacts.coverageFromCache = true;
-      }
-    } else if (auto program = materialize()) {
-      // v1 disk entry: no stored summary — recompile-on-demand.
-      artifacts.coverage = sema::computeLoopCoverage(*program->unit);
-    }
-  } else if (value.coverage) {
-    // Free to attach: the serving layers forward it to v2 payloads.
-    artifacts.coverage = *value.coverage;
-  }
-
-  if (spec.artifacts & core::kArtifactSimulation) {
-    if (auto program = materialize()) {
+    if (program) {
       artifacts.simulation = std::make_shared<const sim::SimResult>(
           core::simulate(*program, spec.simulation.function,
                          spec.simulation.args, spec.simulation.options));
@@ -674,9 +591,9 @@ core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
 core::Artifacts BatchAnalyzer::analyzeSpec(const core::AnalysisSpec &spec) {
   auto start = std::chrono::steady_clock::now();
 
-  // Lifetime tallies live in the registry so concurrent entry points
-  // (the daemon's analyzeArtifacts) observe the same counters that
-  // runArtifacts() turns into a per-run BatchStats via deltas.
+  // Lifetime tallies live in the registry, shared by every entry point
+  // (the daemon's analyzeArtifacts included); per-run BatchStats come
+  // from the results' provenance flags instead (tallyBatchStats).
   const auto record = [this](const core::Artifacts &artifacts) {
     requests_.increment();
     if (!artifacts.ok)
@@ -755,8 +672,8 @@ core::Artifacts BatchAnalyzer::analyzeSpec(const core::AnalysisSpec &spec) {
   core::Artifacts artifacts = fulfill(spec, *value, cacheHit);
   if (producer) {
     // Disk-level provenance belongs to exactly one request per value —
-    // the producer — so flag sums over any result set equal the
-    // registry deltas (tallyBatchStats relies on this).
+    // the producer — so flag sums over any result set count each disk
+    // operation once (tallyBatchStats relies on this).
     artifacts.diskHit = value->fromDisk;
     artifacts.diskMiss = disk_ != nullptr && !value->fromDisk;
     artifacts.diskStored = value->stored;
@@ -811,46 +728,13 @@ BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
   }
   pool_.waitIdle();
 
-  // Per-result provenance flags, not registry deltas: the flags sum to
-  // the same numbers for this (non-concurrent) call, and they keep the
-  // per-run view correct even when the registry is shared with daemon
-  // traffic — the same tally the daemon's ManifestBatch reports.
+  // Per-result provenance flags keep the per-run view correct even when
+  // the registry is shared with daemon traffic — the same tally the
+  // daemon's ManifestBatch reports.
   stats_ = tallyBatchStats(results, options_.useCache);
   stats_.wallSeconds = secondsSince(start);
   publishInternGauges(*metrics_);
   return results;
-}
-
-AnalysisOutcome BatchAnalyzer::analyzeSingle(const AnalysisRequest &request) {
-  return toOutcome(analyzeSpec(toSpec(request)));
-}
-
-std::vector<AnalysisOutcome>
-BatchAnalyzer::analyzeMany(const std::vector<AnalysisRequest> &requests) {
-  std::vector<core::AnalysisSpec> specs;
-  specs.reserve(requests.size());
-  for (const AnalysisRequest &request : requests)
-    specs.push_back(toSpec(request));
-  std::vector<core::Artifacts> results = analyzeArtifactsMany(specs);
-  std::vector<AnalysisOutcome> outcomes;
-  outcomes.reserve(results.size());
-  for (core::Artifacts &artifacts : results)
-    outcomes.push_back(toOutcome(std::move(artifacts)));
-  return outcomes;
-}
-
-std::vector<AnalysisOutcome>
-BatchAnalyzer::run(const std::vector<AnalysisRequest> &requests) {
-  std::vector<core::AnalysisSpec> specs;
-  specs.reserve(requests.size());
-  for (const AnalysisRequest &request : requests)
-    specs.push_back(toSpec(request));
-  std::vector<core::Artifacts> results = runArtifacts(specs);
-  std::vector<AnalysisOutcome> outcomes;
-  outcomes.reserve(results.size());
-  for (core::Artifacts &artifacts : results)
-    outcomes.push_back(toOutcome(std::move(artifacts)));
-  return outcomes;
 }
 
 } // namespace mira::driver

@@ -9,15 +9,13 @@
 /// run calls on the same analyzer, and an optional on-disk CacheStore
 /// (support/cache_store.h) that persists across processes.
 ///
-/// Fulfillment planning (the v2 redesign): each requested artifact is
-/// served from the cheapest layer that has it —
+/// Fulfillment planning: each requested artifact is served from the
+/// cheapest layer that has it —
 ///   1. memory   — a live or previously restored entry in-process;
-///   2. disk     — model + diagnostics + coverage summary (schema v2;
-///                 v1 entries restore without the coverage summary);
+///   2. disk     — model + diagnostics + coverage summary;
 ///   3. recompile — a ProgramHandle re-runs parse→sema→codegen (never
 ///                 model generation) when a cache hit must answer a
-///                 program-needing artifact (simulation, v1-entry
-///                 coverage);
+///                 program-needing artifact (simulation);
 ///   4. full compute — a miss runs the whole pipeline once and
 ///                 populates every layer for future callers.
 /// BatchStats counts each plan step so tests and the CLI can prove a
@@ -26,9 +24,9 @@
 /// Thread-safety contract with core::analyze: the pipeline keeps no
 /// shared mutable state (each request gets its own DiagnosticEngine,
 /// and all function-local statics in the pipeline are immutable tables),
-/// so concurrent analyses of different requests are safe. run() and
-/// runArtifacts() themselves must not be called concurrently on one
-/// BatchAnalyzer; analyzeArtifacts()/analyzeSingle()/analyzeMany() may.
+/// so concurrent analyses of different requests are safe. runArtifacts()
+/// must not be called concurrently on one BatchAnalyzer;
+/// analyzeArtifacts() and analyzeArtifactsMany() may.
 #pragma once
 
 #include <atomic>
@@ -48,37 +46,6 @@
 #include "support/thread_pool.h"
 
 namespace mira::driver {
-
-/// One unit of v1 batch work: a named MiniC source plus pipeline
-/// options. Equivalent to a core::AnalysisSpec asking for model +
-/// diagnostics; new callers should build specs directly.
-struct AnalysisRequest {
-  std::string name;   ///< display / file name (not part of the cache key)
-  std::string source; ///< MiniC source text
-  core::MiraOptions options; ///< pipeline options (part of the cache key)
-};
-
-/// Per-request v1 result, at the request's input position. The v2
-/// equivalent is core::Artifacts (richer: coverage, simulation, and a
-/// recompile-on-demand program handle).
-struct AnalysisOutcome {
-  std::string name; ///< echoed AnalysisRequest::name
-  bool ok = false;  ///< analysis produced a model (no errors)
-  /// Served without recomputing: from another in-flight/completed
-  /// request this process (memory hit) or from the disk cache of an
-  /// earlier run (disk hit).
-  bool cacheHit = false;
-  /// Shared with the cache and any duplicate requests; null when !ok.
-  /// Disk-cache hits restore the model and diagnostics but NOT the
-  /// compiled program (AnalysisResult::program is null): v1 consumers
-  /// that need the AST or binary must analyze without the disk layer,
-  /// or migrate to the artifact API whose ProgramHandle recompiles on
-  /// demand (core/artifacts.h).
-  std::shared_ptr<const core::AnalysisResult> analysis;
-  /// Rendered diagnostics (warnings on success, errors on failure).
-  std::string diagnostics;
-  double seconds = 0; ///< analysis wall time; ~0 for pure cache hits
-};
 
 /// Knobs for one BatchAnalyzer. Only AnalysisSpec::options influence
 /// cache keys — everything here is execution strategy and storage
@@ -105,13 +72,11 @@ struct BatchOptions {
   core::MetricsRegistry *metrics = nullptr;
 };
 
-/// Counters describing the last run()/runArtifacts(). The per-artifact
-/// block proves where each answer came from: a warm coverage sweep
-/// should show coverageFromCache == requests and recompiles == 0.
-/// Since the metrics unification these are per-run *views* of the
-/// analyzer's lifetime core::MetricsRegistry counters (snapshot deltas
-/// around the run) plus per-result tallies — each underlying counter is
-/// defined once, in the registry.
+/// Counters describing the last runArtifacts(). The per-artifact block
+/// proves where each answer came from: a warm coverage sweep should
+/// show coverageFromCache == requests and recompiles == 0. Every field
+/// is a tally of the run's per-result provenance flags
+/// (tallyBatchStats).
 struct BatchStats {
   std::size_t requests = 0;    ///< size of the request vector
   std::size_t failures = 0;    ///< outcomes with ok == false
@@ -120,7 +85,7 @@ struct BatchStats {
   std::size_t diskHits = 0;    ///< entries restored from the disk cache
   std::size_t diskMisses = 0;  ///< disk lookups that fell through
   std::size_t diskStores = 0;  ///< entries written to the disk cache
-  // Per-artifact fulfillment (v2): what was served, and from where.
+  // Per-artifact fulfillment: what was served, and from where.
   std::size_t modelArtifacts = 0;      ///< requests served a model
   std::size_t programArtifacts = 0;    ///< requests served a ProgramHandle
   std::size_t coverageArtifacts = 0;   ///< requests served loop coverage
@@ -139,7 +104,6 @@ struct BatchStats {
 /// simulation arguments are deliberately NOT keyed: every mask reuses
 /// one entry.
 std::uint64_t requestKey(const core::AnalysisSpec &spec);
-std::uint64_t requestKey(const AnalysisRequest &request);
 
 /// The options half of requestKey: continue hashing the model-affecting
 /// options from an already-computed FNV-1a source fingerprint.
@@ -208,12 +172,11 @@ ManifestSelection selectManifestEntries(const corpus::Manifest &manifest,
 BatchStats mergeBatchStats(const std::vector<BatchStats> &parts);
 
 /// Derive a per-run BatchStats from per-result provenance flags (see
-/// core::Artifacts::diskHit and friends). Agrees exactly with the
-/// registry-delta view for a non-concurrent run — runArtifacts() is
-/// implemented on top of this — and stays correct when other traffic
-/// shares the registry, which is how the daemon's ManifestBatch builds
-/// a report byte-identical to a local run. wallSeconds is left 0 (the
-/// caller owns the clock).
+/// core::Artifacts::diskHit and friends). runArtifacts() and the
+/// daemon's ManifestBatch both report through this, so their stats stay
+/// correct when other traffic shares the registry — which is how the
+/// daemon builds a report byte-identical to a local run. wallSeconds is
+/// left 0 (the caller owns the clock).
 BatchStats tallyBatchStats(const std::vector<core::Artifacts> &results,
                            bool useCache);
 
@@ -261,7 +224,7 @@ bool deserializeBatchReport(const std::string &bytes, BatchReport &report,
 BatchReport mergeBatchReports(const std::vector<BatchReport> &parts);
 
 /// Serialize one analysis value into the schema-v2 artifact payload
-/// shared by the disk cache and the v2 wire protocol:
+/// shared by the disk cache and the wire protocol:
 /// `[ok u8][producerName str][diagnostics str]` then, when ok:
 /// `[hasCoverage u8][loops u64 stmts u64 inLoop u64]?[model bytes]`
 /// (docs/CACHING.md "Entry format"). `model` null = a cached failure
@@ -282,25 +245,11 @@ bool deserializeArtifactPayload(
     std::optional<sema::LoopCoverage> &coverage, std::string &diagnostics,
     std::string &producerName);
 
-/// The schema-v1 payload codec (`[ok][producerName][diagnostics][model]`)
-/// — still written to v1 wire clients and still read from v1 disk
-/// entries, which degrade to recompile-on-demand for program-needing
-/// artifacts.
-std::string serializeOutcomePayloadV1(const core::AnalysisResult *analysis,
-                                      const std::string &diagnostics,
-                                      const std::string &producerName);
-bool deserializeOutcomePayloadV1(
-    const std::string &payload,
-    std::shared_ptr<const core::AnalysisResult> &analysis,
-    std::string &diagnostics, std::string &producerName);
-
 /// Analyzes batches of sources in parallel with two-level caching and
 /// per-artifact fulfillment planning.
 class BatchAnalyzer {
 public:
   explicit BatchAnalyzer(BatchOptions options = {});
-
-  // ----------------------------------------------------- v2 entries
 
   /// Fulfill one spec on the calling thread, sharing the in-memory and
   /// disk cache levels with every other caller. Safe to call
@@ -321,23 +270,7 @@ public:
   std::vector<core::Artifacts>
   runArtifacts(const std::vector<core::AnalysisSpec> &specs);
 
-  // ------------------------------------------ v1 compatibility entries
-
-  /// Analyze every request; outcome[i] corresponds to requests[i]
-  /// regardless of thread count or completion order. Equivalent to
-  /// runArtifacts over model+diagnostics specs.
-  std::vector<AnalysisOutcome> run(const std::vector<AnalysisRequest> &requests);
-
-  /// Analyze one request on the calling thread (see analyzeArtifacts
-  /// for the concurrency contract).
-  AnalysisOutcome analyzeSingle(const AnalysisRequest &request);
-
-  /// Fan `requests` across the batch pool (see analyzeArtifactsMany for
-  /// the concurrency contract).
-  std::vector<AnalysisOutcome>
-  analyzeMany(const std::vector<AnalysisRequest> &requests);
-
-  /// Stats of the last run()/runArtifacts() (cache hit/miss, failures,
+  /// Stats of the last runArtifacts() (cache hit/miss, failures,
   /// per-artifact fulfillment, wall clock).
   const BatchStats &stats() const { return stats_; }
 
@@ -363,22 +296,19 @@ public:
 
 private:
   /// One cached analysis value, shared by every mask that asks for the
-  /// same (source, options): the legacy result view, the artifact
-  /// views, and the live-or-deferred program handle.
+  /// same (source, options): the artifact views and the live-or-deferred
+  /// program handle.
   struct CacheValue {
-    /// The analysis succeeded. With caching on this implies `analysis`
-    /// is set (full compute produces the model); on the no-cache path a
-    /// mask without kArtifactModel yields ok values with no model.
+    /// The analysis succeeded. With caching on this implies `model` and
+    /// `coverage` are set (full compute produces both, and a disk entry
+    /// lacking either is recomputed); on the no-cache path only the
+    /// requested artifacts are.
     bool ok = false;
-    /// Legacy owner: model (+ program when computed live); null on
-    /// failure or when the model was not requested (no-cache path).
-    /// Disk restores leave analysis->program null — the handle below is
-    /// how programs come back.
-    std::shared_ptr<const core::AnalysisResult> analysis;
-    /// Aliases analysis->model; null on failure.
+    /// Null on failure or when the model was not requested (no-cache
+    /// path).
     std::shared_ptr<const model::PerformanceModel> model;
-    /// Loop-coverage summary; absent for entries restored from v1 disk
-    /// payloads (those degrade to recompile-on-demand).
+    /// Loop-coverage summary; absent on failure or when not requested
+    /// (no-cache path).
     std::optional<sema::LoopCoverage> coverage;
     /// Live for computed values, deferred for disk restores; null on
     /// failure.
@@ -407,9 +337,6 @@ private:
 
   CacheValue computeValue(const core::AnalysisSpec &spec);
 
-  static AnalysisOutcome toOutcome(core::Artifacts &&artifacts);
-  static core::AnalysisSpec toSpec(const AnalysisRequest &request);
-
   BatchOptions options_;
   ThreadPool pool_;
   std::unique_ptr<ThreadPool> model_pool_; // within-request fan-out
@@ -418,9 +345,7 @@ private:
 
   // The metrics surface: a borrowed registry (BatchOptions::metrics) or
   // a private one. Declared before the counter handles below, which
-  // bind into it at construction. Counters are lifetime-monotonic;
-  // runArtifacts() derives its per-run BatchStats from before/after
-  // deltas.
+  // bind into it at construction. Counters are lifetime-monotonic.
   std::unique_ptr<core::MetricsRegistry> owned_metrics_;
   core::MetricsRegistry *metrics_ = nullptr;
   core::MetricsRegistry::Counter &requests_;

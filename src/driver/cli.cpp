@@ -34,7 +34,7 @@
 //       Drive the ten Table I kernels plus the fig-series workloads
 //       through the artifact engine; print loop-coverage numbers next to
 //       the paper's. With --cache-dir a warm run answers entirely from
-//       the schema-v2 coverage summaries (zero recompiles, shown in the
+//       the cached coverage summaries (zero recompiles, shown in the
 //       stats line); --via-daemon asks a running daemon instead.
 //
 //   mira-cli simulate <file.mc|@workload> --function NAME [--sim-arg V]...
@@ -45,13 +45,12 @@
 //       binary comes back through a recompile-on-demand handle
 //       (parse->codegen only), flagged in the output.
 //
-//   mira-cli cache <stats|clear|prune> --cache-dir DIR [--schema vN]
+//   mira-cli cache <stats|clear|prune> --cache-dir DIR
 //            [--manifest FILE]...
 //       Inspect or empty a persistent analysis cache directory. stats
 //       breaks bytes down per artifact (model vs coverage vs
-//       diagnostics); clear --schema v1 purges only pre-migration
-//       entries; prune removes entries no given manifest's sources can
-//       produce (union over manifests and all option-flag combos).
+//       diagnostics); prune removes entries no given manifest's sources
+//       can produce (union over manifests and all option-flag combos).
 //
 //   mira-cli serve [--socket PATH] [--listen HOST:PORT] [--secret S]
 //            [--threads N] [--model-threads N]
@@ -75,12 +74,10 @@
 //            (--socket PATH | --connect HOST:PORT) [sources...]
 //            [--secret S] [--connect-timeout SECONDS]
 //            [--no-optimize] [--no-vectorize]
-//            [--emit-python] [--wire-version N] [--busy-retries N]
+//            [--emit-python] [--busy-retries N]
 //       Talk to a running daemon over the wire protocol
-//       (docs/PROTOCOL.md). --wire-version 1 speaks the v1 dialect
-//       (compatibility checks); coverage/simulate/manifest-diff/metrics
-//       and batch --manifest need v2. Busy refusals are retried with
-//       the daemon's backoff hint up to --busy-retries times.
+//       (docs/PROTOCOL.md). Busy refusals are retried with the daemon's
+//       backoff hint up to --busy-retries times.
 //       `client batch --manifest FILE [--since OLD] [--shard I/N]
 //       [--root DIR] [--report FILE] [--progress]` executes a whole
 //       corpus on the daemon: report and cache directory come out
@@ -163,7 +160,7 @@ int usage(const char *argv0) {
       "  manifest build <dir> --out FILE [--ext .mc]...\n"
       "  manifest diff <old.manifest> <new.manifest>\n"
       "  manifest merge --out FILE <reports...>\n"
-      "  cache <stats|clear|prune> --cache-dir DIR [--schema vN]\n"
+      "  cache <stats|clear|prune> --cache-dir DIR\n"
       "          [--manifest FILE]...\n"
       "  serve [--socket PATH] [--listen HOST:PORT] [--secret S]\n"
       "          [--threads N] [--model-threads N]\n"
@@ -173,7 +170,7 @@ int usage(const char *argv0) {
       "          metrics|ping|shutdown> (--socket PATH | --connect HOST:PORT)\n"
       "          [sources...] [--secret S] [--connect-timeout SECONDS]\n"
       "          [--no-optimize] [--no-vectorize] [--emit-python]\n"
-      "          [--wire-version N] [--busy-retries N]\n"
+      "          [--busy-retries N]\n"
       "          [--function NAME] [--sim-arg V] [--fast-forward]\n"
       "  client batch --manifest FILE [--since OLD] [--shard I/N]\n"
       "          [--root DIR] [--report FILE] [--progress] --socket PATH\n"
@@ -204,16 +201,17 @@ const std::string *embeddedWorkload(const std::string &name) {
 }
 
 /// Resolve a CLI source argument: '@name' -> embedded workload, anything
-/// else -> file contents. Returns false (with a message) on failure.
-bool loadSource(const std::string &arg, driver::AnalysisRequest &request) {
+/// else -> file contents, into `spec`'s name and source. Returns false
+/// (with a message) on failure.
+bool loadSource(const std::string &arg, core::AnalysisSpec &spec) {
   if (!arg.empty() && arg[0] == '@') {
     const std::string *source = embeddedWorkload(arg.substr(1));
     if (!source) {
       std::fprintf(stderr, "unknown workload '%s'\n", arg.c_str());
       return false;
     }
-    request.name = arg;
-    request.source = *source;
+    spec.name = arg;
+    spec.source = *source;
     return true;
   }
   std::ifstream in(arg);
@@ -223,15 +221,15 @@ bool loadSource(const std::string &arg, driver::AnalysisRequest &request) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  request.name = arg;
-  request.source = buffer.str();
+  spec.name = arg;
+  spec.source = buffer.str();
   return true;
 }
 
-void printModelSummary(const core::AnalysisResult &analysis) {
+void printModelSummary(const model::PerformanceModel &model) {
   std::printf("%-24s | %6s | %6s | %5s | parameters\n", "function", "counts",
               "calls", "exact");
-  for (const auto &fn : analysis.model.functions) {
+  for (const auto &fn : model.functions) {
     std::string params;
     for (const auto &p : fn.parameters()) {
       if (!params.empty())
@@ -256,12 +254,10 @@ struct CommonFlags {
   std::uint64_t cacheBytesLimit = 0;
   std::string socketPath;
   bool viaDaemon = false;       ///< serve coverage/simulate over the wire
-  std::uint32_t wireVersion = server::kProtocolVersion;
   std::size_t maxInflight = 0;  ///< serve --max-inflight (0 = unlimited)
   double drainTimeoutSeconds = 5.0; ///< serve --drain-timeout
   std::string metricsFile;      ///< serve --metrics-file
   std::size_t busyRetries = 8;  ///< client --busy-retries
-  std::string schema;           ///< `cache clear --schema vN` selector
   core::SimulationArgs sim;     ///< --function / --sim-arg / --fast-forward
   std::string outPath;          ///< `manifest build/merge --out`
   std::vector<std::string> extensions; ///< `manifest build --ext` (repeatable)
@@ -405,12 +401,6 @@ bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
       }
       flags.shardGiven = true;
       ++i;
-    } else if (a == "--schema") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--schema requires a value (e.g. v1)\n");
-        return false;
-      }
-      flags.schema = args[++i];
     } else if (a == "--max-inflight") {
       if (i + 1 == args.size()) {
         std::fprintf(stderr, "--max-inflight requires a value\n");
@@ -484,13 +474,6 @@ bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
       }
       flags.busyRetries = static_cast<std::size_t>(
           std::max(0L, std::atol(args[++i].c_str())));
-    } else if (a == "--wire-version") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--wire-version requires a value\n");
-        return false;
-      }
-      flags.wireVersion = static_cast<std::uint32_t>(
-          std::max(1L, std::atol(args[++i].c_str())));
     } else if (a == "--function") {
       if (i + 1 == args.size()) {
         std::fprintf(stderr, "--function requires a name\n");
@@ -563,22 +546,22 @@ driver::BatchOptions batchOptionsFor(const CommonFlags &flags,
 
 /// Print the per-source status table and batch totals; returns the batch
 /// wall time (negative on any failure).
-double printOutcomes(const std::vector<driver::AnalysisOutcome> &outcomes,
+double printOutcomes(const std::vector<core::Artifacts> &results,
                      const driver::BatchStats &stats, std::size_t threads,
                      bool quiet) {
   bool allOk = true;
   if (!quiet)
     std::printf("%-24s | %-6s | %-5s | %9s\n", "source", "status", "cache",
                 "seconds");
-  for (const auto &outcome : outcomes) {
-    allOk = allOk && outcome.ok;
+  for (const auto &artifacts : results) {
+    allOk = allOk && artifacts.ok;
     if (quiet)
       continue;
-    std::printf("%-24s | %-6s | %-5s | %9.4f\n", outcome.name.c_str(),
-                outcome.ok ? "ok" : "FAILED",
-                outcome.cacheHit ? "hit" : "miss", outcome.seconds);
-    if (!outcome.ok)
-      std::fprintf(stderr, "%s\n", outcome.diagnostics.c_str());
+    std::printf("%-24s | %-6s | %-5s | %9.4f\n", artifacts.name.c_str(),
+                artifacts.ok ? "ok" : "FAILED",
+                artifacts.cacheHit ? "hit" : "miss", artifacts.seconds);
+    if (!artifacts.ok)
+      std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
   }
   if (!quiet) {
     std::printf("%zu sources, %zu failures, cache %zu hit / %zu miss, "
@@ -592,12 +575,12 @@ double printOutcomes(const std::vector<driver::AnalysisOutcome> &outcomes,
   return allOk ? stats.wallSeconds : -1.0;
 }
 
-/// Run the requests through a fresh analyzer and print the table.
-double runBatch(const std::vector<driver::AnalysisRequest> &requests,
+/// Run the specs through a fresh analyzer and print the table.
+double runBatch(const std::vector<core::AnalysisSpec> &specs,
                 const driver::BatchOptions &batchOptions, bool quiet) {
   driver::BatchAnalyzer analyzer(batchOptions);
-  auto outcomes = analyzer.run(requests);
-  return printOutcomes(outcomes, analyzer.stats(), batchOptions.threads,
+  auto results = analyzer.runArtifacts(specs);
+  return printOutcomes(results, analyzer.stats(), batchOptions.threads,
                        quiet);
 }
 
@@ -615,10 +598,10 @@ int cmdAnalyze(std::vector<std::string> args) {
   CommonFlags flags;
   if (!parseFlags(args, flags) || args.size() != 1)
     return 2;
-  driver::AnalysisRequest request;
-  if (!loadSource(args[0], request))
+  core::AnalysisSpec spec;
+  if (!loadSource(args[0], spec))
     return 1;
-  request.options = optionsFor(flags);
+  spec.options = optionsFor(flags);
 
   // One request: the batch pool is a single thread, but --model-threads
   // still fans out per-function model generation, and --cache-dir makes
@@ -628,21 +611,20 @@ int cmdAnalyze(std::vector<std::string> args) {
   // --no-cache still wins over --cache-dir.
   batchOptions.useCache = flags.useCache && !flags.cacheDir.empty();
   driver::BatchAnalyzer analyzer(batchOptions);
-  auto outcomes = analyzer.run({request});
-  const auto &outcome = outcomes[0];
-  if (!outcome.ok) {
+  const core::Artifacts artifacts = analyzer.analyzeArtifacts(spec);
+  if (!artifacts.ok) {
     std::fprintf(stderr, "analysis of %s failed:\n%s\n",
-                 outcome.name.c_str(), outcome.diagnostics.c_str());
+                 artifacts.name.c_str(), artifacts.diagnostics.c_str());
     return 1;
   }
-  if (!outcome.diagnostics.empty())
-    std::fprintf(stderr, "%s\n", outcome.diagnostics.c_str());
-  std::printf("analyzed %s in %.4f s%s\n", outcome.name.c_str(),
-              outcome.seconds, outcome.cacheHit ? " (disk cache)" : "");
-  printModelSummary(*outcome.analysis);
+  if (!artifacts.diagnostics.empty())
+    std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
+  std::printf("analyzed %s in %.4f s%s\n", artifacts.name.c_str(),
+              artifacts.seconds, artifacts.cacheHit ? " (disk cache)" : "");
+  printModelSummary(*artifacts.model);
   if (flags.emitPython) {
     std::puts("");
-    std::puts(model::emitPython(outcome.analysis->model).c_str());
+    std::puts(model::emitPython(*artifacts.model).c_str());
   }
   return 0;
 }
@@ -826,23 +808,23 @@ int runManifestBatch(const CommonFlags &flags) {
 
   const std::string root =
       flags.rootOverride.empty() ? manifest.root : flags.rootOverride;
-  std::vector<driver::AnalysisRequest> requests;
-  requests.reserve(mine.size());
+  std::vector<core::AnalysisSpec> specs;
+  specs.reserve(mine.size());
   for (const auto &entry : mine) {
-    driver::AnalysisRequest request;
+    core::AnalysisSpec spec;
     const std::string path =
         (std::filesystem::path(root) / entry.path).string();
-    if (!loadSource(path, request))
+    if (!loadSource(path, spec))
       return 1;
-    request.name = entry.path; // table/report identity = manifest path
-    request.options = options;
-    requests.push_back(std::move(request));
+    spec.name = entry.path; // table/report identity = manifest path
+    spec.options = options;
+    specs.push_back(std::move(spec));
   }
 
   driver::BatchAnalyzer analyzer(batchOptionsFor(flags, flags.threads));
-  auto outcomes = analyzer.run(requests);
+  auto results = analyzer.runArtifacts(specs);
   const double wall =
-      printOutcomes(outcomes, analyzer.stats(), flags.threads, false);
+      printOutcomes(results, analyzer.stats(), flags.threads, false);
   std::printf("manifest: %zu of %zu entries selected", mine.size(),
               manifest.entries.size());
   if (haveSince)
@@ -856,15 +838,15 @@ int runManifestBatch(const CommonFlags &flags) {
   if (!flags.reportPath.empty()) {
     driver::BatchReport report;
     report.stats = analyzer.stats();
-    report.entries.reserve(outcomes.size());
+    report.entries.reserve(results.size());
     // Report keys come from the manifest hash (already computed for the
     // shard filter), not a second rehash of the source bytes — so they
     // always agree with what planning tools and `cache prune` derive.
-    for (std::size_t i = 0; i < outcomes.size(); ++i)
+    for (std::size_t i = 0; i < results.size(); ++i)
       report.entries.push_back(
-          {outcomes[i].name,
+          {results[i].name,
            driver::requestKeyFromContentHash(mine[i].contentHash, options),
-           outcomes[i].ok});
+           results[i].ok});
     if (!writeFileBytes(flags.reportPath,
                         driver::serializeBatchReport(report)))
       return 1;
@@ -896,55 +878,42 @@ int cmdBatch(std::vector<std::string> args) {
   }
   if (args.empty())
     return 2;
-  std::vector<driver::AnalysisRequest> requests;
+  std::vector<core::AnalysisSpec> specs;
   for (const auto &arg : args) {
-    driver::AnalysisRequest request;
-    if (!loadSource(arg, request))
+    core::AnalysisSpec spec;
+    if (!loadSource(arg, spec))
       return 1;
-    request.options = optionsFor(flags);
-    requests.push_back(std::move(request));
+    spec.options = optionsFor(flags);
+    specs.push_back(std::move(spec));
   }
 
   double parallelSeconds =
-      runBatch(requests, batchOptionsFor(flags, flags.threads), false);
+      runBatch(specs, batchOptionsFor(flags, flags.threads), false);
   if (flags.compareSerial) {
     // The serial reference run skips the disk cache: it would otherwise
     // be warmed by the parallel run above and win every comparison.
     double serialSeconds =
-        runBatch(requests, batchOptionsFor(flags, 1, false), true);
+        runBatch(specs, batchOptionsFor(flags, 1, false), true);
     printSpeedup(serialSeconds, parallelSeconds, flags.threads);
   }
   return parallelSeconds < 0 ? 1 : 0;
 }
 
-std::vector<driver::AnalysisRequest> coverageRequests() {
-  std::vector<driver::AnalysisRequest> requests;
-  for (const auto &kernel : workloads::coverageSuite()) {
-    driver::AnalysisRequest request;
-    request.name = kernel.name;
-    request.source = kernel.source;
-    requests.push_back(std::move(request));
-  }
-  for (const auto &workload : workloads::figSeriesWorkloads()) {
-    driver::AnalysisRequest request;
-    request.name = "@" + workload.name;
-    request.source = *workload.source;
-    requests.push_back(std::move(request));
-  }
-  return requests;
-}
-
 std::vector<core::AnalysisSpec> coverageSpecs(const CommonFlags &flags) {
   std::vector<core::AnalysisSpec> specs;
-  for (driver::AnalysisRequest &request : coverageRequests()) {
+  const auto add = [&](std::string name, std::string source) {
     core::AnalysisSpec spec;
-    spec.name = std::move(request.name);
-    spec.source = std::move(request.source);
+    spec.name = std::move(name);
+    spec.source = std::move(source);
     spec.options = optionsFor(flags); // same options (and cache keys) as
                                       // the --via-daemon path
     spec.artifacts = core::kArtifactCoverage | core::kArtifactDiagnostics;
     specs.push_back(std::move(spec));
-  }
+  };
+  for (const auto &kernel : workloads::coverageSuite())
+    add(kernel.name, kernel.source);
+  for (const auto &workload : workloads::figSeriesWorkloads())
+    add("@" + workload.name, *workload.source);
   return specs;
 }
 
@@ -1051,7 +1020,7 @@ int cmdCoverage(std::vector<std::string> args) {
 
   // One artifact run serves both the Table I numbers and the status
   // table below. With --cache-dir, a warm rerun answers every summary
-  // from the schema-v2 cache: zero recompiles, zero model generation.
+  // from the cache: zero recompiles, zero model generation.
   auto specs = coverageSpecs(flags);
   driver::BatchAnalyzer analyzer(batchOptionsFor(flags, flags.threads));
   auto results = analyzer.runArtifacts(specs);
@@ -1115,8 +1084,8 @@ int cmdSimulate(std::vector<std::string> args) {
     std::fprintf(stderr, "simulate requires --function NAME\n");
     return 2;
   }
-  driver::AnalysisRequest request;
-  if (!loadSource(args[0], request))
+  core::AnalysisSpec spec;
+  if (!loadSource(args[0], spec))
     return 1;
 
   if (flags.viaDaemon) {
@@ -1130,18 +1099,18 @@ int cmdSimulate(std::vector<std::string> args) {
       return 1;
     }
     server::SimulateReply reply;
-    if (!client.simulate(request.name, request.source, optionsFor(flags),
+    if (!client.simulate(spec.name, spec.source, optionsFor(flags),
                          flags.sim, reply)) {
       std::fprintf(stderr, "%s\n", client.lastError().c_str());
       return 1;
     }
     if (!reply.ok) {
       std::fprintf(stderr, "simulate of %s failed:\n%s\n",
-                   request.name.c_str(), reply.diagnostics.c_str());
+                   spec.name.c_str(), reply.diagnostics.c_str());
       return 1;
     }
     std::printf("simulated %s:%s via daemon in %.4f s (%s%s)\n",
-                request.name.c_str(), flags.sim.function.c_str(),
+                spec.name.c_str(), flags.sim.function.c_str(),
                 static_cast<double>(reply.micros) / 1e6,
                 reply.cacheHit ? "cache hit" : "computed",
                 reply.recompiled ? ", recompiled" : "");
@@ -1149,9 +1118,6 @@ int cmdSimulate(std::vector<std::string> args) {
     return reply.result.ok ? 0 : 1;
   }
 
-  core::AnalysisSpec spec;
-  spec.name = request.name;
-  spec.source = request.source;
   spec.options = optionsFor(flags);
   spec.artifacts = core::kArtifactSimulation | core::kArtifactDiagnostics;
   spec.simulation = flags.sim;
@@ -1216,22 +1182,19 @@ int cmdCache(std::vector<std::string> args) {
                   formatBytes(store.bytesLimit()).c_str());
     else
       std::printf("byte limit      : unlimited\n");
-    std::printf("schema version  : %u (reads back to v%u)\n",
-                kCacheSchemaVersion, kCacheSchemaVersionMin);
+    std::printf("schema version  : %u\n", kCacheSchemaVersion);
 
     // Per-artifact byte breakdown: walk every entry (peek: no LRU
     // bump) and split its payload into the sections of the schema-v2
     // layout (docs/CACHING.md, "Entry format"). Programs are never
     // stored — they come back through recompile-on-demand handles —
     // so their column is identically zero by design.
-    std::size_t v1Entries = 0, v2Entries = 0, failureEntries = 0;
+    std::size_t failureEntries = 0;
     std::uint64_t modelBytes = 0, coverageBytes = 0, diagnosticsBytes = 0;
     for (std::uint64_t key : store.keys()) {
-      std::uint32_t version = 0;
-      auto payload = store.peek(key, version);
+      auto payload = store.peek(key);
       if (!payload)
-        continue; // unsupported schema or raced with a writer
-      (version >= 2 ? v2Entries : v1Entries) += 1;
+        continue; // another schema version or raced with a writer
       bio::Reader r{*payload, 0};
       std::uint8_t ok = 0;
       std::string producer, diagnostics;
@@ -1242,22 +1205,18 @@ int cmdCache(std::vector<std::string> args) {
         ++failureEntries;
         continue;
       }
-      if (version >= 2) {
-        std::uint8_t hasCoverage = 0;
-        const std::size_t beforeCoverage = r.offset;
-        std::uint64_t scratch = 0;
-        if (!r.u8(hasCoverage))
-          continue;
-        if (hasCoverage &&
-            (!r.u64(scratch) || !r.u64(scratch) || !r.u64(scratch)))
-          continue;
-        coverageBytes += r.offset - beforeCoverage;
-      }
+      std::uint8_t hasCoverage = 0;
+      const std::size_t beforeCoverage = r.offset;
+      std::uint64_t scratch = 0;
+      if (!r.u8(hasCoverage))
+        continue;
+      if (hasCoverage &&
+          (!r.u64(scratch) || !r.u64(scratch) || !r.u64(scratch)))
+        continue;
+      coverageBytes += r.offset - beforeCoverage;
       modelBytes += r.remaining();
     }
-    std::printf("entries by schema : v1 %zu, v2 %zu (%zu cached "
-                "failures)\n",
-                v1Entries, v2Entries, failureEntries);
+    std::printf("cached failures   : %zu\n", failureEntries);
     std::printf("model bytes       : %llu (%s)\n",
                 static_cast<unsigned long long>(modelBytes),
                 formatBytes(modelBytes).c_str());
@@ -1320,24 +1279,6 @@ int cmdCache(std::vector<std::string> args) {
     return 0;
   }
   if (args[0] == "clear") {
-    if (!flags.schema.empty()) {
-      // `--schema vN` (or plain N): purge only that schema's entries —
-      // the post-migration cleanup path for pre-v2 blobs.
-      std::string digits = flags.schema;
-      if (!digits.empty() && (digits[0] == 'v' || digits[0] == 'V'))
-        digits.erase(0, 1);
-      if (digits.empty() ||
-          digits.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "--schema expects v<N> (e.g. v1)\n");
-        return 2;
-      }
-      const auto version =
-          static_cast<std::uint32_t>(std::atol(digits.c_str()));
-      const std::size_t removed = store.clearVersion(version);
-      std::printf("removed %zu schema-v%u cache entries from %s\n", removed,
-                  version, store.directory().c_str());
-      return 0;
-    }
     const std::size_t before = store.entryCount();
     store.clear();
     std::printf("removed %zu cache entries from %s\n", before,
@@ -1502,13 +1443,6 @@ int cmdClient(std::vector<std::string> args) {
   args.erase(args.begin());
 
   server::Client client;
-  if (flags.wireVersion < server::kProtocolVersionMin ||
-      flags.wireVersion > server::kProtocolVersion) {
-    std::fprintf(stderr, "--wire-version must be %u..%u\n",
-                 server::kProtocolVersionMin, server::kProtocolVersion);
-    return 2;
-  }
-  client.setProtocolVersion(flags.wireVersion);
   client.setBusyRetries(flags.busyRetries);
 
   if (action == "ping") {
@@ -1549,11 +1483,10 @@ int cmdClient(std::vector<std::string> args) {
     std::printf("analyze / batch : %llu / %llu\n",
                 static_cast<unsigned long long>(stats.analyzeRequests),
                 static_cast<unsigned long long>(stats.batchRequests));
-    if (flags.wireVersion >= 2)
-      std::printf("coverage / sim  : %llu / %llu (%llu recompiles)\n",
-                  static_cast<unsigned long long>(stats.coverageRequests),
-                  static_cast<unsigned long long>(stats.simulateRequests),
-                  static_cast<unsigned long long>(stats.recompiles));
+    std::printf("coverage / sim  : %llu / %llu (%llu recompiles)\n",
+                static_cast<unsigned long long>(stats.coverageRequests),
+                static_cast<unsigned long long>(stats.simulateRequests),
+                static_cast<unsigned long long>(stats.recompiles));
     std::printf("sources analyzed: %llu (%llu cache hits, %llu computed, "
                 "%llu failed)\n",
                 static_cast<unsigned long long>(stats.sourcesAnalyzed),
@@ -1597,14 +1530,13 @@ int cmdClient(std::vector<std::string> args) {
       std::fprintf(stderr, "client analyze takes exactly one source\n");
       return 2;
     }
-    driver::AnalysisRequest request;
-    if (!loadSource(args[0], request))
+    core::AnalysisSpec spec;
+    if (!loadSource(args[0], spec))
       return 1;
     if (int rc = requireClientConnection(client, flags))
       return rc;
     server::ClientOutcome outcome;
-    if (!client.analyze(request.name, request.source, optionsFor(flags),
-                        outcome))
+    if (!client.analyze(spec.name, spec.source, optionsFor(flags), outcome))
       return clientFailure(client);
     if (!outcome.ok) {
       std::fprintf(stderr, "analysis of %s failed:\n%s\n",
@@ -1612,7 +1544,7 @@ int cmdClient(std::vector<std::string> args) {
       return 1;
     }
     printClientOutcome(outcome);
-    printModelSummary(*outcome.analysis);
+    printModelSummary(outcome.analysis->model);
     if (flags.emitPython) {
       std::puts("");
       std::puts(model::emitPython(outcome.analysis->model).c_str());
@@ -1686,10 +1618,10 @@ int cmdClient(std::vector<std::string> args) {
     }
     std::vector<server::SourceItem> items;
     for (const auto &arg : args) {
-      driver::AnalysisRequest request;
-      if (!loadSource(arg, request))
+      core::AnalysisSpec spec;
+      if (!loadSource(arg, spec))
         return 1;
-      items.push_back({request.name, request.source});
+      items.push_back({spec.name, spec.source});
     }
     if (int rc = requireClientConnection(client, flags))
       return rc;
@@ -1722,21 +1654,20 @@ int cmdClient(std::vector<std::string> args) {
     std::printf("%-24s | %6s | %6s | %8s | %4s | %-5s | %-9s\n", "source",
                 "loops", "stmts", "in-loop", "pct", "cache", "recompile");
     for (const auto &arg : args) {
-      driver::AnalysisRequest request;
-      if (!loadSource(arg, request))
+      core::AnalysisSpec spec;
+      if (!loadSource(arg, spec))
         return 1;
       server::CoverageReply reply;
-      if (!client.coverage(request.name, request.source, optionsFor(flags),
-                           reply))
+      if (!client.coverage(spec.name, spec.source, optionsFor(flags), reply))
         return clientFailure(client);
       if (!reply.ok) {
         allOk = false;
-        std::printf("%-24s | analysis FAILED\n", request.name.c_str());
+        std::printf("%-24s | analysis FAILED\n", spec.name.c_str());
         std::fprintf(stderr, "%s\n", reply.diagnostics.c_str());
         continue;
       }
       std::printf("%-24s | %6zu | %6zu | %8zu | %3.0f%% | %-5s | %-9s\n",
-                  request.name.c_str(), reply.coverage.loops,
+                  spec.name.c_str(), reply.coverage.loops,
                   reply.coverage.statements, reply.coverage.inLoopStatements,
                   reply.coverage.percent(),
                   reply.cacheHit ? "hit" : "miss",
@@ -1783,22 +1714,22 @@ int cmdClient(std::vector<std::string> args) {
       std::fprintf(stderr, "client simulate requires --function NAME\n");
       return 2;
     }
-    driver::AnalysisRequest request;
-    if (!loadSource(args[0], request))
+    core::AnalysisSpec spec;
+    if (!loadSource(args[0], spec))
       return 1;
     if (int rc = requireClientConnection(client, flags))
       return rc;
     server::SimulateReply reply;
-    if (!client.simulate(request.name, request.source, optionsFor(flags),
-                         flags.sim, reply))
+    if (!client.simulate(spec.name, spec.source, optionsFor(flags), flags.sim,
+                         reply))
       return clientFailure(client);
     if (!reply.ok) {
       std::fprintf(stderr, "simulate of %s failed:\n%s\n",
-                   request.name.c_str(), reply.diagnostics.c_str());
+                   spec.name.c_str(), reply.diagnostics.c_str());
       return 1;
     }
     std::printf("simulated %s:%s via daemon in %.4f s (%s%s)\n",
-                request.name.c_str(), flags.sim.function.c_str(),
+                spec.name.c_str(), flags.sim.function.c_str(),
                 static_cast<double>(reply.micros) / 1e6,
                 reply.cacheHit ? "cache hit" : "computed",
                 reply.recompiled ? ", recompiled" : "");

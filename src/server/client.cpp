@@ -136,8 +136,8 @@ bool Client::roundTrip(const std::string &request, MessageType expected,
 
 bool Client::ping() {
   std::string reply;
-  return roundTrip(encodeEmptyMessage(MessageType::ping, version_),
-                   MessageType::pong, reply);
+  return roundTrip(encodeEmptyMessage(MessageType::ping), MessageType::pong,
+                   reply);
 }
 
 bool Client::decodeOutcome(const AnalyzeReply &wire, ClientOutcome &outcome) {
@@ -145,21 +145,10 @@ bool Client::decodeOutcome(const AnalyzeReply &wire, ClientOutcome &outcome) {
   outcome.cacheHit = wire.cacheHit;
   outcome.micros = wire.micros;
   outcome.payload = wire.payload;
-  std::shared_ptr<const core::AnalysisResult> analysis;
-  // The payload dialect follows the protocol version this client spoke
-  // (the daemon replies in kind).
-  const bool parsed =
-      version_ >= 2
-          ? driver::deserializeArtifactPayload(wire.payload, analysis,
-                                               outcome.coverage,
-                                               outcome.diagnostics,
-                                               outcome.name)
-          : driver::deserializeOutcomePayloadV1(wire.payload, analysis,
-                                                outcome.diagnostics,
-                                                outcome.name);
-  if (!parsed)
+  if (!driver::deserializeArtifactPayload(wire.payload, outcome.analysis,
+                                          outcome.coverage,
+                                          outcome.diagnostics, outcome.name))
     return fail(ErrorKind::protocol, "malformed result payload in reply");
-  outcome.analysis = std::move(analysis);
   outcome.ok = outcome.analysis != nullptr;
   return true;
 }
@@ -169,7 +158,7 @@ bool Client::analyze(const std::string &name, const std::string &source,
                      ClientOutcome &outcome) {
   SourceItem item{name, source};
   std::string reply;
-  if (!roundTrip(encodeAnalyzeRequest(item, packOptions(options), version_),
+  if (!roundTrip(encodeAnalyzeRequest(item, packOptions(options)),
                  MessageType::analyzeReply, reply))
     return false;
   bio::Reader r{reply, 0};
@@ -185,7 +174,7 @@ bool Client::analyzeBatch(const std::vector<SourceItem> &items,
                           const core::MiraOptions &options,
                           std::vector<ClientOutcome> &outcomes) {
   std::string reply;
-  if (!roundTrip(encodeBatchRequest(items, packOptions(options), version_),
+  if (!roundTrip(encodeBatchRequest(items, packOptions(options)),
                  MessageType::batchReply, reply))
     return false;
   bio::Reader r{reply, 0};
@@ -242,8 +231,8 @@ bool Client::analyzePipelined(const std::vector<SourceItem> &items,
     for (std::size_t received = 0; received < pending.size(); ++received) {
       for (; sent < pending.size() && sent < received + kPipelineWindow;
            ++sent) {
-        const std::string request = encodeAnalyzeRequest(
-            items[pending[sent]], packOptions(options), version_);
+        const std::string request =
+            encodeAnalyzeRequest(items[pending[sent]], packOptions(options));
         if (request.size() > kMaxFrameBytes)
           return fail(ErrorKind::protocol, "request of " + std::to_string(request.size()) +
                       " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
@@ -294,8 +283,6 @@ bool Client::analyzePipelined(const std::vector<SourceItem> &items,
 bool Client::coverage(const std::string &name, const std::string &source,
                       const core::MiraOptions &options,
                       CoverageReply &reply) {
-  if (version_ < 2)
-    return fail(ErrorKind::protocol, "coverage requires protocol version 2");
   SourceItem item{name, source};
   std::string wire;
   if (!roundTrip(encodeCoverageRequest(item, packOptions(options)),
@@ -312,8 +299,6 @@ bool Client::coverage(const std::string &name, const std::string &source,
 bool Client::simulate(const std::string &name, const std::string &source,
                       const core::MiraOptions &options,
                       const core::SimulationArgs &sim, SimulateReply &reply) {
-  if (version_ < 2)
-    return fail(ErrorKind::protocol, "simulate requires protocol version 2");
   SourceItem item{name, source};
   std::string wire;
   if (!roundTrip(encodeSimulateRequest(item, packOptions(options), sim),
@@ -330,8 +315,6 @@ bool Client::simulate(const std::string &name, const std::string &source,
 bool Client::manifestDiff(const std::string &oldManifestBytes,
                           const std::string &newManifestBytes,
                           ManifestDiffReply &reply) {
-  if (version_ < 2)
-    return fail(ErrorKind::protocol, "manifest-diff requires protocol version 2");
   std::string wire;
   if (!roundTrip(encodeManifestDiffRequest(oldManifestBytes, newManifestBytes),
                  MessageType::manifestDiffReply, wire))
@@ -351,9 +334,6 @@ bool Client::manifestBatch(const std::string &manifestBytes,
                            const core::MiraOptions &options,
                            const ProgressFn &onProgress,
                            std::string &reportBytes) {
-  if (version_ < 2)
-    return fail(ErrorKind::protocol,
-                "manifest-batch requires protocol version 2");
   if (!socket_.valid())
     return fail(ErrorKind::connect, "not connected");
   ManifestBatchRequest request;
@@ -434,11 +414,11 @@ bool Client::manifestBatch(const std::string &manifestBytes,
 
 bool Client::cacheStats(ServerStats &stats) {
   std::string reply;
-  if (!roundTrip(encodeEmptyMessage(MessageType::cacheStats, version_),
+  if (!roundTrip(encodeEmptyMessage(MessageType::cacheStats),
                  MessageType::cacheStatsReply, reply))
     return false;
   bio::Reader r{reply, 0};
-  if (!decodeCacheStatsReply(r, stats, version_)) {
+  if (!decodeCacheStatsReply(r, stats)) {
     disconnect();
     return fail(ErrorKind::protocol, "malformed cache-stats reply");
   }
@@ -446,8 +426,6 @@ bool Client::cacheStats(ServerStats &stats) {
 }
 
 bool Client::metrics(std::vector<MetricSample> &samples) {
-  if (version_ < 2)
-    return fail(ErrorKind::protocol, "metrics requires protocol version 2");
   std::string reply;
   if (!roundTrip(encodeMetricsRequest(), MessageType::metricsReply, reply))
     return false;
@@ -461,7 +439,7 @@ bool Client::metrics(std::vector<MetricSample> &samples) {
 
 bool Client::shutdownServer() {
   std::string reply;
-  if (!roundTrip(encodeEmptyMessage(MessageType::shutdown, version_),
+  if (!roundTrip(encodeEmptyMessage(MessageType::shutdown),
                  MessageType::shutdownReply, reply))
     return false;
   // The daemon stops reading afterwards; this connection is done.

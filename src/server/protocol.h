@@ -12,18 +12,14 @@
 /// docs/PROTOCOL.md specifies the byte layout normatively so non-C++
 /// clients can speak it too.
 ///
-/// Versioning: the current protocol is version 2, which adds the
-/// Coverage and Simulate requests of the artifact API
-/// (core/artifacts.h) and embeds the schema-v2 artifact payload in
-/// analyze replies. The daemon still serves version-1 peers: every
-/// message carries its version, requests are accepted from
-/// kProtocolVersionMin up, and replies are encoded in the requester's
-/// version (v1 clients get v1 payload bytes, and never see v2-only
-/// message types or stats fields). The ManifestDiff and ManifestBatch
-/// requests and the Metrics/Busy/BatchProgress/Hello messages are
-/// additive late-v2 extensions (new message types, no layout changes);
-/// older v2 daemons answer them with Error-and-close like any unknown
-/// type, which clients must treat as "not supported". Busy and
+/// Versioning: every message carries the protocol version, and peers
+/// accept exactly kProtocolVersion (2); any other version is answered
+/// with Error-and-close. Analyze replies embed the schema-v2 artifact
+/// payload. The ManifestDiff and ManifestBatch requests and the
+/// Metrics/Busy/BatchProgress/Hello messages are additive late-v2
+/// extensions (new message types, no layout changes); older v2 daemons
+/// answer them with Error-and-close like any unknown type, which
+/// clients must treat as "not supported". Busy and
 /// BatchProgress are the two replies that do NOT close the connection:
 /// Busy reports the in-flight cap was hit and carries a retry-after
 /// hint; BatchProgress precedes a manifestBatchReply on the same
@@ -57,14 +53,11 @@ namespace mira::server {
 /// little-endian u32. First field of every message.
 inline constexpr std::uint32_t kProtocolMagic = 0x5072694du;
 
-/// Current protocol version, sent by default. Bump on any change to the
-/// message layouts below or to the artifact payload they embed (i.e.
-/// whenever kCacheSchemaVersion bumps, bump this too).
+/// The protocol version every message carries and the only one peers
+/// accept. Bump on any change to the message layouts below or to the
+/// artifact payload they embed (i.e. whenever kCacheSchemaVersion
+/// bumps, bump this too).
 inline constexpr std::uint32_t kProtocolVersion = 2;
-
-/// Oldest version peers still accept. v1 lacks coverage/simulate and
-/// embeds the v1 outcome payload in analyze replies.
-inline constexpr std::uint32_t kProtocolVersionMin = 1;
 
 /// Default cap on one frame's payload, enforced by both sides. A
 /// declared length beyond the cap is answered with Error and the
@@ -72,7 +65,6 @@ inline constexpr std::uint32_t kProtocolVersionMin = 1;
 inline constexpr std::uint32_t kMaxFrameBytes = 64u * 1024 * 1024;
 
 /// One-byte message type. Requests are < 100; replies are >= 100.
-/// Types marked (v2) are rejected in version-1 messages.
 enum class MessageType : std::uint8_t {
   // Requests (client -> server).
   ping = 1,       ///< liveness probe; empty body
@@ -80,12 +72,12 @@ enum class MessageType : std::uint8_t {
   batch = 3,      ///< many sources: [flags u8][count u32][count x item]
   cacheStats = 4, ///< server/cache counters; empty body
   shutdown = 5,   ///< stop accepting, drain, exit; empty body
-  coverage = 6,   ///< (v2) loop coverage: same body as analyze
-  simulate = 7,   ///< (v2) run the simulator: analyze body + sim args
-  manifestDiff = 8, ///< (v2) diff two corpus manifests: [old str][new str]
-  metrics = 9,    ///< (v2) named counter/gauge snapshot; empty body
-  manifestBatch = 10, ///< (v2) run a whole manifest (ManifestBatchRequest)
-  hello = 11,     ///< (v2) shared-secret handshake: [secret str]
+  coverage = 6,   ///< loop coverage: same body as analyze
+  simulate = 7,   ///< run the simulator: analyze body + sim args
+  manifestDiff = 8, ///< diff two corpus manifests: [old str][new str]
+  metrics = 9,    ///< named counter/gauge snapshot; empty body
+  manifestBatch = 10, ///< run a whole manifest (ManifestBatchRequest)
+  hello = 11,     ///< shared-secret handshake: [secret str]
 
   // Replies (server -> client).
   error = 100,           ///< [message str]; connection closes after
@@ -94,16 +86,16 @@ enum class MessageType : std::uint8_t {
   batchReply = 103,      ///< [count u32][count x result]
   cacheStatsReply = 104, ///< fixed u64 counter block (see ServerStats)
   shutdownReply = 105,   ///< empty body; sent before the daemon drains
-  coverageReply = 106,   ///< (v2) one coverage summary (see CoverageReply)
-  simulateReply = 107,   ///< (v2) one simulation result (see SimulateReply)
-  manifestDiffReply = 108, ///< (v2) added/changed/removed entry lists
-  busyReply = 109,       ///< (v2) over the in-flight cap; [retryMillis u32]
-  metricsReply = 110,    ///< (v2) [count u32][count x (name str, value u64)]
-  manifestBatchReply = 111, ///< (v2) one merged report: [report str]
-  batchProgress = 112,   ///< (v2) streamed before manifestBatchReply; the
+  coverageReply = 106,   ///< one coverage summary (see CoverageReply)
+  simulateReply = 107,   ///< one simulation result (see SimulateReply)
+  manifestDiffReply = 108, ///< added/changed/removed entry lists
+  busyReply = 109,       ///< over the in-flight cap; [retryMillis u32]
+  metricsReply = 110,    ///< [count u32][count x (name str, value u64)]
+  manifestBatchReply = 111, ///< one merged report: [report str]
+  batchProgress = 112,   ///< streamed before manifestBatchReply; the
                          ///< second reply type that does NOT close the
                          ///< connection (see BatchProgress)
-  helloReply = 113,      ///< (v2) handshake accepted; empty body, the
+  helloReply = 113,      ///< handshake accepted; empty body, the
                          ///< connection stays open for requests
 };
 
@@ -135,13 +127,12 @@ struct AnalyzeReply {
   bool cacheHit = false;
   /// Server-side wall time of this request, microseconds.
   std::uint64_t micros = 0;
-  /// The canonical result payload, in the requester's schema:
-  /// driver::serializeArtifactPayload bytes for v2 peers,
-  /// driver::serializeOutcomePayloadV1 bytes for v1 peers.
+  /// The canonical result payload: driver::serializeArtifactPayload
+  /// bytes.
   std::string payload;
 };
 
-/// One loop-coverage summary as served to a client (v2).
+/// One loop-coverage summary as served to a client.
 /// Body: [cacheHit u8][recompiled u8][micros u64][ok u8]
 /// [diagnostics str] then, when ok, [loops u64][stmts u64][inLoop u64].
 struct CoverageReply {
@@ -153,7 +144,7 @@ struct CoverageReply {
   sema::LoopCoverage coverage; ///< meaningful when ok
 };
 
-/// One simulation result as served to a client (v2).
+/// One simulation result as served to a client.
 /// Body: [cacheHit u8][recompiled u8][micros u64][ok u8]
 /// [diagnostics str] then, when ok, the SimResult block (putSimResult).
 struct SimulateReply {
@@ -166,7 +157,7 @@ struct SimulateReply {
                            ///< report simulator-level failures)
 };
 
-/// The decoded answer to a manifestDiff request (v2): what changed
+/// The decoded answer to a manifestDiff request: what changed
 /// between the two corpus manifests the client sent, so a daemon can
 /// plan incremental re-analysis for callers that never read the
 /// workload tree themselves.
@@ -180,7 +171,7 @@ struct ManifestDiffReply {
   std::vector<std::string> removed;           ///< paths only in `old`
 };
 
-/// A manifestBatch request (v2, additive late extension): run a whole
+/// A manifestBatch request (additive late extension): run a whole
 /// corpus manifest on the daemon's compute pool — the serving-side
 /// equivalent of local `mira-cli batch --manifest`, with the same
 /// incremental (`--since`) and sharding (`--shard I/N`) planning, and a
@@ -203,7 +194,7 @@ struct ManifestBatchRequest {
   std::string sinceBytes;       ///< optional baseline manifest; empty = full
 };
 
-/// One cumulative progress frame of a manifestBatch execution (v2).
+/// One cumulative progress frame of a manifestBatch execution.
 /// Streamed after each chunk when the request asked for progress; like
 /// Busy, it does NOT close the connection — the final reply follows.
 /// Body: [done u32][total u32][failures u32][cacheHits u32].
@@ -214,7 +205,7 @@ struct BatchProgress {
   std::uint32_t cacheHits = 0; ///< cache-served entries so far
 };
 
-/// The final answer to a manifestBatch request (v2): one merged,
+/// The final answer to a manifestBatch request: one merged,
 /// byte-stable batch report. Body: [report str] — raw
 /// driver::serializeBatchReport bytes, so a client can write them to a
 /// `--report` file that compares byte-identical to a local run's.
@@ -223,16 +214,15 @@ struct ManifestBatchReply {
 };
 
 /// The daemon's answer when a request would exceed its `--max-inflight`
-/// cap (v2, additive): the request was NOT queued or executed; retry it
+/// cap (additive): the request was NOT queued or executed; retry it
 /// after the hinted delay. Unlike Error, a Busy reply does NOT close the
-/// connection — the session keeps reading. v1 peers cannot decode this
-/// type, so at capacity they receive Error-and-close instead.
+/// connection — the session keeps reading.
 /// Body: [retryAfterMillis u32].
 struct BusyReply {
   std::uint32_t retryAfterMillis = 0; ///< server-suggested backoff hint
 };
 
-/// One (name, value) pair of a metricsReply (v2, additive): a
+/// One (name, value) pair of a metricsReply (additive): a
 /// core::MetricsRegistry sample. Names are Prometheus-idiom lowercase
 /// (`server_requests_served_total`); the list is name-sorted.
 struct MetricSample {
@@ -241,9 +231,7 @@ struct MetricSample {
 };
 
 /// Counter block answered to cacheStats, all u64, in this wire order.
-/// Lifetime counters cover everything since the daemon started. The
-/// last three fields are v2-only: v1 peers receive the block truncated
-/// after `threads` (the v1 layout, unchanged).
+/// Lifetime counters cover everything since the daemon started.
 struct ServerStats {
   std::uint64_t uptimeMicros = 0;        ///< since the daemon started
   std::uint64_t connectionsAccepted = 0; ///< client sessions opened
@@ -262,85 +250,71 @@ struct ServerStats {
   std::uint64_t diskEntries = 0;         ///< disk entries on disk now
   std::uint64_t diskBytes = 0;           ///< disk bytes on disk now
   std::uint64_t threads = 0;             ///< concurrent session workers
-  std::uint64_t coverageRequests = 0;    ///< (v2) coverage messages
-  std::uint64_t simulateRequests = 0;    ///< (v2) simulate messages
-  std::uint64_t recompiles = 0;          ///< (v2) recompile-on-demand runs
+  std::uint64_t coverageRequests = 0;    ///< coverage messages
+  std::uint64_t simulateRequests = 0;    ///< simulate messages
+  std::uint64_t recompiles = 0;          ///< recompile-on-demand runs
 };
 
-/// Append the message header (magic, `version`, type) to `out`.
-void beginMessage(std::string &out, MessageType type,
-                  std::uint32_t version = kProtocolVersion);
+/// Append the message header (magic, kProtocolVersion, type) to `out`.
+void beginMessage(std::string &out, MessageType type);
 
-/// Read and validate a message header, accepting any supported version
-/// (kProtocolVersionMin..kProtocolVersion) and reporting which one the
-/// peer spoke. On failure sets `error` and returns false; `type` and
-/// `version` are only meaningful on success.
-bool readHeader(bio::Reader &r, MessageType &type, std::uint32_t &version,
-                std::string &error);
-
-/// Convenience overload for callers that do not branch on the version.
+/// Read and validate a message header: magic, then a version that must
+/// be kProtocolVersion. On failure sets `error` (naming an unsupported
+/// version) and returns false; `type` is only meaningful on success.
 bool readHeader(bio::Reader &r, MessageType &type, std::string &error);
 
-// Encoders. `version` selects the wire dialect; v2-only messages
-// (coverage, simulate and their replies) ignore it and always stamp v2.
+// Encoders.
 
 /// Build a complete header-only message (ping, pong, cacheStats,
 /// shutdown, shutdownReply).
-std::string encodeEmptyMessage(MessageType type,
-                               std::uint32_t version = kProtocolVersion);
+std::string encodeEmptyMessage(MessageType type);
 /// Build an analyze request for one source under OptionFlags `flags`.
-std::string encodeAnalyzeRequest(const SourceItem &item, std::uint8_t flags,
-                                 std::uint32_t version = kProtocolVersion);
+std::string encodeAnalyzeRequest(const SourceItem &item, std::uint8_t flags);
 /// Build a batch request; every item shares one OptionFlags byte.
 std::string encodeBatchRequest(const std::vector<SourceItem> &items,
-                               std::uint8_t flags,
-                               std::uint32_t version = kProtocolVersion);
-/// Build a coverage request (v2): same body as analyze.
+                               std::uint8_t flags);
+/// Build a coverage request: same body as analyze.
 std::string encodeCoverageRequest(const SourceItem &item, std::uint8_t flags);
-/// Build a simulate request (v2): analyze body + the per-call
+/// Build a simulate request: analyze body + the per-call
 /// simulation arguments ([function str][fastForward u8]
 /// [maxInstructions u64][argc u32][argc x (i i64, f f64, f2 f64)]).
 std::string encodeSimulateRequest(const SourceItem &item, std::uint8_t flags,
                                   const core::SimulationArgs &sim);
-/// Build a manifestDiff request (v2) carrying two serialized manifests
+/// Build a manifestDiff request carrying two serialized manifests
 /// (corpus::serializeManifest bytes): [old str][new str].
 std::string encodeManifestDiffRequest(const std::string &oldManifestBytes,
                                       const std::string &newManifestBytes);
-/// Build a metrics request (v2): header only, like ping.
+/// Build a metrics request: header only, like ping.
 std::string encodeMetricsRequest();
-/// Build a hello handshake request (v2) carrying the shared secret:
+/// Build a hello handshake request carrying the shared secret:
 /// [secret str]. Sent as a session's first frame on authenticated
 /// endpoints; answered with helloReply (empty) or Error-and-close.
 std::string encodeHelloRequest(const std::string &secret);
-/// Build a manifestBatch request (v2).
+/// Build a manifestBatch request.
 std::string encodeManifestBatchRequest(const ManifestBatchRequest &request);
-/// Build a batchProgress frame (v2).
+/// Build a batchProgress frame.
 std::string encodeBatchProgress(const BatchProgress &progress);
-/// Build a manifestBatchReply (v2) carrying the merged report bytes.
+/// Build a manifestBatchReply carrying the merged report bytes.
 std::string encodeManifestBatchReply(const ManifestBatchReply &reply);
-/// Build a busyReply (v2) carrying the retry-after hint.
+/// Build a busyReply carrying the retry-after hint.
 std::string encodeBusyReply(const BusyReply &reply);
-/// Build a metricsReply (v2) from a name-sorted sample list.
+/// Build a metricsReply from a name-sorted sample list.
 std::string encodeMetricsReply(const std::vector<MetricSample> &samples);
 /// Build an Error reply carrying a human-readable description.
-std::string encodeErrorReply(const std::string &message,
-                             std::uint32_t version = kProtocolVersion);
+std::string encodeErrorReply(const std::string &message);
 /// Build an analyzeReply carrying one result.
-std::string encodeAnalyzeReply(const AnalyzeReply &reply,
-                               std::uint32_t version = kProtocolVersion);
+std::string encodeAnalyzeReply(const AnalyzeReply &reply);
 /// Build a batchReply carrying results in request order.
-std::string encodeBatchReply(const std::vector<AnalyzeReply> &replies,
-                             std::uint32_t version = kProtocolVersion);
-/// Build a coverageReply (v2).
+std::string encodeBatchReply(const std::vector<AnalyzeReply> &replies);
+/// Build a coverageReply.
 std::string encodeCoverageReply(const CoverageReply &reply);
-/// Build a simulateReply (v2).
+/// Build a simulateReply.
 std::string encodeSimulateReply(const SimulateReply &reply);
-/// Build a manifestDiffReply (v2).
+/// Build a manifestDiffReply.
 std::string encodeManifestDiffReply(const ManifestDiffReply &reply);
-/// Build a cacheStatsReply from a counter snapshot; v1 peers get the
-/// 17-field v1 block, v2 peers the full 20-field block.
-std::string encodeCacheStatsReply(const ServerStats &stats,
-                                  std::uint32_t version = kProtocolVersion);
+/// Build a cacheStatsReply (the 20-field ServerStats block) from a
+/// counter snapshot.
+std::string encodeCacheStatsReply(const ServerStats &stats);
 
 // Body decoders take a Reader positioned just past the header. Each
 // returns false on any structural problem, including a body that does
@@ -390,10 +364,7 @@ bool decodeManifestDiffReply(bio::Reader &r, ManifestDiffReply &reply);
 bool decodeBusyReply(bio::Reader &r, BusyReply &reply);
 /// Decode a metricsReply body.
 bool decodeMetricsReply(bio::Reader &r, std::vector<MetricSample> &samples);
-/// Decode a cacheStatsReply body of the given dialect (v1 bodies leave
-/// the v2-only fields zero).
-bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats,
-                           std::uint32_t version);
+/// Decode a cacheStatsReply body.
 bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats);
 
 /// Canonical byte encoding of a full sim::SimResult (ok, error, return

@@ -79,8 +79,8 @@ struct ServerOptions {
   std::uint32_t maxFrameBytes = kMaxFrameBytes;
   /// Daemon-wide cap on concurrently running analysis requests (analyze,
   /// batch, coverage, simulate, manifest-diff — a batch counts as one).
-  /// A request over the cap is refused with Busy (v2) or Error (v1)
-  /// instead of queueing unboundedly. 0 = unlimited.
+  /// A request over the cap is refused with Busy instead of queueing
+  /// unboundedly. 0 = unlimited.
   std::size_t maxInflight = 0;
   /// How long a graceful shutdown waits for in-flight requests before
   /// force-closing the remaining connections.
@@ -154,7 +154,7 @@ private:
   void handleConnection(std::shared_ptr<Session> session);
   /// Decode one frame and either answer it inline (cheap requests) or
   /// dispatch it to the compute pool. Returns false when the reader must
-  /// stop (shutdown, protocol error, v1 peer refused at capacity).
+  /// stop (shutdown, protocol error).
   bool handleFrame(const std::shared_ptr<Session> &session,
                    std::uint64_t seq, const std::string &message);
   /// Hand the reply for `seq` to the connection's sequencer; consecutive
@@ -165,12 +165,10 @@ private:
   /// Enqueue a reply produced by a compute worker, degrading an over-cap
   /// frame to an Error (the frame cap binds the daemon's own output too).
   void sendReplyAt(const std::shared_ptr<Session> &session,
-                   std::uint64_t seq, std::string frame,
-                   std::uint32_t version);
+                   std::uint64_t seq, std::string frame);
   /// Enqueue an Error reply and count it; closes after flushing.
   void sendErrorAt(const std::shared_ptr<Session> &session,
-                   std::uint64_t seq, const std::string &text,
-                   std::uint32_t version);
+                   std::uint64_t seq, const std::string &text);
   /// Write (or buffer) a batchProgress frame for request `seq`. The
   /// sequencer keeps the stream legal: progress frames go out after the
   /// reply to seq-1 and before the final reply to seq, in emission
@@ -187,15 +185,13 @@ private:
   /// chunked fan-out over the analyzer, optional progress frames,
   /// cancellation between chunks, one merged byte-stable report.
   void runManifestBatch(const std::shared_ptr<Session> &session,
-                        std::uint64_t seq, std::uint32_t version,
-                        const ManifestBatchRequest &request,
+                        std::uint64_t seq, const ManifestBatchRequest &request,
                         const corpus::Manifest &manifest,
                         const corpus::Manifest *since);
   /// Try to reserve an in-flight slot. At capacity the request is
-  /// answered Busy (v2, connection keeps going) or Error (v1, which
-  /// cannot decode Busy; the connection closes) and false is returned.
+  /// answered Busy (the connection keeps going) and false is returned.
   bool admitOrRefuse(const std::shared_ptr<Session> &session,
-                     std::uint64_t seq, std::uint32_t version);
+                     std::uint64_t seq);
   void releaseInflight();
   /// Refresh the point-in-time gauges before a registry snapshot.
   void refreshGauges() const;
@@ -205,12 +201,9 @@ private:
   /// Record a served result in the counters (cache hit vs computed,
   /// failures, recompiles).
   void recordServed(const core::Artifacts &artifacts);
-  AnalyzeReply analyzeItem(const SourceItem &item, std::uint8_t flags,
-                           std::uint32_t version);
-  /// Record artifacts in the counters and wrap them as a wire reply in
-  /// the peer's payload dialect.
-  AnalyzeReply replyFor(const core::Artifacts &artifacts,
-                        std::uint32_t version);
+  AnalyzeReply analyzeItem(const SourceItem &item, std::uint8_t flags);
+  /// Record artifacts in the counters and wrap them as a wire reply.
+  AnalyzeReply replyFor(const core::Artifacts &artifacts);
   CoverageReply coverageItem(const SourceItem &item, std::uint8_t flags);
   SimulateReply simulateItem(const SourceItem &item, std::uint8_t flags,
                              const core::SimulationArgs &sim);
@@ -262,7 +255,7 @@ private:
   // ManifestBatch counters live in the registry only (Metrics reply and
   // --metrics-file): the cacheStatsReply wire block is frozen — its
   // decoder rejects trailing bytes, so growing it would break deployed
-  // v2 clients.
+  // clients.
   core::MetricsRegistry::Counter &manifest_batch_requests_;
   core::MetricsRegistry::Counter &manifest_batch_cancelled_;
 };

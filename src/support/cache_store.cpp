@@ -92,24 +92,14 @@ std::string CacheStore::pathForKey(std::uint64_t key) const {
 }
 
 std::optional<std::string> CacheStore::load(std::uint64_t key) {
-  std::uint32_t version = 0;
-  return loadRange(key, kCacheSchemaVersion, version, /*touch=*/true);
+  return read(key, /*touch=*/true);
 }
 
-std::optional<std::string> CacheStore::load(std::uint64_t key,
-                                            std::uint32_t &version) {
-  return loadRange(key, kCacheSchemaVersionMin, version, /*touch=*/true);
+std::optional<std::string> CacheStore::peek(std::uint64_t key) {
+  return read(key, /*touch=*/false);
 }
 
-std::optional<std::string> CacheStore::peek(std::uint64_t key,
-                                            std::uint32_t &version) {
-  return loadRange(key, kCacheSchemaVersionMin, version, /*touch=*/false);
-}
-
-std::optional<std::string> CacheStore::loadRange(std::uint64_t key,
-                                                 std::uint32_t minVersion,
-                                                 std::uint32_t &version,
-                                                 bool touch) {
+std::optional<std::string> CacheStore::read(std::uint64_t key, bool touch) {
   const auto miss = [&]() -> std::optional<std::string> {
     if (!touch)
       return std::nullopt;
@@ -128,10 +118,10 @@ std::optional<std::string> CacheStore::loadRange(std::uint64_t key,
   in.close();
 
   // Every rejection below is some flavor of corruption (truncation, a
-  // foreign file, a different schema, a torn payload): unlink the entry
-  // so it cannot waste a validation pass on every future lookup. A
-  // peek (touch == false) must stay side-effect free even here — the
-  // next real load will do the unlinking.
+  // foreign file, a torn payload): unlink the entry so it cannot waste a
+  // validation pass on every future lookup. A peek (touch == false) must
+  // stay side-effect free even here — the next real load will do the
+  // unlinking.
   const auto reject = [&]() -> std::optional<std::string> {
     if (!touch)
       return std::nullopt;
@@ -145,23 +135,19 @@ std::optional<std::string> CacheStore::loadRange(std::uint64_t key,
   };
 
   bio::Reader header{bytes, 0};
-  std::uint32_t magic = 0;
+  std::uint32_t magic = 0, version = 0;
   std::uint64_t payloadSize = 0, payloadHash = 0;
   if (!header.u32(magic) || !header.u32(version) ||
       !header.u64(payloadSize) || !header.u64(payloadHash))
     return reject();
   if (magic != kCacheMagic)
     return reject();
-  if (version < minVersion || version > kCacheSchemaVersion) {
+  if (version != kCacheSchemaVersion) {
     // A well-formed entry from another schema version is not corrupt —
     // unlinking it would let two binary versions sharing one directory
     // destroy each other's caches. Miss; our own store() will replace
     // it with this version's result.
-    if (touch) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.misses;
-    }
-    return std::nullopt;
+    return miss();
   }
   if (bytes.size() != kHeaderSize + payloadSize)
     return reject();
@@ -179,25 +165,6 @@ std::optional<std::string> CacheStore::loadRange(std::uint64_t key,
   return payload;
 }
 
-std::optional<std::uint32_t>
-CacheStore::entryVersion(std::uint64_t key) const {
-  if (!usable_)
-    return std::nullopt;
-  std::ifstream in(pathForKey(key), std::ios::binary);
-  if (!in)
-    return std::nullopt;
-  char header[8];
-  in.read(header, sizeof(header));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(header)))
-    return std::nullopt;
-  const std::string prefix(header, sizeof(header));
-  bio::Reader r{prefix, 0};
-  std::uint32_t magic = 0, version = 0;
-  if (!r.u32(magic) || !r.u32(version) || magic != kCacheMagic)
-    return std::nullopt;
-  return version;
-}
-
 std::vector<std::uint64_t> CacheStore::keys() const {
   std::vector<std::uint64_t> out;
   std::error_code ec;
@@ -208,26 +175,6 @@ std::vector<std::uint64_t> CacheStore::keys() const {
     out.push_back(std::strtoull(name.substr(0, 16).c_str(), nullptr, 16));
   }
   return out;
-}
-
-std::size_t CacheStore::clearVersion(std::uint32_t version) {
-  std::size_t removed = 0;
-  for (std::uint64_t key : keys()) {
-    const auto entry = entryVersion(key);
-    if (!entry || *entry != version)
-      continue;
-    std::error_code ec;
-    if (fs::remove(pathForKey(key), ec))
-      ++removed;
-  }
-  if (removed != 0) {
-    // Resync the running byte estimate (it only feeds the over-limit
-    // check) after a bulk purge.
-    const std::uint64_t measured = totalBytes();
-    std::lock_guard<std::mutex> lock(mutex_);
-    approx_bytes_ = measured;
-  }
-  return removed;
 }
 
 bool CacheStore::remove(std::uint64_t key) {

@@ -3,8 +3,8 @@
 /// versioned headers, LRU size-capped eviction.
 ///
 /// CacheStore is payload-agnostic (it stores byte strings); the driver
-/// layers the AnalysisOutcome serializer (model/serialize.h) on top of
-/// it to get cross-run reuse of analysis results. The store is
+/// layers its artifact payload codec (driver/batch.h) on top of it to
+/// get cross-run reuse of analysis results. The store is
 /// deliberately paranoid: every read validates a magic number, a schema
 /// version, the payload length, and an FNV-1a payload checksum, and
 /// anything that fails validation is treated as a miss (and unlinked)
@@ -26,15 +26,11 @@ namespace mira {
 /// model/serialize.h) or the header itself changes.
 ///
 /// Version history:
-///   1 — PR 2: `[ok][producerName][diagnostics][model]` outcome payload.
+///   1 — `[ok][producerName][diagnostics][model]` outcome payload; no
+///       longer read (an out-of-range miss, like any other version).
 ///   2 — artifact payload: a loop-coverage summary rides alongside the
 ///       model so coverage can be served without the compiled program.
 inline constexpr std::uint32_t kCacheSchemaVersion = 2;
-
-/// Oldest schema version load(key, version) still accepts. v1 payloads
-/// lack the coverage summary; the driver degrades them to
-/// recompile-on-demand (docs/CACHING.md, "Schema migration").
-inline constexpr std::uint32_t kCacheSchemaVersionMin = 1;
 
 /// Process-lifetime counters of one CacheStore (all operations since
 /// construction; not persisted).
@@ -70,37 +66,21 @@ public:
 
   /// Fetch the payload stored under `key`; nullopt when absent or when
   /// the entry fails validation (which also deletes the bad file). Only
-  /// current-schema entries are served; older (still-supported) versions
-  /// go through the two-argument overload.
+  /// kCacheSchemaVersion entries are served; a well-formed entry of any
+  /// other schema version misses without being deleted (another
+  /// binary's valid cache) and is replaced by the next store().
   std::optional<std::string> load(std::uint64_t key);
 
-  /// Like load(), but also accepts entries of any supported schema
-  /// version (`kCacheSchemaVersionMin`..`kCacheSchemaVersion`) and
-  /// reports which version the payload was written under, so the caller
-  /// can pick the matching payload codec. Entries outside the supported
-  /// range miss without being deleted (another binary's valid cache).
-  std::optional<std::string> load(std::uint64_t key, std::uint32_t &version);
-
-  /// Validated read without side effects: like the two-argument load()
-  /// but bumps neither the LRU recency nor any counter, and never
-  /// unlinks a corrupt entry (that is left to the next real load), so
-  /// inspection commands (`cache stats`) cannot perturb the store.
-  std::optional<std::string> peek(std::uint64_t key, std::uint32_t &version);
-
-  /// Header schema version of the entry stored under `key`, or nullopt
-  /// when there is no well-formed entry. Does not validate the payload
-  /// checksum and does not bump LRU recency.
-  std::optional<std::uint32_t> entryVersion(std::uint64_t key) const;
+  /// Validated read without side effects: like load() but bumps neither
+  /// the LRU recency nor any counter, and never unlinks a corrupt entry
+  /// (that is left to the next real load), so inspection commands
+  /// (`cache stats`) cannot perturb the store.
+  std::optional<std::string> peek(std::uint64_t key);
 
   /// Every key with a well-formed entry file name, in no particular
   /// order. `mira-cli cache stats` walks this to break byte totals down
   /// per artifact.
   std::vector<std::uint64_t> keys() const;
-
-  /// Remove every entry written under schema `version` (the
-  /// `cache clear --schema vN` migration path); returns how many were
-  /// removed. Temp files and other versions are untouched.
-  std::size_t clearVersion(std::uint32_t version);
 
   /// Unlink the entry stored under `key`, if any; true when a file was
   /// removed. The corpus-manifest prune path (`mira-cli cache prune`)
@@ -147,9 +127,7 @@ public:
 
 private:
   std::string pathForKey(std::uint64_t key) const;
-  std::optional<std::string> loadRange(std::uint64_t key,
-                                       std::uint32_t minVersion,
-                                       std::uint32_t &version, bool touch);
+  std::optional<std::string> read(std::uint64_t key, bool touch);
   void evictToFit(std::uint64_t protectedKey);
 
   std::string directory_;

@@ -1,7 +1,7 @@
-// Artifact-API (v2) tests: the AnalysisSpec/Artifacts surface, the
+// Artifact-API tests: the AnalysisSpec/Artifacts surface, the
 // ProgramHandle recompile-on-demand path, per-request fulfillment
-// planning across memory/disk layers, and cache schema-v2/v1
-// compatibility.
+// planning across memory/disk layers, and which disk entries the
+// analyzer serves.
 //
 // Headline invariants pinned here:
 //   * every ArtifactMask combination yields exactly the requested
@@ -11,9 +11,8 @@
 //     zero recompiles and zero model generation;
 //   * warm-disk simulation recompiles parse->codegen exactly once per
 //     (source, options) and never regenerates the model;
-//   * schema-v1 cache entries (including a checked-in v1 blob) still
-//     load, degrading to recompile-on-demand where the summary is
-//     missing.
+//   * a schema-v1 entry, or an ok entry without a coverage summary, is
+//     recomputed and overwritten — never served.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -24,6 +23,7 @@
 #include "core/artifacts.h"
 #include "driver/batch.h"
 #include "model/python_emitter.h"
+#include "model/serialize.h"
 #include "server/protocol.h"
 #include "support/binary_io.h"
 #include "support/cache_store.h"
@@ -68,7 +68,7 @@ std::string simBytes(const sim::SimResult &result) {
 }
 
 /// Write a raw cache entry under `key` with an arbitrary schema
-/// version — how the v1-compat tests plant pre-migration blobs.
+/// version — how the tests below plant entries of another schema.
 void writeRawEntry(const fs::path &dir, std::uint64_t key,
                    std::uint32_t version, const std::string &payload) {
   std::string bytes;
@@ -109,30 +109,11 @@ TEST(ArtifactApi, MaskMatrixYieldsExactlyTheRequestedArtifacts) {
   }
 }
 
-TEST(ArtifactApi, ResultV1ViewSharesTheModelByteForByte) {
-  // analyzeSource is gone (removed as of schema v2); resultV1 is the
-  // surviving compatibility view and must carry the very same model.
-  core::Artifacts artifacts = core::analyze(fig5Spec(core::kArtifactDefault));
-  ASSERT_TRUE(artifacts.ok);
-  ASSERT_NE(artifacts.resultV1, nullptr);
-  EXPECT_EQ(model::emitPython(*artifacts.model),
-            model::emitPython(artifacts.resultV1->model));
-
-  // Two independent runs of the same spec render identically — the
-  // determinism the deleted v1-shim comparison used to pin.
-  core::Artifacts again = core::analyze(fig5Spec(core::kArtifactDefault));
-  ASSERT_TRUE(again.ok);
-  EXPECT_EQ(model::emitPython(*artifacts.model),
-            model::emitPython(*again.model));
-  EXPECT_EQ(artifacts.diagnostics, again.diagnostics);
-}
-
 TEST(ArtifactApi, SkippingTheModelStillCompilesAndCovers) {
   core::Artifacts artifacts =
       core::analyze(fig5Spec(core::kArtifactCoverage));
   ASSERT_TRUE(artifacts.ok);
   EXPECT_EQ(artifacts.model, nullptr);
-  EXPECT_EQ(artifacts.resultV1, nullptr);
   ASSERT_TRUE(artifacts.coverage.has_value());
   EXPECT_GT(artifacts.coverage->loops, 0u);
   EXPECT_GT(artifacts.coverage->statements, 0u);
@@ -248,7 +229,7 @@ TEST(ArtifactBatch, DifferentMasksShareOneCacheEntry) {
 }
 
 TEST(ArtifactBatch, ModelOnlyRequestsAttachCoverageOpportunistically) {
-  // The serving layers forward whatever coverage the cache has into v2
+  // The serving layers forward whatever coverage the cache has into
   // wire payloads, so fulfillment attaches it when it costs nothing.
   driver::BatchAnalyzer analyzer(driver::BatchOptions{1, true});
   auto results = analyzer.runArtifacts({fig5Spec(core::kArtifactModel)});
@@ -271,7 +252,6 @@ TEST(ArtifactBatch, NoCacheRequestsComputeOnlyWhatWasAsked) {
   ASSERT_TRUE(coverageRun[0].ok);
   EXPECT_TRUE(coverageRun[0].coverage.has_value());
   EXPECT_EQ(coverageRun[0].model, nullptr);
-  EXPECT_EQ(coverageRun[0].resultV1, nullptr);
 
   auto simRun = analyzer.runArtifacts({fig5Spec(core::kArtifactSimulation)});
   ASSERT_TRUE(simRun[0].ok);
@@ -380,140 +360,96 @@ TEST(ArtifactBatch, WarmDiskProgramHandleStaysLazyUntilUsed) {
   EXPECT_TRUE(results[0].program->recompiled());
 }
 
-// --------------------------------------------- schema v1 compatibility
+// -------------------------------------------- unusable disk entries
 
-TEST(ArtifactCompat, V1EntryServesTheModelAndDegradesCoverageToRecompile) {
+TEST(ArtifactBatch, SchemaV1EntryIsRecomputedAndOverwritten) {
   TempDir dir("v1entry");
-
-  // Plant a genuine v1 blob: the v1 payload codec under a version-1
-  // store header — exactly what a PR-2/PR-3 build would have written.
-  core::Artifacts reference = core::analyze(fig5Spec(core::kArtifactAll));
+  core::Artifacts reference = core::analyze(fig5Spec(core::kArtifactDefault));
   ASSERT_TRUE(reference.ok);
-  const std::string v1Payload = driver::serializeOutcomePayloadV1(
-      reference.resultV1.get(), reference.diagnostics, "@fig5");
-  writeRawEntry(dir.path, driver::requestKey(fig5Spec(core::kArtifactModel)),
-                1, v1Payload);
-
-  driver::BatchOptions options;
-  options.threads = 1;
-  options.cacheDir = dir.str();
-  driver::BatchAnalyzer analyzer(options);
-
-  // Model: served straight from the v1 bytes.
-  auto modelRun = analyzer.runArtifacts({fig5Spec(core::kArtifactModel)});
-  ASSERT_TRUE(modelRun[0].ok);
-  EXPECT_TRUE(modelRun[0].cacheHit);
-  EXPECT_EQ(model::emitPython(*modelRun[0].model),
-            model::emitPython(*reference.model));
-  EXPECT_EQ(analyzer.stats().diskHits, 1u);
-  EXPECT_EQ(analyzer.stats().recompiles, 0u);
-  // No summary in a v1 payload: nothing to attach opportunistically.
-  EXPECT_FALSE(modelRun[0].coverage.has_value());
-
-  // Coverage: the v1 entry has no summary, so fulfillment recompiles
-  // on demand — and the numbers match a live analysis exactly.
-  auto coverageRun =
-      analyzer.runArtifacts({fig5Spec(core::kArtifactCoverage)});
-  ASSERT_TRUE(coverageRun[0].ok);
-  EXPECT_TRUE(coverageRun[0].cacheHit);
-  EXPECT_TRUE(coverageRun[0].recompiled);
-  ASSERT_TRUE(coverageRun[0].coverage.has_value());
-  EXPECT_EQ(coverageRun[0].coverage->loops, reference.coverage->loops);
-  EXPECT_EQ(coverageRun[0].coverage->statements,
-            reference.coverage->statements);
-  EXPECT_EQ(analyzer.stats().recompiles, 1u);
-  EXPECT_EQ(analyzer.stats().coverageFromCache, 0u);
-
-  // Simulation reuses the already-materialized handle: no second
-  // recompile for the same cache value.
-  auto simRun = analyzer.runArtifacts({fig5Spec(core::kArtifactSimulation)});
-  ASSERT_TRUE(simRun[0].ok);
-  EXPECT_FALSE(simRun[0].recompiled);
-  EXPECT_EQ(analyzer.stats().recompiles, 0u);
-  EXPECT_EQ(simBytes(*simRun[0].simulation), simBytes(*reference.simulation));
-}
-
-TEST(ArtifactCompat, CheckedInV1FailureBlobStillLoads) {
-  // A byte-for-byte v1 failure payload as a PR-2 build serialized it:
-  //   [ok=0][producerName "legacy.mc"][diagnostics "legacy.mc:1:5: ..."]
-  // Kept as a literal so codec drift against historical bytes (not just
-  // against our own writer) fails this test.
-  static const unsigned char kV1FailureBlob[] = {
-      0x00,                                                  // ok = 0
-      0x09, 0x00, 0x00, 0x00,                                // len 9
-      'l', 'e', 'g', 'a', 'c', 'y', '.', 'm', 'c',           // producer
-      0x1d, 0x00, 0x00, 0x00,                                // len 29
-      'l', 'e', 'g', 'a', 'c', 'y', '.', 'm', 'c', ':', '1', ':', '5',
-      ':', ' ', 'e', 'r', 'r', 'o', 'r', ':', ' ', 'b', 'r', 'o', 'k',
-      'e', 'n', '\n',
-  };
-  const std::string payload(reinterpret_cast<const char *>(kV1FailureBlob),
-                            sizeof(kV1FailureBlob));
-
-  std::shared_ptr<const core::AnalysisResult> analysis;
-  std::string diagnostics, producer;
-  ASSERT_TRUE(driver::deserializeOutcomePayloadV1(payload, analysis,
-                                                  diagnostics, producer));
-  EXPECT_EQ(analysis, nullptr);
-  EXPECT_EQ(producer, "legacy.mc");
-  EXPECT_EQ(diagnostics, "legacy.mc:1:5: error: broken\n");
-
-  // And through the whole stack: planted under the key of an
-  // identically-failing source, the blob serves the cached failure.
-  TempDir dir("v1blob");
-  core::AnalysisSpec spec;
-  spec.name = "legacy.mc";
-  spec.source = "int broken(";
-  spec.artifacts = core::kArtifactDefault;
-  writeRawEntry(dir.path, driver::requestKey(spec), 1, payload);
-
-  driver::BatchOptions options;
-  options.threads = 1;
-  options.cacheDir = dir.str();
-  driver::BatchAnalyzer analyzer(options);
-  auto results = analyzer.runArtifacts({spec});
-  EXPECT_FALSE(results[0].ok);
-  EXPECT_TRUE(results[0].cacheHit);
-  EXPECT_NE(results[0].diagnostics.find("error: broken"), std::string::npos);
-  EXPECT_EQ(analyzer.stats().diskHits, 1u);
-}
-
-TEST(ArtifactCompat, V2RerunUpgradesNothingButServesSummaries) {
-  // After a v1 entry is recomputed under schema v2 (cache cleared of
-  // the old blob), the new entry carries the summary and coverage stops
-  // recompiling — the migration the CLI's `cache clear --schema v1`
-  // enables.
-  TempDir dir("upgrade");
-  CacheStore store(dir.str());
-  core::Artifacts reference = core::analyze(fig5Spec(core::kArtifactAll));
-  const std::string v1Payload = driver::serializeOutcomePayloadV1(
-      reference.resultV1.get(), reference.diagnostics, "@fig5");
-  const std::uint64_t key =
-      driver::requestKey(fig5Spec(core::kArtifactModel));
+  // A schema-v1 entry as the removed v1 codec laid it out:
+  // [ok u8][producerName str][diagnostics str][model bytes].
+  std::string v1Payload;
+  bio::putU8(v1Payload, 1);
+  bio::putString(v1Payload, "@fig5");
+  bio::putString(v1Payload, reference.diagnostics);
+  model::serializeModel(*reference.model, v1Payload);
+  const std::uint64_t key = driver::requestKey(fig5Spec(core::kArtifactModel));
   writeRawEntry(dir.path, key, 1, v1Payload);
-
-  ASSERT_EQ(store.clearVersion(1), 1u);
-  EXPECT_EQ(store.entryCount(), 0u);
 
   driver::BatchOptions options;
   options.threads = 1;
   options.cacheDir = dir.str();
   {
-    driver::BatchAnalyzer recompute(options);
-    auto results =
-        recompute.runArtifacts({fig5Spec(core::kArtifactCoverage)});
+    // Out-of-range schema: one disk miss and one compute, not corruption.
+    driver::BatchAnalyzer cold(options);
+    auto results = cold.runArtifacts({fig5Spec(core::kArtifactModel)});
     ASSERT_TRUE(results[0].ok);
-    EXPECT_FALSE(results[0].cacheHit); // the v1 blob is gone: full compute
+    EXPECT_FALSE(results[0].cacheHit);
+    EXPECT_EQ(model::emitPython(*results[0].model),
+              model::emitPython(*reference.model));
+    EXPECT_EQ(cold.stats().diskMisses, 1u);
+    EXPECT_EQ(cold.stats().cacheMisses, 1u);
+    EXPECT_EQ(cold.stats().diskStores, 1u);
+    const CacheStoreStats &store = cold.diskCache()->stats();
+    EXPECT_EQ(store.hits, 0u);
+    EXPECT_EQ(store.misses, 1u);
+    EXPECT_EQ(store.corrupt, 0u);
   }
+  // The store replaced the v1 file with a current-schema entry.
+  CacheStore store(dir.str());
+  EXPECT_EQ(store.entryCount(), 1u);
+  EXPECT_TRUE(store.peek(key).has_value());
+
   driver::BatchAnalyzer warm(options);
-  auto results = warm.runArtifacts({fig5Spec(core::kArtifactCoverage)});
+  auto results = warm.runArtifacts({fig5Spec(core::kArtifactModel)});
   ASSERT_TRUE(results[0].ok);
   EXPECT_TRUE(results[0].cacheHit);
-  EXPECT_EQ(warm.stats().coverageFromCache, 1u);
-  EXPECT_EQ(warm.stats().recompiles, 0u);
+  EXPECT_EQ(warm.stats().diskHits, 1u);
+  EXPECT_EQ(warm.stats().cacheMisses, 0u);
 }
 
-// --------------------------------------------------- payload codec v2
+TEST(ArtifactBatch, OkEntryWithoutCoverageIsRecomputedNotRecompiled) {
+  TempDir dir("nocoverage");
+  core::Artifacts reference = core::analyze(
+      fig5Spec(core::kArtifactModel | core::kArtifactCoverage));
+  ASSERT_TRUE(reference.ok);
+  const std::uint64_t key = driver::requestKey(fig5Spec(core::kArtifactModel));
+  {
+    // A valid current-schema entry whose ok payload has hasCoverage = 0.
+    CacheStore store(dir.str());
+    ASSERT_TRUE(store.store(key, driver::serializeArtifactPayload(
+                                     reference.model.get(), nullptr,
+                                     reference.diagnostics, "@fig5")));
+  }
+
+  driver::BatchOptions options;
+  options.threads = 1;
+  options.cacheDir = dir.str();
+  driver::BatchAnalyzer analyzer(options);
+  auto results = analyzer.runArtifacts({fig5Spec(core::kArtifactCoverage)});
+  ASSERT_TRUE(results[0].ok);
+  ASSERT_TRUE(results[0].coverage.has_value());
+  EXPECT_EQ(results[0].coverage->loops, reference.coverage->loops);
+  EXPECT_FALSE(results[0].cacheHit);
+  EXPECT_FALSE(results[0].recompiled);
+  EXPECT_EQ(analyzer.stats().diskMisses, 1u);
+  EXPECT_EQ(analyzer.stats().diskStores, 1u);
+
+  // The rewritten entry carries the summary (hasCoverage = 1).
+  CacheStore store(dir.str());
+  auto payload = store.peek(key);
+  ASSERT_TRUE(payload.has_value());
+  std::shared_ptr<const core::AnalysisResult> analysis;
+  std::optional<sema::LoopCoverage> coverage;
+  std::string diagnostics, producer;
+  ASSERT_TRUE(driver::deserializeArtifactPayload(*payload, analysis, coverage,
+                                                 diagnostics, producer));
+  ASSERT_NE(analysis, nullptr);
+  ASSERT_TRUE(coverage.has_value());
+  EXPECT_EQ(coverage->statements, reference.coverage->statements);
+}
+
+// ------------------------------------------------------ payload codec
 
 TEST(ArtifactPayload, RoundTripsModelCoverageAndFailures) {
   core::Artifacts reference = core::analyze(
@@ -535,7 +471,8 @@ TEST(ArtifactPayload, RoundTripsModelCoverageAndFailures) {
   EXPECT_EQ(coverage->loops, reference.coverage->loops);
   EXPECT_EQ(producer, "@fig5");
 
-  // Without a summary (a value that round-tripped through v1 bytes).
+  // Without a summary: the codec still reads the flag at 0 (the
+  // analyzer then recomputes the entry).
   const std::string noCoverage = driver::serializeArtifactPayload(
       reference.model.get(), nullptr, reference.diagnostics, "@fig5");
   ASSERT_TRUE(driver::deserializeArtifactPayload(noCoverage, analysis,

@@ -6,6 +6,7 @@
 // performs zero recomputation and is byte-identical to a cold run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -20,6 +21,7 @@
 #include "driver/batch.h"
 #include "model/python_emitter.h"
 #include "model/serialize.h"
+#include "support/binary_io.h"
 #include "support/cache_store.h"
 #include "workloads/coverage_suite.h"
 #include "workloads/workloads.h"
@@ -126,67 +128,38 @@ TEST(CacheStoreTest, TruncatedEntryIsAMissAndRemoved) {
   EXPECT_FALSE(store.load(5).has_value());
 }
 
-TEST(CacheStoreTest, WrongSchemaVersionIsAMissButNotDestroyed) {
-  TempDir dir("version");
-  CacheStore store(dir.str());
-  ASSERT_TRUE(store.store(6, "versioned payload"));
-  fs::path file = onlyEntry(dir.path);
-
-  // The version field is bytes [4, 8) of the header.
+/// Rewrite the schema version of `file`'s header (bytes [4, 8)).
+void setEntryVersion(const fs::path &file, std::uint32_t version) {
+  std::string bytes;
+  bio::putU32(bytes, version);
   std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(4);
-  const char bumped = static_cast<char>(kCacheSchemaVersion + 1);
-  f.write(&bumped, 1);
-  f.close();
-
-  // A different schema version is another binary's valid entry, not
-  // corruption: miss, but leave the file alone so two versions sharing
-  // a directory cannot destroy each other's caches.
-  EXPECT_FALSE(store.load(6).has_value());
-  EXPECT_EQ(store.stats().corrupt, 0u);
-  EXPECT_TRUE(fs::exists(file));
-
-  // Our own store replaces it, after which loads hit again.
-  ASSERT_TRUE(store.store(6, "current version"));
-  auto reloaded = store.load(6);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(*reloaded, "current version");
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-TEST(CacheStoreTest, VersionedLoadAcceptsSupportedOldSchemas) {
-  TempDir dir("oldschema");
-  CacheStore store(dir.str());
-  ASSERT_TRUE(store.store(6, "schema payload"));
-  fs::path file = onlyEntry(dir.path);
+TEST(CacheStoreTest, WrongSchemaVersionIsAMissButNotDestroyed) {
+  for (std::uint32_t version : {0u, 1u, kCacheSchemaVersion + 1}) {
+    SCOPED_TRACE("schema version " + std::to_string(version));
+    TempDir dir("version");
+    CacheStore store(dir.str());
+    ASSERT_TRUE(store.store(6, "versioned payload"));
+    fs::path file = onlyEntry(dir.path);
+    setEntryVersion(file, version);
 
-  // Rewrite the header's version field (bytes [4, 8)) to v1.
-  {
-    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(4);
-    const char v1 = 1;
-    f.write(&v1, 1);
+    // A different schema version is another binary's valid entry, not
+    // corruption: miss, but leave the file alone so two versions sharing
+    // a directory cannot destroy each other's caches.
+    EXPECT_FALSE(store.load(6).has_value());
+    EXPECT_EQ(store.stats().misses, 1u);
+    EXPECT_EQ(store.stats().corrupt, 0u);
+    EXPECT_TRUE(fs::exists(file));
+
+    // Our own store replaces it, after which loads hit again.
+    ASSERT_TRUE(store.store(6, "current version"));
+    auto reloaded = store.load(6);
+    ASSERT_TRUE(reloaded.has_value());
+    EXPECT_EQ(*reloaded, "current version");
   }
-
-  // The current-schema load() misses; the versioned overload serves the
-  // entry and reports which schema wrote it.
-  EXPECT_FALSE(store.load(6).has_value());
-  std::uint32_t version = 0;
-  auto loaded = store.load(6, version);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(version, 1u);
-  EXPECT_EQ(*loaded, "schema payload");
-  EXPECT_EQ(store.entryVersion(6), 1u);
-  EXPECT_TRUE(fs::exists(file)); // readable compat entries are kept
-
-  // Below the supported floor (version 0): a miss, but not corruption.
-  {
-    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(4);
-    const char v0 = 0;
-    f.write(&v0, 1);
-  }
-  EXPECT_FALSE(store.load(6, version).has_value());
-  EXPECT_TRUE(fs::exists(file));
 }
 
 TEST(CacheStoreTest, PeekDoesNotBumpRecencyOrCounters) {
@@ -197,11 +170,9 @@ TEST(CacheStoreTest, PeekDoesNotBumpRecencyOrCounters) {
   const auto mtimeBefore = fs::last_write_time(file);
   const CacheStoreStats before = store.stats();
 
-  std::uint32_t version = 0;
-  auto peeked = store.peek(9, version);
+  auto peeked = store.peek(9);
   ASSERT_TRUE(peeked.has_value());
   EXPECT_EQ(*peeked, "peeked payload");
-  EXPECT_EQ(version, kCacheSchemaVersion);
   EXPECT_EQ(store.stats().hits, before.hits);
   EXPECT_EQ(store.stats().misses, before.misses);
   EXPECT_EQ(fs::last_write_time(file), mtimeBefore)
@@ -210,7 +181,7 @@ TEST(CacheStoreTest, PeekDoesNotBumpRecencyOrCounters) {
   // Even a corrupt entry is left for the next real load to reap: an
   // inspection pass must not delete files or move counters.
   fs::resize_file(file, fs::file_size(file) / 2);
-  EXPECT_FALSE(store.peek(9, version).has_value());
+  EXPECT_FALSE(store.peek(9).has_value());
   EXPECT_TRUE(fs::exists(file)) << "peek must not unlink corrupt entries";
   EXPECT_EQ(store.stats().corrupt, before.corrupt);
   EXPECT_FALSE(store.load(9).has_value()); // the real load reaps it
@@ -218,33 +189,17 @@ TEST(CacheStoreTest, PeekDoesNotBumpRecencyOrCounters) {
   EXPECT_EQ(store.stats().corrupt, before.corrupt + 1);
 }
 
-TEST(CacheStoreTest, KeysAndClearVersionTargetOneSchema) {
-  TempDir dir("clearversion");
+TEST(CacheStoreTest, KeysListEveryEntryWhateverItsSchema) {
+  TempDir dir("keys");
   CacheStore store(dir.str());
   ASSERT_TRUE(store.store(0x11, "current"));
   ASSERT_TRUE(store.store(0x22, "current too"));
   ASSERT_TRUE(store.store(0x33, "will become v1"));
-  {
-    std::fstream f(dir.path / "0000000000000033.mira",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(4);
-    const char v1 = 1;
-    f.write(&v1, 1);
-  }
+  setEntryVersion(dir.path / "0000000000000033.mira", 1);
 
   auto keys = store.keys();
-  EXPECT_EQ(keys.size(), 3u);
-
-  // Only the v1 entry goes; the current-schema entries survive.
-  EXPECT_EQ(store.clearVersion(1), 1u);
-  EXPECT_EQ(store.entryCount(), 2u);
-  EXPECT_TRUE(store.load(0x11).has_value());
-  EXPECT_TRUE(store.load(0x22).has_value());
-  std::uint32_t version = 0;
-  EXPECT_FALSE(store.load(0x33, version).has_value());
-
-  // Clearing a schema with no entries is a no-op.
-  EXPECT_EQ(store.clearVersion(1), 0u);
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, (std::vector<std::uint64_t>{0x11, 0x22, 0x33}));
 }
 
 TEST(CacheStoreTest, ClearReclaimsOrphanedTempFiles) {
@@ -348,23 +303,23 @@ TEST(CacheStoreTest, ConcurrentWritersNeverProduceTornReads) {
 
 // ------------------------------------------------------- model serializer
 
-core::AnalysisResult analyzeOrDie(const std::string &source) {
+model::PerformanceModel modelOrDie(const std::string &source) {
   core::AnalysisSpec spec;
   spec.name = "test.mc";
   spec.source = source;
   spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics;
   core::Artifacts artifacts = core::analyze(spec);
-  EXPECT_TRUE(artifacts.ok && artifacts.resultV1) << artifacts.diagnostics;
-  return *artifacts.resultV1;
+  EXPECT_TRUE(artifacts.ok && artifacts.model) << artifacts.diagnostics;
+  return *artifacts.model;
 }
 
 TEST(ModelSerializeTest, RoundTripIsByteIdentical) {
   for (const std::string *source :
        {&workloads::fig5Source(), &workloads::dgemmSource(),
         &workloads::minifeSource()}) {
-    core::AnalysisResult analysis = analyzeOrDie(*source);
+    const model::PerformanceModel analyzed = modelOrDie(*source);
     std::string bytes;
-    model::serializeModel(analysis.model, bytes);
+    model::serializeModel(analyzed, bytes);
 
     model::PerformanceModel restored;
     std::size_t offset = 0;
@@ -372,20 +327,20 @@ TEST(ModelSerializeTest, RoundTripIsByteIdentical) {
     EXPECT_EQ(offset, bytes.size());
     // emitPython renders every expression, count, call binding, and note,
     // so byte equality here means the models are semantically identical.
-    EXPECT_EQ(model::emitPython(restored), model::emitPython(analysis.model));
+    EXPECT_EQ(model::emitPython(restored), model::emitPython(analyzed));
   }
 }
 
 TEST(ModelSerializeTest, RestoredModelEvaluates) {
-  core::AnalysisResult analysis = analyzeOrDie(workloads::fig5Source());
+  const model::PerformanceModel analyzed = modelOrDie(workloads::fig5Source());
   std::string bytes;
-  model::serializeModel(analysis.model, bytes);
+  model::serializeModel(analyzed, bytes);
   model::PerformanceModel restored;
   std::size_t offset = 0;
   ASSERT_TRUE(model::deserializeModel(bytes, offset, restored));
 
   model::Env env{{"total", 8}, {"y", 16}};
-  auto fresh = analysis.model.evaluate("fig5_main", env);
+  auto fresh = analyzed.evaluate("fig5_main", env);
   auto cached = restored.evaluate("fig5_main", env);
   ASSERT_TRUE(fresh.has_value());
   ASSERT_TRUE(cached.has_value());
@@ -394,9 +349,9 @@ TEST(ModelSerializeTest, RestoredModelEvaluates) {
 }
 
 TEST(ModelSerializeTest, RejectsTruncatedAndMutatedBuffers) {
-  core::AnalysisResult analysis = analyzeOrDie(workloads::fig5Source());
+  const model::PerformanceModel analyzed = modelOrDie(workloads::fig5Source());
   std::string bytes;
-  model::serializeModel(analysis.model, bytes);
+  model::serializeModel(analyzed, bytes);
 
   // Every truncation must fail cleanly, never crash or over-read.
   for (std::size_t cut : {bytes.size() - 1, bytes.size() / 2,
@@ -411,26 +366,29 @@ TEST(ModelSerializeTest, RejectsTruncatedAndMutatedBuffers) {
 
 // ------------------------------------------------- disk-backed batch runs
 
-std::vector<driver::AnalysisRequest> suiteRequests() {
-  std::vector<driver::AnalysisRequest> requests;
-  for (const auto &kernel : workloads::coverageSuite()) {
-    driver::AnalysisRequest request;
-    request.name = kernel.name;
-    request.source = kernel.source;
-    requests.push_back(std::move(request));
-  }
-  return requests;
+core::AnalysisSpec specFor(const std::string &name, const std::string &source) {
+  core::AnalysisSpec spec;
+  spec.name = name;
+  spec.source = source;
+  return spec;
+}
+
+std::vector<core::AnalysisSpec> suiteSpecs() {
+  std::vector<core::AnalysisSpec> specs;
+  for (const auto &kernel : workloads::coverageSuite())
+    specs.push_back(specFor(kernel.name, kernel.source));
+  return specs;
 }
 
 /// Canonical byte rendering of a batch (same scheme as driver_test.cpp).
-std::string fingerprint(const std::vector<driver::AnalysisOutcome> &outcomes) {
+std::string fingerprint(const std::vector<core::Artifacts> &results) {
   std::string bytes;
-  for (const auto &outcome : outcomes) {
-    bytes += outcome.name;
-    bytes += outcome.ok ? "|ok|" : "|fail|";
-    bytes += outcome.diagnostics;
-    if (outcome.analysis)
-      bytes += model::emitPython(outcome.analysis->model);
+  for (const auto &artifacts : results) {
+    bytes += artifacts.name;
+    bytes += artifacts.ok ? "|ok|" : "|fail|";
+    bytes += artifacts.diagnostics;
+    if (artifacts.model)
+      bytes += model::emitPython(*artifacts.model);
     bytes += '\n';
   }
   return bytes;
@@ -445,22 +403,22 @@ driver::BatchOptions diskOptions(const TempDir &dir, std::size_t threads) {
 
 TEST(DiskCacheBatchTest, SecondRunPerformsZeroRecomputation) {
   TempDir dir("warm");
-  auto requests = suiteRequests();
+  auto specs = suiteSpecs();
 
   driver::BatchAnalyzer cold(diskOptions(dir, 2));
-  std::string coldPrint = fingerprint(cold.run(requests));
+  std::string coldPrint = fingerprint(cold.runArtifacts(specs));
   EXPECT_EQ(cold.stats().failures, 0u);
   EXPECT_EQ(cold.stats().diskHits, 0u);
-  EXPECT_EQ(cold.stats().diskMisses, requests.size());
-  EXPECT_EQ(cold.stats().diskStores, requests.size());
+  EXPECT_EQ(cold.stats().diskMisses, specs.size());
+  EXPECT_EQ(cold.stats().diskStores, specs.size());
 
   // A brand-new analyzer (fresh process, as far as the in-memory level
   // is concerned): everything must come from disk, nothing recomputed.
   driver::BatchAnalyzer warm(diskOptions(dir, 2));
-  std::string warmPrint = fingerprint(warm.run(requests));
+  std::string warmPrint = fingerprint(warm.runArtifacts(specs));
   EXPECT_EQ(warm.stats().cacheMisses, 0u) << "a warm run recomputed";
-  EXPECT_EQ(warm.stats().cacheHits, requests.size());
-  EXPECT_EQ(warm.stats().diskHits, requests.size());
+  EXPECT_EQ(warm.stats().cacheHits, specs.size());
+  EXPECT_EQ(warm.stats().diskHits, specs.size());
   EXPECT_EQ(warm.stats().diskMisses, 0u);
   EXPECT_EQ(warm.stats().failures, 0u);
   EXPECT_EQ(warmPrint, coldPrint) << "disk round trip changed results";
@@ -468,47 +426,42 @@ TEST(DiskCacheBatchTest, SecondRunPerformsZeroRecomputation) {
 
 TEST(DiskCacheBatchTest, FailedAnalysesAreCachedToo) {
   TempDir dir("failures");
-  std::vector<driver::AnalysisRequest> requests;
-  driver::AnalysisRequest bad;
-  bad.name = "bad.mc";
-  bad.source = "int broken(";
-  requests.push_back(bad);
+  const std::vector<core::AnalysisSpec> specs = {
+      specFor("bad.mc", "int broken(")};
 
   driver::BatchAnalyzer cold(diskOptions(dir, 1));
-  auto coldOutcomes = cold.run(requests);
-  EXPECT_FALSE(coldOutcomes[0].ok);
+  auto coldResults = cold.runArtifacts(specs);
+  EXPECT_FALSE(coldResults[0].ok);
   EXPECT_EQ(cold.stats().diskStores, 1u);
 
   driver::BatchAnalyzer warm(diskOptions(dir, 1));
-  auto warmOutcomes = warm.run(requests);
-  EXPECT_FALSE(warmOutcomes[0].ok);
-  EXPECT_TRUE(warmOutcomes[0].cacheHit);
+  auto warmResults = warm.runArtifacts(specs);
+  EXPECT_FALSE(warmResults[0].ok);
+  EXPECT_TRUE(warmResults[0].cacheHit);
   EXPECT_EQ(warm.stats().diskHits, 1u);
-  EXPECT_EQ(warmOutcomes[0].diagnostics, coldOutcomes[0].diagnostics);
+  EXPECT_EQ(warmResults[0].diagnostics, coldResults[0].diagnostics);
 }
 
-TEST(DiskCacheBatchTest, DiskHitsCarryTheModelButNotTheProgram) {
+TEST(DiskCacheBatchTest, DiskHitsCarryTheModelButDeferTheProgram) {
   TempDir dir("program");
-  std::vector<driver::AnalysisRequest> requests;
-  driver::AnalysisRequest request;
-  request.name = "fig5";
-  request.source = workloads::fig5Source();
-  requests.push_back(request);
+  core::AnalysisSpec spec = specFor("fig5", workloads::fig5Source());
+  spec.artifacts = core::kArtifactModel | core::kArtifactProgram;
 
   driver::BatchAnalyzer cold(diskOptions(dir, 1));
-  auto coldOutcomes = cold.run(requests);
-  ASSERT_TRUE(coldOutcomes[0].ok);
-  EXPECT_NE(coldOutcomes[0].analysis->program, nullptr);
+  auto coldResults = cold.runArtifacts({spec});
+  ASSERT_TRUE(coldResults[0].ok);
+  EXPECT_FALSE(coldResults[0].program->isDeferred());
 
   driver::BatchAnalyzer warm(diskOptions(dir, 1));
-  auto warmOutcomes = warm.run(requests);
-  ASSERT_TRUE(warmOutcomes[0].ok);
-  EXPECT_TRUE(warmOutcomes[0].cacheHit);
-  // The documented restriction: disk hits restore the model only.
-  EXPECT_EQ(warmOutcomes[0].analysis->program, nullptr);
+  auto warmResults = warm.runArtifacts({spec});
+  ASSERT_TRUE(warmResults[0].ok);
+  EXPECT_TRUE(warmResults[0].cacheHit);
+  // Disk hits restore the model only; the program recompiles on demand.
+  EXPECT_TRUE(warmResults[0].program->isDeferred());
+  EXPECT_FALSE(warmResults[0].program->materialized());
   model::Env env{{"total", 8}, {"y", 16}};
-  auto cached = warmOutcomes[0].analysis->model.evaluate("fig5_main", env);
-  auto fresh = coldOutcomes[0].analysis->model.evaluate("fig5_main", env);
+  auto cached = warmResults[0].model->evaluate("fig5_main", env);
+  auto fresh = coldResults[0].model->evaluate("fig5_main", env);
   ASSERT_TRUE(cached.has_value());
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(cached->fpInstructions, fresh->fpInstructions);
@@ -516,10 +469,10 @@ TEST(DiskCacheBatchTest, DiskHitsCarryTheModelButNotTheProgram) {
 
 TEST(DiskCacheBatchTest, CorruptedEntriesFallBackToRecompute) {
   TempDir dir("corrupt");
-  auto requests = suiteRequests();
+  auto specs = suiteSpecs();
 
   driver::BatchAnalyzer cold(diskOptions(dir, 2));
-  std::string reference = fingerprint(cold.run(requests));
+  std::string reference = fingerprint(cold.runArtifacts(specs));
 
   // Vandalize every cached entry a different way: truncate, rewrite
   // garbage, or chop to below the header.
@@ -541,31 +494,31 @@ TEST(DiskCacheBatchTest, CorruptedEntriesFallBackToRecompute) {
   }
 
   driver::BatchAnalyzer recover(diskOptions(dir, 2));
-  std::string recovered = fingerprint(recover.run(requests));
+  std::string recovered = fingerprint(recover.runArtifacts(specs));
   EXPECT_EQ(recover.stats().failures, 0u)
       << "corrupt cache entries must never fail the batch";
   EXPECT_EQ(recover.stats().diskHits, 0u);
-  EXPECT_EQ(recover.stats().diskMisses, requests.size());
-  EXPECT_EQ(recover.stats().diskStores, requests.size()) << "re-stored";
+  EXPECT_EQ(recover.stats().diskMisses, specs.size());
+  EXPECT_EQ(recover.stats().diskStores, specs.size()) << "re-stored";
   EXPECT_EQ(recovered, reference);
 
   // And the re-stored entries are valid again.
   driver::BatchAnalyzer warm(diskOptions(dir, 2));
-  warm.run(requests);
-  EXPECT_EQ(warm.stats().diskHits, requests.size());
+  warm.runArtifacts(specs);
+  EXPECT_EQ(warm.stats().diskHits, specs.size());
 }
 
 TEST(DiskCacheBatchTest, ConcurrentAnalyzersShareOneDirectory) {
   TempDir dir("shared");
-  auto requests = suiteRequests();
+  auto specs = suiteSpecs();
 
   // Two analyzers race over the same cache directory (stand-in for two
   // processes); both must succeed and agree, whoever wins each store.
   driver::BatchAnalyzer a(diskOptions(dir, 2));
   driver::BatchAnalyzer b(diskOptions(dir, 2));
   std::string printA, printB;
-  std::thread threadA([&] { printA = fingerprint(a.run(requests)); });
-  std::thread threadB([&] { printB = fingerprint(b.run(requests)); });
+  std::thread threadA([&] { printA = fingerprint(a.runArtifacts(specs)); });
+  std::thread threadB([&] { printB = fingerprint(b.runArtifacts(specs)); });
   threadA.join();
   threadB.join();
   EXPECT_EQ(a.stats().failures, 0u);
@@ -573,8 +526,8 @@ TEST(DiskCacheBatchTest, ConcurrentAnalyzersShareOneDirectory) {
   EXPECT_EQ(printA, printB);
 
   driver::BatchAnalyzer warm(diskOptions(dir, 2));
-  warm.run(requests);
-  EXPECT_EQ(warm.stats().diskHits, requests.size());
+  warm.runArtifacts(specs);
+  EXPECT_EQ(warm.stats().diskHits, specs.size());
   EXPECT_EQ(warm.stats().failures, 0u);
 }
 
@@ -589,23 +542,18 @@ TEST(DiskCacheBatchTest, UnwritableDirectoryDegradesToCompute) {
   options.threads = 1;
   options.cacheDir = blocker; // a file, not a directory
   driver::BatchAnalyzer analyzer(options);
-  std::vector<driver::AnalysisRequest> requests;
-  driver::AnalysisRequest request;
-  request.name = "fig5";
-  request.source = workloads::fig5Source();
-  requests.push_back(request);
-  auto outcomes = analyzer.run(requests);
-  EXPECT_TRUE(outcomes[0].ok);
+  auto results =
+      analyzer.runArtifacts({specFor("fig5", workloads::fig5Source())});
+  EXPECT_TRUE(results[0].ok);
   EXPECT_EQ(analyzer.stats().failures, 0u);
 }
 
 TEST(DiskCacheBatchTest, ByteCapEvictsButNeverBreaks) {
   TempDir dir("cap");
-  auto requests = suiteRequests();
   driver::BatchOptions options = diskOptions(dir, 2);
   options.cacheBytesLimit = 16 * 1024; // far too small for the whole suite
   driver::BatchAnalyzer analyzer(options);
-  analyzer.run(requests);
+  analyzer.runArtifacts(suiteSpecs());
   EXPECT_EQ(analyzer.stats().failures, 0u);
   ASSERT_NE(analyzer.diskCache(), nullptr);
   EXPECT_LE(analyzer.diskCache()->totalBytes(), options.cacheBytesLimit);

@@ -17,9 +17,8 @@
 namespace mira::driver {
 namespace {
 
-/// One-shot model analysis through the v2 artifact API, returned in the
-/// v1 result shape these tests consume (null on failure).
-std::shared_ptr<const core::AnalysisResult>
+/// One-shot model analysis through the artifact API (null on failure).
+std::shared_ptr<const model::PerformanceModel>
 analyzeModel(const std::string &source, const std::string &name,
              const core::MiraOptions &options, DiagnosticEngine &diags) {
   core::AnalysisSpec spec;
@@ -28,7 +27,7 @@ analyzeModel(const std::string &source, const std::string &name,
   spec.options = options;
   spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics;
   core::Artifacts artifacts = core::analyze(spec, diags);
-  return artifacts.ok ? artifacts.resultV1 : nullptr;
+  return artifacts.ok ? artifacts.model : nullptr;
 }
 
 // ------------------------------------------------------------------ hash
@@ -89,27 +88,27 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
 
 // ------------------------------------------------------------- cache key
 
-AnalysisRequest makeRequest(const std::string &source,
+core::AnalysisSpec makeSpec(const std::string &source,
                             const std::string &name = "test.mc") {
-  AnalysisRequest request;
-  request.name = name;
-  request.source = source;
-  return request;
+  core::AnalysisSpec spec;
+  spec.name = name;
+  spec.source = source;
+  return spec;
 }
 
 TEST(RequestKey, DependsOnSourceAndOptionsButNotName) {
-  AnalysisRequest a = makeRequest("int f() { return 1; }", "a.mc");
-  AnalysisRequest b = makeRequest("int f() { return 1; }", "b.mc");
+  core::AnalysisSpec a = makeSpec("int f() { return 1; }", "a.mc");
+  core::AnalysisSpec b = makeSpec("int f() { return 1; }", "b.mc");
   EXPECT_EQ(requestKey(a), requestKey(b)); // name is display-only
 
-  AnalysisRequest other = makeRequest("int f() { return 2; }");
+  core::AnalysisSpec other = makeSpec("int f() { return 2; }");
   EXPECT_NE(requestKey(a), requestKey(other));
 
-  AnalysisRequest noOpt = a;
+  core::AnalysisSpec noOpt = a;
   noOpt.options.compile.compiler.optimize = false;
-  AnalysisRequest noVec = a;
+  core::AnalysisSpec noVec = a;
   noVec.options.compile.compiler.vectorize = false;
-  AnalysisRequest noBranch = a;
+  core::AnalysisSpec noBranch = a;
   noBranch.options.metrics.assumeBranchesTaken = false;
   std::set<std::uint64_t> keys{requestKey(a), requestKey(noOpt),
                                requestKey(noVec), requestKey(noBranch)};
@@ -119,8 +118,8 @@ TEST(RequestKey, DependsOnSourceAndOptionsButNotName) {
 TEST(RequestKey, IgnoresExecutionStrategy) {
   // The model pool changes only HOW the model is computed; keying on it
   // would make the on-disk cache miss across equivalent configurations.
-  AnalysisRequest plain = makeRequest("int f() { return 1; }");
-  AnalysisRequest pooled = plain;
+  core::AnalysisSpec plain = makeSpec("int f() { return 1; }");
+  core::AnalysisSpec pooled = plain;
   ThreadPool pool(2);
   pooled.options.modelPool = &pool;
   EXPECT_EQ(requestKey(plain), requestKey(pooled));
@@ -131,40 +130,40 @@ TEST(RequestKey, IsStableAcrossRuns) {
   // of (source, options), reproducible in any process on any day. A
   // golden value pins that; if this test breaks, kCacheSchemaVersion
   // must be bumped because every existing cache is invalidated.
-  AnalysisRequest request = makeRequest("int f() { return 1; }");
-  EXPECT_EQ(requestKey(request), 0x03406ef14ab139eeull);
+  core::AnalysisSpec spec = makeSpec("int f() { return 1; }");
+  EXPECT_EQ(requestKey(spec), 0x03406ef14ab139eeull);
 }
 
 // ------------------------------------------------------------ batch runs
 
-std::vector<AnalysisRequest> coverageRequests() {
-  std::vector<AnalysisRequest> requests;
+std::vector<core::AnalysisSpec> coverageSpecs() {
+  std::vector<core::AnalysisSpec> specs;
   for (const auto &kernel : workloads::coverageSuite())
-    requests.push_back(makeRequest(kernel.source, kernel.name));
-  return requests;
+    specs.push_back(makeSpec(kernel.source, kernel.name));
+  return specs;
 }
 
 /// Canonical byte rendering of a batch: names, status, diagnostics, and
 /// the emitted Python of every model, in input order.
-std::string fingerprint(const std::vector<AnalysisOutcome> &outcomes) {
+std::string fingerprint(const std::vector<core::Artifacts> &results) {
   std::string bytes;
-  for (const auto &outcome : outcomes) {
-    bytes += outcome.name;
-    bytes += outcome.ok ? "|ok|" : "|fail|";
-    bytes += outcome.diagnostics;
-    if (outcome.analysis)
-      bytes += model::emitPython(outcome.analysis->model);
+  for (const auto &artifacts : results) {
+    bytes += artifacts.name;
+    bytes += artifacts.ok ? "|ok|" : "|fail|";
+    bytes += artifacts.diagnostics;
+    if (artifacts.model)
+      bytes += model::emitPython(*artifacts.model);
     bytes += '\n';
   }
   return bytes;
 }
 
 TEST(BatchAnalyzerTest, ParallelResultsAreByteIdenticalToSerial) {
-  auto requests = coverageRequests();
+  auto specs = coverageSpecs();
   BatchOptions serialOptions;
   serialOptions.threads = 1;
   BatchAnalyzer serial(serialOptions);
-  std::string reference = fingerprint(serial.run(requests));
+  std::string reference = fingerprint(serial.runArtifacts(specs));
   ASSERT_FALSE(reference.empty());
   EXPECT_EQ(serial.stats().failures, 0u);
 
@@ -172,7 +171,7 @@ TEST(BatchAnalyzerTest, ParallelResultsAreByteIdenticalToSerial) {
     BatchOptions options;
     options.threads = threads;
     BatchAnalyzer analyzer(options);
-    EXPECT_EQ(fingerprint(analyzer.run(requests)), reference)
+    EXPECT_EQ(fingerprint(analyzer.runArtifacts(specs)), reference)
         << "non-deterministic batch at " << threads << " threads";
   }
 }
@@ -182,12 +181,12 @@ TEST(BatchAnalyzerTest, ParallelModelGenerationIsByteIdentical) {
   // across a model pool, and the merged model (counts, calls, notes,
   // diagnostics — everything emitPython renders) must match the serial
   // walk exactly at every thread count.
-  auto requests = coverageRequests();
+  auto specs = coverageSpecs();
   BatchOptions serialOptions;
   serialOptions.threads = 1;
   serialOptions.modelThreads = 1;
   BatchAnalyzer serial(serialOptions);
-  std::string reference = fingerprint(serial.run(requests));
+  std::string reference = fingerprint(serial.runArtifacts(specs));
   ASSERT_FALSE(reference.empty());
 
   for (std::size_t modelThreads : {2u, 8u}) {
@@ -195,7 +194,7 @@ TEST(BatchAnalyzerTest, ParallelModelGenerationIsByteIdentical) {
     options.threads = 2;
     options.modelThreads = modelThreads;
     BatchAnalyzer analyzer(options);
-    EXPECT_EQ(fingerprint(analyzer.run(requests)), reference)
+    EXPECT_EQ(fingerprint(analyzer.runArtifacts(specs)), reference)
         << "non-deterministic model generation at " << modelThreads
         << " model threads";
   }
@@ -219,22 +218,21 @@ TEST(MetricGeneratorTest, PoolAndSerialModelsAgreeIncludingDiagnostics) {
     DiagnosticEngine poolDiags;
     auto parallel = analyzeModel(source, "listings.mc", pooled, poolDiags);
     ASSERT_TRUE(parallel != nullptr) << poolDiags.str();
-    EXPECT_EQ(model::emitPython(parallel->model),
-              model::emitPython(serial->model));
+    EXPECT_EQ(model::emitPython(*parallel), model::emitPython(*serial));
     EXPECT_EQ(poolDiags.str(), serialDiags.str());
   }
 }
 
 TEST(BatchAnalyzerTest, OutcomesKeepInputOrder) {
-  std::vector<AnalysisRequest> requests;
-  requests.push_back(makeRequest(workloads::dgemmSource(), "first"));
-  requests.push_back(makeRequest("int broken(", "second"));
-  requests.push_back(makeRequest(workloads::fig5Source(), "third"));
+  std::vector<core::AnalysisSpec> specs;
+  specs.push_back(makeSpec(workloads::dgemmSource(), "first"));
+  specs.push_back(makeSpec("int broken(", "second"));
+  specs.push_back(makeSpec(workloads::fig5Source(), "third"));
 
   BatchOptions options;
   options.threads = 4;
   BatchAnalyzer analyzer(options);
-  auto outcomes = analyzer.run(requests);
+  auto outcomes = analyzer.runArtifacts(specs);
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_EQ(outcomes[0].name, "first");
   EXPECT_EQ(outcomes[1].name, "second");
@@ -247,10 +245,10 @@ TEST(BatchAnalyzerTest, OutcomesKeepInputOrder) {
 
 TEST(BatchAnalyzerTest, MalformedSourceYieldsDiagnosticsNotCrash) {
   BatchAnalyzer analyzer(BatchOptions{2, true});
-  auto outcomes = analyzer.run({makeRequest("void f( {", "bad.mc")});
+  auto outcomes = analyzer.runArtifacts({makeSpec("void f( {", "bad.mc")});
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_FALSE(outcomes[0].ok);
-  EXPECT_EQ(outcomes[0].analysis, nullptr);
+  EXPECT_EQ(outcomes[0].model, nullptr);
   EXPECT_FALSE(outcomes[0].diagnostics.empty());
 }
 
@@ -259,8 +257,8 @@ TEST(BatchAnalyzerTest, CachedDiagnosticsNameTheirProducer) {
   // entry; the hit's diagnostics must say which request produced them
   // instead of silently citing the wrong file.
   BatchAnalyzer analyzer(BatchOptions{1, true});
-  auto outcomes = analyzer.run(
-      {makeRequest("int broken(", "a.mc"), makeRequest("int broken(", "b.mc")});
+  auto outcomes = analyzer.runArtifacts(
+      {makeSpec("int broken(", "a.mc"), makeSpec("int broken(", "b.mc")});
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_FALSE(outcomes[0].ok);
   EXPECT_FALSE(outcomes[1].ok);
@@ -271,76 +269,76 @@ TEST(BatchAnalyzerTest, CachedDiagnosticsNameTheirProducer) {
 }
 
 TEST(BatchAnalyzerTest, DuplicateRequestsShareOneAnalysis) {
-  AnalysisRequest request = makeRequest(workloads::fig5Source(), "fig5");
-  std::vector<AnalysisRequest> requests{request, request, request};
+  core::AnalysisSpec spec = makeSpec(workloads::fig5Source(), "fig5");
+  std::vector<core::AnalysisSpec> specs{spec, spec, spec};
 
   BatchOptions options;
   options.threads = 4;
   BatchAnalyzer analyzer(options);
-  auto outcomes = analyzer.run(requests);
+  auto outcomes = analyzer.runArtifacts(specs);
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_EQ(analyzer.stats().cacheMisses, 1u);
   EXPECT_EQ(analyzer.stats().cacheHits, 2u);
   EXPECT_EQ(analyzer.cacheSize(), 1u);
-  // All three positions share the one cached analysis object.
-  EXPECT_EQ(outcomes[0].analysis, outcomes[1].analysis);
-  EXPECT_EQ(outcomes[1].analysis, outcomes[2].analysis);
+  // All three positions share the one cached model object.
+  EXPECT_EQ(outcomes[0].model, outcomes[1].model);
+  EXPECT_EQ(outcomes[1].model, outcomes[2].model);
 }
 
 TEST(BatchAnalyzerTest, CachePersistsAcrossRuns) {
-  auto requests = coverageRequests();
+  auto specs = coverageSpecs();
   BatchOptions options;
   options.threads = 2;
   BatchAnalyzer analyzer(options);
 
-  analyzer.run(requests);
-  EXPECT_EQ(analyzer.stats().cacheMisses, requests.size());
+  analyzer.runArtifacts(specs);
+  EXPECT_EQ(analyzer.stats().cacheMisses, specs.size());
   EXPECT_EQ(analyzer.stats().cacheHits, 0u);
 
-  analyzer.run(requests); // identical (source, options) pairs: all hits
+  analyzer.runArtifacts(specs); // identical (source, options) pairs: all hits
   EXPECT_EQ(analyzer.stats().cacheMisses, 0u);
-  EXPECT_EQ(analyzer.stats().cacheHits, requests.size());
+  EXPECT_EQ(analyzer.stats().cacheHits, specs.size());
 
   analyzer.clearCache();
-  analyzer.run(requests);
-  EXPECT_EQ(analyzer.stats().cacheMisses, requests.size());
+  analyzer.runArtifacts(specs);
+  EXPECT_EQ(analyzer.stats().cacheMisses, specs.size());
 }
 
 TEST(BatchAnalyzerTest, DifferentOptionsDoNotShareCacheEntries) {
-  AnalysisRequest optimized = makeRequest(workloads::fig5Source());
-  AnalysisRequest unoptimized = optimized;
+  core::AnalysisSpec optimized = makeSpec(workloads::fig5Source());
+  core::AnalysisSpec unoptimized = optimized;
   unoptimized.options.compile.compiler.optimize = false;
 
   BatchAnalyzer analyzer(BatchOptions{2, true});
-  auto outcomes = analyzer.run({optimized, unoptimized});
+  auto outcomes = analyzer.runArtifacts({optimized, unoptimized});
   EXPECT_EQ(analyzer.stats().cacheMisses, 2u);
   EXPECT_EQ(analyzer.stats().cacheHits, 0u);
   ASSERT_TRUE(outcomes[0].ok);
   ASSERT_TRUE(outcomes[1].ok);
-  EXPECT_NE(outcomes[0].analysis, outcomes[1].analysis);
+  EXPECT_NE(outcomes[0].model, outcomes[1].model);
 }
 
 TEST(BatchAnalyzerTest, CacheCanBeDisabled) {
-  AnalysisRequest request = makeRequest(workloads::fig5Source());
+  core::AnalysisSpec spec = makeSpec(workloads::fig5Source());
   BatchOptions options;
   options.threads = 2;
   options.useCache = false;
   BatchAnalyzer analyzer(options);
-  auto outcomes = analyzer.run({request, request});
+  auto outcomes = analyzer.runArtifacts({spec, spec});
   EXPECT_EQ(analyzer.stats().cacheHits, 0u);
   EXPECT_EQ(analyzer.stats().cacheMisses, 0u);
   EXPECT_EQ(analyzer.cacheSize(), 0u);
   ASSERT_TRUE(outcomes[0].ok);
   ASSERT_TRUE(outcomes[1].ok);
-  EXPECT_NE(outcomes[0].analysis, outcomes[1].analysis); // recomputed
+  EXPECT_NE(outcomes[0].model, outcomes[1].model); // recomputed
 }
 
 TEST(BatchAnalyzerTest, CachedModelStillEvaluates) {
-  // A cached AnalysisResult is shared const; evaluating it must work and
-  // agree with a fresh serial analysis (paper FPI on the Fig. 5 model).
+  // A cached model is shared const; evaluating it must work and agree
+  // with a fresh serial analysis (paper FPI on the Fig. 5 model).
   BatchAnalyzer analyzer(BatchOptions{4, true});
-  auto first = analyzer.run({makeRequest(workloads::fig5Source())});
-  auto second = analyzer.run({makeRequest(workloads::fig5Source())});
+  auto first = analyzer.runArtifacts({makeSpec(workloads::fig5Source())});
+  auto second = analyzer.runArtifacts({makeSpec(workloads::fig5Source())});
   ASSERT_TRUE(first[0].ok);
   ASSERT_TRUE(second[0].ok);
   EXPECT_TRUE(second[0].cacheHit);
@@ -352,8 +350,8 @@ TEST(BatchAnalyzerTest, CachedModelStillEvaluates) {
   ASSERT_TRUE(serial != nullptr) << diags.str();
 
   model::Env env{{"total", 8}, {"y", 16}};
-  auto cached = second[0].analysis->model.evaluate("fig5_main", env);
-  auto fresh = serial->model.evaluate("fig5_main", env);
+  auto cached = second[0].model->evaluate("fig5_main", env);
+  auto fresh = serial->evaluate("fig5_main", env);
   ASSERT_TRUE(cached.has_value());
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(cached->fpInstructions, fresh->fpInstructions);

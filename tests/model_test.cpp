@@ -18,17 +18,14 @@
 namespace mira {
 namespace {
 
-/// Full static pipeline via the v2 artifact API, in the v1 result shape
-/// (model + live program) these tests consume; null on failure.
-std::shared_ptr<const core::AnalysisResult>
-analyzeFull(const std::string &src, DiagnosticEngine &diags) {
+/// Full static pipeline via the artifact API: model + live program.
+core::Artifacts analyzeFull(const std::string &src, DiagnosticEngine &diags) {
   core::AnalysisSpec spec;
   spec.name = "t.mc";
   spec.source = src;
   spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
                    core::kArtifactProgram;
-  core::Artifacts artifacts = core::analyze(spec, diags);
-  return artifacts.ok ? artifacts.resultV1 : nullptr;
+  return core::analyze(spec, diags);
 }
 
 } // namespace
@@ -481,17 +478,16 @@ TEST(Baseline, OverestimatesVectorizedFPI) {
                     "}";
   DiagnosticEngine diags;
   auto analysis = analyzeFull(src, diags);
-  ASSERT_TRUE(analysis != nullptr) << diags.str();
-  auto srcOnly = generateSourceOnlyModel(*analysis->program->unit,
-                                         analysis->program->sema.callGraph,
-                                         diags);
+  ASSERT_TRUE(analysis.ok) << diags.str();
+  const core::CompiledProgram &program = *analysis.program->get();
+  auto srcOnly = generateSourceOnlyModel(*program.unit,
+                                         program.sema.callGraph, diags);
 
   std::int64_t n = 1000;
-  auto r = core::simulate(*analysis->program, "driver",
-                          {sim::Value::ofInt(n)});
+  auto r = core::simulate(program, "driver", {sim::Value::ofInt(n)});
   ASSERT_TRUE(r.ok);
   double dyn = r.fpiOf("driver");
-  auto mira = analysis->model.evaluate("driver", {{"n", n}});
+  auto mira = analysis.model->evaluate("driver", {{"n", n}});
   auto pb = srcOnly.evaluate("driver", {{"n", n}});
   ASSERT_TRUE(mira && pb);
   // Mira tracks the vectorized binary; the source-only baseline counts
@@ -506,10 +502,10 @@ TEST(Baseline, MatchesSourceOpCountsOnScalarCode) {
                     "}";
   DiagnosticEngine diags;
   auto analysis = analyzeFull(src, diags);
-  ASSERT_TRUE(analysis != nullptr);
-  auto srcOnly = generateSourceOnlyModel(*analysis->program->unit,
-                                         analysis->program->sema.callGraph,
-                                         diags);
+  ASSERT_TRUE(analysis.ok);
+  const core::CompiledProgram &program = *analysis.program->get();
+  auto srcOnly = generateSourceOnlyModel(*program.unit,
+                                         program.sema.callGraph, diags);
   auto counts = srcOnly.evaluate("f", {});
   ASSERT_TRUE(counts.has_value());
   EXPECT_DOUBLE_EQ(counts->fpInstructions, 3.0); // mul + div + add
@@ -531,8 +527,8 @@ TEST(Bridge, LineQueriesAreConsistent) {
                     "}";
   DiagnosticEngine diags;
   auto analysis = analyzeFull(src, diags);
-  ASSERT_TRUE(analysis != nullptr) << diags.str();
-  const FunctionBridge *fb = analysis->program->bridge->of("f");
+  ASSERT_TRUE(analysis.ok) << diags.str();
+  const FunctionBridge *fb = analysis.program->get()->bridge->of("f");
   ASSERT_NE(fb, nullptr);
 
   // The sum over {outside-loops + per-loop bodies + headers} of all lines

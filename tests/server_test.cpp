@@ -279,8 +279,11 @@ TEST(AnalysisServerTest, BatchKeepsInputOrderAndSharesCache) {
   EXPECT_FALSE(outcomes[1].diagnostics.empty());
   EXPECT_TRUE(outcomes[2].ok);
   EXPECT_TRUE(outcomes[3].ok);
-  EXPECT_TRUE(outcomes[3].cacheHit); // same source as "first"
-  // Payload names echo the producing request (docs/CACHING.md).
+  // "fourth" has the same source as "first": one computes, the other
+  // shares it. Either may start first and become the producer, so
+  // exactly one of the pair is a hit.
+  EXPECT_NE(outcomes[0].cacheHit, outcomes[3].cacheHit);
+  // Payload names echo the requesting item (docs/CACHING.md).
   EXPECT_EQ(outcomes[0].name, "first");
 
   ServerStats stats;
@@ -295,15 +298,30 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
   DaemonFixture daemon;
   ASSERT_TRUE(daemon.started());
 
-  {
-    // A well-framed message that is not a protocol message at all.
+  // Well-framed messages the daemon must refuse: one that is not a
+  // protocol message at all, and a ping and an analyze whose headers
+  // say protocol version 1.
+  const auto versionOne = [](std::string message) {
+    message[4] = 1; // the version field is bytes [4, 8) of the header
+    return message;
+  };
+  const std::pair<std::string, std::string> refused[] = {
+      {"this is not a protocol message", "magic"},
+      {versionOne(encodeEmptyMessage(MessageType::ping)),
+       "unsupported protocol version 1"},
+      {versionOne(encodeAnalyzeRequest({"@fig5", workloads::fig5Source()}, 0)),
+       "unsupported protocol version 1"},
+  };
+  for (const auto &[frame, expected] : refused) {
     std::string error;
     net::Socket raw = net::connectUnix(daemon.socketPath(), error);
     ASSERT_TRUE(raw.valid()) << error;
-    ASSERT_TRUE(net::writeFrame(raw.fd(), "this is not a protocol message"));
+    ASSERT_TRUE(net::writeFrame(raw.fd(), frame));
     std::string reply;
     ASSERT_EQ(net::readFrame(raw.fd(), reply, kMaxFrameBytes),
               net::FrameStatus::ok);
+    // One Error reply, stamped with the current version (readHeader
+    // accepts no other).
     bio::Reader r{reply, 0};
     MessageType type{};
     std::string headerError;
@@ -311,7 +329,7 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
     EXPECT_EQ(type, MessageType::error);
     std::string message;
     ASSERT_TRUE(decodeErrorReply(r, message));
-    EXPECT_NE(message.find("magic"), std::string::npos) << message;
+    EXPECT_NE(message.find(expected), std::string::npos) << message;
     // The daemon closes the connection after an error.
     EXPECT_EQ(net::readFrame(raw.fd(), reply, kMaxFrameBytes),
               net::FrameStatus::closed);
@@ -327,20 +345,28 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
     raw.close();
   }
 
-  // After both abuses the daemon still answers normal requests. The
-  // truncated connection is handled asynchronously, so poll briefly for
-  // its error count instead of racing the handler.
+  // After all the abuse the daemon still answers normal requests, and
+  // none of it ran the pipeline. The truncated connection is handled
+  // asynchronously, so poll briefly for its error count instead of
+  // racing the handler.
   Client client;
   ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
   EXPECT_TRUE(client.ping()) << client.lastError();
   ServerStats stats;
   for (int attempt = 0; attempt < 100; ++attempt) {
     ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-    if (stats.protocolErrors >= 2)
+    if (stats.protocolErrors >= 4)
       break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_GE(stats.protocolErrors, 2u);
+  EXPECT_GE(stats.protocolErrors, 4u);
+  EXPECT_EQ(stats.analyzeRequests, 0u);
+  EXPECT_EQ(stats.computed, 0u);
+  ClientOutcome outcome;
+  ASSERT_TRUE(client.analyze("@fig5", workloads::fig5Source(),
+                             core::MiraOptions(), outcome))
+      << client.lastError();
+  EXPECT_TRUE(outcome.ok);
 }
 
 TEST(AnalysisServerTest, OversizedFrameIsRejectedWithoutReadingBody) {
@@ -534,7 +560,7 @@ TEST(AnalysisServerTest, OverCapReplyDegradesToError) {
   // rejects mid-stream.
   ServerOptions options;
   options.maxFrameBytes = 64; // the request fits; the analyze reply
-                              // (outcome payload + model) cannot
+                              // (artifact payload + model) cannot
   DaemonFixture daemon(options);
   ASSERT_TRUE(daemon.started());
 
@@ -716,85 +742,6 @@ TEST(AnalysisServerTest, WarmDiskSimulateRecompilesWithoutRecomputing) {
   std::filesystem::remove_all(cacheDir);
 }
 
-TEST(AnalysisServerTest, V1ClientIsServedV1PayloadsByTheV2Daemon) {
-  DaemonFixture daemon;
-  ASSERT_TRUE(daemon.started());
-
-  // The v1 reference payload for this (source, options, name).
-  DiagnosticEngine diags;
-  core::MiraOptions options;
-  core::AnalysisSpec spec;
-  spec.name = "@fig5";
-  spec.source = workloads::fig5Source();
-  spec.options = options;
-  spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics;
-  core::Artifacts direct = core::analyze(spec, diags);
-  ASSERT_TRUE(direct.ok && direct.resultV1) << diags.str();
-  const std::string expected = driver::serializeOutcomePayloadV1(
-      direct.resultV1.get(), diags.str(), "@fig5");
-
-  Client v1;
-  v1.setProtocolVersion(1);
-  ASSERT_TRUE(v1.connect(daemon.socketPath())) << v1.lastError();
-  EXPECT_TRUE(v1.ping()) << v1.lastError();
-
-  ClientOutcome outcome;
-  ASSERT_TRUE(v1.analyze("@fig5", workloads::fig5Source(), options, outcome))
-      << v1.lastError();
-  EXPECT_TRUE(outcome.ok);
-  EXPECT_EQ(outcome.payload, expected)
-      << "v1 peers must keep receiving v1 payload bytes";
-  EXPECT_FALSE(outcome.coverage.has_value());
-
-  // The 17-field v1 stats block still decodes for v1 peers.
-  ServerStats stats;
-  ASSERT_TRUE(v1.cacheStats(stats)) << v1.lastError();
-  EXPECT_EQ(stats.sourcesAnalyzed, 1u);
-
-  // v2-only requests are refused client-side under v1...
-  CoverageReply coverage;
-  EXPECT_FALSE(v1.coverage("@fig5", workloads::fig5Source(), options,
-                           coverage));
-  EXPECT_NE(v1.lastError().find("protocol version 2"), std::string::npos);
-
-  // ...and server-side if a peer forges a v1 frame with a v2 type.
-  std::string error;
-  net::Socket raw = net::connectUnix(daemon.socketPath(), error);
-  ASSERT_TRUE(raw.valid()) << error;
-  SourceItem item{"@fig5", workloads::fig5Source()};
-  std::string forged;
-  beginMessage(forged, MessageType::coverage, 1);
-  bio::putU8(forged, 0);
-  bio::putString(forged, item.name);
-  bio::putString(forged, item.source);
-  ASSERT_TRUE(net::writeFrame(raw.fd(), forged));
-  std::string reply;
-  ASSERT_EQ(net::readFrame(raw.fd(), reply, kMaxFrameBytes),
-            net::FrameStatus::ok);
-  bio::Reader r{reply, 0};
-  MessageType type{};
-  std::string headerError;
-  ASSERT_TRUE(readHeader(r, type, headerError)) << headerError;
-  EXPECT_EQ(type, MessageType::error);
-  std::string message;
-  ASSERT_TRUE(decodeErrorReply(r, message));
-  EXPECT_NE(message.find("protocol version 2"), std::string::npos);
-
-  // A v2 client on the same daemon sees the coverage summary inside
-  // its analyze payload — same model bytes, richer envelope.
-  Client v2;
-  ASSERT_TRUE(v2.connect(daemon.socketPath())) << v2.lastError();
-  ClientOutcome v2Outcome;
-  ASSERT_TRUE(v2.analyze("@fig5", workloads::fig5Source(), options,
-                         v2Outcome))
-      << v2.lastError();
-  EXPECT_TRUE(v2Outcome.cacheHit);
-  EXPECT_TRUE(v2Outcome.coverage.has_value());
-  EXPECT_NE(v2Outcome.payload, outcome.payload);
-  EXPECT_EQ(model::emitPython(v2Outcome.analysis->model),
-            model::emitPython(outcome.analysis->model));
-}
-
 TEST(ProtocolCodec, CoverageAndSimulateRepliesRoundTrip) {
   CoverageReply coverage;
   coverage.cacheHit = true;
@@ -808,11 +755,9 @@ TEST(ProtocolCodec, CoverageAndSimulateRepliesRoundTrip) {
   std::string wire = encodeCoverageReply(coverage);
   bio::Reader r{wire, 0};
   MessageType type{};
-  std::uint32_t version = 0;
   std::string error;
-  ASSERT_TRUE(readHeader(r, type, version, error)) << error;
+  ASSERT_TRUE(readHeader(r, type, error)) << error;
   EXPECT_EQ(type, MessageType::coverageReply);
-  EXPECT_EQ(version, kProtocolVersion);
   CoverageReply decoded;
   ASSERT_TRUE(decodeCoverageReply(r, decoded));
   EXPECT_TRUE(decoded.cacheHit);
@@ -827,7 +772,7 @@ TEST(ProtocolCodec, CoverageAndSimulateRepliesRoundTrip) {
   sim.options.maxInstructions = 123456789;
   std::string request = encodeSimulateRequest({"k.mc", "int k;"}, 0x3, sim);
   bio::Reader sr{request, 0};
-  ASSERT_TRUE(readHeader(sr, type, version, error)) << error;
+  ASSERT_TRUE(readHeader(sr, type, error)) << error;
   EXPECT_EQ(type, MessageType::simulate);
   SourceItem item;
   std::uint8_t flags = 0;
@@ -1115,7 +1060,7 @@ TEST(AnalysisServerTest, MetricsAndCacheStatsRenderTheSameRegistry) {
     EXPECT_LT(samples[i - 1].name, samples[i].name);
 }
 
-// ----------------------------------------------- manifest batch (v2)
+// ---------------------------------------------------- manifest batch
 
 TEST(ProtocolCodec, ManifestBatchMessagesRoundTrip) {
   ManifestBatchRequest request;
@@ -1130,11 +1075,9 @@ TEST(ProtocolCodec, ManifestBatchMessagesRoundTrip) {
 
   bio::Reader r{wire, 0};
   MessageType type{};
-  std::uint32_t version = 0;
   std::string error;
-  ASSERT_TRUE(readHeader(r, type, version, error)) << error;
+  ASSERT_TRUE(readHeader(r, type, error)) << error;
   EXPECT_EQ(type, MessageType::manifestBatch);
-  EXPECT_EQ(version, kProtocolVersion);
   ManifestBatchRequest decoded;
   ASSERT_TRUE(decodeManifestBatchRequest(r, decoded));
   EXPECT_EQ(decoded.flags, 0x5);
@@ -1178,7 +1121,7 @@ TEST(ProtocolCodec, ManifestBatchDecoderRejectsBadScalarFields) {
   const std::string wire = encodeManifestBatchRequest(good);
   const std::size_t headerSize = [] {
     std::string h;
-    beginMessage(h, MessageType::manifestBatch, kProtocolVersion);
+    beginMessage(h, MessageType::manifestBatch);
     return h.size();
   }();
 

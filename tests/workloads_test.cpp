@@ -15,28 +15,28 @@
 namespace mira {
 namespace {
 
-using core::AnalysisResult;
+using core::Artifacts;
 using core::relativeError;
 using sim::SimOptions;
 using sim::Value;
 
-AnalysisResult analyze(const std::string &src, const char *name) {
+Artifacts analyze(const std::string &src, const char *name) {
   DiagnosticEngine diags;
   core::AnalysisSpec spec;
   spec.name = name;
   spec.source = src;
   spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
                    core::kArtifactProgram;
-  core::Artifacts artifacts = core::analyze(spec, diags);
-  EXPECT_TRUE(artifacts.ok && artifacts.resultV1) << diags.str();
-  return *artifacts.resultV1;
+  Artifacts artifacts = core::analyze(spec, diags);
+  EXPECT_TRUE(artifacts.ok) << diags.str();
+  return artifacts;
 }
 
-sim::SimResult run(const AnalysisResult &a, const std::string &fn,
+sim::SimResult run(const Artifacts &a, const std::string &fn,
                    const std::vector<Value> &args, bool ff) {
   SimOptions options;
   options.fastForward = ff;
-  return core::simulate(*a.program, fn, args, options);
+  return core::simulate(*a.program->get(), fn, args, options);
 }
 
 void expectCountersEqual(const sim::SimResult &a, const sim::SimResult &b) {
@@ -55,7 +55,7 @@ TEST(Stream, CompilesAndKernelsVectorize) {
   // a main (step 2) and remainder (step 1) machine loop.
   for (const char *fn : {"copy_kernel", "scale_kernel", "add_kernel",
                          "triad_kernel", "checksum", "stream_init"}) {
-    const auto *bin = a.program->binaryAst.find(fn);
+    const auto *bin = a.program->get()->binaryAst.find(fn);
     ASSERT_NE(bin, nullptr) << fn;
     EXPECT_GE(bin->loops.size(), 2u) << fn << " not vectorized";
   }
@@ -104,7 +104,7 @@ TEST(Stream, ChecksumValueIsCorrectInExactMode) {
 
 TEST(Dgemm, InnerLoopStaysScalarOuterStructureHolds) {
   auto a = analyze(workloads::dgemmSource(), "dgemm.mc");
-  const auto *bin = a.program->binaryAst.find("dgemm_kernel");
+  const auto *bin = a.program->get()->binaryAst.find("dgemm_kernel");
   ASSERT_NE(bin, nullptr);
   // Strided b[k*n+j] access blocks vectorization: every machine loop in
   // the kernel is scalar (step 1).
@@ -145,14 +145,14 @@ TEST(Dgemm, StaticFPITracksDynamic) {
 
 TEST(MiniFE, CompilesWithMethodCallChain) {
   auto a = analyze(workloads::minifeSource(), "minife.mc");
-  EXPECT_NE(a.model.find("MatVec::operator()"), nullptr);
-  EXPECT_NE(a.model.find("cg_solve"), nullptr);
-  EXPECT_NE(a.model.find("waxpby"), nullptr);
-  EXPECT_NE(a.model.find("dot"), nullptr);
+  EXPECT_NE(a.model->find("MatVec::operator()"), nullptr);
+  EXPECT_NE(a.model->find("cg_solve"), nullptr);
+  EXPECT_NE(a.model->find("waxpby"), nullptr);
+  EXPECT_NE(a.model->find("dot"), nullptr);
   // Model names follow the paper's naming scheme.
-  EXPECT_EQ(a.model.find("MatVec::operator()")->modelName,
+  EXPECT_EQ(a.model->find("MatVec::operator()")->modelName,
             "MatVec_operator_call_2");
-  EXPECT_EQ(a.model.find("waxpby")->modelName, "waxpby_6");
+  EXPECT_EQ(a.model->find("waxpby")->modelName, "waxpby_6");
 }
 
 TEST(MiniFE, SolverConvergesOnSmallGrid) {
@@ -236,7 +236,7 @@ TEST(MiniFE, PerFunctionCountsMatchTableVShape) {
   // Static per-function models evaluate too.
   auto env = minifeEnv(s, s, s, iters);
   env["n"] = s * s * s; // waxpby's own parameter when evaluated standalone
-  auto waxpbyStatic = a.model.evaluate("waxpby", env);
+  auto waxpbyStatic = a.model->evaluate("waxpby", env);
   ASSERT_TRUE(waxpbyStatic.has_value());
   double waxpbyDynPerCall = r.fpiPerCall("waxpby");
   EXPECT_LT(relativeError(waxpbyStatic->fpInstructions, waxpbyDynPerCall),
@@ -249,9 +249,9 @@ TEST(Fig5, ModelEvaluatesWithUserParameter) {
   auto a = analyze(workloads::fig5Source(), "fig5.mc");
   // y is the user-supplied bound (the paper's y_16): 16 outer iterations
   // of an inner loop with y iterations; body has 1 mul + 1 add.
-  auto counts = a.model.evaluate("A::foo", {{"y", 8}});
+  auto counts = a.model->evaluate("A::foo", {{"y", 8}});
   ASSERT_TRUE(counts.has_value());
-  auto r = core::simulate(*a.program, "fig5_main", {Value::ofInt(64)});
+  auto r = core::simulate(*a.program->get(), "fig5_main", {Value::ofInt(64)});
   ASSERT_TRUE(r.ok) << r.error;
   double dynamicFPI = r.fpiOf("A::foo");
   EXPECT_LT(relativeError(counts->fpInstructions, dynamicFPI), 0.02)
@@ -262,13 +262,13 @@ TEST(Fig5, ModelEvaluatesWithUserParameter) {
 
 TEST(Listings, AllListingFunctionsReturnPaperCounts) {
   auto a = analyze(workloads::listingsSource(), "listings.mc");
-  auto r1 = core::simulate(*a.program, "listing1", {});
+  auto r1 = core::simulate(*a.program->get(), "listing1", {});
   EXPECT_EQ(r1.returnValue.i, 10);
-  auto r2 = core::simulate(*a.program, "listing2", {});
+  auto r2 = core::simulate(*a.program->get(), "listing2", {});
   EXPECT_EQ(r2.returnValue.i, 14); // paper Fig. 4(a)
-  auto r4 = core::simulate(*a.program, "listing4", {});
+  auto r4 = core::simulate(*a.program->get(), "listing4", {});
   EXPECT_EQ(r4.returnValue.i, 8); // paper Fig. 4(b)
-  auto r5 = core::simulate(*a.program, "listing5", {});
+  auto r5 = core::simulate(*a.program->get(), "listing5", {});
   EXPECT_EQ(r5.returnValue.i, 11); // paper Fig. 4(c): 14 - 3
 }
 
@@ -277,13 +277,13 @@ TEST(Listings, StaticCountsMatchDynamicForListings) {
   for (const char *fn : {"listing1", "listing2", "listing4", "listing5"}) {
     auto staticFPI = a.staticFPI(fn, {});
     ASSERT_TRUE(staticFPI.has_value()) << fn;
-    auto r = core::simulate(*a.program, fn, {});
+    auto r = core::simulate(*a.program->get(), fn, {});
     ASSERT_TRUE(r.ok);
     // These integer listings have no FP; compare the integer-arithmetic
     // category exactly (the branch-glue JMPs of if-diamonds are counted
     // conservatively by the static side, so raw totals may differ by a
     // few control-transfer instructions — see DESIGN.md limitations).
-    auto counts = a.model.evaluate(fn, {});
+    auto counts = a.model->evaluate(fn, {});
     ASSERT_TRUE(counts.has_value());
     auto categories = counts->categories(arch::haswellDescription());
     double staticArith = categories[static_cast<std::size_t>(
@@ -303,7 +303,7 @@ TEST(Listings, StaticCountsMatchDynamicForListings) {
 
 TEST(Listings, Listing3NeedsAndUsesAnnotation) {
   auto a = analyze(workloads::listingsSource(), "listings.mc");
-  const auto *fn = a.model.find("listing3");
+  const auto *fn = a.model->find("listing3");
   ASSERT_NE(fn, nullptr);
   // min/max bounds are not statically countable; the annotation completes
   // the model (notes record the substitution).
@@ -313,11 +313,11 @@ TEST(Listings, Listing3NeedsAndUsesAnnotation) {
         note.find("annotated") != std::string::npos)
       noted = true;
   EXPECT_TRUE(noted);
-  auto params = a.model.requiredParameters("listing3");
+  auto params = a.model->requiredParameters("listing3");
   EXPECT_TRUE(params.count("jlo"));
   EXPECT_TRUE(params.count("jhi"));
   // Supplying the annotation parameters makes the model evaluable.
-  auto counts = a.model.evaluate("listing3", {{"jlo", 1}, {"jhi", 6}});
+  auto counts = a.model->evaluate("listing3", {{"jlo", 1}, {"jhi", 6}});
   EXPECT_TRUE(counts.has_value());
 }
 
