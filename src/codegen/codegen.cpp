@@ -58,7 +58,8 @@ class CodeGenerator {
 public:
   CodeGenerator(const MirFunction &fn,
                 const std::map<std::string, int> &functionIds)
-      : fn_(fn), functionIds_(functionIds), alloc_(allocateRegisters(fn)) {}
+      : fn_(fn), functionIds_(functionIds), alloc_(allocateRegisters(fn)),
+        useCounts_(mir::countUses(fn)) {}
 
   CodegenResult run() {
     result_.machine.name = fn_.name;
@@ -66,9 +67,10 @@ public:
 
     emitPrologue();
 
+    blockStart_.resize(fn_.blocks.size());
     for (std::size_t b = 0; b < fn_.blocks.size(); ++b) {
       const MirBlock &block = fn_.blocks[b];
-      blockStart_[static_cast<std::uint32_t>(b)] =
+      blockStart_[b] =
           static_cast<std::uint32_t>(result_.machine.instructions.size());
       result_.map.expansion[b].resize(block.insts.size());
       pendingCmp_ = false;
@@ -86,9 +88,11 @@ public:
         continue; // call labels stay as function ids
       for (Operand &op : inst.operands) {
         if (op.kind == isa::OperandKind::Label) {
-          auto it = blockStart_.find(static_cast<std::uint32_t>(op.imm));
-          assert(it != blockStart_.end());
-          std::uint32_t idx = it->second;
+          // Blocks that emitted nothing start at the next emitted
+          // instruction (or one past the end).
+          auto block = static_cast<std::size_t>(op.imm);
+          assert(block < blockStart_.size());
+          std::uint32_t idx = blockStart_[block];
           std::uint64_t addr =
               idx < result_.machine.instructions.size()
                   ? result_.machine.instructions[idx].address
@@ -102,9 +106,6 @@ public:
       }
     }
 
-    // blockFirstInstr: blocks that emitted nothing point at the next
-    // emitted instruction (or one past the end).
-    result_.blockFirstInstr = blockStart_;
     return std::move(result_);
   }
 
@@ -259,15 +260,11 @@ private:
     if (next.op != MirOp::Branch || next.a != cmpInst.dst)
       return false;
     // The flag consumer must be the only use.
-    for (const MirBlock &b : fn_.blocks)
-      for (const MirInst &inst : b.insts) {
-        if (&inst == &next)
-          continue;
-        for (VReg u : inst.uses())
-          if (u == cmpInst.dst)
-            return false;
-      }
-    return true;
+    std::uint32_t branchReads = 0;
+    for (VReg u : next.uses())
+      if (u == cmpInst.dst)
+        ++branchReads;
+    return useCounts_[cmpInst.dst] == branchReads;
   }
 
   void emitInst(const MirBlock &block, const MirInst &inst, std::size_t idx,
@@ -670,9 +667,10 @@ private:
   const MirFunction &fn_;
   const std::map<std::string, int> &functionIds_;
   AllocationResult alloc_;
+  std::vector<std::uint32_t> useCounts_; // reads of each vreg, for fusion
   CodegenResult result_;
   std::vector<std::uint32_t> *current_ = nullptr;
-  std::map<std::uint32_t, std::uint32_t> blockStart_;
+  std::vector<std::uint32_t> blockStart_; // first machine instruction by block
   bool pendingCmp_ = false;
   MirCmp pendingRel_ = MirCmp::Lt;
   std::int64_t frameSize_ = 0;

@@ -35,9 +35,6 @@ struct ExpansionMap {
 struct CodegenResult {
   isa::MachineFunction machine;
   ExpansionMap map;
-  /// First machine instruction index of each MIR block (blocks emitting
-  /// nothing map to the next emitted instruction).
-  std::map<std::uint32_t, std::uint32_t> blockFirstInstr;
 };
 
 /// Extern functions get negative call ids: -(index+1) into this list.

@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "isa/registers.h"
@@ -28,10 +28,17 @@ struct Assignment {
 };
 
 struct AllocationResult {
-  std::map<mir::VReg, Assignment> assignments;
+  /// Indexed by vreg; a register no instruction touches has none.
+  std::vector<Assignment> assignments;
   std::int32_t numStackSlots = 0;
 
-  const Assignment &of(mir::VReg r) const { return assignments.at(r); }
+  /// The assignment of `r`; throws std::out_of_range when it has none.
+  const Assignment &of(mir::VReg r) const {
+    const Assignment &a = assignments.at(r);
+    if (!a.inRegister && a.stackSlot < 0)
+      throw std::out_of_range("register allocation: vreg has no assignment");
+    return a;
+  }
 };
 
 /// Allocate registers for `fn`. Registers live across calls are always

@@ -154,11 +154,13 @@ const char *toString(MirOp op) {
   return "?";
 }
 
-std::vector<VReg> MirInst::uses() const {
-  std::vector<VReg> out;
+IdList<3> MirInst::uses() const {
+  if (op == MirOp::Call)
+    return IdList<3>(args);
+  IdList<3> out;
   auto push = [&](VReg r) {
     if (r != kNoVReg)
-      out.push_back(r);
+      out.push(r);
   };
   switch (op) {
   case MirOp::Load:
@@ -170,10 +172,6 @@ std::vector<VReg> MirInst::uses() const {
     push(a);
     push(base);
     push(index);
-    break;
-  case MirOp::Call:
-    for (VReg r : args)
-      push(r);
     break;
   case MirOp::Alloca:
     push(a);
@@ -275,18 +273,25 @@ std::string MirInst::str() const {
   return s;
 }
 
-std::vector<std::uint32_t> MirBlock::successors() const {
+IdList<2> MirBlock::successors() const {
+  IdList<2> out;
   const MirInst *term = terminator();
-  if (!term)
-    return {};
-  switch (term->op) {
-  case MirOp::Jump:
-    return {term->target};
-  case MirOp::Branch:
-    return {term->target, term->targetFalse};
-  default:
-    return {};
+  if (term && term->op == MirOp::Jump) {
+    out.push(term->target);
+  } else if (term && term->op == MirOp::Branch) {
+    out.push(term->target);
+    out.push(term->targetFalse);
   }
+  return out;
+}
+
+std::vector<std::uint32_t> countUses(const MirFunction &fn) {
+  std::vector<std::uint32_t> counts(fn.vregTypes.size(), 0);
+  for (const MirBlock &block : fn.blocks)
+    for (const MirInst &inst : block.insts)
+      for (VReg r : inst.uses())
+        ++counts[r];
+  return counts;
 }
 
 std::string MirFunction::str() const {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -81,6 +82,51 @@ enum class MirOp : std::uint8_t {
 
 const char *toString(MirOp op);
 
+/// Integer semantics shared by the constant folder and the simulator, so
+/// the two agree: Add/Sub/Mul/Neg wrap in two's complement like the
+/// machine's ADD/SUB/IMUL/NEG (computed through std::uint64_t, never as a
+/// signed overflow), and Div/Rem trap like IDIV.
+inline std::int64_t wrapAdd(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrapSub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrapMul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrapNeg(std::int64_t a) { return wrapSub(0, a); }
+/// True when `a / b` and `a % b` trap: a zero divisor, or INT64_MIN / -1
+/// (whose quotient does not fit).
+inline bool divisionTraps(std::int64_t a, std::int64_t b) {
+  return b == 0 || (b == -1 && a == std::numeric_limits<std::int64_t>::min());
+}
+
+/// At most N ids (registers or block ids) stored inline, or a view of an
+/// id array owned elsewhere. uses() and successors() return one by value,
+/// so a range-for over them allocates nothing. Iterators point into the
+/// list itself (or, for a view, into its owner, which must stay alive and
+/// unmodified): take begin() and end() from the same named list.
+template <std::size_t N> class IdList {
+public:
+  IdList() = default;
+  explicit IdList(const std::vector<std::uint32_t> &ids)
+      : view_(ids.data()), size_(static_cast<std::uint32_t>(ids.size())) {}
+
+  void push(std::uint32_t id) { inline_[size_++] = id; }
+
+  const std::uint32_t *begin() const { return view_ ? view_ : inline_; }
+  const std::uint32_t *end() const { return begin() + size_; }
+
+private:
+  std::uint32_t inline_[N] = {};
+  const std::uint32_t *view_ = nullptr;
+  std::uint32_t size_ = 0;
+};
+
 struct MirInst {
   MirOp op = MirOp::Nop;
   MirType type = MirType::I64;
@@ -104,7 +150,7 @@ struct MirInst {
 
   // calls
   std::string callee; // qualified name
-  std::vector<VReg> args;
+  std::vector<VReg> args; // never kNoVReg
   bool externCall = false;
 
   /// SSE2 packed (two f64 lanes) — set by the vectorizer.
@@ -116,8 +162,9 @@ struct MirInst {
   bool isTerminator() const {
     return op == MirOp::Jump || op == MirOp::Branch || op == MirOp::Ret;
   }
-  /// Registers read by this instruction.
-  std::vector<VReg> uses() const;
+  /// Registers read by this instruction, in operand order (a Call's
+  /// arguments are viewed in place).
+  IdList<3> uses() const;
   /// Register written (kNoVReg if none).
   VReg def() const;
   bool hasSideEffects() const {
@@ -136,7 +183,7 @@ struct MirBlock {
     return insts.empty() || !insts.back().isTerminator() ? nullptr
                                                          : &insts.back();
   }
-  std::vector<std::uint32_t> successors() const;
+  IdList<2> successors() const;
 };
 
 /// A natural counted loop recognized at lowering time (from the source
@@ -186,6 +233,11 @@ struct MirFunction {
 
   std::string str() const;
 };
+
+/// How many times each register is read: entry r counts r's occurrences
+/// in the uses() of every instruction of `fn` (a register read twice by
+/// one instruction counts twice).
+std::vector<std::uint32_t> countUses(const MirFunction &fn);
 
 struct MirModule {
   std::vector<MirFunction> functions;

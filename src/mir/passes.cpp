@@ -1,14 +1,17 @@
 #include "mir/passes.h"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
 
 namespace mira::mir {
 
 namespace {
 
+/// A register's known constant. Entries live in a vreg-indexed table and
+/// count only while `stamp` names the current block, so moving to the next
+/// block forgets them all without clearing anything.
 struct ConstValue {
+  std::uint32_t stamp = 0;
   bool isFloat = false;
   std::int64_t i = 0;
   double f = 0;
@@ -54,27 +57,32 @@ bool evalFCmp(MirCmp cmp, double a, double b) {
 
 std::size_t foldConstants(MirFunction &fn) {
   std::size_t rewritten = 0;
+  std::vector<ConstValue> known(fn.vregTypes.size());
+  std::uint32_t stamp = 0;
   for (MirBlock &block : fn.blocks) {
-    std::map<VReg, ConstValue> known;
+    ++stamp;
+    auto lookup = [&](VReg r) -> const ConstValue * {
+      return r < known.size() && known[r].stamp == stamp ? &known[r]
+                                                         : nullptr;
+    };
     for (MirInst &inst : block.insts) {
       auto lookupI = [&](VReg r, std::int64_t &out) {
-        auto it = known.find(r);
-        if (it == known.end() || it->second.isFloat)
+        const ConstValue *cv = lookup(r);
+        if (!cv || cv->isFloat)
           return false;
-        out = it->second.i;
+        out = cv->i;
         return true;
       };
       auto lookupF = [&](VReg r, double &out) {
-        auto it = known.find(r);
-        if (it == known.end() || !it->second.isFloat)
+        const ConstValue *cv = lookup(r);
+        if (!cv || !cv->isFloat)
           return false;
-        out = it->second.f;
+        out = cv->f;
         return true;
       };
 
       std::int64_t ia = 0, ib = 0;
       double fa = 0, fb = 0;
-      bool replaced = false;
 
       switch (inst.op) {
       case MirOp::Add:
@@ -94,21 +102,22 @@ std::size_t foldConstants(MirFunction &fn) {
           bool ok = true;
           switch (inst.op) {
           case MirOp::Add:
-            v = ia + ib;
+            v = wrapAdd(ia, ib);
             break;
           case MirOp::Sub:
-            v = ia - ib;
+            v = wrapSub(ia, ib);
             break;
           case MirOp::Mul:
-            v = ia * ib;
+            v = wrapMul(ia, ib);
             break;
           case MirOp::Div:
-            ok = ib != 0;
+            // A trapping division stays for the program to execute.
+            ok = !divisionTraps(ia, ib);
             if (ok)
               v = ia / ib;
             break;
           case MirOp::Rem:
-            ok = ib != 0;
+            ok = !divisionTraps(ia, ib);
             if (ok)
               v = ia % ib;
             break;
@@ -145,7 +154,6 @@ std::size_t foldConstants(MirFunction &fn) {
             inst.dst = dst;
             inst.imm = v;
             inst.line = line;
-            replaced = true;
             ++rewritten;
           }
         }
@@ -158,9 +166,8 @@ std::size_t foldConstants(MirFunction &fn) {
           inst.op = MirOp::ConstI;
           inst.type = MirType::I64;
           inst.dst = dst;
-          inst.imm = -ia;
+          inst.imm = wrapNeg(ia);
           inst.line = line;
-          replaced = true;
           ++rewritten;
         }
         break;
@@ -195,7 +202,6 @@ std::size_t foldConstants(MirFunction &fn) {
           inst.dst = dst;
           inst.fimm = v;
           inst.line = line;
-          replaced = true;
           ++rewritten;
         }
         break;
@@ -210,7 +216,6 @@ std::size_t foldConstants(MirFunction &fn) {
           inst.dst = dst;
           inst.imm = v ? 1 : 0;
           inst.line = line;
-          replaced = true;
           ++rewritten;
         }
         break;
@@ -225,14 +230,12 @@ std::size_t foldConstants(MirFunction &fn) {
           inst.dst = dst;
           inst.imm = v ? 1 : 0;
           inst.line = line;
-          replaced = true;
           ++rewritten;
         }
         break;
       case MirOp::Copy: {
-        auto it = known.find(inst.a);
-        if (it != known.end()) {
-          ConstValue cv = it->second;
+        if (const ConstValue *source = lookup(inst.a)) {
+          ConstValue cv = *source;
           VReg dst = inst.dst;
           MirType t = inst.type;
           std::uint32_t line = inst.line;
@@ -243,7 +246,6 @@ std::size_t foldConstants(MirFunction &fn) {
           inst.imm = cv.i;
           inst.fimm = cv.f;
           inst.line = line;
-          replaced = true;
           ++rewritten;
         }
         break;
@@ -252,18 +254,17 @@ std::size_t foldConstants(MirFunction &fn) {
         break;
       }
 
-      // Update known-constants map.
+      // Update the known constants.
       VReg def = inst.def();
       if (def != kNoVReg) {
         if (inst.op == MirOp::ConstI && !inst.packed) {
-          known[def] = ConstValue{false, inst.imm, 0};
+          known[def] = ConstValue{stamp, false, inst.imm, 0};
         } else if (inst.op == MirOp::ConstF && !inst.packed) {
-          known[def] = ConstValue{true, 0, inst.fimm};
+          known[def] = ConstValue{stamp, true, 0, inst.fimm};
         } else {
-          known.erase(def);
+          known[def].stamp = 0;
         }
       }
-      (void)replaced;
     }
   }
   return rewritten;
@@ -271,14 +272,25 @@ std::size_t foldConstants(MirFunction &fn) {
 
 std::size_t propagateCopies(MirFunction &fn) {
   std::size_t rewritten = 0;
+  // alias[dst] holds the source of `dst = copy src` while that copy still
+  // holds in the current block; like the fold's table, an entry counts
+  // only while its stamp names the current block. `live` lists the dsts
+  // with an entry, so a redefinition can drop the aliases pointing at it.
+  struct Alias {
+    std::uint32_t stamp = 0;
+    VReg src = kNoVReg;
+  };
+  std::vector<Alias> alias(fn.vregTypes.size());
+  std::vector<VReg> live;
+  std::uint32_t stamp = 0;
   for (MirBlock &block : fn.blocks) {
-    std::map<VReg, VReg> alias; // dst -> src
+    ++stamp;
+    live.clear();
     for (MirInst &inst : block.insts) {
-      // Rewrite uses through the alias map.
+      // Rewrite uses through the alias table.
       auto rewrite = [&](VReg &r) {
-        auto it = alias.find(r);
-        if (it != alias.end()) {
-          r = it->second;
+        if (r < alias.size() && alias[r].stamp == stamp) {
+          r = alias[r].src;
           ++rewritten;
         }
       };
@@ -311,14 +323,21 @@ std::size_t propagateCopies(MirFunction &fn) {
       if (def != kNoVReg) {
         // Any alias pointing at the redefined register is invalid now, as
         // is an alias FOR the redefined register.
-        for (auto it = alias.begin(); it != alias.end();) {
-          if (it->second == def || it->first == def)
-            it = alias.erase(it);
+        alias[def].stamp = 0;
+        std::size_t kept = 0;
+        for (VReg dst : live) {
+          if (alias[dst].stamp != stamp)
+            continue;
+          if (alias[dst].src == def)
+            alias[dst].stamp = 0;
           else
-            ++it;
+            live[kept++] = dst;
         }
-        if (inst.op == MirOp::Copy && !inst.packed && inst.a != def)
-          alias[def] = inst.a;
+        live.resize(kept);
+        if (inst.op == MirOp::Copy && !inst.packed && inst.a != def) {
+          alias[def] = Alias{stamp, inst.a};
+          live.push_back(def);
+        }
       }
     }
   }
@@ -328,19 +347,24 @@ std::size_t propagateCopies(MirFunction &fn) {
 std::size_t removeUnreachableBlocks(MirFunction &fn) {
   if (fn.blocks.empty())
     return 0;
-  std::set<std::uint32_t> reachable;
-  std::vector<std::uint32_t> work{0};
+  std::vector<bool> reachable(fn.blocks.size(), false);
+  std::vector<std::uint32_t> work;
+  work.reserve(fn.blocks.size());
+  reachable[0] = true;
+  work.push_back(0);
   while (!work.empty()) {
     std::uint32_t b = work.back();
     work.pop_back();
-    if (!reachable.insert(b).second)
-      continue;
-    for (std::uint32_t s : fn.blocks[b].successors())
-      work.push_back(s);
+    for (std::uint32_t s : fn.blocks[b].successors()) {
+      if (!reachable[s]) {
+        reachable[s] = true;
+        work.push_back(s);
+      }
+    }
   }
   std::size_t removed = 0;
   for (MirBlock &block : fn.blocks) {
-    if (!reachable.count(block.id) && !block.insts.empty()) {
+    if (!reachable[block.id] && !block.insts.empty()) {
       removed += block.insts.size();
       block.insts.clear();
     }
@@ -349,44 +373,74 @@ std::size_t removeUnreachableBlocks(MirFunction &fn) {
 }
 
 std::size_t eliminateDeadCode(MirFunction &fn) {
-  std::size_t removedTotal = 0;
-  // Registers that must be preserved regardless of use counts: loop
-  // descriptor anchors (induction/limit feed the canonical loop shape).
-  std::set<VReg> pinned;
+  // Reference counting, not liveness: an instruction dies once no
+  // instruction reads its register, and its death releases its operands.
+  // A value that only feeds itself (an unused loop accumulator) stays.
+  std::vector<std::uint32_t> useCount = countUses(fn);
+  enum : std::uint8_t {
+    kLive,      // still read
+    kPinned,    // never removed
+    kDying,     // unread: its definitions die in this sweep
+    kDyingNext, // became unread during this sweep
+    kDead,      // its definitions are gone
+  };
+  std::vector<std::uint8_t> state(useCount.size(), kLive);
+  // Loop descriptor anchors (induction/limit feed the canonical loop
+  // shape) and parameters are preserved regardless of use counts.
+  auto pin = [&](VReg r) {
+    if (r != kNoVReg)
+      state[r] = kPinned;
+  };
   for (const LoopDescriptor &loop : fn.loops) {
-    pinned.insert(loop.induction);
-    pinned.insert(loop.limit);
+    pin(loop.induction);
+    pin(loop.limit);
   }
   for (VReg p : fn.paramRegs)
-    pinned.insert(p);
+    pin(p);
 
-  while (true) {
-    std::set<VReg> used;
-    for (const MirBlock &block : fn.blocks)
-      for (const MirInst &inst : block.insts)
-        for (VReg r : inst.uses())
-          used.insert(r);
+  auto removable = [&](const MirInst &inst) {
+    VReg def = inst.def();
+    return def != kNoVReg && !inst.hasSideEffects() && state[def] != kPinned;
+  };
 
-    std::size_t removed = 0;
-    for (MirBlock &block : fn.blocks) {
-      std::vector<MirInst> kept;
-      kept.reserve(block.insts.size());
-      for (MirInst &inst : block.insts) {
-        VReg def = inst.def();
-        bool dead = !inst.hasSideEffects() && def != kNoVReg &&
-                    !used.count(def) && !pinned.count(def);
-        if (dead)
-          ++removed;
-        else
-          kept.push_back(std::move(inst));
-      }
-      block.insts = std::move(kept);
+  bool pending = false;
+  for (std::size_t r = 0; r < state.size(); ++r) {
+    if (state[r] == kLive && useCount[r] == 0) {
+      state[r] = kDying;
+      pending = true;
     }
-    removedTotal += removed;
-    if (removed == 0)
-      break;
   }
-  return removedTotal;
+  // Each sweep kills every definition of the registers that were unread
+  // when it started; registers its kills leave unread die in the next one.
+  while (pending) {
+    pending = false;
+    for (const MirBlock &block : fn.blocks)
+      for (const MirInst &inst : block.insts) {
+        if (!removable(inst) || state[inst.def()] != kDying)
+          continue;
+        for (VReg r : inst.uses())
+          if (--useCount[r] == 0 && state[r] == kLive) {
+            state[r] = kDyingNext;
+            pending = true;
+          }
+      }
+    for (std::uint8_t &st : state)
+      if (st == kDying)
+        st = kDead;
+      else if (st == kDyingNext)
+        st = kDying;
+  }
+
+  std::size_t removed = 0;
+  for (MirBlock &block : fn.blocks) {
+    auto kept = std::remove_if(
+        block.insts.begin(), block.insts.end(), [&](const MirInst &inst) {
+          return removable(inst) && state[inst.def()] == kDead;
+        });
+    removed += static_cast<std::size_t>(block.insts.end() - kept);
+    block.insts.erase(kept, block.insts.end());
+  }
+  return removed;
 }
 
 } // namespace mira::mir

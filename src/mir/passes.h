@@ -19,8 +19,11 @@ std::size_t foldConstants(MirFunction &fn);
 /// rewritten to `src` until either register is redefined).
 std::size_t propagateCopies(MirFunction &fn);
 
-/// Remove side-effect-free instructions whose results are never used
-/// (iterates to a fixpoint). Returns #instructions removed.
+/// Remove side-effect-free instructions whose results are never used, by
+/// reference counting: removing one releases its operands, so chains of
+/// dead values go too, but a value read only by itself (an unused loop
+/// accumulator) stays. Loop induction/limit registers and parameters are
+/// never removed. Returns #instructions removed.
 std::size_t eliminateDeadCode(MirFunction &fn);
 
 /// Empty out blocks unreachable from the entry (they would otherwise be

@@ -456,32 +456,30 @@ private:
       regs[inst.dst] = regs[inst.a];
       break;
     case MirOp::Add:
-      regs[inst.dst].i = regs[inst.a].i + regs[inst.b].i;
+      regs[inst.dst].i = mir::wrapAdd(regs[inst.a].i, regs[inst.b].i);
       break;
     case MirOp::Sub:
-      regs[inst.dst].i = regs[inst.a].i - regs[inst.b].i;
+      regs[inst.dst].i = mir::wrapSub(regs[inst.a].i, regs[inst.b].i);
       break;
     case MirOp::Mul:
-      regs[inst.dst].i = regs[inst.a].i * regs[inst.b].i;
+      regs[inst.dst].i = mir::wrapMul(regs[inst.a].i, regs[inst.b].i);
       break;
     case MirOp::Div:
-      if (regs[inst.b].i == 0) {
-        error_ = "integer division by zero at line " +
+    case MirOp::Rem: {
+      // IDIV traps on a zero divisor and on INT64_MIN / -1 alike.
+      const std::int64_t a = regs[inst.a].i, b = regs[inst.b].i;
+      if (mir::divisionTraps(a, b)) {
+        error_ = std::string("integer ") +
+                 (inst.op == MirOp::Div ? "division" : "remainder") +
+                 (b == 0 ? " by zero" : " overflow") + " at line " +
                  std::to_string(inst.line);
         return false;
       }
-      regs[inst.dst].i = regs[inst.a].i / regs[inst.b].i;
+      regs[inst.dst].i = inst.op == MirOp::Div ? a / b : a % b;
       break;
-    case MirOp::Rem:
-      if (regs[inst.b].i == 0) {
-        error_ = "integer remainder by zero at line " +
-                 std::to_string(inst.line);
-        return false;
-      }
-      regs[inst.dst].i = regs[inst.a].i % regs[inst.b].i;
-      break;
+    }
     case MirOp::Neg:
-      regs[inst.dst].i = -regs[inst.a].i;
+      regs[inst.dst].i = mir::wrapNeg(regs[inst.a].i);
       break;
     case MirOp::IMin:
       regs[inst.dst].i = std::min(regs[inst.a].i, regs[inst.b].i);

@@ -3,8 +3,11 @@
 // invariants.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "codegen/codegen.h"
 #include "codegen/regalloc.h"
+#include "core/artifacts.h"
 #include "frontend/parser.h"
 #include "mir/lowering.h"
 #include "mir/passes.h"
@@ -42,6 +45,16 @@ std::size_t countOps(const MirFunction &fn, MirOp op) {
       if (inst.op == op)
         ++n;
   return n;
+}
+
+MirInst makeInst(MirOp op, VReg dst = kNoVReg, VReg a = kNoVReg,
+                 VReg b = kNoVReg) {
+  MirInst inst;
+  inst.op = op;
+  inst.dst = dst;
+  inst.a = a;
+  inst.b = b;
+  return inst;
 }
 
 TEST(Lowering, CountedLoopHasCanonicalShape) {
@@ -148,6 +161,124 @@ TEST(Passes, UnreachableBlocksCleared) {
           reachableFromEntry = true;
     if (!reachableFromEntry && b.id != 0)
       EXPECT_TRUE(b.insts.empty()) << "block " << b.id;
+  }
+}
+
+TEST(Passes, DceRemovesDeadChainAcrossBlocksExactly) {
+  // z is dead, which leaves y dead, which leaves x dead: the chain starts
+  // in the if-block and ends in the entry block.
+  auto l = lower("int f(int a, int n) {\n"
+                 "  int x = a * 3;\n"
+                 "  int y = x + 1;\n"
+                 "  if (n > 0) {\n"
+                 "    int z = y * 2;\n"
+                 "  }\n"
+                 "  return a;\n"
+                 "}",
+                 false, false);
+  MirFunction *fn = l.module.find("f");
+  ASSERT_EQ(countOps(*fn, MirOp::Mul), 2u);
+  // Each of x, y and z is a constant, an operation and a copy.
+  EXPECT_EQ(eliminateDeadCode(*fn), 9u);
+  EXPECT_EQ(countOps(*fn, MirOp::Mul), 0u);
+  EXPECT_EQ(countOps(*fn, MirOp::Add), 0u);
+  EXPECT_EQ(countOps(*fn, MirOp::Copy), 0u);
+  // Only the jump is left in the if-block.
+  ASSERT_EQ(fn->blocks[1].insts.size(), 1u);
+  EXPECT_EQ(fn->blocks[1].insts[0].op, MirOp::Jump);
+  EXPECT_EQ(eliminateDeadCode(*fn), 0u);
+}
+
+TEST(Passes, DceKeepsUnusedAccumulatorThatReadsItself) {
+  // s is never returned, but `s = s + a[i]` reads s: DCE counts
+  // references rather than computing liveness, so the loop body stays.
+  auto l = lower("void f(int* a, int n) {\n"
+                 "  int s = 0;\n"
+                 "  for (int i = 0; i < n; i++) {\n"
+                 "    s = s + a[i];\n"
+                 "  }\n"
+                 "}",
+                 false, false);
+  MirFunction *fn = l.module.find("f");
+  const std::size_t before = countOps(*fn, MirOp::Add);
+  EXPECT_EQ(eliminateDeadCode(*fn), 0u);
+  EXPECT_EQ(countOps(*fn, MirOp::Add), before);
+  EXPECT_EQ(countOps(*fn, MirOp::Load), 1u);
+
+  // The same holds through the optimizing pipeline.
+  auto optimized = lower("void f(int* a, int n) {\n"
+                         "  int s = 0;\n"
+                         "  for (int i = 0; i < n; i++) {\n"
+                         "    s = s + a[i];\n"
+                         "  }\n"
+                         "}");
+  EXPECT_EQ(countOps(*optimized.module.find("f"), MirOp::Load), 1u);
+}
+
+TEST(Passes, DceNeverRemovesLoopAnchorsOrParameters) {
+  // Built by hand so that the pinned registers have no readers at all.
+  MirFunction fn;
+  fn.name = "f";
+  const VReg param = fn.newVReg(MirType::I64);
+  fn.paramRegs = {param};
+  fn.paramTypes = {MirType::I64};
+  const VReg induction = fn.newVReg(MirType::I64);
+  const VReg limit = fn.newVReg(MirType::I64);
+  const VReg unpinned = fn.newVReg(MirType::I64);
+  LoopDescriptor loop;
+  loop.induction = induction;
+  loop.limit = limit;
+  fn.loops.push_back(loop);
+  const std::uint32_t entry = fn.newBlock();
+  for (VReg r : {param, induction, limit, unpinned})
+    fn.blocks[entry].insts.push_back(makeInst(MirOp::ConstI, r));
+  fn.blocks[entry].insts.push_back(makeInst(MirOp::Ret));
+
+  EXPECT_EQ(eliminateDeadCode(fn), 1u);
+  std::vector<VReg> defs;
+  for (const MirInst &inst : fn.blocks[entry].insts)
+    defs.push_back(inst.def());
+  EXPECT_EQ(defs, (std::vector<VReg>{param, induction, limit, kNoVReg}));
+}
+
+TEST(Passes, TrappingDivisionIsNotFoldedAndOverflowWraps) {
+  // INT64_MIN / -1 and INT64_MIN % -1 trap like a zero divisor, so the
+  // fold leaves them for the program to execute.
+  for (const auto &[op, mirOp] : {std::pair{"/", MirOp::Div},
+                                  std::pair{"%", MirOp::Rem}}) {
+    const std::string src =
+        std::string("int f() { int a = 0 - 9223372036854775807 - 1; "
+                    "int b = a ") +
+        op + " (0 - 1); return b; }";
+    core::AnalysisSpec spec;
+    spec.source = src;
+    EXPECT_TRUE(core::analyze(spec).ok) << src;
+    auto l = lower(src);
+    EXPECT_EQ(countOps(*l.module.find("f"), mirOp), 1u) << src;
+  }
+
+  // Add/Sub/Mul/Neg fold to their two's-complement results.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<const char *, std::int64_t> folds[] = {
+      {"int f() { return 9223372036854775807 + 1; }", kMin},
+      {"int f() { return 0 - 9223372036854775807 - 1 - 1; }", kMax},
+      {"int f() { return 9223372036854775807 * 2; }", -2},
+      {"int f() { int a = 0 - 9223372036854775807 - 1; return -a; }", kMin},
+  };
+  for (const auto &[src, expected] : folds) {
+    auto l = lower(src);
+    const MirFunction *fn = l.module.find("f");
+    const MirInst *ret = fn->blocks[0].terminator();
+    ASSERT_NE(ret, nullptr) << src;
+    ASSERT_EQ(ret->op, MirOp::Ret) << src;
+    const MirInst *def = nullptr;
+    for (const MirInst &inst : fn->blocks[0].insts)
+      if (inst.def() == ret->a)
+        def = &inst;
+    ASSERT_NE(def, nullptr) << src;
+    EXPECT_EQ(def->op, MirOp::ConstI) << src;
+    EXPECT_EQ(def->imm, expected) << src;
   }
 }
 
@@ -267,6 +398,118 @@ TEST(RegAlloc, ValuesLiveAcrossCallsAreStackHomed) {
   ASSERT_NE(keep, kNoVReg);
   // 'keep' lives across the call: must be spilled (caller-clobbers-all).
   EXPECT_FALSE(alloc.of(keep).inRegister);
+}
+
+TEST(RegAlloc, FirstIntervalsGetLowestRegisters) {
+  auto l = lower("double f(int n, double x) { return x * n; }");
+  const MirFunction *fn = l.module.find("f");
+  auto alloc = codegen::allocateRegisters(*fn);
+  const auto &n = alloc.of(fn->paramRegs[0]);
+  const auto &x = alloc.of(fn->paramRegs[1]);
+  ASSERT_TRUE(n.inRegister);
+  ASSERT_TRUE(x.inRegister);
+  EXPECT_EQ(n.reg, isa::Reg::RAX);
+  EXPECT_EQ(x.reg, isa::Reg::XMM0);
+}
+
+TEST(RegAlloc, ValueUsedInInnerLoopKeepsItsRegisterAcrossOuterLoop) {
+  // k takes the first register, so a live interval that ended at its
+  // last read would hand that register to the inner latch.
+  auto l = lower("int f() {\n"
+                 "  int k = 7;\n"
+                 "  int s = 0;\n"
+                 "  for (int i = 0; i < 10; i++) {\n"
+                 "    for (int j = 0; j < 10; j++) {\n"
+                 "      s = s + k;\n"
+                 "    }\n"
+                 "  }\n"
+                 "  return s;\n"
+                 "}");
+  const MirFunction *fn = l.module.find("f");
+  ASSERT_EQ(fn->loops.size(), 2u);
+  const LoopDescriptor &inner = fn->loops[0];
+  const LoopDescriptor &outer = fn->loops[1];
+  ASSERT_TRUE(outer.bodyBlocks.count(inner.header));
+
+  VReg k = kNoVReg;
+  for (const MirInst &inst : fn->blocks[outer.preheader].insts)
+    if (inst.op == MirOp::ConstI && inst.imm == 7)
+      k = inst.dst;
+  ASSERT_NE(k, kNoVReg);
+  bool readInInnerBody = false;
+  for (std::uint32_t b : inner.bodyBlocks)
+    for (const MirInst &inst : fn->blocks[b].insts)
+      for (VReg r : inst.uses())
+        readInInnerBody |= r == k;
+  ASSERT_TRUE(readInInnerBody);
+
+  auto alloc = codegen::allocateRegisters(*fn);
+  ASSERT_TRUE(alloc.of(k).inRegister);
+  const isa::Reg reg = alloc.of(k).reg;
+  std::set<std::uint32_t> region = outer.bodyBlocks;
+  region.insert(outer.header);
+  region.insert(outer.latch);
+  for (std::uint32_t b : region)
+    for (const MirInst &inst : fn->blocks[b].insts) {
+      const auto uses = inst.uses();
+      std::vector<VReg> touched(uses.begin(), uses.end());
+      touched.push_back(inst.def());
+      for (VReg r : touched)
+        if (r != kNoVReg && r != k && alloc.of(r).inRegister)
+          EXPECT_NE(alloc.of(r).reg, reg)
+              << "%" << r << " shares k's register in bb" << b;
+    }
+}
+
+/// f(a, b): the entry block computes c = a < b and branches on it; the
+/// taken block returns c itself or b.
+MirFunction compareThenBranch(bool returnCompare) {
+  MirFunction fn;
+  fn.name = "f";
+  fn.retType = MirType::I64;
+  const VReg a = fn.newVReg(MirType::I64);
+  const VReg b = fn.newVReg(MirType::I64);
+  fn.paramRegs = {a, b};
+  fn.paramTypes = {MirType::I64, MirType::I64};
+  const VReg c = fn.newVReg(MirType::I64);
+  const std::uint32_t entry = fn.newBlock();
+  const std::uint32_t taken = fn.newBlock();
+  const std::uint32_t other = fn.newBlock();
+  MirInst cmp = makeInst(MirOp::ICmp, c, a, b);
+  cmp.cmp = MirCmp::Lt;
+  MirInst branch = makeInst(MirOp::Branch, kNoVReg, c);
+  branch.target = taken;
+  branch.targetFalse = other;
+  fn.blocks[entry].insts = {cmp, branch};
+  fn.blocks[taken].insts = {
+      makeInst(MirOp::Ret, kNoVReg, returnCompare ? c : b)};
+  fn.blocks[other].insts = {makeInst(MirOp::Ret, kNoVReg, a)};
+  return fn;
+}
+
+std::size_t countOpcodes(const codegen::CodegenResult &result,
+                         isa::Opcode op) {
+  std::size_t n = 0;
+  for (const auto &inst : result.machine.instructions)
+    n += inst.opcode == op;
+  return n;
+}
+
+TEST(Codegen, CompareReadOnlyByNextBranchFuses) {
+  auto result = codegen::generateCode(compareThenBranch(false), {{"f", 0}});
+  EXPECT_EQ(countOpcodes(result, isa::Opcode::CMP), 1u);
+  EXPECT_EQ(countOpcodes(result, isa::Opcode::JL), 1u);
+  EXPECT_EQ(countOpcodes(result, isa::Opcode::SETcc), 0u);
+  EXPECT_EQ(countOpcodes(result, isa::Opcode::TEST), 0u);
+}
+
+TEST(Codegen, CompareWithAnotherReaderMaterializes) {
+  auto result = codegen::generateCode(compareThenBranch(true), {{"f", 0}});
+  EXPECT_EQ(countOpcodes(result, isa::Opcode::CMP), 1u);
+  EXPECT_EQ(countOpcodes(result, isa::Opcode::SETcc), 1u);
+  EXPECT_EQ(countOpcodes(result, isa::Opcode::JL), 0u);
+  EXPECT_EQ(countOpcodes(result, isa::Opcode::TEST), 1u);
+  EXPECT_EQ(countOpcodes(result, isa::Opcode::JNE), 1u);
 }
 
 TEST(Codegen, ExpansionCoversEveryInstruction) {

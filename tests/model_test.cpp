@@ -326,33 +326,40 @@ double driver(int n) {
 }
 )";
 
-// FNV-1a of model::serializeModel under default options. Every other
-// byte-identity test compares two serving paths within one build; these
-// digests were recorded from an earlier build, so a walker, binast or
-// bridge change that alters the bytes the same way on every path still
-// fails here. A deliberate model change must update them.
+// FNV-1a of model::serializeModel and of the serialized MiraObject under
+// default options. Every other byte-identity test compares two serving
+// paths within one build; these digests were recorded from an earlier
+// build, so a walker, binast or bridge change that alters the bytes the
+// same way on every path still fails here. The object digest also
+// catches back-end changes that keep every opcode count (a different
+// register choice leaves the model bytes alone). A deliberate model or
+// code-generation change must update them.
 TEST(ModelBytes, PinnedAcrossCommits) {
-  const std::map<std::string, std::uint64_t> pinned = {
-      {"dgemm", 0x5798948a494f059cull},
-      {"fig5", 0x4e8010dd02b08e39ull},
-      {"listings", 0x857024f8635a8773ull},
-      {"minife", 0xd3b1e8d068c8e3e9ull},
-      {"stream", 0xb26c50a0affb7400ull},
-      {"adm", 0x59324a683406df70ull},
-      {"applu", 0xdaaf660b70a148d3ull},
-      {"apsi", 0x136c7976e902757full},
-      {"dyfesm", 0x236ca8b142d29c76ull},
-      {"lucas", 0xcc50322c9fb724c3ull},
-      {"mdg", 0xeb252ebceeae1161ull},
-      {"mg3d", 0xf744305cc321c64aull},
-      {"mgrid", 0x1699acad56d9301eull},
-      {"quake", 0xed249e5eb5af9f94ull},
-      {"swim", 0xd43e5842f6695234ull},
-      {"nest_a", 0x323a285c77601ae3ull},
-      {"nest_b", 0x65ef4ffc25e461fcull},
-      {"nest_c", 0x7e7859c18af7484cull},
-      {"pipeline_a", 0x6df6849c7ef14d85ull},
-      {"pipeline_b", 0x280aedd84fdd20a6ull},
+  struct Digests {
+    std::uint64_t model;
+    std::uint64_t object;
+  };
+  const std::map<std::string, Digests> pinned = {
+      {"dgemm", {0x5798948a494f059cull, 0xa1a9b52833d39775ull}},
+      {"fig5", {0x4e8010dd02b08e39ull, 0xc492823331331cdbull}},
+      {"listings", {0x857024f8635a8773ull, 0xdedd701e2b16fe0full}},
+      {"minife", {0xd3b1e8d068c8e3e9ull, 0x196e6635508ec9f4ull}},
+      {"stream", {0xb26c50a0affb7400ull, 0x0517ecc12686d0b8ull}},
+      {"adm", {0x59324a683406df70ull, 0x56870fc8c09ac713ull}},
+      {"applu", {0xdaaf660b70a148d3ull, 0x92bf72864881d2faull}},
+      {"apsi", {0x136c7976e902757full, 0xf3b513d32159b80eull}},
+      {"dyfesm", {0x236ca8b142d29c76ull, 0x8da24a09e4369662ull}},
+      {"lucas", {0xcc50322c9fb724c3ull, 0xef0a54ae63e03475ull}},
+      {"mdg", {0xeb252ebceeae1161ull, 0x0adffae93fcd79ecull}},
+      {"mg3d", {0xf744305cc321c64aull, 0x0b78388a574328e8ull}},
+      {"mgrid", {0x1699acad56d9301eull, 0xa2988d398ad10922ull}},
+      {"quake", {0xed249e5eb5af9f94ull, 0x63e10a43e314ee0eull}},
+      {"swim", {0xd43e5842f6695234ull, 0x66d36032df636e53ull}},
+      {"nest_a", {0x323a285c77601ae3ull, 0x8ce54130f6b91ce1ull}},
+      {"nest_b", {0x65ef4ffc25e461fcull, 0x578e7300511dc88cull}},
+      {"nest_c", {0x7e7859c18af7484cull, 0x6f691e6d60155e91ull}},
+      {"pipeline_a", {0x6df6849c7ef14d85ull, 0x5d5528259257b1a0ull}},
+      {"pipeline_b", {0x280aedd84fdd20a6ull, 0x7736b8d66adc0210ull}},
   };
   std::vector<std::pair<std::string, const std::string *>> sources;
   for (const auto &kernel : workloads::coverageSuite())
@@ -366,22 +373,34 @@ TEST(ModelBytes, PinnedAcrossCommits) {
   sources.emplace_back("pipeline_b", &kPinnedPipelineB);
   ASSERT_EQ(sources.size(), pinned.size());
 
+  auto hex = [](std::uint64_t digest) {
+    char text[32];
+    std::snprintf(text, sizeof text, "0x%016llxull",
+                  static_cast<unsigned long long>(digest));
+    return std::string(text);
+  };
   for (const auto &[name, source] : sources) {
     core::AnalysisSpec spec;
     spec.name = name + ".mc";
     spec.source = *source;
-    spec.artifacts = core::kArtifactModel;
+    spec.artifacts = core::kArtifactModel | core::kArtifactProgram;
     const core::Artifacts artifacts = core::analyze(spec);
-    ASSERT_TRUE(artifacts.ok && artifacts.model) << name;
-    std::string bytes;
-    serializeModel(*artifacts.model, bytes);
-    char actual[32];
-    std::snprintf(actual, sizeof actual, "0x%016llxull",
-                  static_cast<unsigned long long>(fnv1a(bytes)));
+    ASSERT_TRUE(artifacts.ok && artifacts.model && artifacts.program) << name;
     auto it = pinned.find(name);
     ASSERT_NE(it, pinned.end()) << name;
-    EXPECT_EQ(fnv1a(bytes), it->second)
-        << "model bytes of " << name << " moved; now " << actual;
+
+    std::string bytes;
+    serializeModel(*artifacts.model, bytes);
+    const std::uint64_t model = fnv1a(bytes);
+    EXPECT_EQ(model, it->second.model)
+        << "model bytes of " << name << " moved; now " << hex(model);
+
+    const auto program = artifacts.program->get();
+    ASSERT_TRUE(program) << name;
+    const std::vector<std::uint8_t> objectBytes = program->object.serialize();
+    const std::uint64_t object = fnv1a(objectBytes.data(), objectBytes.size());
+    EXPECT_EQ(object, it->second.object)
+        << "object bytes of " << name << " moved; now " << hex(object);
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/compiler.h"
 #include "core/mira.h"
 
@@ -206,10 +208,57 @@ TEST(Simulator, ExternCallsChargeHiddenCost) {
 }
 
 TEST(Simulator, DivisionByZeroIsAnError) {
-  auto p = compile("int f(int a) { return 10 / a; }");
-  auto r = runFn(*p, "f", {Value::ofInt(0)});
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("division by zero"), std::string::npos);
+  // IDIV traps on INT64_MIN / -1 as on a zero divisor, so both are
+  // reported as errors instead of being executed.
+  const struct {
+    const char *source;
+    std::int64_t arg;
+    const char *error;
+  } cases[] = {
+      {"int f(int a) { return 10 / a; }", 0, "division by zero"},
+      {"int f(int n) { int a = 0 - 9223372036854775807 - n; "
+       "int m = 0 - n; return a / m; }",
+       1, "division overflow"},
+      {"int f(int n) { int a = 0 - 9223372036854775807 - n; "
+       "int m = 0 - n; return a % m; }",
+       1, "remainder overflow"},
+  };
+  for (const auto &c : cases) {
+    auto p = compile(c.source);
+    auto r = runFn(*p, "f", {Value::ofInt(c.arg)});
+    EXPECT_FALSE(r.ok) << c.source;
+    EXPECT_NE(r.error.find(c.error), std::string::npos)
+        << c.source << ": " << r.error;
+  }
+}
+
+TEST(Simulator, IntegerOverflowWrapsLikeTheConstantFold) {
+  // Each pair computes the same value at run time (n = 1) and folded at
+  // compile time; both wrap in two's complement.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const struct {
+    const char *runTime;
+    const char *folded;
+    std::int64_t expected;
+  } cases[] = {
+      {"int f(int n) { return 9223372036854775807 + n; }",
+       "int f(int n) { return 9223372036854775807 + 1; }", kMin},
+      {"int f(int n) { return 0 - 9223372036854775807 - n - n; }",
+       "int f(int n) { return 0 - 9223372036854775807 - 1 - 1; }", kMax},
+      {"int f(int n) { return n * 9223372036854775807 * 2; }",
+       "int f(int n) { return 1 * 9223372036854775807 * 2; }", -2},
+      {"int f(int n) { int a = 0 - 9223372036854775807 - n; return -a; }",
+       "int f(int n) { int a = 0 - 9223372036854775807 - 1; return -a; }",
+       kMin},
+  };
+  for (const auto &c : cases)
+    for (const char *source : {c.runTime, c.folded}) {
+      auto p = compile(source);
+      auto r = runFn(*p, "f", {Value::ofInt(1)});
+      ASSERT_TRUE(r.ok) << source << ": " << r.error;
+      EXPECT_EQ(r.returnValue.i, c.expected) << source;
+    }
 }
 
 TEST(Simulator, InstructionBudgetStopsRunaways) {
