@@ -37,11 +37,11 @@ struct OpTally {
            0;
   }
 
-  std::map<isa::Opcode, std::int64_t> toOpcodes() const {
-    std::map<isa::Opcode, std::int64_t> out;
+  isa::OpcodeHistogram toOpcodes() const {
+    isa::OpcodeHistogram out;
     auto put = [&](isa::Opcode op, std::int64_t n) {
       if (n)
-        out[op] += n;
+        out.emplace_back(op, n);
     };
     // One source FP op = one scalar SSE2 arithmetic instruction: the
     // source-only assumption that breaks on vectorized binaries.
@@ -53,6 +53,7 @@ struct OpTally {
     put(isa::Opcode::MOVSD_MR, stores);
     put(isa::Opcode::ADD, intOps);
     put(isa::Opcode::CMP, comparisons);
+    isa::normalizeHistogram(out);
     return out;
   }
 };

@@ -45,31 +45,40 @@ std::vector<std::uint32_t> FunctionBridge::coveredLines() const {
   return lines;
 }
 
-std::map<isa::Opcode, std::size_t>
+isa::OpcodeHistogram
 FunctionBridge::opcodesAtLine(std::uint32_t line,
                               const BinaryLoop *loop) const {
-  std::map<isa::Opcode, std::size_t> out;
-  auto it = std::lower_bound(byLine_.begin(), byLine_.end(), line,
-                             [](const IndexedInstr &instr, std::uint32_t l) {
-                               return instr.line < l;
-                             });
-  for (; it != byLine_.end() && it->line == line; ++it) {
-    // Exclude the header block: counted separately as (trips+1).
-    if (it->loop == loop && !(loop && it->block == loop->headerBlock))
-      ++out[it->opcode];
-  }
+  const auto [first, last] = std::equal_range(
+      byLine_.begin(), byLine_.end(), IndexedInstr{line, nullptr, 0, {}},
+      [](const IndexedInstr &a, const IndexedInstr &b) {
+        return a.line < b.line;
+      });
+  // Exclude the header block: counted separately as (trips+1).
+  auto counted = [loop](const IndexedInstr &instr) {
+    return instr.loop == loop && !(loop && instr.block == loop->headerBlock);
+  };
+  isa::OpcodeHistogram out;
+  out.reserve(static_cast<std::size_t>(std::count_if(first, last, counted)));
+  for (auto it = first; it != last; ++it)
+    if (counted(*it))
+      out.emplace_back(it->opcode, 1);
+  isa::normalizeHistogram(out);
   return out;
 }
 
-std::map<isa::Opcode, std::size_t>
+isa::OpcodeHistogram
 FunctionBridge::headerOpcodes(const BinaryLoop &loop) const {
-  std::map<isa::Opcode, std::size_t> out;
-  for (std::uint32_t idx : binary_->blocks[loop.headerBlock].instrIndices)
-    ++out[binary_->instructions[idx].inst.opcode];
+  const std::vector<std::uint32_t> &indices =
+      binary_->blocks[loop.headerBlock].instrIndices;
+  isa::OpcodeHistogram out;
+  out.reserve(indices.size());
+  for (std::uint32_t idx : indices)
+    out.emplace_back(binary_->instructions[idx].inst.opcode, 1);
+  isa::normalizeHistogram(out);
   return out;
 }
 
-std::map<isa::Opcode, std::size_t> FunctionBridge::prologueOpcodes() const {
+isa::OpcodeHistogram FunctionBridge::prologueOpcodes() const {
   return opcodesAtLine(0, nullptr);
 }
 

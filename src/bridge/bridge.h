@@ -15,6 +15,7 @@
 
 #include "binast/binast.h"
 #include "frontend/ast.h"
+#include "isa/opcode.h"
 
 namespace mira::bridge {
 
@@ -55,16 +56,15 @@ public:
   /// Opcode histogram of instructions at `line` whose innermost loop is
   /// `loop`, excluding its header block (nullptr loop = outside all
   /// loops).
-  std::map<isa::Opcode, std::size_t>
-  opcodesAtLine(std::uint32_t line, const binast::BinaryLoop *loop) const;
+  isa::OpcodeHistogram opcodesAtLine(std::uint32_t line,
+                                     const binast::BinaryLoop *loop) const;
 
   /// Opcode histogram of a loop's header block.
-  std::map<isa::Opcode, std::size_t>
-  headerOpcodes(const binast::BinaryLoop &loop) const;
+  isa::OpcodeHistogram headerOpcodes(const binast::BinaryLoop &loop) const;
 
   /// Opcode histogram of the function prologue (line 0 instructions
   /// outside loops).
-  std::map<isa::Opcode, std::size_t> prologueOpcodes() const;
+  isa::OpcodeHistogram prologueOpcodes() const;
 
 private:
   struct IndexedInstr {

@@ -1,5 +1,6 @@
 #include "isa/opcode.h"
 
+#include <algorithm>
 #include <map>
 
 namespace mira::isa {
@@ -100,6 +101,19 @@ const OpcodeInfo &info(Opcode op) {
   return table[static_cast<std::size_t>(op)];
 }
 } // namespace
+
+void normalizeHistogram(OpcodeHistogram &histogram) {
+  std::sort(histogram.begin(), histogram.end(),
+            [](const auto &a, const auto &b) { return a.first < b.first; });
+  auto out = histogram.begin();
+  for (auto it = histogram.begin(); it != histogram.end(); ++it) {
+    if (out != histogram.begin() && (out - 1)->first == it->first)
+      (out - 1)->second += it->second;
+    else
+      *out++ = *it;
+  }
+  histogram.erase(out, histogram.end());
+}
 
 std::string opcodeName(Opcode op) { return info(op).name; }
 

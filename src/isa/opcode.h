@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "isa/categories.h"
 
@@ -114,6 +116,17 @@ enum class Opcode : std::uint16_t {
 
 inline constexpr std::size_t kNumOpcodes =
     static_cast<std::size_t>(Opcode::kCount_);
+
+/// Per-execution opcode counts: (opcode, count) pairs sorted by opcode,
+/// each opcode at most once. The bridge builds one per line query, a
+/// model's CountStep stores it, and the model codec writes and reads the
+/// entries in this order.
+using OpcodeHistogram = std::vector<std::pair<Opcode, std::int64_t>>;
+
+/// Restore the OpcodeHistogram invariant on a list of entries in any
+/// order: sort by opcode and fold repeated opcodes into one entry whose
+/// count is their sum.
+void normalizeHistogram(OpcodeHistogram &histogram);
 
 /// Mnemonic, e.g. "addpd".
 std::string opcodeName(Opcode op);

@@ -176,15 +176,14 @@ private:
     return *ctx.total;
   }
 
-  void addOpcodeStep(const std::map<isa::Opcode, std::size_t> &opcodes,
-                     const Expr &multiplier, std::string comment) {
+  void addOpcodeStep(isa::OpcodeHistogram opcodes, const Expr &multiplier,
+                     std::string comment) {
     if (opcodes.empty() || multiplier.isIntConst(0))
       return;
     CountStep step;
     step.multiplier = multiplier;
+    step.opcodes = std::move(opcodes);
     step.comment = std::move(comment);
-    for (const auto &[op, n] : opcodes)
-      step.opcodes[op] = static_cast<std::int64_t>(n);
     model_.counts.push_back(std::move(step));
   }
 
@@ -194,10 +193,11 @@ private:
       return;
     for (std::uint32_t line = stmt.range.begin.line;
          line <= stmt.range.end.line; ++line) {
-      auto opcodes = bridge_->opcodesAtLine(line, currentBinaryLoop_);
+      isa::OpcodeHistogram opcodes =
+          bridge_->opcodesAtLine(line, currentBinaryLoop_);
       if (opcodes.empty())
         continue;
-      addOpcodeStep(opcodes, multiplier,
+      addOpcodeStep(std::move(opcodes), multiplier,
                     std::string(what) + " line " + std::to_string(line));
     }
   }

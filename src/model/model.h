@@ -28,7 +28,7 @@ using symbolic::Expr;
 /// multiplier * opcode histogram.
 struct CountStep {
   Expr multiplier;
-  std::map<isa::Opcode, std::int64_t> opcodes;
+  isa::OpcodeHistogram opcodes;
   std::string comment; // e.g. "loop body line 12 (vectorized main)"
 };
 

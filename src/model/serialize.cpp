@@ -48,62 +48,86 @@ void putExpr(std::string &out, const Expr &expr) {
 
 // ------------------------------------------------------------- readers
 
+// Smallest encoding of one element of each counted list. A count is
+// trusted only up to the remaining bytes divided by these, so a hostile
+// count can size a reserve no larger than a constant times the buffer.
+constexpr std::size_t kMinString = 4; // u32 length
+constexpr std::size_t kMinExpr = 5;   // kind tag + u32 length or count
+constexpr std::size_t kMinOpcodeEntry = 4 + 8; // u32 opcode + i64 count
+// Multiplier, comment, opcode count.
+constexpr std::size_t kMinCountStep = kMinExpr + kMinString + 4;
+// Multiplier, callee, line, binding count.
+constexpr std::size_t kMinCallStep = kMinExpr + kMinString + 4 + 4;
+constexpr std::size_t kMinBinding = kMinString + kMinExpr;
+// Two names, parameter count, exact flag, note/count/call step counts.
+constexpr std::size_t kMinFunction = 2 * kMinString + 4 + 1 + 3 * 4;
+
 struct Reader : bio::Reader {
-  bool exprNode(ExprNodeRef &out, std::size_t depth);
+  symbolic::ExprInterner &interner;
+  // Operand stack shared by every expression of the payload: a node's
+  // children sit on top of it while the node is looked up.
+  std::vector<ExprNodeRef> operands;
+
+  Reader(const std::string &bytes, std::size_t offset,
+         symbolic::ExprInterner &interner)
+      : bio::Reader{bytes, offset}, interner(interner) {}
+
+  /// A u32 element count, no larger than the number of elements of at
+  /// least `minBytes` each that the remaining bytes can hold.
+  bool count(std::uint32_t &n, std::size_t minBytes) {
+    return u32(n) && n <= remaining() / minBytes;
+  }
+
+  bool exprNode(std::size_t depth);
 
   bool expr(Expr &out) {
-    ExprNodeRef node;
-    if (!exprNode(node, 0))
+    if (!exprNode(0))
       return false;
-    out = Expr::fromNode(std::move(node));
+    out = Expr::fromNode(std::move(operands.back()));
+    operands.pop_back();
     return true;
   }
 };
 
-bool Reader::exprNode(ExprNodeRef &out, std::size_t depth) {
+/// Reads one node, its children first, and pushes its canonical node on
+/// the operand stack: each node is looked up in the payload's interner as
+/// soon as its fields and children are read, so no raw tree is built.
+bool Reader::exprNode(std::size_t depth) {
   if (depth > kMaxExprDepth)
     return false;
   std::uint8_t kindTag = 0;
-  if (!u8(kindTag))
-    return false;
-  if (kindTag > static_cast<std::uint8_t>(ExprKind::Sum))
+  if (!u8(kindTag) || kindTag > static_cast<std::uint8_t>(ExprKind::Sum))
     return false;
   const auto kind = static_cast<ExprKind>(kindTag);
-  auto node = std::make_shared<ExprNode>(kind);
+  std::int64_t value = 0;
+  std::string_view name;
+  std::uint32_t arity = 0;
   switch (kind) {
   case ExprKind::IntConst:
-    if (!i64(node->value))
+    if (!i64(value))
       return false;
-    out = std::move(node);
-    return true;
+    break;
   case ExprKind::Param:
-    if (!str(node->name))
+    if (!view(name))
       return false;
-    out = std::move(node);
-    return true;
+    break;
   case ExprKind::Sum:
-    if (!str(node->name))
+    if (!view(name) || !u32(arity) || arity != 3)
       return false;
     break;
   default:
+    if (!count(arity, kMinExpr))
+      return false;
     break;
   }
-  std::uint32_t count = 0;
-  if (!u32(count))
-    return false;
-  // Every operand costs at least its one-byte kind tag.
-  if (count > remaining())
-    return false;
-  if (kind == ExprKind::Sum && count != 3)
-    return false;
-  node->operands.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ExprNodeRef child;
-    if (!exprNode(child, depth + 1))
+  const std::size_t base = operands.size();
+  for (std::uint32_t i = 0; i < arity; ++i)
+    if (!exprNode(depth + 1))
       return false;
-    node->operands.push_back(std::move(child));
-  }
-  out = std::move(node);
+  ExprNodeRef node =
+      interner.intern(kind, value, name, operands.data() + base, arity);
+  operands.resize(base);
+  operands.push_back(std::move(node));
   return true;
 }
 
@@ -148,20 +172,21 @@ void serializeModel(const PerformanceModel &model, std::string &out) {
 
 bool deserializeModel(const std::string &bytes, std::size_t &offset,
                       PerformanceModel &out) {
-  Reader r{{bytes, offset}};
-  // One expression arena per payload: Expr::fromNode re-enters the
-  // current interner, so expressions repeated across a model's functions
-  // deserialize to shared nodes, and the table dies with this call
-  // instead of accumulating in the calling thread's default interner.
-  // Re-interning is structure-preserving, so reserializing the result
-  // reproduces the input bytes exactly (pinned by model_test).
+  // One expression arena per payload: each node is interned as it is
+  // read, so expressions repeated across a model's functions share one
+  // node, and the table dies with this call instead of accumulating in
+  // the calling thread's default interner. The scope makes the reader's
+  // Expr::fromNode calls O(1). Interning never reorders or rewrites, so
+  // reserializing the result reproduces the input bytes exactly (pinned
+  // by cache_test and property_test).
   symbolic::ExprInterner interner;
   symbolic::ExprInterner::Scope scope(interner);
+  Reader r(bytes, offset, interner);
   out = PerformanceModel();
   if (!r.str(out.sourceFile))
     return false;
   std::uint32_t functionCount = 0;
-  if (!r.u32(functionCount) || functionCount > r.remaining())
+  if (!r.count(functionCount, kMinFunction))
     return false;
   out.functions.reserve(functionCount);
   for (std::uint32_t f = 0; f < functionCount; ++f) {
@@ -169,7 +194,7 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
     if (!r.str(fn.sourceName) || !r.str(fn.modelName))
       return false;
     std::uint32_t paramCount = 0;
-    if (!r.u32(paramCount) || paramCount > r.remaining())
+    if (!r.count(paramCount, kMinString))
       return false;
     fn.paramNames.reserve(paramCount);
     for (std::uint32_t i = 0; i < paramCount; ++i) {
@@ -183,8 +208,9 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
       return false;
     fn.exact = exact != 0;
     std::uint32_t noteCount = 0;
-    if (!r.u32(noteCount) || noteCount > r.remaining())
+    if (!r.count(noteCount, kMinString))
       return false;
+    fn.notes.reserve(noteCount);
     for (std::uint32_t i = 0; i < noteCount; ++i) {
       std::string note;
       if (!r.str(note))
@@ -192,34 +218,42 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
       fn.notes.push_back(std::move(note));
     }
     std::uint32_t countSteps = 0;
-    if (!r.u32(countSteps) || countSteps > r.remaining())
+    if (!r.count(countSteps, kMinCountStep))
       return false;
+    fn.counts.reserve(countSteps);
     for (std::uint32_t i = 0; i < countSteps; ++i) {
       CountStep step;
       if (!r.expr(step.multiplier) || !r.str(step.comment))
         return false;
       std::uint32_t opcodeCount = 0;
-      if (!r.u32(opcodeCount) || opcodeCount > r.remaining())
+      if (!r.count(opcodeCount, kMinOpcodeEntry))
         return false;
+      step.opcodes.reserve(opcodeCount);
       for (std::uint32_t o = 0; o < opcodeCount; ++o) {
         std::uint32_t opcode = 0;
         std::int64_t n = 0;
         if (!r.u32(opcode) || opcode >= isa::kNumOpcodes || !r.i64(n))
           return false;
-        step.opcodes[static_cast<isa::Opcode>(opcode)] = n;
+        const auto op = static_cast<isa::Opcode>(opcode);
+        // Writers emit strictly increasing opcodes (isa::OpcodeHistogram);
+        // a repeated or descending opcode is corrupt, not mergeable.
+        if (!step.opcodes.empty() && op <= step.opcodes.back().first)
+          return false;
+        step.opcodes.emplace_back(op, n);
       }
       fn.counts.push_back(std::move(step));
     }
     std::uint32_t callSteps = 0;
-    if (!r.u32(callSteps) || callSteps > r.remaining())
+    if (!r.count(callSteps, kMinCallStep))
       return false;
+    fn.calls.reserve(callSteps);
     for (std::uint32_t i = 0; i < callSteps; ++i) {
       CallStep step;
       if (!r.expr(step.multiplier) || !r.str(step.callee) ||
           !r.u32(step.line))
         return false;
       std::uint32_t bindingCount = 0;
-      if (!r.u32(bindingCount) || bindingCount > r.remaining())
+      if (!r.count(bindingCount, kMinBinding))
         return false;
       for (std::uint32_t b = 0; b < bindingCount; ++b) {
         std::string name;

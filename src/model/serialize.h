@@ -2,16 +2,23 @@
 // cache (support/cache_store.h).
 //
 // The encoding is a straightforward length-prefixed tree walk: strings
-// are u32-length + bytes, containers are u32-count + elements, and
+// are u32-length + bytes, containers are u32-count + elements,
 // symbolic::Expr nodes are a one-byte kind tag followed by their
-// children. Deserialization rebuilds Expr nodes verbatim (bypassing the
+// children, and a count step's opcode histogram is its
+// isa::OpcodeHistogram entries in order (strictly increasing opcodes).
+// Deserialization rebuilds Expr nodes verbatim (bypassing the
 // canonicalizing builders) so a cached model's emitted Python is
 // byte-identical to the freshly computed one — the property the batch
-// determinism tests pin.
+// determinism tests pin. It builds no raw tree: each node is interned
+// in one per-payload ExprInterner as soon as its children are read, so
+// repeated expressions decode to one shared node.
 //
 // Robustness: deserializeModel never throws and never trusts a length —
-// every read is bounds-checked against the remaining buffer, opcode tags
-// are validated against the ISA, and expression nesting is depth-capped.
+// every read is bounds-checked against the remaining buffer, an element
+// count is accepted only if the remaining bytes could hold that many
+// elements at their smallest encoding (so no reserve outgrows the
+// buffer), opcode tags are validated against the ISA and must strictly
+// increase within a histogram, and expression nesting is depth-capped.
 // A malformed buffer yields `false` (the cache layer then treats the
 // entry as corrupt and recomputes). The byte format carries no version
 // of its own: cache_store.h's schema-version header versions the whole

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace mira::bio {
 
@@ -81,12 +82,22 @@ struct Reader {
     return true;
   }
 
-  bool str(std::string &s) {
+  /// A length-prefixed string, borrowed from the buffer (valid while
+  /// `bytes` is).
+  bool view(std::string_view &s) {
     std::uint32_t len = 0;
     if (!u32(len) || remaining() < len)
       return false;
-    s.assign(bytes, offset, len);
+    s = std::string_view(bytes).substr(offset, len);
     offset += len;
+    return true;
+  }
+
+  bool str(std::string &s) {
+    std::string_view v;
+    if (!view(v))
+      return false;
+    s.assign(v);
     return true;
   }
 };

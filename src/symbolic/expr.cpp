@@ -255,8 +255,8 @@ Expr Expr::fromNode(ExprNodeRef node) {
   if (!node)
     return Expr();
   // Structure-preserving: reintern never reorders or rewrites, it only
-  // replaces each subtree with the interner's canonical copy, so
-  // serialized bytes cannot drift across a deserialize/reserialize trip.
+  // replaces each subtree with the interner's canonical copy (itself,
+  // when the interner already owns it), so serialized bytes cannot drift.
   return Expr(ExprInterner::current().reintern(node));
 }
 

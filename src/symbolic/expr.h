@@ -64,14 +64,15 @@ public:
   /// (hi < lo) evaluate to 0.
   static Expr sum(std::string var, Expr lo, Expr hi, Expr body);
 
-  /// Wrap an already-built node, bypassing the canonicalizing builders.
-  /// For deserialization (model/serialize.h) only: the node must come
-  /// from a tree that was canonical when serialized, so re-canonicalizing
-  /// would be at best a no-op and at worst a source of byte-level drift
-  /// between cached and fresh models. The tree IS re-entered into the
-  /// calling thread's ExprInterner (structure-preserving, so serialized
-  /// bytes cannot drift) to restore node sharing and the cached
-  /// hash/order-key that deserialized nodes lack.
+  /// Wrap an already-interned node, bypassing the canonicalizing
+  /// builders. The model reader (model/serialize.h) interns each node as
+  /// it reads it, in the structure it was serialized with: re-running the
+  /// builders would be at best a no-op and at worst a source of
+  /// byte-level drift between cached and fresh models. The node is
+  /// re-entered into the calling thread's ExprInterner, which is O(1)
+  /// when that interner already owns it (the reader installs its own) and
+  /// a structure-preserving reintern of a tree from another interner
+  /// otherwise.
   static Expr fromNode(ExprNodeRef node);
 
   friend Expr operator+(const Expr &a, const Expr &b);
@@ -128,9 +129,9 @@ public:
   std::string name;                   // Param, Sum bound variable
   std::vector<ExprNodeRef> operands;  // others
 
-  // Hash-consing metadata, filled once by ExprInterner when the node is
-  // interned (zero/empty on raw deserialized nodes until fromNode
-  // re-enters them). `hash` is the structural hash; `key` caches the
+  // Hash-consing metadata, filled once by ExprInterner when it creates
+  // the node; every node is created by an interner, the model reader's
+  // included. `hash` is the structural hash; `key` caches the
   // canonical ordering key the builders sort commutative operand lists
   // by, in the exact historical format ("#3", "pN", "A(pN,#1,)", ...)
   // so interning cannot move bytes in any serialized output. `ownerId`

@@ -15,8 +15,9 @@
 // Scope. The driver installs one per compile (core::analyze) and the
 // per-function model tasks re-enter the same compile's interner on their
 // pool threads, so a compile's node churn is confined to one arena that
-// dies with the request instead of fragmenting the global heap. Code
-// running outside any scope (tests, ad-hoc Expr math) falls back to a
+// dies with the request instead of fragmenting the global heap. The
+// model reader (model/serialize.h) installs one per decoded payload and
+// interns each node as it reads it. Code running outside any scope (tests, ad-hoc Expr math) falls back to a
 // thread-local default interner. Because a node's canonical form caches
 // its order key, parameter and bound-variable name strings are stored
 // once per unique node — name interning falls out of node interning.
@@ -34,6 +35,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -56,18 +58,24 @@ public:
   ExprInterner(const ExprInterner &) = delete;
   ExprInterner &operator=(const ExprInterner &) = delete;
 
-  /// Canonicalize a node described by its fields. `operands` must already
-  /// be interned in THIS interner (builders intern bottom-up; use
-  /// reintern() for foreign trees). Returns the one canonical node for
-  /// the structure, creating it (with its structural hash and cached
-  /// order key) on first sight.
+  /// Canonicalize a node described by borrowed fields: the name as a
+  /// view and the operands as pointer + count, copied into a new node only
+  /// on a miss. The operands must already be interned in THIS interner
+  /// (the model reader interns bottom-up as it reads). Returns the one
+  /// canonical node for the structure, creating it (with its structural
+  /// hash and cached order key) on first sight.
+  ExprNodeRef intern(ExprKind kind, std::int64_t value, std::string_view name,
+                     const ExprNodeRef *operands, std::size_t count);
+
+  /// The builders' form: the same lookup, but a miss moves the given
+  /// fields into the new node instead of copying them. Operands interned
+  /// elsewhere are pulled into this interner first.
   ExprNodeRef intern(ExprKind kind, std::int64_t value, std::string name,
                      std::vector<ExprNodeRef> operands);
 
-  /// Canonicalize an existing tree (deserialized or built under another
-  /// interner) bottom-up, preserving its structure byte-for-byte — the
-  /// re-entry path Expr::fromNode uses so cached models dedup without
-  /// serialization drift. O(1) for nodes this interner already owns.
+  /// Canonicalize an existing tree built under another interner
+  /// bottom-up, preserving its structure byte-for-byte (the re-entry path
+  /// Expr::fromNode uses). O(1) for nodes this interner already owns.
   ExprNodeRef reintern(const ExprNodeRef &node);
 
   /// Unique nodes owned by this interner.
@@ -94,17 +102,23 @@ public:
   static InternStats globalStats();
 
 private:
-  ExprNodeRef internLocked(ExprKind kind, std::int64_t value,
-                           std::string name,
-                           std::vector<ExprNodeRef> operands);
+  // The one lookup path every entry point takes (caller holds mutex_):
+  // hash the borrowed fields, probe the table, and on a miss build the
+  // node, moving `ownedName` / `ownedOperands` into it when the caller
+  // passes them and copying the borrowed fields otherwise.
+  ExprNodeRef lookupLocked(ExprKind kind, std::int64_t value,
+                           std::string_view name, const ExprNodeRef *operands,
+                           std::size_t count, std::string *ownedName,
+                           std::vector<ExprNodeRef> *ownedOperands);
 
   mutable std::mutex mutex_;
   // Never-reused process-unique id stamped on owned nodes, so a node
   // from a destroyed interner can never alias a live one (no ABA on a
   // recycled `this` address).
   const std::uint64_t id_;
-  // hash -> structurally distinct nodes sharing it (collision chain).
-  std::unordered_map<std::uint64_t, std::vector<ExprNodeRef>> table_;
+  // hash -> every owned node with that hash (structurally distinct
+  // nodes share a hash only on a collision).
+  std::unordered_multimap<std::uint64_t, ExprNodeRef> table_;
 };
 
 } // namespace mira::symbolic

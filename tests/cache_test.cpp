@@ -15,6 +15,7 @@
 #include <vector>
 
 #ifndef _WIN32
+#include <sys/resource.h>
 #include <unistd.h>
 #endif
 
@@ -313,22 +314,66 @@ model::PerformanceModel modelOrDie(const std::string &source) {
   return *artifacts.model;
 }
 
+/// Every embedded source: the Table I suite plus the fig-series kernels.
+std::vector<std::pair<std::string, const std::string *>> embeddedSources() {
+  std::vector<std::pair<std::string, const std::string *>> sources;
+  for (const auto &kernel : workloads::coverageSuite())
+    sources.emplace_back(kernel.name, &kernel.source);
+  for (const auto &workload : workloads::figSeriesWorkloads())
+    sources.emplace_back(workload.name, workload.source);
+  return sources;
+}
+
+/// Every expression a model holds, in model order.
+std::vector<symbolic::Expr> modelExprs(const model::PerformanceModel &m) {
+  std::vector<symbolic::Expr> exprs;
+  for (const model::FunctionModel &fn : m.functions) {
+    for (const model::CountStep &step : fn.counts)
+      exprs.push_back(step.multiplier);
+    for (const model::CallStep &step : fn.calls) {
+      exprs.push_back(step.multiplier);
+      for (const auto &[name, expr] : step.argBindings)
+        exprs.push_back(expr);
+    }
+  }
+  return exprs;
+}
+
 TEST(ModelSerializeTest, RoundTripIsByteIdentical) {
-  for (const std::string *source :
-       {&workloads::fig5Source(), &workloads::dgemmSource(),
-        &workloads::minifeSource()}) {
+  const auto sources = embeddedSources();
+  ASSERT_EQ(sources.size(), 15u);
+  std::size_t sharedPairs = 0;
+  for (const auto &[name, source] : sources) {
     const model::PerformanceModel analyzed = modelOrDie(*source);
     std::string bytes;
     model::serializeModel(analyzed, bytes);
 
     model::PerformanceModel restored;
     std::size_t offset = 0;
-    ASSERT_TRUE(model::deserializeModel(bytes, offset, restored));
-    EXPECT_EQ(offset, bytes.size());
+    ASSERT_TRUE(model::deserializeModel(bytes, offset, restored)) << name;
+    EXPECT_EQ(offset, bytes.size()) << name;
+    std::string again;
+    model::serializeModel(restored, again);
+    EXPECT_EQ(again, bytes) << name;
     // emitPython renders every expression, count, call binding, and note,
     // so byte equality here means the models are semantically identical.
-    EXPECT_EQ(model::emitPython(restored), model::emitPython(analyzed));
+    EXPECT_EQ(model::emitPython(restored), model::emitPython(analyzed))
+        << name;
+
+    // One decoded model hash-conses its expressions: structurally equal
+    // expressions are one node, wherever in the model they appear.
+    const std::vector<symbolic::Expr> exprs = modelExprs(restored);
+    for (std::size_t i = 0; i < exprs.size(); ++i) {
+      for (std::size_t j = i + 1; j < exprs.size(); ++j) {
+        if (!exprs[i].equals(exprs[j]))
+          continue;
+        ++sharedPairs;
+        EXPECT_EQ(&exprs[i].node(), &exprs[j].node())
+            << name << ": " << exprs[i].str() << " decoded twice";
+      }
+    }
   }
+  EXPECT_GT(sharedPairs, 0u) << "no repeated expression to check sharing on";
 }
 
 TEST(ModelSerializeTest, RestoredModelEvaluates) {
@@ -348,6 +393,65 @@ TEST(ModelSerializeTest, RestoredModelEvaluates) {
   EXPECT_EQ(cached->totalInstructions, fresh->totalInstructions);
 }
 
+/// A one-function model with one count step, encoded by hand: `expr` is
+/// the multiplier's encoding and `opcodes` the step's (opcode, count)
+/// entries, so a test can corrupt either.
+std::string handEncodedModel(
+    const std::string &expr,
+    const std::vector<std::pair<std::uint32_t, std::int64_t>> &opcodes) {
+  std::string out;
+  bio::putString(out, "hand.mc");
+  bio::putU32(out, 1); // functions
+  bio::putString(out, "f");
+  bio::putString(out, "f_1");
+  bio::putU32(out, 0); // parameters
+  bio::putU8(out, 1);  // exact
+  bio::putU32(out, 0); // notes
+  bio::putU32(out, 1); // count steps
+  out += expr;
+  bio::putString(out, "step");
+  bio::putU32(out, static_cast<std::uint32_t>(opcodes.size()));
+  for (const auto &[opcode, n] : opcodes) {
+    bio::putU32(out, opcode);
+    bio::putI64(out, n);
+  }
+  bio::putU32(out, 0); // call steps
+  return out;
+}
+
+std::string constExpr(std::int64_t value) {
+  std::string out;
+  bio::putU8(out, static_cast<std::uint8_t>(symbolic::ExprKind::IntConst));
+  bio::putI64(out, value);
+  return out;
+}
+
+/// `depth` one-operand Add nodes around a constant.
+std::string nestedExpr(std::size_t depth) {
+  std::string out;
+  for (std::size_t i = 0; i < depth; ++i) {
+    bio::putU8(out, static_cast<std::uint8_t>(symbolic::ExprKind::Add));
+    bio::putU32(out, 1);
+  }
+  return out + constExpr(1);
+}
+
+std::string sumExpr(std::uint32_t arity) {
+  std::string out;
+  bio::putU8(out, static_cast<std::uint8_t>(symbolic::ExprKind::Sum));
+  bio::putString(out, "i");
+  bio::putU32(out, arity);
+  for (std::uint32_t i = 0; i < arity; ++i)
+    out += constExpr(i);
+  return out;
+}
+
+bool decodes(const std::string &bytes) {
+  model::PerformanceModel out;
+  std::size_t offset = 0;
+  return model::deserializeModel(bytes, offset, out) && offset == bytes.size();
+}
+
 TEST(ModelSerializeTest, RejectsTruncatedAndMutatedBuffers) {
   const model::PerformanceModel analyzed = modelOrDie(workloads::fig5Source());
   std::string bytes;
@@ -362,6 +466,32 @@ TEST(ModelSerializeTest, RejectsTruncatedAndMutatedBuffers) {
         model::deserializeModel(bytes.substr(0, cut), offset, out))
         << "truncated to " << cut << " bytes";
   }
+
+  const auto addsd = static_cast<std::uint32_t>(isa::Opcode::ADDSD);
+  const auto mulsd = static_cast<std::uint32_t>(isa::Opcode::MULSD);
+  // The well-formed neighbours of each mutation decode, so each rejection
+  // below is the mutation's doing.
+  EXPECT_TRUE(decodes(handEncodedModel(constExpr(7), {{addsd, 1}, {mulsd, 2}})));
+  EXPECT_TRUE(decodes(handEncodedModel(sumExpr(3), {})));
+  EXPECT_TRUE(decodes(handEncodedModel(nestedExpr(64), {})));
+
+  std::string badKind;
+  bio::putU8(badKind,
+             static_cast<std::uint8_t>(symbolic::ExprKind::Sum) + 1);
+  bio::putI64(badKind, 0);
+  EXPECT_FALSE(decodes(handEncodedModel(badKind, {})))
+      << "expression kind tag above Sum";
+  EXPECT_FALSE(decodes(handEncodedModel(sumExpr(2), {}))) << "Sum of arity 2";
+  EXPECT_FALSE(decodes(handEncodedModel(sumExpr(4), {}))) << "Sum of arity 4";
+  EXPECT_FALSE(decodes(handEncodedModel(
+      constExpr(7), {{static_cast<std::uint32_t>(isa::kNumOpcodes), 1}})))
+      << "opcode past the ISA";
+  EXPECT_FALSE(decodes(handEncodedModel(nestedExpr(10000), {})))
+      << "nesting beyond the depth cap";
+  EXPECT_FALSE(decodes(handEncodedModel(constExpr(7), {{addsd, 1}, {addsd, 2}})))
+      << "duplicate opcode entry";
+  EXPECT_FALSE(decodes(handEncodedModel(constExpr(7), {{mulsd, 1}, {addsd, 2}})))
+      << "descending opcode pair";
 }
 
 // ------------------------------------------------- disk-backed batch runs
@@ -507,6 +637,67 @@ TEST(DiskCacheBatchTest, CorruptedEntriesFallBackToRecompute) {
   warm.runArtifacts(specs);
   EXPECT_EQ(warm.stats().diskHits, specs.size());
 }
+
+// An element count is trusted only as far as the bytes behind it: a
+// buffer whose counts claim more elements than it could hold must fail to
+// decode, never size a reserve by the claim. Under a 1 GiB address-space
+// cap, eight bytes claiming 8 Mi functions would otherwise throw
+// std::bad_alloc out of deserializeModel (documented never to throw), and
+// a valid-checksum cache entry carrying them would fail the request
+// instead of recomputing it. The address and thread sanitizers' shadow
+// mappings cannot run under RLIMIT_AS, so the test is compiled out there.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MIRA_TEST_SHADOW_MAPPED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MIRA_TEST_SHADOW_MAPPED 1
+#endif
+#endif
+#if !defined(MIRA_TEST_SHADOW_MAPPED) && !defined(_WIN32)
+/// The death test's child: exit code 0 when both checks hold, a distinct
+/// non-zero code for each that fails; an escaping std::bad_alloc kills it.
+[[noreturn]] void decodeHostileCountsUnderAddressCap(const TempDir &dir) {
+  const rlim_t cap = rlim_t(1) << 30;
+  const struct rlimit limit = {cap, cap};
+  if (::setrlimit(RLIMIT_AS, &limit) != 0)
+    std::_Exit(2);
+
+  const std::uint32_t claimed = 8u << 20; // 8 Mi functions
+  std::string hostile;
+  bio::putString(hostile, "hostile.mc");
+  bio::putU32(hostile, claimed);
+  hostile.append(claimed, '\0');
+  model::PerformanceModel decoded;
+  std::size_t offset = 0;
+  if (model::deserializeModel(hostile, offset, decoded))
+    std::_Exit(3);
+
+  // The same model behind a valid-checksum @fig5 cache entry: a miss
+  // that recomputes and re-stores the entry.
+  const core::AnalysisSpec spec = specFor("fig5", workloads::fig5Source());
+  std::string payload;
+  bio::putU8(payload, 1); // ok
+  bio::putString(payload, spec.name);
+  bio::putString(payload, "");
+  bio::putU8(payload, 1); // coverage summary
+  for (int i = 0; i < 3; ++i)
+    bio::putU64(payload, 1);
+  payload += hostile;
+  if (!CacheStore(dir.str()).store(driver::requestKey(spec), payload))
+    std::_Exit(4);
+  driver::BatchAnalyzer analyzer(diskOptions(dir, 1));
+  const core::Artifacts artifacts = analyzer.analyzeArtifacts(spec);
+  if (!artifacts.ok || !artifacts.diskMiss || !artifacts.diskStored)
+    std::_Exit(5);
+  std::_Exit(0);
+}
+
+TEST(DiskCacheBatchDeathTest, HostileCountsDecodeToFalseUnderAnAddressCap) {
+  TempDir dir("hostile");
+  EXPECT_EXIT(decodeHostileCountsUnderAddressCap(dir),
+              ::testing::ExitedWithCode(0), "");
+}
+#endif
 
 TEST(DiskCacheBatchTest, ConcurrentAnalyzersShareOneDirectory) {
   TempDir dir("shared");

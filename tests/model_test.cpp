@@ -45,8 +45,7 @@ PerformanceModel twoFunctionModel() {
   leaf.modelName = "leaf_1";
   CountStep s;
   s.multiplier = Expr::param("n");
-  s.opcodes[isa::Opcode::ADDSD] = 2;
-  s.opcodes[isa::Opcode::MOVSD_RM] = 3;
+  s.opcodes = {{isa::Opcode::MOVSD_RM, 3}, {isa::Opcode::ADDSD, 2}};
   leaf.counts.push_back(s);
   m.functions.push_back(leaf);
 

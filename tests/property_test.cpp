@@ -288,7 +288,7 @@ TEST_P(ModelRoundTripProperty, SerializeDeserializeReinternIsByteIdentical) {
     for (int s = 0; s < steps; ++s) {
       model::CountStep step;
       step.multiplier = randomExpr(rng, 3);
-      step.opcodes[isa::Opcode::ADDSD] = 1;
+      step.opcodes = {{isa::Opcode::ADDSD, 1}};
       fn.counts.push_back(std::move(step));
     }
     m.functions.push_back(std::move(fn));
