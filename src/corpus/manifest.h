@@ -15,8 +15,8 @@
 /// Workflow (docs/MANIFESTS.md is the operator guide):
 ///   1. `mira-cli manifest build <dir>` walks the tree and writes a
 ///      schema-versioned, checksummed manifest file;
-///   2. `mira-cli manifest diff OLD NEW` (or the daemon's ManifestDiff
-///      wire request) reports added/changed/removed entries;
+///   2. `mira-cli manifest diff OLD NEW` reports added/changed/removed
+///      entries;
 ///   3. `mira-cli batch --manifest M [--since OLD] [--shard I/N]`
 ///      analyzes only what changed, deterministically partitioned
 ///      across shard processes that share one cache directory.

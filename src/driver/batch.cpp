@@ -5,7 +5,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <stdexcept>
 
 #include "model/serialize.h"
@@ -343,6 +346,28 @@ std::string serializeArtifactPayload(const model::PerformanceModel *model,
   }
   model::serializeModel(*model, out);
   return out;
+}
+
+bool measureArtifactPayload(const std::string &payload,
+                            ArtifactPayloadSizes &sizes) {
+  sizes = ArtifactPayloadSizes{};
+  bio::Reader r{payload, 0};
+  std::uint8_t ok = 0, hasCoverage = 0;
+  std::string producer, diagnostics;
+  if (!r.u8(ok) || ok > 1 || !r.str(producer) || !r.str(diagnostics))
+    return false;
+  sizes.diagnosticsBytes = diagnostics.size();
+  if (!ok)
+    return true;
+  const std::size_t coverageStart = r.offset;
+  std::uint64_t summary = 0;
+  if (!r.u8(hasCoverage) || hasCoverage > 1 ||
+      (hasCoverage && (!r.u64(summary) || !r.u64(summary) || !r.u64(summary))))
+    return false;
+  sizes.ok = true;
+  sizes.coverageBytes = r.offset - coverageStart;
+  sizes.modelBytes = r.remaining();
+  return true;
 }
 
 bool deserializeArtifactPayload(
@@ -735,6 +760,86 @@ BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
   stats_.wallSeconds = secondsSince(start);
   publishInternGauges(*metrics_);
   return results;
+}
+
+
+// ------------------------------------------------- manifest execution
+
+namespace {
+
+bool readSourceFile(const std::string &path, std::string &out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in)
+    return false;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (!in && !in.eof())
+    return false;
+  out = buffer.str();
+  return true;
+}
+
+} // namespace
+
+ManifestOutcome runManifestBatch(BatchAnalyzer &analyzer,
+                                 const ManifestJob &job,
+                                 const ManifestChunkFn &onChunk) {
+  ManifestOutcome outcome;
+  const ManifestSelection selection = selectManifestEntries(
+      job.manifest, job.since ? &*job.since : nullptr, job.options,
+      job.shard);
+  const std::filesystem::path root =
+      job.root.empty() ? job.manifest.root : job.root;
+  std::vector<core::AnalysisSpec> specs(selection.entries.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string path = (root / selection.entries[i].path).string();
+    if (!readSourceFile(path, specs[i].source)) {
+      outcome.status = ManifestOutcome::Status::unreadable;
+      outcome.error = "cannot read source '" + path + "'";
+      return outcome;
+    }
+    specs[i].name = selection.entries[i].path; // report identity
+    specs[i].options = job.options;
+  }
+
+  // Each chunk fans across the analyzer's pool; chunk boundaries are
+  // where progress goes out and cancellation is honored. Twice the pool
+  // keeps every worker busy while bounding the work a vanished client
+  // can waste.
+  const std::size_t chunkSize =
+      std::max<std::size_t>(1, analyzer.threadCount() * 2);
+  ManifestProgress progress;
+  progress.total = specs.size();
+  outcome.results.reserve(specs.size());
+  for (std::size_t begin = 0; begin < specs.size(); begin += chunkSize) {
+    const auto first = specs.begin() + static_cast<std::ptrdiff_t>(begin);
+    const std::vector<core::AnalysisSpec> chunk(
+        std::make_move_iterator(first),
+        std::make_move_iterator(
+            first + static_cast<std::ptrdiff_t>(
+                        std::min(chunkSize, specs.size() - begin))));
+    for (core::Artifacts &artifacts : analyzer.analyzeArtifactsMany(chunk)) {
+      progress.failures += artifacts.ok ? 0 : 1;
+      progress.cacheHits += artifacts.cacheHit ? 1 : 0;
+      outcome.results.push_back(std::move(artifacts));
+    }
+    progress.done = outcome.results.size();
+    if (onChunk && !onChunk(progress) && progress.done < progress.total) {
+      outcome.status = ManifestOutcome::Status::cancelled;
+      return outcome;
+    }
+  }
+
+  outcome.report.stats =
+      tallyBatchStats(outcome.results, analyzer.options().useCache);
+  outcome.report.entries.reserve(outcome.results.size());
+  for (std::size_t i = 0; i < outcome.results.size(); ++i)
+    outcome.report.entries.push_back(
+        {selection.entries[i].path,
+         requestKeyFromContentHash(selection.entries[i].contentHash,
+                                   job.options),
+         outcome.results[i].ok});
+  return outcome;
 }
 
 } // namespace mira::driver

@@ -31,10 +31,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -156,9 +158,7 @@ struct ManifestSelection {
 /// Select the entries `manifest` obliges this invocation to analyze:
 /// diff against an optional `since` baseline (keep added + changed, in
 /// path order), then keep only the keys of `shard`. A pure function of
-/// its inputs — local `batch --manifest` and the daemon's ManifestBatch
-/// request both plan through this, which is what makes their selections
-/// (and therefore their reports) identical by construction.
+/// its inputs, and the planning step of runManifestBatch.
 ManifestSelection selectManifestEntries(const corpus::Manifest &manifest,
                                         const corpus::Manifest *since,
                                         const core::MiraOptions &options,
@@ -172,8 +172,8 @@ ManifestSelection selectManifestEntries(const corpus::Manifest &manifest,
 BatchStats mergeBatchStats(const std::vector<BatchStats> &parts);
 
 /// Derive a per-run BatchStats from per-result provenance flags (see
-/// core::Artifacts::diskHit and friends). runArtifacts() and the
-/// daemon's ManifestBatch both report through this, so their stats stay
+/// core::Artifacts::diskHit and friends). runArtifacts() and
+/// runManifestBatch() both report through this, so their stats stay
 /// correct when other traffic shares the registry — which is how the
 /// daemon builds a report byte-identical to a local run. wallSeconds is
 /// left 0 (the caller owns the clock).
@@ -234,6 +234,20 @@ std::string serializeArtifactPayload(const model::PerformanceModel *model,
                                      const std::string &diagnostics,
                                      const std::string &producerName);
 
+/// Section sizes of one serializeArtifactPayload buffer, the breakdown
+/// `mira-cli cache stats` sums per artifact.
+struct ArtifactPayloadSizes {
+  bool ok = false;                  ///< the payload records a success
+  std::size_t diagnosticsBytes = 0; ///< diagnostics text
+  std::size_t coverageBytes = 0;    ///< hasCoverage flag plus summary
+  std::size_t modelBytes = 0;       ///< serialized model (0 on failure)
+};
+
+/// Measure a serializeArtifactPayload buffer's sections without decoding
+/// the model. False when the header fields are malformed or truncated.
+bool measureArtifactPayload(const std::string &payload,
+                            ArtifactPayloadSizes &sizes);
+
 /// Parse a serializeArtifactPayload buffer. Returns false on any
 /// structural problem (bounds, trailing garbage) — callers treat that
 /// as corruption and recompute. On success `analysis` is null iff the
@@ -282,6 +296,8 @@ public:
   core::MetricsRegistry &metrics() { return *metrics_; }
 
   std::size_t threadCount() const { return pool_.threadCount(); }
+
+  const BatchOptions &options() const { return options_; }
 
   /// Entries in the in-memory level (the disk level is inspected through
   /// diskCache()).
@@ -361,5 +377,51 @@ private:
   mutable std::mutex cache_mutex_;
   std::map<std::uint64_t, CacheFuture> cache_;
 };
+
+// ------------------------------------------------- manifest execution
+
+/// One manifest batch: the corpus, what to select from it, and the
+/// options every entry is analyzed under.
+struct ManifestJob {
+  corpus::Manifest manifest;
+  /// Baseline for an incremental run; absent = every entry.
+  std::optional<corpus::Manifest> since;
+  std::string root; ///< source root override; empty = the manifest's
+  core::MiraOptions options;
+  ShardSpec shard; ///< this invocation's share of the keys
+};
+
+/// Cumulative counts of a running manifest batch.
+struct ManifestProgress {
+  std::size_t done = 0;      ///< entries finished so far
+  std::size_t total = 0;     ///< entries selected for this run
+  std::size_t failures = 0;  ///< failed entries so far
+  std::size_t cacheHits = 0; ///< cache-served entries so far
+};
+
+/// Called after every chunk; returning false abandons the rest.
+using ManifestChunkFn = std::function<bool(const ManifestProgress &)>;
+
+/// How a manifest batch ended.
+struct ManifestOutcome {
+  enum class Status { ok, unreadable, cancelled };
+  Status status = Status::ok;
+  std::string error;  ///< names the unreadable source
+  BatchReport report; ///< complete when status == ok
+  /// Every analyzed entry in selection order (a prefix when cancelled).
+  std::vector<core::Artifacts> results;
+};
+
+/// The one manifest executor, behind both `mira-cli batch --manifest`
+/// and the daemon's ManifestBatch request. It selects the entries
+/// (selectManifestEntries) and reads every source first: all or nothing,
+/// since a report over a partial corpus would mislead. It then analyzes
+/// them on `analyzer` in chunks of twice its pool, calling `onChunk`
+/// after each, and assembles the byte-stable report: entries in
+/// selection order, keys from the manifest's content hashes, stats
+/// tallied from per-result provenance (tallyBatchStats).
+ManifestOutcome runManifestBatch(BatchAnalyzer &analyzer,
+                                 const ManifestJob &job,
+                                 const ManifestChunkFn &onChunk = nullptr);
 
 } // namespace mira::driver

@@ -1,113 +1,28 @@
-// mira-cli: command-line front door to the analysis pipeline.
+// mira-cli: command-line front door to the analysis pipeline. usage()
+// below lists every command and flag; docs/CLI.md is the full tour.
 //
-//   mira-cli analyze <file.mc | @workload> [--no-optimize] [--no-vectorize]
-//            [--emit-python] [--model-threads N] [--cache-dir DIR]
-//       Run the full pipeline on one source, print a model summary.
+// analyze, batch, coverage and simulate are written once, over a
+// backend their flags select:
+//   local (default)          a driver::BatchAnalyzer in this process;
+//   --socket | --connect     a running daemon (`mira-cli serve`), which
+//                            owns its cache and pool, through a
+//                            server::Client whose replies become
+//                            core::Artifacts;
+//   --workers                `batch --manifest` only: a fleet of TCP
+//                            daemons driven by fleet::runCoordinator.
+// One printer per command serves every backend, and a flag the command
+// or its backend does not use is a usage error. manifest, cache, serve
+// and client (daemon administration) have one implementation each.
 //
-//   mira-cli batch <files/@workloads...> [--threads N] [--no-cache]
-//            [--compare-serial] [--model-threads N]
-//            [--cache-dir DIR] [--cache-limit BYTES]
-//            [--manifest FILE [--since OLD] [--shard I/N] [--root DIR]]
-//            [--report FILE]
-//       Fan many sources across the thread pool; per-source status table,
-//       cache statistics, and (with --compare-serial) the wall-clock
-//       speedup against a 1-thread run. With --cache-dir, results persist
-//       on disk and a rerun over an unchanged corpus recomputes nothing.
-//       With --manifest the request list comes from a corpus manifest
-//       instead of the command line: --since OLD analyzes only entries
-//       added or changed since an older manifest, and --shard I/N keeps
-//       only this process's deterministic share of the keys so N
-//       processes over one --cache-dir behave like one warm batch.
-//       --report writes a deterministic per-entry report for
-//       `manifest merge`.
-//
-//   mira-cli manifest <build|diff|merge> ...
-//       build <dir> --out FILE [--ext .mc]...  walk a workload tree into
-//           a content-addressed manifest (docs/MANIFESTS.md);
-//       diff OLD NEW  report added/changed/removed entries (exit 0 when
-//           identical, 1 when they differ, 2 on trouble);
-//       merge --out FILE <reports...>  fold per-shard batch reports into
-//           the single report a 1-process run would have written.
-//
-//   mira-cli coverage [--threads N] [--compare-serial] [--cache-dir DIR]
-//            [--via-daemon --socket PATH]
-//       Drive the ten Table I kernels plus the fig-series workloads
-//       through the artifact engine; print loop-coverage numbers next to
-//       the paper's. With --cache-dir a warm run answers entirely from
-//       the cached coverage summaries (zero recompiles, shown in the
-//       stats line); --via-daemon asks a running daemon instead.
-//
-//   mira-cli simulate <file.mc|@workload> --function NAME [--sim-arg V]...
-//            [--fast-forward] [--max-instructions N] [--cache-dir DIR]
-//            [--via-daemon --socket PATH]
-//       Run the dynamic simulator (the TAU/PAPI stand-in) on one source.
-//       With a warm cache or daemon the model is never regenerated: the
-//       binary comes back through a recompile-on-demand handle
-//       (parse->codegen only), flagged in the output.
-//
-//   mira-cli cache <stats|clear|prune> --cache-dir DIR
-//            [--manifest FILE]...
-//       Inspect or empty a persistent analysis cache directory. stats
-//       breaks bytes down per artifact (model vs coverage vs
-//       diagnostics); prune removes entries no given manifest's sources
-//       can produce (union over manifests and all option-flag combos).
-//
-//   mira-cli serve [--socket PATH] [--listen HOST:PORT] [--secret S]
-//            [--threads N] [--model-threads N]
-//            [--cache-dir DIR] [--cache-limit BYTES] [--max-inflight N]
-//            [--drain-timeout SECONDS] [--metrics-file PATH]
-//       Long-lived analysis daemon on a Unix-domain socket and/or a TCP
-//       endpoint (--listen, port 0 = kernel-assigned, printed in the
-//       readiness line): the in-memory cache stays hot across requests,
-//       so repeat analyses cost one socket round-trip instead of a
-//       process start plus a cold pipeline. --secret demands a
-//       shared-secret Hello handshake before any request is served (a
-//       stray port scan triggers no compute). Connections are pipelined
-//       (replies in request order); --max-inflight bounds concurrent
-//       analyses (excess gets a Busy reply, not an unbounded queue);
-//       --metrics-file keeps a Prometheus-style dump fresh on disk.
-//       Stops on SIGINT/SIGTERM or a client shutdown, draining
-//       in-flight work for up to --drain-timeout seconds.
-//
-//   mira-cli client <analyze|batch|coverage|simulate|manifest-diff|
-//            cache-stats|metrics|ping|shutdown>
-//            (--socket PATH | --connect HOST:PORT) [sources...]
-//            [--secret S] [--connect-timeout SECONDS]
-//            [--no-optimize] [--no-vectorize]
-//            [--emit-python] [--busy-retries N]
-//       Talk to a running daemon over the wire protocol
-//       (docs/PROTOCOL.md). Busy refusals are retried with the daemon's
-//       backoff hint up to --busy-retries times.
-//       `client batch --manifest FILE [--since OLD] [--shard I/N]
-//       [--root DIR] [--report FILE] [--progress]` executes a whole
-//       corpus on the daemon: report and cache directory come out
-//       byte-identical to the local `batch --manifest` run, and
-//       --progress streams per-chunk progress lines to stderr.
-//       Failure diagnostics are uniform: one `mira-cli client: ...`
-//       line on stderr, exit 3 when no daemon answered the socket,
-//       exit 4 when the connection died mid-conversation, exit 1 when
-//       the daemon or the analysis failed.
-//
-//   mira-cli coordinate --manifest FILE --workers host:port[,...]
-//            [--shard-count N] [--since OLD] [--root DIR] [--report FILE]
-//            [--lease-timeout SECONDS] [--connect-timeout SECONDS]
-//            [--secret S] [--metrics-file PATH] [--progress]
-//       Drive a corpus manifest across a fleet of TCP worker daemons
-//       (docs/FLEET.md): shards are handed out as epoch-stamped leases
-//       over the ManifestBatch request, progress frames double as
-//       heartbeats, a dead or stalled worker's lease is re-issued under
-//       a bumped epoch (stale replies are fenced), and the per-shard
-//       reports merge into bytes identical to a 1-process local `batch
-//       --manifest` run. Exit codes follow the client contract: 0 ok,
-//       1 daemon/analysis failure, 3 no worker reachable, 4 the fleet
-//       died mid-run.
-//
-// '@name' pulls an embedded workload (stream, dgemm, minife, fig5,
-// listings) instead of reading a file. See docs/CLI.md for a full tour,
-// docs/CACHING.md for the on-disk format, and docs/SERVING.md for the
-// daemon operator guide.
-#include <algorithm>
+// Exit contract, every command: 0 ok; 1 the analysis (or the daemon)
+// failed; 2 usage; 3 no daemon or worker answered; 4 the connection died
+// mid-conversation. Daemon failures print one `mira-cli <command>: ...`
+// line on stderr. '@name' pulls an embedded workload (stream, dgemm,
+// minife, fig5, listings) instead of reading a file.
+#include <cctype>
 #include <cerrno>
+#include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -115,6 +30,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -126,13 +42,11 @@
 #include "driver/batch.h"
 #include "fleet/coordinator.h"
 #include "model/python_emitter.h"
-#include "support/binary_io.h"
 #include "server/client.h"
 #include "server/server.h"
-#include "support/socket.h"
 #include "support/cache_store.h"
+#include "support/socket.h"
 #include "support/string_utils.h"
-#include "sema/ast_stats.h"
 #include "workloads/coverage_suite.h"
 #include "workloads/workloads.h"
 
@@ -144,41 +58,34 @@ int usage(const char *argv0) {
   std::fprintf(
       stderr,
       "usage: %s <analyze|batch|coverage|simulate|manifest|cache|serve|"
-      "client|coordinate> [args]\n"
-      "  analyze <file.mc|@workload> [--no-optimize] [--no-vectorize]\n"
-      "          [--emit-python] [--model-threads N] [--cache-dir DIR]\n"
-      "  batch <files/@workloads...> [--threads N] [--no-cache]\n"
-      "          [--compare-serial] [--model-threads N]\n"
-      "          [--cache-dir DIR] [--cache-limit BYTES]\n"
-      "          [--manifest FILE [--since OLD] [--shard I/N] [--root DIR]]\n"
-      "          [--report FILE]\n"
-      "  coverage [--threads N] [--compare-serial] [--cache-dir DIR]\n"
-      "          [--via-daemon --socket PATH]\n"
+      "client> [args]\n"
+      "  analyze <file.mc|@workload> [--emit-python]\n"
+      "  batch <files/@workloads...>\n"
+      "  batch --manifest FILE [--since OLD] [--shard I/N] [--root DIR]\n"
+      "          [--report FILE] [--progress]\n"
+      "  coverage [sources...]\n"
       "  simulate <file.mc|@workload> --function NAME [--sim-arg V]...\n"
-      "          [--fast-forward] [--max-instructions N] [--cache-dir DIR]\n"
-      "          [--via-daemon --socket PATH]\n"
+      "          [--fast-forward] [--max-instructions N]\n"
+      "    each with [--no-optimize] [--no-vectorize] and one backend:\n"
+      "      local   [--threads N] [--model-threads N] [--cache-dir DIR]\n"
+      "              [--cache-limit BYTES] [--no-cache]\n"
+      "      daemon  (--socket PATH | --connect HOST:PORT) [--secret S]\n"
+      "              [--busy-retries N] [--connect-timeout SECONDS]\n"
+      "      fleet   (batch --manifest only) --workers H:P[,H:P...]\n"
+      "              [--shard-count N] [--lease-timeout SECONDS] [--secret S]\n"
+      "              [--connect-timeout SECONDS] [--metrics-file PATH]\n"
       "  manifest build <dir> --out FILE [--ext .mc]...\n"
       "  manifest diff <old.manifest> <new.manifest>\n"
       "  manifest merge --out FILE <reports...>\n"
-      "  cache <stats|clear|prune> --cache-dir DIR\n"
+      "  cache <stats|clear|prune> --cache-dir DIR [--cache-limit BYTES]\n"
       "          [--manifest FILE]...\n"
       "  serve [--socket PATH] [--listen HOST:PORT] [--secret S]\n"
       "          [--threads N] [--model-threads N]\n"
       "          [--cache-dir DIR] [--cache-limit BYTES] [--max-inflight N]\n"
       "          [--drain-timeout SECONDS] [--metrics-file PATH]\n"
-      "  client <analyze|batch|coverage|simulate|manifest-diff|cache-stats|\n"
-      "          metrics|ping|shutdown> (--socket PATH | --connect HOST:PORT)\n"
-      "          [sources...] [--secret S] [--connect-timeout SECONDS]\n"
-      "          [--no-optimize] [--no-vectorize] [--emit-python]\n"
-      "          [--busy-retries N]\n"
-      "          [--function NAME] [--sim-arg V] [--fast-forward]\n"
-      "  client batch --manifest FILE [--since OLD] [--shard I/N]\n"
-      "          [--root DIR] [--report FILE] [--progress] --socket PATH\n"
-      "  coordinate --manifest FILE --workers host:port[,host:port...]\n"
-      "          [--shard-count N] [--since OLD] [--root DIR] [--report FILE]\n"
-      "          [--lease-timeout SECONDS] [--connect-timeout SECONDS]\n"
-      "          [--secret S] [--metrics-file PATH] [--progress]\n"
-      "          [--no-optimize] [--no-vectorize]\n"
+      "  client <ping|shutdown|cache-stats|metrics>\n"
+      "          (--socket PATH | --connect HOST:PORT) [--secret S]\n"
+      "          [--busy-retries N] [--connect-timeout SECONDS]\n"
       "workloads: @stream @dgemm @minife @fig5 @listings\n"
       "--cache-limit accepts plain bytes or a K/M/G suffix (e.g. 64M)\n"
       "--sim-arg parses integers (8) and doubles (2.5) positionally\n"
@@ -226,57 +133,110 @@ bool loadSource(const std::string &arg, core::AnalysisSpec &spec) {
   return true;
 }
 
-void printModelSummary(const model::PerformanceModel &model) {
-  std::printf("%-24s | %6s | %6s | %5s | parameters\n", "function", "counts",
-              "calls", "exact");
-  for (const auto &fn : model.functions) {
-    std::string params;
-    for (const auto &p : fn.parameters()) {
-      if (!params.empty())
-        params += ", ";
-      params += p;
-    }
-    std::printf("%-24s | %6zu | %6zu | %5s | %s\n", fn.sourceName.c_str(),
-                fn.counts.size(), fn.calls.size(), fn.exact ? "yes" : "no",
-                params.c_str());
+/// Slurp a file's raw bytes (manifest and report files are binary;
+/// loadSource is for sources and knows '@' workloads).
+bool readFileBytes(const std::string &path, std::string &bytes) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+    return false;
   }
+  bytes.assign((std::istreambuf_iterator<char>(in)),
+               std::istreambuf_iterator<char>());
+  return true;
 }
 
+/// Counterpart writer, shared by `manifest merge` and `batch --report`.
+bool writeFileBytes(const std::string &path, const std::string &bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+// -------------------------------------------------------------- flags
+
+/// Every flag has one bit, so a command states which ones it uses.
+constexpr std::uint64_t kThreads = 1ull << 0;
+constexpr std::uint64_t kModelThreads = 1ull << 1;
+constexpr std::uint64_t kCacheDir = 1ull << 2;
+constexpr std::uint64_t kCacheLimit = 1ull << 3;
+constexpr std::uint64_t kNoCache = 1ull << 4;
+constexpr std::uint64_t kNoOptimize = 1ull << 5;
+constexpr std::uint64_t kNoVectorize = 1ull << 6;
+constexpr std::uint64_t kEmitPython = 1ull << 7;
+constexpr std::uint64_t kSocket = 1ull << 8;
+constexpr std::uint64_t kConnect = 1ull << 9;
+constexpr std::uint64_t kSecret = 1ull << 10;
+constexpr std::uint64_t kConnectTimeout = 1ull << 11;
+constexpr std::uint64_t kBusyRetries = 1ull << 12;
+constexpr std::uint64_t kListen = 1ull << 13;
+constexpr std::uint64_t kMaxInflight = 1ull << 14;
+constexpr std::uint64_t kDrainTimeout = 1ull << 15;
+constexpr std::uint64_t kMetricsFile = 1ull << 16;
+constexpr std::uint64_t kOut = 1ull << 17;
+constexpr std::uint64_t kExt = 1ull << 18;
+constexpr std::uint64_t kManifest = 1ull << 19;
+constexpr std::uint64_t kSince = 1ull << 20;
+constexpr std::uint64_t kRoot = 1ull << 21;
+constexpr std::uint64_t kReport = 1ull << 22;
+constexpr std::uint64_t kShard = 1ull << 23;
+constexpr std::uint64_t kProgress = 1ull << 24;
+constexpr std::uint64_t kWorkers = 1ull << 25;
+constexpr std::uint64_t kShardCount = 1ull << 26;
+constexpr std::uint64_t kLeaseTimeout = 1ull << 27;
+constexpr std::uint64_t kFunction = 1ull << 28;
+constexpr std::uint64_t kSimArg = 1ull << 29;
+constexpr std::uint64_t kMaxInstructions = 1ull << 30;
+constexpr std::uint64_t kFastForward = 1ull << 31;
+
+/// Flags every analysis backend honors (they travel on the wire).
+constexpr std::uint64_t kCompileFlags = kNoOptimize | kNoVectorize;
+/// The local engine's knobs; a daemon or fleet owns its own.
+constexpr std::uint64_t kLocalFlags =
+    kThreads | kModelThreads | kCacheDir | kCacheLimit | kNoCache;
+constexpr std::uint64_t kSimFlags =
+    kFunction | kSimArg | kMaxInstructions | kFastForward;
+
 struct CommonFlags {
+  std::uint64_t given = 0; ///< Flag bits that appeared on the command line
   std::size_t threads = ThreadPool::defaultThreadCount();
+  std::size_t modelThreads = 1;
   bool useCache = true;
-  bool compareSerial = false;
   bool optimize = true;
   bool vectorize = true;
   bool emitPython = false;
-  std::size_t modelThreads = 1;
   std::string cacheDir;
   std::uint64_t cacheBytesLimit = 0;
   std::string socketPath;
-  bool viaDaemon = false;       ///< serve coverage/simulate over the wire
+  std::string connectSpec;      ///< --connect HOST:PORT (TCP daemon)
+  std::string secret;           ///< shared-secret handshake (both sides)
+  double connectTimeoutSeconds = 5.0;
+  std::size_t busyRetries = 8;
+  std::string listenSpec;       ///< serve --listen HOST:PORT
   std::size_t maxInflight = 0;  ///< serve --max-inflight (0 = unlimited)
-  double drainTimeoutSeconds = 5.0; ///< serve --drain-timeout
-  std::string metricsFile;      ///< serve --metrics-file
-  std::size_t busyRetries = 8;  ///< client --busy-retries
-  core::SimulationArgs sim;     ///< --function / --sim-arg / --fast-forward
+  double drainTimeoutSeconds = 5.0;
+  std::string metricsFile;      ///< serve / fleet --metrics-file
   std::string outPath;          ///< `manifest build/merge --out`
-  std::vector<std::string> extensions; ///< `manifest build --ext` (repeatable)
+  std::vector<std::string> extensions; ///< `manifest build --ext`
   /// batch --manifest (exactly one) / cache prune --manifest
   /// (repeatable: the keep-set is the union).
   std::vector<std::string> manifestPaths;
-  std::string sincePath;        ///< batch --since (older manifest)
-  std::string rootOverride;     ///< batch --root (resolve base override)
-  std::string reportPath;       ///< batch --report (deterministic report)
-  driver::ShardSpec shard;      ///< batch --shard I/N (default: unsharded)
-  bool shardGiven = false;      ///< --shard appeared (even as 1/1)
-  bool progress = false;        ///< client batch --progress (stream frames)
-  std::string listenSpec;       ///< serve --listen HOST:PORT (TCP endpoint)
-  std::string connectSpec;      ///< client --connect HOST:PORT (TCP daemon)
-  std::string secret;           ///< shared-secret handshake (both sides)
-  std::string workersSpec;      ///< coordinate --workers h:p,... (repeatable)
-  std::size_t shardCount = 0;   ///< coordinate --shard-count (0 = #workers)
-  double leaseTimeoutSeconds = 10.0;  ///< coordinate --lease-timeout
-  double connectTimeoutSeconds = 5.0; ///< TCP connect bound (client too)
+  std::string sincePath;
+  std::string rootOverride;
+  std::string reportPath;
+  driver::ShardSpec shard;
+  bool progress = false;
+  std::string workersSpec;      ///< --workers h:p,... (repeatable)
+  std::size_t shardCount = 0;   ///< --shard-count (0 = one per worker)
+  double leaseTimeoutSeconds = 10.0;
+  core::SimulationArgs sim;     ///< --function / --sim-arg / ...
+
+  bool has(std::uint64_t bits) const { return (given & bits) != 0; }
 };
 
 /// Parse "1048576", "64K", "64M", "2G" into bytes; false on junk or on
@@ -318,209 +278,196 @@ bool parseByteSize(const std::string &text, std::uint64_t &bytes) {
   return true;
 }
 
+/// The whole token is a decimal integer in [lo, hi].
+template <typename T>
+bool parseCount(const std::string &text, std::uint64_t lo, std::uint64_t hi,
+                T &value) {
+  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text.c_str(), nullptr, 10);
+  if (errno == ERANGE || parsed < lo || parsed > hi)
+    return false;
+  value = static_cast<T>(parsed);
+  return true;
+}
+
+/// The whole token is a finite decimal number in [lo, hi].
+bool parseNumber(const std::string &text, double lo, double hi,
+                 double &value) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
+    return false;
+  char *end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(parsed) ||
+      parsed < lo || parsed > hi)
+    return false;
+  value = parsed;
+  return true;
+}
+
+/// A --sim-arg: an integer, or a double when it has '.', 'e' or 'E'.
+bool parseSimArg(const std::string &text, std::vector<sim::Value> &args) {
+  if (text.find_first_of(".eE") != std::string::npos) {
+    double parsed = 0;
+    if (!parseNumber(text, -std::numeric_limits<double>::max(),
+                     std::numeric_limits<double>::max(), parsed))
+      return false;
+    args.push_back(sim::Value::ofDouble(parsed));
+    return true;
+  }
+  const bool negative = !text.empty() && text[0] == '-';
+  std::uint64_t magnitude = 0;
+  if (!parseCount(text.substr(negative ? 1 : 0), 0,
+                  static_cast<std::uint64_t>(
+                      std::numeric_limits<std::int64_t>::max()) +
+                      (negative ? 1 : 0),
+                  magnitude))
+    return false;
+  args.push_back(sim::Value::ofInt(
+      static_cast<std::int64_t>(negative ? 0 - magnitude : magnitude)));
+  return true;
+}
+
+constexpr std::uint64_t kMaxThreads = 1024;
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
+constexpr double kMaxSeconds = 86400;
+
+/// One flag: its bit, what its value must be (null for a switch), and
+/// how it lands in CommonFlags (false = the value is malformed).
+struct FlagInfo {
+  const char *name;
+  std::uint64_t bit;
+  const char *expects;
+  bool (*set)(CommonFlags &flags, const std::string &value);
+};
+
+// Short names for the setter signatures below.
+using F = CommonFlags;
+using V = const std::string &;
+
+const FlagInfo kFlagTable[] = {
+    {"--threads", kThreads, "a whole number in [1, 1024]",
+     [](F &f, V v) { return parseCount(v, 1, kMaxThreads, f.threads); }},
+    {"--model-threads", kModelThreads, "a whole number in [1, 1024]",
+     [](F &f, V v) { return parseCount(v, 1, kMaxThreads, f.modelThreads); }},
+    {"--cache-dir", kCacheDir, "a directory",
+     [](F &f, V v) { f.cacheDir = v; return true; }},
+    {"--cache-limit", kCacheLimit, "a byte size (e.g. 64M)",
+     [](F &f, V v) { return parseByteSize(v, f.cacheBytesLimit); }},
+    {"--no-cache", kNoCache, nullptr,
+     [](F &f, V) { f.useCache = false; return true; }},
+    {"--no-optimize", kNoOptimize, nullptr,
+     [](F &f, V) { f.optimize = false; return true; }},
+    {"--no-vectorize", kNoVectorize, nullptr,
+     [](F &f, V) { f.vectorize = false; return true; }},
+    {"--emit-python", kEmitPython, nullptr,
+     [](F &f, V) { f.emitPython = true; return true; }},
+    {"--socket", kSocket, "a path",
+     [](F &f, V v) { f.socketPath = v; return true; }},
+    {"--connect", kConnect, "HOST:PORT",
+     [](F &f, V v) { f.connectSpec = v; return true; }},
+    {"--secret", kSecret, "a value",
+     [](F &f, V v) { f.secret = v; return true; }},
+    {"--connect-timeout", kConnectTimeout, "seconds in [0.05, 86400]",
+     [](F &f, V v) {
+       return parseNumber(v, 0.05, kMaxSeconds, f.connectTimeoutSeconds);
+     }},
+    {"--busy-retries", kBusyRetries, "a whole number in [0, 4294967295]",
+     [](F &f, V v) { return parseCount(v, 0, kMaxCount, f.busyRetries); }},
+    {"--listen", kListen, "HOST:PORT",
+     [](F &f, V v) { f.listenSpec = v; return true; }},
+    {"--max-inflight", kMaxInflight, "a whole number in [0, 4294967295]",
+     [](F &f, V v) { return parseCount(v, 0, kMaxCount, f.maxInflight); }},
+    {"--drain-timeout", kDrainTimeout, "seconds in [0, 86400]",
+     [](F &f, V v) {
+       return parseNumber(v, 0, kMaxSeconds, f.drainTimeoutSeconds);
+     }},
+    {"--metrics-file", kMetricsFile, "a path",
+     [](F &f, V v) { f.metricsFile = v; return true; }},
+    {"--out", kOut, "a path", [](F &f, V v) { f.outPath = v; return true; }},
+    {"--ext", kExt, "an extension (e.g. .mc)",
+     [](F &f, V v) { f.extensions.push_back(v); return true; }},
+    {"--manifest", kManifest, "a path",
+     [](F &f, V v) { f.manifestPaths.push_back(v); return true; }},
+    {"--since", kSince, "a manifest path",
+     [](F &f, V v) { f.sincePath = v; return true; }},
+    {"--root", kRoot, "a directory",
+     [](F &f, V v) { f.rootOverride = v; return true; }},
+    {"--report", kReport, "a path",
+     [](F &f, V v) { f.reportPath = v; return true; }},
+    {"--shard", kShard, "I/N with 1 <= I <= N",
+     [](F &f, V v) { return driver::parseShardSpec(v, f.shard); }},
+    {"--progress", kProgress, nullptr,
+     [](F &f, V) { f.progress = true; return true; }},
+    {"--workers", kWorkers, "HOST:PORT[,HOST:PORT...]",
+     [](F &f, V v) {
+       // Repeatable; occurrences accumulate into one comma-joined list.
+       f.workersSpec += (f.workersSpec.empty() ? "" : ",") + v;
+       return true;
+     }},
+    {"--shard-count", kShardCount, "a whole number in [0, 65536]",
+     [](F &f, V v) { return parseCount(v, 0, 65536, f.shardCount); }},
+    {"--lease-timeout", kLeaseTimeout, "seconds in [0.05, 86400]",
+     [](F &f, V v) {
+       return parseNumber(v, 0.05, kMaxSeconds, f.leaseTimeoutSeconds);
+     }},
+    {"--function", kFunction, "a function name",
+     [](F &f, V v) { f.sim.function = v; return true; }},
+    {"--sim-arg", kSimArg, "an integer or a decimal number",
+     [](F &f, V v) { return parseSimArg(v, f.sim.args); }},
+    {"--max-instructions", kMaxInstructions,
+     "a whole number in [1, 18446744073709551615]",
+     [](F &f, V v) {
+       return parseCount(v, 1, std::numeric_limits<std::uint64_t>::max(),
+                         f.sim.options.maxInstructions);
+     }},
+    {"--fast-forward", kFastForward, nullptr,
+     [](F &f, V) { f.sim.options.fastForward = true; return true; }},
+};
+
 /// Consume recognized flags from args (in place); leave positionals.
 bool parseFlags(std::vector<std::string> &args, CommonFlags &flags) {
   std::vector<std::string> positional;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string &a = args[i];
-    if (a == "--threads") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--threads requires a value\n");
-        return false;
-      }
-      flags.threads = static_cast<std::size_t>(
-          std::max(1L, std::atol(args[++i].c_str())));
-    } else if (a == "--model-threads") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--model-threads requires a value\n");
-        return false;
-      }
-      flags.modelThreads = static_cast<std::size_t>(
-          std::max(1L, std::atol(args[++i].c_str())));
-    } else if (a == "--cache-dir") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--cache-dir requires a value\n");
-        return false;
-      }
-      flags.cacheDir = args[++i];
-    } else if (a == "--socket") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--socket requires a value\n");
-        return false;
-      }
-      flags.socketPath = args[++i];
-    } else if (a == "--cache-limit") {
-      if (i + 1 == args.size() ||
-          !parseByteSize(args[i + 1], flags.cacheBytesLimit)) {
-        std::fprintf(stderr,
-                     "--cache-limit requires a byte size (e.g. 64M)\n");
-        return false;
-      }
-      ++i;
-    } else if (a == "--out") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--out requires a path\n");
-        return false;
-      }
-      flags.outPath = args[++i];
-    } else if (a == "--ext") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--ext requires an extension (e.g. .mc)\n");
-        return false;
-      }
-      flags.extensions.push_back(args[++i]);
-    } else if (a == "--manifest") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--manifest requires a path\n");
-        return false;
-      }
-      flags.manifestPaths.push_back(args[++i]);
-    } else if (a == "--since") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--since requires a manifest path\n");
-        return false;
-      }
-      flags.sincePath = args[++i];
-    } else if (a == "--root") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--root requires a directory\n");
-        return false;
-      }
-      flags.rootOverride = args[++i];
-    } else if (a == "--report") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--report requires a path\n");
-        return false;
-      }
-      flags.reportPath = args[++i];
-    } else if (a == "--shard") {
-      if (i + 1 == args.size() ||
-          !driver::parseShardSpec(args[i + 1], flags.shard)) {
-        std::fprintf(stderr, "--shard requires I/N with 1 <= I <= N\n");
-        return false;
-      }
-      flags.shardGiven = true;
-      ++i;
-    } else if (a == "--max-inflight") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--max-inflight requires a value\n");
-        return false;
-      }
-      flags.maxInflight = static_cast<std::size_t>(
-          std::max(0L, std::atol(args[++i].c_str())));
-    } else if (a == "--drain-timeout") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--drain-timeout requires seconds\n");
-        return false;
-      }
-      flags.drainTimeoutSeconds = std::max(0.0, std::atof(args[++i].c_str()));
-    } else if (a == "--metrics-file") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--metrics-file requires a path\n");
-        return false;
-      }
-      flags.metricsFile = args[++i];
-    } else if (a == "--listen") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--listen requires HOST:PORT\n");
-        return false;
-      }
-      flags.listenSpec = args[++i];
-    } else if (a == "--connect") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--connect requires HOST:PORT\n");
-        return false;
-      }
-      flags.connectSpec = args[++i];
-    } else if (a == "--secret") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--secret requires a value\n");
-        return false;
-      }
-      flags.secret = args[++i];
-    } else if (a == "--workers") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--workers requires host:port[,host:port...]\n");
-        return false;
-      }
-      // Repeatable; occurrences accumulate into one comma-joined list.
-      if (!flags.workersSpec.empty())
-        flags.workersSpec += ',';
-      flags.workersSpec += args[++i];
-    } else if (a == "--shard-count") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--shard-count requires a value\n");
-        return false;
-      }
-      flags.shardCount = static_cast<std::size_t>(
-          std::max(0L, std::atol(args[++i].c_str())));
-    } else if (a == "--lease-timeout") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--lease-timeout requires seconds\n");
-        return false;
-      }
-      flags.leaseTimeoutSeconds = std::max(0.05, std::atof(args[++i].c_str()));
-    } else if (a == "--connect-timeout") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--connect-timeout requires seconds\n");
-        return false;
-      }
-      flags.connectTimeoutSeconds =
-          std::max(0.05, std::atof(args[++i].c_str()));
-    } else if (a == "--busy-retries") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--busy-retries requires a value\n");
-        return false;
-      }
-      flags.busyRetries = static_cast<std::size_t>(
-          std::max(0L, std::atol(args[++i].c_str())));
-    } else if (a == "--function") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--function requires a name\n");
-        return false;
-      }
-      flags.sim.function = args[++i];
-    } else if (a == "--sim-arg") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--sim-arg requires a value\n");
-        return false;
-      }
-      const std::string &value = args[++i];
-      if (value.find_first_of(".eE") != std::string::npos)
-        flags.sim.args.push_back(sim::Value::ofDouble(std::atof(value.c_str())));
-      else
-        flags.sim.args.push_back(sim::Value::ofInt(std::atoll(value.c_str())));
-    } else if (a == "--max-instructions") {
-      if (i + 1 == args.size()) {
-        std::fprintf(stderr, "--max-instructions requires a value\n");
-        return false;
-      }
-      flags.sim.options.maxInstructions = static_cast<std::uint64_t>(
-          std::max(1LL, std::atoll(args[++i].c_str())));
-    } else if (a == "--fast-forward") {
-      flags.sim.options.fastForward = true;
-    } else if (a == "--progress") {
-      flags.progress = true;
-    } else if (a == "--via-daemon") {
-      flags.viaDaemon = true;
-    } else if (a == "--no-cache") {
-      flags.useCache = false;
-    } else if (a == "--compare-serial") {
-      flags.compareSerial = true;
-    } else if (a == "--no-optimize") {
-      flags.optimize = false;
-    } else if (a == "--no-vectorize") {
-      flags.vectorize = false;
-    } else if (a == "--emit-python") {
-      flags.emitPython = true;
-    } else if (!a.empty() && a[0] == '-') {
+    if (a.empty() || a[0] != '-') {
+      positional.push_back(a);
+      continue;
+    }
+    const auto flag =
+        std::find_if(std::begin(kFlagTable), std::end(kFlagTable),
+                     [&](const FlagInfo &info) { return a == info.name; });
+    if (flag == std::end(kFlagTable)) {
       std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
       return false;
-    } else {
-      positional.push_back(a);
     }
+    if (flag->expects && i + 1 == args.size()) {
+      std::fprintf(stderr, "%s requires %s\n", flag->name, flag->expects);
+      return false;
+    }
+    const std::string value = flag->expects ? args[++i] : std::string();
+    if (!flag->set(flags, value)) {
+      std::fprintf(stderr, "%s: '%s' is not %s\n", flag->name, value.c_str(),
+                   flag->expects);
+      return false;
+    }
+    flags.given |= flag->bit;
   }
   args = std::move(positional);
+  return true;
+}
+
+/// A flag outside `allowed` does not apply: a usage error naming it.
+bool onlyFlags(const CommonFlags &flags, std::uint64_t allowed,
+               const std::string &context) {
+  for (const FlagInfo &info : kFlagTable)
+    if (flags.has(info.bit) && !(allowed & info.bit)) {
+      std::fprintf(stderr, "%s does not apply to %s\n", info.name,
+                   context.c_str());
+      return false;
+    }
   return true;
 }
 
@@ -532,150 +479,446 @@ core::MiraOptions optionsFor(const CommonFlags &flags) {
 }
 
 driver::BatchOptions batchOptionsFor(const CommonFlags &flags,
-                                     std::size_t threads,
-                                     bool withDiskCache = true) {
+                                     std::size_t threads) {
   driver::BatchOptions options;
   options.threads = threads;
   options.useCache = flags.useCache;
-  if (withDiskCache)
-    options.cacheDir = flags.cacheDir;
+  options.cacheDir = flags.cacheDir;
   options.cacheBytesLimit = flags.cacheBytesLimit;
   options.modelThreads = flags.modelThreads;
   return options;
 }
 
-/// Print the per-source status table and batch totals; returns the batch
-/// wall time (negative on any failure).
-double printOutcomes(const std::vector<core::Artifacts> &results,
-                     const driver::BatchStats &stats, std::size_t threads,
-                     bool quiet) {
-  bool allOk = true;
-  if (!quiet)
-    std::printf("%-24s | %-6s | %-5s | %9s\n", "source", "status", "cache",
-                "seconds");
-  for (const auto &artifacts : results) {
-    allOk = allOk && artifacts.ok;
-    if (quiet)
-      continue;
-    std::printf("%-24s | %-6s | %-5s | %9.4f\n", artifacts.name.c_str(),
-                artifacts.ok ? "ok" : "FAILED",
-                artifacts.cacheHit ? "hit" : "miss", artifacts.seconds);
-    if (!artifacts.ok)
-      std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
-  }
-  if (!quiet) {
-    std::printf("%zu sources, %zu failures, cache %zu hit / %zu miss, "
-                "%.4f s on %zu threads\n",
-                stats.requests, stats.failures, stats.cacheHits,
-                stats.cacheMisses, stats.wallSeconds, threads);
-    if (stats.diskHits + stats.diskMisses + stats.diskStores > 0)
-      std::printf("disk cache: %zu hit / %zu miss, %zu stored\n",
-                  stats.diskHits, stats.diskMisses, stats.diskStores);
-  }
-  return allOk ? stats.wallSeconds : -1.0;
+/// One request (analyze, simulate): a one-thread pool, and a cache only
+/// as the disk level — --no-cache still wins over --cache-dir. Without
+/// a cache the request runs only the stages its artifacts need.
+driver::BatchOptions singleRequestOptions(const CommonFlags &flags) {
+  driver::BatchOptions options = batchOptionsFor(flags, 1);
+  options.useCache = flags.useCache && !flags.cacheDir.empty();
+  return options;
 }
 
-/// Run the specs through a fresh analyzer and print the table.
-double runBatch(const std::vector<core::AnalysisSpec> &specs,
-                const driver::BatchOptions &batchOptions, bool quiet) {
-  driver::BatchAnalyzer analyzer(batchOptions);
-  auto results = analyzer.runArtifacts(specs);
-  return printOutcomes(results, analyzer.stats(), batchOptions.threads,
-                       quiet);
+/// Load every positional source into a spec asking for `artifacts`.
+bool loadSpecs(const std::vector<std::string> &args, const CommonFlags &flags,
+               core::ArtifactMask artifacts,
+               std::vector<core::AnalysisSpec> &specs) {
+  for (const std::string &arg : args) {
+    core::AnalysisSpec spec;
+    if (!loadSource(arg, spec))
+      return false;
+    spec.options = optionsFor(flags);
+    spec.artifacts = artifacts;
+    spec.simulation = flags.sim;
+    specs.push_back(std::move(spec));
+  }
+  return true;
 }
 
-void printSpeedup(double serialSeconds, double parallelSeconds,
-                  std::size_t threads) {
-  if (serialSeconds <= 0 || parallelSeconds <= 0)
-    return;
-  std::printf("serial %.4f s -> parallel %.4f s on %zu threads: %.2fx "
-              "speedup\n",
-              serialSeconds, parallelSeconds, threads,
-              serialSeconds / parallelSeconds);
+// ----------------------------------------------------------- backends
+
+/// Everything a manifest batch needs, whichever backend runs it: the
+/// parsed job for the local executor, the raw manifest bytes a daemon
+/// or fleet receives.
+struct ManifestRequest {
+  driver::ManifestJob job;
+  std::string manifestBytes;
+  std::string sinceBytes; ///< empty = no baseline
+  bool progress = false;  ///< stream progress lines to stderr
+};
+
+void printProgress(std::size_t done, std::size_t total, std::size_t failures,
+                   std::size_t cacheHits) {
+  // Progress is operator feedback, not results: stderr, so stdout stays
+  // byte-comparable with and without --progress.
+  std::fprintf(stderr, "progress: %zu/%zu analyzed, %zu failures, "
+                       "%zu cache hits\n",
+               done, total, failures, cacheHits);
 }
 
-int cmdAnalyze(std::vector<std::string> args) {
-  CommonFlags flags;
-  if (!parseFlags(args, flags) || args.size() != 1)
-    return 2;
-  core::AnalysisSpec spec;
-  if (!loadSource(args[0], spec))
-    return 1;
-  spec.options = optionsFor(flags);
+/// Runs `batch --manifest`: locally, on one daemon, or across a fleet.
+class ManifestBackend {
+public:
+  virtual ~ManifestBackend() = default;
+  /// Fill the report and its serialized bytes; 0, or the exit code
+  /// after printing why.
+  virtual int runManifest(const ManifestRequest &request,
+                          driver::BatchReport &report,
+                          std::string &reportBytes) = 0;
+};
 
-  // One request: the batch pool is a single thread, but --model-threads
-  // still fans out per-function model generation, and --cache-dir makes
-  // repeated analyses of an unchanged source near-free.
-  driver::BatchOptions batchOptions = batchOptionsFor(flags, 1);
-  // For a single request the cache only matters as the disk level;
-  // --no-cache still wins over --cache-dir.
-  batchOptions.useCache = flags.useCache && !flags.cacheDir.empty();
-  driver::BatchAnalyzer analyzer(batchOptions);
-  const core::Artifacts artifacts = analyzer.analyzeArtifacts(spec);
-  if (!artifacts.ok) {
-    std::fprintf(stderr, "analysis of %s failed:\n%s\n",
-                 artifacts.name.c_str(), artifacts.diagnostics.c_str());
-    return 1;
+/// Also fulfills individual specs: the local analyzer or one daemon.
+class Backend : public ManifestBackend {
+public:
+  /// Fulfill `specs` (sharing one artifact mask) in input order; 0, or
+  /// the exit code after printing why.
+  virtual int run(const std::vector<core::AnalysisSpec> &specs,
+                  std::vector<core::Artifacts> &results) = 0;
+  /// Where the work ran, for summary lines.
+  virtual std::string where() const = 0;
+  /// Whether results count toward cache hit/miss tallies.
+  virtual bool caches() const = 0;
+};
+
+class LocalBackend : public Backend {
+public:
+  explicit LocalBackend(const driver::BatchOptions &options)
+      : analyzer_(options) {}
+
+  int run(const std::vector<core::AnalysisSpec> &specs,
+          std::vector<core::Artifacts> &results) override {
+    results = analyzer_.analyzeArtifactsMany(specs);
+    return 0;
   }
-  if (!artifacts.diagnostics.empty())
-    std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
-  std::printf("analyzed %s in %.4f s%s\n", artifacts.name.c_str(),
-              artifacts.seconds, artifacts.cacheHit ? " (disk cache)" : "");
-  printModelSummary(*artifacts.model);
-  if (flags.emitPython) {
-    std::puts("");
-    std::puts(model::emitPython(*artifacts.model).c_str());
+
+  int runManifest(const ManifestRequest &request, driver::BatchReport &report,
+                  std::string &reportBytes) override {
+    driver::ManifestOutcome outcome = driver::runManifestBatch(
+        analyzer_, request.job, [&](const driver::ManifestProgress &p) {
+          if (request.progress)
+            printProgress(p.done, p.total, p.failures, p.cacheHits);
+          return true;
+        });
+    if (outcome.status != driver::ManifestOutcome::Status::ok) {
+      std::fprintf(stderr, "%s\n", outcome.error.c_str());
+      return 1;
+    }
+    for (const core::Artifacts &artifacts : outcome.results)
+      if (!artifacts.ok)
+        std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
+    report = std::move(outcome.report);
+    reportBytes = driver::serializeBatchReport(report);
+    return 0;
   }
+
+  std::string where() const override {
+    return "on " + std::to_string(analyzer_.threadCount()) + " threads";
+  }
+  bool caches() const override { return analyzer_.options().useCache; }
+
+private:
+  driver::BatchAnalyzer analyzer_;
+};
+
+/// A daemon over --socket or --connect. Replies become core::Artifacts,
+/// so the printers cannot tell which backend ran.
+class DaemonBackend : public Backend {
+public:
+  explicit DaemonBackend(std::string command) : command_(std::move(command)) {}
+
+  /// Apply the connection flags; false (usage) on a bad HOST:PORT.
+  bool configure(const CommonFlags &flags) {
+    client_.setBusyRetries(flags.busyRetries);
+    client_.setConnectTimeoutMillis(
+        static_cast<int>(flags.connectTimeoutSeconds * 1000.0));
+    client_.setSecret(flags.secret);
+    socketPath_ = flags.socketPath;
+    endpoint_ = socketPath_.empty() ? flags.connectSpec : socketPath_;
+    std::string error;
+    if (socketPath_.empty() &&
+        !net::parseHostPort(flags.connectSpec, host_, port_, error)) {
+      std::fprintf(stderr, "--connect: %s\n", error.c_str());
+      return false;
+    }
+    return true;
+  }
+
+  /// 0 once connected, else the exit code (3: no daemon there).
+  int connect() {
+    if (client_.connected())
+      return 0;
+    const bool ok = socketPath_.empty() ? client_.connectTcp(host_, port_)
+                                        : client_.connect(socketPath_);
+    return ok ? 0 : failure();
+  }
+
+  /// The one daemon failure diagnostic, and its exit-contract code.
+  int failure() const {
+    std::fprintf(stderr, "mira-cli %s: %s\n", command_.c_str(),
+                 client_.lastError().c_str());
+    switch (client_.lastErrorKind()) {
+    case server::Client::ErrorKind::connect:
+      return 3;
+    case server::Client::ErrorKind::transport:
+    case server::Client::ErrorKind::protocol:
+      return 4;
+    default:
+      return 1;
+    }
+  }
+
+  server::Client &client() { return client_; }
+  const std::string &endpoint() const { return endpoint_; }
+
+  int run(const std::vector<core::AnalysisSpec> &specs,
+          std::vector<core::Artifacts> &results) override {
+    results.clear();
+    if (specs.empty())
+      return 0;
+    if (int rc = connect())
+      return rc;
+    const core::ArtifactMask mask = specs[0].artifacts;
+    if (mask & (core::kArtifactSimulation | core::kArtifactCoverage)) {
+      for (const core::AnalysisSpec &spec : specs) {
+        core::Artifacts artifacts;
+        artifacts.name = spec.name;
+        artifacts.requested = spec.artifacts;
+        if (mask & core::kArtifactSimulation) {
+          server::SimulateReply reply;
+          if (!client_.simulate(spec.name, spec.source, spec.options,
+                                spec.simulation, reply))
+            return failure();
+          served(artifacts, reply);
+          if (reply.ok)
+            artifacts.simulation =
+                std::make_shared<const sim::SimResult>(reply.result);
+        } else {
+          server::CoverageReply reply;
+          if (!client_.coverage(spec.name, spec.source, spec.options, reply))
+            return failure();
+          served(artifacts, reply);
+          if (reply.ok)
+            artifacts.coverage = reply.coverage;
+          artifacts.coverageFromCache = reply.ok && reply.cacheHit;
+        }
+        results.push_back(std::move(artifacts));
+      }
+      return 0;
+    }
+    std::vector<server::ClientOutcome> outcomes(specs.size());
+    if (specs.size() == 1) {
+      if (!client_.analyze(specs[0].name, specs[0].source, specs[0].options,
+                           outcomes[0]))
+        return failure();
+    } else {
+      std::vector<server::SourceItem> items;
+      for (const core::AnalysisSpec &spec : specs)
+        items.push_back({spec.name, spec.source});
+      if (!client_.analyzeBatch(items, specs[0].options, outcomes))
+        return failure();
+    }
+    for (server::ClientOutcome &outcome : outcomes) {
+      core::Artifacts artifacts;
+      artifacts.name = outcome.name;
+      artifacts.requested = mask;
+      artifacts.ok = outcome.ok;
+      artifacts.cacheHit = outcome.cacheHit;
+      artifacts.seconds = static_cast<double>(outcome.micros) / 1e6;
+      artifacts.diagnostics = std::move(outcome.diagnostics);
+      artifacts.coverage = outcome.coverage;
+      if (outcome.analysis)
+        artifacts.model = std::shared_ptr<const model::PerformanceModel>(
+            outcome.analysis, &outcome.analysis->model);
+      results.push_back(std::move(artifacts));
+    }
+    return 0;
+  }
+
+  int runManifest(const ManifestRequest &request, driver::BatchReport &report,
+                  std::string &reportBytes) override {
+    if (int rc = connect())
+      return rc;
+    server::Client::ProgressFn onProgress;
+    if (request.progress)
+      onProgress = [](const server::BatchProgress &p) {
+        printProgress(p.done, p.total, p.failures, p.cacheHits);
+      };
+    if (!client_.manifestBatch(request.manifestBytes, request.sinceBytes,
+                               request.job.root, request.job.shard,
+                               request.job.options, onProgress, reportBytes))
+      return failure();
+    std::string error;
+    if (!driver::deserializeBatchReport(reportBytes, report, error)) {
+      std::fprintf(stderr, "mira-cli %s: malformed report from daemon: %s\n",
+                   command_.c_str(), error.c_str());
+      return 4;
+    }
+    return 0;
+  }
+
+  std::string where() const override { return "via daemon at " + endpoint_; }
+  bool caches() const override { return true; }
+
+private:
+  template <typename Reply>
+  static void served(core::Artifacts &artifacts, const Reply &reply) {
+    artifacts.ok = reply.ok;
+    artifacts.cacheHit = reply.cacheHit;
+    artifacts.recompiled = reply.recompiled;
+    artifacts.seconds = static_cast<double>(reply.micros) / 1e6;
+    artifacts.diagnostics = reply.diagnostics;
+  }
+
+  std::string command_;
+  server::Client client_;
+  std::string socketPath_, host_, endpoint_;
+  std::uint16_t port_ = 0;
+};
+
+/// `batch --manifest --workers`: fleet::runCoordinator leases shards to
+/// TCP worker daemons and merges their reports.
+class FleetBackend : public ManifestBackend {
+public:
+  /// Apply the fleet flags; false (usage) on a bad worker list.
+  bool configure(const CommonFlags &flags) {
+    std::string error;
+    if (!fleet::parseWorkerList(flags.workersSpec, options_.workers, error)) {
+      std::fprintf(stderr, "--workers: %s\n", error.c_str());
+      return false;
+    }
+    options_.shardCount = flags.shardCount;
+    options_.leaseTimeoutMillis =
+        static_cast<std::uint32_t>(flags.leaseTimeoutSeconds * 1000.0);
+    options_.connectTimeoutMillis =
+        static_cast<int>(flags.connectTimeoutSeconds * 1000.0);
+    options_.secret = flags.secret;
+    options_.metricsFile = flags.metricsFile;
+    return true;
+  }
+
+  int runManifest(const ManifestRequest &request, driver::BatchReport &report,
+                  std::string &reportBytes) override {
+    options_.manifestBytes = request.manifestBytes;
+    options_.sinceBytes = request.sinceBytes;
+    options_.root = request.job.root;
+    options_.options = request.job.options;
+    if (request.progress)
+      options_.onEvent = [](const std::string &line) {
+        std::fprintf(stderr, "fleet: %s\n", line.c_str());
+      };
+    core::MetricsRegistry metrics;
+    fleet::CoordinatorResult result = fleet::runCoordinator(options_, metrics);
+    if (result.status == fleet::CoordinatorStatus::ok) {
+      report = std::move(result.report);
+      reportBytes = std::move(result.reportBytes);
+      return 0;
+    }
+    std::fprintf(stderr, "mira-cli batch: %s\n", result.error.c_str());
+    switch (result.status) {
+    case fleet::CoordinatorStatus::connectFailed:
+      return 3;
+    case fleet::CoordinatorStatus::transportFailed:
+      return 4;
+    default:
+      return 1;
+    }
+  }
+
+private:
+  fleet::CoordinatorOptions options_;
+};
+
+/// The daemon named by --socket or --connect, after rejecting every
+/// flag outside `allowed` and the connection flags that transport does
+/// not use. Null after a usage error.
+std::unique_ptr<DaemonBackend> selectDaemon(const CommonFlags &flags,
+                                            const std::string &command,
+                                            std::uint64_t allowed) {
+  if (flags.has(kSocket) && flags.has(kConnect)) {
+    std::fprintf(stderr, "--socket and --connect are mutually exclusive\n");
+    return nullptr;
+  }
+  // Unix-domain connects are immediate, so only TCP has a timeout.
+  allowed |= kSecret | kBusyRetries |
+             (flags.has(kSocket) ? kSocket : kConnect | kConnectTimeout);
+  auto daemon = std::make_unique<DaemonBackend>(command);
+  if (!onlyFlags(flags, allowed, command + " over a daemon") ||
+      !daemon->configure(flags))
+    return nullptr;
+  return daemon;
+}
+
+/// The backend an analysis command's flags select: a daemon with
+/// --socket/--connect, else the local analyzer built from `local`.
+/// `own` are the command's flags, `localFlags` the local engine knobs
+/// it uses. Null after a usage error.
+std::unique_ptr<Backend> selectBackend(const CommonFlags &flags,
+                                       const std::string &command,
+                                       std::uint64_t own,
+                                       std::uint64_t localFlags,
+                                       const driver::BatchOptions &local) {
+  if (flags.has(kSocket | kConnect))
+    return selectDaemon(flags, command, own);
+  if (!onlyFlags(flags, own | localFlags, command))
+    return nullptr;
+  return std::make_unique<LocalBackend>(local);
+}
+
+/// Run `specs` on `backend` and time the whole run; 0 or the exit code.
+int runTimed(Backend &backend, const std::vector<core::AnalysisSpec> &specs,
+             std::vector<core::Artifacts> &results,
+             driver::BatchStats &stats) {
+  const auto start = std::chrono::steady_clock::now();
+  if (int rc = backend.run(specs, results))
+    return rc;
+  stats = driver::tallyBatchStats(results, backend.caches());
+  stats.wallSeconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
   return 0;
 }
 
-// --------------------------------------------------------- manifests
+// ----------------------------------------------------------- printers
 
-/// Slurp a file's raw bytes (manifest and report files are binary;
-/// loadSource is for sources and knows '@' workloads).
-bool readFileBytes(const std::string &path, std::string &bytes) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-    return false;
+void printModelSummary(const model::PerformanceModel &model) {
+  std::printf("%-24s | %6s | %6s | %5s | parameters\n", "function", "counts",
+              "calls", "exact");
+  for (const auto &fn : model.functions) {
+    std::string params;
+    for (const auto &p : fn.parameters()) {
+      if (!params.empty())
+        params += ", ";
+      params += p;
+    }
+    std::printf("%-24s | %6zu | %6zu | %5s | %s\n", fn.sourceName.c_str(),
+                fn.counts.size(), fn.calls.size(), fn.exact ? "yes" : "no",
+                params.c_str());
   }
-  bytes.assign((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-  return true;
 }
 
-/// Counterpart writer, shared by `manifest merge` and `batch --report`.
-bool writeFileBytes(const std::string &path, const std::string &bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
-    return false;
+/// The per-source table batch and coverage print, then the totals;
+/// coverage adds its numbers and the recompile column. Returns false
+/// when any source failed.
+bool printResults(const std::vector<core::Artifacts> &results,
+                  const driver::BatchStats &stats, const std::string &where,
+                  bool coverage) {
+  std::printf("%-24s | %-6s | ", "source", "status");
+  if (coverage)
+    std::printf("%6s | %6s | %7s | %4s | ", "loops", "stmts", "in-loop",
+                "pct");
+  std::printf("%-5s | %s%9s\n", "cache", coverage ? "recompile | " : "",
+              "seconds");
+  bool allOk = true;
+  for (const core::Artifacts &artifacts : results) {
+    allOk = allOk && artifacts.ok;
+    std::printf("%-24s | %-6s | ", artifacts.name.c_str(),
+                artifacts.ok ? "ok" : "FAILED");
+    if (coverage && artifacts.coverage)
+      std::printf("%6zu | %6zu | %7zu | %3.0f%% | ", artifacts.coverage->loops,
+                  artifacts.coverage->statements,
+                  artifacts.coverage->inLoopStatements,
+                  artifacts.coverage->percent());
+    else if (coverage)
+      std::printf("%6s | %6s | %7s | %4s | ", "-", "-", "-", "-");
+    std::printf("%-5s | %s%9.4f\n", artifacts.cacheHit ? "hit" : "miss",
+                !coverage ? "" : artifacts.recompiled ? "yes       | "
+                                                      : "no        | ",
+                artifacts.seconds);
+    if (!artifacts.ok)
+      std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
   }
-  return true;
-}
-
-/// Print one diff listing — shared verbatim by the local `manifest
-/// diff` and the daemon-backed `client manifest-diff` so CI can compare
-/// the two outputs line for line. Returns the differing-path count.
-std::size_t
-printManifestDiff(const std::vector<corpus::ManifestEntry> &added,
-                  const std::vector<corpus::ManifestEntry> &changed,
-                  const std::vector<std::string> &removed) {
-  for (const auto &entry : added)
-    std::printf("added     %s (%016llx, %llu bytes)\n", entry.path.c_str(),
-                static_cast<unsigned long long>(entry.contentHash),
-                static_cast<unsigned long long>(entry.size));
-  for (const auto &entry : changed)
-    std::printf("changed   %s (%016llx, %llu bytes)\n", entry.path.c_str(),
-                static_cast<unsigned long long>(entry.contentHash),
-                static_cast<unsigned long long>(entry.size));
-  for (const auto &path : removed)
-    std::printf("removed   %s\n", path.c_str());
-  std::printf("manifest diff: %zu added, %zu changed, %zu removed\n",
-              added.size(), changed.size(), removed.size());
-  return added.size() + changed.size() + removed.size();
+  std::printf("%zu sources, %zu failures, cache %zu hit / %zu miss, "
+              "%.4f s %s\n",
+              stats.requests, stats.failures, stats.cacheHits,
+              stats.cacheMisses, stats.wallSeconds, where.c_str());
+  if (coverage)
+    std::printf("artifacts: %zu coverage (%zu from cached summaries), "
+                "%zu simulations, %zu recompiles\n",
+                stats.coverageArtifacts, stats.coverageFromCache,
+                stats.simulationArtifacts, stats.recompiles);
+  if (stats.diskHits + stats.diskMisses + stats.diskStores > 0)
+    std::printf("disk cache: %zu hit / %zu miss, %zu stored\n",
+                stats.diskHits, stats.diskMisses, stats.diskStores);
+  return allOk;
 }
 
 /// Summary block of a (merged) batch report. Timing is absent by
@@ -691,245 +934,29 @@ void printReportSummary(const driver::BatchReport &report) {
                 stats.diskHits, stats.diskMisses, stats.diskStores);
 }
 
-int cmdManifest(std::vector<std::string> args) {
-  CommonFlags flags;
-  if (!parseFlags(args, flags) || args.empty())
-    return 2;
-  const std::string action = args[0];
-  args.erase(args.begin());
-  std::string error;
-
-  if (action == "build") {
-    if (args.size() != 1)
-      return 2;
-    if (flags.outPath.empty()) {
-      std::fprintf(stderr, "manifest build requires --out FILE\n");
-      return 2;
-    }
-    corpus::Manifest manifest;
-    const std::vector<std::string> extensions =
-        flags.extensions.empty() ? std::vector<std::string>{".mc"}
-                                 : flags.extensions;
-    if (!corpus::buildManifest(args[0], manifest, error, extensions)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    if (!corpus::writeManifestFile(flags.outPath, manifest, error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    std::uint64_t totalBytes = 0;
-    for (const auto &entry : manifest.entries)
-      totalBytes += entry.size;
-    std::printf("manifest: %zu entries under '%s' (%llu source bytes) -> "
-                "%s\n",
-                manifest.entries.size(), manifest.root.c_str(),
-                static_cast<unsigned long long>(totalBytes),
-                flags.outPath.c_str());
-    return 0;
-  }
-
-  if (action == "diff") {
-    if (args.size() != 2)
-      return 2;
-    corpus::Manifest oldManifest, newManifest;
-    if (!corpus::loadManifestFile(args[0], oldManifest, error) ||
-        !corpus::loadManifestFile(args[1], newManifest, error)) {
-      // The full diff/cmp convention: 0 = identical, 1 = differences,
-      // 2 = trouble — so automation gating on exit 1 can never pass
-      // vacuously off an unreadable manifest.
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return kExitTrouble;
-    }
-    const corpus::ManifestDiff diff =
-        corpus::diffManifests(oldManifest, newManifest);
-    return printManifestDiff(diff.added, diff.changed, diff.removed) == 0
-               ? 0
-               : 1;
-  }
-
-  if (action == "merge") {
-    if (args.empty())
-      return 2;
-    if (flags.outPath.empty()) {
-      std::fprintf(stderr, "manifest merge requires --out FILE\n");
-      return 2;
-    }
-    std::vector<driver::BatchReport> parts;
-    for (const auto &path : args) {
-      std::string bytes;
-      if (!readFileBytes(path, bytes))
-        return 1;
-      driver::BatchReport part;
-      if (!driver::deserializeBatchReport(bytes, part, error)) {
-        std::fprintf(stderr, "'%s': %s\n", path.c_str(), error.c_str());
-        return 1;
-      }
-      parts.push_back(std::move(part));
-    }
-    const driver::BatchReport merged = driver::mergeBatchReports(parts);
-    if (!writeFileBytes(flags.outPath, driver::serializeBatchReport(merged)))
-      return 1;
-    printReportSummary(merged);
-    std::printf("merged %zu shard reports -> %s\n", parts.size(),
-                flags.outPath.c_str());
-    return merged.stats.failures == 0 ? 0 : 1;
-  }
-
-  std::fprintf(stderr, "unknown manifest action '%s'\n", action.c_str());
-  return 2;
+/// The one manifest printer: a pure function of the report, so every
+/// backend's stdout is byte-identical for one corpus.
+void printReport(const driver::BatchReport &report) {
+  std::printf("%-24s | %-6s | %16s\n", "source", "status", "key");
+  for (const auto &entry : report.entries)
+    std::printf("%-24s | %-6s | %016llx\n", entry.name.c_str(),
+                entry.ok ? "ok" : "FAILED",
+                static_cast<unsigned long long>(entry.key));
+  printReportSummary(report);
 }
 
-/// `batch --manifest`: the request list comes from a corpus manifest —
-/// optionally only what changed since an older one, optionally only
-/// this process's deterministic shard of the keys.
-int runManifestBatch(const CommonFlags &flags) {
-  std::string error;
-  corpus::Manifest manifest;
-  if (!corpus::loadManifestFile(flags.manifestPaths[0], manifest, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
-
-  corpus::Manifest old;
-  const bool haveSince = !flags.sincePath.empty();
-  if (haveSince && !corpus::loadManifestFile(flags.sincePath, old, error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
-
-  // Diff, merge, and shard via the one selection routine the daemon's
-  // manifestBatch handler uses too, so both paths pick the same entries
-  // in the same (manifest path) order.
-  const core::MiraOptions options = optionsFor(flags);
-  const driver::ManifestSelection selection = driver::selectManifestEntries(
-      manifest, haveSince ? &old : nullptr, options, flags.shard);
-  const std::vector<corpus::ManifestEntry> &mine = selection.entries;
-
-  const std::string root =
-      flags.rootOverride.empty() ? manifest.root : flags.rootOverride;
-  std::vector<core::AnalysisSpec> specs;
-  specs.reserve(mine.size());
-  for (const auto &entry : mine) {
-    core::AnalysisSpec spec;
-    const std::string path =
-        (std::filesystem::path(root) / entry.path).string();
-    if (!loadSource(path, spec))
-      return 1;
-    spec.name = entry.path; // table/report identity = manifest path
-    spec.options = options;
-    specs.push_back(std::move(spec));
-  }
-
-  driver::BatchAnalyzer analyzer(batchOptionsFor(flags, flags.threads));
-  auto results = analyzer.runArtifacts(specs);
-  const double wall =
-      printOutcomes(results, analyzer.stats(), flags.threads, false);
-  std::printf("manifest: %zu of %zu entries selected", mine.size(),
-              manifest.entries.size());
-  if (haveSince)
-    std::printf(" (%zu added, %zu changed, %zu removed skipped)",
-                selection.added, selection.changed, selection.removed);
-  if (flags.shard.count > 1)
-    std::printf(" [shard %zu/%zu]", flags.shard.index + 1,
-                flags.shard.count);
-  std::printf("\n");
-
-  if (!flags.reportPath.empty()) {
-    driver::BatchReport report;
-    report.stats = analyzer.stats();
-    report.entries.reserve(results.size());
-    // Report keys come from the manifest hash (already computed for the
-    // shard filter), not a second rehash of the source bytes — so they
-    // always agree with what planning tools and `cache prune` derive.
-    for (std::size_t i = 0; i < results.size(); ++i)
-      report.entries.push_back(
-          {results[i].name,
-           driver::requestKeyFromContentHash(mine[i].contentHash, options),
-           results[i].ok});
-    if (!writeFileBytes(flags.reportPath,
-                        driver::serializeBatchReport(report)))
-      return 1;
-  }
-  return wall < 0 ? 1 : 0;
-}
-
-int cmdBatch(std::vector<std::string> args) {
-  CommonFlags flags;
-  if (!parseFlags(args, flags))
-    return 2;
-  if (!flags.manifestPaths.empty()) {
-    if (!args.empty()) {
-      std::fprintf(stderr,
-                   "batch --manifest takes no positional sources\n");
-      return 2;
-    }
-    if (flags.manifestPaths.size() > 1) {
-      std::fprintf(stderr, "batch takes exactly one --manifest\n");
-      return 2;
-    }
-    return runManifestBatch(flags);
-  }
-  if (!flags.reportPath.empty() || !flags.sincePath.empty() ||
-      !flags.rootOverride.empty() || flags.shardGiven) {
-    std::fprintf(stderr,
-                 "--report/--since/--shard/--root require --manifest FILE\n");
-    return 2;
-  }
-  if (args.empty())
-    return 2;
-  std::vector<core::AnalysisSpec> specs;
-  for (const auto &arg : args) {
-    core::AnalysisSpec spec;
-    if (!loadSource(arg, spec))
-      return 1;
-    spec.options = optionsFor(flags);
-    specs.push_back(std::move(spec));
-  }
-
-  double parallelSeconds =
-      runBatch(specs, batchOptionsFor(flags, flags.threads), false);
-  if (flags.compareSerial) {
-    // The serial reference run skips the disk cache: it would otherwise
-    // be warmed by the parallel run above and win every comparison.
-    double serialSeconds =
-        runBatch(specs, batchOptionsFor(flags, 1, false), true);
-    printSpeedup(serialSeconds, parallelSeconds, flags.threads);
-  }
-  return parallelSeconds < 0 ? 1 : 0;
-}
-
-std::vector<core::AnalysisSpec> coverageSpecs(const CommonFlags &flags) {
-  std::vector<core::AnalysisSpec> specs;
-  const auto add = [&](std::string name, std::string source) {
-    core::AnalysisSpec spec;
-    spec.name = std::move(name);
-    spec.source = std::move(source);
-    spec.options = optionsFor(flags); // same options (and cache keys) as
-                                      // the --via-daemon path
-    spec.artifacts = core::kArtifactCoverage | core::kArtifactDiagnostics;
-    specs.push_back(std::move(spec));
-  };
-  for (const auto &kernel : workloads::coverageSuite())
-    add(kernel.name, kernel.source);
-  for (const auto &workload : workloads::figSeriesWorkloads())
-    add("@" + workload.name, *workload.source);
-  return specs;
-}
-
-/// Print the Table I comparison for the first suite.size() artifacts.
-void printCoverageTable(
-    const std::vector<std::optional<sema::LoopCoverage>> &coverages) {
+/// Print the Table I comparison for the first suite.size() results.
+void printCoverageTable(const std::vector<core::Artifacts> &results) {
   std::printf("%-10s | %14s | %14s | %14s | %9s\n", "app", "loops p/o",
               "stmts p/o", "in-loop p/o", "pct p/o");
   const auto &suite = workloads::coverageSuite();
   for (std::size_t i = 0; i < suite.size(); ++i) {
     const auto &kernel = suite[i];
-    if (!coverages[i]) {
+    if (!results[i].coverage) {
       std::printf("%-10s | analysis FAILED\n", kernel.name.c_str());
       continue;
     }
-    const sema::LoopCoverage &coverage = *coverages[i];
+    const sema::LoopCoverage &coverage = *results[i].coverage;
     std::printf("%-10s | %6zu/%-7zu | %6zu/%-7zu | %6zu/%-7zu | %3d/%-5.0f\n",
                 kernel.name.c_str(), kernel.paperLoops, coverage.loops,
                 kernel.paperStatements, coverage.statements,
@@ -939,112 +966,8 @@ void printCoverageTable(
   std::printf("\n");
 }
 
-/// Per-spec status table for artifact runs (coverage/simulate sweeps);
-/// returns the batch wall time (negative on any failure).
-double printArtifacts(const std::vector<core::Artifacts> &results,
-                      const driver::BatchStats &stats, std::size_t threads,
-                      bool quiet) {
-  bool allOk = true;
-  if (!quiet)
-    std::printf("%-24s | %-6s | %-5s | %-9s | %9s\n", "source", "status",
-                "cache", "recompile", "seconds");
-  for (const auto &artifacts : results) {
-    allOk = allOk && artifacts.ok;
-    if (quiet)
-      continue;
-    std::printf("%-24s | %-6s | %-5s | %-9s | %9.4f\n",
-                artifacts.name.c_str(), artifacts.ok ? "ok" : "FAILED",
-                artifacts.cacheHit ? "hit" : "miss",
-                artifacts.recompiled ? "yes" : "no", artifacts.seconds);
-    if (!artifacts.ok)
-      std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
-  }
-  if (!quiet) {
-    std::printf("%zu sources, %zu failures, cache %zu hit / %zu miss, "
-                "%.4f s on %zu threads\n",
-                stats.requests, stats.failures, stats.cacheHits,
-                stats.cacheMisses, stats.wallSeconds, threads);
-    std::printf("artifacts: %zu coverage (%zu from cached summaries), "
-                "%zu simulations, %zu recompiles\n",
-                stats.coverageArtifacts, stats.coverageFromCache,
-                stats.simulationArtifacts, stats.recompiles);
-    if (stats.diskHits + stats.diskMisses + stats.diskStores > 0)
-      std::printf("disk cache: %zu hit / %zu miss, %zu stored\n",
-                  stats.diskHits, stats.diskMisses, stats.diskStores);
-  }
-  return allOk ? stats.wallSeconds : -1.0;
-}
-
-int coverageViaDaemon(const CommonFlags &flags) {
-  server::Client client;
-  if (flags.socketPath.empty()) {
-    std::fprintf(stderr, "--via-daemon requires --socket PATH\n");
-    return 2;
-  }
-  if (!client.connect(flags.socketPath)) {
-    std::fprintf(stderr, "%s\n", client.lastError().c_str());
-    return 1;
-  }
-  auto specs = coverageSpecs(flags);
-  std::vector<std::optional<sema::LoopCoverage>> coverages;
-  bool allOk = true;
-  std::size_t hits = 0, recompiles = 0;
-  for (const auto &spec : specs) {
-    server::CoverageReply reply;
-    if (!client.coverage(spec.name, spec.source, optionsFor(flags), reply)) {
-      std::fprintf(stderr, "%s\n", client.lastError().c_str());
-      return 1;
-    }
-    allOk = allOk && reply.ok;
-    if (reply.ok)
-      coverages.push_back(reply.coverage);
-    else
-      coverages.push_back(std::nullopt);
-    hits += reply.cacheHit ? 1 : 0;
-    recompiles += reply.recompiled ? 1 : 0;
-  }
-  printCoverageTable(coverages);
-  std::printf("%zu sources via daemon at %s: %zu cache hits, "
-              "%zu recompiles\n",
-              specs.size(), flags.socketPath.c_str(), hits, recompiles);
-  return allOk ? 0 : 1;
-}
-
-int cmdCoverage(std::vector<std::string> args) {
-  CommonFlags flags;
-  if (!parseFlags(args, flags) || !args.empty())
-    return 2;
-
-  if (flags.viaDaemon)
-    return coverageViaDaemon(flags);
-
-  // One artifact run serves both the Table I numbers and the status
-  // table below. With --cache-dir, a warm rerun answers every summary
-  // from the cache: zero recompiles, zero model generation.
-  auto specs = coverageSpecs(flags);
-  driver::BatchAnalyzer analyzer(batchOptionsFor(flags, flags.threads));
-  auto results = analyzer.runArtifacts(specs);
-
-  std::vector<std::optional<sema::LoopCoverage>> coverages;
-  coverages.reserve(results.size());
-  for (const auto &artifacts : results)
-    coverages.push_back(artifacts.coverage);
-  printCoverageTable(coverages);
-
-  double parallelSeconds =
-      printArtifacts(results, analyzer.stats(), flags.threads, false);
-  if (flags.compareSerial) {
-    driver::BatchAnalyzer serial(batchOptionsFor(flags, 1, false));
-    serial.runArtifacts(specs);
-    printSpeedup(serial.stats().wallSeconds, parallelSeconds, flags.threads);
-  }
-  return parallelSeconds < 0 ? 1 : 0;
-}
-
-// ----------------------------------------------------------- simulate
-
-/// Counter block shared verbatim by the one-shot and daemon paths, so
-/// CI can diff the two outputs line for line.
+/// Counter block printed the same way whichever backend simulated, so
+/// outputs can be diffed line for line.
 void printSimResult(const sim::SimResult &result) {
   if (!result.ok) {
     std::printf("simulation FAILED: %s\n", result.error.c_str());
@@ -1076,6 +999,174 @@ void printSimResult(const sim::SimResult &result) {
   }
 }
 
+// ----------------------------------------------------------- commands
+
+int cmdAnalyze(std::vector<std::string> args) {
+  CommonFlags flags;
+  if (!parseFlags(args, flags) || args.size() != 1)
+    return 2;
+  auto backend = selectBackend(flags, "analyze", kCompileFlags | kEmitPython,
+                               kLocalFlags & ~kThreads,
+                               singleRequestOptions(flags));
+  if (!backend)
+    return 2;
+  std::vector<core::AnalysisSpec> specs;
+  if (!loadSpecs(args, flags, core::kArtifactDefault, specs))
+    return 1;
+  std::vector<core::Artifacts> results;
+  if (int rc = backend->run(specs, results))
+    return rc;
+  const core::Artifacts &artifacts = results[0];
+  if (!artifacts.ok) {
+    std::fprintf(stderr, "analysis of %s failed:\n%s\n",
+                 artifacts.name.c_str(), artifacts.diagnostics.c_str());
+    return 1;
+  }
+  if (!artifacts.diagnostics.empty())
+    std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
+  std::printf("analyzed %s in %.4f s (%s)\n", artifacts.name.c_str(),
+              artifacts.seconds, artifacts.cacheHit ? "cache hit" : "computed");
+  printModelSummary(*artifacts.model);
+  if (flags.emitPython) {
+    std::puts("");
+    std::puts(model::emitPython(*artifacts.model).c_str());
+  }
+  return 0;
+}
+
+/// `batch --manifest`, on whichever backend the flags select.
+int runManifestCommand(const CommonFlags &flags,
+                       const std::vector<std::string> &args) {
+  if (!args.empty()) {
+    std::fprintf(stderr, "batch --manifest takes no positional sources\n");
+    return 2;
+  }
+  if (flags.manifestPaths.size() > 1) {
+    std::fprintf(stderr, "batch takes exactly one --manifest\n");
+    return 2;
+  }
+  const std::uint64_t own =
+      kCompileFlags | kManifest | kSince | kRoot | kReport | kProgress;
+  std::unique_ptr<ManifestBackend> backend;
+  if (flags.has(kWorkers)) {
+    auto fleet = std::make_unique<FleetBackend>();
+    if (!onlyFlags(flags,
+                   own | kWorkers | kShardCount | kLeaseTimeout |
+                       kMetricsFile | kSecret | kConnectTimeout,
+                   "batch --manifest --workers") ||
+        !fleet->configure(flags))
+      return 2;
+    backend = std::move(fleet);
+  } else {
+    backend = selectBackend(flags, "batch", own | kShard, kLocalFlags,
+                            batchOptionsFor(flags, flags.threads));
+    if (!backend)
+      return 2;
+  }
+
+  // Every backend gets a validated manifest: a bad one never travels.
+  ManifestRequest request;
+  std::string error;
+  if (!readFileBytes(flags.manifestPaths[0], request.manifestBytes) ||
+      (!flags.sincePath.empty() &&
+       !readFileBytes(flags.sincePath, request.sinceBytes)))
+    return 1;
+  if (!corpus::deserializeManifest(request.manifestBytes, request.job.manifest,
+                                   error)) {
+    std::fprintf(stderr, "'%s': %s\n", flags.manifestPaths[0].c_str(),
+                 error.c_str());
+    return 1;
+  }
+  if (!flags.sincePath.empty() &&
+      !corpus::deserializeManifest(request.sinceBytes,
+                                   request.job.since.emplace(), error)) {
+    std::fprintf(stderr, "'%s': %s\n", flags.sincePath.c_str(),
+                 error.c_str());
+    return 1;
+  }
+  request.job.root = flags.rootOverride;
+  request.job.options = optionsFor(flags);
+  request.job.shard = flags.shard;
+  request.progress = flags.progress;
+
+  driver::BatchReport report;
+  std::string reportBytes;
+  if (int rc = backend->runManifest(request, report, reportBytes))
+    return rc;
+  printReport(report);
+  if (!flags.reportPath.empty() &&
+      !writeFileBytes(flags.reportPath, reportBytes))
+    return 1;
+  return report.stats.failures == 0 ? 0 : 1;
+}
+
+int cmdBatch(std::vector<std::string> args) {
+  CommonFlags flags;
+  if (!parseFlags(args, flags))
+    return 2;
+  if (flags.has(kManifest))
+    return runManifestCommand(flags, args);
+  if (args.empty())
+    return 2;
+  auto backend =
+      selectBackend(flags, "batch", kCompileFlags, kLocalFlags,
+                    batchOptionsFor(flags, flags.threads));
+  if (!backend)
+    return 2;
+  std::vector<core::AnalysisSpec> specs;
+  if (!loadSpecs(args, flags, core::kArtifactDefault, specs))
+    return 1;
+  std::vector<core::Artifacts> results;
+  driver::BatchStats stats;
+  if (int rc = runTimed(*backend, specs, results, stats))
+    return rc;
+  return printResults(results, stats, backend->where(), false) ? 0 : 1;
+}
+
+/// The Table I suite plus the fig-series workloads.
+std::vector<core::AnalysisSpec> coverageSuiteSpecs(const CommonFlags &flags) {
+  std::vector<core::AnalysisSpec> specs;
+  const auto add = [&](std::string name, std::string source) {
+    core::AnalysisSpec spec;
+    spec.name = std::move(name);
+    spec.source = std::move(source);
+    spec.options = optionsFor(flags);
+    spec.artifacts = core::kArtifactCoverage | core::kArtifactDiagnostics;
+    specs.push_back(std::move(spec));
+  };
+  for (const auto &kernel : workloads::coverageSuite())
+    add(kernel.name, kernel.source);
+  for (const auto &workload : workloads::figSeriesWorkloads())
+    add("@" + workload.name, *workload.source);
+  return specs;
+}
+
+int cmdCoverage(std::vector<std::string> args) {
+  CommonFlags flags;
+  if (!parseFlags(args, flags))
+    return 2;
+  auto backend = selectBackend(flags, "coverage", kCompileFlags, kLocalFlags,
+                               batchOptionsFor(flags, flags.threads));
+  if (!backend)
+    return 2;
+  // No sources: the paper's suite, compared against Table I.
+  const bool suite = args.empty();
+  std::vector<core::AnalysisSpec> specs;
+  if (suite)
+    specs = coverageSuiteSpecs(flags);
+  else if (!loadSpecs(args, flags,
+                      core::kArtifactCoverage | core::kArtifactDiagnostics,
+                      specs))
+    return 1;
+  std::vector<core::Artifacts> results;
+  driver::BatchStats stats;
+  if (int rc = runTimed(*backend, specs, results, stats))
+    return rc;
+  if (suite)
+    printCoverageTable(results);
+  return printResults(results, stats, backend->where(), true) ? 0 : 1;
+}
+
 int cmdSimulate(std::vector<std::string> args) {
   CommonFlags flags;
   if (!parseFlags(args, flags) || args.size() != 1)
@@ -1084,48 +1175,19 @@ int cmdSimulate(std::vector<std::string> args) {
     std::fprintf(stderr, "simulate requires --function NAME\n");
     return 2;
   }
-  core::AnalysisSpec spec;
-  if (!loadSource(args[0], spec))
+  auto backend = selectBackend(flags, "simulate", kCompileFlags | kSimFlags,
+                               kLocalFlags & ~kThreads,
+                               singleRequestOptions(flags));
+  if (!backend)
+    return 2;
+  std::vector<core::AnalysisSpec> specs;
+  if (!loadSpecs(args, flags,
+                 core::kArtifactSimulation | core::kArtifactDiagnostics, specs))
     return 1;
-
-  if (flags.viaDaemon) {
-    if (flags.socketPath.empty()) {
-      std::fprintf(stderr, "--via-daemon requires --socket PATH\n");
-      return 2;
-    }
-    server::Client client;
-    if (!client.connect(flags.socketPath)) {
-      std::fprintf(stderr, "%s\n", client.lastError().c_str());
-      return 1;
-    }
-    server::SimulateReply reply;
-    if (!client.simulate(spec.name, spec.source, optionsFor(flags),
-                         flags.sim, reply)) {
-      std::fprintf(stderr, "%s\n", client.lastError().c_str());
-      return 1;
-    }
-    if (!reply.ok) {
-      std::fprintf(stderr, "simulate of %s failed:\n%s\n",
-                   spec.name.c_str(), reply.diagnostics.c_str());
-      return 1;
-    }
-    std::printf("simulated %s:%s via daemon in %.4f s (%s%s)\n",
-                spec.name.c_str(), flags.sim.function.c_str(),
-                static_cast<double>(reply.micros) / 1e6,
-                reply.cacheHit ? "cache hit" : "computed",
-                reply.recompiled ? ", recompiled" : "");
-    printSimResult(reply.result);
-    return reply.result.ok ? 0 : 1;
-  }
-
-  spec.options = optionsFor(flags);
-  spec.artifacts = core::kArtifactSimulation | core::kArtifactDiagnostics;
-  spec.simulation = flags.sim;
-
-  driver::BatchOptions batchOptions = batchOptionsFor(flags, 1);
-  batchOptions.useCache = flags.useCache && !flags.cacheDir.empty();
-  driver::BatchAnalyzer analyzer(batchOptions);
-  core::Artifacts artifacts = analyzer.analyzeArtifacts(spec);
+  std::vector<core::Artifacts> results;
+  if (int rc = backend->run(specs, results))
+    return rc;
+  const core::Artifacts &artifacts = results[0];
   if (!artifacts.ok || !artifacts.simulation) {
     std::fprintf(stderr, "simulate of %s failed:\n%s\n",
                  artifacts.name.c_str(), artifacts.diagnostics.c_str());
@@ -1141,9 +1203,121 @@ int cmdSimulate(std::vector<std::string> args) {
   return artifacts.simulation->ok ? 0 : 1;
 }
 
+// ---------------------------------------------------------- manifests
+
+/// One diff listing. Returns the differing-path count.
+std::size_t printManifestDiff(const corpus::ManifestDiff &diff) {
+  for (const auto &entry : diff.added)
+    std::printf("added     %s (%016llx, %llu bytes)\n", entry.path.c_str(),
+                static_cast<unsigned long long>(entry.contentHash),
+                static_cast<unsigned long long>(entry.size));
+  for (const auto &entry : diff.changed)
+    std::printf("changed   %s (%016llx, %llu bytes)\n", entry.path.c_str(),
+                static_cast<unsigned long long>(entry.contentHash),
+                static_cast<unsigned long long>(entry.size));
+  for (const auto &path : diff.removed)
+    std::printf("removed   %s\n", path.c_str());
+  std::printf("manifest diff: %zu added, %zu changed, %zu removed\n",
+              diff.added.size(), diff.changed.size(), diff.removed.size());
+  return diff.added.size() + diff.changed.size() + diff.removed.size();
+}
+
+int cmdManifest(std::vector<std::string> args) {
+  CommonFlags flags;
+  if (!parseFlags(args, flags) || args.empty())
+    return 2;
+  const std::string action = args[0];
+  args.erase(args.begin());
+  std::string error;
+
+  if (action == "build") {
+    if (!onlyFlags(flags, kOut | kExt, "manifest build") || args.size() != 1)
+      return 2;
+    if (flags.outPath.empty()) {
+      std::fprintf(stderr, "manifest build requires --out FILE\n");
+      return 2;
+    }
+    corpus::Manifest manifest;
+    const std::vector<std::string> extensions =
+        flags.extensions.empty() ? std::vector<std::string>{".mc"}
+                                 : flags.extensions;
+    if (!corpus::buildManifest(args[0], manifest, error, extensions)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
+    if (!corpus::writeManifestFile(flags.outPath, manifest, error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
+    std::uint64_t totalBytes = 0;
+    for (const auto &entry : manifest.entries)
+      totalBytes += entry.size;
+    std::printf("manifest: %zu entries under '%s' (%llu source bytes) -> "
+                "%s\n",
+                manifest.entries.size(), manifest.root.c_str(),
+                static_cast<unsigned long long>(totalBytes),
+                flags.outPath.c_str());
+    return 0;
+  }
+
+  if (action == "diff") {
+    if (!onlyFlags(flags, 0, "manifest diff") || args.size() != 2)
+      return 2;
+    corpus::Manifest oldManifest, newManifest;
+    if (!corpus::loadManifestFile(args[0], oldManifest, error) ||
+        !corpus::loadManifestFile(args[1], newManifest, error)) {
+      // The full diff/cmp convention: 0 = identical, 1 = differences,
+      // 2 = trouble — so automation gating on exit 1 can never pass
+      // vacuously off an unreadable manifest.
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return kExitTrouble;
+    }
+    return printManifestDiff(corpus::diffManifests(oldManifest, newManifest)) ==
+                   0
+               ? 0
+               : 1;
+  }
+
+  if (action == "merge") {
+    if (!onlyFlags(flags, kOut, "manifest merge") || args.empty())
+      return 2;
+    if (flags.outPath.empty()) {
+      std::fprintf(stderr, "manifest merge requires --out FILE\n");
+      return 2;
+    }
+    std::vector<driver::BatchReport> parts;
+    for (const auto &path : args) {
+      std::string bytes;
+      if (!readFileBytes(path, bytes))
+        return 1;
+      driver::BatchReport part;
+      if (!driver::deserializeBatchReport(bytes, part, error)) {
+        std::fprintf(stderr, "'%s': %s\n", path.c_str(), error.c_str());
+        return 1;
+      }
+      parts.push_back(std::move(part));
+    }
+    const driver::BatchReport merged = driver::mergeBatchReports(parts);
+    if (!writeFileBytes(flags.outPath, driver::serializeBatchReport(merged)))
+      return 1;
+    printReportSummary(merged);
+    std::printf("merged %zu shard reports -> %s\n", parts.size(),
+                flags.outPath.c_str());
+    return merged.stats.failures == 0 ? 0 : 1;
+  }
+
+  std::fprintf(stderr, "unknown manifest action '%s'\n", action.c_str());
+  return 2;
+}
+
+// -------------------------------------------------------------- cache
+
 int cmdCache(std::vector<std::string> args) {
   CommonFlags flags;
   if (!parseFlags(args, flags) || args.size() != 1)
+    return 2;
+  const std::uint64_t prune = args[0] == "prune" ? kManifest : 0;
+  if (!onlyFlags(flags, kCacheDir | kCacheLimit | prune, "cache " + args[0]))
     return 2;
   if (flags.cacheDir.empty()) {
     std::fprintf(stderr, "cache requires --cache-dir\n");
@@ -1184,37 +1358,21 @@ int cmdCache(std::vector<std::string> args) {
       std::printf("byte limit      : unlimited\n");
     std::printf("schema version  : %u\n", kCacheSchemaVersion);
 
-    // Per-artifact byte breakdown: walk every entry (peek: no LRU
-    // bump) and split its payload into the sections of the schema-v2
-    // layout (docs/CACHING.md, "Entry format"). Programs are never
-    // stored — they come back through recompile-on-demand handles —
-    // so their column is identically zero by design.
+    // Per-artifact byte breakdown over every entry (peek: no LRU bump).
+    // Programs are never stored — they come back through
+    // recompile-on-demand handles — so their column is zero by design.
     std::size_t failureEntries = 0;
     std::uint64_t modelBytes = 0, coverageBytes = 0, diagnosticsBytes = 0;
     for (std::uint64_t key : store.keys()) {
       auto payload = store.peek(key);
-      if (!payload)
-        continue; // another schema version or raced with a writer
-      bio::Reader r{*payload, 0};
-      std::uint8_t ok = 0;
-      std::string producer, diagnostics;
-      if (!r.u8(ok) || !r.str(producer) || !r.str(diagnostics))
+      driver::ArtifactPayloadSizes sizes;
+      // Skip another schema version, or a race with a writer.
+      if (!payload || !driver::measureArtifactPayload(*payload, sizes))
         continue;
-      diagnosticsBytes += diagnostics.size();
-      if (!ok) {
-        ++failureEntries;
-        continue;
-      }
-      std::uint8_t hasCoverage = 0;
-      const std::size_t beforeCoverage = r.offset;
-      std::uint64_t scratch = 0;
-      if (!r.u8(hasCoverage))
-        continue;
-      if (hasCoverage &&
-          (!r.u64(scratch) || !r.u64(scratch) || !r.u64(scratch)))
-        continue;
-      coverageBytes += r.offset - beforeCoverage;
-      modelBytes += r.remaining();
+      failureEntries += sizes.ok ? 0 : 1;
+      diagnosticsBytes += sizes.diagnosticsBytes;
+      coverageBytes += sizes.coverageBytes;
+      modelBytes += sizes.modelBytes;
     }
     std::printf("cached failures   : %zu\n", failureEntries);
     std::printf("model bytes       : %llu (%s)\n",
@@ -1306,6 +1464,12 @@ int cmdServe(std::vector<std::string> args) {
   CommonFlags flags;
   if (!parseFlags(args, flags) || !args.empty())
     return 2;
+  if (!onlyFlags(flags,
+                 kSocket | kListen | kSecret | kThreads | kModelThreads |
+                     kCacheDir | kCacheLimit | kMaxInflight | kDrainTimeout |
+                     kMetricsFile,
+                 "serve"))
+    return 2;
   if (flags.socketPath.empty() && flags.listenSpec.empty()) {
     std::fprintf(stderr,
                  "serve requires --socket PATH and/or --listen HOST:PORT\n");
@@ -1374,148 +1538,49 @@ int cmdServe(std::vector<std::string> args) {
   return 0;
 }
 
-// ------------------------------------------------------------- client
-
-/// Unified `mira-cli client` failure diagnostic: every daemon
-/// conversation that fails prints one `mira-cli client: <reason>` line
-/// to stderr, and the exit status tells scripts which class of failure
-/// it was without parsing that text: 3 = could not connect (no daemon
-/// there), 4 = the connection died or broke protocol mid-conversation,
-/// 1 = the daemon (or the analysis itself) refused or failed.
-/// tests/server_test.cpp pins both the format and the codes.
-int clientFailure(const server::Client &client) {
-  std::fprintf(stderr, "mira-cli client: %s\n", client.lastError().c_str());
-  switch (client.lastErrorKind()) {
-  case server::Client::ErrorKind::connect:
-    return 3;
-  case server::Client::ErrorKind::transport:
-  case server::Client::ErrorKind::protocol:
-    return 4;
-  default:
-    return 1;
+/// `mira-cli client`: daemon administration. Analysis goes through the
+/// analysis commands with --socket/--connect instead.
+int cmdClient(std::vector<std::string> args) {
+  CommonFlags flags;
+  if (!parseFlags(args, flags) || args.size() != 1)
+    return 2;
+  const std::string action = args[0];
+  if (action != "ping" && action != "shutdown" && action != "cache-stats" &&
+      action != "metrics") {
+    std::fprintf(stderr, "unknown client action '%s'\n", action.c_str());
+    return 2;
   }
-}
-
-int requireClientConnection(server::Client &client,
-                            const CommonFlags &flags) {
-  if (flags.socketPath.empty() && flags.connectSpec.empty()) {
+  if (!flags.has(kSocket | kConnect)) {
     std::fprintf(stderr,
                  "client requires --socket PATH or --connect HOST:PORT\n");
     return 2;
   }
-  if (!flags.socketPath.empty() && !flags.connectSpec.empty()) {
-    std::fprintf(stderr, "--socket and --connect are mutually exclusive\n");
+  auto daemon = selectDaemon(flags, "client", 0);
+  if (!daemon)
     return 2;
-  }
-  client.setConnectTimeoutMillis(
-      static_cast<int>(flags.connectTimeoutSeconds * 1000.0));
-  client.setSecret(flags.secret);
-  if (!flags.connectSpec.empty()) {
-    std::string host, parseError;
-    std::uint16_t port = 0;
-    if (!net::parseHostPort(flags.connectSpec, host, port, parseError)) {
-      std::fprintf(stderr, "--connect: %s\n", parseError.c_str());
-      return 2;
-    }
-    if (!client.connectTcp(host, port))
-      return clientFailure(client);
-    return 0;
-  }
-  if (!client.connect(flags.socketPath))
-    return clientFailure(client);
-  return 0;
-}
-
-void printClientOutcome(const server::ClientOutcome &outcome) {
-  if (!outcome.diagnostics.empty())
-    std::fprintf(stderr, "%s\n", outcome.diagnostics.c_str());
-  std::printf("analyzed %s via daemon in %.4f s (%s)\n",
-              outcome.name.c_str(),
-              static_cast<double>(outcome.micros) / 1e6,
-              outcome.cacheHit ? "cache hit" : "computed");
-}
-
-int cmdClient(std::vector<std::string> args) {
-  CommonFlags flags;
-  if (!parseFlags(args, flags) || args.empty())
-    return 2;
-  const std::string action = args[0];
-  args.erase(args.begin());
-
-  server::Client client;
-  client.setBusyRetries(flags.busyRetries);
+  if (int rc = daemon->connect())
+    return rc;
+  server::Client &client = daemon->client();
 
   if (action == "ping") {
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
     if (!client.ping())
-      return clientFailure(client);
-    std::printf("daemon at %s is alive\n",
-                flags.socketPath.empty() ? flags.connectSpec.c_str()
-                                         : flags.socketPath.c_str());
+      return daemon->failure();
+    std::printf("daemon at %s is alive\n", daemon->endpoint().c_str());
     return 0;
   }
 
   if (action == "shutdown") {
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
     if (!client.shutdownServer())
-      return clientFailure(client);
+      return daemon->failure();
     std::printf("daemon at %s acknowledged shutdown\n",
-                flags.socketPath.empty() ? flags.connectSpec.c_str()
-                                         : flags.socketPath.c_str());
-    return 0;
-  }
-
-  if (action == "cache-stats") {
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
-    server::ServerStats stats;
-    if (!client.cacheStats(stats))
-      return clientFailure(client);
-    // Field meanings: docs/PROTOCOL.md, CacheStatsReply.
-    std::printf("uptime          : %.1f s\n",
-                static_cast<double>(stats.uptimeMicros) / 1e6);
-    std::printf("connections     : %llu\n",
-                static_cast<unsigned long long>(stats.connectionsAccepted));
-    std::printf("requests served : %llu\n",
-                static_cast<unsigned long long>(stats.requestsServed));
-    std::printf("analyze / batch : %llu / %llu\n",
-                static_cast<unsigned long long>(stats.analyzeRequests),
-                static_cast<unsigned long long>(stats.batchRequests));
-    std::printf("coverage / sim  : %llu / %llu (%llu recompiles)\n",
-                static_cast<unsigned long long>(stats.coverageRequests),
-                static_cast<unsigned long long>(stats.simulateRequests),
-                static_cast<unsigned long long>(stats.recompiles));
-    std::printf("sources analyzed: %llu (%llu cache hits, %llu computed, "
-                "%llu failed)\n",
-                static_cast<unsigned long long>(stats.sourcesAnalyzed),
-                static_cast<unsigned long long>(stats.cacheHits),
-                static_cast<unsigned long long>(stats.computed),
-                static_cast<unsigned long long>(stats.failures));
-    std::printf("protocol errors : %llu\n",
-                static_cast<unsigned long long>(stats.protocolErrors));
-    std::printf("memory entries  : %llu\n",
-                static_cast<unsigned long long>(stats.memoryEntries));
-    std::printf("disk cache      : %llu hit / %llu miss, %llu stored, "
-                "%llu entries, %llu bytes (%s)\n",
-                static_cast<unsigned long long>(stats.diskHits),
-                static_cast<unsigned long long>(stats.diskMisses),
-                static_cast<unsigned long long>(stats.diskStores),
-                static_cast<unsigned long long>(stats.diskEntries),
-                static_cast<unsigned long long>(stats.diskBytes),
-                formatBytes(stats.diskBytes).c_str());
-    std::printf("session threads : %llu\n",
-                static_cast<unsigned long long>(stats.threads));
+                daemon->endpoint().c_str());
     return 0;
   }
 
   if (action == "metrics") {
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
     std::vector<server::MetricSample> samples;
     if (!client.metrics(samples))
-      return clientFailure(client);
+      return daemon->failure();
     // Same names and `mira_` prefix as the --metrics-file dump; the
     // wire reply does not carry the counter/gauge kind, so no # TYPE
     // comment lines here.
@@ -1525,298 +1590,44 @@ int cmdClient(std::vector<std::string> args) {
     return 0;
   }
 
-  if (action == "analyze") {
-    if (args.size() != 1) {
-      std::fprintf(stderr, "client analyze takes exactly one source\n");
-      return 2;
-    }
-    core::AnalysisSpec spec;
-    if (!loadSource(args[0], spec))
-      return 1;
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
-    server::ClientOutcome outcome;
-    if (!client.analyze(spec.name, spec.source, optionsFor(flags), outcome))
-      return clientFailure(client);
-    if (!outcome.ok) {
-      std::fprintf(stderr, "analysis of %s failed:\n%s\n",
-                   outcome.name.c_str(), outcome.diagnostics.c_str());
-      return 1;
-    }
-    printClientOutcome(outcome);
-    printModelSummary(outcome.analysis->model);
-    if (flags.emitPython) {
-      std::puts("");
-      std::puts(model::emitPython(outcome.analysis->model).c_str());
-    }
-    return 0;
-  }
-
-  if (action == "batch") {
-    if (!flags.manifestPaths.empty()) {
-      // --manifest: the daemon executes the whole corpus and answers
-      // one deterministic report — byte-identical (report and cache
-      // dir) to a local `mira-cli batch --manifest` over the same
-      // manifest, options, and cache directory.
-      if (!args.empty()) {
-        std::fprintf(stderr,
-                     "client batch --manifest takes no positional sources\n");
-        return 2;
-      }
-      if (flags.manifestPaths.size() > 1) {
-        std::fprintf(stderr, "client batch takes exactly one --manifest\n");
-        return 2;
-      }
-      std::string manifestBytes, sinceBytes;
-      if (!readFileBytes(flags.manifestPaths[0], manifestBytes))
-        return 1;
-      if (!flags.sincePath.empty() &&
-          !readFileBytes(flags.sincePath, sinceBytes))
-        return 1;
-      if (int rc = requireClientConnection(client, flags))
-        return rc;
-      server::Client::ProgressFn onProgress;
-      if (flags.progress)
-        onProgress = [](const server::BatchProgress &p) {
-          // Progress is operator feedback, not results: stderr, so
-          // stdout stays byte-comparable with and without --progress.
-          std::fprintf(stderr,
-                       "progress: %u/%u analyzed, %u failures, "
-                       "%u cache hits\n",
-                       p.done, p.total, p.failures, p.cacheHits);
-        };
-      std::string reportBytes;
-      if (!client.manifestBatch(manifestBytes, sinceBytes,
-                                flags.rootOverride, flags.shard,
-                                optionsFor(flags), onProgress, reportBytes))
-        return clientFailure(client);
-      driver::BatchReport report;
-      std::string error;
-      if (!driver::deserializeBatchReport(reportBytes, report, error)) {
-        std::fprintf(stderr, "mira-cli client: malformed report from "
-                             "daemon: %s\n",
-                     error.c_str());
-        return 4;
-      }
-      std::printf("%-24s | %-6s | %16s\n", "source", "status", "key");
-      for (const auto &entry : report.entries)
-        std::printf("%-24s | %-6s | %016llx\n", entry.name.c_str(),
-                    entry.ok ? "ok" : "FAILED",
-                    static_cast<unsigned long long>(entry.key));
-      printReportSummary(report);
-      // The daemon's report bytes go to disk untouched: `manifest
-      // merge` and byte-comparisons see exactly what a local shard
-      // run would have written.
-      if (!flags.reportPath.empty() &&
-          !writeFileBytes(flags.reportPath, reportBytes))
-        return 1;
-      return report.stats.failures == 0 ? 0 : 1;
-    }
-    if (args.empty()) {
-      std::fprintf(stderr, "client batch needs at least one source\n");
-      return 2;
-    }
-    std::vector<server::SourceItem> items;
-    for (const auto &arg : args) {
-      core::AnalysisSpec spec;
-      if (!loadSource(arg, spec))
-        return 1;
-      items.push_back({spec.name, spec.source});
-    }
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
-    std::vector<server::ClientOutcome> outcomes;
-    if (!client.analyzeBatch(items, optionsFor(flags), outcomes))
-      return clientFailure(client);
-    bool allOk = true;
-    std::printf("%-24s | %-6s | %-5s | %9s\n", "source", "status", "cache",
-                "seconds");
-    for (const auto &outcome : outcomes) {
-      allOk = allOk && outcome.ok;
-      std::printf("%-24s | %-6s | %-5s | %9.4f\n", outcome.name.c_str(),
-                  outcome.ok ? "ok" : "FAILED",
-                  outcome.cacheHit ? "hit" : "miss",
-                  static_cast<double>(outcome.micros) / 1e6);
-      if (!outcome.ok)
-        std::fprintf(stderr, "%s\n", outcome.diagnostics.c_str());
-    }
-    return allOk ? 0 : 1;
-  }
-
-  if (action == "coverage") {
-    if (args.empty()) {
-      std::fprintf(stderr, "client coverage needs at least one source\n");
-      return 2;
-    }
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
-    bool allOk = true;
-    std::printf("%-24s | %6s | %6s | %8s | %4s | %-5s | %-9s\n", "source",
-                "loops", "stmts", "in-loop", "pct", "cache", "recompile");
-    for (const auto &arg : args) {
-      core::AnalysisSpec spec;
-      if (!loadSource(arg, spec))
-        return 1;
-      server::CoverageReply reply;
-      if (!client.coverage(spec.name, spec.source, optionsFor(flags), reply))
-        return clientFailure(client);
-      if (!reply.ok) {
-        allOk = false;
-        std::printf("%-24s | analysis FAILED\n", spec.name.c_str());
-        std::fprintf(stderr, "%s\n", reply.diagnostics.c_str());
-        continue;
-      }
-      std::printf("%-24s | %6zu | %6zu | %8zu | %3.0f%% | %-5s | %-9s\n",
-                  spec.name.c_str(), reply.coverage.loops,
-                  reply.coverage.statements, reply.coverage.inLoopStatements,
-                  reply.coverage.percent(),
-                  reply.cacheHit ? "hit" : "miss",
-                  reply.recompiled ? "yes" : "no");
-    }
-    return allOk ? 0 : 1;
-  }
-
-  if (action == "manifest-diff") {
-    if (args.size() != 2) {
-      std::fprintf(stderr,
-                   "client manifest-diff takes OLD and NEW manifest files\n");
-      return 2;
-    }
-    // Raw bytes travel; the daemon validates both blobs and answers
-    // Error on anything malformed. Output matches the local
-    // `manifest diff` line for line, and so does the exit-code
-    // convention: 0 identical, 1 differences, 2 trouble (unreadable
-    // file, no daemon, malformed manifest).
-    std::string oldBytes, newBytes;
-    if (!readFileBytes(args[0], oldBytes) || !readFileBytes(args[1], newBytes))
-      return kExitTrouble;
-    if (requireClientConnection(client, flags) != 0)
-      return kExitTrouble;
-    server::ManifestDiffReply reply;
-    if (!client.manifestDiff(oldBytes, newBytes, reply)) {
-      // Same one-line diagnostic format as every other client failure,
-      // but the diff/cmp exit convention wins over the 3/4 split here.
-      std::fprintf(stderr, "mira-cli client: %s\n",
-                   client.lastError().c_str());
-      return kExitTrouble;
-    }
-    return printManifestDiff(reply.added, reply.changed, reply.removed) == 0
-               ? 0
-               : 1;
-  }
-
-  if (action == "simulate") {
-    if (args.size() != 1) {
-      std::fprintf(stderr, "client simulate takes exactly one source\n");
-      return 2;
-    }
-    if (flags.sim.function.empty()) {
-      std::fprintf(stderr, "client simulate requires --function NAME\n");
-      return 2;
-    }
-    core::AnalysisSpec spec;
-    if (!loadSource(args[0], spec))
-      return 1;
-    if (int rc = requireClientConnection(client, flags))
-      return rc;
-    server::SimulateReply reply;
-    if (!client.simulate(spec.name, spec.source, optionsFor(flags), flags.sim,
-                         reply))
-      return clientFailure(client);
-    if (!reply.ok) {
-      std::fprintf(stderr, "simulate of %s failed:\n%s\n",
-                   spec.name.c_str(), reply.diagnostics.c_str());
-      return 1;
-    }
-    std::printf("simulated %s:%s via daemon in %.4f s (%s%s)\n",
-                spec.name.c_str(), flags.sim.function.c_str(),
-                static_cast<double>(reply.micros) / 1e6,
-                reply.cacheHit ? "cache hit" : "computed",
-                reply.recompiled ? ", recompiled" : "");
-    printSimResult(reply.result);
-    return reply.result.ok ? 0 : 1;
-  }
-
-  std::fprintf(stderr, "unknown client action '%s'\n", action.c_str());
-  return 2;
-}
-
-// -------------------------------------------------------- coordinator
-
-/// `mira-cli coordinate`: run a corpus manifest across TCP worker
-/// daemons with shard leases and failover (src/fleet/coordinator.h,
-/// docs/FLEET.md). Exit codes follow the client contract: 0 ok, 1 the
-/// work itself failed (daemon rejection or failing entries in the
-/// merged report), 3 no worker was ever reachable, 4 the fleet died
-/// mid-run.
-int cmdCoordinate(std::vector<std::string> args) {
-  CommonFlags flags;
-  if (!parseFlags(args, flags) || !args.empty())
-    return 2;
-  if (flags.manifestPaths.size() != 1) {
-    std::fprintf(stderr, "coordinate requires exactly one --manifest FILE\n");
-    return 2;
-  }
-  if (flags.workersSpec.empty()) {
-    std::fprintf(stderr,
-                 "coordinate requires --workers host:port[,host:port...]\n");
-    return 2;
-  }
-
-  fleet::CoordinatorOptions options;
-  std::string error;
-  if (!fleet::parseWorkerList(flags.workersSpec, options.workers, error)) {
-    std::fprintf(stderr, "--workers: %s\n", error.c_str());
-    return 2;
-  }
-  if (!readFileBytes(flags.manifestPaths[0], options.manifestBytes))
-    return kExitTrouble;
-  if (!flags.sincePath.empty() &&
-      !readFileBytes(flags.sincePath, options.sinceBytes))
-    return kExitTrouble;
-  options.root = flags.rootOverride;
-  options.options = optionsFor(flags);
-  options.shardCount = flags.shardCount;
-  options.leaseTimeoutMillis =
-      static_cast<std::uint32_t>(flags.leaseTimeoutSeconds * 1000.0);
-  options.connectTimeoutMillis =
-      static_cast<int>(flags.connectTimeoutSeconds * 1000.0);
-  options.secret = flags.secret;
-  options.metricsFile = flags.metricsFile;
-  if (flags.progress)
-    options.onEvent = [](const std::string &line) {
-      // Lease traffic is operator feedback, not results: stderr, so
-      // stdout stays byte-comparable with and without --progress.
-      std::fprintf(stderr, "fleet: %s\n", line.c_str());
-    };
-
-  core::MetricsRegistry metrics;
-  const fleet::CoordinatorResult result =
-      fleet::runCoordinator(options, metrics);
-  if (result.status != fleet::CoordinatorStatus::ok) {
-    // Same one-line diagnostic discipline as `mira-cli client`.
-    std::fprintf(stderr, "mira-cli coordinate: %s\n", result.error.c_str());
-    switch (result.status) {
-    case fleet::CoordinatorStatus::connectFailed:
-      return 3;
-    case fleet::CoordinatorStatus::transportFailed:
-      return 4;
-    default:
-      return 1;
-    }
-  }
-
-  for (const auto &entry : result.report.entries)
-    std::printf("%-24s | %-6s | %016llx\n", entry.name.c_str(),
-                entry.ok ? "ok" : "FAILED",
-                static_cast<unsigned long long>(entry.key));
-  printReportSummary(result.report);
-  // The merged bytes go to disk untouched: byte-identical to a local
-  // 1-process `batch --manifest --report` run by the fleet contract.
-  if (!flags.reportPath.empty() &&
-      !writeFileBytes(flags.reportPath, result.reportBytes))
-    return 1;
-  return result.report.stats.failures == 0 ? 0 : 1;
+  server::ServerStats stats;
+  if (!client.cacheStats(stats))
+    return daemon->failure();
+  // Field meanings: docs/PROTOCOL.md, CacheStatsReply.
+  std::printf("uptime          : %.1f s\n",
+              static_cast<double>(stats.uptimeMicros) / 1e6);
+  std::printf("connections     : %llu\n",
+              static_cast<unsigned long long>(stats.connectionsAccepted));
+  std::printf("requests served : %llu\n",
+              static_cast<unsigned long long>(stats.requestsServed));
+  std::printf("analyze / batch : %llu / %llu\n",
+              static_cast<unsigned long long>(stats.analyzeRequests),
+              static_cast<unsigned long long>(stats.batchRequests));
+  std::printf("coverage / sim  : %llu / %llu (%llu recompiles)\n",
+              static_cast<unsigned long long>(stats.coverageRequests),
+              static_cast<unsigned long long>(stats.simulateRequests),
+              static_cast<unsigned long long>(stats.recompiles));
+  std::printf("sources analyzed: %llu (%llu cache hits, %llu computed, "
+              "%llu failed)\n",
+              static_cast<unsigned long long>(stats.sourcesAnalyzed),
+              static_cast<unsigned long long>(stats.cacheHits),
+              static_cast<unsigned long long>(stats.computed),
+              static_cast<unsigned long long>(stats.failures));
+  std::printf("protocol errors : %llu\n",
+              static_cast<unsigned long long>(stats.protocolErrors));
+  std::printf("memory entries  : %llu\n",
+              static_cast<unsigned long long>(stats.memoryEntries));
+  std::printf("disk cache      : %llu hit / %llu miss, %llu stored, "
+              "%llu entries, %llu bytes (%s)\n",
+              static_cast<unsigned long long>(stats.diskHits),
+              static_cast<unsigned long long>(stats.diskMisses),
+              static_cast<unsigned long long>(stats.diskStores),
+              static_cast<unsigned long long>(stats.diskEntries),
+              static_cast<unsigned long long>(stats.diskBytes),
+              formatBytes(stats.diskBytes).c_str());
+  std::printf("session threads : %llu\n",
+              static_cast<unsigned long long>(stats.threads));
+  return 0;
 }
 
 } // namespace
@@ -1843,8 +1654,6 @@ int main(int argc, char **argv) {
     result = cmdServe(std::move(args));
   else if (command == "client")
     result = cmdClient(std::move(args));
-  else if (command == "coordinate")
-    result = cmdCoordinate(std::move(args));
   if (result == kExitTrouble)
     return 2; // specific message already printed; no usage dump
   return result == 2 ? usage(argv[0]) : result;

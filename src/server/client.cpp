@@ -312,21 +312,6 @@ bool Client::simulate(const std::string &name, const std::string &source,
   return true;
 }
 
-bool Client::manifestDiff(const std::string &oldManifestBytes,
-                          const std::string &newManifestBytes,
-                          ManifestDiffReply &reply) {
-  std::string wire;
-  if (!roundTrip(encodeManifestDiffRequest(oldManifestBytes, newManifestBytes),
-                 MessageType::manifestDiffReply, wire))
-    return false;
-  bio::Reader r{wire, 0};
-  if (!decodeManifestDiffReply(r, reply)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed manifest-diff reply");
-  }
-  return true;
-}
-
 bool Client::manifestBatch(const std::string &manifestBytes,
                            const std::string &sinceBytes,
                            const std::string &root,

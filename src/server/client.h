@@ -7,9 +7,9 @@
 /// issued over one Client, which is exactly the amortization the daemon
 /// exists for. Errors — connect failures, protocol violations, Error
 /// replies from the daemon — surface as a false return plus a
-/// human-readable lastError(); nothing throws. `mira-cli client` is a
-/// thin shell around this class, and tests/server_test.cpp drives both
-/// ends in one process.
+/// human-readable lastError(); nothing throws. Every `mira-cli` command
+/// given `--socket`/`--connect` talks to its daemon through this class,
+/// and tests/server_test.cpp drives both ends in one process.
 #pragma once
 
 #include <cstdint>
@@ -138,14 +138,6 @@ public:
   bool simulate(const std::string &name, const std::string &source,
                 const core::MiraOptions &options,
                 const core::SimulationArgs &sim, SimulateReply &reply);
-
-  /// Diff two serialized corpus manifests (corpus::serializeManifest
-  /// bytes) on the daemon. The daemon validates both
-  /// blobs and answers the added/changed/removed entry lists that an
-  /// incremental `batch --manifest --since` run would act on.
-  bool manifestDiff(const std::string &oldManifestBytes,
-                    const std::string &newManifestBytes,
-                    ManifestDiffReply &reply);
 
   /// Called for each BatchProgress frame a manifestBatch() streams back
   /// (cumulative counts; the daemon sends one per executed chunk).

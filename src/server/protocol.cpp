@@ -228,15 +228,6 @@ std::string encodeSimulateRequest(const SourceItem &item, std::uint8_t flags,
   return out;
 }
 
-std::string encodeManifestDiffRequest(const std::string &oldManifestBytes,
-                                      const std::string &newManifestBytes) {
-  std::string out;
-  beginMessage(out, MessageType::manifestDiff);
-  bio::putString(out, oldManifestBytes);
-  bio::putString(out, newManifestBytes);
-  return out;
-}
-
 std::string encodeMetricsRequest() {
   return encodeEmptyMessage(MessageType::metrics);
 }
@@ -385,46 +376,6 @@ std::string encodeSimulateReply(const SimulateReply &reply) {
   return out;
 }
 
-namespace {
-
-void putManifestEntries(std::string &out,
-                        const std::vector<corpus::ManifestEntry> &entries) {
-  bio::putU32(out, static_cast<std::uint32_t>(entries.size()));
-  for (const corpus::ManifestEntry &entry : entries) {
-    bio::putString(out, entry.path);
-    bio::putU64(out, entry.contentHash);
-    bio::putU64(out, entry.size);
-  }
-}
-
-bool readManifestEntries(bio::Reader &r,
-                         std::vector<corpus::ManifestEntry> &entries) {
-  std::uint32_t count = 0;
-  if (!r.u32(count))
-    return false;
-  entries.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    corpus::ManifestEntry entry;
-    if (!r.str(entry.path) || !r.u64(entry.contentHash) || !r.u64(entry.size))
-      return false;
-    entries.push_back(std::move(entry));
-  }
-  return true;
-}
-
-} // namespace
-
-std::string encodeManifestDiffReply(const ManifestDiffReply &reply) {
-  std::string out;
-  beginMessage(out, MessageType::manifestDiffReply);
-  putManifestEntries(out, reply.added);
-  putManifestEntries(out, reply.changed);
-  bio::putU32(out, static_cast<std::uint32_t>(reply.removed.size()));
-  for (const std::string &path : reply.removed)
-    bio::putString(out, path);
-  return out;
-}
-
 std::string encodeCacheStatsReply(const ServerStats &stats) {
   std::string out;
   beginMessage(out, MessageType::cacheStatsReply);
@@ -496,12 +447,6 @@ bool decodeSimulateRequest(bio::Reader &r, SourceItem &item,
     sim.args.push_back(value);
   }
   return r.remaining() == 0;
-}
-
-bool decodeManifestDiffRequest(bio::Reader &r, std::string &oldManifestBytes,
-                               std::string &newManifestBytes) {
-  return r.str(oldManifestBytes) && r.str(newManifestBytes) &&
-         r.remaining() == 0;
 }
 
 bool decodeHelloRequest(bio::Reader &r, std::string &secret) {
@@ -583,21 +528,6 @@ bool decodeSimulateReply(bio::Reader &r, SimulateReply &reply) {
   if (!reply.ok)
     return r.remaining() == 0;
   return readSimResult(r, reply.result) && r.remaining() == 0;
-}
-
-bool decodeManifestDiffReply(bio::Reader &r, ManifestDiffReply &reply) {
-  reply = ManifestDiffReply{};
-  std::uint32_t removedCount = 0;
-  if (!readManifestEntries(r, reply.added) ||
-      !readManifestEntries(r, reply.changed) || !r.u32(removedCount))
-    return false;
-  for (std::uint32_t i = 0; i < removedCount; ++i) {
-    std::string path;
-    if (!r.str(path))
-      return false;
-    reply.removed.push_back(std::move(path));
-  }
-  return r.remaining() == 0;
 }
 
 bool decodeBusyReply(bio::Reader &r, BusyReply &reply) {

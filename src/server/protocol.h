@@ -15,11 +15,12 @@
 /// Versioning: every message carries the protocol version, and peers
 /// accept exactly kProtocolVersion (2); any other version is answered
 /// with Error-and-close. Analyze replies embed the schema-v2 artifact
-/// payload. The ManifestDiff and ManifestBatch requests and the
+/// payload. The ManifestBatch request and the
 /// Metrics/Busy/BatchProgress/Hello messages are additive late-v2
 /// extensions (new message types, no layout changes); older v2 daemons
 /// answer them with Error-and-close like any unknown type, which
-/// clients must treat as "not supported". Busy and
+/// clients must treat as "not supported". Types 8 and 108 (the retired
+/// ManifestDiff pair) get the same answer and are never reused. Busy and
 /// BatchProgress are the two replies that do NOT close the connection:
 /// Busy reports the in-flight cap was hit and carries a retry-after
 /// hint; BatchProgress precedes a manifestBatchReply on the same
@@ -44,7 +45,6 @@
 
 #include "core/artifacts.h"
 #include "core/mira.h"
-#include "corpus/manifest.h"
 #include "support/binary_io.h"
 
 namespace mira::server {
@@ -74,7 +74,7 @@ enum class MessageType : std::uint8_t {
   shutdown = 5,   ///< stop accepting, drain, exit; empty body
   coverage = 6,   ///< loop coverage: same body as analyze
   simulate = 7,   ///< run the simulator: analyze body + sim args
-  manifestDiff = 8, ///< diff two corpus manifests: [old str][new str]
+  // 8 is retired (ManifestDiff) and never reused.
   metrics = 9,    ///< named counter/gauge snapshot; empty body
   manifestBatch = 10, ///< run a whole manifest (ManifestBatchRequest)
   hello = 11,     ///< shared-secret handshake: [secret str]
@@ -88,7 +88,7 @@ enum class MessageType : std::uint8_t {
   shutdownReply = 105,   ///< empty body; sent before the daemon drains
   coverageReply = 106,   ///< one coverage summary (see CoverageReply)
   simulateReply = 107,   ///< one simulation result (see SimulateReply)
-  manifestDiffReply = 108, ///< added/changed/removed entry lists
+  // 108 is retired (ManifestDiffReply) and never reused.
   busyReply = 109,       ///< over the in-flight cap; [retryMillis u32]
   metricsReply = 110,    ///< [count u32][count x (name str, value u64)]
   manifestBatchReply = 111, ///< one merged report: [report str]
@@ -155,20 +155,6 @@ struct SimulateReply {
   std::string diagnostics;
   sim::SimResult result;   ///< meaningful when ok (its own ok/error
                            ///< report simulator-level failures)
-};
-
-/// The decoded answer to a manifestDiff request: what changed
-/// between the two corpus manifests the client sent, so a daemon can
-/// plan incremental re-analysis for callers that never read the
-/// workload tree themselves.
-/// Body: [added u32][added x (path str, hash u64, size u64)]
-/// [changed u32][changed x (path str, hash u64, size u64)]
-/// [removed u32][removed x path str].
-struct ManifestDiffReply {
-  std::vector<corpus::ManifestEntry> added;   ///< entries only in `new`
-  std::vector<corpus::ManifestEntry> changed; ///< new-side entries whose
-                                              ///< content hash differs
-  std::vector<std::string> removed;           ///< paths only in `old`
 };
 
 /// A manifestBatch request (additive late extension): run a whole
@@ -280,10 +266,6 @@ std::string encodeCoverageRequest(const SourceItem &item, std::uint8_t flags);
 /// [maxInstructions u64][argc u32][argc x (i i64, f f64, f2 f64)]).
 std::string encodeSimulateRequest(const SourceItem &item, std::uint8_t flags,
                                   const core::SimulationArgs &sim);
-/// Build a manifestDiff request carrying two serialized manifests
-/// (corpus::serializeManifest bytes): [old str][new str].
-std::string encodeManifestDiffRequest(const std::string &oldManifestBytes,
-                                      const std::string &newManifestBytes);
 /// Build a metrics request: header only, like ping.
 std::string encodeMetricsRequest();
 /// Build a hello handshake request carrying the shared secret:
@@ -310,8 +292,6 @@ std::string encodeBatchReply(const std::vector<AnalyzeReply> &replies);
 std::string encodeCoverageReply(const CoverageReply &reply);
 /// Build a simulateReply.
 std::string encodeSimulateReply(const SimulateReply &reply);
-/// Build a manifestDiffReply.
-std::string encodeManifestDiffReply(const ManifestDiffReply &reply);
 /// Build a cacheStatsReply (the 20-field ServerStats block) from a
 /// counter snapshot.
 std::string encodeCacheStatsReply(const ServerStats &stats);
@@ -332,11 +312,6 @@ bool decodeCoverageRequest(bio::Reader &r, SourceItem &item,
 /// Decode a simulate request body.
 bool decodeSimulateRequest(bio::Reader &r, SourceItem &item,
                            std::uint8_t &flags, core::SimulationArgs &sim);
-/// Decode a manifestDiff request body into the two raw manifest blobs
-/// (the caller runs corpus::deserializeManifest on each, answering
-/// Error on blobs that fail validation there).
-bool decodeManifestDiffRequest(bio::Reader &r, std::string &oldManifestBytes,
-                               std::string &newManifestBytes);
 /// Decode a hello handshake request body into the presented secret.
 bool decodeHelloRequest(bio::Reader &r, std::string &secret);
 /// Decode a manifestBatch request body. Validates the scalar fields
@@ -358,8 +333,6 @@ bool decodeBatchReply(bio::Reader &r, std::vector<AnalyzeReply> &replies);
 bool decodeCoverageReply(bio::Reader &r, CoverageReply &reply);
 /// Decode a simulateReply body.
 bool decodeSimulateReply(bio::Reader &r, SimulateReply &reply);
-/// Decode a manifestDiffReply body.
-bool decodeManifestDiffReply(bio::Reader &r, ManifestDiffReply &reply);
 /// Decode a busyReply body.
 bool decodeBusyReply(bio::Reader &r, BusyReply &reply);
 /// Decode a metricsReply body.

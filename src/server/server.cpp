@@ -5,10 +5,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -430,74 +428,39 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
     return true;
   }
 
-  case MessageType::manifestDiff: {
-    std::string oldBytes, newBytes;
-    if (!decodeManifestDiffRequest(r, oldBytes, newBytes)) {
-      sendErrorAt(session, seq, "malformed manifest-diff request");
-      return false;
-    }
-    // The blobs are validated application payloads, not framing: a bad
-    // manifest still gets the Error-then-close treatment so clients
-    // can't mistake a refusal for an empty diff. Validation runs on the
-    // reader (it is cheap parsing); only the diff is dispatched.
-    corpus::Manifest oldManifest, newManifest;
-    std::string manifestError;
-    if (!corpus::deserializeManifest(oldBytes, oldManifest, manifestError) ||
-        !corpus::deserializeManifest(newBytes, newManifest, manifestError)) {
-      sendErrorAt(session, seq, "malformed manifest: " + manifestError);
-      return false;
-    }
-    if (!admitOrRefuse(session, seq))
-      return true;
-    compute_->submit([this, session, seq,
-                      oldManifest = std::move(oldManifest),
-                      newManifest = std::move(newManifest)] {
-      corpus::ManifestDiff diff = corpus::diffManifests(oldManifest,
-                                                        newManifest);
-      ManifestDiffReply reply;
-      reply.added = std::move(diff.added);
-      reply.changed = std::move(diff.changed);
-      reply.removed = std::move(diff.removed);
-      releaseInflight();
-      sendReplyAt(session, seq, encodeManifestDiffReply(reply));
-    });
-    return true;
-  }
-
   case MessageType::manifestBatch: {
     ManifestBatchRequest request;
     if (!decodeManifestBatchRequest(r, request)) {
       sendErrorAt(session, seq, "malformed manifest-batch request");
       return false;
     }
-    // Same contract as manifestDiff: the manifest blobs are validated
-    // application payloads, and a bad one gets Error-then-close so a
-    // refusal can never look like an empty corpus. Parsing is cheap and
-    // runs on the reader; only the analysis is dispatched.
-    corpus::Manifest manifest, since;
+    // The manifest blobs are validated application payloads: a bad one
+    // gets Error-then-close so a refusal can never look like an empty
+    // corpus. Parsing is cheap and runs on the reader; only the analysis
+    // is dispatched.
+    driver::ManifestJob job;
     std::string manifestError;
-    if (!corpus::deserializeManifest(request.manifestBytes, manifest,
-                                     manifestError)) {
+    bool parsed = corpus::deserializeManifest(request.manifestBytes,
+                                              job.manifest, manifestError);
+    if (parsed && !request.sinceBytes.empty())
+      parsed = corpus::deserializeManifest(request.sinceBytes,
+                                           job.since.emplace(), manifestError);
+    if (!parsed) {
       sendErrorAt(session, seq, "malformed manifest: " + manifestError);
       return false;
     }
-    const bool haveSince = !request.sinceBytes.empty();
-    if (haveSince &&
-        !corpus::deserializeManifest(request.sinceBytes, since,
-                                     manifestError)) {
-      sendErrorAt(session, seq, "malformed manifest: " + manifestError);
-      return false;
-    }
+    job.root = request.root;
+    job.options = unpackOptions(request.flags);
+    job.shard.index = request.shardIndex;
+    job.shard.count = request.shardCount;
     manifest_batch_requests_.increment();
     // One in-flight slot for the whole corpus, like batch: the entries
     // fan across the analyzer's own pool chunk by chunk.
     if (!admitOrRefuse(session, seq))
       return true;
-    compute_->submit([this, session, seq, request = std::move(request),
-                      manifest = std::move(manifest), since = std::move(since),
-                      haveSince] {
-      runManifestBatch(session, seq, request, manifest,
-                       haveSince ? &since : nullptr);
+    compute_->submit([this, session, seq, job = std::move(job),
+                      progress = request.progress] {
+      serveManifestBatch(session, seq, job, progress);
     });
     return true;
   }
@@ -741,121 +704,38 @@ SimulateReply AnalysisServer::simulateItem(const SourceItem &item,
   return reply;
 }
 
-namespace {
-
-bool readSourceFile(const std::string &path, std::string &out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in && !in.eof())
-    return false;
-  out = buffer.str();
-  return true;
-}
-
-} // namespace
-
-void AnalysisServer::runManifestBatch(const std::shared_ptr<Session> &session,
-                                      std::uint64_t seq,
-                                      const ManifestBatchRequest &request,
-                                      const corpus::Manifest &manifest,
-                                      const corpus::Manifest *since) {
-  const core::MiraOptions options = unpackOptions(request.flags);
-  driver::ShardSpec shard;
-  shard.index = request.shardIndex;
-  shard.count = request.shardCount;
-  // Same selection the local driver uses: diff against `since` when
-  // given, then keep this shard's keys, in manifest (path) order — the
-  // order the report's entries must come out in for byte-identity with
-  // `mira-cli batch --manifest`.
-  const driver::ManifestSelection selection =
-      driver::selectManifestEntries(manifest, since, options, shard);
-
-  // Resolve sources against the request's root override or the root the
-  // manifest was built from. All-or-nothing, like the local driver: a
-  // report over a partial corpus would be misleading, not degraded.
-  const std::filesystem::path root =
-      request.root.empty() ? manifest.root : request.root;
-  std::vector<std::string> sources(selection.entries.size());
-  for (std::size_t i = 0; i < selection.entries.size(); ++i) {
-    const std::string path = (root / selection.entries[i].path).string();
-    if (!readSourceFile(path, sources[i])) {
-      releaseInflight();
-      sendErrorAt(session, seq, "cannot read source '" + path + "'");
-      return;
-    }
-  }
-
-  // Chunked execution: each chunk fans across the analyzer's pool, and
-  // chunk boundaries are where progress goes out and cancellation is
-  // honored. Chunks of 2x the pool keep every worker busy while still
-  // bounding how much work a vanished client can waste.
-  const std::size_t total = selection.entries.size();
-  const std::size_t chunkSize =
-      std::max<std::size_t>(std::size_t{1}, options_.threads * 2);
-  std::vector<core::Artifacts> results;
-  results.reserve(total);
-  std::uint32_t failures = 0, cacheHits = 0;
-  for (std::size_t begin = 0; begin < total; begin += chunkSize) {
-    if (batchCancelled(session)) {
-      manifest_batch_cancelled_.increment();
-      releaseInflight();
-      return; // the peer is gone; there is no one to answer
-    }
-    const std::size_t end = std::min(total, begin + chunkSize);
-    std::vector<core::AnalysisSpec> specs;
-    specs.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      core::AnalysisSpec spec;
-      spec.name = selection.entries[i].path;
-      spec.source = std::move(sources[i]);
-      spec.options = options;
-      spec.artifacts = core::kArtifactDefault;
-      specs.push_back(std::move(spec));
-    }
-    std::vector<core::Artifacts> chunkResults =
-        analyzer_->analyzeArtifactsMany(specs);
-    for (core::Artifacts &artifacts : chunkResults) {
-      recordServed(artifacts);
-      if (!artifacts.ok)
-        ++failures;
-      if (artifacts.cacheHit)
-        ++cacheHits;
-      results.push_back(std::move(artifacts));
-    }
-    if (request.progress) {
-      BatchProgress progress;
-      progress.done = static_cast<std::uint32_t>(results.size());
-      progress.total = static_cast<std::uint32_t>(total);
-      progress.failures = failures;
-      progress.cacheHits = cacheHits;
-      sendProgressAt(session, seq, encodeBatchProgress(progress));
-    }
-  }
-
-  // The report a local `mira-cli batch --manifest` over the same
-  // manifest, options, and cache would write: entries in selection
-  // order, keys from the manifest's content hashes, stats tallied from
-  // per-result provenance flags (immune to concurrent registry
-  // traffic from other sessions).
-  driver::BatchReport report;
-  report.stats = driver::tallyBatchStats(results, /*useCache=*/true);
-  report.entries.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    driver::BatchReportEntry entry;
-    entry.name = selection.entries[i].path;
-    entry.key =
-        driver::requestKeyFromContentHash(selection.entries[i].contentHash,
-                                          options);
-    entry.ok = results[i].ok;
-    report.entries.push_back(std::move(entry));
-  }
-  ManifestBatchReply reply;
-  reply.reportBytes = driver::serializeBatchReport(report);
+void AnalysisServer::serveManifestBatch(
+    const std::shared_ptr<Session> &session, std::uint64_t seq,
+    const driver::ManifestJob &job, bool progress) {
+  const driver::ManifestOutcome outcome = driver::runManifestBatch(
+      *analyzer_, job, [&](const driver::ManifestProgress &p) {
+        if (progress) {
+          BatchProgress frame;
+          frame.done = static_cast<std::uint32_t>(p.done);
+          frame.total = static_cast<std::uint32_t>(p.total);
+          frame.failures = static_cast<std::uint32_t>(p.failures);
+          frame.cacheHits = static_cast<std::uint32_t>(p.cacheHits);
+          sendProgressAt(session, seq, encodeBatchProgress(frame));
+        }
+        return !batchCancelled(session);
+      });
+  for (const core::Artifacts &artifacts : outcome.results)
+    recordServed(artifacts);
   releaseInflight();
-  sendReplyAt(session, seq, encodeManifestBatchReply(reply));
+  switch (outcome.status) {
+  case driver::ManifestOutcome::Status::unreadable:
+    sendErrorAt(session, seq, outcome.error);
+    return;
+  case driver::ManifestOutcome::Status::cancelled:
+    manifest_batch_cancelled_.increment(); // the peer is gone
+    return;
+  case driver::ManifestOutcome::Status::ok: {
+    ManifestBatchReply reply;
+    reply.reportBytes = driver::serializeBatchReport(outcome.report);
+    sendReplyAt(session, seq, encodeManifestBatchReply(reply));
+    return;
+  }
+  }
 }
 
 void AnalysisServer::refreshGauges() const {

@@ -78,7 +78,7 @@ struct ServerOptions {
   /// Error reply and a closed connection.
   std::uint32_t maxFrameBytes = kMaxFrameBytes;
   /// Daemon-wide cap on concurrently running analysis requests (analyze,
-  /// batch, coverage, simulate, manifest-diff — a batch counts as one).
+  /// batch, coverage, simulate, manifest batch — a batch counts as one).
   /// A request over the cap is refused with Busy instead of queueing
   /// unboundedly. 0 = unlimited.
   std::size_t maxInflight = 0;
@@ -181,13 +181,12 @@ private:
   /// draining — during a drain in-flight requests finish and answer) or
   /// the write side already aborted.
   bool batchCancelled(const std::shared_ptr<Session> &session);
-  /// Execute one admitted manifestBatch request on a compute worker:
-  /// chunked fan-out over the analyzer, optional progress frames,
-  /// cancellation between chunks, one merged byte-stable report.
-  void runManifestBatch(const std::shared_ptr<Session> &session,
-                        std::uint64_t seq, const ManifestBatchRequest &request,
-                        const corpus::Manifest &manifest,
-                        const corpus::Manifest *since);
+  /// Execute one admitted manifestBatch request on a compute worker
+  /// through driver::runManifestBatch: optional progress frames,
+  /// cancellation between chunks, one byte-stable report.
+  void serveManifestBatch(const std::shared_ptr<Session> &session,
+                          std::uint64_t seq, const driver::ManifestJob &job,
+                          bool progress);
   /// Try to reserve an in-flight slot. At capacity the request is
   /// answered Busy (the connection keeps going) and false is returned.
   bool admitOrRefuse(const std::shared_ptr<Session> &session,

@@ -572,6 +572,48 @@ TEST(DiskCacheBatchTest, FailedAnalysesAreCachedToo) {
   EXPECT_EQ(warmResults[0].diagnostics, coldResults[0].diagnostics);
 }
 
+TEST(DiskCacheBatchTest, PayloadSizesAddUpToTheStoredSections) {
+  TempDir dir("sizes");
+  const core::AnalysisSpec fig5 = specFor("@fig5", workloads::fig5Source());
+  const core::AnalysisSpec broken = specFor("bad.mc", "int broken(");
+  driver::BatchAnalyzer analyzer(diskOptions(dir, 1));
+  const auto results = analyzer.runArtifacts({fig5, broken});
+  ASSERT_TRUE(results[0].ok);
+  ASSERT_FALSE(results[1].ok);
+  CacheStore store(dir.str());
+  driver::ArtifactPayloadSizes sizes;
+
+  // A stored model: [ok][name][diagnostics][coverage flag + 3 x u64]
+  // [model], with each section measured exactly.
+  const auto model = store.peek(driver::requestKey(fig5));
+  ASSERT_TRUE(model.has_value());
+  ASSERT_TRUE(driver::measureArtifactPayload(*model, sizes));
+  EXPECT_TRUE(sizes.ok);
+  std::string modelBytes;
+  model::serializeModel(*results[0].model, modelBytes);
+  EXPECT_EQ(sizes.modelBytes, modelBytes.size());
+  EXPECT_EQ(sizes.coverageBytes, 1u + 3 * 8);
+  EXPECT_EQ(sizes.diagnosticsBytes, results[0].diagnostics.size());
+  EXPECT_EQ(model->size(), 1 + (4 + fig5.name.size()) +
+                               (4 + sizes.diagnosticsBytes) +
+                               sizes.coverageBytes + sizes.modelBytes);
+
+  // A cached failure: diagnostics only.
+  const auto failure = store.peek(driver::requestKey(broken));
+  ASSERT_TRUE(failure.has_value());
+  ASSERT_TRUE(driver::measureArtifactPayload(*failure, sizes));
+  EXPECT_FALSE(sizes.ok);
+  EXPECT_GT(sizes.diagnosticsBytes, 0u);
+  EXPECT_EQ(sizes.diagnosticsBytes, results[1].diagnostics.size());
+  EXPECT_EQ(sizes.coverageBytes, 0u);
+  EXPECT_EQ(sizes.modelBytes, 0u);
+  EXPECT_EQ(failure->size(),
+            1 + (4 + broken.name.size()) + (4 + sizes.diagnosticsBytes));
+
+  // A header cut short is malformed, not an empty entry.
+  EXPECT_FALSE(driver::measureArtifactPayload(model->substr(0, 3), sizes));
+}
+
 TEST(DiskCacheBatchTest, DiskHitsCarryTheModelButDeferTheProgram) {
   TempDir dir("program");
   core::AnalysisSpec spec = specFor("fig5", workloads::fig5Source());

@@ -1,0 +1,373 @@
+// One CLI over three backends: run each analysis command on the local
+// analyzer, on a Unix-socket daemon, on a TCP daemon behind a shared
+// secret and, for `batch --manifest`, on a two-worker fleet, and pin
+// that the outputs agree. Also pinned once for every command that can
+// talk to a daemon: the exit contract (3 when no daemon answers, 4 when
+// it hangs up mid-reply), and that junk numbers and flags the command or
+// its backend does not use are usage errors (2).
+//
+// MIRA_CLI_PATH is injected by CMake, so the tests drive the binary they
+// were built with.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <regex>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "cli_harness.h"
+#include "server/protocol.h"
+#include "support/socket.h"
+
+namespace mira {
+namespace {
+
+using namespace cli_harness;
+
+constexpr const char *kSecret = "cli-test-secret";
+
+/// The output with its timings taken out: the time on the `analyzed` /
+/// `simulated` line, the seconds column of status tables, and the
+/// wall-time suffix of their summary line.
+std::string withoutTimings(const std::string &text) {
+  static const std::regex took(R"( in [0-9]+\.[0-9]{4} s \()");
+  static const std::regex seconds(R"(\| +[0-9]+\.[0-9]{4}\n)");
+  static const std::regex wall(R"(, [0-9]+\.[0-9]{4} s (on|via) [^\n]*\n)");
+  std::string out = std::regex_replace(text, took, " (");
+  out = std::regex_replace(out, seconds, "|\n");
+  return std::regex_replace(out, wall, "\n");
+}
+
+std::vector<std::string> with(std::vector<std::string> args,
+                              const std::vector<std::string> &extra) {
+  args.insert(args.end(), extra.begin(), extra.end());
+  return args;
+}
+
+/// Run `args` (which must succeed) locally, on a fresh Unix daemon and
+/// on a fresh TCP daemon that demands a secret: every run is cold.
+/// Returns the three outputs in that order.
+std::vector<std::string>
+runOnEveryBackend(const TempDir &dir, const std::string &tag,
+                  const std::vector<std::string> &args) {
+  std::vector<std::string> outputs;
+  const auto run = [&](const std::vector<std::string> &argv,
+                       const std::string &backend) {
+    const fs::path log = dir.path / (tag + "_" + backend + ".log");
+    EXPECT_EQ(runCli(argv, log), 0) << backend << ": " << slurp(log);
+    outputs.push_back(slurp(log));
+  };
+  run(args, "local");
+  {
+    Daemon daemon;
+    const fs::path socket = dir.path / (tag + ".sock");
+    daemon.start({"--socket", socket.string()},
+                 dir.path / (tag + "_unix_daemon.log"));
+    run(with(args, {"--socket", socket.string()}), "unix");
+  }
+  {
+    Daemon daemon;
+    daemon.start({"--listen", "127.0.0.1:0", "--secret", kSecret},
+                 dir.path / (tag + "_tcp_daemon.log"));
+    run(with(args, {"--connect", "127.0.0.1:" + std::to_string(daemon.port),
+                    "--secret", kSecret}),
+        "tcp");
+  }
+  return outputs;
+}
+
+TEST(CliBackends, AnalyzeWithPythonAgreesApartFromTiming) {
+  TempDir dir("analyze");
+  const auto outputs = runOnEveryBackend(
+      dir, "analyze", {"analyze", "@minife", "--emit-python"});
+  ASSERT_EQ(outputs.size(), 3u);
+  EXPECT_NE(outputs[0].find("(computed)"), std::string::npos) << outputs[0];
+  EXPECT_NE(outputs[0].find("def "), std::string::npos) << outputs[0];
+  for (std::size_t i = 1; i < outputs.size(); ++i) {
+    EXPECT_NE(outputs[i].find("(computed)"), std::string::npos) << outputs[i];
+    EXPECT_EQ(withoutTimings(outputs[i]), withoutTimings(outputs[0]));
+  }
+}
+
+TEST(CliBackends, SimulateCountersAgree) {
+  TempDir dir("simulate");
+  const auto outputs = runOnEveryBackend(
+      dir, "simulate",
+      {"simulate", "@fig5", "--function", "fig5_main", "--sim-arg", "64"});
+  ASSERT_EQ(outputs.size(), 3u);
+  EXPECT_NE(outputs[0].find("total instructions"), std::string::npos)
+      << outputs[0];
+  for (std::size_t i = 1; i < outputs.size(); ++i)
+    EXPECT_EQ(withoutTimings(outputs[i]), withoutTimings(outputs[0]));
+}
+
+TEST(CliBackends, ColdBatchTablesAgree) {
+  TempDir dir("batch");
+  const auto outputs = runOnEveryBackend(
+      dir, "batch", {"batch", "@stream", "@dgemm", "@fig5", "--no-vectorize"});
+  ASSERT_EQ(outputs.size(), 3u);
+  EXPECT_NE(outputs[0].find("3 sources, 0 failures, cache 0 hit / 3 miss"),
+            std::string::npos)
+      << outputs[0];
+  for (std::size_t i = 1; i < outputs.size(); ++i)
+    EXPECT_EQ(withoutTimings(outputs[i]), withoutTimings(outputs[0]));
+}
+
+TEST(CliBackends, ColdCoverageAgreesForTheSuiteAndForGivenSources) {
+  TempDir dir("coverage");
+  // No sources: the Table I suite plus the fig series.
+  const auto suite = runOnEveryBackend(dir, "suite", {"coverage"});
+  ASSERT_EQ(suite.size(), 3u);
+  EXPECT_NE(suite[0].find("loops p/o"), std::string::npos) << suite[0];
+  EXPECT_NE(suite[0].find("15 coverage (0 from cached summaries)"),
+            std::string::npos)
+      << suite[0];
+  for (std::size_t i = 1; i < suite.size(); ++i)
+    EXPECT_EQ(withoutTimings(suite[i]), withoutTimings(suite[0]));
+
+  // Given sources: exactly those, and no Table I comparison.
+  const auto given =
+      runOnEveryBackend(dir, "given", {"coverage", "@fig5", "@stream"});
+  ASSERT_EQ(given.size(), 3u);
+  EXPECT_EQ(given[0].find("loops p/o"), std::string::npos) << given[0];
+  EXPECT_NE(given[0].find("2 sources, 0 failures"), std::string::npos)
+      << given[0];
+  for (std::size_t i = 1; i < given.size(); ++i)
+    EXPECT_EQ(withoutTimings(given[i]), withoutTimings(given[0]));
+}
+
+TEST(CliBackends, ManifestBatchIsByteIdenticalOnEveryBackend) {
+  TempDir dir("manifest");
+  writeCorpus(dir.path / "corpus", 6);
+  const fs::path manifest = dir.path / "corpus.manifest";
+  ASSERT_EQ(runCli({"manifest", "build", (dir.path / "corpus").string(),
+                    "--out", manifest.string()},
+                   dir.path / "build.log"),
+            0);
+  const std::vector<std::string> base = {"batch", "--manifest",
+                                         manifest.string()};
+  const auto report = [&](const std::string &name) {
+    return (dir.path / (name + ".report")).string();
+  };
+  const auto cache = [&](const std::string &name) {
+    return (dir.path / (name + "_cache")).string();
+  };
+
+  ASSERT_EQ(runCli(with(base, {"--cache-dir", cache("local"), "--report",
+                               report("local")}),
+                   dir.path / "local.log"),
+            0)
+      << slurp(dir.path / "local.log");
+
+  Daemon unixDaemon, tcpDaemon, workerA, workerB;
+  const fs::path socket = dir.path / "daemon.sock";
+  ASSERT_TRUE(unixDaemon.start(
+      {"--socket", socket.string(), "--cache-dir", cache("unix")},
+      dir.path / "unix_daemon.log"));
+  ASSERT_TRUE(tcpDaemon.start({"--listen", "127.0.0.1:0", "--secret", kSecret,
+                               "--cache-dir", cache("tcp")},
+                              dir.path / "tcp_daemon.log"));
+  for (Daemon *worker : {&workerA, &workerB})
+    ASSERT_TRUE(worker->start({"--listen", "127.0.0.1:0", "--secret", kSecret,
+                               "--cache-dir",
+                               cache(worker == &workerA ? "wa" : "wb")},
+                              dir.path / (worker == &workerA ? "wa.log"
+                                                             : "wb.log")));
+  const auto endpoint = [](const Daemon &daemon) {
+    return "127.0.0.1:" + std::to_string(daemon.port);
+  };
+
+  ASSERT_EQ(runCli(with(base, {"--socket", socket.string(), "--report",
+                               report("unix")}),
+                   dir.path / "unix.log"),
+            0)
+      << slurp(dir.path / "unix.log");
+  ASSERT_EQ(runCli(with(base, {"--connect", endpoint(tcpDaemon), "--secret",
+                               kSecret, "--report", report("tcp")}),
+                   dir.path / "tcp.log"),
+            0)
+      << slurp(dir.path / "tcp.log");
+  ASSERT_EQ(runCli(with(base, {"--workers",
+                               endpoint(workerA) + "," + endpoint(workerB),
+                               "--shard-count", "2", "--secret", kSecret,
+                               "--report", report("fleet")}),
+                   dir.path / "fleet.log"),
+            0)
+      << slurp(dir.path / "fleet.log");
+
+  // Reports and stdouts: byte-identical on every backend.
+  const std::string localReport = readFile(report("local"));
+  const std::string localOut = readFile(dir.path / "local.log");
+  EXPECT_NE(localOut.find("report: 6 entries, 0 failures"), std::string::npos)
+      << localOut;
+  for (const std::string name : {"unix", "tcp", "fleet"}) {
+    EXPECT_EQ(readFile(report(name)), localReport) << name;
+    EXPECT_EQ(readFile(dir.path / (name + ".log")), localOut) << name;
+  }
+
+  // Cache directories too; the fleet's is the union of its workers'.
+  const auto entries = [](const std::vector<std::string> &dirs) {
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const std::string &d : dirs)
+      for (const auto &it : fs::directory_iterator(d))
+        files.emplace_back(it.path().filename().string(), slurp(it.path()));
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const auto localEntries = entries({cache("local")});
+  EXPECT_EQ(localEntries.size(), 6u);
+  EXPECT_EQ(entries({cache("unix")}), localEntries);
+  EXPECT_EQ(entries({cache("tcp")}), localEntries);
+  EXPECT_EQ(entries({cache("wa"), cache("wb")}), localEntries);
+}
+
+/// Every command that can talk to a daemon, without its endpoint flags.
+std::vector<std::vector<std::string>> daemonCommands(const fs::path &manifest) {
+  return {
+      {"analyze", "@fig5"},
+      {"batch", "@fig5", "@stream"},
+      {"batch", "--manifest", manifest.string()},
+      {"coverage"},
+      {"coverage", "@fig5"},
+      {"simulate", "@fig5", "--function", "fig5_main"},
+      {"client", "ping"},
+      {"client", "shutdown"},
+      {"client", "cache-stats"},
+      {"client", "metrics"},
+  };
+}
+
+fs::path buildManifest(const TempDir &dir) {
+  writeCorpus(dir.path / "corpus", 2);
+  const fs::path manifest = dir.path / "corpus.manifest";
+  EXPECT_EQ(runCli({"manifest", "build", (dir.path / "corpus").string(),
+                    "--out", manifest.string()},
+                   dir.path / "build.log"),
+            0);
+  return manifest;
+}
+
+TEST(CliExitContract, NoDaemonIsThreeWithOneDiagnosticLine) {
+  TempDir dir("exit3");
+  const fs::path manifest = buildManifest(dir);
+  const fs::path missing = dir.path / "no_such_daemon.sock";
+  for (const auto &command : daemonCommands(manifest)) {
+    const fs::path log = dir.path / "run.log";
+    for (const std::vector<std::string> &endpoint :
+         {std::vector<std::string>{"--socket", missing.string()},
+          std::vector<std::string>{"--connect", "127.0.0.1:1"}}) {
+      EXPECT_EQ(runCli(with(command, endpoint), log), 3)
+          << command[0] << " " << endpoint[0] << ": " << slurp(log);
+      EXPECT_NE(slurp(log).find("mira-cli " + command[0] + ": "),
+                std::string::npos)
+          << slurp(log);
+    }
+  }
+}
+
+TEST(CliExitContract, DaemonHangingUpMidReplyIsFour) {
+  TempDir dir("exit4");
+  const fs::path manifest = buildManifest(dir);
+  const auto commands = daemonCommands(manifest);
+  // A "daemon" that accepts, reads one request and hangs up without
+  // replying, once per command.
+  const fs::path socket = dir.path / "fake.sock";
+  std::string error;
+  net::Socket listener = net::listenUnix(socket.string(), error);
+  ASSERT_TRUE(listener.valid()) << error;
+  std::thread fake([&] {
+    for (std::size_t i = 0; i < commands.size(); ++i) {
+      net::Socket peer = net::acceptConnection(listener);
+      std::string request;
+      net::readFrame(peer.fd(), request, server::kMaxFrameBytes);
+    }
+  });
+  for (const auto &command : commands) {
+    const fs::path log = dir.path / "run.log";
+    EXPECT_EQ(runCli(with(command, {"--socket", socket.string()}), log), 4)
+        << command[0] << ": " << slurp(log);
+    EXPECT_NE(slurp(log).find("mira-cli " + command[0] + ": "),
+              std::string::npos)
+        << slurp(log);
+  }
+  fake.join();
+}
+
+TEST(CliFlags, JunkNumbersAndFlagsThatDoNotApplyAreUsageErrors) {
+  TempDir dir("flags");
+  const fs::path manifest = buildManifest(dir);
+  const std::string m = manifest.string();
+  const std::string sock = (dir.path / "unused.sock").string();
+  // Each case: the arguments and the flag the message must name.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      // Numbers are whole tokens, in range.
+      {{"batch", "@fig5", "--threads", "four"}, "--threads"},
+      {{"batch", "@fig5", "--threads", "0"}, "--threads"},
+      {{"simulate", "@fig5", "--function", "fig5_main", "--sim-arg", "abc"},
+       "--sim-arg"},
+      {{"simulate", "@fig5", "--function", "fig5_main", "--max-instructions",
+        "lots"},
+       "--max-instructions"},
+      {{"serve", "--socket", sock, "--max-inflight", "ten"}, "--max-inflight"},
+      {{"batch", "--manifest", m, "--workers", "127.0.0.1:1",
+        "--lease-timeout", "abc"},
+       "--lease-timeout"},
+      {{"client", "ping", "--connect", "127.0.0.1:1", "--connect-timeout",
+        "1s"},
+       "--connect-timeout"},
+      // Flags the command does not use.
+      {{"analyze", "@fig5", "--workers", "127.0.0.1:1", "--lease-timeout",
+        "1"},
+       "--workers"},
+      {{"analyze", "@fig5", "--threads", "2"}, "--threads"},
+      {{"batch", "@fig5", "--report", "r"}, "--report"},
+      {{"manifest", "diff", m, m, "--cache-dir", "d"}, "--cache-dir"},
+      // Flags the chosen backend does not use: the daemon and the fleet
+      // own their caches and pools.
+      {{"analyze", "@fig5", "--socket", sock, "--cache-dir", "d"},
+       "--cache-dir"},
+      {{"batch", "@fig5", "--connect", "127.0.0.1:1", "--threads", "2"},
+       "--threads"},
+      {{"coverage", "--socket", sock, "--no-cache"}, "--no-cache"},
+      {{"simulate", "@fig5", "--function", "fig5_main", "--socket", sock,
+        "--model-threads", "2"},
+       "--model-threads"},
+      {{"batch", "--manifest", m, "--workers", "127.0.0.1:1", "--cache-limit",
+        "1M"},
+       "--cache-limit"},
+      {{"batch", "--manifest", m, "--workers", "127.0.0.1:1", "--shard",
+        "1/2"},
+       "--shard"},
+      {{"batch", "--manifest", m, "--socket", sock, "--connect",
+        "127.0.0.1:1"},
+       "--socket"},
+      {{"analyze", "@fig5", "--socket", sock, "--connect-timeout", "1"},
+       "--connect-timeout"},
+      {{"batch", "--manifest", m, "--shard-count", "2"}, "--shard-count"},
+      {{"batch", "--manifest", m, "--metrics-file", "x"}, "--metrics-file"},
+  };
+  for (const auto &[args, flag] : cases) {
+    const fs::path log = dir.path / "run.log";
+    std::ostringstream shown;
+    for (const std::string &arg : args)
+      shown << arg << ' ';
+    EXPECT_EQ(runCli(args, log), 2) << shown.str() << slurp(log);
+    EXPECT_NE(slurp(log).find(flag), std::string::npos)
+        << shown.str() << slurp(log);
+  }
+  EXPECT_FALSE(fs::exists(sock)) << "a usage error must not start a daemon";
+
+  // Eight commands, four client actions: the deleted surfaces are gone.
+  for (const std::vector<std::string> &gone :
+       {std::vector<std::string>{"coordinate", "--manifest", m},
+        std::vector<std::string>{"client", "analyze", "@fig5", "--socket",
+                                 sock},
+        std::vector<std::string>{"coverage", "--via-daemon"},
+        std::vector<std::string>{"batch", "@fig5", "--compare-serial"}})
+    EXPECT_EQ(runCli(gone, dir.path / "gone.log"), 2) << gone[0];
+}
+
+} // namespace
+} // namespace mira

@@ -33,153 +33,46 @@
 // tests always drive the binary they were built with.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
+#include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <csignal>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include "driver/batch.h"
+#include "cli_harness.h"
 #include "support/cache_store.h"
 #include "support/fault_injection.h"
 
 namespace mira {
 namespace {
 
-namespace fs = std::filesystem;
+using namespace cli_harness;
 
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string &tag) {
-    path = fs::temp_directory_path() /
-           ("mira_fault_test_" + tag + "_" + std::to_string(::getpid()));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
-
-void writeFile(const fs::path &path, const std::string &bytes) {
-  fs::create_directories(path.parent_path());
-  std::ofstream out(path, std::ios::binary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+/// MIRA_FAULT armed with `fault` in a child; nothing when empty.
+std::vector<std::string> faultEnv(const std::string &fault) {
+  if (fault.empty())
+    return {};
+  return {"MIRA_FAULT=" + fault};
 }
 
-std::string readFile(const fs::path &path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-/// Distinct single-loop kernels; content (and cache key) unique per file.
-void writeCorpus(const fs::path &root, int count) {
-  for (int i = 0; i < count; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "kernel_%02d.mc", i);
-    char source[256];
-    std::snprintf(source, sizeof(source),
-                  "int kernel_%02d(int n) {\n"
-                  "  int s = %d;\n"
-                  "  for (int i = 0; i < n; i++) {\n"
-                  "    s = s + i * %d;\n"
-                  "  }\n"
-                  "  return s;\n"
-                  "}\n",
-                  i, i, i + 1);
-    writeFile(root / name, source);
-  }
-}
-
-/// Run one CLI invocation synchronously with an optional MIRA_FAULT
-/// spec; returns the exit code (-1 when killed by a signal).
-int runCli(const std::vector<std::string> &args, const fs::path &logPath,
-           const std::string &fault = std::string()) {
-  std::string command;
-  if (!fault.empty())
-    command += "MIRA_FAULT='" + fault + "' ";
-  command += MIRA_CLI_PATH;
-  for (const std::string &arg : args)
-    command += " '" + arg + "'";
-  command += " > '" + logPath.string() + "' 2>&1";
-  const int status = std::system(command.c_str());
-  if (status == -1)
-    return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-/// Fork+exec one CLI invocation (optionally fault-armed); returns the
-/// child pid. The caller owns waiting or killing.
-pid_t spawnCli(const std::vector<std::string> &args, const fs::path &logPath,
-               const std::string &fault = std::string()) {
-  const pid_t pid = ::fork();
-  if (pid != 0)
-    return pid;
-  if (!fault.empty())
-    ::setenv("MIRA_FAULT", fault.c_str(), 1);
-  std::FILE *log = std::freopen(logPath.string().c_str(), "w", stdout);
-  (void)log;
-  ::dup2(::fileno(stdout), ::fileno(stderr));
-  std::vector<char *> argv;
-  std::string cli = MIRA_CLI_PATH;
-  argv.push_back(cli.data());
-  std::vector<std::string> copies = args;
-  for (std::string &arg : copies)
-    argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  ::execv(cli.c_str(), argv.data());
-  std::_Exit(127); // exec failed
-}
-
-/// Exit code, or -1 when the child died on a signal (e.g. SIGKILL).
-int waitFor(pid_t pid) {
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid)
-    return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-/// Spawn a daemon and block until its socket accepts; empty `fault`
+/// Start a one-thread daemon on `socket` over `cacheDir`; empty `fault`
 /// arms nothing.
-pid_t startDaemon(const fs::path &socket, const fs::path &cacheDir,
-                  const fs::path &logPath,
-                  const std::string &fault = std::string(),
-                  const std::vector<std::string> &extra = {}) {
-  std::vector<std::string> args = {"serve",       "--socket",
-                                   socket.string(), "--cache-dir",
-                                   cacheDir.string(), "--threads",
-                                   "1"};
-  args.insert(args.end(), extra.begin(), extra.end());
-  const pid_t pid = spawnCli(args, logPath, fault);
-  for (int i = 0; i < 100; ++i) {
-    if (fs::exists(socket))
-      return pid;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  ADD_FAILURE() << "daemon never bound " << socket;
-  return pid;
+void startDaemon(Daemon &daemon, const fs::path &socket,
+                 const fs::path &cacheDir, const fs::path &logPath,
+                 const std::string &fault = std::string()) {
+  daemon.start({"--socket", socket.string(), "--cache-dir",
+                cacheDir.string(), "--threads", "1"},
+               logPath, faultEnv(fault));
 }
 
-void stopDaemon(pid_t pid, const fs::path &socket, const fs::path &dir) {
+/// Shut a daemon down over the wire (SIGTERM if that fails) and reap it.
+void stopDaemon(Daemon &daemon, const fs::path &socket, const fs::path &dir) {
   if (runCli({"client", "shutdown", "--socket", socket.string()},
              dir / "shutdown.log") != 0)
-    ::kill(pid, SIGTERM);
-  waitFor(pid);
-}
-
-driver::BatchReport loadReport(const fs::path &path) {
-  driver::BatchReport report;
-  std::string error;
-  EXPECT_TRUE(driver::deserializeBatchReport(readFile(path), report, error))
-      << path << ": " << error;
-  return report;
+    ::kill(daemon.pid, SIGTERM);
+  daemon.wait();
 }
 
 /// Assert two cache directories hold the same entry files with the
@@ -240,9 +133,9 @@ TEST(FaultInjection, DifferentialLocalDaemonAndShardsAgreeByteForByte) {
   const fs::path daemonCache = dir.path / "cache_daemon";
   const fs::path daemonReport = dir.path / "daemon.report";
   const fs::path socket = dir.path / "daemon.sock";
-  const pid_t daemon =
-      startDaemon(socket, daemonCache, dir.path / "daemon.log");
-  ASSERT_EQ(runCli({"client", "batch", "--manifest", manifest.string(),
+  Daemon daemon;
+  startDaemon(daemon, socket, daemonCache, dir.path / "daemon.log");
+  ASSERT_EQ(runCli({"batch", "--manifest", manifest.string(),
                     "--socket", socket.string(), "--report",
                     daemonReport.string(), "--progress"},
                    dir.path / "client.log"),
@@ -307,16 +200,17 @@ TEST(FaultInjection, DaemonKilledMidBatchLeavesCleanCacheAndRerunsExactly) {
   // persisted the first two results.
   const fs::path cache = dir.path / "cache";
   const fs::path socket = dir.path / "daemon.sock";
-  const pid_t daemon = startDaemon(socket, cache, dir.path / "daemon.log",
-                                   "compute:crash:3");
+  Daemon daemon;
+  startDaemon(daemon, socket, cache, dir.path / "daemon.log",
+              "compute:crash:3");
   const int clientExit =
-      runCli({"client", "batch", "--manifest", manifest.string(), "--socket",
+      runCli({"batch", "--manifest", manifest.string(), "--socket",
               socket.string()},
              dir.path / "client_crash.log");
-  waitFor(daemon);
+  daemon.wait();
   // The connection died mid-conversation: unified diagnostic, exit 4.
   EXPECT_EQ(clientExit, 4) << readFile(dir.path / "client_crash.log");
-  EXPECT_NE(readFile(dir.path / "client_crash.log").find("mira-cli client: "),
+  EXPECT_NE(readFile(dir.path / "client_crash.log").find("mira-cli batch: "),
             std::string::npos);
 
   // The partial cache: some but not all entries, every one valid.
@@ -342,10 +236,10 @@ TEST(FaultInjection, DaemonKilledMidBatchLeavesCleanCacheAndRerunsExactly) {
   // Restart (fresh socket; the SIGKILLed daemon never unlinked its old
   // one) and rerun: byte-identical report, converged identical caches.
   const fs::path socket2 = dir.path / "daemon2.sock";
-  const pid_t daemon2 =
-      startDaemon(socket2, cache, dir.path / "daemon2.log");
+  Daemon daemon2;
+  startDaemon(daemon2, socket2, cache, dir.path / "daemon2.log");
   const fs::path rerunReport = dir.path / "rerun.report";
-  ASSERT_EQ(runCli({"client", "batch", "--manifest", manifest.string(),
+  ASSERT_EQ(runCli({"batch", "--manifest", manifest.string(),
                     "--socket", socket2.string(), "--report",
                     rerunReport.string()},
                    dir.path / "client_rerun.log"),
@@ -378,10 +272,11 @@ TEST(FaultInjection, ClientDisconnectMidBatchCancelsAndDaemonStaysHealthy) {
   // window to SIGKILL the client while its batch is mid-flight.
   const fs::path cache = dir.path / "cache";
   const fs::path socket = dir.path / "daemon.sock";
-  const pid_t daemon = startDaemon(socket, cache, dir.path / "daemon.log",
-                                   "compute:stall:1:3000");
+  Daemon daemon;
+  startDaemon(daemon, socket, cache, dir.path / "daemon.log",
+              "compute:stall:1:3000");
   const pid_t client =
-      spawnCli({"client", "batch", "--manifest", manifest.string(),
+      spawnCli({"batch", "--manifest", manifest.string(),
                 "--socket", socket.string()},
                dir.path / "client_killed.log");
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
@@ -405,7 +300,7 @@ TEST(FaultInjection, ClientDisconnectMidBatchCancelsAndDaemonStaysHealthy) {
 
   // Still healthy: the same manifest completes for the next client.
   const fs::path report = dir.path / "after.report";
-  ASSERT_EQ(runCli({"client", "batch", "--manifest", manifest.string(),
+  ASSERT_EQ(runCli({"batch", "--manifest", manifest.string(),
                     "--socket", socket.string(), "--report",
                     report.string()},
                    dir.path / "client_after.log"),
@@ -436,7 +331,7 @@ TEST(FaultInjection, CacheWriteFailuresDegradeToRecomputeIdentically) {
   const fs::path localReport = dir.path / "local.report";
   ASSERT_EQ(runCli({"batch", "--manifest", manifest.string(), "--cache-dir",
                     localCache.string(), "--report", localReport.string()},
-                   dir.path / "local.log", fault),
+                   dir.path / "local.log", faultEnv(fault)),
             0)
       << readFile(dir.path / "local.log");
 
@@ -445,9 +340,9 @@ TEST(FaultInjection, CacheWriteFailuresDegradeToRecomputeIdentically) {
   const fs::path daemonCache = dir.path / "cache_daemon";
   const fs::path daemonReport = dir.path / "daemon.report";
   const fs::path socket = dir.path / "daemon.sock";
-  const pid_t daemon = startDaemon(socket, daemonCache,
-                                   dir.path / "daemon.log", fault);
-  ASSERT_EQ(runCli({"client", "batch", "--manifest", manifest.string(),
+  Daemon daemon;
+  startDaemon(daemon, socket, daemonCache, dir.path / "daemon.log", fault);
+  ASSERT_EQ(runCli({"batch", "--manifest", manifest.string(),
                     "--socket", socket.string(), "--report",
                     daemonReport.string()},
                    dir.path / "client.log"),
@@ -498,7 +393,7 @@ TEST(FaultInjection, ShardProcessCrashLeavesPartialCacheRerunConverges) {
   const pid_t crashing =
       spawnCli({"batch", "--manifest", manifest.string(), "--threads", "1",
                 "--cache-dir", cache.string()},
-               dir.path / "crash.log", "compute:crash:3");
+               dir.path / "crash.log", faultEnv("compute:crash:3"));
   EXPECT_EQ(waitFor(crashing), -1); // killed, not exited
   {
     CacheStore store(cache.string());
@@ -531,7 +426,8 @@ TEST(FaultInjection, MalformedFaultSpecsAreIgnored) {
   ASSERT_EQ(runCli({"batch", "--manifest", manifest.string(), "--cache-dir",
                     cache.string()},
                    dir.path / "run.log",
-                   "bogus,,cache-write:nope:1,cache-write:fail:0,:fail:1"),
+                   faultEnv("bogus,,cache-write:nope:1,cache-write:fail:0,"
+                            ":fail:1")),
             0)
       << readFile(dir.path / "run.log");
   EXPECT_EQ(CacheStore(cache.string()).entryCount(), 2u);

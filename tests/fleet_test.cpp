@@ -1,6 +1,7 @@
 // Fleet chaos/failover tests: fork real `mira-cli serve --listen` worker
-// daemons on loopback TCP ephemeral ports plus a real `mira-cli
-// coordinate` run, and pin the headline fleet invariants (docs/FLEET.md):
+// daemons on loopback TCP ephemeral ports plus a real `mira-cli batch
+// --manifest --workers` run, and pin the headline fleet invariants
+// (docs/FLEET.md):
 //
 //   - the merged fleet report is byte-identical to a 1-process local
 //     `batch --manifest` run against a cold cache;
@@ -10,7 +11,7 @@
 //   - a stalled worker's lease expires past --lease-timeout and its
 //     late reply is fenced (stale epoch), observable through
 //     --metrics-file (mira_fleet_leases_expired/fenced_total);
-//   - the coordinator follows the client CLI exit contract: 2 usage,
+//   - the fleet backend follows the CLI exit contract: 2 usage,
 //     3 connect/handshake failure, 1 daemon-side failures, 0 success.
 //
 // Workers listen on port 0 and the tests parse the bound port from the
@@ -18,164 +19,32 @@
 // a fixed port. MIRA_CLI_PATH is injected by CMake.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <csignal>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include "driver/batch.h"
+#include "cli_harness.h"
 #include "support/cache_store.h"
 
 namespace mira {
 namespace {
 
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string &tag) {
-    path = fs::temp_directory_path() /
-           ("mira_fleet_test_" + tag + "_" + std::to_string(::getpid()));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
-
-void writeFile(const fs::path &path, const std::string &bytes) {
-  fs::create_directories(path.parent_path());
-  std::ofstream out(path, std::ios::binary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string readFile(const fs::path &path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-/// Distinct single-loop kernels (same shape the shard tests use).
-void writeCorpus(const fs::path &root, int count) {
-  for (int i = 0; i < count; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "kernel_%02d.mc", i);
-    char source[256];
-    std::snprintf(source, sizeof(source),
-                  "int kernel_%02d(int n) {\n"
-                  "  int s = %d;\n"
-                  "  for (int i = 0; i < n; i++) {\n"
-                  "    s = s + i * %d;\n"
-                  "  }\n"
-                  "  return s;\n"
-                  "}\n",
-                  i, i, i + 1);
-    writeFile(root / name, source);
-  }
-}
-
-/// Run one CLI invocation synchronously; returns its exit code.
-int runCli(const std::vector<std::string> &args, const fs::path &logPath) {
-  std::string command = MIRA_CLI_PATH;
-  for (const std::string &arg : args)
-    command += " '" + arg + "'";
-  command += " > '" + logPath.string() + "' 2>&1";
-  const int status = std::system(command.c_str());
-  if (status == -1)
-    return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-/// Fork+exec one CLI invocation with optional extra environment
-/// ("NAME=VALUE" strings — how the tests arm MIRA_FAULT in a worker
-/// without touching their own process). Returns the child pid.
-pid_t spawnCli(const std::vector<std::string> &args, const fs::path &logPath,
-               const std::vector<std::string> &extraEnv = {}) {
-  const pid_t pid = ::fork();
-  if (pid != 0)
-    return pid;
-  std::FILE *log = std::freopen(logPath.string().c_str(), "w", stdout);
-  (void)log;
-  ::dup2(::fileno(stdout), ::fileno(stderr));
-  for (const std::string &assignment : extraEnv) {
-    const std::size_t eq = assignment.find('=');
-    ::setenv(assignment.substr(0, eq).c_str(),
-             assignment.substr(eq + 1).c_str(), 1);
-  }
-  std::vector<char *> argv;
-  std::string cli = MIRA_CLI_PATH;
-  argv.push_back(cli.data());
-  std::vector<std::string> copies = args;
-  for (std::string &arg : copies)
-    argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  ::execv(cli.c_str(), argv.data());
-  std::_Exit(127); // exec failed
-}
-
-int waitFor(pid_t pid) {
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid)
-    return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-/// One forked worker daemon; SIGKILLed and reaped on destruction so a
-/// failing assertion never leaks a listener into the next test.
-struct Worker {
-  pid_t pid = -1;
-  ~Worker() { shutdown(); }
-  void shutdown() {
-    if (pid <= 0)
-      return;
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    pid = -1;
-  }
-};
-
-/// Poll a worker's log for the readiness line and parse the ephemeral
-/// TCP port out of "... tcp 127.0.0.1:PORT ...". 0 = never appeared.
-int waitForPort(const fs::path &logPath, int timeoutMillis = 10000) {
-  const std::string needle = "tcp 127.0.0.1:";
-  for (int waited = 0; waited < timeoutMillis; waited += 50) {
-    const std::string log = readFile(logPath);
-    const std::size_t at = log.find(needle);
-    if (at != std::string::npos) {
-      int port = 0;
-      for (std::size_t i = at + needle.size();
-           i < log.size() && log[i] >= '0' && log[i] <= '9'; ++i)
-        port = port * 10 + (log[i] - '0');
-      if (port > 0)
-        return port;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  return 0;
-}
+using namespace cli_harness;
 
 /// Start a worker daemon on 127.0.0.1:0 with its own cache directory
 /// and return its bound port (asserts readiness).
-int startWorker(Worker &worker, const TempDir &dir, const std::string &tag,
+int startWorker(Daemon &worker, const TempDir &dir, const std::string &tag,
                 const std::vector<std::string> &extraEnv = {},
                 const std::vector<std::string> &extraArgs = {}) {
-  const fs::path log = dir.path / (tag + ".log");
-  std::vector<std::string> args = {"serve", "--listen", "127.0.0.1:0",
-                                   "--threads", "2", "--cache-dir",
+  std::vector<std::string> args = {"--listen", "127.0.0.1:0", "--threads",
+                                   "2", "--cache-dir",
                                    (dir.path / (tag + "_cache")).string()};
   args.insert(args.end(), extraArgs.begin(), extraArgs.end());
-  worker.pid = spawnCli(args, log, extraEnv);
-  const int port = waitForPort(log);
-  EXPECT_GT(port, 0) << tag << " never became ready: " << readFile(log);
-  return port;
+  worker.start(args, dir.path / (tag + ".log"), extraEnv);
+  EXPECT_GT(worker.port, 0) << tag << " has no TCP port";
+  return worker.port;
 }
 
 /// Scrape one `mira_<name> <value>` sample out of a --metrics-file dump.
@@ -230,7 +99,7 @@ TEST(Fleet, HappyPathThreeWorkerFleetMatchesLocalRun) {
   if (::testing::Test::HasFatalFailure())
     return;
 
-  Worker a, b, c;
+  Daemon a, b, c;
   const int pa = startWorker(a, dir, "worker_a");
   const int pb = startWorker(b, dir, "worker_b");
   const int pc = startWorker(c, dir, "worker_c");
@@ -238,13 +107,13 @@ TEST(Fleet, HappyPathThreeWorkerFleetMatchesLocalRun) {
 
   const fs::path report = dir.path / "fleet.report";
   const fs::path metrics = dir.path / "fleet.metrics";
-  ASSERT_EQ(runCli({"coordinate", "--manifest", manifest.string(),
+  ASSERT_EQ(runCli({"batch", "--manifest", manifest.string(),
                     "--workers", workerList({pa, pb, pc}), "--shard-count",
                     "3", "--report", report.string(), "--metrics-file",
                     metrics.string(), "--progress"},
-                   dir.path / "coordinate.log"),
+                   dir.path / "fleet.log"),
             0)
-      << readFile(dir.path / "coordinate.log");
+      << readFile(dir.path / "fleet.log");
 
   EXPECT_EQ(readFile(report), readFile(localReport))
       << "fleet report differs from the local cold run";
@@ -263,7 +132,7 @@ TEST(Fleet, WorkerCrashMidShardLeaseReissuedByteIdentical) {
 
   // Worker B dies with SIGKILL (no unwinding, no flush — see
   // fault_injection.h) on its second full compute, i.e. mid-shard.
-  Worker a, b;
+  Daemon a, b;
   const int pa = startWorker(a, dir, "worker_a");
   const int pb =
       startWorker(b, dir, "worker_b", {"MIRA_FAULT=compute:crash:2"});
@@ -271,18 +140,18 @@ TEST(Fleet, WorkerCrashMidShardLeaseReissuedByteIdentical) {
 
   const fs::path report = dir.path / "fleet.report";
   const fs::path metrics = dir.path / "fleet.metrics";
-  ASSERT_EQ(runCli({"coordinate", "--manifest", manifest.string(),
+  ASSERT_EQ(runCli({"batch", "--manifest", manifest.string(),
                     "--workers", workerList({pa, pb}), "--shard-count", "2",
                     "--lease-timeout", "2", "--report", report.string(),
                     "--metrics-file", metrics.string(), "--progress"},
-                   dir.path / "coordinate.log"),
+                   dir.path / "fleet.log"),
             0)
-      << readFile(dir.path / "coordinate.log");
+      << readFile(dir.path / "fleet.log");
 
   // The dead worker's shard was re-leased (bumped epoch) and the merged
   // report still matches the local cold run byte for byte.
   EXPECT_EQ(readFile(report), readFile(localReport))
-      << readFile(dir.path / "coordinate.log");
+      << readFile(dir.path / "fleet.log");
   EXPECT_GE(scrapeMetric(metrics, "fleet_leases_reissued_total"), 1);
   EXPECT_EQ(scrapeMetric(metrics, "fleet_shards_completed_total"), 2);
 
@@ -310,7 +179,7 @@ TEST(Fleet, StalledWorkerLeaseExpiresAndLateReplyIsFenced) {
   // lease timeout, so its lease expires and the shard re-runs on A; far
   // under the coordinator's read timeout (10x the lease), so B's late
   // reply does arrive and must be discarded by the epoch fence.
-  Worker a, b;
+  Daemon a, b;
   const int pa = startWorker(a, dir, "worker_a");
   const int pb =
       startWorker(b, dir, "worker_b", {"MIRA_FAULT=compute:stall:1:6000"});
@@ -318,20 +187,20 @@ TEST(Fleet, StalledWorkerLeaseExpiresAndLateReplyIsFenced) {
 
   const fs::path report = dir.path / "fleet.report";
   const fs::path metrics = dir.path / "fleet.metrics";
-  ASSERT_EQ(runCli({"coordinate", "--manifest", manifest.string(),
+  ASSERT_EQ(runCli({"batch", "--manifest", manifest.string(),
                     "--workers", workerList({pa, pb}), "--shard-count", "2",
                     "--lease-timeout", "0.5", "--report", report.string(),
                     "--metrics-file", metrics.string(), "--progress"},
-                   dir.path / "coordinate.log"),
+                   dir.path / "fleet.log"),
             0)
-      << readFile(dir.path / "coordinate.log");
+      << readFile(dir.path / "fleet.log");
 
   EXPECT_EQ(readFile(report), readFile(localReport))
-      << readFile(dir.path / "coordinate.log");
+      << readFile(dir.path / "fleet.log");
   EXPECT_GE(scrapeMetric(metrics, "fleet_leases_expired_total"), 1)
-      << readFile(dir.path / "coordinate.log");
+      << readFile(dir.path / "fleet.log");
   EXPECT_GE(scrapeMetric(metrics, "fleet_leases_fenced_total"), 1)
-      << readFile(dir.path / "coordinate.log");
+      << readFile(dir.path / "fleet.log");
   EXPECT_EQ(scrapeMetric(metrics, "fleet_shards_completed_total"), 2);
 }
 
@@ -342,44 +211,46 @@ TEST(Fleet, CoordinatorFollowsClientExitContract) {
   if (::testing::Test::HasFatalFailure())
     return;
 
-  // Usage errors: 2 — missing manifest, missing workers, junk endpoint.
-  EXPECT_EQ(runCli({"coordinate", "--workers", "127.0.0.1:1"},
+  // Usage errors: 2 — workers without a manifest, a fleet flag without
+  // workers, a junk endpoint.
+  EXPECT_EQ(runCli({"batch", "--workers", "127.0.0.1:1"},
                    dir.path / "u1.log"),
             2);
-  EXPECT_EQ(runCli({"coordinate", "--manifest", manifest.string()},
+  EXPECT_EQ(runCli({"batch", "--manifest", manifest.string(),
+                    "--lease-timeout", "1"},
                    dir.path / "u2.log"),
             2);
-  EXPECT_EQ(runCli({"coordinate", "--manifest", manifest.string(),
-                    "--workers", "localhost"},
+  EXPECT_EQ(runCli({"batch", "--manifest", manifest.string(), "--workers",
+                    "localhost"},
                    dir.path / "u3.log"),
             2);
 
   // No worker reachable: 3 (port 1 on loopback refuses immediately).
-  EXPECT_EQ(runCli({"coordinate", "--manifest", manifest.string(),
+  EXPECT_EQ(runCli({"batch", "--manifest", manifest.string(),
                     "--workers", "127.0.0.1:1", "--connect-timeout", "1"},
                    dir.path / "refused.log"),
             3)
       << readFile(dir.path / "refused.log");
 
   // Handshake rejected everywhere is a connect failure too: 3.
-  Worker secured;
+  Daemon secured;
   const int ps = startWorker(secured, dir, "worker_secured", {},
                              {"--secret", "sesame"});
   ASSERT_GT(ps, 0);
-  EXPECT_EQ(runCli({"coordinate", "--manifest", manifest.string(),
+  EXPECT_EQ(runCli({"batch", "--manifest", manifest.string(),
                     "--workers", workerList({ps}), "--secret", "wrong"},
                    dir.path / "badsecret.log"),
             3)
       << readFile(dir.path / "badsecret.log");
   // The right secret on the same worker completes and exits 0.
-  EXPECT_EQ(runCli({"coordinate", "--manifest", manifest.string(),
+  EXPECT_EQ(runCli({"batch", "--manifest", manifest.string(),
                     "--workers", workerList({ps}), "--secret", "sesame",
                     "--report", (dir.path / "secured.report").string()},
                    dir.path / "goodsecret.log"),
             0)
       << readFile(dir.path / "goodsecret.log");
   EXPECT_EQ(readFile(dir.path / "secured.report"), readFile(localReport));
-  secured.shutdown();
+  secured.kill();
 
   // Analysis failures in the corpus surface as exit 1 (same contract as
   // `batch`): the run completes, the report records the failures.
@@ -391,10 +262,10 @@ TEST(Fleet, CoordinatorFollowsClientExitContract) {
                     badManifest.string()},
                    dir.path / "badbuild.log"),
             0);
-  Worker plain;
+  Daemon plain;
   const int pp = startWorker(plain, dir, "worker_plain");
   ASSERT_GT(pp, 0);
-  EXPECT_EQ(runCli({"coordinate", "--manifest", badManifest.string(),
+  EXPECT_EQ(runCli({"batch", "--manifest", badManifest.string(),
                     "--workers", workerList({pp})},
                    dir.path / "failing.log"),
             1)

@@ -178,47 +178,6 @@ TEST(ProtocolFuzz, RandomBusyAndMetricsRepliesRoundTrip) {
   }
 }
 
-TEST(ProtocolFuzz, RandomManifestDiffMessagesRoundTrip) {
-  std::mt19937_64 rng(kSeed ^ 0x1);
-  for (int i = 0; i < 100; ++i) {
-    const std::string oldBytes = randomBytes(rng, 300);
-    const std::string newBytes = randomBytes(rng, 300);
-    const std::string wire = encodeManifestDiffRequest(oldBytes, newBytes);
-    bio::Reader r{wire, 0};
-    MessageType type{};
-    std::string error;
-    ASSERT_TRUE(readHeader(r, type, error));
-    EXPECT_EQ(type, MessageType::manifestDiff);
-    std::string decodedOld, decodedNew;
-    ASSERT_TRUE(decodeManifestDiffRequest(r, decodedOld, decodedNew));
-    EXPECT_EQ(decodedOld, oldBytes);
-    EXPECT_EQ(decodedNew, newBytes);
-
-    ManifestDiffReply reply;
-    const std::size_t added = rng() % 4, changed = rng() % 4,
-                      removed = rng() % 4;
-    for (std::size_t j = 0; j < added; ++j)
-      reply.added.push_back({randomBytes(rng, 30), rng(), rng() % 1000});
-    for (std::size_t j = 0; j < changed; ++j)
-      reply.changed.push_back({randomBytes(rng, 30), rng(), rng() % 1000});
-    for (std::size_t j = 0; j < removed; ++j)
-      reply.removed.push_back(randomBytes(rng, 30));
-    const std::string replyWire = encodeManifestDiffReply(reply);
-    bio::Reader rr{replyWire, 0};
-    ASSERT_TRUE(readHeader(rr, type, error));
-    EXPECT_EQ(type, MessageType::manifestDiffReply);
-    ManifestDiffReply decoded;
-    ASSERT_TRUE(decodeManifestDiffReply(rr, decoded));
-    ASSERT_EQ(decoded.added.size(), reply.added.size());
-    ASSERT_EQ(decoded.changed.size(), reply.changed.size());
-    ASSERT_EQ(decoded.removed.size(), reply.removed.size());
-    for (std::size_t j = 0; j < reply.added.size(); ++j) {
-      EXPECT_EQ(decoded.added[j].path, reply.added[j].path);
-      EXPECT_EQ(decoded.added[j].contentHash, reply.added[j].contentHash);
-    }
-  }
-}
-
 TEST(ProtocolFuzz, RandomManifestBatchMessagesRoundTrip) {
   std::mt19937_64 rng(kSeed ^ 0x6);
   for (int i = 0; i < 200; ++i) {
@@ -323,16 +282,6 @@ void decodeLikeTheServer(const std::string &message) {
     (void)decodeSimulateRequest(r, item, flags, sim);
     break;
   }
-  case MessageType::manifestDiff: {
-    std::string oldBytes, newBytes;
-    if (decodeManifestDiffRequest(r, oldBytes, newBytes)) {
-      corpus::Manifest manifest;
-      std::string manifestError;
-      (void)corpus::deserializeManifest(oldBytes, manifest, manifestError);
-      (void)corpus::deserializeManifest(newBytes, manifest, manifestError);
-    }
-    break;
-  }
   case MessageType::manifestBatch: {
     ManifestBatchRequest request;
     if (decodeManifestBatchRequest(r, request)) {
@@ -384,8 +333,14 @@ TEST(ProtocolFuzz, MutatedFramesNeverCrashTheDecoders) {
       encodeBatchRequest({{"a", "sa"}, {"b", "sb"}}, 0x7),
       encodeCoverageRequest({"c", "sc"}, 0x2),
       encodeSimulateRequest({"s", "ss"}, 0x1, sim),
-      encodeManifestDiffRequest(corpus::serializeManifest({}),
-                                corpus::serializeManifest({})),
+      [] {
+        // The retired ManifestDiff request (type 8): refused undecoded.
+        std::string frame;
+        beginMessage(frame, static_cast<MessageType>(8));
+        bio::putString(frame, corpus::serializeManifest({}));
+        bio::putString(frame, corpus::serializeManifest({}));
+        return frame;
+      }(),
       encodeEmptyMessage(MessageType::ping),
       encodeEmptyMessage(MessageType::cacheStats),
       encodeEmptyMessage(MessageType::metrics),
@@ -654,19 +609,27 @@ TEST(ServerFuzz, MalformedManifestBlobsAnswerErrorThenClose) {
   std::string bad = good;
   bad[bad.size() / 2] ^= 0x10; // checksum breaks
 
+  ManifestBatchRequest request;
+  request.manifestBytes = good;
+  request.sinceBytes = bad;
   const auto replies = rawExchange(fixture.options.socketPath,
-                                   encodeManifestDiffRequest(good, bad));
+                                   encodeManifestBatchRequest(request));
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_TRUE(isErrorReply(replies[0]));
 
-  // And the well-formed request still answers a real diff afterwards.
+  // And the well-formed request still answers afterwards: against an
+  // identical baseline nothing is selected, so no source is read.
   Client client;
   ASSERT_TRUE(client.connect(fixture.options.socketPath));
-  ManifestDiffReply reply;
-  ASSERT_TRUE(client.manifestDiff(good, good, reply)) << client.lastError();
-  EXPECT_TRUE(reply.added.empty());
-  EXPECT_TRUE(reply.changed.empty());
-  EXPECT_TRUE(reply.removed.empty());
+  std::string reportBytes;
+  ASSERT_TRUE(client.manifestBatch(good, good, "", driver::ShardSpec{},
+                                   core::MiraOptions(), nullptr, reportBytes))
+      << client.lastError();
+  driver::BatchReport report;
+  std::string error;
+  ASSERT_TRUE(driver::deserializeBatchReport(reportBytes, report, error))
+      << error;
+  EXPECT_TRUE(report.entries.empty());
   client.disconnect();
 }
 

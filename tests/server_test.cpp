@@ -17,7 +17,6 @@
 #include <vector>
 
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/artifacts.h"
@@ -299,18 +298,24 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
   ASSERT_TRUE(daemon.started());
 
   // Well-framed messages the daemon must refuse: one that is not a
-  // protocol message at all, and a ping and an analyze whose headers
-  // say protocol version 1.
+  // protocol message at all, a ping and an analyze whose headers say
+  // protocol version 1, and the retired ManifestDiff request (type 8,
+  // never reused).
   const auto versionOne = [](std::string message) {
     message[4] = 1; // the version field is bytes [4, 8) of the header
     return message;
   };
+  std::string retiredDiff;
+  beginMessage(retiredDiff, static_cast<MessageType>(8));
+  bio::putString(retiredDiff, "old manifest");
+  bio::putString(retiredDiff, "new manifest");
   const std::pair<std::string, std::string> refused[] = {
       {"this is not a protocol message", "magic"},
       {versionOne(encodeEmptyMessage(MessageType::ping)),
        "unsupported protocol version 1"},
       {versionOne(encodeAnalyzeRequest({"@fig5", workloads::fig5Source()}, 0)),
        "unsupported protocol version 1"},
+      {retiredDiff, "unexpected message type 8"},
   };
   for (const auto &[frame, expected] : refused) {
     std::string error;
@@ -355,11 +360,11 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
   ServerStats stats;
   for (int attempt = 0; attempt < 100; ++attempt) {
     ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-    if (stats.protocolErrors >= 4)
+    if (stats.protocolErrors >= 5)
       break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_GE(stats.protocolErrors, 4u);
+  EXPECT_GE(stats.protocolErrors, 5u);
   EXPECT_EQ(stats.analyzeRequests, 0u);
   EXPECT_EQ(stats.computed, 0u);
   ClientOutcome outcome;
@@ -1275,74 +1280,6 @@ TEST(AnalysisServerTest, ManifestBatchRejectsMalformedManifestBlob) {
   Client fresh;
   ASSERT_TRUE(fresh.connect(daemon.socketPath())) << fresh.lastError();
   EXPECT_TRUE(fresh.ping()) << fresh.lastError();
-}
-
-// ------------------------------------------- CLI client exit contract
-
-/// Fork/exec the real mira-cli and return its exit code; stdout+stderr
-/// land in `log`. The binary path is compiled in by CMake.
-int runClientCli(const std::vector<std::string> &args,
-                 const std::filesystem::path &log) {
-  std::string command = MIRA_CLI_PATH;
-  for (const std::string &arg : args)
-    command += " '" + arg + "'";
-  command += " > '" + log.string() + "' 2>&1";
-  const int status = std::system(command.c_str());
-  return status == -1 ? -1 : (WIFEXITED(status) ? WEXITSTATUS(status) : -1);
-}
-
-std::string slurp(const std::filesystem::path &path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-TEST(ClientCliExitContract, ConnectFailureIsExitThreeWithUnifiedDiagnostic) {
-  // No daemon at the socket: the unified "mira-cli client:" diagnostic
-  // on stderr and exit 3 ("no daemon there"), distinct from transport
-  // failures so scripts can tell "start one" from "it died".
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto log = dir / ("mira_server_test_exit3_" +
-                          std::to_string(::getpid()) + ".log");
-  const auto socket = dir / "mira_server_test_no_such_daemon.sock";
-  std::filesystem::remove(socket);
-  EXPECT_EQ(runClientCli({"client", "ping", "--socket", socket.string()},
-                         log),
-            3);
-  const std::string output = slurp(log);
-  EXPECT_NE(output.find("mira-cli client: "), std::string::npos) << output;
-  std::filesystem::remove(log);
-}
-
-TEST(ClientCliExitContract, MidStreamEofIsExitFourWithUnifiedDiagnostic) {
-  // A "daemon" that accepts, reads the request, and hangs up without
-  // replying: the connection died mid-conversation — exit 4, same
-  // unified stderr prefix.
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto socket = dir / ("mira_server_test_eof_" +
-                             std::to_string(::getpid()) + ".sock");
-  const auto log = dir / ("mira_server_test_exit4_" +
-                          std::to_string(::getpid()) + ".log");
-  std::filesystem::remove(socket);
-  std::string error;
-  net::Socket listener = net::listenUnix(socket.string(), error);
-  ASSERT_TRUE(listener.valid()) << error;
-  std::thread fake([&] {
-    net::Socket peer = net::acceptConnection(listener);
-    if (!peer.valid())
-      return;
-    std::string request;
-    net::readFrame(peer.fd(), request, kMaxFrameBytes);
-    peer.close(); // EOF instead of a reply
-  });
-  EXPECT_EQ(runClientCli({"client", "ping", "--socket", socket.string()},
-                         log),
-            4);
-  fake.join();
-  const std::string output = slurp(log);
-  EXPECT_NE(output.find("mira-cli client: "), std::string::npos) << output;
-  std::filesystem::remove(socket);
-  std::filesystem::remove(log);
 }
 
 TEST(AnalysisServerTest, RefusesSecondDaemonOnSamePath) {

@@ -15,116 +15,20 @@
 // test always drives the binary it was built with.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
+#include "cli_harness.h"
 #include "corpus/manifest.h"
-#include "driver/batch.h"
 #include "support/cache_store.h"
 
 namespace mira {
 namespace {
 
-namespace fs = std::filesystem;
-
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string &tag) {
-    path = fs::temp_directory_path() /
-           ("mira_shard_test_" + tag + "_" + std::to_string(::getpid()));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
-
-void writeFile(const fs::path &path, const std::string &bytes) {
-  fs::create_directories(path.parent_path());
-  std::ofstream out(path, std::ios::binary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string readFile(const fs::path &path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-/// A small corpus of distinct single-loop kernels; `variant` makes each
-/// file's content (and therefore cache key) unique.
-void writeCorpus(const fs::path &root, int count) {
-  for (int i = 0; i < count; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "kernel_%02d.mc", i);
-    char source[256];
-    std::snprintf(source, sizeof(source),
-                  "int kernel_%02d(int n) {\n"
-                  "  int s = %d;\n"
-                  "  for (int i = 0; i < n; i++) {\n"
-                  "    s = s + i * %d;\n"
-                  "  }\n"
-                  "  return s;\n"
-                  "}\n",
-                  i, i, i + 1);
-    writeFile(root / name, source);
-  }
-}
-
-/// Run one CLI invocation synchronously; returns its exit code.
-/// stdout/stderr go to `logPath` so failures are debuggable.
-int runCli(const std::vector<std::string> &args, const fs::path &logPath) {
-  std::string command = MIRA_CLI_PATH;
-  for (const std::string &arg : args)
-    command += " '" + arg + "'";
-  command += " > '" + logPath.string() + "' 2>&1";
-  const int status = std::system(command.c_str());
-  if (status == -1)
-    return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-/// Fork+exec one CLI invocation; returns the child pid.
-pid_t spawnCli(const std::vector<std::string> &args, const fs::path &logPath) {
-  const pid_t pid = ::fork();
-  if (pid != 0)
-    return pid;
-  // Child: route output to the log, then exec the CLI.
-  std::FILE *log = std::freopen(logPath.string().c_str(), "w", stdout);
-  (void)log;
-  ::dup2(::fileno(stdout), ::fileno(stderr));
-  std::vector<char *> argv;
-  std::string cli = MIRA_CLI_PATH;
-  argv.push_back(cli.data());
-  std::vector<std::string> copies = args;
-  for (std::string &arg : copies)
-    argv.push_back(arg.data());
-  argv.push_back(nullptr);
-  ::execv(cli.c_str(), argv.data());
-  std::_Exit(127); // exec failed
-}
-
-int waitFor(pid_t pid) {
-  int status = 0;
-  if (::waitpid(pid, &status, 0) != pid)
-    return -1;
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
-
-driver::BatchReport loadReport(const fs::path &path) {
-  driver::BatchReport report;
-  std::string error;
-  EXPECT_TRUE(driver::deserializeBatchReport(readFile(path), report, error))
-      << path << ": " << error;
-  return report;
-}
+using namespace cli_harness;
 
 // ------------------------------------------------------------- tests
 
