@@ -275,9 +275,6 @@ void printManifestBatchPhase() {
   }
   const std::string manifestBytes = corpus::serializeManifest(manifest);
   const core::MiraOptions options;
-  const driver::ManifestSelection selection =
-      driver::selectManifestEntries(manifest, nullptr, options,
-                                    driver::ShardSpec{});
 
   auto now = [] { return std::chrono::steady_clock::now(); };
   auto elapsed = [](std::chrono::steady_clock::time_point start) {
@@ -286,38 +283,23 @@ void printManifestBatchPhase() {
         .count();
   };
 
-  // One local manifest run, exactly as `mira-cli batch --manifest`
-  // builds it: selection order, manifest-path names, report keys from
-  // the manifest content hashes. A fresh analyzer per call stands in
-  // for a fresh process.
+  // One local manifest run through the executor `mira-cli batch
+  // --manifest` uses. A fresh analyzer per call stands in for a fresh
+  // process.
   auto runLocal = [&](const std::string &cacheDir) {
-    std::vector<core::AnalysisSpec> local;
-    local.reserve(selection.entries.size());
-    for (const auto &entry : selection.entries) {
-      core::AnalysisSpec request;
-      request.name = entry.path;
-      std::ifstream in(corpusDir / entry.path, std::ios::binary);
-      request.source.assign(std::istreambuf_iterator<char>(in), {});
-      local.push_back(std::move(request));
-    }
     driver::BatchOptions batchOptions;
     batchOptions.threads = 2;
     batchOptions.cacheDir = cacheDir;
     driver::BatchAnalyzer analyzer(batchOptions);
-    auto outcomes = analyzer.runArtifacts(local);
-    driver::BatchReport report;
-    report.stats = analyzer.stats();
-    report.entries.reserve(outcomes.size());
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      if (!outcomes[i].ok)
-        std::abort();
-      report.entries.push_back(
-          {outcomes[i].name,
-           driver::requestKeyFromContentHash(selection.entries[i].contentHash,
-                                             options),
-           outcomes[i].ok});
-    }
-    return driver::serializeBatchReport(report);
+    driver::ManifestJob job;
+    job.manifest = manifest;
+    job.options = options;
+    const driver::ManifestOutcome outcome =
+        driver::runManifestBatch(analyzer, job);
+    if (outcome.status != driver::ManifestOutcome::Status::ok ||
+        outcome.report.stats.failures != 0)
+      std::abort();
+    return driver::serializeBatchReport(outcome.report);
   };
 
   const std::string localCache =
@@ -393,7 +375,7 @@ void printManifestBatchPhase() {
 
   const bool identical = daemonColdReport == localReport;
   std::printf("%zu sources, one request per corpus:\n",
-              selection.entries.size());
+              manifest.entries.size());
   std::printf("  cold: local %.4f s vs daemon %.4f s\n", localColdSeconds,
               daemonColdSeconds);
   std::printf("  warm: fresh-process local (disk hits) %.4f ms vs warm "

@@ -78,12 +78,11 @@ Artifacts analyze(const AnalysisSpec &spec, DiagnosticEngine &diags) {
   out.requested = spec.artifacts;
 
   // Per-compile expression arena: every symbolic node built while
-  // analyzing this spec (parse -> sema -> MIR -> model, including the
-  // per-function model tasks, which re-enter this interner on their pool
-  // threads) is hash-consed here, so within one analysis structurally
-  // equal expressions are one node and equality is pointer identity. The
-  // arena dies with the request; nodes the returned artifacts reference
-  // stay alive through their shared_ptrs.
+  // analyzing this spec (parse -> sema -> MIR -> model) is hash-consed
+  // here, so within one analysis structurally equal expressions are one
+  // node and equality is pointer identity. The arena dies with the
+  // request; nodes the returned artifacts reference stay alive through
+  // their shared_ptrs.
   symbolic::ExprInterner interner;
   symbolic::ExprInterner::Scope scope(interner);
 
@@ -97,8 +96,7 @@ Artifacts analyze(const AnalysisSpec &spec, DiagnosticEngine &diags) {
   if (spec.artifacts & kArtifactModel) {
     auto generated = std::make_shared<const model::PerformanceModel>(
         metrics::generateModel(*program->unit, program->sema.callGraph,
-                               *program->bridge, spec.options.metrics, diags,
-                               spec.options.modelPool));
+                               *program->bridge, spec.options.metrics, diags));
     if (diags.hasErrors()) {
       out.diagnostics = diags.str();
       return out;

@@ -25,14 +25,9 @@
 // fan requests across a thread pool; any future global cache or counter
 // added to the pipeline must be synchronized or per-request.
 //
-// Within one request, the model-generation stage can additionally fan
-// out per source function when MiraOptions::modelPool is set. The
-// TranslationUnit, bridge, and call graph are only read during that
-// stage, and per-function diagnostics merge back in declaration order,
-// so results stay byte-identical to a serial run (see
-// metrics::generateModel). modelPool is an execution-strategy knob: it
-// never changes what is computed, and cache keys (driver::requestKey)
-// deliberately ignore it.
+// Within one request the pipeline is serial: requests are the only unit
+// of parallelism, so every expression of a model is built on the thread
+// that runs core::analyze, in that request's own ExprInterner.
 #pragma once
 
 #include <memory>
@@ -53,12 +48,6 @@ struct MiraOptions {
   metrics::MetricOptions metrics;
   /// Architecture description used for category aggregation/prediction.
   const arch::ArchDescription *arch = &arch::haswellDescription();
-  /// Optional worker pool for within-request per-function model
-  /// generation (non-owning; may be shared across requests but must not
-  /// be the pool the caller itself runs on). Null = serial. Pure
-  /// execution strategy: results are byte-identical either way, and the
-  /// analysis cache key ignores this field.
-  ThreadPool *modelPool = nullptr;
 };
 
 /// A model as the payload codec (driver::deserializeArtifactPayload)

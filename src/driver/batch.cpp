@@ -6,10 +6,11 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
-#include <sstream>
 #include <stdexcept>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "model/serialize.h"
 #include "support/binary_io.h"
@@ -33,11 +34,10 @@ std::uint64_t requestKeyFromContentHash(std::uint64_t contentHash,
                                         const core::MiraOptions &o) {
   // Tripwire: adding a field to either options struct changes its size;
   // update the fingerprint below (and the driver_test key tests), then
-  // adjust these expected sizes. Execution-strategy fields of
-  // MiraOptions (modelPool), the artifact mask, simulation arguments,
-  // and everything in BatchOptions must stay OUT of the key: they never
-  // change what the pipeline computes, and hashing them would make the
-  // on-disk cache miss across equivalent configurations.
+  // adjust these expected sizes. The artifact mask, simulation
+  // arguments, and everything in BatchOptions must stay OUT of the key:
+  // they never change what the pipeline computes, and hashing them would
+  // make the on-disk cache miss across equivalent configurations.
   static_assert(sizeof(mir::CompilerOptions) == 2 &&
                     sizeof(metrics::MetricOptions) == 1,
                 "options gained a field: requestKey must hash it too");
@@ -432,8 +432,6 @@ BatchAnalyzer::BatchAnalyzer(BatchOptions options)
       coverage_from_cache_(
           metrics_->counter("analyzer_coverage_from_cache_total")),
       recompiles_(metrics_->counter("analyzer_recompiles_total")) {
-  if (options_.modelThreads > 1)
-    model_pool_ = std::make_unique<ThreadPool>(options_.modelThreads);
   if (options_.useCache && !options_.cacheDir.empty())
     disk_ = std::make_unique<CacheStore>(options_.cacheDir,
                                          options_.cacheBytesLimit);
@@ -443,9 +441,6 @@ BatchAnalyzer::BatchAnalyzer(BatchOptions options)
   core::MetricsRegistry::Counter &poolExceptions =
       metrics_->counter("pool_task_exceptions_total");
   pool_.setExceptionHandler([&poolExceptions] { poolExceptions.increment(); });
-  if (model_pool_)
-    model_pool_->setExceptionHandler(
-        [&poolExceptions] { poolExceptions.increment(); });
 }
 
 std::size_t BatchAnalyzer::cacheSize() const {
@@ -485,8 +480,6 @@ BatchAnalyzer::computeValue(const core::AnalysisSpec &spec) {
       full.artifacts = (spec.artifacts & ~core::kArtifactSimulation) |
                        core::kArtifactDiagnostics;
     }
-    if (model_pool_)
-      full.options.modelPool = model_pool_.get();
     DiagnosticEngine diags;
     core::Artifacts artifacts = core::analyze(full, diags);
     value.diagnostics = std::move(artifacts.diagnostics);
@@ -745,14 +738,7 @@ std::vector<core::Artifacts> BatchAnalyzer::analyzeArtifactsMany(
 std::vector<core::Artifacts>
 BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
   auto start = std::chrono::steady_clock::now();
-  std::vector<core::Artifacts> results(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    pool_.submit([this, &specs, &results, i] {
-      results[i] = analyzeSpec(specs[i]);
-    });
-  }
-  pool_.waitIdle();
-
+  std::vector<core::Artifacts> results = analyzeArtifactsMany(specs);
   // Per-result provenance flags keep the per-run view correct even when
   // the registry is shared with daemon traffic — the same tally the
   // daemon's ManifestBatch reports.
@@ -762,24 +748,30 @@ BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
   return results;
 }
 
-
 // ------------------------------------------------- manifest execution
 
-namespace {
-
-bool readSourceFile(const std::string &path, std::string &out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
+bool readFile(const std::string &path, std::string &bytes) {
+  // POSIX reads, not an ifstream: a stream opens a directory and then
+  // reports its failed read as an empty file.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0)
     return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in && !in.eof())
+  std::string out;
+  char buffer[64 * 1024];
+  ssize_t n = 0;
+  while ((n = ::read(fd, buffer, sizeof(buffer))) != 0) {
+    if (n < 0 && errno == EINTR)
+      continue;
+    if (n < 0)
+      break; // EISDIR for a directory, EIO, ...
+    out.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  if (n < 0)
     return false;
-  out = buffer.str();
+  bytes = std::move(out);
   return true;
 }
-
-} // namespace
 
 ManifestOutcome runManifestBatch(BatchAnalyzer &analyzer,
                                  const ManifestJob &job,
@@ -793,7 +785,7 @@ ManifestOutcome runManifestBatch(BatchAnalyzer &analyzer,
   std::vector<core::AnalysisSpec> specs(selection.entries.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const std::string path = (root / selection.entries[i].path).string();
-    if (!readSourceFile(path, specs[i].source)) {
+    if (!readFile(path, specs[i].source)) {
       outcome.status = ManifestOutcome::Status::unreadable;
       outcome.error = "cannot read source '" + path + "'";
       return outcome;

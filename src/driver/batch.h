@@ -62,10 +62,6 @@ struct BatchOptions {
   /// LRU byte cap for the disk level (0 = unlimited). See
   /// support/cache_store.h for the eviction policy.
   std::uint64_t cacheBytesLimit = 0;
-  /// Threads for within-request per-function model generation (1 =
-  /// serial). When >1 the analyzer owns a second, dedicated pool shared
-  /// by all requests; results are byte-identical either way.
-  std::size_t modelThreads = 1;
   /// Registry the analyzer's lifetime counters register in (non-owning;
   /// must outlive the analyzer). Null = the analyzer owns a private
   /// registry, reachable through BatchAnalyzer::metrics(). The serving
@@ -355,7 +351,6 @@ private:
 
   BatchOptions options_;
   ThreadPool pool_;
-  std::unique_ptr<ThreadPool> model_pool_; // within-request fan-out
   std::unique_ptr<CacheStore> disk_;
   BatchStats stats_;
 
@@ -379,6 +374,13 @@ private:
 };
 
 // ------------------------------------------------- manifest execution
+
+/// Read the file at `path` byte for byte into `bytes`. False, leaving
+/// `bytes` untouched, when it cannot be opened, names a directory, or a
+/// read fails. Regular files and pipes read alike. The CLI reads its
+/// sources and batch inputs through it, and runManifestBatch its
+/// sources.
+bool readFile(const std::string &path, std::string &bytes);
 
 /// One manifest batch: the corpus, what to select from it, and the
 /// options every entry is analyzed under.

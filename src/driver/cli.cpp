@@ -32,7 +32,6 @@
 #include <limits>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -67,8 +66,8 @@ int usage(const char *argv0) {
       "  simulate <file.mc|@workload> --function NAME [--sim-arg V]...\n"
       "          [--fast-forward] [--max-instructions N]\n"
       "    each with [--no-optimize] [--no-vectorize] and one backend:\n"
-      "      local   [--threads N] [--model-threads N] [--cache-dir DIR]\n"
-      "              [--cache-limit BYTES] [--no-cache]\n"
+      "      local   [--threads N] [--cache-dir DIR] [--cache-limit BYTES]\n"
+      "              [--no-cache]\n"
       "      daemon  (--socket PATH | --connect HOST:PORT) [--secret S]\n"
       "              [--busy-retries N] [--connect-timeout SECONDS]\n"
       "      fleet   (batch --manifest only) --workers H:P[,H:P...]\n"
@@ -80,9 +79,9 @@ int usage(const char *argv0) {
       "  cache <stats|clear|prune> --cache-dir DIR [--cache-limit BYTES]\n"
       "          [--manifest FILE]...\n"
       "  serve [--socket PATH] [--listen HOST:PORT] [--secret S]\n"
-      "          [--threads N] [--model-threads N]\n"
-      "          [--cache-dir DIR] [--cache-limit BYTES] [--max-inflight N]\n"
-      "          [--drain-timeout SECONDS] [--metrics-file PATH]\n"
+      "          [--threads N] [--cache-dir DIR] [--cache-limit BYTES]\n"
+      "          [--max-inflight N] [--drain-timeout SECONDS]\n"
+      "          [--metrics-file PATH]\n"
       "  client <ping|shutdown|cache-stats|metrics>\n"
       "          (--socket PATH | --connect HOST:PORT) [--secret S]\n"
       "          [--busy-retries N] [--connect-timeout SECONDS]\n"
@@ -107,6 +106,15 @@ const std::string *embeddedWorkload(const std::string &name) {
   return nullptr;
 }
 
+/// Read a file's raw bytes (driver::readFile). Any failure, a directory
+/// or a failed read included, prints `cannot open '<path>'`.
+bool readFileBytes(const std::string &path, std::string &bytes) {
+  if (driver::readFile(path, bytes))
+    return true;
+  std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+  return false;
+}
+
 /// Resolve a CLI source argument: '@name' -> embedded workload, anything
 /// else -> file contents, into `spec`'s name and source. Returns false
 /// (with a message) on failure.
@@ -121,29 +129,8 @@ bool loadSource(const std::string &arg, core::AnalysisSpec &spec) {
     spec.source = *source;
     return true;
   }
-  std::ifstream in(arg);
-  if (!in) {
-    std::fprintf(stderr, "cannot open '%s'\n", arg.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
   spec.name = arg;
-  spec.source = buffer.str();
-  return true;
-}
-
-/// Slurp a file's raw bytes (manifest and report files are binary;
-/// loadSource is for sources and knows '@' workloads).
-bool readFileBytes(const std::string &path, std::string &bytes) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-    return false;
-  }
-  bytes.assign((std::istreambuf_iterator<char>(in)),
-               std::istreambuf_iterator<char>());
-  return true;
+  return readFileBytes(arg, spec.source);
 }
 
 /// Counterpart writer, shared by `manifest merge` and `batch --report`.
@@ -162,7 +149,6 @@ bool writeFileBytes(const std::string &path, const std::string &bytes) {
 
 /// Every flag has one bit, so a command states which ones it uses.
 constexpr std::uint64_t kThreads = 1ull << 0;
-constexpr std::uint64_t kModelThreads = 1ull << 1;
 constexpr std::uint64_t kCacheDir = 1ull << 2;
 constexpr std::uint64_t kCacheLimit = 1ull << 3;
 constexpr std::uint64_t kNoCache = 1ull << 4;
@@ -198,14 +184,13 @@ constexpr std::uint64_t kFastForward = 1ull << 31;
 constexpr std::uint64_t kCompileFlags = kNoOptimize | kNoVectorize;
 /// The local engine's knobs; a daemon or fleet owns its own.
 constexpr std::uint64_t kLocalFlags =
-    kThreads | kModelThreads | kCacheDir | kCacheLimit | kNoCache;
+    kThreads | kCacheDir | kCacheLimit | kNoCache;
 constexpr std::uint64_t kSimFlags =
     kFunction | kSimArg | kMaxInstructions | kFastForward;
 
 struct CommonFlags {
   std::uint64_t given = 0; ///< Flag bits that appeared on the command line
   std::size_t threads = ThreadPool::defaultThreadCount();
-  std::size_t modelThreads = 1;
   bool useCache = true;
   bool optimize = true;
   bool vectorize = true;
@@ -350,8 +335,6 @@ using V = const std::string &;
 const FlagInfo kFlagTable[] = {
     {"--threads", kThreads, "a whole number in [1, 1024]",
      [](F &f, V v) { return parseCount(v, 1, kMaxThreads, f.threads); }},
-    {"--model-threads", kModelThreads, "a whole number in [1, 1024]",
-     [](F &f, V v) { return parseCount(v, 1, kMaxThreads, f.modelThreads); }},
     {"--cache-dir", kCacheDir, "a directory",
      [](F &f, V v) { f.cacheDir = v; return true; }},
     {"--cache-limit", kCacheLimit, "a byte size (e.g. 64M)",
@@ -485,7 +468,6 @@ driver::BatchOptions batchOptionsFor(const CommonFlags &flags,
   options.useCache = flags.useCache;
   options.cacheDir = flags.cacheDir;
   options.cacheBytesLimit = flags.cacheBytesLimit;
-  options.modelThreads = flags.modelThreads;
   return options;
 }
 
@@ -1465,9 +1447,8 @@ int cmdServe(std::vector<std::string> args) {
   if (!parseFlags(args, flags) || !args.empty())
     return 2;
   if (!onlyFlags(flags,
-                 kSocket | kListen | kSecret | kThreads | kModelThreads |
-                     kCacheDir | kCacheLimit | kMaxInflight | kDrainTimeout |
-                     kMetricsFile,
+                 kSocket | kListen | kSecret | kThreads | kCacheDir |
+                     kCacheLimit | kMaxInflight | kDrainTimeout | kMetricsFile,
                  "serve"))
     return 2;
   if (flags.socketPath.empty() && flags.listenSpec.empty()) {
@@ -1489,7 +1470,6 @@ int cmdServe(std::vector<std::string> args) {
   }
   options.secret = flags.secret;
   options.threads = flags.threads;
-  options.modelThreads = flags.modelThreads;
   options.cacheDir = flags.cacheDir;
   options.cacheBytesLimit = flags.cacheBytesLimit;
   options.maxInflight = flags.maxInflight;

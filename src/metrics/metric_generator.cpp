@@ -1,15 +1,11 @@
 #include "metrics/metric_generator.h"
 
 #include <algorithm>
-#include <exception>
-#include <functional>
-#include <future>
 #include <set>
 
 #include "polyhedral/counting.h"
 #include "sema/loop_analysis.h"
 #include "support/string_utils.h"
-#include "symbolic/interner.h"
 
 namespace mira::metrics {
 
@@ -622,8 +618,7 @@ model::PerformanceModel generateModel(const frontend::TranslationUnit &unit,
                                       const sema::CallGraph &callGraph,
                                       const bridge::ProgramBridge &bridge,
                                       const MetricOptions &options,
-                                      DiagnosticEngine &diags,
-                                      ThreadPool *pool) {
+                                      DiagnosticEngine &diags) {
   model::PerformanceModel model;
   model.sourceFile = unit.fileName;
 
@@ -636,71 +631,6 @@ model::PerformanceModel generateModel(const frontend::TranslationUnit &unit,
   for (const FunctionDecl *fn : unit.allFunctions())
     if (std::find(decls.begin(), decls.end(), fn) == decls.end())
       decls.push_back(fn);
-
-  if (pool && pool->threadCount() > 1 && decls.size() > 1) {
-    // Fan one task per function across the pool. Each task writes only
-    // its own slot (model + private DiagnosticEngine); the merge below
-    // walks slots in declaration order, so the output is byte-identical
-    // to the serial walk no matter how the tasks interleave.
-    std::vector<DiagnosticEngine> functionDiags(decls.size());
-    std::vector<std::promise<FunctionModel>> promises(decls.size());
-    std::vector<std::future<FunctionModel>> futures;
-    futures.reserve(decls.size());
-    for (auto &promise : promises)
-      futures.push_back(promise.get_future());
-    std::size_t submitted = 0;
-    // Pool workers have their own thread-local interner state; re-enter
-    // this compile's expression arena inside each task so all functions
-    // of one analysis hash-cons into the same table (intern() is
-    // internally synchronized).
-    symbolic::ExprInterner &interner = symbolic::ExprInterner::current();
-    try {
-      for (; submitted < decls.size(); ++submitted) {
-        const std::size_t i = submitted;
-        pool->submit([&unit, &bridge, &options, &functionDiags, &promises,
-                      &decls, &interner, i] {
-          symbolic::ExprInterner::Scope scope(interner);
-          try {
-            FunctionModeler modeler(unit, *decls[i],
-                                    bridge.of(decls[i]->qualifiedName()),
-                                    options, functionDiags[i]);
-            promises[i].set_value(modeler.run());
-          } catch (...) {
-            promises[i].set_exception(std::current_exception());
-          }
-        });
-      }
-    } catch (...) {
-      // submit() itself failed (e.g. bad_alloc queueing the task). The
-      // un-submitted tasks can never fulfill their promises, so fail
-      // them now and fall through to the drain: unwinding here would
-      // destroy the frame the already-running tasks still reference.
-      for (std::size_t i = submitted; i < decls.size(); ++i)
-        promises[i].set_exception(std::current_exception());
-    }
-    // Drain every future before letting any exception escape: the tasks
-    // reference our stack frame, so an early rethrow would be a
-    // use-after-free for the tasks still running.
-    std::vector<FunctionModel> results;
-    results.reserve(decls.size());
-    std::exception_ptr firstError;
-    for (auto &future : futures) {
-      try {
-        results.push_back(future.get());
-      } catch (...) {
-        if (!firstError)
-          firstError = std::current_exception();
-        results.emplace_back();
-      }
-    }
-    if (firstError)
-      std::rethrow_exception(firstError);
-    for (std::size_t i = 0; i < decls.size(); ++i) {
-      model.functions.push_back(std::move(results[i]));
-      diags.append(functionDiags[i]);
-    }
-    return model;
-  }
 
   for (const FunctionDecl *fn : decls) {
     FunctionModeler modeler(unit, *fn, bridge.of(fn->qualifiedName()),

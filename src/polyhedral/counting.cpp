@@ -174,6 +174,21 @@ BoundExprs boundsOf(const LoopLevel &level) {
   return b;
 }
 
+/// Values of the innermost variable `var` in [ib.lo, ib.hi] that satisfy
+/// the one congruence `c` on it (coefficient ±1): the class count for
+/// ==, its complement in the range for != (paper Fig. 4c).
+Expr countCongruenceGuard(const BoundExprs &ib, const Congruence &c,
+                          const std::string &var) {
+  // a*v + rest ≡ 0 (mod m)  ->  v ≡ -a*rest (mod m) since a = ±1
+  // (a==1: v ≡ -rest; a==-1: v ≡ rest).
+  AffineExpr rest = c.expr.without(var);
+  Expr target = c.expr.coeff(var) == 1 ? (-rest).toExpr() : rest.toExpr();
+  Expr eqCount = countCongruentInRange(ib.lo, ib.hi, target, c.modulus);
+  // Built for == too: the interning order of every count stays fixed.
+  Expr all = ib.hi - ib.lo + Expr::intConst(1);
+  return c.negated ? (all - eqCount) : eqCount;
+}
+
 /// Deduplicate bounds lists (guards may re-add an existing bound).
 void dedupeBounds(LoopLevel &level) {
   auto dedupe = [](std::vector<AffineExpr> &bounds) {
@@ -440,15 +455,7 @@ CountResult countIterations(const IterationDomain &domain) {
       // than one, fall back to a lazy sum below.
       if (domain.congruences.size() == 1 && inner.step == 1) {
         const Congruence &c = domain.congruences[0];
-        std::int64_t a = c.expr.coeff(innerVar);
-        // a*v + rest ≡ 0 (mod m)  ->  v ≡ -a*rest (mod m) since a = ±1
-        // (a==1: v ≡ -rest; a==-1: v ≡ rest).
-        AffineExpr rest = c.expr.without(innerVar);
-        Expr target = (a == 1) ? (-rest).toExpr() : rest.toExpr();
-        Expr eqCount =
-            countCongruentInRange(ib.lo, ib.hi, target, c.modulus);
-        Expr all = ib.hi - ib.lo + Expr::intConst(1);
-        innerCount = c.negated ? (all - eqCount) : eqCount;
+        innerCount = countCongruenceGuard(ib, c, innerVar);
         if (c.negated) {
           result.note = "congruence guard handled by complement rule: "
                         "count(true) = count(loop) - count(false)";
@@ -462,38 +469,32 @@ CountResult countIterations(const IterationDomain &domain) {
       if (innerPolynomial) {
         // Sum the polynomial outward level by level (Faulhaber).
         Polynomial acc = innerPoly;
-        bool stillPoly = true;
         for (std::size_t d = levels.size() - 1; d-- > 0;) {
           const LoopLevel &l = levels[d];
-          if (!stillPoly)
-            break;
           acc = sumOverRange(acc, l.var, l.lowerBounds[0].toPolynomial(),
                              l.upperBounds[0].toPolynomial());
         }
-        if (stillPoly) {
-          // Clamp at zero so an empty outermost range (e.g. N = 0) does
-          // not yield a negative count. (Inner levels were proven
-          // non-empty above; see the summation.h domain note.)
-          Expr poly = acc.toExpr();
-          result.count = poly.isIntConst() || acc.degree() == 0
-                             ? poly
-                             : Expr::max(Expr::intConst(0), poly);
-          result.method = CountMethod::ClosedForm;
-          return result;
-        }
-      } else {
-        // Innermost is a floor-expression: wrap outer levels as lazy sums.
-        Expr acc = innerCount;
-        for (std::size_t d = levels.size() - 1; d-- > 0;) {
-          const LoopLevel &l = levels[d];
-          acc = Expr::sum(l.var, l.lowerBounds[0].toExpr(),
-                          l.upperBounds[0].toExpr(), acc);
-        }
-        result.count = acc;
-        result.method =
-            levels.size() == 1 ? CountMethod::ClosedForm : CountMethod::LazySum;
+        // Clamp at zero so an empty outermost range (e.g. N = 0) does not
+        // yield a negative count. (Inner levels were proven non-empty
+        // above; see the summation.h domain note.)
+        Expr poly = acc.toExpr();
+        result.count = poly.isIntConst() || acc.degree() == 0
+                           ? poly
+                           : Expr::max(Expr::intConst(0), poly);
+        result.method = CountMethod::ClosedForm;
         return result;
       }
+      // Innermost is a floor-expression: wrap outer levels as lazy sums.
+      Expr acc = innerCount;
+      for (std::size_t d = levels.size() - 1; d-- > 0;) {
+        const LoopLevel &l = levels[d];
+        acc = Expr::sum(l.var, l.lowerBounds[0].toExpr(),
+                        l.upperBounds[0].toExpr(), acc);
+      }
+      result.count = acc;
+      result.method =
+          levels.size() == 1 ? CountMethod::ClosedForm : CountMethod::LazySum;
+      return result;
     }
   }
 
@@ -530,13 +531,7 @@ CountResult countIterations(const IterationDomain &domain) {
             Expr::intConst(1);
     innerSpan = Expr::max(Expr::intConst(0), raw);
   } else {
-    const Congruence &c = domain.congruences[0];
-    std::int64_t a = c.expr.coeff(innerVar);
-    AffineExpr rest = c.expr.without(innerVar);
-    Expr target = (a == 1) ? (-rest).toExpr() : rest.toExpr();
-    Expr eqCount = countCongruentInRange(ib.lo, ib.hi, target, c.modulus);
-    Expr all = ib.hi - ib.lo + Expr::intConst(1);
-    Expr raw = c.negated ? (all - eqCount) : eqCount;
+    Expr raw = countCongruenceGuard(ib, domain.congruences[0], innerVar);
     innerSpan = Expr::max(Expr::intConst(0), raw);
   }
 

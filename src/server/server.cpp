@@ -96,15 +96,13 @@ AnalysisServer::AnalysisServer(ServerOptions options)
           metrics_.counter("server_manifest_batch_cancelled_total")) {
   driver::BatchOptions batchOptions;
   // Batch requests fan their items across the analyzer's own pool
-  // (analyzeArtifactsMany), so size it like the compute pool. modelThreads
-  // additionally fans out per-function model generation inside one
-  // request. The analyzer registers its lifetime counters in the
-  // daemon's registry so one scrape covers both layers.
+  // (analyzeArtifactsMany), so size it like the compute pool. The
+  // analyzer registers its lifetime counters in the daemon's registry so
+  // one scrape covers both layers.
   batchOptions.threads = options_.threads;
   batchOptions.useCache = true;
   batchOptions.cacheDir = options_.cacheDir;
   batchOptions.cacheBytesLimit = options_.cacheBytesLimit;
-  batchOptions.modelThreads = options_.modelThreads;
   batchOptions.metrics = &metrics_;
   analyzer_ = std::make_unique<driver::BatchAnalyzer>(batchOptions);
   sessions_ = std::make_unique<ThreadPool>(options_.threads);
@@ -361,8 +359,8 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
     }
     batch_requests_.increment();
     // A batch holds a single in-flight slot: its items fan across the
-    // analyzer's pool (same intra-request parallelism as `mira-cli
-    // batch --threads N`), so admitting it per item would double-count.
+    // analyzer's pool (as in `mira-cli batch --threads N`), so admitting
+    // it per item would double-count.
     if (!admitOrRefuse(session, seq))
       return true;
     compute_->submit([this, session, seq, items = std::move(items),

@@ -67,8 +67,6 @@ struct ServerOptions {
   /// compute workers. Additional accepted connections wait in the pool
   /// queue until a reader frees up.
   std::size_t threads = 4;
-  /// Threads for within-request per-function model generation.
-  std::size_t modelThreads = 1;
   /// Persistent cache directory shared with batch runs; empty = memory
   /// cache only.
   std::string cacheDir;

@@ -45,12 +45,6 @@ public:
   std::size_t warningCount() const { return warning_count_; }
   const std::vector<Diagnostic> &all() const { return diagnostics_; }
 
-  /// Append every diagnostic of `other` in order, keeping the counts in
-  /// sync. Used to merge per-function engines back into the request's
-  /// engine after parallel model generation, in deterministic
-  /// function-declaration order.
-  void append(const DiagnosticEngine &other);
-
   /// True if any diagnostic message contains `substring` (test helper).
   bool containsMessage(const std::string &substring) const;
 

@@ -12,19 +12,19 @@
 // never to string building.
 //
 // Scoping: an interner is installed for the current thread with an RAII
-// Scope. The driver installs one per compile (core::analyze) and the
-// per-function model tasks re-enter the same compile's interner on their
-// pool threads, so a compile's node churn is confined to one arena that
-// dies with the request instead of fragmenting the global heap. The
-// model reader (model/serialize.h) installs one per decoded payload and
-// interns each node as it reads it. Code running outside any scope (tests, ad-hoc Expr math) falls back to a
-// thread-local default interner. Because a node's canonical form caches
+// Scope. core::analyze installs one per compile, and so does a deferred
+// ProgramHandle when it recompiles, so a compile's node churn is confined
+// to one arena on one thread that dies with the request instead of
+// fragmenting the global heap. The model reader (model/serialize.h)
+// installs one per decoded payload and interns each node as it reads it.
+// Code running outside any scope (tests, ad-hoc Expr math) falls back to
+// a thread-local default interner. Because a node's canonical form caches
 // its order key, parameter and bound-variable name strings are stored
 // once per unique node — name interning falls out of node interning.
 //
 // Thread-safety: intern() is internally synchronized (one mutex per
-// interner), so a per-compile interner may be shared by the model pool's
-// worker tasks. The returned nodes are immutable and shared_ptr-owned:
+// interner), though every scope above is used by the one thread that
+// installed it. The returned nodes are immutable and shared_ptr-owned:
 // they outlive the interner wherever models still reference them.
 //
 // Counters: process-wide hit/miss/node tallies are exported as

@@ -332,8 +332,8 @@ TEST(CliFlags, JunkNumbersAndFlagsThatDoNotApplyAreUsageErrors) {
        "--threads"},
       {{"coverage", "--socket", sock, "--no-cache"}, "--no-cache"},
       {{"simulate", "@fig5", "--function", "fig5_main", "--socket", sock,
-        "--model-threads", "2"},
-       "--model-threads"},
+        "--cache-limit", "1M"},
+       "--cache-limit"},
       {{"batch", "--manifest", m, "--workers", "127.0.0.1:1", "--cache-limit",
         "1M"},
        "--cache-limit"},
@@ -367,6 +367,38 @@ TEST(CliFlags, JunkNumbersAndFlagsThatDoNotApplyAreUsageErrors) {
         std::vector<std::string>{"coverage", "--via-daemon"},
         std::vector<std::string>{"batch", "@fig5", "--compare-serial"}})
     EXPECT_EQ(runCli(gone, dir.path / "gone.log"), 2) << gone[0];
+  // So is the per-request model fan-out: requests are the only unit of
+  // parallelism, locally and in the daemon.
+  for (const std::vector<std::string> &gone :
+       {std::vector<std::string>{"analyze", "@fig5", "--model-threads", "2"},
+        std::vector<std::string>{"serve", "--socket", sock,
+                                 "--model-threads", "2"}}) {
+    const fs::path log = dir.path / "gone.log";
+    EXPECT_EQ(runCli(gone, log), 2) << gone[0] << ": " << slurp(log);
+    EXPECT_NE(slurp(log).find("--model-threads"), std::string::npos)
+        << slurp(log);
+  }
+  EXPECT_FALSE(fs::exists(sock)) << "a removed flag must not start a daemon";
+}
+
+TEST(CliExitContract, ADirectoryIsNotASourceOnAnyCommand) {
+  // A directory opens like a file but cannot be read: every command that
+  // takes sources fails on it (1) and names it, rather than analyzing an
+  // empty program.
+  TempDir dir("directory");
+  const std::string source = (dir.path / "looks_like.mc").string();
+  fs::create_directories(source);
+  for (const std::vector<std::string> &command :
+       {std::vector<std::string>{"analyze", source},
+        std::vector<std::string>{"batch", source, "@fig5"},
+        std::vector<std::string>{"coverage", source},
+        std::vector<std::string>{"simulate", source, "--function", "f"}}) {
+    const fs::path log = dir.path / "run.log";
+    EXPECT_EQ(runCli(command, log), 1) << command[0] << ": " << slurp(log);
+    EXPECT_NE(slurp(log).find("cannot open '" + source + "'"),
+              std::string::npos)
+        << command[0] << ": " << slurp(log);
+  }
 }
 
 } // namespace

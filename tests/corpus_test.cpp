@@ -1,17 +1,20 @@
 // Corpus-manifest tests: tree walking, byte-stable serialization,
 // diffing, the "manifest hash + options == cache key" contract that
 // makes incremental/sharded batches and cache pruning possible without
-// reading source bytes, and seeded property tests over the shard
-// partition (every key lands in exactly one shard, assignment is a pure
-// function of (key, count)) and the report merge (N shard reports fold
-// into the single-process report byte-identically).
+// reading source bytes, seeded property tests over the shard partition
+// (every key lands in exactly one shard, assignment is a pure function
+// of (key, count)) and the report merge (N shard reports fold into the
+// single-process report byte-identically), and how the manifest executor
+// reads its sources.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <thread>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "corpus/manifest.h"
@@ -432,6 +435,58 @@ TEST(BatchReport, MergeIsCommutativeAndAssociativeProperty) {
     EXPECT_EQ(folded.stats.wallSeconds,
               driver::mergeBatchReports(shards).stats.wallSeconds);
   }
+}
+
+// ------------------------------------------------- manifest execution
+
+TEST(ManifestExecution, ReadFileTakesBytesAsIsAndRefusesDirectories) {
+  TempDir dir("readfile");
+  const std::string raw("line\r\n\0tail", 11);
+  writeFile(dir.path / "raw.bin", raw);
+  std::string bytes;
+  ASSERT_TRUE(driver::readFile((dir.path / "raw.bin").string(), bytes));
+  EXPECT_EQ(bytes, raw);
+
+  // A pipe reads to its writer's end, like a regular file.
+  const fs::path fifo = dir.path / "pipe";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer([&] { writeFile(fifo, "int f();\n"); });
+  const bool readPipe = driver::readFile(fifo.string(), bytes);
+  writer.join();
+  ASSERT_TRUE(readPipe);
+  EXPECT_EQ(bytes, "int f();\n");
+
+  // A directory opens but cannot be read; it is no empty file.
+  bytes = "kept";
+  EXPECT_FALSE(driver::readFile(dir.path.string(), bytes));
+  EXPECT_FALSE(driver::readFile((dir.path / "missing.mc").string(), bytes));
+  EXPECT_EQ(bytes, "kept");
+}
+
+TEST(ManifestExecution, EntryReplacedByADirectoryIsUnreadable) {
+  // A manifest promises its sources: an entry that became a directory
+  // after the build fails the whole run, instead of analyzing as an
+  // empty program under the old key.
+  TempDir dir("replaced");
+  writeFile(dir.path / "a.mc", "int f() { return 1; }\n");
+  writeFile(dir.path / "b.mc", "int g() { return 2; }\n");
+  driver::ManifestJob job;
+  std::string error;
+  ASSERT_TRUE(buildManifest(dir.path.string(), job.manifest, error)) << error;
+  fs::remove(dir.path / "a.mc");
+  fs::create_directory(dir.path / "a.mc");
+
+  driver::BatchOptions options;
+  options.threads = 1;
+  options.useCache = false;
+  driver::BatchAnalyzer analyzer(options);
+  const driver::ManifestOutcome outcome =
+      driver::runManifestBatch(analyzer, job);
+  EXPECT_EQ(outcome.status, driver::ManifestOutcome::Status::unreadable);
+  EXPECT_EQ(outcome.error,
+            "cannot read source '" + (dir.path / "a.mc").string() + "'");
+  EXPECT_TRUE(outcome.results.empty());
+  EXPECT_TRUE(outcome.report.entries.empty());
 }
 
 } // namespace

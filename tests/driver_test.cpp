@@ -115,16 +115,6 @@ TEST(RequestKey, DependsOnSourceAndOptionsButNotName) {
   EXPECT_EQ(keys.size(), 4u); // every option perturbs the key
 }
 
-TEST(RequestKey, IgnoresExecutionStrategy) {
-  // The model pool changes only HOW the model is computed; keying on it
-  // would make the on-disk cache miss across equivalent configurations.
-  core::AnalysisSpec plain = makeSpec("int f() { return 1; }");
-  core::AnalysisSpec pooled = plain;
-  ThreadPool pool(2);
-  pooled.options.modelPool = &pool;
-  EXPECT_EQ(requestKey(plain), requestKey(pooled));
-}
-
 TEST(RequestKey, IsStableAcrossRuns) {
   // The key is the on-disk cache file name: it must be a pure function
   // of (source, options), reproducible in any process on any day. A
@@ -173,53 +163,6 @@ TEST(BatchAnalyzerTest, ParallelResultsAreByteIdenticalToSerial) {
     BatchAnalyzer analyzer(options);
     EXPECT_EQ(fingerprint(analyzer.runArtifacts(specs)), reference)
         << "non-deterministic batch at " << threads << " threads";
-  }
-}
-
-TEST(BatchAnalyzerTest, ParallelModelGenerationIsByteIdentical) {
-  // Within-request parallelism: per-function model generation fans out
-  // across a model pool, and the merged model (counts, calls, notes,
-  // diagnostics — everything emitPython renders) must match the serial
-  // walk exactly at every thread count.
-  auto specs = coverageSpecs();
-  BatchOptions serialOptions;
-  serialOptions.threads = 1;
-  serialOptions.modelThreads = 1;
-  BatchAnalyzer serial(serialOptions);
-  std::string reference = fingerprint(serial.runArtifacts(specs));
-  ASSERT_FALSE(reference.empty());
-
-  for (std::size_t modelThreads : {2u, 8u}) {
-    BatchOptions options;
-    options.threads = 2;
-    options.modelThreads = modelThreads;
-    BatchAnalyzer analyzer(options);
-    EXPECT_EQ(fingerprint(analyzer.runArtifacts(specs)), reference)
-        << "non-deterministic model generation at " << modelThreads
-        << " model threads";
-  }
-}
-
-TEST(MetricGeneratorTest, PoolAndSerialModelsAgreeIncludingDiagnostics) {
-  // Direct generateModel-level check (below the batch layer): a shared
-  // pool with per-function diagnostic merge reproduces the serial
-  // diagnostics byte for byte. listings exercises annotation warnings.
-  const std::string &source = workloads::listingsSource();
-  core::MiraOptions options;
-
-  DiagnosticEngine serialDiags;
-  auto serial = analyzeModel(source, "listings.mc", options, serialDiags);
-  ASSERT_TRUE(serial != nullptr) << serialDiags.str();
-
-  for (std::size_t threads : {2u, 8u}) {
-    ThreadPool pool(threads);
-    core::MiraOptions pooled = options;
-    pooled.modelPool = &pool;
-    DiagnosticEngine poolDiags;
-    auto parallel = analyzeModel(source, "listings.mc", pooled, poolDiags);
-    ASSERT_TRUE(parallel != nullptr) << poolDiags.str();
-    EXPECT_EQ(model::emitPython(*parallel), model::emitPython(*serial));
-    EXPECT_EQ(poolDiags.str(), serialDiags.str());
   }
 }
 
