@@ -11,19 +11,21 @@
 #include "bench_util.h"
 
 #include "polyhedral/counting.h"
+#include "symbolic/interner.h"
 
 namespace {
 
 using namespace mira;
 using namespace mira::polyhedral;
 
-AffineExpr var(const std::string &n) { return AffineExpr::variable(n); }
+Symbol sym(const char *n) { return symbolic::ExprInterner::current().symbol(n); }
+AffineExpr var(const char *n) { return AffineExpr::variable(sym(n)); }
 AffineExpr cst(std::int64_t v) { return AffineExpr(v); }
 
 IterationDomain listing2Domain() {
   IterationDomain d;
-  d.levels.push_back(LoopLevel::make("i", cst(1), cst(4)));
-  d.levels.push_back(LoopLevel::make("j", var("i") + cst(1), cst(6)));
+  d.levels.push_back(LoopLevel::make(sym("i"), cst(1), cst(4)));
+  d.levels.push_back(LoopLevel::make(sym("j"), var("i") + cst(1), cst(6)));
   return d;
 }
 
@@ -88,21 +90,21 @@ void printFig4() {
   bench::printHeader("Parametric closed forms (model expressions)");
   {
     IterationDomain d;
-    d.levels.push_back(LoopLevel::make("i", cst(0), var("N") - cst(1)));
-    d.levels.push_back(LoopLevel::make("j", cst(0), var("M") - cst(1)));
+    d.levels.push_back(LoopLevel::make(sym("i"), cst(0), var("N") - cst(1)));
+    d.levels.push_back(LoopLevel::make(sym("j"), cst(0), var("M") - cst(1)));
     std::printf("rectangle  N x M          -> %s\n",
                 countIterations(d).count.str().c_str());
   }
   {
     IterationDomain d;
-    d.levels.push_back(LoopLevel::make("i", cst(1), var("N")));
-    d.levels.push_back(LoopLevel::make("j", var("i"), var("N")));
+    d.levels.push_back(LoopLevel::make(sym("i"), cst(1), var("N")));
+    d.levels.push_back(LoopLevel::make(sym("j"), var("i"), var("N")));
     std::printf("triangle   i<=j<=N        -> %s\n",
                 countIterations(d).count.str().c_str());
   }
   {
     IterationDomain d;
-    d.levels.push_back(LoopLevel::make("j", cst(1), var("N")));
+    d.levels.push_back(LoopLevel::make(sym("j"), cst(1), var("N")));
     d = d.withCongruence(Congruence{var("j"), 4, true});
     std::printf("complement j %% 4 != 0     -> %s\n",
                 countIterations(d).count.str().c_str());
@@ -121,8 +123,8 @@ BENCHMARK(BM_SymbolicCounting);
 
 void BM_ParametricClosedForm(benchmark::State &state) {
   IterationDomain d;
-  d.levels.push_back(LoopLevel::make("i", cst(1), var("N")));
-  d.levels.push_back(LoopLevel::make("j", var("i"), var("N")));
+  d.levels.push_back(LoopLevel::make(sym("i"), cst(1), var("N")));
+  d.levels.push_back(LoopLevel::make(sym("j"), var("i"), var("N")));
   for (auto _ : state) {
     auto res = countIterations(d);
     benchmark::DoNotOptimize(res.count);
@@ -132,8 +134,8 @@ BENCHMARK(BM_ParametricClosedForm);
 
 void BM_ClosedFormEvaluation(benchmark::State &state) {
   IterationDomain d;
-  d.levels.push_back(LoopLevel::make("i", cst(1), var("N")));
-  d.levels.push_back(LoopLevel::make("j", var("i"), var("N")));
+  d.levels.push_back(LoopLevel::make(sym("i"), cst(1), var("N")));
+  d.levels.push_back(LoopLevel::make(sym("j"), var("i"), var("N")));
   auto res = countIterations(d);
   symbolic::Env env{{"N", 1000000}};
   for (auto _ : state) {

@@ -6,6 +6,7 @@
 #include "polyhedral/counting.h"
 #include "sema/loop_analysis.h"
 #include "support/string_utils.h"
+#include "symbolic/interner.h"
 
 namespace mira::metrics {
 
@@ -28,6 +29,7 @@ using polyhedral::CountResult;
 using polyhedral::IterationDomain;
 using polyhedral::LoopLevel;
 using symbolic::Expr;
+using symbolic::ExprInterner;
 
 namespace {
 
@@ -114,10 +116,14 @@ matchAffineGuard(const Expression &cond) {
   auto rhs = sema::exprToAffine(*cond.children[1]);
   if (!lhs || !rhs)
     return std::nullopt;
-  auto constraints = AffineConstraint::make(*lhs, rel, *rhs);
-  if (constraints.empty())
-    return std::nullopt;
-  return constraints;
+  try {
+    auto constraints = AffineConstraint::make(*lhs, rel, *rhs);
+    if (constraints.empty())
+      return std::nullopt;
+    return constraints;
+  } catch (const symbolic::ArithmeticError &) {
+    return std::nullopt; // normalizing overflows int64: not affine
+  }
 }
 
 class FunctionModeler {
@@ -327,14 +333,20 @@ private:
           if (!thenRes.exact)
             note(thenRes.note);
           // Else branch: single-constraint guards invert exactly; the
-          // complement of a conjunction (from ==) is counted by
-          // subtraction.
+          // complement of a conjunction (from ==), or of a guard whose
+          // inversion overflows int64, is counted by subtraction.
+          std::optional<AffineConstraint> inverted;
           if (guards->size() == 1) {
-            AffineConstraint inverted{-(*guards)[0].expr - AffineExpr(1)};
-            elseCtx.domain = ctx.domain.withGuard(inverted);
-          } else {
-            elseCtx.overrideCount = total - *thenCtx.total;
+            try {
+              inverted = AffineConstraint{-(*guards)[0].expr - AffineExpr(1)};
+            } catch (const symbolic::ArithmeticError &) {
+              // Left empty: counted by subtraction below.
+            }
           }
+          if (inverted)
+            elseCtx.domain = ctx.domain.withGuard(*inverted);
+          else
+            elseCtx.overrideCount = total - *thenCtx.total;
         }
       }
     }
@@ -382,7 +394,7 @@ private:
     std::int64_t n = 0;
     if (parseInt64(value, n))
       return AffineExpr(n);
-    return AffineExpr::variable(value);
+    return AffineExpr::variable(ExprInterner::current().symbol(value));
   }
 
   void walkFor(const Statement &stmt, Context &ctx) {
@@ -394,19 +406,26 @@ private:
         ann->get("lp_cond")) {
       // Annotated bounds complete the polyhedral model (Listing 6). The
       // lp_cond value is the loop-condition bound; the relation comes
-      // from the source ('<' is exclusive, '<=' inclusive).
+      // from the source ('<' is exclusive, '<=' inclusive). An exclusive
+      // bound of INT64_MIN has no inclusive form and stays unrecognized.
       info.recognized = true;
       info.lowerBound = affineFromAnnotation(*ann->get("lp_init"));
       info.upperBound = affineFromAnnotation(*ann->get("lp_cond"));
       if (stmt.forCond && stmt.forCond->kind == ExprKind::Binary &&
           (stmt.forCond->binaryOp == BinaryOp::Lt ||
-           stmt.forCond->binaryOp == BinaryOp::Gt))
-        info.upperBound = info.upperBound - AffineExpr(1);
+           stmt.forCond->binaryOp == BinaryOp::Gt)) {
+        try {
+          info.upperBound = info.upperBound - AffineExpr(1);
+        } catch (const symbolic::ArithmeticError &) {
+          info.recognized = false;
+        }
+      }
       info.step = 1;
-      if (info.var.empty())
-        info.var = "loopvar_" + std::to_string(line);
-      model_.notes.push_back("loop at line " + std::to_string(line) +
-                             " uses annotated bounds lp_init/lp_cond");
+      info.var =
+          ExprInterner::current().symbol("loopvar_" + std::to_string(line));
+      if (info.recognized)
+        model_.notes.push_back("loop at line " + std::to_string(line) +
+                               " uses annotated bounds lp_init/lp_cond");
     }
 
     Expr entries = totalCount(ctx);
@@ -544,22 +563,35 @@ private:
       const binast::BinaryLoop *rem = binding.remainderLoop();
       std::int64_t w = main->step;
 
-      AffineExpr span = info->upperBound - info->lowerBound + AffineExpr(1);
-      bool uniform = true;
-      for (std::size_t d = 0; d + 1 < bodyCtx.domain.levels.size(); ++d)
-        if (span.involves(bodyCtx.domain.levels[d].var))
+      // The per-entry trip count; when its affine form overflows int64
+      // it is built as an Expr, which never throws, and summed per outer
+      // point like a span that depends on outer variables.
+      std::optional<AffineExpr> span;
+      try {
+        span = info->upperBound - info->lowerBound + AffineExpr(1);
+      } catch (const symbolic::ArithmeticError &) {
+        // Left empty: spanExpr below is built as an Expr.
+      }
+      bool uniform = span.has_value();
+      for (std::size_t d = 0; uniform && d + 1 < bodyCtx.domain.levels.size();
+           ++d)
+        if (span->involves(bodyCtx.domain.levels[d].var))
           uniform = false;
 
+      Expr spanExpr = span ? span->toExpr()
+                           : info->upperBound.toExpr() -
+                                 info->lowerBound.toExpr() +
+                                 Expr::intConst(1);
+      Expr mainPer = Expr::floorDiv(spanExpr, Expr::intConst(w));
       Expr mainAbs;
       if (uniform) {
-        Expr mainPer = Expr::floorDiv(span.toExpr(), Expr::intConst(w));
         mainAbs = entries * mainPer;
       } else {
-        Expr mainPer = Expr::floorDiv(span.toExpr(), Expr::intConst(w));
         Expr acc = mainPer;
         for (std::size_t d = bodyCtx.domain.levels.size() - 1; d-- > 0;) {
           const LoopLevel &l = bodyCtx.domain.levels[d];
-          acc = Expr::sum(l.var, l.lowerBounds[0].toExpr(),
+          acc = Expr::sum(ExprInterner::current().name(l.var),
+                          l.lowerBounds[0].toExpr(),
                           l.upperBounds[0].toExpr(), acc);
         }
         mainAbs = applyRatio(bodyCtx, acc * bodyCtx.extraMultiplier);

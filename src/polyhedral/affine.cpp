@@ -1,42 +1,66 @@
 #include "polyhedral/affine.h"
 
+#include <algorithm>
+
+#include "symbolic/interner.h"
 #include "symbolic/rational.h"
 
 namespace mira::polyhedral {
 
 using symbolic::checkedAdd;
 using symbolic::checkedMul;
+using symbolic::checkedSub;
+using symbolic::ExprInterner;
 using symbolic::floorMod;
 using symbolic::Rational;
 
-AffineExpr AffineExpr::variable(const std::string &name, std::int64_t coeff) {
+AffineExpr AffineExpr::variable(Symbol var, std::int64_t coeff) {
   AffineExpr e;
-  e.setCoeff(name, coeff);
+  if (coeff != 0)
+    e.terms_.push_back({var, coeff});
   return e;
 }
 
-std::int64_t AffineExpr::coeff(const std::string &var) const {
-  auto it = coeffs_.find(var);
-  return it == coeffs_.end() ? 0 : it->second;
+std::int64_t AffineExpr::coeff(Symbol var) const {
+  for (const Term &t : terms_)
+    if (t.var == var)
+      return t.coeff;
+  return 0;
 }
 
-void AffineExpr::setCoeff(const std::string &var, std::int64_t value) {
-  if (value == 0)
-    coeffs_.erase(var);
-  else
-    coeffs_[var] = value;
-}
-
-AffineExpr operator+(const AffineExpr &a, const AffineExpr &b) {
-  AffineExpr out = a;
-  out.constant_ = checkedAdd(out.constant_, b.constant_);
-  for (const auto &[v, c] : b.coeffs_)
-    out.setCoeff(v, checkedAdd(out.coeff(v), c));
+AffineExpr AffineExpr::merge(const AffineExpr &a, const AffineExpr &b,
+                             bool subtract) {
+  AffineExpr out(subtract ? checkedSub(a.constant_, b.constant_)
+                          : checkedAdd(a.constant_, b.constant_));
+  std::uint32_t i = 0, j = 0;
+  while (i < a.terms_.size() || j < b.terms_.size()) {
+    if (j == b.terms_.size() ||
+        (i < a.terms_.size() && a.terms_[i].var < b.terms_[j].var)) {
+      out.terms_.push_back(a.terms_[i++]);
+    } else if (i == a.terms_.size() || b.terms_[j].var < a.terms_[i].var) {
+      Term t = b.terms_[j++];
+      if (subtract)
+        t.coeff = checkedSub(0, t.coeff);
+      out.terms_.push_back(t);
+    } else {
+      const std::int64_t c =
+          subtract ? checkedSub(a.terms_[i].coeff, b.terms_[j].coeff)
+                   : checkedAdd(a.terms_[i].coeff, b.terms_[j].coeff);
+      if (c != 0)
+        out.terms_.push_back({a.terms_[i].var, c});
+      ++i;
+      ++j;
+    }
+  }
   return out;
 }
 
+AffineExpr operator+(const AffineExpr &a, const AffineExpr &b) {
+  return AffineExpr::merge(a, b, false);
+}
+
 AffineExpr operator-(const AffineExpr &a, const AffineExpr &b) {
-  return a + (-b);
+  return AffineExpr::merge(a, b, true);
 }
 
 AffineExpr AffineExpr::operator-() const { return scaled(-1); }
@@ -46,18 +70,22 @@ AffineExpr AffineExpr::scaled(std::int64_t factor) const {
   if (factor == 0)
     return out;
   out.constant_ = checkedMul(constant_, factor);
-  for (const auto &[v, c] : coeffs_)
-    out.coeffs_[v] = checkedMul(c, factor);
+  for (const Term &t : terms_)
+    out.terms_.push_back({t.var, checkedMul(t.coeff, factor)});
   return out;
 }
 
-AffineExpr AffineExpr::without(const std::string &var) const {
+AffineExpr AffineExpr::without(Symbol var) const {
   AffineExpr out = *this;
-  out.coeffs_.erase(var);
+  for (std::uint32_t i = 0; i < out.terms_.size(); ++i)
+    if (out.terms_[i].var == var) {
+      out.terms_.erase(i);
+      break;
+    }
   return out;
 }
 
-AffineExpr AffineExpr::substitute(const std::string &var,
+AffineExpr AffineExpr::substitute(Symbol var,
                                   const AffineExpr &replacement) const {
   std::int64_t c = coeff(var);
   if (c == 0)
@@ -65,14 +93,15 @@ AffineExpr AffineExpr::substitute(const std::string &var,
   return without(var) + replacement.scaled(c);
 }
 
-std::optional<std::int64_t> AffineExpr::evaluate(const Env &env) const {
+std::optional<std::int64_t>
+AffineExpr::evaluate(const SymbolValues &values) const {
   try {
     std::int64_t acc = constant_;
-    for (const auto &[v, c] : coeffs_) {
-      auto it = env.find(v);
-      if (it == env.end())
+    for (const Term &t : terms_) {
+      const auto id = static_cast<std::size_t>(t.var);
+      if (id >= values.size() || !values[id])
         return std::nullopt;
-      acc = checkedAdd(acc, checkedMul(c, it->second));
+      acc = checkedAdd(acc, checkedMul(t.coeff, *values[id]));
     }
     return acc;
   } catch (const symbolic::ArithmeticError &) {
@@ -82,20 +111,21 @@ std::optional<std::int64_t> AffineExpr::evaluate(const Env &env) const {
 
 Polynomial AffineExpr::toPolynomial() const {
   Polynomial p{Rational(constant_)};
-  for (const auto &[v, c] : coeffs_)
-    p += Polynomial::variable(v).scaled(Rational(c));
+  for (const Term &t : terms_)
+    p += Polynomial::variable(t.var).scaled(Rational(t.coeff));
   return p;
 }
 
 Expr AffineExpr::toExpr() const {
   std::vector<Expr> terms;
+  terms.reserve(terms_.size() + 1);
   if (constant_ != 0)
     terms.push_back(Expr::intConst(constant_));
-  for (const auto &[v, c] : coeffs_)
-    terms.push_back(Expr::mul({Expr::intConst(c), Expr::param(v)}));
+  for (const Term &t : terms_)
+    terms.push_back(Expr::intConst(t.coeff) * Expr::param(t.var));
   if (terms.empty())
     return Expr::intConst(0);
-  return Expr::add(std::move(terms));
+  return Expr::add(terms);
 }
 
 std::optional<AffineExpr> AffineExpr::fromExpr(const Expr &expr) {
@@ -106,26 +136,30 @@ std::optional<AffineExpr> AffineExpr::fromExpr(const Expr &expr) {
   for (const auto &[mono, c] : poly->terms()) {
     if (!c.isInteger())
       return std::nullopt;
-    if (mono.empty()) {
+    if (mono.empty())
       out.constant_ = c.asInteger();
-    } else {
-      out.setCoeff(mono[0].first, c.asInteger());
-    }
+    else
+      out.terms_.push_back({mono[0].var, c.asInteger()}); // sorted by var
   }
   return out;
 }
 
 std::string AffineExpr::str() const {
+  const ExprInterner &interner = ExprInterner::current();
+  Terms byName = terms_;
+  std::sort(byName.begin(), byName.end(), [&](const Term &a, const Term &b) {
+    return interner.nameLess(a.var, b.var);
+  });
   std::string out;
   bool first = true;
-  for (const auto &[v, c] : coeffs_) {
+  for (const Term &t : byName) {
     if (!first)
       out += " + ";
     first = false;
-    if (c == 1)
-      out += v;
+    if (t.coeff == 1)
+      out += interner.name(t.var);
     else
-      out += std::to_string(c) + "*" + v;
+      out += std::to_string(t.coeff) + "*" + interner.name(t.var);
   }
   if (constant_ != 0 || first) {
     if (!first)
@@ -197,8 +231,9 @@ std::vector<AffineConstraint> AffineConstraint::make(const AffineExpr &lhs,
   return {};
 }
 
-std::optional<bool> AffineConstraint::holds(const Env &env) const {
-  auto v = expr.evaluate(env);
+std::optional<bool>
+AffineConstraint::holds(const SymbolValues &values) const {
+  auto v = expr.evaluate(values);
   if (!v)
     return std::nullopt;
   return *v >= 0;
@@ -206,8 +241,8 @@ std::optional<bool> AffineConstraint::holds(const Env &env) const {
 
 std::string AffineConstraint::str() const { return expr.str() + " >= 0"; }
 
-std::optional<bool> Congruence::holds(const Env &env) const {
-  auto v = expr.evaluate(env);
+std::optional<bool> Congruence::holds(const SymbolValues &values) const {
+  auto v = expr.evaluate(values);
   if (!v || modulus == 0)
     return std::nullopt;
   bool zero = floorMod(*v, modulus) == 0;

@@ -1,40 +1,59 @@
-// Affine expressions over named variables with integer coefficients.
+// Affine expressions over symbols with integer coefficients.
 //
 // The polyhedral model (paper Sec. II-B, III-B2) represents loop bounds and
 // branch conditions as affine inequalities over iteration variables and
-// parameters; AffineExpr is that representation: c0 + sum(ci * vi).
+// parameters; AffineExpr is that representation: c0 + sum(ci * vi). The
+// variables are Symbols of the calling thread's ExprInterner
+// (symbolic/interner.h), held as a constant plus an inline array of
+// (Symbol, coeff) terms sorted by Symbol, so building or copying one with
+// up to three variables does not allocate. Symbols sort by mint order;
+// str() prints the terms in name order, so text does not depend on the
+// order a walk minted them in.
+//
+// Arithmetic is checked: an int64 overflow throws symbolic::ArithmeticError,
+// which callers turn into "not affine" or a fallback path.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 
+#include "support/inline_vector.h"
 #include "symbolic/expr.h"
 #include "symbolic/polynomial.h"
 
 namespace mira::polyhedral {
 
-using symbolic::Env;
 using symbolic::Expr;
 using symbolic::Polynomial;
+using symbolic::Symbol;
+using symbolic::SymbolValues;
 
 class AffineExpr {
 public:
+  /// One coeff * var term; coeff is never 0.
+  struct Term {
+    Symbol var;
+    std::int64_t coeff;
+
+    friend bool operator==(const Term &a, const Term &b) {
+      return a.var == b.var && a.coeff == b.coeff;
+    }
+  };
+  /// The terms, sorted by Symbol.
+  using Terms = InlineVector<Term, 3>;
+
   AffineExpr() = default;
   explicit AffineExpr(std::int64_t constant) : constant_(constant) {}
-  static AffineExpr variable(const std::string &name,
-                             std::int64_t coeff = 1);
+  static AffineExpr variable(Symbol var, std::int64_t coeff = 1);
 
   std::int64_t constant() const { return constant_; }
-  std::int64_t coeff(const std::string &var) const;
-  const std::map<std::string, std::int64_t> &coeffs() const {
-    return coeffs_;
-  }
+  std::int64_t coeff(Symbol var) const;
+  const Terms &terms() const { return terms_; }
 
-  bool isConstant() const { return coeffs_.empty(); }
+  bool isConstant() const { return terms_.empty(); }
   /// True if `var` appears with a nonzero coefficient.
-  bool involves(const std::string &var) const { return coeff(var) != 0; }
+  bool involves(Symbol var) const { return coeff(var) != 0; }
 
   friend AffineExpr operator+(const AffineExpr &a, const AffineExpr &b);
   friend AffineExpr operator-(const AffineExpr &a, const AffineExpr &b);
@@ -44,29 +63,31 @@ public:
   AffineExpr &operator-=(const AffineExpr &o) { return *this = *this - o; }
 
   /// Remove `var`, returning the expression with that term dropped.
-  AffineExpr without(const std::string &var) const;
+  AffineExpr without(Symbol var) const;
 
   /// Substitute `var := replacement` (replacement affine).
-  AffineExpr substitute(const std::string &var,
-                        const AffineExpr &replacement) const;
+  AffineExpr substitute(Symbol var, const AffineExpr &replacement) const;
 
-  std::optional<std::int64_t> evaluate(const Env &env) const;
+  /// nullopt when a variable is unbound or the value overflows int64.
+  std::optional<std::int64_t> evaluate(const SymbolValues &values) const;
   Polynomial toPolynomial() const;
   Expr toExpr() const;
   /// Expr of degree <= 1 converts back; nullopt otherwise.
   static std::optional<AffineExpr> fromExpr(const Expr &expr);
 
   bool operator==(const AffineExpr &o) const {
-    return constant_ == o.constant_ && coeffs_ == o.coeffs_;
+    return constant_ == o.constant_ && terms_ == o.terms_;
   }
 
   std::string str() const;
 
 private:
   std::int64_t constant_ = 0;
-  std::map<std::string, std::int64_t> coeffs_;
+  Terms terms_;
 
-  void setCoeff(const std::string &var, std::int64_t value);
+  // a + b, or a - b when `subtract`: one merge of the sorted terms.
+  static AffineExpr merge(const AffineExpr &a, const AffineExpr &b,
+                          bool subtract);
 };
 
 /// Comparison relations usable in loop conditions and branch guards.
@@ -86,7 +107,7 @@ struct AffineConstraint {
   static std::vector<AffineConstraint> make(const AffineExpr &lhs, CmpRel rel,
                                             const AffineExpr &rhs);
 
-  std::optional<bool> holds(const Env &env) const;
+  std::optional<bool> holds(const SymbolValues &values) const;
   std::string str() const;
 };
 
@@ -98,7 +119,7 @@ struct Congruence {
   std::int64_t modulus = 1;
   bool negated = false; // false: expr % m == 0; true: expr % m != 0
 
-  std::optional<bool> holds(const Env &env) const;
+  std::optional<bool> holds(const SymbolValues &values) const;
   std::string str() const;
 };
 

@@ -4,45 +4,32 @@
 #include <cassert>
 #include <limits>
 
+#include "symbolic/interner.h"
 #include "symbolic/summation.h"
 
 namespace mira::polyhedral {
 
+using symbolic::ExprInterner;
 using symbolic::Polynomial;
 using symbolic::Rational;
 using symbolic::sumOverRange;
 
-LoopLevel LoopLevel::make(std::string var, AffineExpr lb, AffineExpr ub,
+namespace {
+
+const std::string &nameOf(Symbol symbol) {
+  return ExprInterner::current().name(symbol);
+}
+
+} // namespace
+
+LoopLevel LoopLevel::make(Symbol var, AffineExpr lb, AffineExpr ub,
                           std::int64_t step) {
   LoopLevel l;
-  l.var = std::move(var);
+  l.var = var;
   l.lowerBounds.push_back(std::move(lb));
   l.upperBounds.push_back(std::move(ub));
   l.step = step;
   return l;
-}
-
-std::set<std::string> IterationDomain::parameters() const {
-  std::set<std::string> loopVars;
-  for (const auto &l : levels)
-    loopVars.insert(l.var);
-  std::set<std::string> params;
-  auto collect = [&](const AffineExpr &e) {
-    for (const auto &[v, c] : e.coeffs())
-      if (!loopVars.count(v))
-        params.insert(v);
-  };
-  for (const auto &l : levels) {
-    for (const auto &b : l.lowerBounds)
-      collect(b);
-    for (const auto &b : l.upperBounds)
-      collect(b);
-  }
-  for (const auto &g : guards)
-    collect(g.expr);
-  for (const auto &c : congruences)
-    collect(c.expr);
-  return params;
 }
 
 ConstraintSystem IterationDomain::toConstraintSystem() const {
@@ -75,7 +62,7 @@ IterationDomain IterationDomain::withCongruence(
 std::string IterationDomain::str() const {
   std::string out;
   for (const auto &l : levels) {
-    out += "for " + l.var + " in [";
+    out += "for " + nameOf(l.var) + " in [";
     for (std::size_t i = 0; i < l.lowerBounds.size(); ++i)
       out += (i ? " ,max " : "") + l.lowerBounds[i].str();
     out += " .. ";
@@ -178,7 +165,7 @@ BoundExprs boundsOf(const LoopLevel &level) {
 /// the one congruence `c` on it (coefficient ±1): the class count for
 /// ==, its complement in the range for != (paper Fig. 4c).
 Expr countCongruenceGuard(const BoundExprs &ib, const Congruence &c,
-                          const std::string &var) {
+                          Symbol var) {
   // a*v + rest ≡ 0 (mod m)  ->  v ≡ -a*rest (mod m) since a = ±1
   // (a==1: v ≡ -rest; a==-1: v ≡ rest).
   AffineExpr rest = c.expr.without(var);
@@ -207,79 +194,252 @@ void dedupeBounds(LoopLevel &level) {
   dedupe(level.upperBounds);
 }
 
-} // namespace
-
-namespace {
-std::optional<std::int64_t> enumerateWithBudget(const IterationDomain &domain,
-                                                const Env &env,
-                                                std::int64_t budget) {
-  // Recursive nested-loop walk with memo-free simplicity; fine for the
-  // test-scale domains this is used on.
-  struct Walker {
-    const IterationDomain &domain;
-    Env env;
-    std::int64_t budget;
-
-    std::optional<std::int64_t> walk(std::size_t depth) {
-      if (--budget < 0)
-        return std::nullopt;
-      if (depth == domain.levels.size()) {
-        for (const auto &g : domain.guards) {
-          auto h = g.holds(env);
-          if (!h)
-            return std::nullopt;
-          if (!*h)
-            return 0;
-        }
-        for (const auto &c : domain.congruences) {
-          auto h = c.holds(env);
-          if (!h)
-            return std::nullopt;
-          if (!*h)
-            return 0;
-        }
-        return 1;
-      }
-      const LoopLevel &level = domain.levels[depth];
-      std::optional<std::int64_t> lo, hi;
-      for (const auto &b : level.lowerBounds) {
-        auto v = b.evaluate(env);
-        if (!v)
-          return std::nullopt;
-        lo = lo ? std::max(*lo, *v) : *v;
-      }
-      for (const auto &b : level.upperBounds) {
-        auto v = b.evaluate(env);
-        if (!v)
-          return std::nullopt;
-        hi = hi ? std::min(*hi, *v) : *v;
-      }
-      if (!lo || !hi)
-        return std::nullopt;
-      std::int64_t total = 0;
-      for (std::int64_t v = *lo; v <= *hi; v += level.step) {
-        env[level.var] = v;
-        auto inner = walk(depth + 1);
-        if (!inner)
-          return std::nullopt;
-        total += *inner;
-      }
-      env.erase(level.var);
-      return total;
-    }
+/// True when a bound, guard or congruence mentions a symbol that is not
+/// one of the domain's loop variables.
+bool hasParameters(const IterationDomain &domain) {
+  auto isLoopVar = [&](Symbol s) {
+    for (const LoopLevel &l : domain.levels)
+      if (l.var == s)
+        return true;
+    return false;
   };
-  Walker w{domain, env, budget};
-  return w.walk(0);
+  auto mentionsParameter = [&](const AffineExpr &e) {
+    for (const AffineExpr::Term &t : e.terms())
+      if (!isLoopVar(t.var))
+        return true;
+    return false;
+  };
+  for (const LoopLevel &l : domain.levels) {
+    for (const AffineExpr &b : l.lowerBounds)
+      if (mentionsParameter(b))
+        return true;
+    for (const AffineExpr &b : l.upperBounds)
+      if (mentionsParameter(b))
+        return true;
+  }
+  for (const AffineConstraint &g : domain.guards)
+    if (mentionsParameter(g.expr))
+      return true;
+  for (const Congruence &c : domain.congruences)
+    if (mentionsParameter(c.expr))
+      return true;
+  return false;
 }
+
+/// Walks the nest point by point, binding each loop variable in turn;
+/// nullopt once more than `budget` points are visited, or when a bound,
+/// guard or congruence cannot be evaluated.
+class Enumerator {
+public:
+  Enumerator(const std::vector<LoopLevel> &levels,
+             const std::vector<AffineConstraint> &guards,
+             const std::vector<Congruence> &congruences, SymbolValues values,
+             std::int64_t budget)
+      : levels_(levels), guards_(guards), congruences_(congruences),
+        values_(std::move(values)), budget_(budget) {}
+
+  std::optional<std::int64_t> walk(std::size_t depth) {
+    if (--budget_ < 0)
+      return std::nullopt;
+    if (depth == levels_.size()) {
+      for (const auto &g : guards_) {
+        auto h = g.holds(values_);
+        if (!h)
+          return std::nullopt;
+        if (!*h)
+          return 0;
+      }
+      for (const auto &c : congruences_) {
+        auto h = c.holds(values_);
+        if (!h)
+          return std::nullopt;
+        if (!*h)
+          return 0;
+      }
+      return 1;
+    }
+    const LoopLevel &level = levels_[depth];
+    std::optional<std::int64_t> lo, hi;
+    for (const auto &b : level.lowerBounds) {
+      auto v = b.evaluate(values_);
+      if (!v)
+        return std::nullopt;
+      lo = lo ? std::max(*lo, *v) : *v;
+    }
+    for (const auto &b : level.upperBounds) {
+      auto v = b.evaluate(values_);
+      if (!v)
+        return std::nullopt;
+      hi = hi ? std::min(*hi, *v) : *v;
+    }
+    if (!lo || !hi)
+      return std::nullopt;
+    // Every point costs a unit of budget, so a range with more points
+    // than the budget has left fails without being walked. hi >= lo, so
+    // the unsigned difference is exact.
+    const auto step = static_cast<std::uint64_t>(level.step);
+    if (*lo <= *hi && (static_cast<std::uint64_t>(*hi) -
+                       static_cast<std::uint64_t>(*lo)) /
+                              step >=
+                          static_cast<std::uint64_t>(budget_))
+      return std::nullopt;
+    const auto id = static_cast<std::size_t>(level.var);
+    if (values_.size() <= id)
+      values_.resize(id + 1);
+    std::int64_t total = 0;
+    for (std::int64_t v = *lo; v <= *hi; v += level.step) {
+      values_[id] = v;
+      auto inner = walk(depth + 1);
+      if (!inner)
+        return std::nullopt;
+      total += *inner;
+      // Stop when the next step would pass hi, without computing a
+      // value past INT64_MAX.
+      if (static_cast<std::uint64_t>(*hi) - static_cast<std::uint64_t>(v) <
+          step)
+        break;
+    }
+    values_[id].reset();
+    return total;
+  }
+
+private:
+  const std::vector<LoopLevel> &levels_;
+  const std::vector<AffineConstraint> &guards_;
+  const std::vector<Congruence> &congruences_;
+  SymbolValues values_;
+  std::int64_t budget_;
+};
+
 } // namespace
 
 std::optional<std::int64_t> enumerateDomain(const IterationDomain &domain,
-                                            const Env &env) {
-  return enumerateWithBudget(domain, env,
-                             std::numeric_limits<std::int64_t>::max());
+                                            const symbolic::Env &env) {
+  return Enumerator(domain.levels, domain.guards, domain.congruences,
+                    ExprInterner::current().values(env),
+                    std::numeric_limits<std::int64_t>::max())
+      .walk(0);
 }
 
-CountResult countIterations(const IterationDomain &domain) {
+namespace {
+
+/// Closed-form count over guard-folded `levels`: Faulhaber summation when
+/// every level has a single bound pair, unit steps (except possibly the
+/// innermost) and no inner range that can be empty, congruences only on
+/// the innermost variable. nullopt when the domain does not qualify.
+/// `result` carries the notes gathered so far. Throws ArithmeticError when
+/// a coefficient overflows int64.
+std::optional<CountResult> closedForm(const std::vector<LoopLevel> &levels,
+                                      const std::vector<Congruence> &congruences,
+                                      CountResult result) {
+  for (std::size_t d = 0; d < levels.size(); ++d) {
+    const LoopLevel &l = levels[d];
+    if (l.lowerBounds.size() != 1 || l.upperBounds.size() != 1)
+      return std::nullopt;
+    if (l.step != 1 && d + 1 != levels.size())
+      return std::nullopt;
+  }
+
+  // Degenerate-range check: the closed form F(hi) - F(lo-1) over-subtracts
+  // if an inner range can be empty for some outer point of the domain
+  // (e.g. j in [i+1, 6] with i reaching beyond 5). Prove non-emptiness
+  // with Fourier-Motzkin: the outer bounds plus "level d empty"
+  // (lb_d > ub_d) must be infeasible for every non-outermost level.
+  // Parameters are treated as free variables, which is conservative.
+  ConstraintSystem outer;
+  for (std::size_t d = 0; d < levels.size(); ++d) {
+    const LoopLevel &l = levels[d];
+    if (d > 0) {
+      AffineExpr emptyCond =
+          l.lowerBounds[0] - l.upperBounds[0] - AffineExpr(1);
+      bool dependsOnOuter = false;
+      for (std::size_t o = 0; o < d; ++o)
+        if (emptyCond.involves(levels[o].var))
+          dependsOnOuter = true;
+      if (dependsOnOuter) {
+        ConstraintSystem probe = outer;
+        probe.add(AffineConstraint{emptyCond}); // empty range reachable?
+        if (!probe.isRationallyEmpty())
+          return std::nullopt; // fall back to the clamped lazy path
+      }
+      // Emptiness uniform in the loop variables (parameters only, e.g.
+      // M <= 0 for a rectangle) is tolerated: the paper's models assume
+      // parameters describe non-degenerate problem sizes, and the
+      // top-level clamp handles the all-empty case.
+    }
+    AffineExpr v = AffineExpr::variable(l.var);
+    outer.add(AffineConstraint{v - l.lowerBounds[0]});
+    outer.add(AffineConstraint{l.upperBounds[0] - v});
+  }
+  const LoopLevel &inner = levels.back();
+  for (const auto &c : congruences) {
+    for (std::size_t d = 0; d + 1 < levels.size(); ++d)
+      if (c.expr.involves(levels[d].var))
+        return std::nullopt;
+    std::int64_t a = c.expr.coeff(inner.var);
+    if (a != 1 && a != -1)
+      return std::nullopt;
+    if (c.modulus <= 0)
+      return std::nullopt;
+  }
+
+  BoundExprs ib = boundsOf(inner);
+  if (congruences.empty() && inner.step == 1) {
+    // Innermost count as a polynomial, summed outward level by level
+    // (Faulhaber).
+    Polynomial acc = ib.hiAffine.toPolynomial() -
+                     ib.loAffine.toPolynomial() + Polynomial{Rational(1)};
+    for (std::size_t d = levels.size() - 1; d-- > 0;) {
+      const LoopLevel &l = levels[d];
+      acc = sumOverRange(acc, l.var, l.lowerBounds[0].toPolynomial(),
+                         l.upperBounds[0].toPolynomial());
+    }
+    // Clamp at zero so an empty outermost range (e.g. N = 0) does not
+    // yield a negative count. (Inner levels were proven non-empty
+    // above; see the summation.h domain note.)
+    Expr poly = acc.toExpr();
+    result.count = poly.isIntConst() || acc.degree() == 0
+                       ? poly
+                       : Expr::max(Expr::intConst(0), poly);
+    result.method = CountMethod::ClosedForm;
+    return result;
+  }
+
+  Expr innerCount;
+  if (congruences.empty()) {
+    // step > 1: floor((ub - lb)/step) + 1
+    innerCount =
+        Expr::floorDiv(ib.hi - ib.lo, Expr::intConst(inner.step)) +
+        Expr::intConst(1);
+  } else {
+    // Congruences on the innermost variable. Intersect: count values in
+    // [lb, ub] in the EQ class; apply the complement rule for NE
+    // (paper Fig. 4c). Multiple congruences compose by inclusion-
+    // exclusion only in the single-congruence practical case; with more
+    // than one, fall back to a lazy sum.
+    if (congruences.size() != 1 || inner.step != 1)
+      return std::nullopt;
+    const Congruence &c = congruences[0];
+    innerCount = countCongruenceGuard(ib, c, inner.var);
+    if (c.negated) {
+      result.note = "congruence guard handled by complement rule: "
+                    "count(true) = count(loop) - count(false)";
+    }
+  }
+  // Innermost is a floor-expression: wrap outer levels as lazy sums.
+  Expr acc = innerCount;
+  for (std::size_t d = levels.size() - 1; d-- > 0;) {
+    const LoopLevel &l = levels[d];
+    acc = Expr::sum(nameOf(l.var), l.lowerBounds[0].toExpr(),
+                    l.upperBounds[0].toExpr(), acc);
+  }
+  result.count = acc;
+  result.method =
+      levels.size() == 1 ? CountMethod::ClosedForm : CountMethod::LazySum;
+  return result;
+}
+
+CountResult countDomain(const IterationDomain &domain) {
   CountResult result;
 
   if (domain.levels.empty()) {
@@ -290,13 +450,14 @@ CountResult countIterations(const IterationDomain &domain) {
   for (const auto &l : domain.levels) {
     if (l.lowerBounds.empty() || l.upperBounds.empty()) {
       result.requiresAnnotation = true;
-      result.note = "loop variable '" + l.var + "' has missing bounds";
+      result.note = "loop variable '" + nameOf(l.var) + "' has missing bounds";
       result.count = Expr::intConst(0);
       return result;
     }
     if (l.step <= 0) {
       result.requiresAnnotation = true;
-      result.note = "loop variable '" + l.var + "' has non-positive step";
+      result.note =
+          "loop variable '" + nameOf(l.var) + "' has non-positive step";
       result.count = Expr::intConst(0);
       return result;
     }
@@ -326,11 +487,9 @@ CountResult countIterations(const IterationDomain &domain) {
   // congruences, residual guards — paper Fig. 4 cases). A point budget
   // protects against walking huge constant-bound nests; those fall
   // through to the symbolic paths below.
-  if (domain.parameters().empty()) {
-    IterationDomain numeric = domain;
-    numeric.levels = levels;
-    numeric.guards = residual;
-    auto n = enumerateWithBudget(numeric, Env{}, 20'000'000);
+  if (!hasParameters(domain)) {
+    auto n = Enumerator(levels, residual, domain.congruences, {}, 20'000'000)
+                 .walk(0);
     if (n) {
       result.count = Expr::intConst(*n);
       result.method = CountMethod::Enumeration;
@@ -349,7 +508,7 @@ CountResult countIterations(const IterationDomain &domain) {
         (!domain.congruences.empty() || inner.lowerBounds.size() > 1 ||
          inner.upperBounds.size() > 1)) {
       result.requiresAnnotation = true;
-      result.note = "strided loop variable '" + inner.var +
+      result.note = "strided loop variable '" + nameOf(inner.var) +
                     "' combined with guards; annotate the loop/branch";
       result.count = Expr::intConst(0);
       return result;
@@ -371,142 +530,24 @@ CountResult countIterations(const IterationDomain &domain) {
     }
   }
 
-  // Closed-form path: every level has a single bound pair, steps are 1
-  // except possibly the innermost, congruences only constrain the
-  // innermost variable.
-  bool closedFormEligible = true;
-  for (std::size_t d = 0; d < levels.size(); ++d) {
-    const LoopLevel &l = levels[d];
-    if (l.lowerBounds.size() != 1 || l.upperBounds.size() != 1)
-      closedFormEligible = false;
-    if (l.step != 1 && d + 1 != levels.size())
-      closedFormEligible = false;
-  }
-
-  // Degenerate-range check: the closed form F(hi) - F(lo-1) over-subtracts
-  // if an inner range can be empty for some outer point of the domain
-  // (e.g. j in [i+1, 6] with i reaching beyond 5). Prove non-emptiness
-  // with Fourier-Motzkin: the outer bounds plus "level d empty"
-  // (lb_d > ub_d) must be infeasible for every non-outermost level.
-  // Parameters are treated as free variables, which is conservative.
-  if (closedFormEligible) {
-    ConstraintSystem outer;
-    for (std::size_t d = 0; d < levels.size() && closedFormEligible; ++d) {
-      const LoopLevel &l = levels[d];
-      if (d > 0) {
-        AffineExpr emptyCond =
-            l.lowerBounds[0] - l.upperBounds[0] - AffineExpr(1);
-        bool dependsOnOuter = false;
-        for (std::size_t o = 0; o < d; ++o)
-          if (emptyCond.involves(levels[o].var))
-            dependsOnOuter = true;
-        if (dependsOnOuter) {
-          ConstraintSystem probe = outer;
-          probe.add(AffineConstraint{emptyCond}); // empty range reachable?
-          if (!probe.isRationallyEmpty())
-            closedFormEligible = false; // fall back to the clamped lazy path
-        }
-        // Emptiness uniform in the loop variables (parameters only, e.g.
-        // M <= 0 for a rectangle) is tolerated: the paper's models assume
-        // parameters describe non-degenerate problem sizes, and the
-        // top-level clamp handles the all-empty case.
-      }
-      AffineExpr v = AffineExpr::variable(l.var);
-      outer.add(AffineConstraint{v - l.lowerBounds[0]});
-      outer.add(AffineConstraint{l.upperBounds[0] - v});
-    }
-  }
-  const std::string &innerVar = levels.back().var;
-  for (const auto &c : domain.congruences) {
-    for (std::size_t d = 0; d + 1 < levels.size(); ++d)
-      if (c.expr.involves(levels[d].var))
-        closedFormEligible = false;
-    std::int64_t a = c.expr.coeff(innerVar);
-    if (a != 1 && a != -1)
-      closedFormEligible = false;
-    if (c.modulus <= 0)
-      closedFormEligible = false;
-  }
-
-  if (closedFormEligible) {
-    const LoopLevel &inner = levels.back();
-    BoundExprs ib = boundsOf(inner);
-
-    // Innermost count as an Expr (and, when possible, a Polynomial).
-    Expr innerCount;
-    bool innerPolynomial = false;
-    Polynomial innerPoly;
-
-    if (domain.congruences.empty() && inner.step == 1) {
-      innerPoly = ib.hiAffine.toPolynomial() - ib.loAffine.toPolynomial() +
-                  Polynomial{Rational(1)};
-      innerCount = innerPoly.toExpr();
-      innerPolynomial = true;
-    } else if (domain.congruences.empty()) {
-      // step > 1: floor((ub - lb)/step) + 1
-      innerCount = Expr::floorDiv(ib.hi - ib.lo,
-                                  Expr::intConst(inner.step)) +
-                   Expr::intConst(1);
-    } else {
-      // Congruences on the innermost variable. Intersect: count values in
-      // [lb, ub] in the EQ class; apply the complement rule for NE
-      // (paper Fig. 4c). Multiple congruences compose by inclusion-
-      // exclusion only in the single-congruence practical case; with more
-      // than one, fall back to a lazy sum below.
-      if (domain.congruences.size() == 1 && inner.step == 1) {
-        const Congruence &c = domain.congruences[0];
-        innerCount = countCongruenceGuard(ib, c, innerVar);
-        if (c.negated) {
-          result.note = "congruence guard handled by complement rule: "
-                        "count(true) = count(loop) - count(false)";
-        }
-      } else {
-        closedFormEligible = false;
-      }
-    }
-
-    if (closedFormEligible) {
-      if (innerPolynomial) {
-        // Sum the polynomial outward level by level (Faulhaber).
-        Polynomial acc = innerPoly;
-        for (std::size_t d = levels.size() - 1; d-- > 0;) {
-          const LoopLevel &l = levels[d];
-          acc = sumOverRange(acc, l.var, l.lowerBounds[0].toPolynomial(),
-                             l.upperBounds[0].toPolynomial());
-        }
-        // Clamp at zero so an empty outermost range (e.g. N = 0) does not
-        // yield a negative count. (Inner levels were proven non-empty
-        // above; see the summation.h domain note.)
-        Expr poly = acc.toExpr();
-        result.count = poly.isIntConst() || acc.degree() == 0
-                           ? poly
-                           : Expr::max(Expr::intConst(0), poly);
-        result.method = CountMethod::ClosedForm;
-        return result;
-      }
-      // Innermost is a floor-expression: wrap outer levels as lazy sums.
-      Expr acc = innerCount;
-      for (std::size_t d = levels.size() - 1; d-- > 0;) {
-        const LoopLevel &l = levels[d];
-        acc = Expr::sum(l.var, l.lowerBounds[0].toExpr(),
-                        l.upperBounds[0].toExpr(), acc);
-      }
-      result.count = acc;
-      result.method =
-          levels.size() == 1 ? CountMethod::ClosedForm : CountMethod::LazySum;
-      return result;
-    }
+  try {
+    if (auto closed = closedForm(levels, domain.congruences, result))
+      return std::move(*closed);
+  } catch (const symbolic::ArithmeticError &) {
+    // A coefficient of the closed form overflows int64: count with the
+    // lazy sums below, whose Expr builders never throw.
   }
 
   // General fallback: nested lazy sums over [max(lbs), min(ubs)] with a
   // clamped innermost span and congruence factors where expressible.
+  const LoopLevel &inner = levels.back();
   if (!domain.congruences.empty()) {
     bool innerOnly = true;
     for (const auto &c : domain.congruences) {
       for (std::size_t d = 0; d + 1 < levels.size(); ++d)
         if (c.expr.involves(levels[d].var))
           innerOnly = false;
-      std::int64_t a = c.expr.coeff(innerVar);
+      std::int64_t a = c.expr.coeff(inner.var);
       if (a != 1 && a != -1)
         innerOnly = false;
     }
@@ -519,7 +560,6 @@ CountResult countIterations(const IterationDomain &domain) {
     }
   }
 
-  const LoopLevel &inner = levels.back();
   BoundExprs ib = boundsOf(inner);
   Expr innerSpan;
   if (domain.congruences.empty()) {
@@ -531,7 +571,7 @@ CountResult countIterations(const IterationDomain &domain) {
             Expr::intConst(1);
     innerSpan = Expr::max(Expr::intConst(0), raw);
   } else {
-    Expr raw = countCongruenceGuard(ib, domain.congruences[0], innerVar);
+    Expr raw = countCongruenceGuard(ib, domain.congruences[0], inner.var);
     innerSpan = Expr::max(Expr::intConst(0), raw);
   }
 
@@ -539,16 +579,17 @@ CountResult countIterations(const IterationDomain &domain) {
   for (std::size_t d = levels.size() - 1; d-- > 0;) {
     const LoopLevel &l = levels[d];
     BoundExprs b = boundsOf(l);
+    const std::string &var = nameOf(l.var);
     if (l.step == 1) {
-      acc = Expr::sum(l.var, b.lo, b.hi, acc);
+      acc = Expr::sum(var, b.lo, b.hi, acc);
     } else {
       // Strided level: substitute var = lo + step*k and sum k over
       // [0, floor((hi - lo) / step)]. (Negative spans make the range
       // empty via Sum's hi < lo semantics.)
-      std::string k = l.var + "__step";
+      std::string k = var + "__step";
       Expr kvar = Expr::param(k);
       Expr substituted =
-          acc.substitute(l.var, b.lo + Expr::intConst(l.step) * kvar);
+          acc.substitute(var, b.lo + Expr::intConst(l.step) * kvar);
       Expr hiK = Expr::floorDiv(b.hi - b.lo, Expr::intConst(l.step));
       acc = Expr::sum(k, Expr::intConst(0), hiK, substituted);
     }
@@ -556,6 +597,22 @@ CountResult countIterations(const IterationDomain &domain) {
   result.count = acc;
   result.method = CountMethod::LazySum;
   return result;
+}
+
+} // namespace
+
+CountResult countIterations(const IterationDomain &domain) {
+  try {
+    return countDomain(domain);
+  } catch (const symbolic::ArithmeticError &) {
+    // Folding a guard or placing a congruence overflowed int64: no
+    // symbolic path is left, so ask for an annotation.
+    CountResult result;
+    result.requiresAnnotation = true;
+    result.note = "affine bounds overflow int64; annotate the loop/branch";
+    result.count = Expr::intConst(0);
+    return result;
+  }
 }
 
 } // namespace mira::polyhedral

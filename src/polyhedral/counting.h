@@ -13,10 +13,15 @@
 //   * min/max bounds, residual guards             -> lazy Sum expressions or
 //                                                    an annotation request
 //                                                    (paper Listing 3).
+//
+// Loop variables and parameters are Symbols of the calling thread's
+// ExprInterner; they turn back into names only in text: the Sum binders
+// and Param nodes of the count, and the notes, which print affine terms
+// in name order. A closed form whose rational arithmetic overflows int64
+// falls back to the lazy-sum path, whose Expr builders never throw.
 #pragma once
 
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -29,12 +34,12 @@ namespace mira::polyhedral {
 /// lower/upper bounds arise when branch guards are folded in; the
 /// effective range is [max(lowerBounds), min(upperBounds)].
 struct LoopLevel {
-  std::string var;
+  Symbol var{};
   std::vector<AffineExpr> lowerBounds;
   std::vector<AffineExpr> upperBounds;
   std::int64_t step = 1;
 
-  static LoopLevel make(std::string var, AffineExpr lb, AffineExpr ub,
+  static LoopLevel make(Symbol var, AffineExpr lb, AffineExpr ub,
                         std::int64_t step = 1);
 };
 
@@ -44,9 +49,6 @@ struct IterationDomain {
   std::vector<LoopLevel> levels; // outermost first
   std::vector<AffineConstraint> guards;
   std::vector<Congruence> congruences;
-
-  /// Names appearing in bounds/guards that are not loop variables.
-  std::set<std::string> parameters() const;
 
   /// Bounds + guards as one constraint system (congruences excluded).
   ConstraintSystem toConstraintSystem() const;
@@ -84,11 +86,11 @@ struct CountResult {
 /// Count the integer points of `domain`.
 CountResult countIterations(const IterationDomain &domain);
 
-/// Reference brute-force enumerator: binds `env` for all parameters and
-/// walks the nest. nullopt if some parameter is missing or a level is
-/// unbounded. Used to validate countIterations in tests.
+/// Reference brute-force enumerator: binds `env` for all parameters (by
+/// name) and walks the nest. nullopt if some parameter is missing or a
+/// level is unbounded. Used to validate countIterations in tests.
 std::optional<std::int64_t> enumerateDomain(const IterationDomain &domain,
-                                            const Env &env);
+                                            const symbolic::Env &env);
 
 /// Count points of `range` [lo, hi] congruent to the congruence class of
 /// `cong` (helper exposed for tests): number of v in [lo,hi] with

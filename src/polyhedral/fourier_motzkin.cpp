@@ -1,24 +1,29 @@
 #include "polyhedral/fourier_motzkin.h"
 
 #include <algorithm>
-#include <set>
 
+#include "symbolic/interner.h"
 #include "symbolic/rational.h"
 
 namespace mira::polyhedral {
 
-using symbolic::checkedMul;
 using symbolic::floorDiv;
 
-std::vector<std::string> ConstraintSystem::variables() const {
-  std::set<std::string> vars;
+std::vector<Symbol> ConstraintSystem::variables() const {
+  std::vector<Symbol> vars;
   for (const auto &c : constraints_)
-    for (const auto &[v, coeff] : c.expr.coeffs())
-      vars.insert(v);
-  return {vars.begin(), vars.end()};
+    for (const auto &[v, coeff] : c.expr.terms())
+      vars.push_back(v);
+  // Equal names are equal symbols, so duplicates end up adjacent.
+  const symbolic::ExprInterner &interner = symbolic::ExprInterner::current();
+  std::sort(vars.begin(), vars.end(), [&](Symbol a, Symbol b) {
+    return interner.nameLess(a, b);
+  });
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  return vars;
 }
 
-ConstraintSystem ConstraintSystem::eliminate(const std::string &var) const {
+ConstraintSystem ConstraintSystem::eliminate(Symbol var) const {
   // Partition into lower bounds (coeff > 0: a*var >= -rest), upper bounds
   // (coeff < 0), and constraints not involving var.
   std::vector<AffineConstraint> lowers, uppers;
@@ -48,7 +53,7 @@ ConstraintSystem ConstraintSystem::eliminate(const std::string &var) const {
 
 bool ConstraintSystem::isRationallyEmpty() const {
   ConstraintSystem cur = *this;
-  for (const std::string &v : variables())
+  for (Symbol v : variables())
     cur = cur.eliminate(v);
   for (const auto &c : cur.constraints())
     if (c.expr.isConstant() && c.expr.constant() < 0)
@@ -56,7 +61,7 @@ bool ConstraintSystem::isRationallyEmpty() const {
   return false;
 }
 
-ConstraintSystem ConstraintSystem::substituted(const std::string &var,
+ConstraintSystem ConstraintSystem::substituted(Symbol var,
                                                std::int64_t value) const {
   ConstraintSystem out;
   for (const auto &c : constraints_)
@@ -65,13 +70,14 @@ ConstraintSystem ConstraintSystem::substituted(const std::string &var,
 }
 
 std::optional<std::pair<std::int64_t, std::int64_t>>
-ConstraintSystem::integerBounds(const std::string &var, const Env &env) const {
+ConstraintSystem::integerBounds(Symbol var,
+                                const SymbolValues &values) const {
   std::optional<std::int64_t> lo, hi;
   for (const auto &c : constraints_) {
     std::int64_t a = c.expr.coeff(var);
     if (a == 0)
       continue;
-    auto rest = c.expr.without(var).evaluate(env);
+    auto rest = c.expr.without(var).evaluate(values);
     if (!rest)
       return std::nullopt; // some other variable unbound
     if (a > 0) {

@@ -7,6 +7,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "polyhedral/affine.h"
@@ -29,28 +30,30 @@ public:
     return constraints_;
   }
 
-  /// All variables mentioned by any constraint.
-  std::vector<std::string> variables() const;
+  /// All variables mentioned by any constraint, in name order.
+  std::vector<Symbol> variables() const;
 
   /// Eliminate `var` by Fourier–Motzkin: pair every lower bound with every
   /// upper bound. Exact over rationals (sufficient for emptiness checks).
-  ConstraintSystem eliminate(const std::string &var) const;
+  ConstraintSystem eliminate(Symbol var) const;
 
   /// True if the rational relaxation is infeasible: after eliminating all
-  /// variables, some constant constraint is negative. (Rational emptiness
-  /// implies integer emptiness; the converse may not hold, which is fine
-  /// for the uses here.)
+  /// variables (in name order, so the intermediate constraints do not
+  /// depend on the order symbols were minted in), some constant
+  /// constraint is negative. (Rational emptiness implies integer
+  /// emptiness; the converse may not hold, which is fine for the uses
+  /// here.) Throws symbolic::ArithmeticError when a combined coefficient
+  /// overflows int64.
   bool isRationallyEmpty() const;
 
   /// Substitute a concrete value for `var`.
-  ConstraintSystem substituted(const std::string &var,
-                               std::int64_t value) const;
+  ConstraintSystem substituted(Symbol var, std::int64_t value) const;
 
   /// Tight integer bounds of `var` implied by constraints where all other
-  /// variables are already bound in `env`. Returns nullopt if unbounded on
-  /// either side.
+  /// variables are already bound in `values`. Returns nullopt if unbounded
+  /// on either side.
   std::optional<std::pair<std::int64_t, std::int64_t>>
-  integerBounds(const std::string &var, const Env &env) const;
+  integerBounds(Symbol var, const SymbolValues &values) const;
 
   std::string str() const;
 

@@ -1,5 +1,9 @@
 #include "sema/loop_analysis.h"
 
+#include <limits>
+
+#include "symbolic/interner.h"
+
 namespace mira::sema {
 
 using frontend::AssignOp;
@@ -10,23 +14,28 @@ using frontend::Statement;
 using frontend::StmtKind;
 using frontend::UnaryOp;
 using polyhedral::AffineExpr;
+using symbolic::ExprInterner;
 
-std::optional<AffineExpr> exprToAffine(const Expression &expr) {
+namespace {
+
+/// exprToAffine without the overflow guard: AffineExpr arithmetic throws
+/// symbolic::ArithmeticError on int64 overflow.
+std::optional<AffineExpr> toAffine(const Expression &expr) {
   switch (expr.kind) {
   case ExprKind::IntLiteral:
     return AffineExpr(expr.intValue);
   case ExprKind::VarRef:
-    return AffineExpr::variable(expr.name);
+    return AffineExpr::variable(ExprInterner::current().symbol(expr.name));
   case ExprKind::Unary:
     if (expr.unaryOp == UnaryOp::Neg) {
-      auto inner = exprToAffine(*expr.children[0]);
+      auto inner = toAffine(*expr.children[0]);
       if (inner)
         return -*inner;
     }
     return std::nullopt;
   case ExprKind::Binary: {
-    auto lhs = exprToAffine(*expr.children[0]);
-    auto rhs = exprToAffine(*expr.children[1]);
+    auto lhs = toAffine(*expr.children[0]);
+    auto rhs = toAffine(*expr.children[1]);
     if (!lhs || !rhs)
       return std::nullopt;
     switch (expr.binaryOp) {
@@ -40,27 +49,43 @@ std::optional<AffineExpr> exprToAffine(const Expression &expr) {
       if (rhs->isConstant())
         return lhs->scaled(rhs->constant());
       return std::nullopt; // nonlinear
-    case BinaryOp::Div:
-      // Exact division by a constant only when every coefficient divides:
-      if (rhs->isConstant() && rhs->constant() != 0) {
-        std::int64_t d = rhs->constant();
-        if (lhs->constant() % d != 0)
+    case BinaryOp::Div: {
+      // Exact division by a constant only when every coefficient divides.
+      // INT64_MIN / -1 has no int64 quotient (the compile-time fold leaves
+      // it unfolded too), and evaluating its '%' would trap.
+      if (!rhs->isConstant() || rhs->constant() == 0)
+        return std::nullopt;
+      const std::int64_t d = rhs->constant();
+      auto divides = [d](std::int64_t v) {
+        return !(d == -1 && v == std::numeric_limits<std::int64_t>::min()) &&
+               v % d == 0;
+      };
+      if (!divides(lhs->constant()))
+        return std::nullopt;
+      AffineExpr out(lhs->constant() / d);
+      for (const auto &[v, c] : lhs->terms()) {
+        if (!divides(c))
           return std::nullopt;
-        AffineExpr out(lhs->constant() / d);
-        for (const auto &[v, c] : lhs->coeffs()) {
-          if (c % d != 0)
-            return std::nullopt;
-          out += AffineExpr::variable(v, c / d);
-        }
-        return out;
+        out += AffineExpr::variable(v, c / d);
       }
-      return std::nullopt;
+      return out;
+    }
     default:
       return std::nullopt;
     }
   }
   default:
     return std::nullopt;
+  }
+}
+
+} // namespace
+
+std::optional<AffineExpr> exprToAffine(const Expression &expr) {
+  try {
+    return toAffine(expr);
+  } catch (const symbolic::ArithmeticError &) {
+    return std::nullopt; // a coefficient overflows int64: not affine
   }
 }
 
@@ -83,22 +108,24 @@ LoopInfo analyzeForLoop(const Statement &forStmt) {
   // ---- init: 'type var = expr' or 'var = expr' ----
   const Statement *init = forStmt.forInit.get();
   const Expression *initValue = nullptr;
+  std::string_view var;
   if (!init)
     return fail("missing loop initialization");
   if (init->kind == StmtKind::Decl) {
-    info.var = init->declName;
+    var = init->declName;
     initValue = init->declInit.get();
   } else if (init->kind == StmtKind::ExprStmt && init->expr &&
              init->expr->kind == ExprKind::Assign &&
              init->expr->assignOp == AssignOp::Assign &&
              init->expr->children[0]->kind == ExprKind::VarRef) {
-    info.var = init->expr->children[0]->name;
+    var = init->expr->children[0]->name;
     initValue = init->expr->children[1].get();
   } else {
     return fail("loop initialization is not a simple assignment");
   }
   if (!initValue)
     return fail("loop variable has no initial value");
+  info.var = ExprInterner::current().symbol(var);
 
   // ---- condition: 'var < expr' | 'var <= expr' | reversed forms ----
   const Expression *cond = forStmt.forCond.get();
@@ -110,8 +137,8 @@ LoopInfo analyzeForLoop(const Statement &forStmt) {
   const Expression *condRhs = cond->children[1].get();
   BinaryOp rel = cond->binaryOp;
   // Normalize to 'var REL bound'.
-  if (!(condLhs->kind == ExprKind::VarRef && condLhs->name == info.var)) {
-    if (condRhs->kind == ExprKind::VarRef && condRhs->name == info.var) {
+  if (!(condLhs->kind == ExprKind::VarRef && condLhs->name == var)) {
+    if (condRhs->kind == ExprKind::VarRef && condRhs->name == var) {
       std::swap(condLhs, condRhs);
       switch (rel) { // mirror the relation
       case BinaryOp::Lt:
@@ -147,26 +174,26 @@ LoopInfo analyzeForLoop(const Statement &forStmt) {
   if (inc->kind == ExprKind::Unary &&
       (inc->unaryOp == UnaryOp::PostInc || inc->unaryOp == UnaryOp::PreInc) &&
       inc->children[0]->kind == ExprKind::VarRef &&
-      inc->children[0]->name == info.var) {
+      inc->children[0]->name == var) {
     step = 1;
   } else if (inc->kind == ExprKind::Assign &&
              inc->assignOp == AssignOp::AddAssign &&
              inc->children[0]->kind == ExprKind::VarRef &&
-             inc->children[0]->name == info.var &&
+             inc->children[0]->name == var &&
              inc->children[1]->kind == ExprKind::IntLiteral) {
     step = inc->children[1]->intValue;
   } else if (inc->kind == ExprKind::Assign &&
              inc->assignOp == AssignOp::Assign &&
              inc->children[0]->kind == ExprKind::VarRef &&
-             inc->children[0]->name == info.var &&
+             inc->children[0]->name == var &&
              inc->children[1]->kind == ExprKind::Binary &&
              inc->children[1]->binaryOp == BinaryOp::Add) {
     const Expression *a = inc->children[1]->children[0].get();
     const Expression *b = inc->children[1]->children[1].get();
-    if (a->kind == ExprKind::VarRef && a->name == info.var &&
+    if (a->kind == ExprKind::VarRef && a->name == var &&
         b->kind == ExprKind::IntLiteral)
       step = b->intValue;
-    else if (b->kind == ExprKind::VarRef && b->name == info.var &&
+    else if (b->kind == ExprKind::VarRef && b->name == var &&
              a->kind == ExprKind::IntLiteral)
       step = a->intValue;
   }
@@ -181,7 +208,11 @@ LoopInfo analyzeForLoop(const Statement &forStmt) {
     return fail("loop initial value is not affine: " + initValue->str());
   switch (rel) {
   case BinaryOp::Lt:
-    info.upperBound = *bound - AffineExpr(1);
+    try {
+      info.upperBound = *bound - AffineExpr(1);
+    } catch (const symbolic::ArithmeticError &) {
+      return fail("loop bound is not affine: " + condRhs->str());
+    }
     break;
   case BinaryOp::Le:
     info.upperBound = *bound;

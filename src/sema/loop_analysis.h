@@ -6,6 +6,8 @@
 // (which become model parameters if not resolvable — paper Sec. III-B2).
 // Loops that do not fit report a reason; Mira then requires a user
 // annotation (paper Listing 3/6) or falls back to while-loop handling.
+// Variable names become Symbols of the calling thread's ExprInterner
+// here, where the affine forms are built.
 #pragma once
 
 #include <optional>
@@ -18,7 +20,7 @@ namespace mira::sema {
 
 struct LoopInfo {
   bool recognized = false; // structured counted loop with affine SCoP
-  std::string var;
+  symbolic::Symbol var{};  // the loop variable, when recognized
   polyhedral::AffineExpr lowerBound; // var >= lowerBound
   polyhedral::AffineExpr upperBound; // var <= upperBound (normalized)
   std::int64_t step = 1;
@@ -26,9 +28,10 @@ struct LoopInfo {
 };
 
 /// Convert a MiniC expression to an affine expression: literals, variable
-/// references (as symbols), +, -, unary minus, and multiplication by
-/// integer constants. nullopt for anything else (calls, indexing, floats,
-/// min/max — the paper's Listing 3 exceptions).
+/// references (as symbols), +, -, unary minus, multiplication by integer
+/// constants and exact division by them. nullopt for anything else
+/// (calls, indexing, floats, min/max — the paper's Listing 3 exceptions),
+/// and when a coefficient or quotient overflows int64.
 std::optional<polyhedral::AffineExpr>
 exprToAffine(const frontend::Expression &expr);
 

@@ -10,19 +10,6 @@ namespace mira::symbolic {
 
 namespace {
 
-/// All builders construct through the calling thread's interner, so one
-/// canonical node exists per structure and every node carries its
-/// precomputed hash and ordering key.
-ExprNodeRef internNode(ExprKind kind, std::int64_t value, std::string name,
-                       std::vector<ExprNodeRef> operands) {
-  return ExprInterner::current().intern(kind, value, std::move(name),
-                                        std::move(operands));
-}
-
-ExprNodeRef makeConst(std::int64_t v) {
-  return internNode(ExprKind::IntConst, v, {}, {});
-}
-
 bool isConst(const ExprNodeRef &n, std::int64_t v) {
   return n->kind == ExprKind::IntConst && n->value == v;
 }
@@ -34,74 +21,154 @@ bool keyLess(const ExprNodeRef &a, const ExprNodeRef &b) {
   return a->key < b->key;
 }
 
-} // namespace
-
-Expr::Expr() : node_(makeConst(0)) {}
-
-Expr Expr::intConst(std::int64_t value) { return Expr(makeConst(value)); }
-
-Expr Expr::param(std::string name) {
-  return Expr(internNode(ExprKind::Param, 0, std::move(name), {}));
+/// Interns a fixed-arity node over the current interner's copies of its
+/// operands (borrowed: the operand array is copied only on a miss).
+template <std::size_t N>
+ExprNodeRef internOver(ExprKind kind, std::string_view name,
+                       const ExprNodeRef (&operands)[N]) {
+  ExprInterner &interner = ExprInterner::current();
+  ExprNodeRef owned[N];
+  for (std::size_t i = 0; i < N; ++i)
+    owned[i] = interner.reintern(operands[i]);
+  return interner.intern(kind, 0, name, owned, N);
 }
 
-Expr Expr::add(std::vector<Expr> operands) {
-  ExprInterner &interner = ExprInterner::current();
-  std::vector<ExprNodeRef> flat;
-  std::int64_t constant = 0;
-  // Absorbed nodes are canonicalized into the current interner so the
-  // like-term merge below can key on node identity.
-  std::function<void(const ExprNodeRef &)> absorb =
-      [&](const ExprNodeRef &n) {
-        if (n->kind == ExprKind::IntConst) {
-          try {
-            constant = checkedAdd(constant, n->value);
-          } catch (const ArithmeticError &) {
-            // Folding would overflow int64; keep the constant symbolic.
-            // evaluate() reports the overflow as nullopt at use time —
-            // construction itself must not throw.
-            flat.push_back(interner.reintern(n));
-          }
-        } else if (n->kind == ExprKind::Add) {
-          for (const auto &o : n->operands)
-            absorb(o);
-        } else {
-          flat.push_back(interner.reintern(n));
-        }
-      };
-  for (const Expr &e : operands)
-    absorb(e.node_);
+/// One summand of an n-ary add: coeff * (its non-constant factors), the
+/// factors being a range of tAddFactors rather than a vector of its own.
+struct AddTerm {
+  std::int64_t coeff;
+  std::size_t begin;
+  std::size_t count;
+};
 
-  // Combine like terms: each term is (coeff, residual factors). Terms are
-  // either Param/other nodes (coeff 1) or Mul nodes with a leading const.
-  // Factors are canonical nodes in the current interner, so "same
-  // residual" is pointer-vector equality — no string keys, and no false
-  // merges when param names contain key metacharacters.
-  struct Term {
-    std::int64_t coeff;
-    std::vector<ExprNodeRef> factors; // non-const factors, sorted
-  };
-  std::vector<Term> terms;
-  for (const auto &n : flat) {
-    Term t;
-    t.coeff = 1;
-    if (n->kind == ExprKind::Mul) {
-      for (const auto &f : n->operands) {
-        if (f->kind == ExprKind::IntConst) {
-          try {
-            t.coeff = checkedMul(t.coeff, f->value);
-          } catch (const ArithmeticError &) {
-            t.factors.push_back(f); // overflow: keep the const as a factor
-          }
-        } else {
-          t.factors.push_back(f);
-        }
+// Per-thread operand storage for the n-ary builders, reused across calls
+// so a steady-state build allocates only the nodes it creates. A builder
+// appends above the size it found and truncates back when it finishes;
+// an add that builds a product for a merged like-term nests a MulBuilder,
+// which uses its own vector, so offsets into these stay valid.
+thread_local std::vector<ExprNodeRef> tMulFlat;
+thread_local std::vector<ExprNodeRef> tAddFlat;
+thread_local std::vector<ExprNodeRef> tAddResult;
+thread_local std::vector<const ExprNodeRef *> tAddFactors;
+thread_local std::vector<AddTerm> tAddTerms;
+
+/// The part of a scratch vector one builder call appends: truncated back
+/// on exit, which releases the nodes and keeps the capacity.
+template <class T> class ScratchRange {
+public:
+  explicit ScratchRange(std::vector<T> &v) : vector_(v), base_(v.size()) {}
+  ~ScratchRange() { vector_.resize(base_); }
+  ScratchRange(const ScratchRange &) = delete;
+  ScratchRange &operator=(const ScratchRange &) = delete;
+  std::size_t base() const { return base_; }
+
+private:
+  std::vector<T> &vector_;
+  std::size_t base_;
+};
+
+/// Flattens nested products, folds integer factors, sorts the rest by
+/// key and interns the product.
+class MulBuilder {
+public:
+  explicit MulBuilder(ExprInterner &interner, std::int64_t constant = 1)
+      : interner_(interner), range_(tMulFlat), constant_(constant) {}
+
+  void absorb(const ExprNodeRef &n) {
+    if (n->kind == ExprKind::IntConst) {
+      try {
+        constant_ = checkedMul(constant_, n->value);
+      } catch (const ArithmeticError &) {
+        // Folding would overflow int64; keep the factor symbolic.
+        // evaluate() reports the overflow as nullopt at use time —
+        // construction itself must not throw.
+        tMulFlat.push_back(interner_.reintern(n));
       }
+    } else if (n->kind == ExprKind::Mul) {
+      for (const ExprNodeRef &o : n->operands)
+        absorb(o);
     } else {
-      t.factors.push_back(n);
+      tMulFlat.push_back(interner_.reintern(n));
     }
-    bool merged = false;
-    for (Term &prev : terms) {
-      if (prev.factors == t.factors) {
+  }
+
+  ExprNodeRef finish() {
+    if (constant_ == 0)
+      return interner_.constant(0);
+    const auto first = tMulFlat.begin() + range_.base();
+    std::sort(first, tMulFlat.end(), keyLess);
+    if (constant_ != 1 || first == tMulFlat.end()) {
+      tMulFlat.push_back(interner_.constant(constant_));
+      std::rotate(tMulFlat.begin() + range_.base(), tMulFlat.end() - 1,
+                  tMulFlat.end());
+    }
+    const std::size_t count = tMulFlat.size() - range_.base();
+    if (count == 1)
+      return tMulFlat[range_.base()];
+    return interner_.intern(ExprKind::Mul, 0, {},
+                            tMulFlat.data() + range_.base(), count);
+  }
+
+private:
+  ExprInterner &interner_;
+  ScratchRange<ExprNodeRef> range_;
+  std::int64_t constant_;
+};
+
+/// Flattens nested sums, folds integer summands, merges like terms
+/// (c1*X + c2*X -> (c1+c2)*X), sorts by key and interns the sum.
+class AddBuilder {
+public:
+  explicit AddBuilder(ExprInterner &interner)
+      : interner_(interner), flat_(tAddFlat), factors_(tAddFactors),
+        terms_(tAddTerms), result_(tAddResult) {}
+
+  void absorb(const ExprNodeRef &n) {
+    if (n->kind == ExprKind::IntConst) {
+      try {
+        constant_ = checkedAdd(constant_, n->value);
+      } catch (const ArithmeticError &) {
+        // Folding would overflow int64; keep the constant symbolic.
+        tAddFlat.push_back(interner_.reintern(n));
+      }
+    } else if (n->kind == ExprKind::Add) {
+      for (const ExprNodeRef &o : n->operands)
+        absorb(o);
+    } else {
+      tAddFlat.push_back(interner_.reintern(n));
+    }
+  }
+
+  ExprNodeRef finish() {
+    // Each summand is a term coeff * (non-constant factors): a Mul node
+    // contributes its operands, anything else is one factor. The factors
+    // are canonical nodes in this interner, so "same term" is an equal
+    // range of node pointers — no string keys, and no false merges when
+    // parameter names contain key metacharacters.
+    for (std::size_t i = flat_.base(); i < tAddFlat.size(); ++i) {
+      const ExprNodeRef &n = tAddFlat[i];
+      AddTerm t{1, tAddFactors.size(), 0};
+      if (n->kind == ExprKind::Mul) {
+        for (const ExprNodeRef &f : n->operands) {
+          if (f->kind == ExprKind::IntConst) {
+            try {
+              t.coeff = checkedMul(t.coeff, f->value);
+              continue;
+            } catch (const ArithmeticError &) {
+              // Overflow: keep the constant as a factor.
+            }
+          }
+          tAddFactors.push_back(&f);
+        }
+      } else {
+        tAddFactors.push_back(&n);
+      }
+      t.count = tAddFactors.size() - t.begin;
+      bool merged = false;
+      for (std::size_t p = terms_.base(); p < tAddTerms.size(); ++p) {
+        AddTerm &prev = tAddTerms[p];
+        if (!sameFactors(prev, t))
+          continue;
         try {
           prev.coeff = checkedAdd(prev.coeff, t.coeff);
           merged = true;
@@ -110,68 +177,84 @@ Expr Expr::add(std::vector<Expr> operands) {
         }
         break;
       }
+      if (merged)
+        tAddFactors.resize(t.begin);
+      else
+        tAddTerms.push_back(t);
     }
-    if (!merged)
-      terms.push_back(std::move(t));
+
+    for (std::size_t p = terms_.base(); p < tAddTerms.size(); ++p) {
+      const AddTerm &t = tAddTerms[p];
+      if (t.coeff == 0)
+        continue;
+      if (t.coeff == 1 && t.count == 1) {
+        tAddResult.push_back(*tAddFactors[t.begin]);
+        continue;
+      }
+      MulBuilder product(interner_, t.coeff);
+      for (std::size_t k = 0; k < t.count; ++k)
+        product.absorb(*tAddFactors[t.begin + k]);
+      tAddResult.push_back(product.finish());
+    }
+
+    std::sort(tAddResult.begin() + result_.base(), tAddResult.end(),
+              keyLess);
+    if (constant_ != 0 || tAddResult.size() == result_.base())
+      tAddResult.push_back(interner_.constant(constant_));
+    const std::size_t count = tAddResult.size() - result_.base();
+    if (count == 1)
+      return tAddResult[result_.base()];
+    return interner_.intern(ExprKind::Add, 0, {},
+                            tAddResult.data() + result_.base(), count);
   }
 
-  std::vector<ExprNodeRef> result;
-  for (Term &t : terms) {
-    if (t.coeff == 0)
-      continue;
-    if (t.coeff == 1 && t.factors.size() == 1) {
-      result.push_back(t.factors[0]);
-    } else {
-      std::vector<Expr> factors;
-      if (t.coeff != 1)
-        factors.push_back(Expr::intConst(t.coeff));
-      for (auto &f : t.factors)
-        factors.push_back(Expr(f));
-      result.push_back(Expr::mul(std::move(factors)).node_);
-    }
+private:
+  static bool sameFactors(const AddTerm &a, const AddTerm &b) {
+    if (a.count != b.count)
+      return false;
+    for (std::size_t k = 0; k < a.count; ++k)
+      if (tAddFactors[a.begin + k]->get() != tAddFactors[b.begin + k]->get())
+        return false;
+    return true;
   }
 
-  std::sort(result.begin(), result.end(), keyLess);
-  if (constant != 0 || result.empty())
-    result.push_back(makeConst(constant));
-  if (result.size() == 1)
-    return Expr(result[0]);
-  return Expr(internNode(ExprKind::Add, 0, {}, std::move(result)));
+  ExprInterner &interner_;
+  ScratchRange<ExprNodeRef> flat_;
+  ScratchRange<const ExprNodeRef *> factors_;
+  ScratchRange<AddTerm> terms_;
+  ScratchRange<ExprNodeRef> result_;
+  std::int64_t constant_ = 0;
+};
+
+} // namespace
+
+Expr::Expr() : node_(ExprInterner::current().constant(0)) {}
+
+Expr Expr::intConst(std::int64_t value) {
+  return Expr(ExprInterner::current().constant(value));
 }
 
-Expr Expr::mul(std::vector<Expr> operands) {
-  ExprInterner &interner = ExprInterner::current();
-  std::vector<ExprNodeRef> flat;
-  std::int64_t constant = 1;
-  std::function<void(const ExprNodeRef &)> absorb =
-      [&](const ExprNodeRef &n) {
-        if (n->kind == ExprKind::IntConst) {
-          try {
-            constant = checkedMul(constant, n->value);
-          } catch (const ArithmeticError &) {
-            flat.push_back(interner.reintern(n));
-          }
-        } else if (n->kind == ExprKind::Mul) {
-          for (const auto &o : n->operands)
-            absorb(o);
-        } else {
-          flat.push_back(interner.reintern(n));
-        }
-      };
+Expr Expr::param(std::string_view name) {
+  return Expr(
+      ExprInterner::current().intern(ExprKind::Param, 0, name, nullptr, 0));
+}
+
+Expr Expr::param(Symbol symbol) {
+  return Expr(ExprInterner::current().param(symbol));
+}
+
+Expr Expr::add(const std::vector<Expr> &operands) {
+  AddBuilder sum(ExprInterner::current());
   for (const Expr &e : operands)
-    absorb(e.node_);
+    sum.absorb(e.node_);
+  return Expr(sum.finish());
+}
 
-  if (constant == 0)
-    return Expr::intConst(0);
-
-  std::sort(flat.begin(), flat.end(), keyLess);
-  std::vector<ExprNodeRef> result;
-  if (constant != 1 || flat.empty())
-    result.push_back(makeConst(constant));
-  result.insert(result.end(), flat.begin(), flat.end());
-  if (result.size() == 1)
-    return Expr(result[0]);
-  return Expr(internNode(ExprKind::Mul, 0, {}, std::move(result)));
+Expr Expr::mul(const std::vector<Expr> &operands) {
+  MulBuilder product(ExprInterner::current());
+  for (const Expr &e : operands)
+    product.absorb(e.node_);
+  return Expr(product.finish());
 }
 
 Expr Expr::floorDiv(Expr a, Expr b) {
@@ -188,7 +271,7 @@ Expr Expr::floorDiv(Expr a, Expr b) {
   }
   if (isConst(b.node_, 1))
     return a;
-  return Expr(internNode(ExprKind::FloorDiv, 0, {}, {a.node_, b.node_}));
+  return Expr(internOver(ExprKind::FloorDiv, {}, {a.node_, b.node_}));
 }
 
 Expr Expr::exactDiv(Expr a, Expr b) {
@@ -200,7 +283,7 @@ Expr Expr::exactDiv(Expr a, Expr b) {
     return Expr::intConst(a.node_->value / b.node_->value);
   if (isConst(b.node_, 1))
     return a;
-  return Expr(internNode(ExprKind::ExactDiv, 0, {}, {a.node_, b.node_}));
+  return Expr(internOver(ExprKind::ExactDiv, {}, {a.node_, b.node_}));
 }
 
 Expr Expr::mod(Expr a, Expr b) {
@@ -212,7 +295,7 @@ Expr Expr::mod(Expr a, Expr b) {
       // Zero divisor: keep the node symbolic; see floorDiv.
     }
   }
-  return Expr(internNode(ExprKind::Mod, 0, {}, {a.node_, b.node_}));
+  return Expr(internOver(ExprKind::Mod, {}, {a.node_, b.node_}));
 }
 
 Expr Expr::min(Expr a, Expr b) {
@@ -220,7 +303,7 @@ Expr Expr::min(Expr a, Expr b) {
     return a;
   if (a.node_->kind == ExprKind::IntConst && b.node_->kind == ExprKind::IntConst)
     return Expr::intConst(std::min(a.node_->value, b.node_->value));
-  return Expr(internNode(ExprKind::Min, 0, {}, {a.node_, b.node_}));
+  return Expr(internOver(ExprKind::Min, {}, {a.node_, b.node_}));
 }
 
 Expr Expr::max(Expr a, Expr b) {
@@ -228,10 +311,10 @@ Expr Expr::max(Expr a, Expr b) {
     return a;
   if (a.node_->kind == ExprKind::IntConst && b.node_->kind == ExprKind::IntConst)
     return Expr::intConst(std::max(a.node_->value, b.node_->value));
-  return Expr(internNode(ExprKind::Max, 0, {}, {a.node_, b.node_}));
+  return Expr(internOver(ExprKind::Max, {}, {a.node_, b.node_}));
 }
 
-Expr Expr::sum(std::string var, Expr lo, Expr hi, Expr body) {
+Expr Expr::sum(std::string_view var, Expr lo, Expr hi, Expr body) {
   // Fully constant range with constant body folds immediately.
   if (lo.isIntConst() && hi.isIntConst()) {
     std::int64_t l = *lo.constValue();
@@ -247,8 +330,7 @@ Expr Expr::sum(std::string var, Expr lo, Expr hi, Expr body) {
       }
     }
   }
-  return Expr(internNode(ExprKind::Sum, 0, std::move(var),
-                         {lo.node_, hi.node_, body.node_}));
+  return Expr(internOver(ExprKind::Sum, var, {lo.node_, hi.node_, body.node_}));
 }
 
 Expr Expr::fromNode(ExprNodeRef node) {
@@ -260,13 +342,38 @@ Expr Expr::fromNode(ExprNodeRef node) {
   return Expr(ExprInterner::current().reintern(node));
 }
 
-Expr operator+(const Expr &a, const Expr &b) { return Expr::add({a, b}); }
-Expr operator-(const Expr &a, const Expr &b) {
-  return Expr::add({a, Expr::mul({Expr::intConst(-1), b})});
+namespace {
+
+ExprNodeRef negated(ExprInterner &interner, const ExprNodeRef &n) {
+  MulBuilder product(interner, -1);
+  product.absorb(n);
+  return product.finish();
 }
-Expr operator*(const Expr &a, const Expr &b) { return Expr::mul({a, b}); }
+
+} // namespace
+
+Expr operator+(const Expr &a, const Expr &b) {
+  AddBuilder sum(ExprInterner::current());
+  sum.absorb(a.node_);
+  sum.absorb(b.node_);
+  return Expr(sum.finish());
+}
+Expr operator-(const Expr &a, const Expr &b) {
+  ExprInterner &interner = ExprInterner::current();
+  const ExprNodeRef minusB = negated(interner, b.node_);
+  AddBuilder sum(interner);
+  sum.absorb(a.node_);
+  sum.absorb(minusB);
+  return Expr(sum.finish());
+}
+Expr operator*(const Expr &a, const Expr &b) {
+  MulBuilder product(ExprInterner::current());
+  product.absorb(a.node_);
+  product.absorb(b.node_);
+  return Expr(product.finish());
+}
 Expr Expr::operator-() const {
-  return Expr::mul({Expr::intConst(-1), *this});
+  return Expr(negated(ExprInterner::current(), node_));
 }
 
 ExprKind Expr::kind() const { return node_->kind; }

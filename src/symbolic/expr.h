@@ -11,6 +11,11 @@
 // used when converting rational-coefficient closed forms back to integer
 // expressions), modulus, min/max, and a lazy bounded summation node used
 // when no closed form exists.
+//
+// The builders canonicalize (flatten, fold constants, merge like terms,
+// sort by the cached order key) over the operands' node arrays in
+// reusable per-thread storage, and intern the result with borrowed
+// operands: a call allocates only when it creates a node.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +24,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "symbolic/rational.h"
@@ -44,6 +50,15 @@ using ExprNodeRef = std::shared_ptr<const ExprNode>;
 /// Environment binding parameter names to concrete integer values.
 using Env = std::map<std::string, std::int64_t>;
 
+/// A variable name as the polynomial and polyhedral layers handle it: a
+/// dense id minted by one ExprInterner (interner.h), which maps it back to
+/// its name. A Symbol means nothing outside the interner that minted it.
+enum class Symbol : std::uint32_t {};
+
+/// Values bound to Symbols, indexed by Symbol id; an empty or missing
+/// slot is unbound. ExprInterner::values() builds one from an Env.
+using SymbolValues = std::vector<std::optional<std::int64_t>>;
+
 /// Value-semantic handle to an immutable expression node.
 class Expr {
 public:
@@ -52,9 +67,11 @@ public:
 
   // --- constructors -----------------------------------------------------
   static Expr intConst(std::int64_t value);
-  static Expr param(std::string name);
-  static Expr add(std::vector<Expr> operands);
-  static Expr mul(std::vector<Expr> operands);
+  static Expr param(std::string_view name);
+  /// The parameter `symbol` names in the calling thread's interner.
+  static Expr param(Symbol symbol);
+  static Expr add(const std::vector<Expr> &operands);
+  static Expr mul(const std::vector<Expr> &operands);
   static Expr floorDiv(Expr a, Expr b);
   static Expr exactDiv(Expr a, Expr b);
   static Expr mod(Expr a, Expr b);
@@ -62,7 +79,7 @@ public:
   static Expr max(Expr a, Expr b);
   /// Lazy sum: body may reference `var` as a parameter. Empty ranges
   /// (hi < lo) evaluate to 0.
-  static Expr sum(std::string var, Expr lo, Expr hi, Expr body);
+  static Expr sum(std::string_view var, Expr lo, Expr hi, Expr body);
 
   /// Wrap an already-interned node, bypassing the canonicalizing
   /// builders. The model reader (model/serialize.h) interns each node as

@@ -88,6 +88,16 @@ std::string makeKey(ExprKind kind, std::int64_t value,
   return "?";
 }
 
+/// Stores `id + 1` in the first free slot of `hash`'s probe sequence.
+void placeSymbol(std::vector<std::uint32_t> &slots, std::uint64_t hash,
+                 std::uint32_t id) {
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = hash & mask;
+  while (slots[i] != 0)
+    i = (i + 1) & mask;
+  slots[i] = id + 1;
+}
+
 } // namespace
 
 ExprInterner::ExprInterner()
@@ -102,21 +112,66 @@ ExprNodeRef ExprInterner::intern(ExprKind kind, std::int64_t value,
                                  const ExprNodeRef *operands,
                                  std::size_t count) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return lookupLocked(kind, value, name, operands, count, nullptr, nullptr);
+  return lookupLocked(kind, value, name, operands, count, nullptr);
 }
 
-ExprNodeRef ExprInterner::intern(ExprKind kind, std::int64_t value,
-                                 std::string name,
-                                 std::vector<ExprNodeRef> operands) {
-  // Operands interned elsewhere (an Expr built under another scope) are
-  // pulled into this table first so the shallow pointer comparison in
-  // the lookup stays sound.
-  for (ExprNodeRef &op : operands)
-    if (op->ownerId != id_)
-      op = reintern(op);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return lookupLocked(kind, value, name, operands.data(), operands.size(),
-                      &name, &operands);
+ExprNodeRef ExprInterner::constant(std::int64_t value) {
+  if (value < kMinSlotConstant || value > kMaxSlotConstant)
+    return intern(ExprKind::IntConst, value, {}, nullptr, 0);
+  ExprNodeRef &slot =
+      constants_[static_cast<std::size_t>(value - kMinSlotConstant)];
+  if (!slot)
+    slot = intern(ExprKind::IntConst, value, {}, nullptr, 0);
+  return slot;
+}
+
+Symbol ExprInterner::symbol(std::string_view name) {
+  const std::uint64_t hash = hashString(name);
+  if (!symbolSlots_.empty()) {
+    const std::size_t mask = symbolSlots_.size() - 1;
+    for (std::size_t i = hash & mask; symbolSlots_[i] != 0;
+         i = (i + 1) & mask) {
+      const std::uint32_t id = symbolSlots_[i] - 1;
+      if (symbols_[id].hash == hash && symbols_[id].name == name)
+        return Symbol{id};
+    }
+  }
+  const auto id = static_cast<std::uint32_t>(symbols_.size());
+  if (symbols_.empty())
+    symbols_.reserve(16);
+  symbols_.push_back(SymbolEntry{std::string(name), hash, nullptr});
+  if (symbols_.size() * 2 > symbolSlots_.size()) {
+    // Grow and re-place every symbol, the new one included.
+    symbolSlots_.assign(std::max<std::size_t>(16, symbolSlots_.size() * 2),
+                        0);
+    for (std::uint32_t s = 0; s < symbols_.size(); ++s)
+      placeSymbol(symbolSlots_, symbols_[s].hash, s);
+  } else {
+    placeSymbol(symbolSlots_, hash, id);
+  }
+  return Symbol{id};
+}
+
+const std::string &ExprInterner::name(Symbol symbol) const {
+  return symbols_.at(static_cast<std::size_t>(symbol)).name;
+}
+
+ExprNodeRef ExprInterner::param(Symbol symbol) {
+  SymbolEntry &entry = symbols_.at(static_cast<std::size_t>(symbol));
+  if (!entry.param)
+    entry.param = intern(ExprKind::Param, 0, entry.name, nullptr, 0);
+  return entry.param;
+}
+
+SymbolValues ExprInterner::values(const Env &env) {
+  SymbolValues out;
+  for (const auto &[name, value] : env) {
+    const auto id = static_cast<std::size_t>(symbol(name));
+    if (out.size() <= id)
+      out.resize(id + 1);
+    out[id] = value;
+  }
+  return out;
 }
 
 ExprNodeRef ExprInterner::reintern(const ExprNodeRef &node) {
@@ -128,14 +183,13 @@ ExprNodeRef ExprInterner::reintern(const ExprNodeRef &node) {
     operands.push_back(reintern(op));
   std::lock_guard<std::mutex> lock(mutex_);
   return lookupLocked(node->kind, node->value, node->name, operands.data(),
-                      operands.size(), nullptr, &operands);
+                      operands.size(), &operands);
 }
 
 ExprNodeRef ExprInterner::lookupLocked(ExprKind kind, std::int64_t value,
                                        std::string_view name,
                                        const ExprNodeRef *operands,
                                        std::size_t count,
-                                       std::string *ownedName,
                                        std::vector<ExprNodeRef> *ownedOperands) {
   const std::uint64_t hash = hashNode(kind, value, name, operands, count);
   const auto [first, last] = table_.equal_range(hash);
@@ -153,7 +207,7 @@ ExprNodeRef ExprInterner::lookupLocked(ExprKind kind, std::int64_t value,
   }
   auto node = std::make_shared<ExprNode>(kind);
   node->value = value;
-  node->name = ownedName ? std::move(*ownedName) : std::string(name);
+  node->name = std::string(name);
   node->operands = ownedOperands
                        ? std::move(*ownedOperands)
                        : std::vector<ExprNodeRef>(operands, operands + count);

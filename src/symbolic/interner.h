@@ -22,10 +22,29 @@
 // its order key, parameter and bound-variable name strings are stored
 // once per unique node — name interning falls out of node interning.
 //
+// Symbols: each interner also owns the symbol table of its arena. The
+// polynomial and polyhedral layers name variables by dense Symbol ids
+// instead of strings; symbol() mints one per distinct name on first sight
+// (lazily, so an arena that never asks, like the model reader's, pays
+// nothing), name() maps it back, and param() caches the Param node per
+// symbol. The table lives and dies with its interner: a Symbol never
+// leaves its arena, and nothing process-wide accumulates names. Ids
+// follow mint order, which depends on the walk, so everything that
+// reaches text (affine and domain strings, notes, Fourier-Motzkin's
+// elimination order) orders symbols by name (nameLess()), never by id.
+//
+// Small constants: intConst(k) for k in [kMinSlotConstant,
+// kMaxSlotConstant] (and Expr(), which is 0) reads a per-arena slot
+// filled on first use, with no hash probe and no lock. The first use
+// interns the node like any other; later uses never reach intern(), so
+// they are not counted as hits.
+//
 // Thread-safety: intern() is internally synchronized (one mutex per
 // interner), though every scope above is used by the one thread that
-// installed it. The returned nodes are immutable and shared_ptr-owned:
-// they outlive the interner wherever models still reference them.
+// installed it. The symbol table and the constant slots rely on that
+// single owner and take no lock. The returned nodes are immutable and
+// shared_ptr-owned: they outlive the interner wherever models still
+// reference them.
 //
 // Counters: process-wide hit/miss/node tallies are exported as
 // mira_intern_{hits,misses,nodes} through core::MetricsRegistry (the
@@ -33,8 +52,10 @@
 // prints them after its cold phase).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -67,11 +88,26 @@ public:
   ExprNodeRef intern(ExprKind kind, std::int64_t value, std::string_view name,
                      const ExprNodeRef *operands, std::size_t count);
 
-  /// The builders' form: the same lookup, but a miss moves the given
-  /// fields into the new node instead of copying them. Operands interned
-  /// elsewhere are pulled into this interner first.
-  ExprNodeRef intern(ExprKind kind, std::int64_t value, std::string name,
-                     std::vector<ExprNodeRef> operands);
+  /// The canonical IntConst node for `value`; small values come from the
+  /// per-arena slots.
+  ExprNodeRef constant(std::int64_t value);
+
+  /// The Symbol for `name`, minted on first sight.
+  Symbol symbol(std::string_view name);
+  /// The name `symbol` was minted for. Throws std::out_of_range for a
+  /// Symbol this interner never minted. The reference is valid until the
+  /// next symbol() call on this interner.
+  const std::string &name(Symbol symbol) const;
+  /// True when `a`'s name sorts before `b`'s: the order text uses.
+  bool nameLess(Symbol a, Symbol b) const { return name(a) < name(b); }
+  /// The canonical Param node for `symbol`, built on first use.
+  ExprNodeRef param(Symbol symbol);
+  /// Symbols minted so far; ids are dense in [0, symbolCount()).
+  std::size_t symbolCount() const { return symbols_.size(); }
+  /// The values `env` binds, indexed by Symbol, minting a Symbol for each
+  /// name not seen yet: how a name-keyed binding reaches symbol-keyed
+  /// evaluation.
+  SymbolValues values(const Env &env);
 
   /// Canonicalize an existing tree built under another interner
   /// bottom-up, preserving its structure byte-for-byte (the re-entry path
@@ -80,6 +116,10 @@ public:
 
   /// Unique nodes owned by this interner.
   std::size_t size() const;
+
+  /// The range of constants served from slots.
+  static constexpr std::int64_t kMinSlotConstant = -64;
+  static constexpr std::int64_t kMaxSlotConstant = 191;
 
   /// Installs an interner as the calling thread's current one for the
   /// lifetime of the object (nestable; restores the previous on exit).
@@ -104,11 +144,11 @@ public:
 private:
   // The one lookup path every entry point takes (caller holds mutex_):
   // hash the borrowed fields, probe the table, and on a miss build the
-  // node, moving `ownedName` / `ownedOperands` into it when the caller
-  // passes them and copying the borrowed fields otherwise.
+  // node, moving `ownedOperands` into it when the caller passes them and
+  // copying the borrowed fields otherwise.
   ExprNodeRef lookupLocked(ExprKind kind, std::int64_t value,
                            std::string_view name, const ExprNodeRef *operands,
-                           std::size_t count, std::string *ownedName,
+                           std::size_t count,
                            std::vector<ExprNodeRef> *ownedOperands);
 
   mutable std::mutex mutex_;
@@ -119,6 +159,19 @@ private:
   // hash -> every owned node with that hash (structurally distinct
   // nodes share a hash only on a collision).
   std::unordered_multimap<std::uint64_t, ExprNodeRef> table_;
+
+  std::array<ExprNodeRef, kMaxSlotConstant - kMinSlotConstant + 1>
+      constants_;
+
+  struct SymbolEntry {
+    std::string name;
+    std::uint64_t hash;
+    ExprNodeRef param; // filled by param() on first use
+  };
+  std::vector<SymbolEntry> symbols_; // indexed by Symbol id
+  // Open addressing over symbols_: each slot holds id + 1, 0 when empty;
+  // the size is a power of two, kept at least twice symbols_.size().
+  std::vector<std::uint32_t> symbolSlots_;
 };
 
 } // namespace mira::symbolic

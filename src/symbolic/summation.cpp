@@ -11,7 +11,7 @@ namespace {
 ///   Sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, B_0 = 1,
 /// then flip B1 to +1/2 (the only difference between conventions).
 const std::array<Rational, kMaxFaulhaberDegree + 1> &bernoulliTable() {
-  static std::array<Rational, kMaxFaulhaberDegree + 1> table = [] {
+  static const std::array<Rational, kMaxFaulhaberDegree + 1> table = [] {
     std::array<Rational, kMaxFaulhaberDegree + 1> b{};
     b[0] = Rational(1);
     for (int m = 1; m <= kMaxFaulhaberDegree; ++m) {
@@ -27,6 +27,25 @@ const std::array<Rational, kMaxFaulhaberDegree + 1> &bernoulliTable() {
   return table;
 }
 
+/// S_k(n) = 1/(k+1) * Sum_{j=0}^{k} C(k+1, j) * B+_j * n^{k+1-j}.
+const std::array<std::vector<Rational>, kMaxFaulhaberDegree + 1> &
+faulhaberTable() {
+  static const std::array<std::vector<Rational>, kMaxFaulhaberDegree + 1>
+      table = [] {
+        std::array<std::vector<Rational>, kMaxFaulhaberDegree + 1> s;
+        for (int k = 0; k <= kMaxFaulhaberDegree; ++k) {
+          std::vector<Rational> &row = s[static_cast<std::size_t>(k)];
+          row.assign(static_cast<std::size_t>(k) + 2, Rational(0));
+          const Rational scale(1, static_cast<std::int64_t>(k) + 1);
+          for (int j = 0; j <= k; ++j)
+            row[static_cast<std::size_t>(k + 1 - j)] =
+                Rational(binomial(k + 1, j)) * bernoulliPlus(j) * scale;
+        }
+        return s;
+      }();
+  return table;
+}
+
 } // namespace
 
 Rational bernoulliPlus(int index) {
@@ -34,42 +53,51 @@ Rational bernoulliPlus(int index) {
   return bernoulliTable()[static_cast<std::size_t>(index)];
 }
 
-Polynomial faulhaber(int k, const std::string &var) {
+const std::vector<Rational> &faulhaberCoefficients(int k) {
   assert(k >= 0 && k <= kMaxFaulhaberDegree);
-  // S_k(n) = 1/(k+1) * Sum_{j=0}^{k} C(k+1, j) * B+_j * n^{k+1-j}
-  Polynomial n = Polynomial::variable(var);
-  Polynomial acc;
-  for (int j = 0; j <= k; ++j) {
-    Rational coeff = Rational(binomial(k + 1, j)) * bernoulliPlus(j);
-    if (coeff.isZero())
-      continue;
-    acc += n.pow(k + 1 - j).scaled(coeff);
-  }
-  return acc.scaled(Rational(1, static_cast<std::int64_t>(k) + 1));
+  return faulhaberTable()[static_cast<std::size_t>(k)];
 }
 
-Polynomial prefixSum(const Polynomial &poly, const std::string &iterVar,
-                     const std::string &var) {
-  std::vector<Polynomial> coeffs = poly.coefficientsIn(iterVar);
+Polynomial faulhaber(int k, Symbol var) {
+  const std::vector<Rational> &coeffs = faulhaberCoefficients(k);
+  const Polynomial n = Polynomial::variable(var);
   Polynomial acc;
-  for (std::size_t k = 0; k < coeffs.size(); ++k) {
-    if (coeffs[k].isZero())
-      continue;
-    acc += coeffs[k] * faulhaber(static_cast<int>(k), var);
+  Polynomial power = n;
+  for (std::size_t j = 1; j < coeffs.size(); ++j) {
+    if (j > 1)
+      power *= n;
+    acc += power.scaled(coeffs[j]);
   }
   return acc;
 }
 
-Polynomial sumOverRange(const Polynomial &poly, const std::string &iterVar,
+Polynomial sumOverRange(const Polynomial &poly, Symbol iterVar,
                         const Polynomial &lo, const Polynomial &hi) {
-  // F(n) = Sum_{i=1}^{n} P(i); answer = F(hi) - F(lo - 1).
-  // Use a fresh variable name that cannot collide with user parameters.
-  const std::string tmp = "__faulhaber_n";
-  Polynomial f = prefixSum(poly, iterVar, tmp);
-  Polynomial atHi = f.substitute(tmp, hi);
-  Polynomial atLoMinus1 =
-      f.substitute(tmp, lo - Polynomial{Rational(1)});
-  return atHi - atLoMinus1;
+  // With P(i) = Sum_k c_k i^k and S_k(n) = Sum_j a_kj n^j (a_k0 = 0):
+  //   Sum_{i=lo}^{hi} P(i) = F(hi) - F(lo - 1),  F(n) = Sum_k c_k S_k(n)
+  //                        = Sum_j (Sum_k c_k a_kj) * (hi^j - (lo-1)^j).
+  const std::vector<Polynomial> c = poly.coefficientsIn(iterVar);
+  if (c.size() > static_cast<std::size_t>(kMaxFaulhaberDegree) + 1)
+    throw ArithmeticError("summand degree exceeds the Faulhaber table");
+  const Polynomial below = lo - Polynomial{Rational(1)};
+  Polynomial hiPower = hi;
+  Polynomial belowPower = below;
+  Polynomial acc;
+  for (std::size_t j = 1; j <= c.size(); ++j) {
+    if (j > 1) {
+      hiPower *= hi;
+      belowPower *= below;
+    }
+    Polynomial weight;
+    for (std::size_t k = j - 1; k < c.size(); ++k) {
+      const Rational &a = faulhaberCoefficients(static_cast<int>(k))[j];
+      if (!a.isZero() && !c[k].isZero())
+        weight += c[k].scaled(a);
+    }
+    if (!weight.isZero())
+      acc += weight * (hiPower - belowPower);
+  }
+  return acc;
 }
 
 } // namespace mira::symbolic

@@ -7,11 +7,18 @@
 // level of summation stays polynomial — the parametric model the paper
 // generates for affine SCoPs.
 //
+// The formulas S_0..S_16 form one static table of univariate rational
+// coefficients, built once per process and free of any arena's symbols;
+// sumOverRange() combines it with the powers of the bounds, each built
+// once, without a temporary variable.
+//
 // Domain note: the closed form Sum_{i=L}^{U} P(i) = F(U) - F(L-1) is exact
 // whenever U >= L-1 (including the empty range U = L-1). Callers must
 // guarantee non-degenerate ranges (the polyhedral layer checks emptiness
 // separately and clamps numeric evaluation at zero).
 #pragma once
+
+#include <vector>
 
 #include "symbolic/polynomial.h"
 
@@ -22,19 +29,18 @@ namespace mira::symbolic {
 inline constexpr int kMaxFaulhaberDegree = 16;
 Rational bernoulliPlus(int index);
 
-/// Faulhaber: the polynomial S_k(n) = Sum_{i=1}^{n} i^k in variable `var`.
-/// k must be in [0, kMaxFaulhaberDegree].
-Polynomial faulhaber(int k, const std::string &var);
+/// The coefficients of S_k(n) = Sum_{i=1}^{n} i^k: element j is the
+/// coefficient of n^j, for j = 0..k+1. k must be in
+/// [0, kMaxFaulhaberDegree].
+const std::vector<Rational> &faulhaberCoefficients(int k);
 
-/// Antidifference: F(n) = Sum_{i=1}^{n} P(i) as a polynomial in `var`,
-/// where P is viewed as a polynomial in `iterVar` (other variables are
-/// symbolic parameters carried through).
-Polynomial prefixSum(const Polynomial &poly, const std::string &iterVar,
-                     const std::string &var);
+/// Faulhaber: the polynomial S_k(n) in variable `var`.
+Polynomial faulhaber(int k, Symbol var);
 
 /// Sum_{iterVar = lo}^{hi} P(iterVar), where lo/hi are polynomials in outer
-/// variables. Exact for hi >= lo-1 (see domain note above).
-Polynomial sumOverRange(const Polynomial &poly, const std::string &iterVar,
+/// variables. Exact for hi >= lo-1 (see domain note above). Throws
+/// ArithmeticError when an intermediate coefficient overflows int64.
+Polynomial sumOverRange(const Polynomial &poly, Symbol iterVar,
                         const Polynomial &lo, const Polynomial &hi);
 
 } // namespace mira::symbolic

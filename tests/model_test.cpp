@@ -403,6 +403,34 @@ TEST(ModelBytes, PinnedAcrossCommits) {
   }
 }
 
+// Symbols never leave the arena that minted them, and nothing they order
+// reaches the bytes: a model built in one ExprInterner and decoded in
+// another (the reader installs its own) serializes identically.
+TEST(ModelBytes, DecodedInAnotherArenaSerializesIdentically) {
+  core::AnalysisSpec spec;
+  spec.name = "arena.mc";
+  spec.source = "double f(double* v, int zeta, int alpha) {\n"
+                "  double acc = 0.0;\n"
+                "  for (int z = 0; z < zeta; z++)\n"
+                "    for (int a = z; a < alpha + zeta; a++)\n"
+                "      if (a % 3 != 0)\n"
+                "        acc = acc + v[a];\n"
+                "  return acc;\n"
+                "}\n";
+  spec.artifacts = core::kArtifactModel;
+  const core::Artifacts artifacts = core::analyze(spec);
+  ASSERT_TRUE(artifacts.ok && artifacts.model) << artifacts.diagnostics;
+  std::string bytes;
+  serializeModel(*artifacts.model, bytes);
+
+  PerformanceModel decoded;
+  std::size_t offset = 0;
+  ASSERT_TRUE(deserializeModel(bytes, offset, decoded));
+  std::string again;
+  serializeModel(decoded, again);
+  EXPECT_EQ(again, bytes);
+}
+
 } // namespace
 } // namespace mira::model
 

@@ -6,6 +6,7 @@
 
 #include "core/artifacts.h"
 #include "core/mira.h"
+#include "driver/batch.h"
 #include "workloads/workloads.h"
 
 namespace mira::core {
@@ -357,6 +358,86 @@ TEST(Pipeline, ExternCallsAreTheResidualError) {
   const auto *fn = a.model->find("f");
   ASSERT_NE(fn, nullptr);
   EXPECT_FALSE(fn->exact);
+}
+
+// INT64_MIN / -1 in an affine position: the guard and the call argument
+// are not affine (the quotient has no int64 value), so they take the
+// existing not-analyzable / not-resolvable paths instead of trapping.
+TEST(Pipeline, IntMinByMinusOneIsNotAffine) {
+  auto guard = analyzeOk("void f(double* a, int n) {\n"
+                         "  for (int i = 0; i < n; i++) {\n"
+                         "    if (i < (-9223372036854775807 - 1 + 0 * n) / -1)\n"
+                         "      a[i] = a[i] * 2.0;\n"
+                         "  }\n"
+                         "}");
+  ASSERT_TRUE(guard.ok);
+  const auto *f = guard.model->find("f");
+  ASSERT_NE(f, nullptr);
+  ASSERT_FALSE(f->notes.empty());
+  EXPECT_NE(f->notes[0].find("branch at line 3 is not statically analyzable"),
+            std::string::npos)
+      << f->notes[0];
+
+  auto call = analyzeOk("int k(int m) { return m; }\n"
+                        "int f() { return k((-9223372036854775807 - 1) / -1); }");
+  ASSERT_TRUE(call.ok);
+  const auto *caller = call.model->find("f");
+  ASSERT_NE(caller, nullptr);
+  ASSERT_FALSE(caller->notes.empty());
+  EXPECT_NE(caller->notes[0].find("is not statically resolvable"),
+            std::string::npos)
+      << caller->notes[0];
+}
+
+// Affine and polynomial arithmetic that overflows int64 takes the paths
+// that already exist ("not affine", the lazy-sum count) instead of
+// throwing out of core::analyze, so each analysis succeeds and is cached.
+TEST(Pipeline, Int64OverflowInAffineArithmeticIsNotAnError) {
+  const char *const sources[] = {
+      "void f(double* a, int n) {\n"
+      "  for (int i = 0; i < -9223372036854775807 - 1; i++)\n"
+      "    a[i] = a[i] * 2.0;\n"
+      "}",
+      "void f(double* a, int n) {\n"
+      "  for (int i = 0; i < 4611686018427387904 * 4 + n; i++)\n"
+      "    a[i] = a[i] * 2.0;\n"
+      "}",
+      "void f(double* a, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i < -9223372036854775807 - 1 + n)\n"
+      "      a[i] = a[i] * 2.0;\n"
+      "  }\n"
+      "}",
+      "void f(double* a, int n) {\n"
+      "  for (int j = -9223372036854775807 - 1; j < n; j++) a[j] = a[j] * 2.0;\n"
+      "}",
+      "void f(double* a, int n) {\n"
+      "  for (int i = 0; i < 9223372036854775807; i++)\n"
+      "    for (int j = 0; j < 9223372036854775807; j++)\n"
+      "      for (int k = 0; k < n; k++)\n"
+      "        a[k] = a[k] * 2.0;\n"
+      "}",
+  };
+  std::vector<AnalysisSpec> specs;
+  for (const char *source : sources) {
+    AnalysisSpec spec;
+    spec.name = "overflow" + std::to_string(specs.size()) + ".mc";
+    spec.source = source;
+    spec.artifacts = kArtifactModel | kArtifactDiagnostics;
+    Artifacts direct;
+    EXPECT_NO_THROW(direct = analyze(spec)) << spec.name;
+    EXPECT_TRUE(direct.ok) << spec.name << ": " << direct.diagnostics;
+    specs.push_back(spec);
+  }
+  driver::BatchOptions options;
+  options.threads = 1;
+  driver::BatchAnalyzer batch(options);
+  for (const Artifacts &a : batch.runArtifacts(specs))
+    EXPECT_TRUE(a.ok) << a.diagnostics;
+  EXPECT_EQ(batch.stats().failures, 0u);
+  EXPECT_EQ(batch.cacheSize(), specs.size());
+  batch.runArtifacts(specs);
+  EXPECT_EQ(batch.stats().cacheHits, specs.size()); // none was transient
 }
 
 } // namespace

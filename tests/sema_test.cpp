@@ -3,6 +3,7 @@
 #include "frontend/parser.h"
 #include "sema/loop_analysis.h"
 #include "sema/sema.h"
+#include "symbolic/interner.h"
 
 namespace mira::sema {
 namespace {
@@ -199,6 +200,10 @@ TEST(Sema, RecursionIsDiagnosed) {
 
 // ------------------------------------------------------------ loop analysis
 
+symbolic::Symbol sym(const char *name) {
+  return symbolic::ExprInterner::current().symbol(name);
+}
+
 const Statement &firstLoop(const TranslationUnit &unit,
                            const std::string &fn = "f") {
   const auto *decl = unit.findFunction(fn);
@@ -213,7 +218,7 @@ TEST(LoopAnalysis, BasicLoopListing1) {
   auto a = analyzeOk("void f() { for (int i = 0; i < 10; i++) { } }");
   LoopInfo info = analyzeForLoop(firstLoop(*a.unit));
   ASSERT_TRUE(info.recognized) << info.failReason;
-  EXPECT_EQ(info.var, "i");
+  EXPECT_EQ(symbolic::ExprInterner::current().name(info.var), "i");
   EXPECT_EQ(info.lowerBound.constant(), 0);
   EXPECT_EQ(info.upperBound.constant(), 9); // i < 10 normalized to <= 9
   EXPECT_EQ(info.step, 1);
@@ -223,7 +228,7 @@ TEST(LoopAnalysis, ParametricBound) {
   auto a = analyzeOk("void f(int n) { for (int i = 0; i < n; i++) { } }");
   LoopInfo info = analyzeForLoop(firstLoop(*a.unit));
   ASSERT_TRUE(info.recognized);
-  EXPECT_EQ(info.upperBound.coeff("n"), 1);
+  EXPECT_EQ(info.upperBound.coeff(sym("n")), 1);
   EXPECT_EQ(info.upperBound.constant(), -1);
 }
 
@@ -251,7 +256,7 @@ TEST(LoopAnalysis, TriangularBoundDependsOnOuterVar) {
   const Statement &outer = firstLoop(*a.unit);
   LoopInfo inner = analyzeForLoop(*outer.loopBody);
   ASSERT_TRUE(inner.recognized);
-  EXPECT_EQ(inner.lowerBound.coeff("i"), 1);
+  EXPECT_EQ(inner.lowerBound.coeff(sym("i")), 1);
   EXPECT_EQ(inner.lowerBound.constant(), 1);
 }
 
@@ -282,7 +287,7 @@ TEST(LoopAnalysis, ReversedConditionNormalized) {
   auto a = analyzeOk("void f(int n) { for (int i = 0; n > i; i++) { } }");
   LoopInfo info = analyzeForLoop(firstLoop(*a.unit));
   ASSERT_TRUE(info.recognized) << info.failReason;
-  EXPECT_EQ(info.upperBound.coeff("n"), 1);
+  EXPECT_EQ(info.upperBound.coeff(sym("n")), 1);
   EXPECT_EQ(info.upperBound.constant(), -1);
 }
 
@@ -292,9 +297,55 @@ TEST(ExprToAffine, HandlesScaledSums) {
                      "}");
   LoopInfo info = analyzeForLoop(firstLoop(*a.unit));
   ASSERT_TRUE(info.recognized);
-  EXPECT_EQ(info.lowerBound.coeff("n"), 2);
-  EXPECT_EQ(info.lowerBound.coeff("m"), 3);
+  EXPECT_EQ(info.lowerBound.coeff(sym("n")), 2);
+  EXPECT_EQ(info.lowerBound.coeff(sym("m")), 3);
   EXPECT_EQ(info.lowerBound.constant(), -1);
+}
+
+TEST(ExprToAffine, IntMinByMinusOneIsNotAffine) {
+  // INT64_MIN / -1 has no int64 quotient, and computing its remainder
+  // traps, whether the dividend is the constant or a coefficient.
+  auto a = analyzeOk(
+      "void f(int n) {\n"
+      "  for (int i = (-9223372036854775807 - 1) / -1; i < n; i++) { }\n"
+      "  for (int i = (n * (-9223372036854775807 - 1)) / -1; i < n; i++) { }\n"
+      "  for (int i = (2 * n + 6) / -1; i < n; i++) { }\n"
+      "}");
+  std::vector<const Statement *> loops;
+  for (const auto &s : a.unit->findFunction("f")->bodyStmt->body)
+    loops.push_back(s.get());
+  ASSERT_EQ(loops.size(), 3u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(exprToAffine(*loops[i]->forInit->declInit).has_value());
+    LoopInfo info = analyzeForLoop(*loops[i]);
+    EXPECT_FALSE(info.recognized);
+    EXPECT_NE(info.failReason.find("not affine"), std::string::npos);
+  }
+  // Other quotients by -1 stay exact.
+  auto quotient = exprToAffine(*loops[2]->forInit->declInit);
+  ASSERT_TRUE(quotient.has_value());
+  EXPECT_EQ(quotient->coeff(sym("n")), -2);
+  EXPECT_EQ(quotient->constant(), -6);
+}
+
+TEST(ExprToAffine, Int64OverflowIsNotAffine) {
+  auto a = analyzeOk(
+      "void f(int n) {\n"
+      "  for (int i = 0; i < 4611686018427387904 * 4 + n; i++) { }\n"
+      "  for (int i = 0; i < -9223372036854775807 - 1; i++) { }\n"
+      "}");
+  const auto &body = a.unit->findFunction("f")->bodyStmt->body;
+  ASSERT_EQ(body.size(), 2u);
+  // The bound's coefficient overflows.
+  EXPECT_FALSE(exprToAffine(*body[0]->forCond->children[1]).has_value());
+  // The bound is affine, but normalizing '<' to '<=' overflows.
+  EXPECT_TRUE(exprToAffine(*body[1]->forCond->children[1]).has_value());
+  for (const auto &loop : body) {
+    LoopInfo info = analyzeForLoop(*loop);
+    EXPECT_FALSE(info.recognized);
+    EXPECT_NE(info.failReason.find("not affine"), std::string::npos)
+        << info.failReason;
+  }
 }
 
 TEST(ExprToAffine, RejectsNonLinear) {

@@ -374,6 +374,28 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
   EXPECT_TRUE(outcome.ok);
 }
 
+TEST(AnalysisServerTest, IntMinByMinusOneRequestLeavesTheDaemonServing) {
+  // INT64_MIN / -1 in a guard once trapped the compute thread (SIGFPE),
+  // killing the daemon with the request in flight.
+  DaemonFixture daemon;
+  ASSERT_TRUE(daemon.started());
+  Client client;
+  ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
+  ClientOutcome outcome;
+  ASSERT_TRUE(client.analyze(
+      "fpe.mc",
+      "void f(double* a, int n) {\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "    if (i < (-9223372036854775807 - 1 + 0 * n) / -1)\n"
+      "      a[i] = a[i] * 2.0;\n"
+      "  }\n"
+      "}",
+      core::MiraOptions(), outcome))
+      << client.lastError();
+  EXPECT_TRUE(outcome.ok);
+  EXPECT_TRUE(client.ping()) << client.lastError();
+}
+
 TEST(AnalysisServerTest, OversizedFrameIsRejectedWithoutReadingBody) {
   ServerOptions options;
   options.maxFrameBytes = 1024; // tiny cap to keep the test cheap

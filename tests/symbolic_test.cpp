@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <limits>
+#include <random>
+#include <stdexcept>
 
 #include "symbolic/expr.h"
 #include "symbolic/interner.h"
@@ -10,6 +13,11 @@
 
 namespace mira::symbolic {
 namespace {
+
+Symbol sym(const std::string &name) {
+  return ExprInterner::current().symbol(name);
+}
+SymbolValues at(const Env &env) { return ExprInterner::current().values(env); }
 
 // ---------------------------------------------------------------- Rational
 
@@ -170,56 +178,56 @@ TEST(Expr, EvaluateOverflowReturnsNullopt) {
 // -------------------------------------------------------------- Polynomial
 
 TEST(Polynomial, BasicArithmetic) {
-  Polynomial x = Polynomial::variable("x");
+  Polynomial x = Polynomial::variable(sym("x"));
   Polynomial p = x * x + x.scaled(Rational(2)) + Polynomial{Rational(1)};
   EXPECT_EQ(p.degree(), 2);
-  EXPECT_EQ(p.evaluate({{"x", 3}}), 16); // 9 + 6 + 1
+  EXPECT_EQ(p.evaluate(at({{"x", 3}})), 16); // 9 + 6 + 1
 }
 
 TEST(Polynomial, MultivariateProduct) {
-  Polynomial x = Polynomial::variable("x");
-  Polynomial y = Polynomial::variable("y");
+  Polynomial x = Polynomial::variable(sym("x"));
+  Polynomial y = Polynomial::variable(sym("y"));
   Polynomial p = (x + y) * (x - y); // x^2 - y^2
-  EXPECT_EQ(p.evaluate({{"x", 5}, {"y", 3}}), 16);
-  EXPECT_EQ(p.degreeIn("x"), 2);
-  EXPECT_EQ(p.degreeIn("y"), 2);
+  EXPECT_EQ(p.evaluate(at({{"x", 5}, {"y", 3}})), 16);
+  EXPECT_EQ(p.degreeIn(sym("x")), 2);
+  EXPECT_EQ(p.degreeIn(sym("y")), 2);
 }
 
 TEST(Polynomial, CancellationYieldsZero) {
-  Polynomial x = Polynomial::variable("x");
+  Polynomial x = Polynomial::variable(sym("x"));
   Polynomial z = x - x;
   EXPECT_TRUE(z.isZero());
   EXPECT_EQ(z.degree(), 0);
 }
 
 TEST(Polynomial, Substitute) {
-  Polynomial x = Polynomial::variable("x");
+  Polynomial x = Polynomial::variable(sym("x"));
   Polynomial p = x * x; // x^2
   Polynomial q = p.substitute(
-      "x", Polynomial::variable("y") + Polynomial{Rational(1)});
-  EXPECT_EQ(q.evaluate({{"y", 2}}), 9); // (2+1)^2
+      sym("x"), Polynomial::variable(sym("y")) + Polynomial{Rational(1)});
+  EXPECT_EQ(q.evaluate(at({{"y", 2}})), 9); // (2+1)^2
 }
 
 TEST(Polynomial, CoefficientsIn) {
-  Polynomial x = Polynomial::variable("x");
-  Polynomial n = Polynomial::variable("N");
+  Polynomial x = Polynomial::variable(sym("x"));
+  Polynomial n = Polynomial::variable(sym("N"));
   Polynomial p = x * x * n + x.scaled(Rational(3)) + Polynomial{Rational(7)};
-  auto coeffs = p.coefficientsIn("x");
+  auto coeffs = p.coefficientsIn(sym("x"));
   ASSERT_EQ(coeffs.size(), 3u);
   EXPECT_EQ(coeffs[0].evaluate({}), 7);
   EXPECT_EQ(coeffs[1].evaluate({}), 3);
-  EXPECT_EQ(coeffs[2].evaluate({{"N", 4}}), 4);
+  EXPECT_EQ(coeffs[2].evaluate(at({{"N", 4}})), 4);
 }
 
 TEST(Polynomial, ToExprRoundTrip) {
   // p = (N^2 + N) / 2 — integer-valued with rational coefficients.
-  Polynomial n = Polynomial::variable("N");
+  Polynomial n = Polynomial::variable(sym("N"));
   Polynomial p = (n * n + n).scaled(Rational(1, 2));
   Expr e = p.toExpr();
   EXPECT_EQ(e.evaluate({{"N", 9}}), 45);
   auto back = Polynomial::fromExpr(e);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->evaluate({{"N", 9}}), 45);
+  EXPECT_EQ(back->evaluate(at({{"N", 9}})), 45);
 }
 
 TEST(Polynomial, FromExprRejectsFloorDiv) {
@@ -241,20 +249,20 @@ TEST(Summation, BernoulliNumbers) {
 
 TEST(Summation, FaulhaberKnownFormulas) {
   // S_0(n) = n
-  EXPECT_EQ(faulhaber(0, "n").evaluate({{"n", 17}}), 17);
+  EXPECT_EQ(faulhaber(0, sym("n")).evaluate(at({{"n", 17}})), 17);
   // S_1(n) = n(n+1)/2
-  EXPECT_EQ(faulhaber(1, "n").evaluate({{"n", 100}}), 5050);
+  EXPECT_EQ(faulhaber(1, sym("n")).evaluate(at({{"n", 100}})), 5050);
   // S_2(n) = n(n+1)(2n+1)/6
-  EXPECT_EQ(faulhaber(2, "n").evaluate({{"n", 10}}), 385);
+  EXPECT_EQ(faulhaber(2, sym("n")).evaluate(at({{"n", 10}})), 385);
   // S_3(n) = (n(n+1)/2)^2
-  EXPECT_EQ(faulhaber(3, "n").evaluate({{"n", 10}}), 3025);
+  EXPECT_EQ(faulhaber(3, sym("n")).evaluate(at({{"n", 10}})), 3025);
 }
 
 class FaulhaberSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(FaulhaberSweep, MatchesBruteForce) {
   auto [k, n] = GetParam();
-  Polynomial s = faulhaber(k, "n");
+  Polynomial s = faulhaber(k, sym("n"));
   std::int64_t expected = 0;
   for (int i = 1; i <= n; ++i) {
     std::int64_t pw = 1;
@@ -262,7 +270,7 @@ TEST_P(FaulhaberSweep, MatchesBruteForce) {
       pw *= i;
     expected += pw;
   }
-  EXPECT_EQ(s.evaluate({{"n", n}}), expected)
+  EXPECT_EQ(s.evaluate(at({{"n", n}})), expected)
       << "k=" << k << " n=" << n;
 }
 
@@ -274,37 +282,187 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Summation, SumOverRangeTriangular) {
   // Sum_{j=i+1}^{6} 1 = 6 - i for i <= 6
   Polynomial one{Rational(1)};
-  Polynomial lo = Polynomial::variable("i") + Polynomial{Rational(1)};
+  Polynomial lo = Polynomial::variable(sym("i")) + Polynomial{Rational(1)};
   Polynomial hi{Rational(6)};
-  Polynomial s = sumOverRange(one, "j", lo, hi);
-  EXPECT_EQ(s.evaluate({{"i", 1}}), 5);
-  EXPECT_EQ(s.evaluate({{"i", 4}}), 2);
+  Polynomial s = sumOverRange(one, sym("j"), lo, hi);
+  EXPECT_EQ(s.evaluate(at({{"i", 1}})), 5);
+  EXPECT_EQ(s.evaluate(at({{"i", 4}})), 2);
 }
 
 TEST(Summation, NestedTriangularCountMatchesPaperListing2) {
   // Paper Listing 2: for i in 1..4, for j in i+1..6 — 14 iterations total.
-  Polynomial inner = sumOverRange(Polynomial{Rational(1)}, "j",
-                                  Polynomial::variable("i") +
+  Polynomial inner = sumOverRange(Polynomial{Rational(1)}, sym("j"),
+                                  Polynomial::variable(sym("i")) +
                                       Polynomial{Rational(1)},
                                   Polynomial{Rational(6)});
-  Polynomial total = sumOverRange(inner, "i", Polynomial{Rational(1)},
+  Polynomial total = sumOverRange(inner, sym("i"), Polynomial{Rational(1)},
                                   Polynomial{Rational(4)});
   EXPECT_EQ(total.evaluate({}), 14);
 }
 
 TEST(Summation, ParametricRectangle) {
   // Sum_{i=0}^{N-1} Sum_{j=0}^{M-1} 1 = N*M
-  Polynomial n = Polynomial::variable("N");
-  Polynomial m = Polynomial::variable("M");
+  Polynomial n = Polynomial::variable(sym("N"));
+  Polynomial m = Polynomial::variable(sym("M"));
   Polynomial inner =
-      sumOverRange(Polynomial{Rational(1)}, "j", Polynomial{Rational(0)},
+      sumOverRange(Polynomial{Rational(1)}, sym("j"), Polynomial{Rational(0)},
                    m - Polynomial{Rational(1)});
-  Polynomial total = sumOverRange(inner, "i", Polynomial{Rational(0)},
+  Polynomial total = sumOverRange(inner, sym("i"), Polynomial{Rational(0)},
                                   n - Polynomial{Rational(1)});
-  EXPECT_EQ(total.evaluate({{"N", 12}, {"M", 9}}), 108);
+  EXPECT_EQ(total.evaluate(at({{"N", 12}, {"M", 9}})), 108);
 }
 
+TEST(Summation, FaulhaberTableMatchesBernoulliFormula) {
+  const Symbol n = sym("n");
+  const Polynomial var = Polynomial::variable(n);
+  for (int k = 0; k <= kMaxFaulhaberDegree; ++k) {
+    // S_k(n) = 1/(k+1) * Sum_{j=0}^{k} C(k+1, j) * B+_j * n^{k+1-j}.
+    const std::vector<Rational> &a = faulhaberCoefficients(k);
+    ASSERT_EQ(a.size(), static_cast<std::size_t>(k) + 2);
+    EXPECT_EQ(a[0], Rational(0)) << "k=" << k;
+    for (int j = 0; j <= k; ++j)
+      EXPECT_EQ(a[static_cast<std::size_t>(k + 1 - j)],
+                Rational(binomial(k + 1, j)) * bernoulliPlus(j) /
+                    Rational(k + 1))
+          << "k=" << k << " j=" << j;
+    // Independently of the formula: S_k(n) - S_k(n - 1) = n^k.
+    Polynomial s = faulhaber(k, n);
+    Polynomial step = s - s.substitute(n, var - Polynomial{Rational(1)});
+    EXPECT_TRUE((step - var.pow(k)).isZero()) << "k=" << k;
+  }
+}
+
+// Random polynomials over four symbols, each holding a*b*c*d (more
+// variables than a monomial keeps inline): every operation must agree
+// with exact evaluation of its operands at random points.
+class PolynomialProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(PolynomialProperty, OperationsAgreeWithEvaluation) {
+  ExprInterner interner;
+  ExprInterner::Scope scope(interner);
+  const Symbol vars[] = {sym("d"), sym("b"), sym("a"), sym("c")};
+  std::mt19937 rng(static_cast<unsigned>(GetParam()));
+  std::uniform_int_distribution<int> small(-3, 3);
+  std::uniform_int_distribution<int> exponent(0, 2);
+  auto randomPolynomial = [&] {
+    Polynomial p{Rational(1 + std::abs(small(rng)))};
+    for (Symbol v : vars)
+      p *= Polynomial::variable(v);
+    for (int t = 0; t < 4; ++t) {
+      Polynomial term{Rational(small(rng), 1 + exponent(rng))};
+      for (Symbol v : vars)
+        term *= Polynomial::variable(v).pow(exponent(rng));
+      p += term;
+    }
+    return p;
+  };
+  auto at = [](const Polynomial &p, const SymbolValues &values) {
+    auto r = p.evaluateRational(values);
+    EXPECT_TRUE(r.has_value());
+    return r.value_or(Rational(0));
+  };
+
+  for (int trial = 0; trial < 20; ++trial) {
+    const Polynomial p = randomPolynomial();
+    const Polynomial q = randomPolynomial();
+    SymbolValues x(interner.symbolCount());
+    for (Symbol v : vars)
+      x[static_cast<std::size_t>(v)] = small(rng);
+    const Rational px = at(p, x), qx = at(q, x);
+    EXPECT_EQ(at(p + q, x), px + qx);
+    EXPECT_EQ(at(p - q, x), px - qx);
+    EXPECT_EQ(at(p * q, x), px * qx);
+
+    const Symbol v = vars[static_cast<std::size_t>(trial) % 4];
+    const auto slot = static_cast<std::size_t>(v);
+    // substitute: p(v := r) at x is p at x with v bound to r(x); r has
+    // integer coefficients (q's denominators divide 6), so r(x) binds.
+    const Polynomial r = q.scaled(Rational(6));
+    SymbolValues xr = x;
+    xr[slot] = at(r, x).asInteger();
+    EXPECT_EQ(at(p.substitute(v, r), x), at(p, xr));
+
+    // coefficientsIn: Sum_k c_k(x) * x_v^k rebuilds p(x).
+    Rational rebuilt(0), power(1);
+    for (const Polynomial &c : p.coefficientsIn(v)) {
+      EXPECT_EQ(c.degreeIn(v), 0);
+      rebuilt += at(c, x) * power;
+      power *= Rational(*x[slot]);
+    }
+    EXPECT_EQ(rebuilt, px);
+
+    // sumOverRange over v, bounds in another variable, hi >= lo - 1.
+    const Symbol w = vars[(static_cast<std::size_t>(trial) + 1) % 4];
+    const Polynomial lo =
+        Polynomial::variable(w) + Polynomial{Rational(small(rng))};
+    const Polynomial hi =
+        lo + Polynomial{Rational(std::abs(small(rng)) + small(rng) % 2)};
+    const Rational sum = at(symbolic::sumOverRange(p, v, lo, hi), x);
+    Rational expected(0);
+    SymbolValues xt = x;
+    for (std::int64_t t = at(lo, x).asInteger(); t <= at(hi, x).asInteger();
+         ++t) {
+      xt[slot] = t;
+      expected += at(p, xt);
+    }
+    EXPECT_EQ(sum, expected) << p.str() << " over " << lo.str() << ".."
+                             << hi.str();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PolynomialProperty,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
 // ---------------------------------------------------------------- interner
+
+TEST(Interner, SymbolsStayInTheirArena) {
+  ExprInterner first;
+  ExprInterner second;
+  const Symbol x = first.symbol("x");
+  const Symbol y = first.symbol("y");
+  EXPECT_EQ(first.symbol("x"), x); // minted once
+  EXPECT_EQ(first.name(y), "y");
+  EXPECT_EQ(first.symbolCount(), 2u);
+  // Unknown to a sibling, which mints its own ids in its own order.
+  EXPECT_EQ(second.symbolCount(), 0u);
+  EXPECT_THROW(second.name(x), std::out_of_range);
+  const Symbol y2 = second.symbol("y");
+  EXPECT_EQ(second.name(y2), "y");
+  EXPECT_THROW(second.name(y), std::out_of_range);
+  // Param nodes are per arena too.
+  Expr px, px2;
+  {
+    ExprInterner::Scope scope(first);
+    px = Expr::param(x);
+  }
+  {
+    ExprInterner::Scope scope(second);
+    px2 = Expr::param(second.symbol("x"));
+  }
+  EXPECT_NE(&px.node(), &px2.node());
+  EXPECT_TRUE(px.equals(px2));
+}
+
+TEST(Interner, SmallConstantsComeFromSlots) {
+  ExprInterner interner;
+  ExprInterner::Scope scope(interner);
+  Expr zero = Expr::intConst(0);
+  const InternStats before = ExprInterner::globalStats();
+  // Neither a default Expr nor a small constant reaches the table again.
+  Expr again;
+  Expr small = Expr::intConst(ExprInterner::kMaxSlotConstant);
+  Expr small2 = Expr::intConst(ExprInterner::kMaxSlotConstant);
+  const InternStats after = ExprInterner::globalStats();
+  EXPECT_EQ(&again.node(), &zero.node());
+  EXPECT_EQ(&small.node(), &small2.node());
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses + 1); // the slot's first fill
+  // Outside the slot range constants intern as before.
+  Expr big = Expr::intConst(ExprInterner::kMaxSlotConstant + 1);
+  Expr big2 = Expr::intConst(ExprInterner::kMaxSlotConstant + 1);
+  EXPECT_EQ(&big.node(), &big2.node());
+  EXPECT_EQ(ExprInterner::globalStats().hits, after.hits + 1);
+}
 
 TEST(Interner, EqualsIsPointerIdentityWithinOneInterner) {
   ExprInterner interner;
@@ -453,10 +611,10 @@ TEST_P(RangeSumProperty, QuadraticBodyMatchesBruteForce) {
   if (hi < lo - 1)
     GTEST_SKIP() << "outside the documented domain (hi >= lo-1)";
   // body: scale*i^2 - i + 3
-  Polynomial i = Polynomial::variable("i");
+  Polynomial i = Polynomial::variable(sym("i"));
   Polynomial body =
       i * i * Polynomial{Rational(scale)} - i + Polynomial{Rational(3)};
-  Polynomial s = sumOverRange(body, "i", Polynomial{Rational(lo)},
+  Polynomial s = sumOverRange(body, sym("i"), Polynomial{Rational(lo)},
                               Polynomial{Rational(hi)});
   std::int64_t expected = 0;
   for (int v = lo; v <= hi; ++v)
