@@ -322,22 +322,30 @@ BatchReport mergeBatchReports(const std::vector<BatchReport> &parts) {
 // ------------------------------------------------------ payload codecs
 
 // Payload layout (schema 2 — bump kCacheSchemaVersion when changing
-// this): [ok u8][producerName str][diagnostics str] then, when ok,
-// [hasCoverage u8][loops u64][statements u64][inLoop u64]?[model bytes].
-// Shared by the disk cache and the wire protocol (docs/PROTOCOL.md),
-// which is what makes a daemon-served result byte-identical to a
-// disk-cached one by construction. This code writes hasCoverage = 1 for
-// every ok value it caches; the driver recomputes an entry without it.
-std::string serializeArtifactPayload(const model::PerformanceModel *model,
-                                     const sema::LoopCoverage *coverage,
-                                     const std::string &diagnostics,
-                                     const std::string &producerName) {
-  std::string out;
-  bio::putU8(out, model ? 1 : 0);
+// this): the header [ok u8][producerName str][diagnostics str] then, when
+// ok, the tail [hasCoverage u8][loops u64][statements u64][inLoop u64]?
+// [model bytes]. Shared by the disk cache and the wire protocol
+// (docs/PROTOCOL.md), which is what makes a daemon-served result
+// byte-identical to a disk-cached one by construction. The tail depends
+// only on the cached value, so the analyzer encodes it once per value and
+// splices each request's header onto it. This code writes hasCoverage = 1
+// for every ok value it caches; the driver recomputes an entry without
+// it.
+
+namespace {
+
+void putPayloadHeader(std::string &out, bool ok,
+                      const std::string &producerName,
+                      const std::string &diagnostics) {
+  bio::putU8(out, ok ? 1 : 0);
   bio::putString(out, producerName);
   bio::putString(out, diagnostics);
+}
+
+void putPayloadTail(std::string &out, const model::PerformanceModel *model,
+                    const sema::LoopCoverage *coverage) {
   if (!model)
-    return out;
+    return;
   bio::putU8(out, coverage ? 1 : 0);
   if (coverage) {
     bio::putU64(out, coverage->loops);
@@ -345,43 +353,41 @@ std::string serializeArtifactPayload(const model::PerformanceModel *model,
     bio::putU64(out, coverage->inLoopStatements);
   }
   model::serializeModel(*model, out);
+}
+
+/// A payload from its header fields and an already-encoded tail.
+std::string splicePayload(bool ok, const std::string &producerName,
+                          const std::string &diagnostics,
+                          const std::string &tail) {
+  std::string out;
+  out.reserve(1 + 4 + producerName.size() + 4 + diagnostics.size() +
+              tail.size());
+  putPayloadHeader(out, ok, producerName, diagnostics);
+  out += tail;
   return out;
 }
 
-bool measureArtifactPayload(const std::string &payload,
-                            ArtifactPayloadSizes &sizes) {
-  sizes = ArtifactPayloadSizes{};
-  bio::Reader r{payload, 0};
-  std::uint8_t ok = 0, hasCoverage = 0;
-  std::string producer, diagnostics;
-  if (!r.u8(ok) || ok > 1 || !r.str(producer) || !r.str(diagnostics))
+bool readPayloadHeader(bio::Reader &r, bool &ok, std::string &producerName,
+                       std::string &diagnostics) {
+  std::uint8_t flag = 0;
+  if (!r.u8(flag) || flag > 1 || !r.str(producerName) || !r.str(diagnostics))
     return false;
-  sizes.diagnosticsBytes = diagnostics.size();
-  if (!ok)
-    return true;
-  const std::size_t coverageStart = r.offset;
-  std::uint64_t summary = 0;
-  if (!r.u8(hasCoverage) || hasCoverage > 1 ||
-      (hasCoverage && (!r.u64(summary) || !r.u64(summary) || !r.u64(summary))))
-    return false;
-  sizes.ok = true;
-  sizes.coverageBytes = r.offset - coverageStart;
-  sizes.modelBytes = r.remaining();
+  ok = flag == 1;
   return true;
 }
 
-bool deserializeArtifactPayload(
-    const std::string &payload,
-    std::shared_ptr<const core::AnalysisResult> &analysis,
-    std::optional<sema::LoopCoverage> &coverage, std::string &diagnostics,
-    std::string &producerName) {
+/// deserializeArtifactPayload, also reporting where the tail starts.
+bool readArtifactPayload(const std::string &payload,
+                         std::shared_ptr<const core::AnalysisResult> &analysis,
+                         std::optional<sema::LoopCoverage> &coverage,
+                         std::string &diagnostics, std::string &producerName,
+                         std::size_t &tailStart) {
   coverage.reset();
   bio::Reader r{payload, 0};
-  std::uint8_t ok = 0;
-  if (!r.u8(ok) || ok > 1)
+  bool ok = false;
+  if (!readPayloadHeader(r, ok, producerName, diagnostics))
     return false;
-  if (!r.str(producerName) || !r.str(diagnostics))
-    return false;
+  tailStart = r.offset;
   if (!ok) {
     analysis = nullptr;
     return r.remaining() == 0;
@@ -409,6 +415,51 @@ bool deserializeArtifactPayload(
   return true;
 }
 
+} // namespace
+
+std::string serializeArtifactPayload(const model::PerformanceModel *model,
+                                     const sema::LoopCoverage *coverage,
+                                     const std::string &diagnostics,
+                                     const std::string &producerName) {
+  std::string out;
+  putPayloadHeader(out, model != nullptr, producerName, diagnostics);
+  putPayloadTail(out, model, coverage);
+  return out;
+}
+
+bool measureArtifactPayload(const std::string &payload,
+                            ArtifactPayloadSizes &sizes) {
+  sizes = ArtifactPayloadSizes{};
+  bio::Reader r{payload, 0};
+  bool ok = false;
+  std::string producer, diagnostics;
+  if (!readPayloadHeader(r, ok, producer, diagnostics))
+    return false;
+  sizes.diagnosticsBytes = diagnostics.size();
+  if (!ok)
+    return true;
+  const std::size_t coverageStart = r.offset;
+  std::uint8_t hasCoverage = 0;
+  std::uint64_t summary = 0;
+  if (!r.u8(hasCoverage) || hasCoverage > 1 ||
+      (hasCoverage && (!r.u64(summary) || !r.u64(summary) || !r.u64(summary))))
+    return false;
+  sizes.ok = true;
+  sizes.coverageBytes = r.offset - coverageStart;
+  sizes.modelBytes = r.remaining();
+  return true;
+}
+
+bool deserializeArtifactPayload(
+    const std::string &payload,
+    std::shared_ptr<const core::AnalysisResult> &analysis,
+    std::optional<sema::LoopCoverage> &coverage, std::string &diagnostics,
+    std::string &producerName) {
+  std::size_t tailStart = 0;
+  return readArtifactPayload(payload, analysis, coverage, diagnostics,
+                             producerName, tailStart);
+}
+
 // -------------------------------------------------------- BatchAnalyzer
 
 void publishInternGauges(core::MetricsRegistry &metrics) {
@@ -431,7 +482,8 @@ BatchAnalyzer::BatchAnalyzer(BatchOptions options)
       disk_stores_(metrics_->counter("analyzer_disk_stores_total")),
       coverage_from_cache_(
           metrics_->counter("analyzer_coverage_from_cache_total")),
-      recompiles_(metrics_->counter("analyzer_recompiles_total")) {
+      recompiles_(metrics_->counter("analyzer_recompiles_total")),
+      model_encodes_(metrics_->counter("analyzer_model_encodes_total")) {
   if (options_.useCache && !options_.cacheDir.empty())
     disk_ = std::make_unique<CacheStore>(options_.cacheDir,
                                          options_.cacheBytesLimit);
@@ -453,9 +505,8 @@ void BatchAnalyzer::clearCache() {
   cache_.clear();
 }
 
-BatchAnalyzer::CacheValue
-BatchAnalyzer::computeValue(const core::AnalysisSpec &spec) {
-  CacheValue value;
+void BatchAnalyzer::computeValue(const core::AnalysisSpec &spec,
+                                 CacheValue &value) {
   value.producerName = spec.name;
   // The pipeline reports through diagnostics, but an escaping exception
   // (e.g. bad_alloc) must fail one request, not terminate the pool.
@@ -490,28 +541,43 @@ BatchAnalyzer::computeValue(const core::AnalysisSpec &spec) {
       value.program = std::move(artifacts.program);
     }
   } catch (const std::exception &e) {
-    value = CacheValue{};
-    value.producerName = spec.name;
+    value.ok = false;
+    value.model.reset();
+    value.coverage.reset();
+    value.program.reset();
     value.diagnostics = spec.name + ": internal error: " + e.what();
     value.transientFailure = true;
   }
-  return value;
 }
 
-BatchAnalyzer::CacheValue
-BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
-                            std::uint64_t key) {
+const std::string &BatchAnalyzer::payloadTail(const CacheValue &value) {
+  std::call_once(value.tailOnce, [&] {
+    putPayloadTail(value.tail, value.model.get(),
+                   value.coverage ? &*value.coverage : nullptr);
+    if (value.model)
+      model_encodes_.increment();
+  });
+  return value.tail;
+}
+
+void BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
+                                 std::uint64_t key, CacheValue &value) {
   if (disk_) {
-    if (auto payload = disk_->load(key)) {
-      CacheValue value;
-      value.fromDisk = true;
+    if (std::optional<std::string> payload = disk_->load(key)) {
       std::shared_ptr<const core::AnalysisResult> analysis;
+      std::optional<sema::LoopCoverage> coverage;
+      std::string diagnostics, producerName;
+      std::size_t tailStart = 0;
       // An ok entry must carry its coverage summary, so every cached
       // value can answer coverage without the compiled program.
-      if (deserializeArtifactPayload(*payload, analysis, value.coverage,
-                                     value.diagnostics, value.producerName) &&
-          (!analysis || value.coverage)) {
+      if (readArtifactPayload(*payload, analysis, coverage, diagnostics,
+                              producerName, tailStart) &&
+          (!analysis || coverage)) {
+        value.fromDisk = true;
         value.ok = analysis != nullptr;
+        value.coverage = std::move(coverage);
+        value.diagnostics = std::move(diagnostics);
+        value.producerName = std::move(producerName);
         if (analysis) {
           value.model = std::shared_ptr<const model::PerformanceModel>(
               analysis, &analysis->model);
@@ -520,8 +586,12 @@ BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
           value.program = core::ProgramHandle::deferred(
               spec.source, spec.name, spec.options.compile);
         }
+        // The entry's bytes after the diagnostics are the value's tail.
+        payload->erase(0, tailStart);
+        std::call_once(value.tailOnce,
+                       [&] { value.tail = std::move(*payload); });
         disk_hits_.increment();
-        return value;
+        return;
       }
       // Validated by the store but structurally unusable (e.g. written
       // by a build with different serializer semantics under the same
@@ -530,20 +600,18 @@ BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
     }
     disk_misses_.increment();
   }
-  CacheValue value = computeValue(spec);
+  computeValue(spec, value);
   // Deterministic results (models and compile errors alike) persist;
   // exception-path failures do not — caching a one-off bad_alloc would
-  // replay it on every future run of this source.
-  if (disk_ && !value.transientFailure) {
-    const std::string payload = serializeArtifactPayload(
-        value.model.get(), value.coverage ? &*value.coverage : nullptr,
-        value.diagnostics, value.producerName);
-    if (disk_->store(key, payload)) {
-      disk_stores_.increment();
-      value.stored = true;
-    }
+  // replay it on every future run of this source. The store encodes the
+  // value's tail, which later replies splice onto.
+  if (disk_ && !value.transientFailure &&
+      disk_->store(key, splicePayload(value.model != nullptr,
+                                      value.producerName, value.diagnostics,
+                                      payloadTail(value)))) {
+    disk_stores_.increment();
+    value.stored = true;
   }
-  return value;
 }
 
 core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
@@ -606,33 +674,59 @@ core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
   return artifacts;
 }
 
-core::Artifacts BatchAnalyzer::analyzeSpec(const core::AnalysisSpec &spec) {
-  auto start = std::chrono::steady_clock::now();
-
+void BatchAnalyzer::record(const core::Artifacts &artifacts) {
   // Lifetime tallies live in the registry, shared by every entry point
-  // (the daemon's analyzeArtifacts included); per-run BatchStats come
-  // from the results' provenance flags instead (tallyBatchStats).
-  const auto record = [this](const core::Artifacts &artifacts) {
-    requests_.increment();
-    if (!artifacts.ok)
-      failures_.increment();
-    if (options_.useCache) {
-      if (artifacts.cacheHit)
-        cache_hits_.increment();
-      else
-        computed_.increment();
-    }
-  };
+  // (the daemon's included); per-run BatchStats come from the results'
+  // provenance flags instead (tallyBatchStats).
+  requests_.increment();
+  if (!artifacts.ok)
+    failures_.increment();
+  if (options_.useCache) {
+    if (artifacts.cacheHit)
+      cache_hits_.increment();
+    else
+      computed_.increment();
+  }
+}
 
+core::Artifacts
+BatchAnalyzer::serve(const core::AnalysisSpec &spec, const CacheValue &value,
+                     bool producer,
+                     std::chrono::steady_clock::time_point start,
+                     std::string *payload) {
+  core::Artifacts artifacts =
+      fulfill(spec, value, options_.useCache && (!producer || value.fromDisk));
+  if (producer) {
+    // Disk-level provenance belongs to exactly one request per value —
+    // the producer — so flag sums over any result set count each disk
+    // operation once (tallyBatchStats relies on this).
+    artifacts.diskHit = value.fromDisk;
+    artifacts.diskMiss = disk_ != nullptr && !value.fromDisk;
+    artifacts.diskStored = value.stored;
+  }
+  artifacts.seconds = secondsSince(start);
+  record(artifacts);
+  if (payload)
+    *payload = splicePayload(value.model != nullptr, artifacts.name,
+                             artifacts.diagnostics, payloadTail(value));
+  return artifacts;
+}
+
+core::Artifacts
+BatchAnalyzer::analyzeArtifacts(const core::AnalysisSpec &spec) {
+  return analyzeArtifacts(spec, requestKey(spec), nullptr);
+}
+
+core::Artifacts BatchAnalyzer::analyzeArtifacts(const core::AnalysisSpec &spec,
+                                                std::uint64_t key,
+                                                std::string *payload) {
+  const auto start = std::chrono::steady_clock::now();
   if (!options_.useCache) {
-    CacheValue value = computeValue(spec);
-    core::Artifacts artifacts = fulfill(spec, value, false);
-    artifacts.seconds = secondsSince(start);
-    record(artifacts);
-    return artifacts;
+    CacheValue value;
+    computeValue(spec, value);
+    return serve(spec, value, /*producer=*/true, start, payload);
   }
 
-  const std::uint64_t key = requestKey(spec);
   std::promise<std::shared_ptr<const CacheValue>> promise;
   CacheFuture future;
   bool producer = false;
@@ -651,8 +745,8 @@ core::Artifacts BatchAnalyzer::analyzeSpec(const core::AnalysisSpec &spec) {
   if (producer) {
     bool dropEntry = false;
     try {
-      auto value = std::make_shared<const CacheValue>(
-          produceValue(spec, key));
+      auto value = std::make_shared<CacheValue>();
+      produceValue(spec, key, *value);
       dropEntry = value->transientFailure;
       promise.set_value(std::move(value));
     } catch (...) {
@@ -684,31 +778,45 @@ core::Artifacts BatchAnalyzer::analyzeSpec(const core::AnalysisSpec &spec) {
     artifacts.diagnostics = spec.name + ": internal error: " + e.what();
     artifacts.seconds = secondsSince(start);
     record(artifacts);
+    if (payload)
+      *payload = serializeArtifactPayload(nullptr, nullptr,
+                                          artifacts.diagnostics, spec.name);
     return artifacts;
   }
-  const bool cacheHit = !producer || value->fromDisk;
-  core::Artifacts artifacts = fulfill(spec, *value, cacheHit);
-  if (producer) {
-    // Disk-level provenance belongs to exactly one request per value —
-    // the producer — so flag sums over any result set count each disk
-    // operation once (tallyBatchStats relies on this).
-    artifacts.diskHit = value->fromDisk;
-    artifacts.diskMiss = disk_ != nullptr && !value->fromDisk;
-    artifacts.diskStored = value->stored;
-  }
-  artifacts.seconds = secondsSince(start);
-  record(artifacts);
-  return artifacts;
+  return serve(spec, *value, producer, start, payload);
 }
 
-core::Artifacts
-BatchAnalyzer::analyzeArtifacts(const core::AnalysisSpec &spec) {
-  return analyzeSpec(spec);
+std::optional<core::Artifacts>
+BatchAnalyzer::analyzeIfReady(const core::AnalysisSpec &spec,
+                              std::uint64_t key, std::string *payload) {
+  if (!options_.useCache || (spec.artifacts & core::kArtifactSimulation))
+    return std::nullopt;
+  const auto start = std::chrono::steady_clock::now();
+  CacheFuture future;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    auto it = cache_.find(key);
+    if (it == cache_.end())
+      return std::nullopt;
+    future = it->second;
+  }
+  if (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready)
+    return std::nullopt;
+  std::shared_ptr<const CacheValue> value;
+  try {
+    value = future.get();
+  } catch (...) {
+    return std::nullopt; // a failed producer: its entry is on its way out
+  }
+  return serve(spec, *value, /*producer=*/false, start, payload);
 }
 
 std::vector<core::Artifacts> BatchAnalyzer::analyzeArtifactsMany(
-    const std::vector<core::AnalysisSpec> &specs) {
+    const std::vector<core::AnalysisSpec> &specs,
+    std::vector<std::string> *payloads) {
   std::vector<core::Artifacts> results(specs.size());
+  if (payloads)
+    payloads->assign(specs.size(), std::string());
   if (specs.empty())
     return results;
   // A per-call latch instead of pool_.waitIdle(): concurrent callers
@@ -723,8 +831,9 @@ std::vector<core::Artifacts> BatchAnalyzer::analyzeArtifactsMany(
   auto latch = std::make_shared<Latch>();
   latch->remaining = specs.size();
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    pool_.submit([this, &specs, &results, latch, i] {
-      results[i] = analyzeSpec(specs[i]);
+    pool_.submit([this, &specs, &results, payloads, latch, i] {
+      results[i] = analyzeArtifacts(specs[i], requestKey(specs[i]),
+                                    payloads ? &(*payloads)[i] : nullptr);
       std::lock_guard<std::mutex> lock(latch->mutex);
       if (--latch->remaining == 0)
         latch->done.notify_all();

@@ -21,6 +21,15 @@
 /// BatchStats counts each plan step so tests and the CLI can prove a
 /// warm run recomputed nothing.
 ///
+/// Payloads for hits: a cached value keeps its payload tail, the
+/// artifact payload's bytes after the diagnostics, and encodes it at
+/// most once — the disk store encodes it, a disk hit already holds it,
+/// and otherwise the first request that wants a payload encodes it. A
+/// request's payload is its own header (name, diagnostics) spliced onto
+/// that tail, so a memory hit copies bytes and serializes no model. A
+/// local batch with no disk level never asks for payloads and encodes
+/// none.
+///
 /// Thread-safety contract with core::analyze: the pipeline keeps no
 /// shared mutable state (each request gets its own DiagnosticEngine,
 /// and all function-local statics in the pipeline are immutable tables),
@@ -30,6 +39,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -220,11 +230,13 @@ bool deserializeBatchReport(const std::string &bytes, BatchReport &report,
 BatchReport mergeBatchReports(const std::vector<BatchReport> &parts);
 
 /// Serialize one analysis value into the schema-v2 artifact payload
-/// shared by the disk cache and the wire protocol:
-/// `[ok u8][producerName str][diagnostics str]` then, when ok:
+/// shared by the disk cache and the wire protocol: the header
+/// `[ok u8][producerName str][diagnostics str]` then, when ok, the tail
 /// `[hasCoverage u8][loops u64 stmts u64 inLoop u64]?[model bytes]`
 /// (docs/CACHING.md "Entry format"). `model` null = a cached failure
 /// (`coverage` is then ignored). Versioned by kCacheSchemaVersion == 2.
+/// The analyzer writes payloads with the same header and tail encoders,
+/// splicing each request's header onto a value's memoized tail.
 std::string serializeArtifactPayload(const model::PerformanceModel *model,
                                      const sema::LoopCoverage *coverage,
                                      const std::string &diagnostics,
@@ -267,12 +279,34 @@ public:
   /// and calls this per request); does not touch stats().
   core::Artifacts analyzeArtifacts(const core::AnalysisSpec &spec);
 
+  /// analyzeArtifacts() under an already-computed `key`, which must equal
+  /// requestKey(spec). When `payload` is non-null it receives the
+  /// request's artifact payload: serializeArtifactPayload of the value
+  /// the request was served from, named after the request and carrying
+  /// its diagnostics, spliced onto the value's memoized payload tail.
+  core::Artifacts analyzeArtifacts(const core::AnalysisSpec &spec,
+                                   std::uint64_t key, std::string *payload);
+
+  /// Serve `spec` only when a ready in-memory entry answers it; never
+  /// computes, reads the disk level, or waits for an entry still being
+  /// computed. Nullopt on a miss, on an entry still computing, on an
+  /// analyzer without a cache, and for masks asking for simulation;
+  /// otherwise the same result, payload and counters as
+  /// analyzeArtifacts(spec, key, payload). The daemon's session readers
+  /// answer hits through this.
+  std::optional<core::Artifacts>
+  analyzeIfReady(const core::AnalysisSpec &spec, std::uint64_t key,
+                 std::string *payload);
+
   /// Fan `specs` across the batch pool and block until all artifacts
-  /// are in (input order). Safe to call concurrently; does not touch
-  /// stats(). Must not be called from a task running on this analyzer's
-  /// own pool (nested-pool rule, support/thread_pool.h).
+  /// are in (input order). When `payloads` is non-null it is resized to
+  /// match and slot i receives specs[i]'s payload, as in
+  /// analyzeArtifacts(spec, key, payload). Safe to call concurrently;
+  /// does not touch stats(). Must not be called from a task running on
+  /// this analyzer's own pool (nested-pool rule, support/thread_pool.h).
   std::vector<core::Artifacts>
-  analyzeArtifactsMany(const std::vector<core::AnalysisSpec> &specs);
+  analyzeArtifactsMany(const std::vector<core::AnalysisSpec> &specs,
+                       std::vector<std::string> *payloads = nullptr);
 
   /// Fulfill every spec and update stats(); outcome[i] corresponds to
   /// specs[i] regardless of thread count or completion order. Not
@@ -288,9 +322,14 @@ public:
   /// (analyzer_requests_total, analyzer_disk_hits_total, ...): the one
   /// passed in BatchOptions::metrics, or the analyzer's own. Counters
   /// accumulate across every entry point, including the concurrent-safe
-  /// ones that never touch stats().
+  /// ones that never touch stats(). analyzer_model_encodes_total counts
+  /// models serialized into payload tails: at most one per cached value,
+  /// none for a memory hit.
   core::MetricsRegistry &metrics() { return *metrics_; }
 
+  /// Workers of the batch pool. They start with the first
+  /// analyzeArtifactsMany(); an analyzer used only through
+  /// analyzeArtifacts() starts no thread.
   std::size_t threadCount() const { return pool_.threadCount(); }
 
   const BatchOptions &options() const { return options_; }
@@ -333,21 +372,36 @@ private:
     /// exhaustion), not from deterministic diagnostics. Never persisted:
     /// a transient failure written to disk would replay forever.
     bool transientFailure = false;
+    /// The payload bytes after the diagnostics —
+    /// `[hasCoverage u8][coverage]?[model bytes]`, empty on failure —
+    /// written once under `tailOnce` (payloadTail()), never afterwards.
+    mutable std::string tail;
+    mutable std::once_flag tailOnce;
   };
   using CacheFuture = std::shared_future<std::shared_ptr<const CacheValue>>;
 
-  /// Resolve one spec through the plan (memory → disk → recompile →
-  /// full compute) and fulfill its artifact mask.
-  core::Artifacts analyzeSpec(const core::AnalysisSpec &spec);
+  /// Fulfill `spec` out of a resolved value: artifacts, disk provenance
+  /// (the producer's alone), counters and, when asked, the payload.
+  core::Artifacts serve(const core::AnalysisSpec &spec,
+                        const CacheValue &value, bool producer,
+                        std::chrono::steady_clock::time_point start,
+                        std::string *payload);
 
   /// Serve `spec`'s artifacts out of a resolved cache value.
   core::Artifacts fulfill(const core::AnalysisSpec &spec,
                           const CacheValue &value, bool cacheHit);
 
-  /// The producer path: disk lookup, then compute + disk store.
-  CacheValue produceValue(const core::AnalysisSpec &spec, std::uint64_t key);
+  /// Count one fulfilled request in the lifetime counters.
+  void record(const core::Artifacts &artifacts);
 
-  CacheValue computeValue(const core::AnalysisSpec &spec);
+  /// The producer path: disk lookup, then compute + disk store.
+  void produceValue(const core::AnalysisSpec &spec, std::uint64_t key,
+                    CacheValue &value);
+
+  void computeValue(const core::AnalysisSpec &spec, CacheValue &value);
+
+  /// `value`'s payload tail, encoded on the first call.
+  const std::string &payloadTail(const CacheValue &value);
 
   BatchOptions options_;
   ThreadPool pool_;
@@ -368,6 +422,7 @@ private:
   core::MetricsRegistry::Counter &disk_stores_;
   core::MetricsRegistry::Counter &coverage_from_cache_;
   core::MetricsRegistry::Counter &recompiles_;
+  core::MetricsRegistry::Counter &model_encodes_;
 
   mutable std::mutex cache_mutex_;
   std::map<std::uint64_t, CacheFuture> cache_;

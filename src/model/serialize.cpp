@@ -124,8 +124,8 @@ bool Reader::exprNode(std::size_t depth) {
   for (std::uint32_t i = 0; i < arity; ++i)
     if (!exprNode(depth + 1))
       return false;
-  ExprNodeRef node =
-      interner.intern(kind, value, name, operands.data() + base, arity);
+  ExprNodeRef node = interner.internUnlocked(kind, value, name,
+                                             operands.data() + base, arity);
   operands.resize(base);
   operands.push_back(std::move(node));
   return true;
@@ -175,10 +175,11 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
   // One expression arena per payload: each node is interned as it is
   // read, so expressions repeated across a model's functions share one
   // node, and the table dies with this call instead of accumulating in
-  // the calling thread's default interner. The scope makes the reader's
-  // Expr::fromNode calls O(1). Interning never reorders or rewrites, so
-  // reserializing the result reproduces the input bytes exactly (pinned
-  // by cache_test and property_test).
+  // the calling thread's default interner. No other thread can reach
+  // this local arena, so the reader interns without its mutex. The scope
+  // makes the reader's Expr::fromNode calls O(1). Interning never
+  // reorders or rewrites, so reserializing the result reproduces the
+  // input bytes exactly (pinned by cache_test and property_test).
   symbolic::ExprInterner interner;
   symbolic::ExprInterner::Scope scope(interner);
   Reader r(bytes, offset, interner);

@@ -30,6 +30,17 @@ std::uint64_t microsSince(std::chrono::steady_clock::time_point start) {
 /// Sentinel for "no close-after reply enqueued yet".
 constexpr std::uint64_t kNoCloseSeq = ~static_cast<std::uint64_t>(0);
 
+/// The spec a wire request names: its source under the request's options.
+core::AnalysisSpec specFor(SourceItem item, std::uint8_t flags,
+                           core::ArtifactMask artifacts) {
+  core::AnalysisSpec spec;
+  spec.name = std::move(item.name);
+  spec.source = std::move(item.source);
+  spec.options = unpackOptions(flags);
+  spec.artifacts = artifacts;
+  return spec;
+}
+
 } // namespace
 
 /// One live connection. The reader assigns ascending sequence numbers
@@ -340,13 +351,8 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       return false;
     }
     analyze_requests_.increment();
-    if (!admitOrRefuse(session, seq))
-      return true;
-    compute_->submit([this, session, seq, item = std::move(item), flags] {
-      AnalyzeReply reply = analyzeItem(item, flags);
-      releaseInflight();
-      sendReplyAt(session, seq, encodeAnalyzeReply(reply));
-    });
+    serveSource(session, seq, type,
+                specFor(std::move(item), flags, core::kArtifactDefault));
     return true;
   }
 
@@ -367,21 +373,16 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
                       flags]() mutable {
       std::vector<core::AnalysisSpec> specs;
       specs.reserve(items.size());
-      const core::MiraOptions options = unpackOptions(flags);
-      for (SourceItem &item : items) {
-        core::AnalysisSpec spec;
-        spec.name = std::move(item.name);
-        spec.source = std::move(item.source);
-        spec.options = options;
-        spec.artifacts = core::kArtifactDefault;
-        specs.push_back(std::move(spec));
-      }
-      std::vector<core::Artifacts> results =
-          analyzer_->analyzeArtifactsMany(specs);
+      for (SourceItem &item : items)
+        specs.push_back(
+            specFor(std::move(item), flags, core::kArtifactDefault));
+      std::vector<std::string> payloads;
+      const std::vector<core::Artifacts> results =
+          analyzer_->analyzeArtifactsMany(specs, &payloads);
       std::vector<AnalyzeReply> replies;
       replies.reserve(results.size());
-      for (const core::Artifacts &artifacts : results)
-        replies.push_back(replyFor(artifacts));
+      for (std::size_t i = 0; i < results.size(); ++i)
+        replies.push_back(replyFor(results[i], std::move(payloads[i])));
       releaseInflight();
       sendReplyAt(session, seq, encodeBatchReply(replies));
     });
@@ -396,13 +397,9 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       return false;
     }
     coverage_requests_.increment();
-    if (!admitOrRefuse(session, seq))
-      return true;
-    compute_->submit([this, session, seq, item = std::move(item), flags] {
-      CoverageReply reply = coverageItem(item, flags);
-      releaseInflight();
-      sendReplyAt(session, seq, encodeCoverageReply(reply));
-    });
+    serveSource(session, seq, type,
+                specFor(std::move(item), flags,
+                        core::kArtifactCoverage | core::kArtifactDiagnostics));
     return true;
   }
 
@@ -415,14 +412,11 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       return false;
     }
     simulate_requests_.increment();
-    if (!admitOrRefuse(session, seq))
-      return true;
-    compute_->submit([this, session, seq, item = std::move(item), flags,
-                      sim = std::move(sim)] {
-      SimulateReply reply = simulateItem(item, flags, sim);
-      releaseInflight();
-      sendReplyAt(session, seq, encodeSimulateReply(reply));
-    });
+    core::AnalysisSpec spec =
+        specFor(std::move(item), flags,
+                core::kArtifactSimulation | core::kArtifactDiagnostics);
+    spec.simulation = std::move(sim);
+    serveSource(session, seq, type, std::move(spec));
     return true;
   }
 
@@ -630,75 +624,75 @@ void AnalysisServer::recordServed(const core::Artifacts &artifacts) {
     recompiles_.increment();
 }
 
-AnalyzeReply AnalysisServer::analyzeItem(const SourceItem &item,
-                                         std::uint8_t flags) {
-  core::AnalysisSpec spec;
-  spec.name = item.name;
-  spec.source = item.source;
-  spec.options = unpackOptions(flags);
-  spec.artifacts = core::kArtifactDefault;
-  return replyFor(analyzer_->analyzeArtifacts(spec));
+void AnalysisServer::serveSource(const std::shared_ptr<Session> &session,
+                                 std::uint64_t seq, MessageType type,
+                                 core::AnalysisSpec spec) {
+  // One key per request: the ready check below and the compute task share
+  // it.
+  const std::uint64_t key = driver::requestKey(spec);
+  const bool wantsPayload = type == MessageType::analyze;
+  // A ready memory hit is answered here on the reader, like a ping: no
+  // hand-off to the compute pool, no in-flight slot, never Busy. The
+  // sequencer still orders its reply behind earlier requests.
+  std::string payload;
+  if (std::optional<core::Artifacts> hit = analyzer_->analyzeIfReady(
+          spec, key, wantsPayload ? &payload : nullptr)) {
+    sendReplyAt(session, seq, replyFrame(type, *hit, std::move(payload)));
+    return;
+  }
+  if (!admitOrRefuse(session, seq))
+    return;
+  compute_->submit([this, session, seq, type, spec = std::move(spec), key,
+                    wantsPayload] {
+    std::string payload;
+    const core::Artifacts artifacts = analyzer_->analyzeArtifacts(
+        spec, key, wantsPayload ? &payload : nullptr);
+    std::string frame = replyFrame(type, artifacts, std::move(payload));
+    releaseInflight();
+    sendReplyAt(session, seq, std::move(frame));
+  });
 }
 
-AnalyzeReply AnalysisServer::replyFor(const core::Artifacts &artifacts) {
+std::string AnalysisServer::replyFrame(MessageType type,
+                                       const core::Artifacts &artifacts,
+                                       std::string payload) {
+  if (type == MessageType::analyze)
+    return encodeAnalyzeReply(replyFor(artifacts, std::move(payload)));
   recordServed(artifacts);
+  const std::uint64_t micros =
+      static_cast<std::uint64_t>(artifacts.seconds * 1e6);
+  if (type == MessageType::coverage) {
+    CoverageReply reply;
+    reply.cacheHit = artifacts.cacheHit;
+    reply.recompiled = artifacts.recompiled;
+    reply.micros = micros;
+    reply.ok = artifacts.ok && artifacts.coverage.has_value();
+    reply.diagnostics = artifacts.diagnostics;
+    if (reply.ok)
+      reply.coverage = *artifacts.coverage;
+    return encodeCoverageReply(reply);
+  }
+  SimulateReply reply;
+  reply.cacheHit = artifacts.cacheHit;
+  reply.recompiled = artifacts.recompiled;
+  reply.micros = micros;
+  reply.ok = artifacts.ok && artifacts.simulation != nullptr;
+  reply.diagnostics = artifacts.diagnostics;
+  if (reply.ok)
+    reply.result = *artifacts.simulation;
+  return encodeSimulateReply(reply);
+}
 
+AnalyzeReply AnalysisServer::replyFor(const core::Artifacts &artifacts,
+                                      std::string payload) {
+  recordServed(artifacts);
   AnalyzeReply reply;
   reply.cacheHit = artifacts.cacheHit;
   reply.micros = static_cast<std::uint64_t>(artifacts.seconds * 1e6);
   // The canonical result payload (docs/CACHING.md format), named after
   // this request: byte-identical to a one-shot analyze of the same
   // (source, options), whether served cold, from memory, or from disk.
-  // Every cached value carries its coverage summary, so the payload
-  // does too.
-  reply.payload = driver::serializeArtifactPayload(
-      artifacts.model.get(),
-      artifacts.coverage ? &*artifacts.coverage : nullptr,
-      artifacts.diagnostics, artifacts.name);
-  return reply;
-}
-
-CoverageReply AnalysisServer::coverageItem(const SourceItem &item,
-                                           std::uint8_t flags) {
-  core::AnalysisSpec spec;
-  spec.name = item.name;
-  spec.source = item.source;
-  spec.options = unpackOptions(flags);
-  spec.artifacts = core::kArtifactCoverage | core::kArtifactDiagnostics;
-  core::Artifacts artifacts = analyzer_->analyzeArtifacts(spec);
-  recordServed(artifacts);
-
-  CoverageReply reply;
-  reply.cacheHit = artifacts.cacheHit;
-  reply.recompiled = artifacts.recompiled;
-  reply.micros = static_cast<std::uint64_t>(artifacts.seconds * 1e6);
-  reply.ok = artifacts.ok && artifacts.coverage.has_value();
-  reply.diagnostics = artifacts.diagnostics;
-  if (reply.ok)
-    reply.coverage = *artifacts.coverage;
-  return reply;
-}
-
-SimulateReply AnalysisServer::simulateItem(const SourceItem &item,
-                                           std::uint8_t flags,
-                                           const core::SimulationArgs &sim) {
-  core::AnalysisSpec spec;
-  spec.name = item.name;
-  spec.source = item.source;
-  spec.options = unpackOptions(flags);
-  spec.artifacts = core::kArtifactSimulation | core::kArtifactDiagnostics;
-  spec.simulation = sim;
-  core::Artifacts artifacts = analyzer_->analyzeArtifacts(spec);
-  recordServed(artifacts);
-
-  SimulateReply reply;
-  reply.cacheHit = artifacts.cacheHit;
-  reply.recompiled = artifacts.recompiled;
-  reply.micros = static_cast<std::uint64_t>(artifacts.seconds * 1e6);
-  reply.ok = artifacts.ok && artifacts.simulation != nullptr;
-  reply.diagnostics = artifacts.diagnostics;
-  if (reply.ok)
-    reply.result = *artifacts.simulation;
+  reply.payload = std::move(payload);
   return reply;
 }
 

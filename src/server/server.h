@@ -13,9 +13,14 @@
 /// Connections are pipelined: a session keeps reading frames while
 /// earlier requests still compute, and replies go out strictly in
 /// request order (a per-connection sequencer buffers out-of-order
-/// completions). Admission is bounded: at most `maxInflight` analysis
-/// requests run at once daemon-wide; one more is answered with a Busy
-/// reply carrying a retry hint instead of queueing without bound.
+/// completions). An analyze or coverage request whose result is ready
+/// in the memory cache is answered by the session's reader itself, like
+/// a ping: no compute-pool hand-off, and its analyze payload is the
+/// cached value's memoized tail under the request's own header
+/// (driver/batch.h). Everything else runs on the compute pool, and that
+/// admission is bounded: at most `maxInflight` requests run there at
+/// once daemon-wide; one more is answered with a Busy reply carrying a
+/// retry hint instead of queueing without bound.
 ///
 /// Life cycle: construct -> start() binds the socket -> serve() accepts
 /// and dispatches until a shutdown request (protocol message or
@@ -75,10 +80,11 @@ struct ServerOptions {
   /// Per-frame payload cap; larger declared lengths are rejected with an
   /// Error reply and a closed connection.
   std::uint32_t maxFrameBytes = kMaxFrameBytes;
-  /// Daemon-wide cap on concurrently running analysis requests (analyze,
+  /// Daemon-wide cap on requests running on the compute pool (analyze,
   /// batch, coverage, simulate, manifest batch — a batch counts as one).
   /// A request over the cap is refused with Busy instead of queueing
-  /// unboundedly. 0 = unlimited.
+  /// unboundedly. A ready memory hit is answered by its session reader,
+  /// takes no slot and is never refused. 0 = unlimited.
   std::size_t maxInflight = 0;
   /// How long a graceful shutdown waits for in-flight requests before
   /// force-closing the remaining connections.
@@ -150,9 +156,9 @@ private:
   struct Session;
 
   void handleConnection(std::shared_ptr<Session> session);
-  /// Decode one frame and either answer it inline (cheap requests) or
-  /// dispatch it to the compute pool. Returns false when the reader must
-  /// stop (shutdown, protocol error).
+  /// Decode one frame and either answer it inline (cheap requests and
+  /// ready memory hits) or dispatch it to the compute pool. Returns
+  /// false when the reader must stop (shutdown, protocol error).
   bool handleFrame(const std::shared_ptr<Session> &session,
                    std::uint64_t seq, const std::string &message);
   /// Hand the reply for `seq` to the connection's sequencer; consecutive
@@ -198,12 +204,21 @@ private:
   /// Record a served result in the counters (cache hit vs computed,
   /// failures, recompiles).
   void recordServed(const core::Artifacts &artifacts);
-  AnalyzeReply analyzeItem(const SourceItem &item, std::uint8_t flags);
-  /// Record artifacts in the counters and wrap them as a wire reply.
-  AnalyzeReply replyFor(const core::Artifacts &artifacts);
-  CoverageReply coverageItem(const SourceItem &item, std::uint8_t flags);
-  SimulateReply simulateItem(const SourceItem &item, std::uint8_t flags,
-                             const core::SimulationArgs &sim);
+  /// Serve one analyze, coverage or simulate request (`type`). A ready
+  /// memory hit is answered on the calling reader thread; anything else
+  /// takes an in-flight slot (or is refused Busy) and runs on the
+  /// compute pool.
+  void serveSource(const std::shared_ptr<Session> &session,
+                   std::uint64_t seq, MessageType type,
+                   core::AnalysisSpec spec);
+  /// Record artifacts in the counters and encode the reply frame for a
+  /// request of `type`; `payload` is the analyze reply's artifact
+  /// payload.
+  std::string replyFrame(MessageType type, const core::Artifacts &artifacts,
+                         std::string payload);
+  /// Record artifacts in the counters and wrap them, with their artifact
+  /// payload, as a wire reply.
+  AnalyzeReply replyFor(const core::Artifacts &artifacts, std::string payload);
 
   ServerOptions options_;
   /// The one registry behind every surface: the analyzer registers its
@@ -214,9 +229,10 @@ private:
   std::unique_ptr<driver::BatchAnalyzer> analyzer_;
   /// Readers: one task per live connection, blocked on frame I/O.
   std::unique_ptr<ThreadPool> sessions_;
-  /// Compute workers: analysis requests run here so a slow-reading
-  /// client never starves computation (and vice versa), and so one
-  /// connection can have several requests genuinely in flight.
+  /// Compute workers: every analysis request except a ready memory hit
+  /// runs here, so a slow-reading client never starves computation (and
+  /// vice versa), and one connection can have several requests
+  /// genuinely in flight.
   std::unique_ptr<ThreadPool> compute_;
   net::Socket listener_;     // Unix endpoint (invalid when socketPath empty)
   net::Socket tcp_listener_; // TCP endpoint (invalid when !tcpListen)

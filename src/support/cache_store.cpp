@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -10,11 +11,9 @@
 #include <fstream>
 #include <vector>
 
-#ifndef _WIN32
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
-#else
-#include <process.h>
-#endif
 
 #include "support/binary_io.h"
 #include "support/fault_injection.h"
@@ -60,11 +59,7 @@ bool isTempName(const std::string &name) {
 /// half-written files; the final rename is what publishes an entry.
 std::string tempFileName(std::uint64_t key) {
   static std::atomic<std::uint64_t> counter{0};
-#ifndef _WIN32
   const unsigned long pid = static_cast<unsigned long>(::getpid());
-#else
-  const unsigned long pid = static_cast<unsigned long>(::_getpid());
-#endif
   char buf[96];
   std::snprintf(buf, sizeof(buf), ".%016llx.%lu.%llu.tmp",
                 static_cast<unsigned long long>(key), pid,
@@ -110,12 +105,33 @@ std::optional<std::string> CacheStore::read(std::uint64_t key, bool touch) {
   if (!usable_)
     return miss();
   const std::string path = pathForKey(key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
+  // POSIX reads, not an ifstream: a stream throws out of a failed read of
+  // a directory, and opening a FIFO blocks until a writer comes. A
+  // non-blocking open returns at once, and only a regular file is read;
+  // anything else at an entry path is a miss and stays where it is.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
+  if (fd < 0)
     return miss();
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  struct FdCloser {
+    int fd;
+    ~FdCloser() { ::close(fd); }
+  } closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode))
+    return miss();
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR)
+      continue;
+    if (n < 0)
+      return miss(); // EIO and friends: unreadable, not proven corrupt
+    if (n == 0)
+      break; // shorter than fstat said: the size check below rejects it
+    got += static_cast<std::size_t>(n);
+  }
+  bytes.resize(got);
 
   // Every rejection below is some flavor of corruption (truncation, a
   // foreign file, a torn payload): unlink the entry so it cannot waste a
@@ -151,18 +167,17 @@ std::optional<std::string> CacheStore::read(std::uint64_t key, bool touch) {
   }
   if (bytes.size() != kHeaderSize + payloadSize)
     return reject();
-  std::string payload = bytes.substr(kHeaderSize);
-  if (fnv1a(payload) != payloadHash)
+  if (fnv1a(bytes.data() + kHeaderSize, payloadSize) != payloadHash)
     return reject();
 
   if (touch) {
     // Touch the entry so mtime approximates recency for LRU eviction.
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+    ::futimens(fd, nullptr);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.hits;
   }
-  return payload;
+  bytes.erase(0, kHeaderSize); // the payload, in place
+  return bytes;
 }
 
 std::vector<std::uint64_t> CacheStore::keys() const {

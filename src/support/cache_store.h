@@ -9,8 +9,11 @@
 /// version, the payload length, and an FNV-1a payload checksum, and
 /// anything that fails validation is treated as a miss (and unlinked)
 /// instead of an error, so a corrupted or torn cache can never fail a
-/// batch — the worst case is recomputation. See docs/CACHING.md for the
-/// format.
+/// batch — the worst case is recomputation. Entries are read with POSIX
+/// calls (non-blocking open, fstat, one read of the stated size), so
+/// anything but a regular file at an entry path — a directory, a FIFO —
+/// is a plain miss that is neither read, waited on, nor unlinked. See
+/// docs/CACHING.md for the format.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +67,9 @@ public:
   /// store: loads miss and stores fail, but nothing throws.
   explicit CacheStore(std::string directory, std::uint64_t bytesLimit = 0);
 
-  /// Fetch the payload stored under `key`; nullopt when absent or when
-  /// the entry fails validation (which also deletes the bad file). Only
+  /// Fetch the payload stored under `key`; nullopt when absent, when
+  /// the entry path is not a regular file (left in place), or when the
+  /// entry fails validation (which also deletes the bad file). Only
   /// kCacheSchemaVersion entries are served; a well-formed entry of any
   /// other schema version misses without being deleted (another
   /// binary's valid cache) and is replaced by the next store().

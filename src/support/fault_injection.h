@@ -17,7 +17,8 @@
 ///   - `site`   — the hook name. Current sites: `cache-write`
 ///                (CacheStore::store), `compute`
 ///                (BatchAnalyzer::computeValue), `frame-write`
-///                (net::writeFrame).
+///                (net::writeFrame), `thread-start` (each worker
+///                ThreadPool::submit starts).
 ///   - `action` — `fail` (hook reports failure to its caller), `crash`
 ///                (raise SIGKILL, simulating kill -9 / power loss at
 ///                exactly that point), `stall` (sleep durationMs, then

@@ -1,14 +1,13 @@
 #include "support/thread_pool.h"
 
+#include <system_error>
+
+#include "support/fault_injection.h"
+
 namespace mira {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0)
-    threads = 1;
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { workerLoop(); });
-}
+ThreadPool::ThreadPool(std::size_t threads)
+    : threads_(threads == 0 ? 1 : threads) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -24,9 +23,28 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    // Workers start before the task is queued: when one cannot start,
+    // the exception leaves with the task, so nothing waits in the queue
+    // for a worker that never came.
+    if (workers_.size() < threads_) {
+      workers_.reserve(threads_);
+      while (workers_.size() < threads_) {
+        // Injection point: a thread the system refuses to create.
+        if (fault::shouldFail("thread-start"))
+          throw std::system_error(
+              std::make_error_code(std::errc::resource_unavailable_try_again),
+              "injected thread-start fault");
+        workers_.emplace_back([this] { workerLoop(); });
+      }
+    }
     queue_.push_back(std::move(task));
   }
   wake_.notify_one();
+}
+
+std::size_t ThreadPool::startedThreads() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return workers_.size();
 }
 
 void ThreadPool::setExceptionHandler(std::function<void()> handler) {

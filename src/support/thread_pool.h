@@ -7,6 +7,10 @@
 /// pipelines) should reuse it instead of spawning ad-hoc threads. Tasks
 /// are plain std::function<void()>; results travel through whatever the
 /// caller captured (promises, pre-sized output slots).
+///
+/// Workers start on the first submit(), not at construction: a pool that
+/// is never handed a task (a one-request BatchAnalyzer, as in a repeated
+/// `mira-cli analyze --cache-dir`) starts and joins no thread.
 #pragma once
 
 #include <atomic>
@@ -30,17 +34,25 @@ namespace mira {
 /// across the analyzer's pool, never their own.
 class ThreadPool {
 public:
-  /// Spawns `threads` workers (clamped to at least 1).
+  /// A pool of `threads` workers (clamped to at least 1), started by the
+  /// first submit().
   explicit ThreadPool(std::size_t threads);
 
-  /// Drains the queue: blocks until every submitted task has run.
+  /// Drains the queue: blocks until every submitted task has run. A pool
+  /// that never got a task returns at once.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  /// Enqueue a task. Safe from any thread, including worker threads
-  /// (tasks may submit follow-up tasks). An exception escaping a task is
+  /// Enqueue a task, first starting any worker not yet running (all of
+  /// them on the first call; concurrent first calls start exactly
+  /// `threads` between them). When a worker fails to start, submit()
+  /// throws std::system_error before queueing the task, so no task waits
+  /// for a worker that does not exist; the workers that did start keep
+  /// serving, and the next submit() tries the missing ones again. Safe
+  /// from any thread, including worker threads (tasks may submit
+  /// follow-up tasks). An exception escaping a task is
   /// contained at the pool boundary: the worker swallows it, bumps
   /// taskExceptions(), invokes the exception handler (if set), and keeps
   /// serving the queue — it never reaches the worker thread's top frame,
@@ -65,8 +77,13 @@ public:
   /// for specific results should wait on its own future instead.
   void waitIdle();
 
-  /// Number of worker threads (fixed at construction).
-  std::size_t threadCount() const { return workers_.size(); }
+  /// Number of worker threads the pool runs once started (fixed at
+  /// construction).
+  std::size_t threadCount() const { return threads_; }
+
+  /// Worker threads started so far: 0 until the first submit(), then
+  /// threadCount() unless a start failed.
+  std::size_t startedThreads() const;
 
   /// std::thread::hardware_concurrency with a sane fallback of 4.
   static std::size_t defaultThreadCount();
@@ -74,11 +91,12 @@ public:
 private:
   void workerLoop();
 
-  std::mutex mutex_;
+  const std::size_t threads_;
+  mutable std::mutex mutex_;
   std::condition_variable wake_;   // workers wait for tasks / stop
   std::condition_variable idle_;   // waitIdle/destructor wait for drain
   std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> workers_; // started so far; guarded by mutex_
   std::function<void()> onTaskException_; // see setExceptionHandler
   std::atomic<std::uint64_t> exceptions_{0};
   std::size_t running_ = 0; // tasks currently executing

@@ -112,7 +112,14 @@ ExprNodeRef ExprInterner::intern(ExprKind kind, std::int64_t value,
                                  const ExprNodeRef *operands,
                                  std::size_t count) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return lookupLocked(kind, value, name, operands, count, nullptr);
+  return lookup(kind, value, name, operands, count, nullptr);
+}
+
+ExprNodeRef ExprInterner::internUnlocked(ExprKind kind, std::int64_t value,
+                                         std::string_view name,
+                                         const ExprNodeRef *operands,
+                                         std::size_t count) {
+  return lookup(kind, value, name, operands, count, nullptr);
 }
 
 ExprNodeRef ExprInterner::constant(std::int64_t value) {
@@ -182,15 +189,14 @@ ExprNodeRef ExprInterner::reintern(const ExprNodeRef &node) {
   for (const ExprNodeRef &op : node->operands)
     operands.push_back(reintern(op));
   std::lock_guard<std::mutex> lock(mutex_);
-  return lookupLocked(node->kind, node->value, node->name, operands.data(),
-                      operands.size(), &operands);
+  return lookup(node->kind, node->value, node->name, operands.data(),
+                operands.size(), &operands);
 }
 
-ExprNodeRef ExprInterner::lookupLocked(ExprKind kind, std::int64_t value,
-                                       std::string_view name,
-                                       const ExprNodeRef *operands,
-                                       std::size_t count,
-                                       std::vector<ExprNodeRef> *ownedOperands) {
+ExprNodeRef ExprInterner::lookup(ExprKind kind, std::int64_t value,
+                                 std::string_view name,
+                                 const ExprNodeRef *operands, std::size_t count,
+                                 std::vector<ExprNodeRef> *ownedOperands) {
   const std::uint64_t hash = hashNode(kind, value, name, operands, count);
   const auto [first, last] = table_.equal_range(hash);
   for (auto it = first; it != last; ++it) {

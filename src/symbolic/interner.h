@@ -42,9 +42,11 @@
 // Thread-safety: intern() is internally synchronized (one mutex per
 // interner), though every scope above is used by the one thread that
 // installed it. The symbol table and the constant slots rely on that
-// single owner and take no lock. The returned nodes are immutable and
-// shared_ptr-owned: they outlive the interner wherever models still
-// reference them.
+// single owner and take no lock. The model reader's arena is a local of
+// deserializeModel that no other thread can reach, so it interns through
+// internUnlocked() and skips the mutex; every other arena keeps it. The
+// returned nodes are immutable and shared_ptr-owned: they outlive the
+// interner wherever models still reference them.
 //
 // Counters: process-wide hit/miss/node tallies are exported as
 // mira_intern_{hits,misses,nodes} through core::MetricsRegistry (the
@@ -87,6 +89,12 @@ public:
   /// hash and cached order key) on first sight.
   ExprNodeRef intern(ExprKind kind, std::int64_t value, std::string_view name,
                      const ExprNodeRef *operands, std::size_t count);
+
+  /// intern() without the mutex, for an arena only the calling thread
+  /// can reach (the model reader's per-payload interner).
+  ExprNodeRef internUnlocked(ExprKind kind, std::int64_t value,
+                             std::string_view name,
+                             const ExprNodeRef *operands, std::size_t count);
 
   /// The canonical IntConst node for `value`; small values come from the
   /// per-arena slots.
@@ -142,14 +150,14 @@ public:
   static InternStats globalStats();
 
 private:
-  // The one lookup path every entry point takes (caller holds mutex_):
-  // hash the borrowed fields, probe the table, and on a miss build the
-  // node, moving `ownedOperands` into it when the caller passes them and
-  // copying the borrowed fields otherwise.
-  ExprNodeRef lookupLocked(ExprKind kind, std::int64_t value,
-                           std::string_view name, const ExprNodeRef *operands,
-                           std::size_t count,
-                           std::vector<ExprNodeRef> *ownedOperands);
+  // The one lookup path every entry point takes (caller holds mutex_,
+  // or alone can reach this arena): hash the borrowed fields, probe the
+  // table, and on a miss build the node, moving `ownedOperands` into it
+  // when the caller passes them and copying the borrowed fields
+  // otherwise.
+  ExprNodeRef lookup(ExprKind kind, std::int64_t value, std::string_view name,
+                     const ExprNodeRef *operands, std::size_t count,
+                     std::vector<ExprNodeRef> *ownedOperands);
 
   mutable std::mutex mutex_;
   // Never-reused process-unique id stamped on owned nodes, so a node

@@ -16,6 +16,7 @@
 
 #ifndef _WIN32
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -245,6 +246,26 @@ TEST(CacheStoreTest, ForeignBytesAreAMiss) {
   std::ofstream(dir.path / "00000000000000aa.mira") << "not a cache entry";
   EXPECT_FALSE(store.load(0xaa).has_value());
   EXPECT_EQ(store.stats().corrupt, 1u);
+}
+
+TEST(CacheStoreTest, NonRegularEntryPathsAreMissesAndStay) {
+  // A directory cannot be read and opening a FIFO for reading waits for
+  // a writer: at an entry path, both are misses — never a thrown read or
+  // a hang — and neither is the store's to delete.
+  TempDir dir("nonregular");
+  CacheStore store(dir.str());
+  const fs::path directory = dir.path / "00000000000000d1.mira";
+  const fs::path fifo = dir.path / "00000000000000f1.mira";
+  fs::create_directory(directory);
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  for (const std::uint64_t key : {0xd1ull, 0xf1ull}) {
+    EXPECT_FALSE(store.peek(key).has_value()) << std::hex << key;
+    EXPECT_FALSE(store.load(key).has_value()) << std::hex << key;
+  }
+  EXPECT_EQ(store.stats().misses, 2u);
+  EXPECT_EQ(store.stats().corrupt, 0u);
+  EXPECT_TRUE(fs::is_directory(directory));
+  EXPECT_TRUE(fs::is_fifo(fifo));
 }
 
 TEST(CacheStoreTest, LruEvictionKeepsRecentEntries) {

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "cli_harness.h"
 #include "server/protocol.h"
 #include "support/socket.h"
@@ -398,6 +400,36 @@ TEST(CliExitContract, ADirectoryIsNotASourceOnAnyCommand) {
     EXPECT_NE(slurp(log).find("cannot open '" + source + "'"),
               std::string::npos)
         << command[0] << ": " << slurp(log);
+  }
+}
+
+TEST(CliCache, NonRegularEntryFilesAreMissesNotFailures) {
+  // An entry path taken by a directory or a FIFO: `cache stats` reports
+  // on (and does not hang on) the directory, and `analyze --cache-dir`
+  // recomputes instead of failing or blocking in open.
+  TempDir dir("nonregular_entry");
+  const std::string cache = (dir.path / "cache").string();
+  const fs::path log = dir.path / "run.log";
+  ASSERT_EQ(runCli({"analyze", "@fig5", "--cache-dir", cache}, log), 0)
+      << slurp(log);
+  fs::path entry;
+  for (const auto &it : fs::directory_iterator(cache))
+    if (it.path().extension() == ".mira")
+      entry = it.path();
+  ASSERT_FALSE(entry.empty());
+  for (const bool fifo : {false, true}) {
+    const char *kind = fifo ? "fifo" : "directory";
+    fs::remove_all(entry);
+    if (fifo)
+      ASSERT_EQ(::mkfifo(entry.c_str(), 0600), 0);
+    else
+      fs::create_directory(entry);
+    EXPECT_EQ(runCli({"cache", "stats", "--cache-dir", cache}, log), 0)
+        << kind << ": " << slurp(log);
+    EXPECT_EQ(runCli({"analyze", "@fig5", "--cache-dir", cache}, log), 0)
+        << kind << ": " << slurp(log);
+    EXPECT_NE(slurp(log).find("(computed)"), std::string::npos)
+        << kind << ": " << slurp(log);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <set>
 
 #include "driver/batch.h"
@@ -299,6 +300,41 @@ TEST(BatchAnalyzerTest, CachedModelStillEvaluates) {
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(cached->fpInstructions, fresh->fpInstructions);
   EXPECT_EQ(cached->totalInstructions, fresh->totalInstructions);
+}
+
+/// Threads of this process right now. A thread another test joined may
+/// linger here for a moment, so this can only overcount.
+std::size_t liveThreads() {
+  std::size_t threads = 0;
+  for ([[maybe_unused]] const auto &task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++threads;
+  return threads;
+}
+
+TEST(BatchAnalyzerTest, AnAnalyzerServingOneSpecAtATimeStartsNoThread) {
+  // A repeated `mira-cli analyze --cache-dir` builds an analyzer for one
+  // request: its batch pool must not start (and join) a worker.
+  const std::size_t before = liveThreads();
+  BatchOptions options;
+  options.threads = 4;
+  BatchAnalyzer analyzer(options);
+  EXPECT_TRUE(analyzer.analyzeArtifacts(makeSpec(workloads::fig5Source())).ok);
+  EXPECT_TRUE(analyzer.analyzeArtifacts(makeSpec(workloads::fig5Source()))
+                  .cacheHit);
+  EXPECT_LE(liveThreads(), before);
+  EXPECT_EQ(analyzer.threadCount(), 4u);
+}
+
+TEST(BatchAnalyzerTest, ALocalBatchWithoutADiskLevelEncodesNoPayload) {
+  BatchAnalyzer analyzer(BatchOptions{2, true});
+  const std::vector<core::Artifacts> results = analyzer.runArtifacts(
+      {makeSpec(workloads::fig5Source()), makeSpec(workloads::dgemmSource()),
+       makeSpec(workloads::fig5Source(), "again.mc")});
+  for (const core::Artifacts &artifacts : results)
+    EXPECT_TRUE(artifacts.ok) << artifacts.diagnostics;
+  EXPECT_EQ(
+      analyzer.metrics().counter("analyzer_model_encodes_total").value(), 0u);
 }
 
 } // namespace

@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "support/socket.h"
+#include "workloads/coverage_suite.h"
 #include "workloads/workloads.h"
 
 namespace mira::server {
@@ -1319,6 +1322,355 @@ TEST(AnalysisServerTest, RefusesSecondDaemonOnSamePath) {
   Client client;
   EXPECT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
   EXPECT_TRUE(client.ping()) << client.lastError();
+}
+
+// ------------------------------------------------- hits on the reader
+
+/// Every embedded source (the Table I suite and the fig-series kernels)
+/// once, plus one that fails to compile.
+std::vector<SourceItem> embeddedItemsAndAFailure() {
+  std::vector<SourceItem> items;
+  std::set<std::string> seen;
+  for (const auto &kernel : workloads::coverageSuite())
+    if (seen.insert(kernel.source).second)
+      items.push_back({kernel.name + ".mc", kernel.source});
+  for (const auto &workload : workloads::figSeriesWorkloads())
+    if (seen.insert(*workload.source).second)
+      items.push_back({workload.name + ".mc", *workload.source});
+  items.push_back({"broken.mc", "int broken("});
+  return items;
+}
+
+/// What a one-shot analysis of `item` would store or send: the payload of
+/// core::analyze, named `name` with the diagnostics a hit under that name
+/// gets (prefixed with the producer when the names differ).
+std::string oneShotPayload(const SourceItem &item, const std::string &name) {
+  core::AnalysisSpec spec;
+  spec.name = item.name;
+  spec.source = item.source;
+  spec.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
+                   core::kArtifactCoverage;
+  const core::Artifacts direct = core::analyze(spec);
+  std::string diagnostics = direct.diagnostics;
+  if (name != item.name && !diagnostics.empty())
+    diagnostics = "(diagnostics from identical source '" + item.name +
+                  "')\n" + diagnostics;
+  return driver::serializeArtifactPayload(
+      direct.model.get(), direct.coverage ? &*direct.coverage : nullptr,
+      diagnostics, name);
+}
+
+/// Every `_total` counter of the daemon's registry, by name.
+std::map<std::string, std::uint64_t> countersOf(Client &client) {
+  std::vector<MetricSample> samples;
+  EXPECT_TRUE(client.metrics(samples)) << client.lastError();
+  std::map<std::string, std::uint64_t> counters;
+  for (const MetricSample &sample : samples)
+    if (sample.name.size() > 6 &&
+        sample.name.compare(sample.name.size() - 6, 6, "_total") == 0)
+      counters[sample.name] = sample.value;
+  return counters;
+}
+
+TEST(AnalysisServerTest, HitPayloadsAreSplicedByteIdenticalToOneShots) {
+  DaemonFixture daemon;
+  ASSERT_TRUE(daemon.started());
+  Client client;
+  ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
+  const std::vector<SourceItem> items = embeddedItemsAndAFailure();
+
+  std::size_t models = 0;
+  for (const SourceItem &item : items) {
+    ClientOutcome cold;
+    ASSERT_TRUE(client.analyze(item.name, item.source, core::MiraOptions(),
+                               cold))
+        << client.lastError();
+    EXPECT_FALSE(cold.cacheHit) << item.name;
+    EXPECT_EQ(cold.payload, oneShotPayload(item, item.name)) << item.name;
+    models += cold.ok ? 1 : 0;
+  }
+  // The first reply for each value encoded its tail; from here on every
+  // reply is a memory hit and must encode no model.
+  EXPECT_EQ(countersOf(client)["analyzer_model_encodes_total"], models);
+
+  std::vector<SourceItem> renamed;
+  for (const SourceItem &item : items) {
+    // A hit under the producer's name, then one under another name,
+    // whose diagnostics (when any) cite the producer.
+    ClientOutcome hit, other;
+    ASSERT_TRUE(client.analyze(item.name, item.source, core::MiraOptions(),
+                               hit))
+        << client.lastError();
+    EXPECT_TRUE(hit.cacheHit) << item.name;
+    EXPECT_EQ(hit.payload, oneShotPayload(item, item.name)) << item.name;
+    const std::string otherName = "copy_of_" + item.name;
+    ASSERT_TRUE(client.analyze(otherName, item.source, core::MiraOptions(),
+                               other))
+        << client.lastError();
+    EXPECT_TRUE(other.cacheHit) << otherName;
+    EXPECT_EQ(other.payload, oneShotPayload(item, otherName)) << otherName;
+    renamed.push_back({otherName, item.source});
+  }
+  EXPECT_FALSE(oneShotPayload(items.back(), renamed.back().name)
+                   .empty()); // the failure's diagnostics were prefixed
+
+  // A Batch reply splices its items the same way.
+  std::vector<SourceItem> batch = items;
+  batch.insert(batch.end(), renamed.begin(), renamed.end());
+  std::vector<ClientOutcome> outcomes;
+  ASSERT_TRUE(client.analyzeBatch(batch, core::MiraOptions(), outcomes))
+      << client.lastError();
+  ASSERT_EQ(outcomes.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_TRUE(outcomes[i].cacheHit) << batch[i].name;
+    const SourceItem &producer = items[i % items.size()];
+    EXPECT_EQ(outcomes[i].payload, oneShotPayload(producer, batch[i].name))
+        << batch[i].name;
+  }
+  EXPECT_EQ(countersOf(client)["analyzer_model_encodes_total"], models);
+}
+
+TEST(AnalysisServerTest, DiskRestoredValuesServeTheTailTheyWereStoredWith) {
+  const std::string cacheDir =
+      (std::filesystem::temp_directory_path() /
+       ("mira_server_test_tail_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(cacheDir);
+  const std::vector<SourceItem> items = embeddedItemsAndAFailure();
+  {
+    // A local analyzer fills the disk level; its stores encode the tails.
+    driver::BatchOptions batchOptions;
+    batchOptions.threads = 1;
+    batchOptions.cacheDir = cacheDir;
+    driver::BatchAnalyzer analyzer(batchOptions);
+    for (const SourceItem &item : items) {
+      core::AnalysisSpec spec;
+      spec.name = item.name;
+      spec.source = item.source;
+      EXPECT_TRUE(analyzer.analyzeArtifacts(spec).diskStored) << item.name;
+    }
+  }
+
+  ServerOptions options;
+  options.cacheDir = cacheDir;
+  DaemonFixture daemon(options);
+  ASSERT_TRUE(daemon.started());
+  Client client;
+  ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
+  for (const SourceItem &item : items) {
+    // Restored from disk, then served from memory: both replies splice
+    // onto the bytes the entry was stored with.
+    for (int round = 0; round < 2; ++round) {
+      ClientOutcome outcome;
+      ASSERT_TRUE(client.analyze(item.name, item.source, core::MiraOptions(),
+                                 outcome))
+          << client.lastError();
+      EXPECT_TRUE(outcome.cacheHit) << item.name;
+      EXPECT_EQ(outcome.payload, oneShotPayload(item, item.name))
+          << item.name << " round " << round;
+    }
+  }
+  std::map<std::string, std::uint64_t> counters = countersOf(client);
+  EXPECT_EQ(counters["analyzer_disk_hits_total"], items.size());
+  EXPECT_EQ(counters["analyzer_computed_total"], 0u);
+  EXPECT_EQ(counters["analyzer_model_encodes_total"], 0u)
+      << "a disk hit already holds its tail";
+  std::filesystem::remove_all(cacheDir);
+}
+
+/// One source of `functions` triple loop nests: a compute of tens of
+/// milliseconds or more, long enough to hold its in-flight slot while a
+/// test sends a few more requests.
+std::string slowSource(int functions = 300) {
+  std::string source;
+  for (int f = 0; f < functions; ++f) {
+    const std::string k = std::to_string(f);
+    source += "double slow_" + k +
+              "(double* c, double* a, double* b, int n) {\n"
+              "  for (int i = 0; i < n; i++) {\n"
+              "    for (int j = 0; j < n; j++) {\n"
+              "      for (int k = 0; k < n; k++) {\n"
+              "        c[i * n + j] = c[i * n + j] + a[i * n + k] * " +
+              k + ".0;\n"
+              "      }\n"
+              "    }\n"
+              "  }\n"
+              "  return c[0];\n"
+              "}\n";
+  }
+  return source;
+}
+
+/// The option flags of a default Client request, so raw frames share
+/// its cache keys.
+std::uint8_t defaultFlags() { return packOptions(core::MiraOptions()); }
+
+/// One reply frame off a raw connection: its type, and a reader over its
+/// body.
+struct RawReply {
+  MessageType type{};
+  std::string frame;
+  std::size_t body = 0;
+};
+
+RawReply readRawReply(const net::Socket &sock) {
+  RawReply reply;
+  EXPECT_EQ(net::readFrame(sock.fd(), reply.frame, kMaxFrameBytes),
+            net::FrameStatus::ok);
+  bio::Reader r{reply.frame, 0};
+  std::string error;
+  EXPECT_TRUE(readHeader(r, reply.type, error)) << error;
+  reply.body = r.offset;
+  return reply;
+}
+
+/// The producer name inside an analyzeReply's payload.
+std::string payloadName(const RawReply &reply) {
+  bio::Reader r{reply.frame, reply.body};
+  AnalyzeReply decoded;
+  EXPECT_TRUE(decodeAnalyzeReply(r, decoded));
+  std::shared_ptr<const core::AnalysisResult> analysis;
+  std::optional<sema::LoopCoverage> coverage;
+  std::string diagnostics, name;
+  EXPECT_TRUE(driver::deserializeArtifactPayload(decoded.payload, analysis,
+                                                 coverage, diagnostics, name));
+  return name;
+}
+
+/// Poll the daemon until `gauge` reads `value`; false after ~10 s.
+bool waitForGauge(Client &client, const std::string &gauge,
+                  std::uint64_t value) {
+  for (int attempt = 0; attempt < 2000; ++attempt) {
+    std::vector<MetricSample> samples;
+    if (!client.metrics(samples))
+      return false;
+    for (const MetricSample &sample : samples)
+      if (sample.name == gauge && sample.value == value)
+        return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return false;
+}
+
+TEST(AnalysisServerTest, ReaderAnsweredHitsKeepRequestOrderBehindASlowMiss) {
+  // One slot, held by the slow miss: a hit that needed one would be
+  // refused Busy, so analyze and coverage replies prove the reader
+  // answered them, and their order proves the sequencer held them back.
+  ServerOptions options;
+  options.maxInflight = 1;
+  DaemonFixture daemon(options);
+  ASSERT_TRUE(daemon.started());
+  Client warm;
+  ASSERT_TRUE(warm.connect(daemon.socketPath())) << warm.lastError();
+  ClientOutcome outcome;
+  ASSERT_TRUE(warm.analyze("fig5.mc", workloads::fig5Source(),
+                           core::MiraOptions(), outcome))
+      << warm.lastError();
+
+  std::string error;
+  net::Socket raw = net::connectUnix(daemon.socketPath(), error);
+  ASSERT_TRUE(raw.valid()) << error;
+  const SourceItem fig5{"fig5.mc", workloads::fig5Source()};
+  ASSERT_TRUE(net::writeFrame(
+      raw.fd(), encodeAnalyzeRequest({"slow.mc", slowSource()}, defaultFlags())));
+  ASSERT_TRUE(net::writeFrame(raw.fd(), encodeAnalyzeRequest(fig5, defaultFlags())));
+  ASSERT_TRUE(net::writeFrame(raw.fd(), encodeCoverageRequest(fig5, defaultFlags())));
+
+  const RawReply slow = readRawReply(raw);
+  ASSERT_EQ(slow.type, MessageType::analyzeReply);
+  EXPECT_EQ(payloadName(slow), "slow.mc");
+  const RawReply hit = readRawReply(raw);
+  ASSERT_EQ(hit.type, MessageType::analyzeReply);
+  EXPECT_EQ(payloadName(hit), "fig5.mc");
+  const RawReply coverage = readRawReply(raw);
+  ASSERT_EQ(coverage.type, MessageType::coverageReply);
+  bio::Reader r{coverage.frame, coverage.body};
+  CoverageReply decoded;
+  ASSERT_TRUE(decodeCoverageReply(r, decoded));
+  EXPECT_TRUE(decoded.ok);
+  EXPECT_TRUE(decoded.cacheHit);
+}
+
+TEST(AnalysisServerTest, ReadyHitsTakeNoInflightSlotButComputingOnesDo) {
+  ServerOptions options;
+  options.maxInflight = 1;
+  DaemonFixture daemon(options);
+  ASSERT_TRUE(daemon.started());
+  Client client;
+  ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
+  const SourceItem fig5{"fig5.mc", workloads::fig5Source()};
+  ClientOutcome outcome;
+  ASSERT_TRUE(client.analyze(fig5.name, fig5.source, core::MiraOptions(),
+                             outcome))
+      << client.lastError();
+
+  // The slow miss takes the only slot ...
+  std::string error;
+  net::Socket holder = net::connectUnix(daemon.socketPath(), error);
+  ASSERT_TRUE(holder.valid()) << error;
+  const std::string slow = slowSource();
+  ASSERT_TRUE(net::writeFrame(holder.fd(),
+                              encodeAnalyzeRequest({"slow.mc", slow}, defaultFlags())));
+  ASSERT_TRUE(waitForGauge(client, "server_inflight_requests", 1));
+
+  // ... and, on another connection, ready hits are still answered while
+  // a duplicate of the source still computing is refused.
+  net::Socket other = net::connectUnix(daemon.socketPath(), error);
+  ASSERT_TRUE(other.valid()) << error;
+  ASSERT_TRUE(net::writeFrame(other.fd(), encodeAnalyzeRequest(fig5, defaultFlags())));
+  EXPECT_EQ(readRawReply(other).type, MessageType::analyzeReply);
+  ASSERT_TRUE(net::writeFrame(other.fd(), encodeCoverageRequest(fig5, defaultFlags())));
+  EXPECT_EQ(readRawReply(other).type, MessageType::coverageReply);
+  ASSERT_TRUE(net::writeFrame(other.fd(),
+                              encodeAnalyzeRequest({"dup.mc", slow}, defaultFlags())));
+  EXPECT_EQ(readRawReply(other).type, MessageType::busyReply);
+
+  const RawReply slowReply = readRawReply(holder);
+  ASSERT_EQ(slowReply.type, MessageType::analyzeReply);
+  EXPECT_EQ(payloadName(slowReply), "slow.mc");
+  EXPECT_EQ(countersOf(client)["server_busy_rejections_total"], 1u);
+}
+
+/// The `_total` counters after a slow miss and three duplicates of it
+/// (two analyze, one coverage). Sent at once, the duplicates find the
+/// entry still computing and are served as hits by compute workers;
+/// sent one by one after the miss's reply, they are ready hits the
+/// reader answers.
+std::map<std::string, std::uint64_t> countersAfterDuplicates(
+    bool afterTheMiss) {
+  DaemonFixture daemon;
+  EXPECT_TRUE(daemon.started());
+  const std::string slow = slowSource();
+  const std::vector<std::string> frames = {
+      encodeAnalyzeRequest({"slow.mc", slow}, defaultFlags()),
+      encodeAnalyzeRequest({"slow.mc", slow}, defaultFlags()),
+      encodeAnalyzeRequest({"copy.mc", slow}, defaultFlags()),
+      encodeCoverageRequest({"cov.mc", slow}, defaultFlags())};
+  std::string error;
+  net::Socket raw = net::connectUnix(daemon.socketPath(), error);
+  EXPECT_TRUE(raw.valid()) << error;
+  for (const std::string &frame : frames) {
+    EXPECT_TRUE(net::writeFrame(raw.fd(), frame));
+    if (afterTheMiss)
+      EXPECT_NE(readRawReply(raw).type, MessageType::error);
+  }
+  if (!afterTheMiss)
+    for (std::size_t i = 0; i < frames.size(); ++i)
+      EXPECT_NE(readRawReply(raw).type, MessageType::error);
+  Client client;
+  EXPECT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
+  return countersOf(client);
+}
+
+TEST(AnalysisServerTest, ReaderAnsweredHitsCountLikePoolServedHits) {
+  const std::map<std::string, std::uint64_t> pool =
+      countersAfterDuplicates(false);
+  const std::map<std::string, std::uint64_t> reader =
+      countersAfterDuplicates(true);
+  EXPECT_EQ(pool, reader);
+  EXPECT_EQ(reader.at("server_cache_hits_total"), 3u);
+  EXPECT_EQ(reader.at("analyzer_coverage_from_cache_total"), 1u);
+  EXPECT_EQ(reader.at("analyzer_model_encodes_total"), 1u);
 }
 
 } // namespace

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 #include "support/diagnostics.h"
 #include "support/source_location.h"
@@ -155,6 +159,73 @@ TEST(ThreadPool, NonStdExceptionIsContainedToo) {
   pool.submit([] { throw 42; }); // catch (...) path
   pool.waitIdle();
   EXPECT_EQ(pool.taskExceptions(), 1u);
+}
+
+TEST(ThreadPool, APoolThatNeverGetsATaskStartsNoThread) {
+  ThreadPool pool(8);
+  EXPECT_EQ(pool.threadCount(), 8u);
+  EXPECT_EQ(pool.startedThreads(), 0u);
+  pool.waitIdle(); // nothing queued, nothing running: returns at once
+  EXPECT_EQ(pool.startedThreads(), 0u);
+  // ... and the destructor has no worker to join.
+}
+
+TEST(ThreadPool, ConcurrentFirstSubmitsStartExactlyThePool) {
+  ThreadPool pool(3);
+  std::atomic<bool> go{false};
+  std::atomic<int> ran{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 8; ++t)
+    submitters.emplace_back([&] {
+      while (!go.load())
+        std::this_thread::yield();
+      for (int i = 0; i < 4; ++i)
+        pool.submit([&ran] { ++ran; });
+    });
+  go = true;
+  for (std::thread &submitter : submitters)
+    submitter.join();
+  pool.waitIdle();
+  EXPECT_EQ(ran.load(), 32);
+  EXPECT_EQ(pool.startedThreads(), 3u);
+  EXPECT_EQ(pool.threadCount(), 3u);
+}
+
+/// The death test's child: MIRA_FAULT fails the second worker start.
+/// Exit code 0 when every check holds, a distinct non-zero code for each
+/// that fails.
+[[noreturn]] void submitWhileAWorkerFailsToStart() {
+  ::setenv("MIRA_FAULT", "thread-start:fail:2", 1);
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(2);
+    // The second start fails after the first worker came up: submit
+    // throws, and the task was never queued.
+    try {
+      pool.submit([&ran] { ++ran; });
+      std::_Exit(2);
+    } catch (const std::system_error &) {
+    }
+    if (pool.startedThreads() != 1)
+      std::_Exit(3);
+    pool.waitIdle(); // nothing stranded: returns at once
+    if (ran.load() != 0)
+      std::_Exit(4);
+    // The next submit starts the missing worker and runs its task.
+    pool.submit([&ran] { ++ran; });
+    pool.waitIdle();
+    if (ran.load() != 1 || pool.startedThreads() != 2)
+      std::_Exit(5);
+  } // the destructor joins both workers and returns
+  std::_Exit(0);
+}
+
+TEST(ThreadPoolDeathTest, AWorkerThatFailsToStartStrandsNoTask) {
+  // MIRA_FAULT is read once per process, so the child must be a fresh
+  // process, not a fork of this one.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(submitWhileAWorkerFailsToStart(), ::testing::ExitedWithCode(0),
+              "");
 }
 
 } // namespace
