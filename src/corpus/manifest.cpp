@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "support/binary_io.h"
+#include "support/file_io.h"
 #include "support/hash.h"
 
 namespace mira::corpus {
@@ -53,15 +54,9 @@ bool buildManifest(const std::string &rootDir, Manifest &manifest,
         extensions.end())
       continue;
 
-    std::ifstream in(it->path(), std::ios::binary);
-    if (!in) {
+    std::string bytes;
+    if (!readFile(it->path().string(), bytes)) {
       error = "cannot read '" + it->path().string() + "'";
-      return false;
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (in.bad()) {
-      error = "read error on '" + it->path().string() + "'";
       return false;
     }
 
@@ -164,15 +159,9 @@ bool writeManifestFile(const std::string &path, const Manifest &manifest,
 
 bool loadManifestFile(const std::string &path, Manifest &manifest,
                       std::string &error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string bytes;
+  if (!readFile(path, bytes)) {
     error = "cannot open manifest '" + path + "'";
-    return false;
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    error = "read error on '" + path + "'";
     return false;
   }
   if (!deserializeManifest(bytes, manifest, error)) {

@@ -103,8 +103,9 @@ bool deserializeManifest(const std::string &bytes, Manifest &manifest,
 bool writeManifestFile(const std::string &path, const Manifest &manifest,
                        std::string &error);
 
-/// Read and validate a manifest file; false with a description when the
-/// file is unreadable or fails deserializeManifest.
+/// Read (mira::readFile) and validate a manifest file; false with a
+/// description naming `path` when it cannot be read (missing, a
+/// directory, a failed read) or fails deserializeManifest.
 bool loadManifestFile(const std::string &path, Manifest &manifest,
                       std::string &error);
 

@@ -9,12 +9,10 @@
 #include <iterator>
 #include <stdexcept>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "model/serialize.h"
 #include "support/binary_io.h"
 #include "support/fault_injection.h"
+#include "support/file_io.h"
 #include "support/hash.h"
 #include "symbolic/interner.h"
 
@@ -858,29 +856,6 @@ BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
 }
 
 // ------------------------------------------------- manifest execution
-
-bool readFile(const std::string &path, std::string &bytes) {
-  // POSIX reads, not an ifstream: a stream opens a directory and then
-  // reports its failed read as an empty file.
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0)
-    return false;
-  std::string out;
-  char buffer[64 * 1024];
-  ssize_t n = 0;
-  while ((n = ::read(fd, buffer, sizeof(buffer))) != 0) {
-    if (n < 0 && errno == EINTR)
-      continue;
-    if (n < 0)
-      break; // EISDIR for a directory, EIO, ...
-    out.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  if (n < 0)
-    return false;
-  bytes = std::move(out);
-  return true;
-}
 
 ManifestOutcome runManifestBatch(BatchAnalyzer &analyzer,
                                  const ManifestJob &job,

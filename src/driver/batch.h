@@ -430,13 +430,6 @@ private:
 
 // ------------------------------------------------- manifest execution
 
-/// Read the file at `path` byte for byte into `bytes`. False, leaving
-/// `bytes` untouched, when it cannot be opened, names a directory, or a
-/// read fails. Regular files and pipes read alike. The CLI reads its
-/// sources and batch inputs through it, and runManifestBatch its
-/// sources.
-bool readFile(const std::string &path, std::string &bytes);
-
 /// One manifest batch: the corpus, what to select from it, and the
 /// options every entry is analyzed under.
 struct ManifestJob {

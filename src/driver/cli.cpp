@@ -44,6 +44,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "support/cache_store.h"
+#include "support/file_io.h"
 #include "support/socket.h"
 #include "support/string_utils.h"
 #include "workloads/coverage_suite.h"
@@ -106,10 +107,10 @@ const std::string *embeddedWorkload(const std::string &name) {
   return nullptr;
 }
 
-/// Read a file's raw bytes (driver::readFile). Any failure, a directory
+/// Read a file's raw bytes (mira::readFile). Any failure, a directory
 /// or a failed read included, prints `cannot open '<path>'`.
 bool readFileBytes(const std::string &path, std::string &bytes) {
-  if (driver::readFile(path, bytes))
+  if (readFile(path, bytes))
     return true;
   std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
   return false;

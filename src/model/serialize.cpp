@@ -1,5 +1,9 @@
 #include "model/serialize.h"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+
 #include "isa/opcode.h"
 #include "support/binary_io.h"
 #include "symbolic/expr.h"
@@ -62,15 +66,32 @@ constexpr std::size_t kMinBinding = kMinString + kMinExpr;
 // Two names, parameter count, exact flag, note/count/call step counts.
 constexpr std::size_t kMinFunction = 2 * kMinString + 4 + 1 + 3 * 4;
 
+// Expression roots (count and call multipliers, argument bindings) the
+// reader remembers. Most roots of a payload repeat an earlier one byte for
+// byte: every statement of a loop body carries the loop's trip count.
+constexpr std::size_t kRootWindow = 16;
+
 struct Reader : bio::Reader {
   symbolic::ExprInterner &interner;
   // Operand stack shared by every expression of the payload: a node's
   // children sit on top of it while the node is looked up.
   std::vector<ExprNodeRef> operands;
 
+  // The byte range and node of each of the kRootWindow most recently
+  // decoded distinct roots, a ring indexed by decode order.
+  struct Root {
+    std::size_t begin = 0;
+    std::size_t size = 0;
+    ExprNodeRef node;
+  };
+  std::array<Root, kRootWindow> roots;
+  std::size_t rootCount = 0; // roots decoded so far
+
   Reader(const std::string &bytes, std::size_t offset,
          symbolic::ExprInterner &interner)
-      : bio::Reader{bytes, offset}, interner(interner) {}
+      : bio::Reader{bytes, offset}, interner(interner) {
+    operands.reserve(32);
+  }
 
   /// A u32 element count, no larger than the number of elements of at
   /// least `minBytes` each that the remaining bytes can hold.
@@ -80,11 +101,33 @@ struct Reader : bio::Reader {
 
   bool exprNode(std::size_t depth);
 
+  /// One expression root. When the bytes at the cursor repeat a
+  /// remembered root, its node is reused and the bytes are skipped: the
+  /// encoding is self-delimiting and every check (the depth cap counts
+  /// from the root, element counts are bounded by bytes the range itself
+  /// holds) passes again wherever the whole range is present, so equal
+  /// bytes decode to the equal node. Anything else decodes normally.
   bool expr(Expr &out) {
+    const std::size_t window = std::min(rootCount, kRootWindow);
+    for (std::size_t i = 1; i <= window; ++i) {
+      const Root &root = roots[(rootCount - i) % kRootWindow];
+      if (root.size <= remaining() &&
+          std::memcmp(bytes.data() + offset, bytes.data() + root.begin,
+                      root.size) == 0) {
+        offset += root.size;
+        out = Expr::fromNode(root.node);
+        return true;
+      }
+    }
+    const std::size_t begin = offset;
     if (!exprNode(0))
       return false;
-    out = Expr::fromNode(std::move(operands.back()));
+    Root &root = roots[rootCount++ % kRootWindow];
+    root.begin = begin;
+    root.size = offset - begin;
+    root.node = std::move(operands.back());
     operands.pop_back();
+    out = Expr::fromNode(root.node);
     return true;
   }
 };
@@ -261,7 +304,14 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
         Expr expr;
         if (!r.str(name) || !r.expr(expr))
           return false;
-        step.argBindings.emplace(std::move(name), expr);
+        // Writers emit bindings in map order (strictly increasing
+        // names); a repeated or descending name is corrupt, and merging
+        // or reordering it would re-encode to different bytes.
+        if (!step.argBindings.empty() &&
+            name <= step.argBindings.rbegin()->first)
+          return false;
+        step.argBindings.emplace_hint(step.argBindings.end(),
+                                      std::move(name), std::move(expr));
       }
       fn.calls.push_back(std::move(step));
     }

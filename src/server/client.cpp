@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "driver/batch.h"
 
@@ -140,12 +141,12 @@ bool Client::ping() {
                    reply);
 }
 
-bool Client::decodeOutcome(const AnalyzeReply &wire, ClientOutcome &outcome) {
+bool Client::decodeOutcome(AnalyzeReply &wire, ClientOutcome &outcome) {
   outcome = ClientOutcome();
   outcome.cacheHit = wire.cacheHit;
   outcome.micros = wire.micros;
-  outcome.payload = wire.payload;
-  if (!driver::deserializeArtifactPayload(wire.payload, outcome.analysis,
+  outcome.payload = std::move(wire.payload);
+  if (!driver::deserializeArtifactPayload(outcome.payload, outcome.analysis,
                                           outcome.coverage,
                                           outcome.diagnostics, outcome.name))
     return fail(ErrorKind::protocol, "malformed result payload in reply");
@@ -190,7 +191,7 @@ bool Client::analyzeBatch(const std::vector<SourceItem> &items,
   // contract).
   std::vector<ClientOutcome> decoded;
   decoded.reserve(wires.size());
-  for (const AnalyzeReply &wire : wires) {
+  for (AnalyzeReply &wire : wires) {
     ClientOutcome outcome;
     if (!decodeOutcome(wire, outcome))
       return false;

@@ -10,6 +10,10 @@
 /// human-readable lastError(); nothing throws. Every `mira-cli` command
 /// given `--socket`/`--connect` talks to its daemon through this class,
 /// and tests/server_test.cpp drives both ends in one process.
+///
+/// An analyze reply's payload is copied once, out of the reply frame;
+/// analyze(), analyzeBatch() and analyzePipelined() then move it into
+/// ClientOutcome::payload and decode the model from there.
 #pragma once
 
 #include <cstdint>
@@ -189,7 +193,9 @@ private:
   /// Receive one reply frame, validate the header, surface Error
   /// replies as failures; `reply` is left holding the body only.
   bool receiveReply(MessageType &type, std::string &reply);
-  bool decodeOutcome(const AnalyzeReply &wire, ClientOutcome &outcome);
+  /// Unpack `wire` into `outcome`, moving its payload (not copying it)
+  /// into outcome.payload and decoding it there.
+  bool decodeOutcome(AnalyzeReply &wire, ClientOutcome &outcome);
   bool fail(ErrorKind kind, const std::string &message);
   /// Shared tail of connect()/connectTcp(): arm the read timeout and
   /// run the Hello handshake when a secret is configured. On handshake

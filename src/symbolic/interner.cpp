@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <optional>
 #include <utility>
 
 namespace mira::symbolic {
@@ -49,53 +51,111 @@ std::uint64_t hashNode(ExprKind kind, std::int64_t value,
   return h;
 }
 
-/// The canonical ordering key, byte-identical to the recursive string
-/// builder the canonicalizing sorts used before interning — computed
-/// once per unique node from the operands' cached keys.
-std::string makeKey(ExprKind kind, std::int64_t value,
-                    const std::string &name,
-                    const std::vector<ExprNodeRef> &operands) {
-  auto list = [&operands] {
-    std::string s;
-    for (const ExprNodeRef &op : operands) {
-      s += op->key;
-      s += ',';
-    }
-    return s;
-  };
+/// The character an operator node's order key starts with.
+char keyTag(ExprKind kind) {
   switch (kind) {
-  case ExprKind::IntConst:
-    return "#" + std::to_string(value);
-  case ExprKind::Param:
-    return "p" + name;
   case ExprKind::Add:
-    return "A(" + list() + ")";
+    return 'A';
   case ExprKind::Mul:
-    return "M(" + list() + ")";
+    return 'M';
   case ExprKind::FloorDiv:
-    return "F(" + list() + ")";
+    return 'F';
   case ExprKind::ExactDiv:
-    return "E(" + list() + ")";
+    return 'E';
   case ExprKind::Mod:
-    return "%(" + list() + ")";
+    return '%';
   case ExprKind::Min:
-    return "m(" + list() + ")";
+    return 'm';
   case ExprKind::Max:
-    return "X(" + list() + ")";
+    return 'X';
   case ExprKind::Sum:
-    return "S" + name + "(" + list() + ")";
+    return 'S';
+  default:
+    return '?';
   }
-  return "?";
 }
 
+/// The canonical ordering key, byte-identical to the recursive string
+/// builder the canonicalizing sorts used before interning ("#-3", "pN",
+/// "A(pN,#1,)", "Si(#1,pN,pi,)"): computed once per unique node from the
+/// operands' cached keys, sized up front and written in one allocation.
+std::string makeKey(ExprKind kind, std::int64_t value, std::string_view name,
+                    const ExprNodeRef *operands, std::size_t count) {
+  std::string key;
+  if (kind == ExprKind::IntConst) {
+    char digits[24];
+    const auto length = static_cast<std::size_t>(
+        std::to_chars(digits, digits + sizeof digits, value).ptr - digits);
+    key.reserve(1 + length);
+    key += '#';
+    key.append(digits, length);
+    return key;
+  }
+  if (kind == ExprKind::Param) {
+    key.reserve(1 + name.size());
+    key += 'p';
+    key += name;
+    return key;
+  }
+  if (kind != ExprKind::Sum)
+    name = {}; // only a Sum's key carries its bound variable
+  std::size_t size = 1 + name.size() + 2 + count; // tag, '(', ')', commas
+  for (std::size_t i = 0; i < count; ++i)
+    size += operands[i]->key.size();
+  key.reserve(size);
+  key += keyTag(kind);
+  key += name;
+  key += '(';
+  for (std::size_t i = 0; i < count; ++i) {
+    key += operands[i]->key;
+    key += ',';
+  }
+  key += ')';
+  return key;
+}
+
+// Both tables of an arena (nodes and symbols) are open-addressed the
+// same way: entries live in a vector, and a power-of-two slot array,
+// kept at least twice the entry count, holds `id + 1` per entry (0 when
+// empty), placed by linear probing from the entry's hash.
+
 /// Stores `id + 1` in the first free slot of `hash`'s probe sequence.
-void placeSymbol(std::vector<std::uint32_t> &slots, std::uint64_t hash,
-                 std::uint32_t id) {
+void placeSlot(std::vector<std::uint32_t> &slots, std::uint64_t hash,
+               std::uint32_t id) {
   const std::size_t mask = slots.size() - 1;
   std::size_t i = hash & mask;
   while (slots[i] != 0)
     i = (i + 1) & mask;
   slots[i] = id + 1;
+}
+
+/// The first id in `hash`'s probe sequence for which `matches(id)`
+/// holds, or nullopt.
+template <typename Matches>
+std::optional<std::uint32_t> findSlot(const std::vector<std::uint32_t> &slots,
+                                      std::uint64_t hash, Matches matches) {
+  if (slots.empty())
+    return std::nullopt;
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = hash & mask; slots[i] != 0; i = (i + 1) & mask)
+    if (matches(slots[i] - 1))
+      return slots[i] - 1;
+  return std::nullopt;
+}
+
+/// Places the entry just appended, id `count - 1`. When that puts the
+/// slots past half load they double (to at least `minSlots`) and every
+/// entry is placed again; `hashOf(id)` is an entry's hash.
+template <typename HashOf>
+void addSlot(std::vector<std::uint32_t> &slots, std::uint32_t count,
+             std::size_t minSlots, HashOf hashOf) {
+  if (std::size_t{count} * 2 <= slots.size()) {
+    placeSlot(slots, hashOf(count - 1), count - 1);
+    return;
+  }
+  slots.assign(std::max(minSlots, slots.size() * 2), 0);
+  for (std::uint32_t id = 0; id < count; ++id)
+    placeSlot(slots, hashOf(id), id);
 }
 
 } // namespace
@@ -104,7 +164,7 @@ ExprInterner::ExprInterner()
     : id_(gNextInternerId.fetch_add(1, std::memory_order_relaxed)) {}
 
 ExprInterner::~ExprInterner() {
-  gNodes.fetch_sub(table_.size(), std::memory_order_relaxed);
+  gNodes.fetch_sub(nodes_.size(), std::memory_order_relaxed);
 }
 
 ExprNodeRef ExprInterner::intern(ExprKind kind, std::int64_t value,
@@ -134,29 +194,17 @@ ExprNodeRef ExprInterner::constant(std::int64_t value) {
 
 Symbol ExprInterner::symbol(std::string_view name) {
   const std::uint64_t hash = hashString(name);
-  if (!symbolSlots_.empty()) {
-    const std::size_t mask = symbolSlots_.size() - 1;
-    for (std::size_t i = hash & mask; symbolSlots_[i] != 0;
-         i = (i + 1) & mask) {
-      const std::uint32_t id = symbolSlots_[i] - 1;
-      if (symbols_[id].hash == hash && symbols_[id].name == name)
-        return Symbol{id};
-    }
-  }
-  const auto id = static_cast<std::uint32_t>(symbols_.size());
+  if (const auto found = findSlot(symbolSlots_, hash, [&](std::uint32_t id) {
+        return symbols_[id].hash == hash && symbols_[id].name == name;
+      }))
+    return Symbol{*found};
   if (symbols_.empty())
     symbols_.reserve(16);
   symbols_.push_back(SymbolEntry{std::string(name), hash, nullptr});
-  if (symbols_.size() * 2 > symbolSlots_.size()) {
-    // Grow and re-place every symbol, the new one included.
-    symbolSlots_.assign(std::max<std::size_t>(16, symbolSlots_.size() * 2),
-                        0);
-    for (std::uint32_t s = 0; s < symbols_.size(); ++s)
-      placeSymbol(symbolSlots_, symbols_[s].hash, s);
-  } else {
-    placeSymbol(symbolSlots_, hash, id);
-  }
-  return Symbol{id};
+  const auto count = static_cast<std::uint32_t>(symbols_.size());
+  addSlot(symbolSlots_, count, 16,
+          [&](std::uint32_t id) { return symbols_[id].hash; });
+  return Symbol{count - 1};
 }
 
 const std::string &ExprInterner::name(Symbol symbol) const {
@@ -198,29 +246,33 @@ ExprNodeRef ExprInterner::lookup(ExprKind kind, std::int64_t value,
                                  const ExprNodeRef *operands, std::size_t count,
                                  std::vector<ExprNodeRef> *ownedOperands) {
   const std::uint64_t hash = hashNode(kind, value, name, operands, count);
-  const auto [first, last] = table_.equal_range(hash);
-  for (auto it = first; it != last; ++it) {
-    const ExprNodeRef &candidate = it->second;
-    // Children are canonical in this interner, so pointer comparison IS
-    // structural comparison.
-    if (candidate->kind == kind && candidate->value == value &&
-        candidate->name == name &&
-        std::equal(candidate->operands.begin(), candidate->operands.end(),
-                   operands, operands + count)) {
-      gHits.fetch_add(1, std::memory_order_relaxed);
-      return candidate;
-    }
+  // Children are canonical in this interner, so pointer comparison IS
+  // structural comparison.
+  if (const auto found = findSlot(nodeSlots_, hash, [&](std::uint32_t id) {
+        const ExprNode &candidate = *nodes_[id];
+        return candidate.hash == hash && candidate.kind == kind &&
+               candidate.value == value && candidate.name == name &&
+               std::equal(candidate.operands.begin(),
+                          candidate.operands.end(), operands,
+                          operands + count);
+      })) {
+    gHits.fetch_add(1, std::memory_order_relaxed);
+    return nodes_[*found];
   }
   auto node = std::make_shared<ExprNode>(kind);
   node->value = value;
   node->name = std::string(name);
+  node->hash = hash;
+  node->key = makeKey(kind, value, name, operands, count);
   node->operands = ownedOperands
                        ? std::move(*ownedOperands)
                        : std::vector<ExprNodeRef>(operands, operands + count);
-  node->hash = hash;
-  node->key = makeKey(kind, value, node->name, node->operands);
   node->ownerId = id_;
-  table_.emplace(hash, node);
+  if (nodes_.empty())
+    nodes_.reserve(32);
+  nodes_.push_back(node);
+  addSlot(nodeSlots_, static_cast<std::uint32_t>(nodes_.size()), 64,
+          [&](std::uint32_t id) { return nodes_[id]->hash; });
   gMisses.fetch_add(1, std::memory_order_relaxed);
   gNodes.fetch_add(1, std::memory_order_relaxed);
   return node;
@@ -228,7 +280,7 @@ ExprNodeRef ExprInterner::lookup(ExprKind kind, std::int64_t value,
 
 std::size_t ExprInterner::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return table_.size();
+  return nodes_.size();
 }
 
 ExprInterner::Scope::Scope(ExprInterner &interner) : previous_(tCurrent) {

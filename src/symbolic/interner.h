@@ -11,6 +11,13 @@
 // precomputed structural hash and a pointer-shortcutting deep walk —
 // never to string building.
 //
+// The node table is open-addressed, like the symbol table below: owned
+// nodes live in a vector, a power-of-two slot array holds their ids,
+// probing is linear and compares a node's cached hash before its fields,
+// and the slots double at half load. A hit allocates nothing; a miss
+// allocates the node, its operand array and its order key, which is
+// sized from the operands' keys and written once.
+//
 // Scoping: an interner is installed for the current thread with an RAII
 // Scope. core::analyze installs one per compile, and so does a deferred
 // ProgramHandle when it recompiles, so a compile's node churn is confined
@@ -59,7 +66,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "symbolic/expr.h"
@@ -164,9 +170,12 @@ private:
   // from a destroyed interner can never alias a live one (no ABA on a
   // recycled `this` address).
   const std::uint64_t id_;
-  // hash -> every owned node with that hash (structurally distinct
-  // nodes share a hash only on a collision).
-  std::unordered_multimap<std::uint64_t, ExprNodeRef> table_;
+  // The node table: every owned node, in creation order, and open
+  // addressing over it. Each slot holds id + 1, 0 when empty; the size is
+  // a power of two, kept at least twice nodes_.size(). A probe compares a
+  // node's cached hash before its fields.
+  std::vector<ExprNodeRef> nodes_;
+  std::vector<std::uint32_t> nodeSlots_;
 
   std::array<ExprNodeRef, kMaxSlotConstant - kMinSlotConstant + 1>
       constants_;
@@ -177,8 +186,7 @@ private:
     ExprNodeRef param; // filled by param() on first use
   };
   std::vector<SymbolEntry> symbols_; // indexed by Symbol id
-  // Open addressing over symbols_: each slot holds id + 1, 0 when empty;
-  // the size is a power of two, kept at least twice symbols_.size().
+  // Open addressing over symbols_, laid out like nodeSlots_.
   std::vector<std::uint32_t> symbolSlots_;
 };
 

@@ -414,36 +414,28 @@ TEST(ModelSerializeTest, RestoredModelEvaluates) {
   EXPECT_EQ(cached->totalInstructions, fresh->totalInstructions);
 }
 
-/// A one-function model with one count step, encoded by hand: `expr` is
-/// the multiplier's encoding and `opcodes` the step's (opcode, count)
-/// entries, so a test can corrupt either.
-std::string handEncodedModel(
-    const std::string &expr,
-    const std::vector<std::pair<std::uint32_t, std::int64_t>> &opcodes) {
-  std::string out;
-  bio::putString(out, "hand.mc");
-  bio::putU32(out, 1); // functions
-  bio::putString(out, "f");
-  bio::putString(out, "f_1");
-  bio::putU32(out, 0); // parameters
-  bio::putU8(out, 1);  // exact
-  bio::putU32(out, 0); // notes
-  bio::putU32(out, 1); // count steps
-  out += expr;
-  bio::putString(out, "step");
-  bio::putU32(out, static_cast<std::uint32_t>(opcodes.size()));
-  for (const auto &[opcode, n] : opcodes) {
-    bio::putU32(out, opcode);
-    bio::putI64(out, n);
-  }
-  bio::putU32(out, 0); // call steps
-  return out;
-}
-
 std::string constExpr(std::int64_t value) {
   std::string out;
   bio::putU8(out, static_cast<std::uint8_t>(symbolic::ExprKind::IntConst));
   bio::putI64(out, value);
+  return out;
+}
+
+std::string paramExpr(const std::string &name) {
+  std::string out;
+  bio::putU8(out, static_cast<std::uint8_t>(symbolic::ExprKind::Param));
+  bio::putString(out, name);
+  return out;
+}
+
+/// A `kind` node over already-encoded operands.
+std::string naryExpr(symbolic::ExprKind kind,
+                     const std::vector<std::string> &operands) {
+  std::string out;
+  bio::putU8(out, static_cast<std::uint8_t>(kind));
+  bio::putU32(out, static_cast<std::uint32_t>(operands.size()));
+  for (const std::string &operand : operands)
+    out += operand;
   return out;
 }
 
@@ -465,6 +457,68 @@ std::string sumExpr(std::uint32_t arity) {
   for (std::uint32_t i = 0; i < arity; ++i)
     out += constExpr(i);
   return out;
+}
+
+/// One call step's argument bindings: (name, expression encoding) pairs
+/// in the order they are written.
+using HandBindings = std::vector<std::pair<std::string, std::string>>;
+
+/// A one-function model encoded by hand: one count step per entry of
+/// `multipliers` (each an expression's encoding), the first carrying the
+/// (opcode, count) entries `opcodes`, then one call step per entry of
+/// `calls`. A test can corrupt any part.
+std::string handEncodedFunction(
+    const std::vector<std::string> &multipliers,
+    const std::vector<std::pair<std::uint32_t, std::int64_t>> &opcodes,
+    const std::vector<HandBindings> &calls) {
+  std::string out;
+  bio::putString(out, "hand.mc");
+  bio::putU32(out, 1); // functions
+  bio::putString(out, "f");
+  bio::putString(out, "f_1");
+  bio::putU32(out, 0); // parameters
+  bio::putU8(out, 1);  // exact
+  bio::putU32(out, 0); // notes
+  bio::putU32(out, static_cast<std::uint32_t>(multipliers.size()));
+  for (std::size_t i = 0; i < multipliers.size(); ++i) {
+    out += multipliers[i];
+    bio::putString(out, "step");
+    if (i > 0) {
+      bio::putU32(out, 0);
+      continue;
+    }
+    bio::putU32(out, static_cast<std::uint32_t>(opcodes.size()));
+    for (const auto &[opcode, n] : opcodes) {
+      bio::putU32(out, opcode);
+      bio::putI64(out, n);
+    }
+  }
+  bio::putU32(out, static_cast<std::uint32_t>(calls.size()));
+  for (const HandBindings &bindings : calls) {
+    out += constExpr(1);
+    bio::putString(out, "g");
+    bio::putU32(out, 1); // line
+    bio::putU32(out, static_cast<std::uint32_t>(bindings.size()));
+    for (const auto &[name, expr] : bindings) {
+      bio::putString(out, name);
+      out += expr;
+    }
+  }
+  return out;
+}
+
+/// A one-function model with one count step, encoded by hand: `expr` is
+/// the multiplier's encoding and `opcodes` the step's (opcode, count)
+/// entries, so a test can corrupt either.
+std::string handEncodedModel(
+    const std::string &expr,
+    const std::vector<std::pair<std::uint32_t, std::int64_t>> &opcodes) {
+  return handEncodedFunction({expr}, opcodes, {});
+}
+
+/// A one-function model with one call step binding `bindings`.
+std::string handEncodedCall(const HandBindings &bindings) {
+  return handEncodedFunction({}, {}, {bindings});
 }
 
 bool decodes(const std::string &bytes) {
@@ -513,6 +567,93 @@ TEST(ModelSerializeTest, RejectsTruncatedAndMutatedBuffers) {
       << "duplicate opcode entry";
   EXPECT_FALSE(decodes(handEncodedModel(constExpr(7), {{mulsd, 1}, {addsd, 2}})))
       << "descending opcode pair";
+
+  // Call bindings must strictly increase by name, the order a model's
+  // binding map writes them: a decoder that merged or sorted them would
+  // hand back a model that re-encodes to different bytes.
+  EXPECT_TRUE(decodes(handEncodedCall({{"a", paramExpr("n")},
+                                       {"b", constExpr(2)}})));
+  EXPECT_FALSE(decodes(handEncodedCall({{"a", paramExpr("n")},
+                                        {"a", constExpr(2)}})))
+      << "duplicate binding name";
+  EXPECT_FALSE(decodes(handEncodedCall({{"b", paramExpr("n")},
+                                        {"a", constExpr(2)}})))
+      << "descending binding pair";
+}
+
+/// Decodes `bytes` (which must decode whole) and checks that the result
+/// re-encodes to exactly `bytes`.
+model::PerformanceModel decodeAndRoundTrip(const std::string &bytes) {
+  model::PerformanceModel out;
+  std::size_t offset = 0;
+  EXPECT_TRUE(model::deserializeModel(bytes, offset, out));
+  EXPECT_EQ(offset, bytes.size());
+  std::string again;
+  model::serializeModel(out, again);
+  EXPECT_EQ(again, bytes);
+  return out;
+}
+
+/// Trip count `n * (m + k)` with a per-test constant `k`: a compound
+/// root, so a repeat has a whole subtree to reuse.
+std::string tripCount(std::int64_t k) {
+  using symbolic::ExprKind;
+  return naryExpr(ExprKind::Mul,
+                  {paramExpr("n"),
+                   naryExpr(ExprKind::Add, {paramExpr("m"), constExpr(k)})});
+}
+
+TEST(ModelSerializeTest, RepeatedRootsDecodeToOneNode) {
+  // Every statement of a loop body carries the loop's trip count, so a
+  // model repeats its roots byte for byte.
+  const std::vector<std::string> roots(40, tripCount(500));
+  const model::PerformanceModel decoded =
+      decodeAndRoundTrip(handEncodedFunction(roots, {}, {}));
+  ASSERT_EQ(decoded.functions.size(), 1u);
+  const auto &counts = decoded.functions[0].counts;
+  ASSERT_EQ(counts.size(), 40u);
+  for (const model::CountStep &step : counts)
+    EXPECT_EQ(&step.multiplier.node(), &counts[0].multiplier.node());
+  EXPECT_EQ(counts[39].multiplier.str(), "(n*(m + 500))");
+}
+
+TEST(ModelSerializeTest, RootRepeatedBeyondTheWindowDecodesAgain) {
+  // 20 distinct roots push the first out of the reader's 16-root window,
+  // so its repeat decodes from its bytes, to the same canonical node.
+  std::vector<std::string> roots;
+  for (std::int64_t k = 0; k < 20; ++k)
+    roots.push_back(tripCount(500 + k));
+  roots.push_back(roots[0]);
+  const model::PerformanceModel decoded =
+      decodeAndRoundTrip(handEncodedFunction(roots, {}, {}));
+  ASSERT_EQ(decoded.functions.size(), 1u);
+  const auto &counts = decoded.functions[0].counts;
+  ASSERT_EQ(counts.size(), 21u);
+  EXPECT_EQ(&counts[20].multiplier.node(), &counts[0].multiplier.node());
+  EXPECT_NE(&counts[19].multiplier.node(), &counts[0].multiplier.node());
+
+  // The same holds for roots in call multipliers and bindings.
+  const model::PerformanceModel calls = decodeAndRoundTrip(handEncodedFunction(
+      {tripCount(7)}, {},
+      {{{"a", tripCount(7)}, {"b", paramExpr("n")}}, {{"a", constExpr(1)}}}));
+  ASSERT_EQ(calls.functions[0].calls.size(), 2u);
+  EXPECT_EQ(&calls.functions[0].calls[0].argBindings.at("a").node(),
+            &calls.functions[0].counts[0].multiplier.node());
+}
+
+TEST(ModelSerializeTest, RootCutShortAfterARememberedPrefixFails) {
+  // The last root repeats an earlier one, but the buffer ends inside it
+  // or right after it: no cut may decode. A cut inside it leaves fewer
+  // bytes than the remembered range, so the reader decodes and runs out;
+  // a cut right after it matches the remembered root and then fails on
+  // the step's missing comment.
+  const std::string root = tripCount(500);
+  const std::string whole = handEncodedFunction({root, root}, {}, {});
+  ASSERT_TRUE(decodes(whole));
+  const std::size_t last = whole.rfind(root);
+  ASSERT_NE(last, std::string::npos);
+  for (std::size_t cut = last; cut <= last + root.size(); ++cut)
+    EXPECT_FALSE(decodes(whole.substr(0, cut))) << "cut at " << cut;
 }
 
 // ------------------------------------------------- disk-backed batch runs

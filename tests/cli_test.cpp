@@ -385,21 +385,53 @@ TEST(CliFlags, JunkNumbersAndFlagsThatDoNotApplyAreUsageErrors) {
 
 TEST(CliExitContract, ADirectoryIsNotASourceOnAnyCommand) {
   // A directory opens like a file but cannot be read: every command that
-  // takes sources fails on it (1) and names it, rather than analyzing an
-  // empty program.
+  // takes sources, manifests or reports fails on it with its own exit
+  // code and names it, rather than analyzing an empty program or dying
+  // on an uncaught stream exception.
   TempDir dir("directory");
-  const std::string source = (dir.path / "looks_like.mc").string();
-  fs::create_directories(source);
-  for (const std::vector<std::string> &command :
-       {std::vector<std::string>{"analyze", source},
-        std::vector<std::string>{"batch", source, "@fig5"},
-        std::vector<std::string>{"coverage", source},
-        std::vector<std::string>{"simulate", source, "--function", "f"}}) {
-    const fs::path log = dir.path / "run.log";
-    EXPECT_EQ(runCli(command, log), 1) << command[0] << ": " << slurp(log);
-    EXPECT_NE(slurp(log).find("cannot open '" + source + "'"),
-              std::string::npos)
-        << command[0] << ": " << slurp(log);
+  const std::string path = (dir.path / "looks_like.mc").string();
+  fs::create_directories(path);
+  const fs::path log = dir.path / "run.log";
+  // Well-formed other inputs, so each failure below is the directory's.
+  writeCorpus(dir.path / "corpus", 1);
+  const std::string manifest = (dir.path / "m1.manifest").string();
+  ASSERT_EQ(runCli({"manifest", "build", (dir.path / "corpus").string(),
+                    "--out", manifest},
+                   log),
+            0)
+      << slurp(log);
+  const std::string cache = (dir.path / "cache").string();
+  ASSERT_EQ(runCli({"analyze", "@fig5", "--cache-dir", cache}, log), 0)
+      << slurp(log);
+
+  struct Case {
+    std::vector<std::string> command;
+    int exit;
+    std::string message;
+  };
+  const std::string source = "cannot open '" + path + "'";
+  const std::string manifestFile = "cannot open manifest '" + path + "'";
+  for (const Case &c : std::vector<Case>{
+           {{"analyze", path}, 1, source},
+           {{"batch", path, "@fig5"}, 1, source},
+           {{"coverage", path}, 1, source},
+           {{"simulate", path, "--function", "f"}, 1, source},
+           {{"batch", "--manifest", path}, 1, source},
+           {{"manifest", "merge", "--out", (dir.path / "merged").string(),
+             path},
+            1,
+            source},
+           // diff's cmp convention: 2 is trouble, never "differences".
+           {{"manifest", "diff", path, manifest}, 2, manifestFile},
+           {{"manifest", "diff", manifest, path}, 2, manifestFile},
+           {{"cache", "prune", "--cache-dir", cache, "--manifest", path},
+            1,
+            manifestFile},
+       }) {
+    const std::string name = c.command[0] + " " + c.command[1];
+    EXPECT_EQ(runCli(c.command, log), c.exit) << name << ": " << slurp(log);
+    EXPECT_NE(slurp(log).find(c.message), std::string::npos)
+        << name << ": " << slurp(log);
   }
 }
 

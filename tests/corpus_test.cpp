@@ -19,6 +19,7 @@
 
 #include "corpus/manifest.h"
 #include "driver/batch.h"
+#include "support/file_io.h"
 #include "support/hash.h"
 
 namespace mira::corpus {
@@ -444,22 +445,22 @@ TEST(ManifestExecution, ReadFileTakesBytesAsIsAndRefusesDirectories) {
   const std::string raw("line\r\n\0tail", 11);
   writeFile(dir.path / "raw.bin", raw);
   std::string bytes;
-  ASSERT_TRUE(driver::readFile((dir.path / "raw.bin").string(), bytes));
+  ASSERT_TRUE(mira::readFile((dir.path / "raw.bin").string(), bytes));
   EXPECT_EQ(bytes, raw);
 
   // A pipe reads to its writer's end, like a regular file.
   const fs::path fifo = dir.path / "pipe";
   ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
   std::thread writer([&] { writeFile(fifo, "int f();\n"); });
-  const bool readPipe = driver::readFile(fifo.string(), bytes);
+  const bool readPipe = mira::readFile(fifo.string(), bytes);
   writer.join();
   ASSERT_TRUE(readPipe);
   EXPECT_EQ(bytes, "int f();\n");
 
   // A directory opens but cannot be read; it is no empty file.
   bytes = "kept";
-  EXPECT_FALSE(driver::readFile(dir.path.string(), bytes));
-  EXPECT_FALSE(driver::readFile((dir.path / "missing.mc").string(), bytes));
+  EXPECT_FALSE(mira::readFile(dir.path.string(), bytes));
+  EXPECT_FALSE(mira::readFile((dir.path / "missing.mc").string(), bytes));
   EXPECT_EQ(bytes, "kept");
 }
 

@@ -4,6 +4,8 @@
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "symbolic/expr.h"
 #include "symbolic/interner.h"
@@ -536,6 +538,85 @@ TEST(Interner, CountersAdvance) {
   const InternStats after = ExprInterner::globalStats();
   EXPECT_GT(after.misses, before.misses); // new unique nodes were created
   EXPECT_GT(after.hits, before.hits);     // the rebuild hit the table
+}
+
+/// The node `interner` holds for `n + k`, interning `n` and `k` first.
+ExprNodeRef paramPlus(ExprInterner &interner, std::int64_t k) {
+  const ExprNodeRef operands[] = {
+      interner.intern(ExprKind::Param, 0, "n", nullptr, 0),
+      interner.intern(ExprKind::IntConst, k, {}, nullptr, 0)};
+  return interner.intern(ExprKind::Add, 0, {}, operands, 2);
+}
+
+TEST(Interner, TableGrowsAndEveryReinternFindsTheFirstNode) {
+  std::vector<ExprNodeRef> nodes;
+  std::uint64_t alive = 0;
+  {
+    ExprInterner interner;
+    // 1 + 2 * 3000 distinct nodes: the table grows many times over.
+    for (std::int64_t k = 1000; k < 4000; ++k) {
+      const ExprNodeRef sum = paramPlus(interner, k);
+      if (nodes.empty())
+        nodes.push_back(sum->operands[0]);
+      nodes.push_back(sum->operands[1]);
+      nodes.push_back(sum);
+    }
+    EXPECT_EQ(interner.size(), nodes.size());
+    for (const ExprNodeRef &node : nodes)
+      EXPECT_EQ(interner.intern(node->kind, node->value, node->name,
+                                node->operands.data(), node->operands.size()),
+                node);
+    EXPECT_EQ(interner.size(), nodes.size());
+    alive = ExprInterner::globalStats().nodes;
+  }
+  // The arena's nodes leave the tally with it; the nodes themselves
+  // live on wherever they are still referenced.
+  EXPECT_EQ(ExprInterner::globalStats().nodes, alive - nodes.size());
+  EXPECT_EQ(nodes.back()->operands[1]->value, 3999);
+}
+
+TEST(Interner, OrderKeysKeepTheirFormat) {
+  // Keys decide canonical operand order, and so model bytes.
+  ExprInterner interner;
+  const ExprNodeRef sum = paramPlus(interner, -3);
+  EXPECT_EQ(sum->operands[0]->key, "pn");
+  EXPECT_EQ(sum->operands[1]->key, "#-3");
+  EXPECT_EQ(sum->key, "A(pn,#-3,)");
+  const ExprNodeRef min = interner.intern(
+      ExprKind::IntConst, std::numeric_limits<std::int64_t>::min(), {},
+      nullptr, 0);
+  EXPECT_EQ(min->key, "#-9223372036854775808");
+  const ExprNodeRef bounds[] = {min, sum, sum};
+  EXPECT_EQ(interner.intern(ExprKind::Sum, 0, "i", bounds, 3)->key,
+            "Si(#-9223372036854775808,A(pn,#-3,),A(pn,#-3,),)");
+  EXPECT_EQ(interner.intern(ExprKind::Mod, 0, {}, bounds, 2)->key,
+            "%(#-9223372036854775808,A(pn,#-3,),)");
+  EXPECT_EQ(interner.intern(ExprKind::Max, 0, {}, nullptr, 0)->key, "X()");
+}
+
+TEST(Interner, ThreadsSharingOneArenaGetOneNodePerStructure) {
+  // intern() locks: threads interning overlapping structures into one
+  // arena, each from a different starting point, agree on every node.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::int64_t kShapes = 400;
+  ExprInterner shared;
+  std::vector<std::vector<ExprNodeRef>> seen(
+      kThreads, std::vector<ExprNodeRef>(kShapes));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::int64_t i = 0; i < kShapes; ++i) {
+        const std::int64_t k =
+            (i + static_cast<std::int64_t>(t) * kShapes / kThreads) % kShapes;
+        seen[t][k] = paramPlus(shared, 1000 + k);
+      }
+    });
+  for (std::thread &thread : threads)
+    thread.join();
+  for (std::size_t t = 1; t < kThreads; ++t)
+    for (std::int64_t k = 0; k < kShapes; ++k)
+      EXPECT_EQ(seen[t][k], seen[0][k]) << "thread " << t << ", k " << k;
+  EXPECT_EQ(shared.size(), 1 + 2 * static_cast<std::size_t>(kShapes));
 }
 
 // ------------------------------------------------- builder crash fixes
