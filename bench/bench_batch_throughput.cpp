@@ -42,7 +42,7 @@ namespace {
 
 using namespace mira;
 
-std::vector<core::AnalysisSpec> batchRequests() {
+std::vector<core::AnalysisSpec> suiteSpecs() {
   std::vector<core::AnalysisSpec> requests;
   for (const auto &kernel : workloads::coverageSuite()) {
     core::AnalysisSpec request;
@@ -81,7 +81,7 @@ void printSpeedupTable() {
   bench::printHeader(
       "Batch-analysis throughput: Table I kernels + fig-series workloads\n"
       "(cold cache; best of 3 batches per thread count)");
-  auto requests = batchRequests();
+  auto requests = suiteSpecs();
   std::printf("%zu sources, %zu hardware threads\n\n", requests.size(),
               static_cast<std::size_t>(std::thread::hardware_concurrency()));
 
@@ -236,7 +236,7 @@ bool writeBenchCorpus(const std::filesystem::path &dir,
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir, ec);
-  auto requests = batchRequests();
+  auto requests = suiteSpecs();
   for (std::size_t i = 0; i < requests.size(); ++i) {
     char name[32];
     std::snprintf(name, sizeof name, "src_%02zu.mc", i);
@@ -411,7 +411,7 @@ void printInternPhase() {
   bench::printHeader(
       "Hash-consed expressions: cold-phase cost + intern counters\n"
       "(cache off; counters are process-wide deltas over one batch)");
-  auto requests = batchRequests();
+  auto requests = suiteSpecs();
 
   const symbolic::InternStats before = symbolic::ExprInterner::globalStats();
   double best = timeBatch(requests, 1);
@@ -482,7 +482,7 @@ void printInternPhase() {
 }
 
 std::vector<core::AnalysisSpec> coverageSpecs() {
-  std::vector<core::AnalysisSpec> specs = batchRequests();
+  std::vector<core::AnalysisSpec> specs = suiteSpecs();
   for (core::AnalysisSpec &spec : specs)
     spec.artifacts = core::kArtifactCoverage | core::kArtifactDiagnostics;
   return specs;
@@ -768,7 +768,7 @@ void BM_ManifestBatchWarmDaemon(benchmark::State &state) {
 BENCHMARK(BM_ManifestBatchWarmDaemon)->Unit(benchmark::kMillisecond);
 
 void BM_BatchAnalyzeWarmDiskCache(benchmark::State &state) {
-  auto requests = batchRequests();
+  auto requests = suiteSpecs();
   const std::string cacheDir =
       (std::filesystem::temp_directory_path() / "mira_bench_disk_cache_bm")
           .string();
@@ -794,7 +794,7 @@ void BM_BatchAnalyzeWarmDiskCache(benchmark::State &state) {
 BENCHMARK(BM_BatchAnalyzeWarmDiskCache)->Unit(benchmark::kMillisecond);
 
 void BM_BatchAnalyzeSerial(benchmark::State &state) {
-  auto requests = batchRequests();
+  auto requests = suiteSpecs();
   for (auto _ : state)
     benchmark::DoNotOptimize(timeBatch(requests, 1));
   state.SetItemsProcessed(state.iterations() *
@@ -803,7 +803,7 @@ void BM_BatchAnalyzeSerial(benchmark::State &state) {
 BENCHMARK(BM_BatchAnalyzeSerial)->Unit(benchmark::kMillisecond);
 
 void BM_BatchAnalyzeParallel(benchmark::State &state) {
-  auto requests = batchRequests();
+  auto requests = suiteSpecs();
   const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state)
     benchmark::DoNotOptimize(timeBatch(requests, threads));
@@ -845,7 +845,7 @@ void BM_ExprEqualsInterned(benchmark::State &state) {
 BENCHMARK(BM_ExprEqualsInterned)->Unit(benchmark::kNanosecond);
 
 void BM_BatchAnalyzeWarmCache(benchmark::State &state) {
-  auto requests = batchRequests();
+  auto requests = suiteSpecs();
   driver::BatchAnalyzer analyzer(driver::BatchOptions{4, true});
   analyzer.runArtifacts(requests); // populate
   for (auto _ : state) {

@@ -810,11 +810,8 @@ BatchAnalyzer::analyzeIfReady(const core::AnalysisSpec &spec,
 }
 
 std::vector<core::Artifacts> BatchAnalyzer::analyzeArtifactsMany(
-    const std::vector<core::AnalysisSpec> &specs,
-    std::vector<std::string> *payloads) {
+    const std::vector<core::AnalysisSpec> &specs) {
   std::vector<core::Artifacts> results(specs.size());
-  if (payloads)
-    payloads->assign(specs.size(), std::string());
   if (specs.empty())
     return results;
   // A per-call latch instead of pool_.waitIdle(): concurrent callers
@@ -829,9 +826,8 @@ std::vector<core::Artifacts> BatchAnalyzer::analyzeArtifactsMany(
   auto latch = std::make_shared<Latch>();
   latch->remaining = specs.size();
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    pool_.submit([this, &specs, &results, payloads, latch, i] {
-      results[i] = analyzeArtifacts(specs[i], requestKey(specs[i]),
-                                    payloads ? &(*payloads)[i] : nullptr);
+    pool_.submit([this, &specs, &results, latch, i] {
+      results[i] = analyzeArtifacts(specs[i], requestKey(specs[i]), nullptr);
       std::lock_guard<std::mutex> lock(latch->mutex);
       if (--latch->remaining == 0)
         latch->done.notify_all();

@@ -299,14 +299,11 @@ public:
                  std::string *payload);
 
   /// Fan `specs` across the batch pool and block until all artifacts
-  /// are in (input order). When `payloads` is non-null it is resized to
-  /// match and slot i receives specs[i]'s payload, as in
-  /// analyzeArtifacts(spec, key, payload). Safe to call concurrently;
-  /// does not touch stats(). Must not be called from a task running on
-  /// this analyzer's own pool (nested-pool rule, support/thread_pool.h).
+  /// are in (input order). Safe to call concurrently; does not touch
+  /// stats(). Must not be called from a task running on this analyzer's
+  /// own pool (nested-pool rule, support/thread_pool.h).
   std::vector<core::Artifacts>
-  analyzeArtifactsMany(const std::vector<core::AnalysisSpec> &specs,
-                       std::vector<std::string> *payloads = nullptr);
+  analyzeArtifactsMany(const std::vector<core::AnalysisSpec> &specs);
 
   /// Fulfill every spec and update stats(); outcome[i] corresponds to
   /// specs[i] regardless of thread count or completion order. Not

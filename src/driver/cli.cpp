@@ -549,12 +549,16 @@ public:
 
   int run(const std::vector<core::AnalysisSpec> &specs,
           std::vector<core::Artifacts> &results) override {
+    if (int rc = openCache())
+      return rc;
     results = analyzer_.analyzeArtifactsMany(specs);
     return 0;
   }
 
   int runManifest(const ManifestRequest &request, driver::BatchReport &report,
                   std::string &reportBytes) override {
+    if (int rc = openCache())
+      return rc;
     driver::ManifestOutcome outcome = driver::runManifestBatch(
         analyzer_, request.job, [&](const driver::ManifestProgress &p) {
           if (request.progress)
@@ -579,6 +583,18 @@ public:
   bool caches() const override { return analyzer_.options().useCache; }
 
 private:
+  /// 0, or 1 after naming a --cache-dir the store could not open as a
+  /// directory (a regular file, say): running uncached instead would
+  /// hide it. A missing directory was created.
+  int openCache() {
+    const CacheStore *disk = analyzer_.diskCache();
+    if (disk == nullptr || disk->usable())
+      return 0;
+    std::fprintf(stderr, "cannot open cache directory '%s'\n",
+                 disk->directory().c_str());
+    return 1;
+  }
+
   driver::BatchAnalyzer analyzer_;
 };
 
@@ -640,45 +656,39 @@ public:
     if (int rc = connect())
       return rc;
     const core::ArtifactMask mask = specs[0].artifacts;
-    if (mask & (core::kArtifactSimulation | core::kArtifactCoverage)) {
-      for (const core::AnalysisSpec &spec : specs) {
-        core::Artifacts artifacts;
-        artifacts.name = spec.name;
-        artifacts.requested = spec.artifacts;
-        if (mask & core::kArtifactSimulation) {
-          server::SimulateReply reply;
-          if (!client_.simulate(spec.name, spec.source, spec.options,
-                                spec.simulation, reply))
-            return failure();
-          served(artifacts, reply);
-          if (reply.ok)
-            artifacts.simulation =
-                std::make_shared<const sim::SimResult>(reply.result);
-        } else {
-          server::CoverageReply reply;
-          if (!client_.coverage(spec.name, spec.source, spec.options, reply))
-            return failure();
-          served(artifacts, reply);
-          if (reply.ok)
-            artifacts.coverage = reply.coverage;
-          artifacts.coverageFromCache = reply.ok && reply.cacheHit;
-        }
+    if (mask & core::kArtifactSimulation) {
+      // simulate takes exactly one source.
+      const core::AnalysisSpec &spec = specs[0];
+      server::SimulateReply reply;
+      if (!client_.simulate(spec.name, spec.source, spec.options,
+                            spec.simulation, reply))
+        return failure();
+      core::Artifacts artifacts = served(spec, reply);
+      if (reply.ok)
+        artifacts.simulation =
+            std::make_shared<const sim::SimResult>(reply.result);
+      results.push_back(std::move(artifacts));
+      return 0;
+    }
+    std::vector<server::SourceItem> items;
+    for (const core::AnalysisSpec &spec : specs)
+      items.push_back({spec.name, spec.source});
+    if (mask & core::kArtifactCoverage) {
+      std::vector<server::CoverageReply> replies;
+      if (!client_.coveragePipelined(items, specs[0].options, replies))
+        return failure();
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        core::Artifacts artifacts = served(specs[i], replies[i]);
+        if (replies[i].ok)
+          artifacts.coverage = replies[i].coverage;
+        artifacts.coverageFromCache = replies[i].ok && replies[i].cacheHit;
         results.push_back(std::move(artifacts));
       }
       return 0;
     }
-    std::vector<server::ClientOutcome> outcomes(specs.size());
-    if (specs.size() == 1) {
-      if (!client_.analyze(specs[0].name, specs[0].source, specs[0].options,
-                           outcomes[0]))
-        return failure();
-    } else {
-      std::vector<server::SourceItem> items;
-      for (const core::AnalysisSpec &spec : specs)
-        items.push_back({spec.name, spec.source});
-      if (!client_.analyzeBatch(items, specs[0].options, outcomes))
-        return failure();
-    }
+    std::vector<server::ClientOutcome> outcomes;
+    if (!client_.analyzePipelined(items, specs[0].options, outcomes))
+      return failure();
     for (server::ClientOutcome &outcome : outcomes) {
       core::Artifacts artifacts;
       artifacts.name = outcome.name;
@@ -722,13 +732,19 @@ public:
   bool caches() const override { return true; }
 
 private:
+  /// The artifacts every coverage or simulate reply to `spec` carries.
   template <typename Reply>
-  static void served(core::Artifacts &artifacts, const Reply &reply) {
+  static core::Artifacts served(const core::AnalysisSpec &spec,
+                                const Reply &reply) {
+    core::Artifacts artifacts;
+    artifacts.name = spec.name;
+    artifacts.requested = spec.artifacts;
     artifacts.ok = reply.ok;
     artifacts.cacheHit = reply.cacheHit;
     artifacts.recompiled = reply.recompiled;
     artifacts.seconds = static_cast<double>(reply.micros) / 1e6;
     artifacts.diagnostics = reply.diagnostics;
+    return artifacts;
   }
 
   std::string command_;
@@ -1581,9 +1597,8 @@ int cmdClient(std::vector<std::string> args) {
               static_cast<unsigned long long>(stats.connectionsAccepted));
   std::printf("requests served : %llu\n",
               static_cast<unsigned long long>(stats.requestsServed));
-  std::printf("analyze / batch : %llu / %llu\n",
-              static_cast<unsigned long long>(stats.analyzeRequests),
-              static_cast<unsigned long long>(stats.batchRequests));
+  std::printf("analyze         : %llu\n",
+              static_cast<unsigned long long>(stats.analyzeRequests));
   std::printf("coverage / sim  : %llu / %llu (%llu recompiles)\n",
               static_cast<unsigned long long>(stats.coverageRequests),
               static_cast<unsigned long long>(stats.simulateRequests),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 
 #include "isa/opcode.h"
 #include "support/binary_io.h"
@@ -107,7 +108,9 @@ struct Reader : bio::Reader {
   /// from the root, element counts are bounded by bytes the range itself
   /// holds) passes again wherever the whole range is present, so equal
   /// bytes decode to the equal node. Anything else decodes normally.
-  bool expr(Expr &out) {
+  /// Returned rather than assigned, so callers build each step from it
+  /// and never construct (and intern) a placeholder Expr().
+  std::optional<Expr> expr() {
     const std::size_t window = std::min(rootCount, kRootWindow);
     for (std::size_t i = 1; i <= window; ++i) {
       const Root &root = roots[(rootCount - i) % kRootWindow];
@@ -115,20 +118,18 @@ struct Reader : bio::Reader {
           std::memcmp(bytes.data() + offset, bytes.data() + root.begin,
                       root.size) == 0) {
         offset += root.size;
-        out = Expr::fromNode(root.node);
-        return true;
+        return Expr::fromNode(root.node);
       }
     }
     const std::size_t begin = offset;
     if (!exprNode(0))
-      return false;
+      return std::nullopt;
     Root &root = roots[rootCount++ % kRootWindow];
     root.begin = begin;
     root.size = offset - begin;
     root.node = std::move(operands.back());
     operands.pop_back();
-    out = Expr::fromNode(root.node);
-    return true;
+    return Expr::fromNode(root.node);
   }
 };
 
@@ -266,8 +267,11 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
       return false;
     fn.counts.reserve(countSteps);
     for (std::uint32_t i = 0; i < countSteps; ++i) {
-      CountStep step;
-      if (!r.expr(step.multiplier) || !r.str(step.comment))
+      std::optional<Expr> multiplier = r.expr();
+      if (!multiplier)
+        return false;
+      CountStep step{std::move(*multiplier), {}, {}};
+      if (!r.str(step.comment))
         return false;
       std::uint32_t opcodeCount = 0;
       if (!r.count(opcodeCount, kMinOpcodeEntry))
@@ -292,17 +296,21 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
       return false;
     fn.calls.reserve(callSteps);
     for (std::uint32_t i = 0; i < callSteps; ++i) {
-      CallStep step;
-      if (!r.expr(step.multiplier) || !r.str(step.callee) ||
-          !r.u32(step.line))
+      std::optional<Expr> multiplier = r.expr();
+      if (!multiplier)
+        return false;
+      CallStep step{std::move(*multiplier), {}, {}, 0};
+      if (!r.str(step.callee) || !r.u32(step.line))
         return false;
       std::uint32_t bindingCount = 0;
       if (!r.count(bindingCount, kMinBinding))
         return false;
       for (std::uint32_t b = 0; b < bindingCount; ++b) {
         std::string name;
-        Expr expr;
-        if (!r.str(name) || !r.expr(expr))
+        if (!r.str(name))
+          return false;
+        std::optional<Expr> expr = r.expr();
+        if (!expr)
           return false;
         // Writers emit bindings in map order (strictly increasing
         // names); a repeated or descending name is corrupt, and merging
@@ -311,7 +319,7 @@ bool deserializeModel(const std::string &bytes, std::size_t &offset,
             name <= step.argBindings.rbegin()->first)
           return false;
         step.argBindings.emplace_hint(step.argBindings.end(),
-                                      std::move(name), std::move(expr));
+                                      std::move(name), std::move(*expr));
       }
       fn.calls.push_back(std::move(step));
     }

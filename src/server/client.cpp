@@ -1,12 +1,28 @@
 #include "server/client.h"
 
 #include <chrono>
+#include <numeric>
 #include <thread>
 #include <utility>
 
 #include "driver/batch.h"
 
 namespace mira::server {
+
+namespace {
+
+/// One request frame per item, all under one OptionFlags byte.
+std::vector<std::string>
+encodeEach(const std::vector<SourceItem> &items, std::uint8_t flags,
+           std::string (*encode)(const SourceItem &, std::uint8_t)) {
+  std::vector<std::string> requests;
+  requests.reserve(items.size());
+  for (const SourceItem &item : items)
+    requests.push_back(encode(item, flags));
+  return requests;
+}
+
+} // namespace
 
 bool Client::fail(ErrorKind kind, const std::string &message) {
   kind_ = kind;
@@ -38,9 +54,8 @@ bool Client::finishConnect(const std::string &where) {
   if (!secret_.empty()) {
     // The handshake is this session's first frame; any failure means
     // the connection never became usable, so it classifies as connect.
-    std::string reply;
     if (!roundTrip(encodeHelloRequest(secret_), MessageType::helloReply,
-                   reply)) {
+                   nullptr)) {
       disconnect();
       return fail(ErrorKind::connect,
                   "handshake with " + where + " failed: " + error_);
@@ -52,96 +67,152 @@ bool Client::finishConnect(const std::string &where) {
 
 void Client::disconnect() { socket_.close(); }
 
-bool Client::receiveReply(MessageType &type, std::string &reply) {
-  net::FrameStatus status =
-      net::readFrame(socket_.fd(), reply, kMaxFrameBytes);
-  if (status != net::FrameStatus::ok) {
-    disconnect();
-    switch (status) {
-    case net::FrameStatus::closed:
-      return fail(ErrorKind::transport, "daemon closed the connection");
-    case net::FrameStatus::truncated:
-      return fail(ErrorKind::transport,
-                  "daemon closed the connection mid-reply");
-    case net::FrameStatus::oversized:
-      return fail(ErrorKind::protocol, "reply frame exceeds the frame cap");
-    default:
-      return fail(ErrorKind::transport, "receive failed");
+bool Client::receiveReply(std::string &frame, MessageType &type,
+                          std::size_t &body, const ProgressFn *onProgress) {
+  for (;;) {
+    net::FrameStatus status =
+        net::readFrame(socket_.fd(), frame, kMaxFrameBytes);
+    if (status != net::FrameStatus::ok) {
+      disconnect();
+      switch (status) {
+      case net::FrameStatus::closed:
+        return fail(ErrorKind::transport, "daemon closed the connection");
+      case net::FrameStatus::truncated:
+        return fail(ErrorKind::transport,
+                    "daemon closed the connection mid-reply");
+      case net::FrameStatus::oversized:
+        return fail(ErrorKind::protocol, "reply frame exceeds the frame cap");
+      default:
+        return fail(ErrorKind::transport, "receive failed");
+      }
     }
+    bio::Reader r{frame, 0};
+    std::string headerError;
+    if (!readHeader(r, type, headerError)) {
+      disconnect();
+      return fail(ErrorKind::protocol, "malformed reply: " + headerError);
+    }
+    if (type == MessageType::error) {
+      std::string message;
+      // The daemon closes the connection after an Error reply.
+      disconnect();
+      if (decodeErrorReply(r, message))
+        return fail(ErrorKind::daemon, "daemon error: " + message);
+      return fail(ErrorKind::protocol, "daemon error (unreadable message)");
+    }
+    if (type != MessageType::batchProgress || onProgress == nullptr) {
+      body = r.offset;
+      return true;
+    }
+    BatchProgress progress;
+    if (!decodeBatchProgress(r, progress)) {
+      disconnect();
+      return fail(ErrorKind::protocol, "malformed progress frame");
+    }
+    if (*onProgress)
+      (*onProgress)(progress);
   }
-  bio::Reader r{reply, 0};
-  std::string headerError;
-  if (!readHeader(r, type, headerError)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed reply: " + headerError);
+}
+
+bool Client::exchange(const std::vector<std::string> &requests,
+                      MessageType expected, const ReplyFn &onReply,
+                      const ProgressFn *onProgress) {
+  if (!socket_.valid())
+    return fail(ErrorKind::connect, "not connected");
+  // The frame cap is a protocol MUST for both peers: refuse an over-cap
+  // request before any frame is written, with the actionable message the
+  // daemon could never deliver (it would close the connection mid-send).
+  for (const std::string &request : requests)
+    if (request.size() > kMaxFrameBytes)
+      return fail(ErrorKind::protocol,
+                  "request of " + std::to_string(request.size()) +
+                      " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
+                      "-byte frame cap; split the request");
+  std::vector<std::size_t> pending(requests.size());
+  std::iota(pending.begin(), pending.end(), std::size_t{0});
+  std::size_t idleRounds = 0;
+  while (!pending.empty()) {
+    // Keep at most kPipelineWindow requests outstanding, reading one
+    // reply before writing the next request beyond it. Writing every
+    // request first deadlocks once the unread replies fill the socket
+    // buffers: the daemon blocks sending them and stops reading, and the
+    // client blocks sending the rest. The daemon answers strictly in
+    // request order, so the i-th reply frame belongs to the i-th frame
+    // of this round.
+    std::vector<std::size_t> refused;
+    std::uint32_t retryMillis = 0;
+    std::size_t sent = 0;
+    for (std::size_t received = 0; received < pending.size(); ++received) {
+      for (; sent < pending.size() && sent < received + kPipelineWindow;
+           ++sent) {
+        if (!net::writeFrame(socket_.fd(), requests[pending[sent]])) {
+          disconnect();
+          return fail(ErrorKind::transport, "send failed (daemon gone?)");
+        }
+      }
+      std::string frame;
+      MessageType type{};
+      std::size_t body = 0;
+      if (!receiveReply(frame, type, body, onProgress))
+        return false;
+      bio::Reader r{frame, body};
+      if (type == MessageType::busyReply) {
+        // Refused without queueing: nothing ran, the connection stays
+        // open, and the request goes into the next round.
+        BusyReply busy;
+        if (!decodeBusyReply(r, busy)) {
+          disconnect();
+          return fail(ErrorKind::protocol, "malformed busy reply");
+        }
+        retryMillis = busy.retryAfterMillis;
+        refused.push_back(pending[received]);
+        continue;
+      }
+      if (type != expected) {
+        disconnect();
+        return fail(ErrorKind::protocol,
+                    "unexpected reply type " +
+                        std::to_string(static_cast<unsigned>(type)));
+      }
+      if (onReply && !onReply(pending[received], r)) {
+        // Later replies may still be in flight: the connection is unusable.
+        disconnect();
+        return false;
+      }
+    }
+    if (refused.empty())
+      break;
+    // Only a round the daemon refused outright spends a retry; one that
+    // landed a request made progress, so the loop always ends.
+    if (refused.size() < pending.size())
+      idleRounds = 0;
+    else if (++idleRounds > busy_retries_)
+      return fail(ErrorKind::busy, "daemon at capacity (gave up after " +
+                                       std::to_string(busy_retries_) +
+                                       " retries)");
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(retryMillis ? retryMillis : 10));
+    pending = std::move(refused);
   }
-  if (type == MessageType::error) {
-    std::string message;
-    // The daemon closes the connection after an Error reply.
-    disconnect();
-    if (decodeErrorReply(r, message))
-      return fail(ErrorKind::daemon, "daemon error: " + message);
-    return fail(ErrorKind::protocol, "daemon error (unreadable message)");
-  }
-  // Strip the consumed header so callers decode the body only.
-  reply.erase(0, r.offset);
   return true;
 }
 
-bool Client::roundTrip(const std::string &request, MessageType expected,
-                       std::string &reply) {
-  if (!socket_.valid())
-    return fail(ErrorKind::connect, "not connected");
-  // The frame cap is a protocol MUST for both peers: refuse to send an
-  // over-cap request up front, with the actionable message the daemon
-  // could never deliver (it would close the connection mid-send).
-  if (request.size() > kMaxFrameBytes)
-    return fail(ErrorKind::protocol,
-                "request of " + std::to_string(request.size()) +
-                    " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
-                    "-byte frame cap; split the request");
-  for (std::size_t attempt = 0;; ++attempt) {
-    if (!net::writeFrame(socket_.fd(), request)) {
-      disconnect();
-      return fail(ErrorKind::transport, "send failed (daemon gone?)");
-    }
-    MessageType type{};
-    if (!receiveReply(type, reply))
-      return false;
-    if (type == MessageType::busyReply) {
-      // The daemon refused without queueing and left the connection
-      // open: back off for the server-supplied hint and resend.
-      bio::Reader r{reply, 0};
-      BusyReply busy;
-      if (!decodeBusyReply(r, busy)) {
-        disconnect();
-        return fail(ErrorKind::protocol, "malformed busy reply");
-      }
-      if (attempt >= busy_retries_)
-        return fail(ErrorKind::busy,
-                    "daemon at capacity (gave up after " +
-                        std::to_string(busy_retries_) + " retries)");
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          busy.retryAfterMillis ? busy.retryAfterMillis : 10));
-      continue;
-    }
-    if (type != expected) {
-      disconnect();
-      return fail(ErrorKind::protocol,
-                  "unexpected reply type " +
-                      std::to_string(static_cast<unsigned>(type)));
-    }
-    return true;
-  }
+bool Client::roundTrip(std::string request, MessageType expected,
+                       const ReplyFn &onReply, const ProgressFn *onProgress) {
+  std::vector<std::string> requests;
+  requests.push_back(std::move(request));
+  return exchange(requests, expected, onReply, onProgress);
 }
 
 bool Client::ping() {
-  std::string reply;
   return roundTrip(encodeEmptyMessage(MessageType::ping), MessageType::pong,
-                   reply);
+                   nullptr);
 }
 
-bool Client::decodeOutcome(AnalyzeReply &wire, ClientOutcome &outcome) {
+bool Client::decodeOutcome(bio::Reader &body, ClientOutcome &outcome) {
+  AnalyzeReply wire;
+  if (!decodeAnalyzeReply(body, wire))
+    return fail(ErrorKind::protocol, "malformed analyze reply");
   outcome = ClientOutcome();
   outcome.cacheHit = wire.cacheHit;
   outcome.micros = wire.micros;
@@ -157,126 +228,25 @@ bool Client::decodeOutcome(AnalyzeReply &wire, ClientOutcome &outcome) {
 bool Client::analyze(const std::string &name, const std::string &source,
                      const core::MiraOptions &options,
                      ClientOutcome &outcome) {
-  SourceItem item{name, source};
-  std::string reply;
-  if (!roundTrip(encodeAnalyzeRequest(item, packOptions(options)),
-                 MessageType::analyzeReply, reply))
-    return false;
-  bio::Reader r{reply, 0};
-  AnalyzeReply wire;
-  if (!decodeAnalyzeReply(r, wire)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed analyze reply");
-  }
-  return decodeOutcome(wire, outcome);
-}
-
-bool Client::analyzeBatch(const std::vector<SourceItem> &items,
-                          const core::MiraOptions &options,
-                          std::vector<ClientOutcome> &outcomes) {
-  std::string reply;
-  if (!roundTrip(encodeBatchRequest(items, packOptions(options)),
-                 MessageType::batchReply, reply))
-    return false;
-  bio::Reader r{reply, 0};
-  std::vector<AnalyzeReply> wires;
-  if (!decodeBatchReply(r, wires)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed batch reply");
-  }
-  if (wires.size() != items.size())
-    return fail(ErrorKind::protocol, "batch reply count mismatch");
-  // Decode into a local vector so a mid-loop failure leaves the
-  // caller's outcomes untouched (the documented all-or-nothing
-  // contract).
-  std::vector<ClientOutcome> decoded;
-  decoded.reserve(wires.size());
-  for (AnalyzeReply &wire : wires) {
-    ClientOutcome outcome;
-    if (!decodeOutcome(wire, outcome))
-      return false;
-    decoded.push_back(std::move(outcome));
-  }
-  outcomes = std::move(decoded);
-  return true;
+  return roundTrip(encodeAnalyzeRequest({name, source}, packOptions(options)),
+                   MessageType::analyzeReply,
+                   [&](std::size_t, bio::Reader &body) {
+                     return decodeOutcome(body, outcome);
+                   });
 }
 
 bool Client::analyzePipelined(const std::vector<SourceItem> &items,
                               const core::MiraOptions &options,
                               std::vector<ClientOutcome> &outcomes) {
-  if (!socket_.valid())
-    return fail(ErrorKind::connect, "not connected");
+  // Decode into a local vector so a failure leaves the caller's outcomes
+  // untouched.
   std::vector<ClientOutcome> decoded(items.size());
-  std::vector<std::size_t> pending(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i)
-    pending[i] = i;
-  std::uint32_t retryHintMillis = 0;
-
-  for (std::size_t round = 0; !pending.empty(); ++round) {
-    if (round > 0) {
-      if (round > busy_retries_)
-        return fail(ErrorKind::busy, "daemon at capacity (gave up after " +
-                    std::to_string(busy_retries_) + " retries)");
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          retryHintMillis ? retryHintMillis : 10));
-    }
-    // Keep at most kPipelineWindow requests outstanding, reading one
-    // reply before writing the next request beyond it. Writing every
-    // request first deadlocks once the unread replies fill the socket
-    // buffers: the daemon blocks sending them and stops reading, and the
-    // client blocks sending the rest. The daemon answers strictly in
-    // request order, so the i-th reply frame belongs to the i-th frame
-    // of this round.
-    std::vector<std::size_t> refused;
-    std::size_t sent = 0;
-    for (std::size_t received = 0; received < pending.size(); ++received) {
-      for (; sent < pending.size() && sent < received + kPipelineWindow;
-           ++sent) {
-        const std::string request =
-            encodeAnalyzeRequest(items[pending[sent]], packOptions(options));
-        if (request.size() > kMaxFrameBytes)
-          return fail(ErrorKind::protocol, "request of " + std::to_string(request.size()) +
-                      " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
-                      "-byte frame cap; split the request");
-        if (!net::writeFrame(socket_.fd(), request)) {
-          disconnect();
-          return fail(ErrorKind::transport, "send failed (daemon gone?)");
-        }
-      }
-      const std::size_t idx = pending[received];
-      std::string reply;
-      MessageType type{};
-      if (!receiveReply(type, reply))
-        return false;
-      if (type == MessageType::busyReply) {
-        // Refused without queueing; the connection stays open and the
-        // item goes into the next round.
-        bio::Reader r{reply, 0};
-        BusyReply busy;
-        if (!decodeBusyReply(r, busy)) {
-          disconnect();
-          return fail(ErrorKind::protocol, "malformed busy reply");
-        }
-        retryHintMillis = busy.retryAfterMillis;
-        refused.push_back(idx);
-        continue;
-      }
-      if (type != MessageType::analyzeReply) {
-        disconnect();
-        return fail(ErrorKind::protocol, "unexpected reply type " +
-                    std::to_string(static_cast<unsigned>(type)));
-      }
-      bio::Reader r{reply, 0};
-      AnalyzeReply wire;
-      if (!decodeAnalyzeReply(r, wire)) {
-        disconnect();
-        return fail(ErrorKind::protocol, "malformed analyze reply");
-      }
-      if (!decodeOutcome(wire, decoded[idx]))
-        return false;
-    }
-    pending = std::move(refused);
-  }
+  if (!exchange(encodeEach(items, packOptions(options), encodeAnalyzeRequest),
+                MessageType::analyzeReply,
+                [&](std::size_t i, bio::Reader &body) {
+                  return decodeOutcome(body, decoded[i]);
+                }))
+    return false;
   outcomes = std::move(decoded);
   return true;
 }
@@ -284,33 +254,39 @@ bool Client::analyzePipelined(const std::vector<SourceItem> &items,
 bool Client::coverage(const std::string &name, const std::string &source,
                       const core::MiraOptions &options,
                       CoverageReply &reply) {
-  SourceItem item{name, source};
-  std::string wire;
-  if (!roundTrip(encodeCoverageRequest(item, packOptions(options)),
-                 MessageType::coverageReply, wire))
+  return roundTrip(encodeCoverageRequest({name, source}, packOptions(options)),
+                   MessageType::coverageReply,
+                   [&](std::size_t, bio::Reader &body) {
+                     return decodeCoverageReply(body, reply) ||
+                            fail(ErrorKind::protocol,
+                                 "malformed coverage reply");
+                   });
+}
+
+bool Client::coveragePipelined(const std::vector<SourceItem> &items,
+                               const core::MiraOptions &options,
+                               std::vector<CoverageReply> &replies) {
+  std::vector<CoverageReply> decoded(items.size());
+  if (!exchange(encodeEach(items, packOptions(options), encodeCoverageRequest),
+                MessageType::coverageReply,
+                [&](std::size_t i, bio::Reader &body) {
+                  return decodeCoverageReply(body, decoded[i]) ||
+                         fail(ErrorKind::protocol, "malformed coverage reply");
+                }))
     return false;
-  bio::Reader r{wire, 0};
-  if (!decodeCoverageReply(r, reply)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed coverage reply");
-  }
+  replies = std::move(decoded);
   return true;
 }
 
 bool Client::simulate(const std::string &name, const std::string &source,
                       const core::MiraOptions &options,
                       const core::SimulationArgs &sim, SimulateReply &reply) {
-  SourceItem item{name, source};
-  std::string wire;
-  if (!roundTrip(encodeSimulateRequest(item, packOptions(options), sim),
-                 MessageType::simulateReply, wire))
-    return false;
-  bio::Reader r{wire, 0};
-  if (!decodeSimulateReply(r, reply)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed simulate reply");
-  }
-  return true;
+  return roundTrip(
+      encodeSimulateRequest({name, source}, packOptions(options), sim),
+      MessageType::simulateReply, [&](std::size_t, bio::Reader &body) {
+        return decodeSimulateReply(body, reply) ||
+               fail(ErrorKind::protocol, "malformed simulate reply");
+      });
 }
 
 bool Client::manifestBatch(const std::string &manifestBytes,
@@ -320,8 +296,6 @@ bool Client::manifestBatch(const std::string &manifestBytes,
                            const core::MiraOptions &options,
                            const ProgressFn &onProgress,
                            std::string &reportBytes) {
-  if (!socket_.valid())
-    return fail(ErrorKind::connect, "not connected");
   ManifestBatchRequest request;
   request.flags = packOptions(options);
   request.progress = onProgress != nullptr;
@@ -330,103 +304,41 @@ bool Client::manifestBatch(const std::string &manifestBytes,
   request.root = root;
   request.manifestBytes = manifestBytes;
   request.sinceBytes = sinceBytes;
-  const std::string wire = encodeManifestBatchRequest(request);
-  if (wire.size() > kMaxFrameBytes)
-    return fail(ErrorKind::protocol,
-                "request of " + std::to_string(wire.size()) +
-                    " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
-                    "-byte frame cap; split the request");
-  // Not roundTrip: the final reply may be preceded by any number of
-  // batchProgress frames, the second reply type (after Busy) that does
-  // not end the conversation.
-  for (std::size_t attempt = 0;; ++attempt) {
-    if (!net::writeFrame(socket_.fd(), wire)) {
-      disconnect();
-      return fail(ErrorKind::transport, "send failed (daemon gone?)");
-    }
-    bool resend = false;
-    for (;;) {
-      MessageType type{};
-      std::string reply;
-      if (!receiveReply(type, reply))
-        return false;
-      if (type == MessageType::busyReply) {
-        // Refused without queueing: nothing ran, resending is safe.
-        bio::Reader r{reply, 0};
-        BusyReply busy;
-        if (!decodeBusyReply(r, busy)) {
-          disconnect();
-          return fail(ErrorKind::protocol, "malformed busy reply");
-        }
-        if (attempt >= busy_retries_)
-          return fail(ErrorKind::busy,
-                      "daemon at capacity (gave up after " +
-                          std::to_string(busy_retries_) + " retries)");
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            busy.retryAfterMillis ? busy.retryAfterMillis : 10));
-        resend = true;
-        break;
-      }
-      if (type == MessageType::batchProgress) {
-        bio::Reader r{reply, 0};
-        BatchProgress progress;
-        if (!decodeBatchProgress(r, progress)) {
-          disconnect();
-          return fail(ErrorKind::protocol, "malformed progress frame");
-        }
-        if (onProgress)
-          onProgress(progress);
-        continue;
-      }
-      if (type != MessageType::manifestBatchReply) {
-        disconnect();
-        return fail(ErrorKind::protocol,
-                    "unexpected reply type " +
-                        std::to_string(static_cast<unsigned>(type)));
-      }
-      bio::Reader r{reply, 0};
-      ManifestBatchReply decoded;
-      if (!decodeManifestBatchReply(r, decoded)) {
-        disconnect();
-        return fail(ErrorKind::protocol, "malformed manifest-batch reply");
-      }
-      reportBytes = std::move(decoded.reportBytes);
-      return true;
-    }
-    if (!resend)
-      return false; // unreachable; inner loop always returns or resends
-  }
+  // The final reply may be preceded by any number of progress frames.
+  return roundTrip(
+      encodeManifestBatchRequest(request), MessageType::manifestBatchReply,
+      [&](std::size_t, bio::Reader &body) {
+        ManifestBatchReply decoded;
+        if (!decodeManifestBatchReply(body, decoded))
+          return fail(ErrorKind::protocol, "malformed manifest-batch reply");
+        reportBytes = std::move(decoded.reportBytes);
+        return true;
+      },
+      &onProgress);
 }
 
 bool Client::cacheStats(ServerStats &stats) {
-  std::string reply;
-  if (!roundTrip(encodeEmptyMessage(MessageType::cacheStats),
-                 MessageType::cacheStatsReply, reply))
-    return false;
-  bio::Reader r{reply, 0};
-  if (!decodeCacheStatsReply(r, stats)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed cache-stats reply");
-  }
-  return true;
+  return roundTrip(encodeEmptyMessage(MessageType::cacheStats),
+                   MessageType::cacheStatsReply,
+                   [&](std::size_t, bio::Reader &body) {
+                     return decodeCacheStatsReply(body, stats) ||
+                            fail(ErrorKind::protocol,
+                                 "malformed cache-stats reply");
+                   });
 }
 
 bool Client::metrics(std::vector<MetricSample> &samples) {
-  std::string reply;
-  if (!roundTrip(encodeMetricsRequest(), MessageType::metricsReply, reply))
-    return false;
-  bio::Reader r{reply, 0};
-  if (!decodeMetricsReply(r, samples)) {
-    disconnect();
-    return fail(ErrorKind::protocol, "malformed metrics reply");
-  }
-  return true;
+  return roundTrip(encodeMetricsRequest(), MessageType::metricsReply,
+                   [&](std::size_t, bio::Reader &body) {
+                     return decodeMetricsReply(body, samples) ||
+                            fail(ErrorKind::protocol,
+                                 "malformed metrics reply");
+                   });
 }
 
 bool Client::shutdownServer() {
-  std::string reply;
   if (!roundTrip(encodeEmptyMessage(MessageType::shutdown),
-                 MessageType::shutdownReply, reply))
+                 MessageType::shutdownReply, nullptr))
     return false;
   // The daemon stops reading afterwards; this connection is done.
   disconnect();

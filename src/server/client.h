@@ -11,9 +11,12 @@
 /// given `--socket`/`--connect` talks to its daemon through this class,
 /// and tests/server_test.cpp drives both ends in one process.
 ///
-/// An analyze reply's payload is copied once, out of the reply frame;
-/// analyze(), analyzeBatch() and analyzePipelined() then move it into
-/// ClientOutcome::payload and decode the model from there.
+/// Every request goes through one exchange loop: up to kPipelineWindow
+/// frames in flight, replies read in request order, Busy refusals
+/// retried in later rounds. A single call is a pipeline of one.
+///
+/// An analyze reply's payload is copied once, out of the reply frame, into
+/// ClientOutcome::payload, and the model is decoded from there.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +64,12 @@ public:
     busy,      ///< gave up after the configured Busy retries
   };
 
-  /// How many times a request refused with Busy is retried (after
-  /// sleeping for the daemon's retry hint) before giving up with an
-  /// error. 0 = fail on the first Busy.
+  /// How many times in a row a round the daemon refused outright (every
+  /// request in it answered Busy) is retried, after sleeping for the
+  /// daemon's hint, before giving up with an error. A round that lands at
+  /// least one request restores the budget, so a long pipelined call
+  /// against a busy daemon finishes as long as it keeps moving. 0 = fail
+  /// on the first round refused outright.
   void setBusyRetries(std::size_t retries) { busy_retries_ = retries; }
   std::size_t busyRetries() const { return busy_retries_; }
 
@@ -105,28 +111,26 @@ public:
   bool analyze(const std::string &name, const std::string &source,
                const core::MiraOptions &options, ClientOutcome &outcome);
 
-  /// Analyze many sources in one request; outcomes arrive in input
-  /// order. False on transport/protocol failure (partial results are
-  /// discarded).
-  bool analyzeBatch(const std::vector<SourceItem> &items,
-                    const core::MiraOptions &options,
-                    std::vector<ClientOutcome> &outcomes);
-
   /// Analyze many sources as individual pipelined requests on this one
   /// connection: up to kPipelineWindow frames are in flight at once and
   /// the replies — which the daemon guarantees arrive in request order —
   /// are read back in sequence. The bounded window keeps the unread
   /// replies within the socket buffers, so any number of items is safe.
-  /// Unlike analyzeBatch the daemon treats each item as its own request,
-  /// so items refused with Busy are retried in follow-up rounds (honoring
-  /// the retry hint) while accepted items' results are kept. Outcomes
-  /// arrive in input order; payload bytes are identical to one-shot
-  /// analyze() calls of the same items.
+  /// The daemon treats each item as its own request, so items refused
+  /// with Busy are retried in follow-up rounds (honoring the retry hint)
+  /// while accepted items' results are kept. Outcomes arrive in input
+  /// order; payload bytes are identical to one-shot analyze() calls of
+  /// the same items. False on any failure, with `outcomes` untouched.
   bool analyzePipelined(const std::vector<SourceItem> &items,
                         const core::MiraOptions &options,
                         std::vector<ClientOutcome> &outcomes);
 
-  /// Requests analyzePipelined() keeps in flight. Eight replies of the
+  /// coverage() of many sources, pipelined like analyzePipelined().
+  bool coveragePipelined(const std::vector<SourceItem> &items,
+                         const core::MiraOptions &options,
+                         std::vector<CoverageReply> &replies);
+
+  /// Requests a pipelined call keeps in flight. Eight replies of the
   /// largest corpus payloads (about 14 KB) stay well inside a default
   /// 208 KB Unix socket buffer.
   static constexpr std::size_t kPipelineWindow = 8;
@@ -184,18 +188,34 @@ public:
   ErrorKind lastErrorKind() const { return kind_; }
 
 private:
-  /// Send `request`, receive one reply frame, validate its header and
-  /// check for Error replies. A Busy refusal is retried up to
-  /// busyRetries() times after sleeping for the daemon's hint. On
-  /// success `reply` holds the body of a reply of type `expected`.
-  bool roundTrip(const std::string &request, MessageType expected,
-                 std::string &reply);
+  /// Decodes the body of request `index`'s reply into the caller's
+  /// storage; false (after fail()) when it is malformed.
+  using ReplyFn = std::function<bool(std::size_t index, bio::Reader &body)>;
+
+  /// The one exchange loop. Writes `requests` with at most
+  /// kPipelineWindow unanswered and reads their replies in request
+  /// order, handing each body of type `expected` to `onReply` (a null
+  /// `onReply` ignores the bodies). A request refused with Busy goes into
+  /// the next round, after the daemon's hint; a round refused outright
+  /// spends a retry, one that lands a request restores busyRetries(), and
+  /// a refused round with none left gives up. BatchProgress frames
+  /// before a reply go to `*onProgress` when given, and are unexpected
+  /// otherwise. An Error reply, a bad frame or an unexpected type fails
+  /// the call.
+  bool exchange(const std::vector<std::string> &requests, MessageType expected,
+                const ReplyFn &onReply, const ProgressFn *onProgress = nullptr);
+  /// exchange() of one request.
+  bool roundTrip(std::string request, MessageType expected,
+                 const ReplyFn &onReply,
+                 const ProgressFn *onProgress = nullptr);
   /// Receive one reply frame, validate the header, surface Error
-  /// replies as failures; `reply` is left holding the body only.
-  bool receiveReply(MessageType &type, std::string &reply);
-  /// Unpack `wire` into `outcome`, moving its payload (not copying it)
-  /// into outcome.payload and decoding it there.
-  bool decodeOutcome(AnalyzeReply &wire, ClientOutcome &outcome);
+  /// replies as failures and hand BatchProgress frames to `*onProgress`
+  /// when given. `body` is left at the start of the reply's body.
+  bool receiveReply(std::string &frame, MessageType &type, std::size_t &body,
+                    const ProgressFn *onProgress);
+  /// Decode an analyze reply body into `outcome`, moving its payload (not
+  /// copying it) into outcome.payload and decoding the model there.
+  bool decodeOutcome(bio::Reader &body, ClientOutcome &outcome);
   bool fail(ErrorKind kind, const std::string &message);
   /// Shared tail of connect()/connectTcp(): arm the read timeout and
   /// run the Hello handshake when a secret is configured. On handshake

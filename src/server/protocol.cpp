@@ -199,19 +199,6 @@ std::string encodeAnalyzeRequest(const SourceItem &item, std::uint8_t flags) {
   return encodeSourceRequest(MessageType::analyze, item, flags);
 }
 
-std::string encodeBatchRequest(const std::vector<SourceItem> &items,
-                               std::uint8_t flags) {
-  std::string out;
-  beginMessage(out, MessageType::batch);
-  bio::putU8(out, flags);
-  bio::putU32(out, static_cast<std::uint32_t>(items.size()));
-  for (const SourceItem &item : items) {
-    bio::putString(out, item.name);
-    bio::putString(out, item.source);
-  }
-  return out;
-}
-
 std::string encodeCoverageRequest(const SourceItem &item, std::uint8_t flags) {
   return encodeSourceRequest(MessageType::coverage, item, flags);
 }
@@ -296,20 +283,6 @@ std::string encodeErrorReply(const std::string &message) {
 
 namespace {
 
-void putAnalyzeReplyBody(std::string &out, const AnalyzeReply &reply) {
-  bio::putU8(out, reply.cacheHit ? 1 : 0);
-  bio::putU64(out, reply.micros);
-  bio::putString(out, reply.payload);
-}
-
-bool readAnalyzeReplyBody(bio::Reader &r, AnalyzeReply &reply) {
-  std::uint8_t hit = 0;
-  if (!r.u8(hit) || hit > 1)
-    return false;
-  reply.cacheHit = hit == 1;
-  return r.u64(reply.micros) && r.str(reply.payload);
-}
-
 /// Shared [cacheHit u8][recompiled u8][micros u64][ok u8][diagnostics]
 /// prefix of the coverage and simulate replies.
 void putServedReplyPrefix(std::string &out, bool cacheHit, bool recompiled,
@@ -340,16 +313,9 @@ bool readServedReplyPrefix(bio::Reader &r, bool &cacheHit, bool &recompiled,
 std::string encodeAnalyzeReply(const AnalyzeReply &reply) {
   std::string out;
   beginMessage(out, MessageType::analyzeReply);
-  putAnalyzeReplyBody(out, reply);
-  return out;
-}
-
-std::string encodeBatchReply(const std::vector<AnalyzeReply> &replies) {
-  std::string out;
-  beginMessage(out, MessageType::batchReply);
-  bio::putU32(out, static_cast<std::uint32_t>(replies.size()));
-  for (const AnalyzeReply &reply : replies)
-    putAnalyzeReplyBody(out, reply);
+  bio::putU8(out, reply.cacheHit ? 1 : 0);
+  bio::putU64(out, reply.micros);
+  bio::putString(out, reply.payload);
   return out;
 }
 
@@ -383,7 +349,6 @@ std::string encodeCacheStatsReply(const ServerStats &stats) {
   bio::putU64(out, stats.connectionsAccepted);
   bio::putU64(out, stats.requestsServed);
   bio::putU64(out, stats.analyzeRequests);
-  bio::putU64(out, stats.batchRequests);
   bio::putU64(out, stats.sourcesAnalyzed);
   bio::putU64(out, stats.cacheHits);
   bio::putU64(out, stats.computed);
@@ -405,23 +370,6 @@ std::string encodeCacheStatsReply(const ServerStats &stats) {
 bool decodeAnalyzeRequest(bio::Reader &r, SourceItem &item,
                           std::uint8_t &flags) {
   return decodeSourceRequestBody(r, item, flags) && r.remaining() == 0;
-}
-
-bool decodeBatchRequest(bio::Reader &r, std::vector<SourceItem> &items,
-                        std::uint8_t &flags) {
-  std::uint32_t count = 0;
-  if (!r.u8(flags) || !r.u32(count))
-    return false;
-  items.clear();
-  // No reserve(count): the count is attacker-controlled; per-item reads
-  // below fail naturally when the body runs out.
-  for (std::uint32_t i = 0; i < count; ++i) {
-    SourceItem item;
-    if (!r.str(item.name) || !r.str(item.source))
-      return false;
-    items.push_back(std::move(item));
-  }
-  return r.remaining() == 0;
 }
 
 bool decodeCoverageRequest(bio::Reader &r, SourceItem &item,
@@ -487,21 +435,11 @@ bool decodeErrorReply(bio::Reader &r, std::string &message) {
 }
 
 bool decodeAnalyzeReply(bio::Reader &r, AnalyzeReply &reply) {
-  return readAnalyzeReplyBody(r, reply) && r.remaining() == 0;
-}
-
-bool decodeBatchReply(bio::Reader &r, std::vector<AnalyzeReply> &replies) {
-  std::uint32_t count = 0;
-  if (!r.u32(count))
+  std::uint8_t hit = 0;
+  if (!r.u8(hit) || hit > 1)
     return false;
-  replies.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    AnalyzeReply reply;
-    if (!readAnalyzeReplyBody(r, reply))
-      return false;
-    replies.push_back(std::move(reply));
-  }
-  return r.remaining() == 0;
+  reply.cacheHit = hit == 1;
+  return r.u64(reply.micros) && r.str(reply.payload) && r.remaining() == 0;
 }
 
 bool decodeCoverageReply(bio::Reader &r, CoverageReply &reply) {
@@ -554,15 +492,14 @@ bool decodeMetricsReply(bio::Reader &r, std::vector<MetricSample> &samples) {
 bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats) {
   return r.u64(stats.uptimeMicros) && r.u64(stats.connectionsAccepted) &&
          r.u64(stats.requestsServed) && r.u64(stats.analyzeRequests) &&
-         r.u64(stats.batchRequests) && r.u64(stats.sourcesAnalyzed) &&
-         r.u64(stats.cacheHits) && r.u64(stats.computed) &&
-         r.u64(stats.failures) && r.u64(stats.protocolErrors) &&
-         r.u64(stats.memoryEntries) && r.u64(stats.diskHits) &&
-         r.u64(stats.diskMisses) && r.u64(stats.diskStores) &&
-         r.u64(stats.diskEntries) && r.u64(stats.diskBytes) &&
-         r.u64(stats.threads) && r.u64(stats.coverageRequests) &&
-         r.u64(stats.simulateRequests) && r.u64(stats.recompiles) &&
-         r.remaining() == 0;
+         r.u64(stats.sourcesAnalyzed) && r.u64(stats.cacheHits) &&
+         r.u64(stats.computed) && r.u64(stats.failures) &&
+         r.u64(stats.protocolErrors) && r.u64(stats.memoryEntries) &&
+         r.u64(stats.diskHits) && r.u64(stats.diskMisses) &&
+         r.u64(stats.diskStores) && r.u64(stats.diskEntries) &&
+         r.u64(stats.diskBytes) && r.u64(stats.threads) &&
+         r.u64(stats.coverageRequests) && r.u64(stats.simulateRequests) &&
+         r.u64(stats.recompiles) && r.remaining() == 0;
 }
 
 } // namespace mira::server

@@ -19,8 +19,9 @@
 /// Metrics/Busy/BatchProgress/Hello messages are additive late-v2
 /// extensions (new message types, no layout changes); older v2 daemons
 /// answer them with Error-and-close like any unknown type, which
-/// clients must treat as "not supported". Types 8 and 108 (the retired
-/// ManifestDiff pair) get the same answer and are never reused. Busy and
+/// clients must treat as "not supported". Types 3 and 103 (the retired
+/// Batch pair) and 8 and 108 (the retired ManifestDiff pair) get the
+/// same answer and are never reused. Busy and
 /// BatchProgress are the two replies that do NOT close the connection:
 /// Busy reports the in-flight cap was hit and carries a retry-after
 /// hint; BatchProgress precedes a manifestBatchReply on the same
@@ -69,7 +70,7 @@ enum class MessageType : std::uint8_t {
   // Requests (client -> server).
   ping = 1,       ///< liveness probe; empty body
   analyze = 2,    ///< one source: [flags u8][name str][source str]
-  batch = 3,      ///< many sources: [flags u8][count u32][count x item]
+  // 3 is retired (Batch) and never reused.
   cacheStats = 4, ///< server/cache counters; empty body
   shutdown = 5,   ///< stop accepting, drain, exit; empty body
   coverage = 6,   ///< loop coverage: same body as analyze
@@ -83,7 +84,7 @@ enum class MessageType : std::uint8_t {
   error = 100,           ///< [message str]; connection closes after
   pong = 101,            ///< empty body
   analyzeReply = 102,    ///< one result (see AnalyzeReply)
-  batchReply = 103,      ///< [count u32][count x result]
+  // 103 is retired (BatchReply) and never reused.
   cacheStatsReply = 104, ///< fixed u64 counter block (see ServerStats)
   shutdownReply = 105,   ///< empty body; sent before the daemon drains
   coverageReply = 106,   ///< one coverage summary (see CoverageReply)
@@ -99,7 +100,7 @@ enum class MessageType : std::uint8_t {
                          ///< connection stays open for requests
 };
 
-/// Model-affecting option bits carried by analyze/batch requests —
+/// Model-affecting option bits carried by analysis requests —
 /// exactly the options driver::requestKey hashes, so equal flags mean
 /// equal cache keys for equal sources.
 enum OptionFlags : std::uint8_t {
@@ -114,8 +115,7 @@ std::uint8_t packOptions(const core::MiraOptions &options);
 /// Expand OptionFlags into a MiraOptions (all other fields default).
 core::MiraOptions unpackOptions(std::uint8_t flags);
 
-/// One named source, the unit of analyze/batch/coverage/simulate
-/// requests.
+/// One named source, the unit of analyze/coverage/simulate requests.
 struct SourceItem {
   std::string name;   ///< display name; echoed as the payload's producer
   std::string source; ///< MiniC source text
@@ -223,7 +223,6 @@ struct ServerStats {
   std::uint64_t connectionsAccepted = 0; ///< client sessions opened
   std::uint64_t requestsServed = 0;      ///< frames answered (errors too)
   std::uint64_t analyzeRequests = 0;     ///< analyze messages
-  std::uint64_t batchRequests = 0;       ///< batch messages
   std::uint64_t sourcesAnalyzed = 0;     ///< items across request kinds
   std::uint64_t cacheHits = 0;           ///< items served without recompute
   std::uint64_t computed = 0;            ///< items that ran the pipeline
@@ -256,9 +255,6 @@ bool readHeader(bio::Reader &r, MessageType &type, std::string &error);
 std::string encodeEmptyMessage(MessageType type);
 /// Build an analyze request for one source under OptionFlags `flags`.
 std::string encodeAnalyzeRequest(const SourceItem &item, std::uint8_t flags);
-/// Build a batch request; every item shares one OptionFlags byte.
-std::string encodeBatchRequest(const std::vector<SourceItem> &items,
-                               std::uint8_t flags);
 /// Build a coverage request: same body as analyze.
 std::string encodeCoverageRequest(const SourceItem &item, std::uint8_t flags);
 /// Build a simulate request: analyze body + the per-call
@@ -286,13 +282,11 @@ std::string encodeMetricsReply(const std::vector<MetricSample> &samples);
 std::string encodeErrorReply(const std::string &message);
 /// Build an analyzeReply carrying one result.
 std::string encodeAnalyzeReply(const AnalyzeReply &reply);
-/// Build a batchReply carrying results in request order.
-std::string encodeBatchReply(const std::vector<AnalyzeReply> &replies);
 /// Build a coverageReply.
 std::string encodeCoverageReply(const CoverageReply &reply);
 /// Build a simulateReply.
 std::string encodeSimulateReply(const SimulateReply &reply);
-/// Build a cacheStatsReply (the 20-field ServerStats block) from a
+/// Build a cacheStatsReply (the 19-field ServerStats block) from a
 /// counter snapshot.
 std::string encodeCacheStatsReply(const ServerStats &stats);
 
@@ -303,9 +297,6 @@ std::string encodeCacheStatsReply(const ServerStats &stats);
 /// Decode an analyze request body.
 bool decodeAnalyzeRequest(bio::Reader &r, SourceItem &item,
                           std::uint8_t &flags);
-/// Decode a batch request body.
-bool decodeBatchRequest(bio::Reader &r, std::vector<SourceItem> &items,
-                        std::uint8_t &flags);
 /// Decode a coverage request body (identical layout to analyze).
 bool decodeCoverageRequest(bio::Reader &r, SourceItem &item,
                            std::uint8_t &flags);
@@ -327,8 +318,6 @@ bool decodeManifestBatchReply(bio::Reader &r, ManifestBatchReply &reply);
 bool decodeErrorReply(bio::Reader &r, std::string &message);
 /// Decode an analyzeReply body.
 bool decodeAnalyzeReply(bio::Reader &r, AnalyzeReply &reply);
-/// Decode a batchReply body.
-bool decodeBatchReply(bio::Reader &r, std::vector<AnalyzeReply> &replies);
 /// Decode a coverageReply body.
 bool decodeCoverageReply(bio::Reader &r, CoverageReply &reply);
 /// Decode a simulateReply body.

@@ -91,7 +91,6 @@ AnalysisServer::AnalysisServer(ServerOptions options)
       connections_accepted_(metrics_.counter("server_connections_accepted_total")),
       requests_served_(metrics_.counter("server_requests_served_total")),
       analyze_requests_(metrics_.counter("server_analyze_requests_total")),
-      batch_requests_(metrics_.counter("server_batch_requests_total")),
       coverage_requests_(metrics_.counter("server_coverage_requests_total")),
       simulate_requests_(metrics_.counter("server_simulate_requests_total")),
       sources_analyzed_(metrics_.counter("server_sources_analyzed_total")),
@@ -106,8 +105,8 @@ AnalysisServer::AnalysisServer(ServerOptions options)
       manifest_batch_cancelled_(
           metrics_.counter("server_manifest_batch_cancelled_total")) {
   driver::BatchOptions batchOptions;
-  // Batch requests fan their items across the analyzer's own pool
-  // (analyzeArtifactsMany), so size it like the compute pool. The
+  // A manifest batch fans its entries across the analyzer's own pool
+  // (driver::runManifestBatch), so size it like the compute pool. The
   // analyzer registers its lifetime counters in the daemon's registry so
   // one scrape covers both layers.
   batchOptions.threads = options_.threads;
@@ -137,6 +136,11 @@ AnalysisServer::~AnalysisServer() {
 }
 
 bool AnalysisServer::start(std::string &error) {
+  if (const CacheStore *disk = analyzer_->diskCache();
+      disk != nullptr && !disk->usable()) {
+    error = "cannot open cache directory '" + options_.cacheDir + "'";
+    return false;
+  }
   int pipeFds[2];
   if (::pipe(pipeFds) != 0) {
     error = std::string("pipe: ") + std::strerror(errno);
@@ -356,39 +360,6 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
     return true;
   }
 
-  case MessageType::batch: {
-    std::vector<SourceItem> items;
-    std::uint8_t flags = 0;
-    if (!decodeBatchRequest(r, items, flags)) {
-      sendErrorAt(session, seq, "malformed batch request");
-      return false;
-    }
-    batch_requests_.increment();
-    // A batch holds a single in-flight slot: its items fan across the
-    // analyzer's pool (as in `mira-cli batch --threads N`), so admitting
-    // it per item would double-count.
-    if (!admitOrRefuse(session, seq))
-      return true;
-    compute_->submit([this, session, seq, items = std::move(items),
-                      flags]() mutable {
-      std::vector<core::AnalysisSpec> specs;
-      specs.reserve(items.size());
-      for (SourceItem &item : items)
-        specs.push_back(
-            specFor(std::move(item), flags, core::kArtifactDefault));
-      std::vector<std::string> payloads;
-      const std::vector<core::Artifacts> results =
-          analyzer_->analyzeArtifactsMany(specs, &payloads);
-      std::vector<AnalyzeReply> replies;
-      replies.reserve(results.size());
-      for (std::size_t i = 0; i < results.size(); ++i)
-        replies.push_back(replyFor(results[i], std::move(payloads[i])));
-      releaseInflight();
-      sendReplyAt(session, seq, encodeBatchReply(replies));
-    });
-    return true;
-  }
-
   case MessageType::coverage: {
     SourceItem item;
     std::uint8_t flags = 0;
@@ -446,8 +417,8 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
     job.shard.index = request.shardIndex;
     job.shard.count = request.shardCount;
     manifest_batch_requests_.increment();
-    // One in-flight slot for the whole corpus, like batch: the entries
-    // fan across the analyzer's own pool chunk by chunk.
+    // One in-flight slot for the whole corpus: the entries fan across
+    // the analyzer's own pool chunk by chunk.
     if (!admitOrRefuse(session, seq))
       return true;
     compute_->submit([this, session, seq, job = std::move(job),
@@ -536,8 +507,8 @@ void AnalysisServer::enqueueReply(const std::shared_ptr<Session> &session,
 void AnalysisServer::sendReplyAt(const std::shared_ptr<Session> &session,
                                  std::uint64_t seq, std::string frame) {
   // The frame cap binds both directions: a reply the daemon itself
-  // cannot legally frame (a huge batch's aggregated payloads) becomes
-  // an Error, not a protocol violation the client chokes on.
+  // cannot legally frame (a huge payload or manifest report) becomes an
+  // Error, not a protocol violation the client chokes on.
   if (frame.size() > options_.maxFrameBytes) {
     sendErrorAt(session, seq,
                 "reply of " + std::to_string(frame.size()) +
@@ -656,11 +627,19 @@ void AnalysisServer::serveSource(const std::shared_ptr<Session> &session,
 std::string AnalysisServer::replyFrame(MessageType type,
                                        const core::Artifacts &artifacts,
                                        std::string payload) {
-  if (type == MessageType::analyze)
-    return encodeAnalyzeReply(replyFor(artifacts, std::move(payload)));
   recordServed(artifacts);
   const std::uint64_t micros =
       static_cast<std::uint64_t>(artifacts.seconds * 1e6);
+  if (type == MessageType::analyze) {
+    AnalyzeReply reply;
+    reply.cacheHit = artifacts.cacheHit;
+    reply.micros = micros;
+    // The canonical result payload (docs/CACHING.md format), named after
+    // this request: byte-identical to a one-shot analyze of the same
+    // (source, options), whether served cold, from memory, or from disk.
+    reply.payload = std::move(payload);
+    return encodeAnalyzeReply(reply);
+  }
   if (type == MessageType::coverage) {
     CoverageReply reply;
     reply.cacheHit = artifacts.cacheHit;
@@ -681,19 +660,6 @@ std::string AnalysisServer::replyFrame(MessageType type,
   if (reply.ok)
     reply.result = *artifacts.simulation;
   return encodeSimulateReply(reply);
-}
-
-AnalyzeReply AnalysisServer::replyFor(const core::Artifacts &artifacts,
-                                      std::string payload) {
-  recordServed(artifacts);
-  AnalyzeReply reply;
-  reply.cacheHit = artifacts.cacheHit;
-  reply.micros = static_cast<std::uint64_t>(artifacts.seconds * 1e6);
-  // The canonical result payload (docs/CACHING.md format), named after
-  // this request: byte-identical to a one-shot analyze of the same
-  // (source, options), whether served cold, from memory, or from disk.
-  reply.payload = std::move(payload);
-  return reply;
 }
 
 void AnalysisServer::serveManifestBatch(
@@ -782,7 +748,6 @@ ServerStats AnalysisServer::snapshotStats() const {
   stats.connectionsAccepted = connections_accepted_.value();
   stats.requestsServed = requests_served_.value();
   stats.analyzeRequests = analyze_requests_.value();
-  stats.batchRequests = batch_requests_.value();
   stats.sourcesAnalyzed = sources_analyzed_.value();
   stats.cacheHits = cache_hits_.value();
   stats.computed = computed_.value();

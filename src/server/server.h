@@ -81,7 +81,8 @@ struct ServerOptions {
   /// Error reply and a closed connection.
   std::uint32_t maxFrameBytes = kMaxFrameBytes;
   /// Daemon-wide cap on requests running on the compute pool (analyze,
-  /// batch, coverage, simulate, manifest batch — a batch counts as one).
+  /// coverage, simulate, manifest batch — a manifest batch counts as
+  /// one).
   /// A request over the cap is refused with Busy instead of queueing
   /// unboundedly. A ready memory hit is answered by its session reader,
   /// takes no slot and is never refused. 0 = unlimited.
@@ -110,8 +111,9 @@ public:
   AnalysisServer &operator=(const AnalysisServer &) = delete;
 
   /// Bind the listening socket and the internal stop event. Returns
-  /// false (with a description in `error`) when the path is unusable or
-  /// another daemon already listens there.
+  /// false (with a description in `error`) when the path is unusable,
+  /// another daemon already listens there, or the cache directory could
+  /// not be opened as a directory.
   bool start(std::string &error);
 
   /// Accept and dispatch until shutdown; blocks the calling thread.
@@ -216,9 +218,6 @@ private:
   /// payload.
   std::string replyFrame(MessageType type, const core::Artifacts &artifacts,
                          std::string payload);
-  /// Record artifacts in the counters and wrap them, with their artifact
-  /// payload, as a wire reply.
-  AnalyzeReply replyFor(const core::Artifacts &artifacts, std::string payload);
 
   ServerOptions options_;
   /// The one registry behind every surface: the analyzer registers its
@@ -255,7 +254,6 @@ private:
   core::MetricsRegistry::Counter &connections_accepted_;
   core::MetricsRegistry::Counter &requests_served_;
   core::MetricsRegistry::Counter &analyze_requests_;
-  core::MetricsRegistry::Counter &batch_requests_;
   core::MetricsRegistry::Counter &coverage_requests_;
   core::MetricsRegistry::Counter &simulate_requests_;
   core::MetricsRegistry::Counter &sources_analyzed_;

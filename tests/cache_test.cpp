@@ -25,6 +25,7 @@
 #include "model/serialize.h"
 #include "support/binary_io.h"
 #include "support/cache_store.h"
+#include "symbolic/interner.h"
 #include "workloads/coverage_suite.h"
 #include "workloads/workloads.h"
 
@@ -579,6 +580,16 @@ TEST(ModelSerializeTest, RejectsTruncatedAndMutatedBuffers) {
   EXPECT_FALSE(decodes(handEncodedCall({{"b", paramExpr("n")},
                                         {"a", constExpr(2)}})))
       << "descending binding pair";
+}
+
+TEST(ModelSerializeTest, DecodingInternsOnlyThePayloadsNodes) {
+  // Each payload decodes into an arena of its own, so every node it
+  // holds is one miss. A step default-constructed before its multiplier
+  // is read would intern an unused 0 node there as well.
+  const std::string bytes = handEncodedModel(constExpr(7), {});
+  const std::uint64_t before = symbolic::ExprInterner::globalStats().misses;
+  ASSERT_TRUE(decodes(bytes));
+  EXPECT_EQ(symbolic::ExprInterner::globalStats().misses, before + 1);
 }
 
 /// Decodes `bytes` (which must decode whole) and checks that the result

@@ -297,6 +297,32 @@ TEST(CliExitContract, DaemonHangingUpMidReplyIsFour) {
   fake.join();
 }
 
+TEST(CliExitContract, ACacheDirThatIsAFileIsOneOnEveryCommand) {
+  // The store cannot open a regular file as its directory, and running
+  // uncached instead would hide that: every command that opens a store
+  // exits 1, names the path, and leaves the file's bytes alone.
+  TempDir dir("cache_file");
+  const fs::path manifest = buildManifest(dir);
+  const fs::path file = dir.path / "not_a_directory";
+  writeFile(file, "precious bytes\n");
+  const std::string sock = (dir.path / "unused.sock").string();
+  std::vector<std::vector<std::string>> commands = {{"serve", "--socket", sock}};
+  for (const auto &command : daemonCommands(manifest))
+    if (command[0] != "client")
+      commands.push_back(command);
+  for (const auto &command : commands) {
+    const fs::path log = dir.path / "run.log";
+    EXPECT_EQ(runCli(with(command, {"--cache-dir", file.string()}), log), 1)
+        << command[0] << ": " << slurp(log);
+    EXPECT_NE(slurp(log).find("cannot open cache directory '" +
+                              file.string() + "'"),
+              std::string::npos)
+        << command[0] << ": " << slurp(log);
+    EXPECT_EQ(readFile(file), "precious bytes\n") << command[0];
+  }
+  EXPECT_FALSE(fs::exists(sock)) << "the refused daemon must not bind";
+}
+
 TEST(CliFlags, JunkNumbersAndFlagsThatDoNotApplyAreUsageErrors) {
   TempDir dir("flags");
   const fs::path manifest = buildManifest(dir);

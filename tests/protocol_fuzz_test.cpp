@@ -75,25 +75,6 @@ TEST(ProtocolFuzz, RandomRequestsRoundTrip) {
       EXPECT_EQ(decodedFlags, flags);
     }
     {
-      std::vector<SourceItem> items;
-      const std::size_t count = rng() % 5;
-      for (std::size_t j = 0; j < count; ++j)
-        items.push_back(randomItem(rng));
-      const std::string wire = encodeBatchRequest(items, flags);
-      bio::Reader r{wire, 0};
-      MessageType type{};
-      std::string error;
-      ASSERT_TRUE(readHeader(r, type, error));
-      std::vector<SourceItem> decoded;
-      std::uint8_t decodedFlags = 0;
-      ASSERT_TRUE(decodeBatchRequest(r, decoded, decodedFlags));
-      ASSERT_EQ(decoded.size(), items.size());
-      for (std::size_t j = 0; j < items.size(); ++j) {
-        EXPECT_EQ(decoded[j].name, items[j].name);
-        EXPECT_EQ(decoded[j].source, items[j].source);
-      }
-    }
-    {
       core::SimulationArgs sim;
       sim.function = randomBytes(rng, 30);
       sim.options.fastForward = (rng() & 1) != 0;
@@ -269,11 +250,6 @@ void decodeLikeTheServer(const std::string &message) {
   case MessageType::analyze:
     (void)decodeAnalyzeRequest(r, item, flags);
     break;
-  case MessageType::batch: {
-    std::vector<SourceItem> items;
-    (void)decodeBatchRequest(r, items, flags);
-    break;
-  }
   case MessageType::coverage:
     (void)decodeCoverageRequest(r, item, flags);
     break;
@@ -330,7 +306,16 @@ TEST(ProtocolFuzz, MutatedFramesNeverCrashTheDecoders) {
   sim.args.push_back(sim::Value::ofInt(3));
   const std::vector<std::string> seeds = {
       encodeAnalyzeRequest({"n", "int f() { return 1; }"}, 0x3),
-      encodeBatchRequest({{"a", "sa"}, {"b", "sb"}}, 0x7),
+      [] {
+        // The retired Batch request (type 3): refused undecoded.
+        std::string frame;
+        beginMessage(frame, static_cast<MessageType>(3));
+        bio::putU8(frame, 0x7);
+        bio::putU32(frame, 2);
+        for (const char *field : {"a", "sa", "b", "sb"})
+          bio::putString(frame, field);
+        return frame;
+      }(),
       encodeCoverageRequest({"c", "sc"}, 0x2),
       encodeSimulateRequest({"s", "ss"}, 0x1, sim),
       [] {

@@ -55,25 +55,6 @@ TEST(ProtocolCodec, AnalyzeRequestRoundTrips) {
   EXPECT_EQ(flags, kOptionOptimize);
 }
 
-TEST(ProtocolCodec, BatchRequestRoundTrips) {
-  std::vector<SourceItem> items{{"a", "src a"}, {"b", "src b"}, {"c", ""}};
-  std::string wire = encodeBatchRequest(items, 0x7);
-
-  bio::Reader r{wire, 0};
-  MessageType type{};
-  std::string error;
-  ASSERT_TRUE(readHeader(r, type, error)) << error;
-  EXPECT_EQ(type, MessageType::batch);
-
-  std::vector<SourceItem> decoded;
-  std::uint8_t flags = 0;
-  ASSERT_TRUE(decodeBatchRequest(r, decoded, flags));
-  EXPECT_EQ(flags, 0x7);
-  ASSERT_EQ(decoded.size(), 3u);
-  EXPECT_EQ(decoded[1].name, "b");
-  EXPECT_EQ(decoded[2].source, "");
-}
-
 TEST(ProtocolCodec, RepliesRoundTrip) {
   AnalyzeReply reply;
   reply.cacheHit = true;
@@ -273,7 +254,7 @@ TEST(AnalysisServerTest, BatchKeepsInputOrderAndSharesCache) {
       {"fourth", workloads::dgemmSource()}, // duplicate source of "first"
   };
   std::vector<ClientOutcome> outcomes;
-  ASSERT_TRUE(client.analyzeBatch(items, core::MiraOptions(), outcomes))
+  ASSERT_TRUE(client.analyzePipelined(items, core::MiraOptions(), outcomes))
       << client.lastError();
   ASSERT_EQ(outcomes.size(), 4u);
   EXPECT_TRUE(outcomes[0].ok);
@@ -290,7 +271,6 @@ TEST(AnalysisServerTest, BatchKeepsInputOrderAndSharesCache) {
 
   ServerStats stats;
   ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-  EXPECT_EQ(stats.batchRequests, 1u);
   EXPECT_EQ(stats.sourcesAnalyzed, 4u);
   EXPECT_EQ(stats.cacheHits, 1u);
   EXPECT_EQ(stats.failures, 1u);
@@ -302,12 +282,18 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
 
   // Well-framed messages the daemon must refuse: one that is not a
   // protocol message at all, a ping and an analyze whose headers say
-  // protocol version 1, and the retired ManifestDiff request (type 8,
-  // never reused).
+  // protocol version 1, and the retired Batch and ManifestDiff requests
+  // (types 3 and 8, never reused).
   const auto versionOne = [](std::string message) {
     message[4] = 1; // the version field is bytes [4, 8) of the header
     return message;
   };
+  std::string retiredBatch;
+  beginMessage(retiredBatch, static_cast<MessageType>(3));
+  bio::putU8(retiredBatch, 0x7);
+  bio::putU32(retiredBatch, 1);
+  bio::putString(retiredBatch, "@fig5");
+  bio::putString(retiredBatch, workloads::fig5Source());
   std::string retiredDiff;
   beginMessage(retiredDiff, static_cast<MessageType>(8));
   bio::putString(retiredDiff, "old manifest");
@@ -318,6 +304,7 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
        "unsupported protocol version 1"},
       {versionOne(encodeAnalyzeRequest({"@fig5", workloads::fig5Source()}, 0)),
        "unsupported protocol version 1"},
+      {retiredBatch, "unexpected message type 3"},
       {retiredDiff, "unexpected message type 8"},
   };
   for (const auto &[frame, expected] : refused) {
@@ -363,11 +350,11 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
   ServerStats stats;
   for (int attempt = 0; attempt < 100; ++attempt) {
     ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-    if (stats.protocolErrors >= 5)
+    if (stats.protocolErrors >= 6)
       break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_GE(stats.protocolErrors, 5u);
+  EXPECT_GE(stats.protocolErrors, 6u);
   EXPECT_EQ(stats.analyzeRequests, 0u);
   EXPECT_EQ(stats.computed, 0u);
   ClientOutcome outcome;
@@ -879,32 +866,44 @@ TEST(AnalysisServerTest, PipelinedRepliesArriveInOrderByteIdenticalToOneShots) {
   EXPECT_TRUE(pipelined.ping()) << pipelined.lastError();
 }
 
-TEST(AnalysisServerTest, BusyRefusalsAreRetriedUntilAllSucceed) {
+/// `count` distinct corpus-sized sources: tagged copies of the embedded
+/// fig-series workloads.
+std::vector<SourceItem> taggedCorpus(std::size_t count) {
+  const auto &workloads = workloads::figSeriesWorkloads();
+  std::vector<SourceItem> items;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto &workload = workloads[i % workloads.size()];
+    items.push_back({workload.name + "_" + std::to_string(i) + ".mc",
+                     *workload.source + "// copy " + std::to_string(i) +
+                         "\n"});
+  }
+  return items;
+}
+
+TEST(AnalysisServerTest, PipelinedCorpusAtCapacityOneFinishes) {
+  // 64 cold sources against one slot: each round lands only a few of
+  // its window before the rest are refused, so a client that spent a
+  // Busy retry on every round would give up long before the end. Only
+  // rounds refused outright count against busyRetries(). The sources
+  // are distinct: a copy of one already computed would be a ready hit,
+  // which is never refused.
   ServerOptions options;
   options.threads = 2;
   options.maxInflight = 1;    // one request at a time: the rest get Busy
   options.busyRetryMillis = 5; // keep the retry rounds fast
   DaemonFixture daemon(options);
   ASSERT_TRUE(daemon.started());
-
-  // Four real workloads under a capacity of one: the frames all land
-  // before the first finishes computing, so later ones are refused with
-  // Busy, and the client's retry rounds must eventually land them all.
-  std::vector<SourceItem> items;
-  for (int i = 0; i < 4; ++i)
-    items.push_back({"busy" + std::to_string(i) + ".mc",
-                     workloads::streamSource()});
+  const std::vector<SourceItem> items = taggedCorpus(64);
   Client client;
   ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
   std::vector<ClientOutcome> outcomes;
   ASSERT_TRUE(client.analyzePipelined(items, core::MiraOptions(), outcomes))
       << client.lastError();
   ASSERT_EQ(outcomes.size(), items.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_TRUE(outcomes[i].ok) << outcomes[i].diagnostics;
-    EXPECT_EQ(outcomes[i].name, items[i].name);
+    EXPECT_EQ(outcomes[i].name, items[i].name) << "reply order broke at " << i;
   }
-
   // The daemon must actually have refused work (not just queued it):
   // the busy-rejection counter is the proof the backpressure engaged.
   std::vector<MetricSample> samples;
@@ -917,21 +916,13 @@ TEST(AnalysisServerTest, BusyRefusalsAreRetriedUntilAllSucceed) {
 }
 
 TEST(AnalysisServerTest, PipelinedCorpusOnOneConnectionDoesNotDeadlock) {
-  // 510 corpus-sized sources (tagged copies of the embedded workloads)
-  // pipelined on one connection to a warm daemon, which answers each
-  // as fast as it arrives: several times what the socket buffers hold
-  // in either direction, so a client that wrote every request before
-  // reading a reply would block in send while the daemon blocks sending
-  // replies. The watchdog turns such a hang into a failure.
-  std::vector<SourceItem> items;
-  std::vector<std::pair<std::string, const std::string *>> sources;
-  for (const auto &workload : workloads::figSeriesWorkloads())
-    sources.emplace_back(workload.name, workload.source);
-  for (std::size_t i = 0; items.size() < 510; ++i) {
-    const auto &[name, source] = sources[i % sources.size()];
-    items.push_back({name + "_" + std::to_string(i) + ".mc",
-                     *source + "// copy " + std::to_string(i) + "\n"});
-  }
+  // 510 corpus-sized sources pipelined on one connection to a warm
+  // daemon, which answers each as fast as it arrives: several times what
+  // the socket buffers hold in either direction, so a client that wrote
+  // every request before reading a reply would block in send while the
+  // daemon blocks sending replies. The watchdog turns such a hang into a
+  // failure.
+  const std::vector<SourceItem> items = taggedCorpus(510);
   std::vector<std::string> reference;
   for (const SourceItem &item : items) {
     core::AnalysisSpec spec;
@@ -1414,11 +1405,11 @@ TEST(AnalysisServerTest, HitPayloadsAreSplicedByteIdenticalToOneShots) {
   EXPECT_FALSE(oneShotPayload(items.back(), renamed.back().name)
                    .empty()); // the failure's diagnostics were prefixed
 
-  // A Batch reply splices its items the same way.
+  // Pipelined hits splice their items the same way.
   std::vector<SourceItem> batch = items;
   batch.insert(batch.end(), renamed.begin(), renamed.end());
   std::vector<ClientOutcome> outcomes;
-  ASSERT_TRUE(client.analyzeBatch(batch, core::MiraOptions(), outcomes))
+  ASSERT_TRUE(client.analyzePipelined(batch, core::MiraOptions(), outcomes))
       << client.lastError();
   ASSERT_EQ(outcomes.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -1629,6 +1620,38 @@ TEST(AnalysisServerTest, ReadyHitsTakeNoInflightSlotButComputingOnesDo) {
   ASSERT_EQ(slowReply.type, MessageType::analyzeReply);
   EXPECT_EQ(payloadName(slowReply), "slow.mc");
   EXPECT_EQ(countersOf(client)["server_busy_rejections_total"], 1u);
+}
+
+TEST(AnalysisServerTest, ClientGivesUpAfterItsBusyRetries) {
+  ServerOptions options;
+  options.maxInflight = 1;
+  options.busyRetryMillis = 1; // retries take a few ms; the slow miss far more
+  DaemonFixture daemon(options);
+  ASSERT_TRUE(daemon.started());
+  Client client;
+  ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
+
+  // The slow miss takes the only slot ...
+  std::string error;
+  net::Socket holder = net::connectUnix(daemon.socketPath(), error);
+  ASSERT_TRUE(holder.valid()) << error;
+  ASSERT_TRUE(net::writeFrame(
+      holder.fd(),
+      encodeAnalyzeRequest({"slow.mc", slowSource()}, defaultFlags())));
+  ASSERT_TRUE(waitForGauge(client, "server_inflight_requests", 1));
+  const std::uint64_t before =
+      countersOf(client)["server_busy_rejections_total"];
+
+  // ... so a cold request is refused on its first try and on both
+  // retries, and the client gives up with a Busy failure.
+  client.setBusyRetries(2);
+  ClientOutcome outcome;
+  EXPECT_FALSE(client.analyze("cold.mc", workloads::streamSource(),
+                              core::MiraOptions(), outcome));
+  EXPECT_EQ(client.lastErrorKind(), Client::ErrorKind::busy)
+      << client.lastError();
+  EXPECT_EQ(countersOf(client)["server_busy_rejections_total"], before + 3);
+  EXPECT_EQ(readRawReply(holder).type, MessageType::analyzeReply);
 }
 
 /// The `_total` counters after a slow miss and three duplicates of it
