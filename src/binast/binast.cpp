@@ -346,21 +346,19 @@ std::optional<BinaryAst> buildBinaryAst(const objfile::MiraObject &object,
     fn.id = sym.id;
     fn.objectOffset = sym.offset;
 
-    std::vector<std::uint8_t> bytes(
-        object.text.begin() + static_cast<std::ptrdiff_t>(sym.offset),
-        object.text.begin() + static_cast<std::ptrdiff_t>(sym.offset +
-                                                          sym.size));
-    auto decoded = isa::decodeFunction(bytes, 0, diags);
-    if (!decoded) {
-      diags.error({}, "failed to disassemble function '" + sym.name + "'");
-      return std::nullopt;
-    }
-    fn.instructions.reserve(decoded->size());
-    for (Instruction &inst : *decoded) {
-      AsmInstruction ai;
-      ai.line = lines.lineAt(sym.offset + inst.address);
-      ai.inst = std::move(inst);
-      fn.instructions.push_back(std::move(ai));
+    // Decode the function's bytes where they lie; addresses are offsets
+    // from the function start (MiraObject::parse checked the range).
+    const std::uint8_t *bytes = object.text.data() + sym.offset;
+    fn.instructions.reserve(isa::countInstructions(bytes, sym.size));
+    std::size_t offset = 0;
+    while (offset < sym.size) {
+      AsmInstruction &ai = fn.instructions.emplace_back();
+      ai.inst.address = offset;
+      ai.line = lines.lineAt(sym.offset + offset);
+      if (!isa::decodeInstruction(bytes, sym.size, offset, ai.inst, diags)) {
+        diags.error({}, "failed to disassemble function '" + sym.name + "'");
+        return std::nullopt;
+      }
     }
     buildBlocks(fn);
     findLoops(fn);

@@ -62,45 +62,55 @@ public:
         useCounts_(mir::countUses(fn)) {}
 
   CodegenResult run() {
-    result_.machine.name = fn_.name;
-    result_.map.expansion.resize(fn_.blocks.size());
+    isa::MachineFunction &machine = result_.machine;
+    ExpansionMap &map = result_.map;
+    machine.name = fn_.name;
+    std::size_t mirInsts = 0;
+    for (const MirBlock &block : fn_.blocks)
+      mirInsts += block.insts.size();
+    // About two machine instructions per MIR instruction; the list is
+    // trimmed below, since cached compiled programs keep it.
+    machine.instructions.reserve(2 * mirInsts + 8);
+    map.runStarts.reserve(mirInsts + 1);
+    map.blockRuns.reserve(fn_.blocks.size());
 
     emitPrologue();
+    map.prologueEnd = static_cast<std::uint32_t>(machine.instructions.size());
 
-    blockStart_.resize(fn_.blocks.size());
     for (std::size_t b = 0; b < fn_.blocks.size(); ++b) {
       const MirBlock &block = fn_.blocks[b];
-      blockStart_[b] =
-          static_cast<std::uint32_t>(result_.machine.instructions.size());
-      result_.map.expansion[b].resize(block.insts.size());
+      map.blockRuns.push_back(static_cast<std::uint32_t>(map.runStarts.size()));
       pendingCmp_ = false;
       for (std::size_t i = 0; i < block.insts.size(); ++i) {
-        current_ = &result_.map.expansion[b][i];
-        emitInst(block, block.insts[i], i,
-                 static_cast<std::uint32_t>(b));
+        map.runStarts.push_back(
+            static_cast<std::uint32_t>(machine.instructions.size()));
+        emitInst(block, block.insts[i], i, static_cast<std::uint32_t>(b));
       }
     }
+    map.runStarts.push_back(
+        static_cast<std::uint32_t>(machine.instructions.size()));
+    machine.instructions.shrink_to_fit();
 
     // Layout and patch intra-function jump labels to byte offsets.
-    result_.machine.layout(0);
-    for (Instruction &inst : result_.machine.instructions) {
+    machine.layout(0);
+    for (Instruction &inst : machine.instructions) {
       if (isa::isCall(inst.opcode))
         continue; // call labels stay as function ids
       for (Operand &op : inst.operands) {
         if (op.kind == isa::OperandKind::Label) {
-          // Blocks that emitted nothing start at the next emitted
-          // instruction (or one past the end).
+          // A block starts at its first instruction's run; blocks that
+          // emitted nothing start at the next emitted instruction (or one
+          // past the end).
           auto block = static_cast<std::size_t>(op.imm);
-          assert(block < blockStart_.size());
-          std::uint32_t idx = blockStart_[block];
+          assert(block < map.blockRuns.size());
+          std::uint32_t idx = map.runStarts[map.blockRuns[block]];
           std::uint64_t addr =
-              idx < result_.machine.instructions.size()
-                  ? result_.machine.instructions[idx].address
-                  : (result_.machine.instructions.empty()
+              idx < machine.instructions.size()
+                  ? machine.instructions[idx].address
+                  : (machine.instructions.empty()
                          ? 0
-                         : result_.machine.instructions.back().address +
-                               result_.machine.instructions.back()
-                                   .encodedSize());
+                         : machine.instructions.back().address +
+                               machine.instructions.back().encodedSize());
           op = Operand::makeImm(static_cast<std::int64_t>(addr));
         }
       }
@@ -110,16 +120,8 @@ public:
   }
 
 private:
-  std::uint32_t emit(Opcode op, std::vector<Operand> ops,
-                     std::uint32_t line) {
-    std::uint32_t idx =
-        static_cast<std::uint32_t>(result_.machine.instructions.size());
+  void emit(Opcode op, isa::Operands ops, std::uint32_t line) {
     result_.machine.instructions.emplace_back(op, std::move(ops), line);
-    if (current_)
-      current_->push_back(idx);
-    else
-      result_.map.prologue.push_back(idx);
-    return idx;
   }
 
   MemRef slotRef(std::int32_t slot) const {
@@ -189,7 +191,6 @@ private:
   }
 
   void emitPrologue() {
-    current_ = nullptr;
     emit(Opcode::PUSH, {Operand::makeReg(Reg::RBP)}, 0);
     emit(Opcode::MOV, {Operand::makeReg(Reg::RBP), Operand::makeReg(Reg::RSP)},
          0);
@@ -669,8 +670,6 @@ private:
   AllocationResult alloc_;
   std::vector<std::uint32_t> useCounts_; // reads of each vreg, for fusion
   CodegenResult result_;
-  std::vector<std::uint32_t> *current_ = nullptr;
-  std::vector<std::uint32_t> blockStart_; // first machine instruction by block
   bool pendingCmp_ = false;
   MirCmp pendingRel_ = MirCmp::Lt;
   std::int64_t frameSize_ = 0;

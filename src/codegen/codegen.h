@@ -24,12 +24,32 @@
 
 namespace mira::codegen {
 
-/// Machine instructions charged per MIR instruction.
+/// Machine instructions charged per MIR instruction. Codegen emits the
+/// prologue first, as [0, prologueEnd), and then each MIR instruction's
+/// code as one contiguous run, in block and instruction order, so a run
+/// is stored as its start alone.
 struct ExpansionMap {
-  /// expansion[blockId][instIdx] -> indices into MachineFunction
-  std::vector<std::vector<std::vector<std::uint32_t>>> expansion;
-  /// Prologue instructions, charged once per function entry.
-  std::vector<std::uint32_t> prologue;
+  /// Half-open range of machine instruction indices.
+  struct Range {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+
+  /// Start of every MIR instruction's run, in order, then one past the
+  /// last machine instruction.
+  std::vector<std::uint32_t> runStarts;
+  /// Index into runStarts of each block's first instruction.
+  std::vector<std::uint32_t> blockRuns;
+
+  /// Prologue instructions [0, prologueEnd), charged once per function
+  /// entry.
+  std::uint32_t prologueEnd = 0;
+
+  /// Machine instructions of MIR instruction `inst` of block `block`.
+  Range range(std::uint32_t block, std::uint32_t inst) const {
+    const std::uint32_t run = blockRuns[block] + inst;
+    return {runStarts[run], runStarts[run + 1]};
+  }
 };
 
 struct CodegenResult {

@@ -1,8 +1,10 @@
 #include "frontend/lexer.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
-#include <map>
+#include <cstring>
+#include <initializer_list>
 
 namespace mira::frontend {
 
@@ -124,12 +126,28 @@ const char *toString(TokenKind kind) {
   return "?";
 }
 
-std::string Token::str() const {
-  return std::string(toString(kind)) + " '" + text + "'";
+std::string Token::spelling() const {
+  std::string out;
+  out.reserve(text.size());
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\\' && i + 1 < text.size() && text[i + 1] == '\n')
+      ++i;
+    else
+      out += text[i];
+  }
+  return out;
 }
 
-Lexer::Lexer(std::string source, DiagnosticEngine &diags)
-    : source_(std::move(source)), diags_(diags) {}
+std::string Token::str() const {
+  std::string out = toString(kind);
+  out += " '";
+  out += spelling();
+  out += '\'';
+  return out;
+}
+
+Lexer::Lexer(std::string_view source, DiagnosticEngine &diags)
+    : source_(source), diags_(diags) {}
 
 char Lexer::peek(std::size_t offset) const {
   return pos_ + offset < source_.size() ? source_[pos_ + offset] : '\0';
@@ -183,94 +201,143 @@ void Lexer::skipWhitespaceAndComments() {
   }
 }
 
-Token Lexer::makeToken(TokenKind kind, std::string text,
+Token Lexer::makeToken(TokenKind kind, std::string_view text,
                        SourceLocation loc) const {
   Token t;
   t.kind = kind;
-  t.text = std::move(text);
+  t.text = text;
   t.location = loc;
   return t;
 }
 
+namespace {
+
+/// Calls `parse` with a NUL-terminated copy of `text`: strtoll and strtod
+/// read up to a NUL, and the byte after a token belongs to the source.
+template <class Parse> auto parseTerminated(std::string_view text,
+                                            Parse parse) {
+  char small[64];
+  if (text.size() < sizeof small) {
+    std::memcpy(small, text.data(), text.size());
+    small[text.size()] = '\0';
+    return parse(small);
+  }
+  return parse(std::string(text).c_str());
+}
+
+/// Keyword kind of an identifier's spelling, or Identifier: the length
+/// picks the few keywords to compare against.
+TokenKind keywordKind(std::string_view s) {
+  struct Keyword {
+    std::string_view spelling;
+    TokenKind kind;
+  };
+  auto among = [s](std::initializer_list<Keyword> keywords) {
+    for (const Keyword &k : keywords)
+      if (s == k.spelling)
+        return k.kind;
+    return TokenKind::Identifier;
+  };
+  switch (s.size()) {
+  case 2:
+    return among({{"if", TokenKind::KwIf}});
+  case 3:
+    return among({{"int", TokenKind::KwInt}, {"for", TokenKind::KwFor}});
+  case 4:
+    return among({{"long", TokenKind::KwLong},
+                  {"bool", TokenKind::KwBool},
+                  {"void", TokenKind::KwVoid},
+                  {"else", TokenKind::KwElse},
+                  {"true", TokenKind::KwTrue}});
+  case 5:
+    return among({{"float", TokenKind::KwFloat},
+                  {"class", TokenKind::KwClass},
+                  {"while", TokenKind::KwWhile},
+                  {"false", TokenKind::KwFalse},
+                  {"const", TokenKind::KwConst}});
+  case 6:
+    return among({{"double", TokenKind::KwDouble},
+                  {"public", TokenKind::KwPublic},
+                  {"return", TokenKind::KwReturn}});
+  case 8:
+    return among({{"operator", TokenKind::KwOperator}});
+  default:
+    return TokenKind::Identifier;
+  }
+}
+
+bool isDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+
+} // namespace
+
 Token Lexer::lexNumber() {
   SourceLocation loc = here();
-  std::string text;
+  const std::size_t start = pos_;
   bool isFloat = false;
-  while (std::isdigit(static_cast<unsigned char>(peek())))
-    text += advance();
-  if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
+  while (isDigit(peek()))
+    advance();
+  if (peek() == '.' && isDigit(peek(1))) {
     isFloat = true;
-    text += advance();
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      text += advance();
+    advance();
+    while (isDigit(peek()))
+      advance();
   }
   if (peek() == 'e' || peek() == 'E') {
     char next = peek(1);
-    char nextnext = peek(2);
-    if (std::isdigit(static_cast<unsigned char>(next)) ||
-        ((next == '+' || next == '-') &&
-         std::isdigit(static_cast<unsigned char>(nextnext)))) {
+    if (isDigit(next) || ((next == '+' || next == '-') && isDigit(peek(2)))) {
       isFloat = true;
-      text += advance();
+      advance();
       if (peek() == '+' || peek() == '-')
-        text += advance();
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        text += advance();
+        advance();
+      while (isDigit(peek()))
+        advance();
     }
   }
+  const std::string_view text = sliceFrom(start);
   Token t = makeToken(isFloat ? TokenKind::FloatLiteral
                               : TokenKind::IntLiteral,
                       text, loc);
   if (isFloat) {
-    t.floatValue = std::strtod(text.c_str(), nullptr);
+    t.floatValue = parseTerminated(
+        text, [](const char *s) { return std::strtod(s, nullptr); });
   } else {
     errno = 0;
-    t.intValue = std::strtoll(text.c_str(), nullptr, 10);
+    t.intValue = parseTerminated(
+        text, [](const char *s) { return std::strtoll(s, nullptr, 10); });
     if (errno == ERANGE)
-      diags_.error(loc, "integer literal out of range: " + text);
+      diags_.error(loc, "integer literal out of range: " + std::string(text));
   }
   return t;
 }
 
 Token Lexer::lexIdentifierOrKeyword() {
-  static const std::map<std::string, TokenKind> keywords = {
-      {"int", TokenKind::KwInt},        {"long", TokenKind::KwLong},
-      {"float", TokenKind::KwFloat},    {"double", TokenKind::KwDouble},
-      {"bool", TokenKind::KwBool},      {"void", TokenKind::KwVoid},
-      {"class", TokenKind::KwClass},    {"public", TokenKind::KwPublic},
-      {"for", TokenKind::KwFor},        {"while", TokenKind::KwWhile},
-      {"if", TokenKind::KwIf},          {"else", TokenKind::KwElse},
-      {"return", TokenKind::KwReturn},  {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},    {"const", TokenKind::KwConst},
-      {"operator", TokenKind::KwOperator},
-  };
   SourceLocation loc = here();
-  std::string text;
+  const std::size_t start = pos_;
   while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-    text += advance();
-  auto it = keywords.find(text);
-  return makeToken(it == keywords.end() ? TokenKind::Identifier : it->second,
-                   text, loc);
+    advance();
+  const std::string_view text = sliceFrom(start);
+  return makeToken(keywordKind(text), text, loc);
 }
 
 Token Lexer::lexPragma() {
   SourceLocation loc = here();
-  std::string body;
+  const std::size_t start = pos_;
   // Consume to end of line, honoring backslash continuations (the paper's
-  // Listing 6 splits an annotation across lines with '\').
+  // Listing 6 splits an annotation across lines with '\'). They stay in
+  // the token's text; Token::spelling() splices them out.
   while (!atEnd() && peek() != '\n') {
-    if (peek() == '\\' && peek(1) == '\n') {
+    if (peek() == '\\' && peek(1) == '\n')
       advance();
-      advance();
-      continue;
-    }
-    body += advance();
+    advance();
   }
-  return makeToken(TokenKind::Pragma, body, loc);
+  return makeToken(TokenKind::Pragma, sliceFrom(start), loc);
 }
 
 std::vector<Token> Lexer::tokenize() {
   std::vector<Token> tokens;
+  // Sources average about one token per three bytes; reserving for one
+  // per two makes regrowth rare.
+  tokens.reserve(source_.size() / 2 + 16);
   while (true) {
     skipWhitespaceAndComments();
     if (atEnd())
@@ -395,7 +462,7 @@ std::vector<Token> Lexer::tokenize() {
       break;
     default:
       diags_.error(loc, std::string("unexpected character '") + c + "'");
-      tokens.push_back(makeToken(TokenKind::Invalid, std::string(1, c), loc));
+      tokens.push_back(makeToken(TokenKind::Invalid, sliceFrom(pos_ - 1), loc));
       break;
     }
   }

@@ -4,9 +4,11 @@
 // //- and /* */-comments, decimal integer and floating literals, and
 // captures '#pragma ...' lines as single Pragma tokens so the parser can
 // attach '@Annotation' payloads to the following statement (paper
-// Sec. III-B4).
+// Sec. III-B4). Tokens view the source rather than copy it, so lexing
+// allocates only the token vector.
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "frontend/token.h"
@@ -16,7 +18,9 @@ namespace mira::frontend {
 
 class Lexer {
 public:
-  Lexer(std::string source, DiagnosticEngine &diags);
+  /// `source` is viewed, not copied: it must outlive the lexer and every
+  /// token it returns.
+  Lexer(std::string_view source, DiagnosticEngine &diags);
 
   /// Tokenize the entire input; always ends with an Eof token.
   std::vector<Token> tokenize();
@@ -32,9 +36,14 @@ private:
   Token lexNumber();
   Token lexIdentifierOrKeyword();
   Token lexPragma();
-  Token makeToken(TokenKind kind, std::string text, SourceLocation loc) const;
+  Token makeToken(TokenKind kind, std::string_view text,
+                  SourceLocation loc) const;
+  /// The source from byte `start` up to the current position.
+  std::string_view sliceFrom(std::size_t start) const {
+    return source_.substr(start, pos_ - start);
+  }
 
-  std::string source_;
+  std::string_view source_;
   DiagnosticEngine &diags_;
   std::size_t pos_ = 0;
   std::uint32_t line_ = 1;

@@ -14,8 +14,8 @@ const Token &Parser::peek(std::size_t offset) const {
   return tokens_[i];
 }
 
-Token Parser::advance() {
-  Token t = current();
+const Token &Parser::advance() {
+  const Token &t = current();
   if (pos_ + 1 < tokens_.size())
     ++pos_;
   lastEnd_ = t.location;
@@ -29,7 +29,7 @@ bool Parser::match(TokenKind kind) {
   return true;
 }
 
-Token Parser::expect(TokenKind kind, const char *context) {
+const Token &Parser::expect(TokenKind kind, const char *context) {
   if (check(kind))
     return advance();
   diags_.error(current().location,
@@ -134,8 +134,9 @@ Parser::parseTranslationUnit(std::string fileName) {
       advance();
       continue;
     }
-    Token nameTok = expect(TokenKind::Identifier, "in function declaration");
-    if (auto f = parseFunction(type, nameTok.text, "")) {
+    const Token &nameTok =
+        expect(TokenKind::Identifier, "in function declaration");
+    if (auto f = parseFunction(type, std::string(nameTok.text), "")) {
       f->range.begin = begin;
       unit->functions.push_back(std::move(f));
     }
@@ -146,7 +147,7 @@ Parser::parseTranslationUnit(std::string fileName) {
 std::unique_ptr<ClassDecl> Parser::parseClass() {
   SourceLocation begin = current().location;
   expect(TokenKind::KwClass, "at class declaration");
-  Token nameTok = expect(TokenKind::Identifier, "after 'class'");
+  const Token &nameTok = expect(TokenKind::Identifier, "after 'class'");
   auto cls = std::make_unique<ClassDecl>();
   cls->name = nameTok.text;
   expect(TokenKind::LBrace, "to open class body");
@@ -230,8 +231,9 @@ std::unique_ptr<FunctionDecl> Parser::parseFunction(Type returnType,
 
 std::optional<Annotation> Parser::parsePragma() {
   // Pragma text: "pragma @Annotation {key:value, key:value}"
-  Token tok = advance();
-  std::string_view body = trim(tok.text);
+  const Token &tok = advance();
+  const std::string text = tok.spelling();
+  std::string_view body = trim(text);
   if (!startsWith(body, "pragma"))
     return std::nullopt;
   body = trim(body.substr(6));
@@ -245,7 +247,7 @@ std::optional<Annotation> Parser::parsePragma() {
     keyPrefix = "sim_";
     body = trim(body.substr(9));
   } else {
-    diags_.warning(tok.location, "unrecognized pragma ignored: " + tok.text);
+    diags_.warning(tok.location, "unrecognized pragma ignored: " + text);
     return std::nullopt;
   }
   Annotation ann;
@@ -253,7 +255,7 @@ std::optional<Annotation> Parser::parsePragma() {
   if (body.empty() || body.front() != '{' || body.back() != '}') {
     diags_.error(tok.location,
                  "malformed @Annotation payload (expected {key:value,...}): " +
-                     tok.text);
+                     text);
     return std::nullopt;
   }
   body = body.substr(1, body.size() - 2);
@@ -649,11 +651,11 @@ ExprPtr Parser::parsePrimary() {
   SourceLocation begin = current().location;
   switch (current().kind) {
   case TokenKind::IntLiteral: {
-    Token t = advance();
+    const Token &t = advance();
     return Expression::intLiteral(t.intValue, rangeFrom(begin));
   }
   case TokenKind::FloatLiteral: {
-    Token t = advance();
+    const Token &t = advance();
     return Expression::floatLiteral(t.floatValue, rangeFrom(begin));
   }
   case TokenKind::KwTrue:
@@ -663,8 +665,8 @@ ExprPtr Parser::parsePrimary() {
     advance();
     return Expression::boolLiteral(false, rangeFrom(begin));
   case TokenKind::Identifier: {
-    Token t = advance();
-    return Expression::varRef(t.text, rangeFrom(begin));
+    const Token &t = advance();
+    return Expression::varRef(std::string(t.text), rangeFrom(begin));
   }
   case TokenKind::LParen: {
     advance();

@@ -24,7 +24,8 @@ public:
   /// check diags.hasErrors() for success.
   std::unique_ptr<TranslationUnit> parseTranslationUnit(std::string fileName);
 
-  /// Convenience: lex + parse in one step.
+  /// Convenience: lex + parse in one step. The unit owns copies of every
+  /// name it keeps, so `source` need only outlive the call.
   static std::unique_ptr<TranslationUnit>
   parse(const std::string &source, const std::string &fileName,
         DiagnosticEngine &diags);
@@ -33,10 +34,10 @@ private:
   // token stream helpers
   const Token &peek(std::size_t offset = 0) const;
   const Token &current() const { return peek(0); }
-  Token advance();
+  const Token &advance();
   bool check(TokenKind kind) const { return current().kind == kind; }
   bool match(TokenKind kind);
-  Token expect(TokenKind kind, const char *context);
+  const Token &expect(TokenKind kind, const char *context);
   bool atEnd() const { return current().kind == TokenKind::Eof; }
   void synchronizeToStatement();
 

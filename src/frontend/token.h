@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "support/source_location.h"
 
@@ -75,7 +76,7 @@ enum class TokenKind {
   Not,
   Amp,
 
-  // '#pragma ...' directive captured as one token; text() holds the body
+  // '#pragma ...' directive captured as one token; text holds the body
   Pragma,
 
   Eof,
@@ -84,14 +85,20 @@ enum class TokenKind {
 
 const char *toString(TokenKind kind);
 
+/// One token. `text` views the source the lexer was given, so that source
+/// must outlive every token lexed from it.
 struct Token {
   TokenKind kind = TokenKind::Invalid;
-  std::string text;          // spelling (or pragma body for Pragma)
+  /// Spelling, or a Pragma's body (everything after '#' up to the end of
+  /// the directive, with its '\'-newline continuations still in place).
+  std::string_view text;
   std::int64_t intValue = 0; // IntLiteral
   double floatValue = 0;     // FloatLiteral
   SourceLocation location;
 
   bool is(TokenKind k) const { return kind == k; }
+  /// `text` with every '\'-newline continuation spliced out.
+  std::string spelling() const;
   std::string str() const;
 };
 

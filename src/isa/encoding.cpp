@@ -21,17 +21,17 @@ void putI64(std::vector<std::uint8_t> &out, std::int64_t v) {
     out.push_back(static_cast<std::uint8_t>((u >> (8 * i)) & 0xFF));
 }
 
-bool getU8(const std::vector<std::uint8_t> &bytes, std::size_t &off,
+bool getU8(const std::uint8_t *bytes, std::size_t size, std::size_t &off,
            std::uint8_t &out) {
-  if (off >= bytes.size())
+  if (off >= size)
     return false;
   out = bytes[off++];
   return true;
 }
 
-bool getU16(const std::vector<std::uint8_t> &bytes, std::size_t &off,
+bool getU16(const std::uint8_t *bytes, std::size_t size, std::size_t &off,
             std::uint16_t &out) {
-  if (off + 2 > bytes.size())
+  if (off + 2 > size)
     return false;
   out = static_cast<std::uint16_t>(bytes[off] |
                                    (static_cast<std::uint16_t>(bytes[off + 1])
@@ -40,9 +40,9 @@ bool getU16(const std::vector<std::uint8_t> &bytes, std::size_t &off,
   return true;
 }
 
-bool getI32(const std::vector<std::uint8_t> &bytes, std::size_t &off,
+bool getI32(const std::uint8_t *bytes, std::size_t size, std::size_t &off,
             std::int32_t &out) {
-  if (off + 4 > bytes.size())
+  if (off + 4 > size)
     return false;
   std::uint32_t u = 0;
   for (int i = 0; i < 4; ++i)
@@ -52,9 +52,9 @@ bool getI32(const std::vector<std::uint8_t> &bytes, std::size_t &off,
   return true;
 }
 
-bool getI64(const std::vector<std::uint8_t> &bytes, std::size_t &off,
+bool getI64(const std::uint8_t *bytes, std::size_t size, std::size_t &off,
             std::int64_t &out) {
-  if (off + 8 > bytes.size())
+  if (off + 8 > size)
     return false;
   std::uint64_t u = 0;
   for (int i = 0; i < 8; ++i)
@@ -97,58 +97,88 @@ std::vector<std::uint8_t> encodeFunction(const MachineFunction &fn) {
   return out;
 }
 
-std::optional<Instruction> decodeInstruction(
-    const std::vector<std::uint8_t> &bytes, std::size_t &offset,
-    DiagnosticEngine &diags) {
+std::size_t countInstructions(const std::uint8_t *bytes, std::size_t size) {
+  std::size_t count = 0;
+  std::size_t off = 0;
+  while (off < size) {
+    ++count;
+    std::uint8_t nops = off + 2 < size ? bytes[off + 2] : 0;
+    off += 3;
+    for (; nops > 0 && off < size; --nops) {
+      switch (static_cast<OperandKind>(bytes[off])) {
+      case OperandKind::Reg:
+        off += 2;
+        break;
+      case OperandKind::Imm:
+      case OperandKind::Label:
+        off += 9;
+        break;
+      case OperandKind::Mem:
+        off += 8;
+        break;
+      default:
+        return count; // invalid kind: decoding stops here too
+      }
+    }
+  }
+  return count;
+}
+
+bool decodeInstruction(const std::uint8_t *bytes, std::size_t size,
+                       std::size_t &offset, Instruction &out,
+                       DiagnosticEngine &diags) {
   std::size_t start = offset;
   std::uint16_t opcodeRaw = 0;
   std::uint8_t nops = 0;
-  if (!getU16(bytes, offset, opcodeRaw) || !getU8(bytes, offset, nops)) {
+  if (!getU16(bytes, size, offset, opcodeRaw) ||
+      !getU8(bytes, size, offset, nops)) {
     diags.error({}, "truncated instruction header at offset " +
                         std::to_string(start));
-    return std::nullopt;
+    return false;
   }
   if (opcodeRaw >= kNumOpcodes) {
     diags.error({}, "invalid opcode " + std::to_string(opcodeRaw) +
                         " at offset " + std::to_string(start));
-    return std::nullopt;
+    return false;
   }
-  Instruction inst;
-  inst.opcode = static_cast<Opcode>(opcodeRaw);
+  out.opcode = static_cast<Opcode>(opcodeRaw);
+  out.operands.clear();
   for (std::uint8_t i = 0; i < nops; ++i) {
     std::uint8_t kindRaw = 0;
-    if (!getU8(bytes, offset, kindRaw) || kindRaw > 3) {
+    if (!getU8(bytes, size, offset, kindRaw) || kindRaw > 3) {
       diags.error({}, "truncated or invalid operand at offset " +
                           std::to_string(offset));
-      return std::nullopt;
+      return false;
     }
     Operand op;
     op.kind = static_cast<OperandKind>(kindRaw);
     switch (op.kind) {
     case OperandKind::Reg: {
       std::uint8_t r = 0;
-      if (!getU8(bytes, offset, r) ||
+      if (!getU8(bytes, size, offset, r) ||
           r > static_cast<std::uint8_t>(Reg::NONE)) {
         diags.error({}, "invalid register operand");
-        return std::nullopt;
+        return false;
       }
       op.reg = static_cast<Reg>(r);
       break;
     }
     case OperandKind::Imm:
     case OperandKind::Label:
-      if (!getI64(bytes, offset, op.imm)) {
+      if (!getI64(bytes, size, offset, op.imm)) {
         diags.error({}, "truncated immediate operand");
-        return std::nullopt;
+        return false;
       }
       break;
     case OperandKind::Mem: {
       std::uint8_t base = 0, index = 0, scale = 0;
       std::int32_t disp = 0;
-      if (!getU8(bytes, offset, base) || !getU8(bytes, offset, index) ||
-          !getU8(bytes, offset, scale) || !getI32(bytes, offset, disp)) {
+      if (!getU8(bytes, size, offset, base) ||
+          !getU8(bytes, size, offset, index) ||
+          !getU8(bytes, size, offset, scale) ||
+          !getI32(bytes, size, offset, disp)) {
         diags.error({}, "truncated memory operand");
-        return std::nullopt;
+        return false;
       }
       op.mem.base = static_cast<Reg>(base);
       op.mem.index = static_cast<Reg>(index);
@@ -157,25 +187,9 @@ std::optional<Instruction> decodeInstruction(
       break;
     }
     }
-    inst.operands.push_back(op);
+    out.operands.push_back(op);
   }
-  return inst;
-}
-
-std::optional<std::vector<Instruction>> decodeFunction(
-    const std::vector<std::uint8_t> &bytes, std::uint64_t baseAddress,
-    DiagnosticEngine &diags) {
-  std::vector<Instruction> out;
-  std::size_t offset = 0;
-  while (offset < bytes.size()) {
-    std::uint64_t addr = baseAddress + offset;
-    auto inst = decodeInstruction(bytes, offset, diags);
-    if (!inst)
-      return std::nullopt;
-    inst->address = addr;
-    out.push_back(std::move(*inst));
-  }
-  return out;
+  return true;
 }
 
 } // namespace mira::isa

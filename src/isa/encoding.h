@@ -9,8 +9,8 @@
 // scale u8, disp i32 LE.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "isa/instruction.h"
@@ -24,16 +24,17 @@ void encodeInstruction(const Instruction &inst, std::vector<std::uint8_t> &out);
 /// Encode a whole function body.
 std::vector<std::uint8_t> encodeFunction(const MachineFunction &fn);
 
-/// Decode one instruction starting at `offset`; advances `offset` past it.
-/// Returns nullopt (and a diagnostic) on truncated/invalid bytes.
-std::optional<Instruction> decodeInstruction(
-    const std::vector<std::uint8_t> &bytes, std::size_t &offset,
-    DiagnosticEngine &diags);
+/// Number of instructions in bytes[0, size), found by walking the
+/// headers and operand kinds only (no validation: a decode still reports
+/// malformed bytes). Sizes a decoder's output list exactly.
+std::size_t countInstructions(const std::uint8_t *bytes, std::size_t size);
 
-/// Decode a function body (instruction addresses are assigned from
-/// `baseAddress` + byte offsets, matching MachineFunction::layout).
-std::optional<std::vector<Instruction>> decodeFunction(
-    const std::vector<std::uint8_t> &bytes, std::uint64_t baseAddress,
-    DiagnosticEngine &diags);
+/// Decode the instruction at `offset` within bytes[0, size) into `out`
+/// (its opcode and operands; `address` and `line` are left alone) and
+/// advance `offset` past it. Returns false, with a diagnostic, on
+/// truncated or invalid bytes.
+bool decodeInstruction(const std::uint8_t *bytes, std::size_t size,
+                       std::size_t &offset, Instruction &out,
+                       DiagnosticEngine &diags);
 
 } // namespace mira::isa

@@ -9,6 +9,7 @@
 
 #include "isa/opcode.h"
 #include "isa/registers.h"
+#include "support/inline_vector.h"
 #include "support/source_location.h"
 
 namespace mira::isa {
@@ -45,9 +46,14 @@ struct Operand {
   std::string str() const;
 };
 
+/// An instruction's operands, kept inline: code generation never emits
+/// more than two, and a decoded instruction with more (the encoded count
+/// is a u8) spills to the heap.
+using Operands = InlineVector<Operand, 2>;
+
 struct Instruction {
   Opcode opcode = Opcode::NOP;
-  std::vector<Operand> operands;
+  Operands operands;
   /// Source line this instruction was generated from (the DWARF-style
   /// line-table entry written to the object, paper Sec. III-A2). 0 when
   /// compiler-generated glue without a source position.
@@ -57,7 +63,7 @@ struct Instruction {
   std::uint64_t address = 0;
 
   Instruction() = default;
-  Instruction(Opcode op, std::vector<Operand> ops, std::uint32_t srcLine = 0)
+  Instruction(Opcode op, Operands ops, std::uint32_t srcLine = 0)
       : opcode(op), operands(std::move(ops)), line(srcLine) {}
 
   bool operator==(const Instruction &o) const {

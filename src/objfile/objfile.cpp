@@ -245,7 +245,8 @@ std::optional<MiraObject> MiraObject::parse(
   }
   // Validate symbol ranges.
   for (const FunctionSymbol &sym : obj.symbols) {
-    if (sym.offset + sym.size > obj.text.size()) {
+    if (sym.offset > obj.text.size() ||
+        sym.size > obj.text.size() - sym.offset) {
       diags.error({}, "symbol '" + sym.name + "' extends past .text");
       return std::nullopt;
     }

@@ -261,24 +261,26 @@ private:
       plan.takenCosts[b].resize(fn.blocks[b].insts.size());
       for (std::size_t i = 0; i < fn.blocks[b].insts.size(); ++i) {
         Cost &cost = plan.costs[b][i];
-        const auto &expansion = cg.map.expansion[b][i];
-        for (std::uint32_t mi : expansion)
+        const codegen::ExpansionMap::Range run =
+            cg.map.range(static_cast<std::uint32_t>(b),
+                         static_cast<std::uint32_t>(i));
+        for (std::uint32_t mi = run.begin; mi < run.end; ++mi)
           cost.addOpcode(cg.machine.instructions[mi].opcode);
         // A taken conditional branch does not retire the trailing
         // unconditional JMP of its expansion.
         if (fn.blocks[b].insts[i].op == MirOp::Branch) {
           Cost &taken = plan.takenCosts[b][i];
-          std::size_t count = expansion.size();
-          if (count > 0 &&
+          std::uint32_t end = run.end;
+          if (end > run.begin &&
               isa::isUnconditionalJump(
-                  cg.machine.instructions[expansion[count - 1]].opcode))
-            --count;
-          for (std::size_t k = 0; k < count; ++k)
-            taken.addOpcode(cg.machine.instructions[expansion[k]].opcode);
+                  cg.machine.instructions[end - 1].opcode))
+            --end;
+          for (std::uint32_t mi = run.begin; mi < end; ++mi)
+            taken.addOpcode(cg.machine.instructions[mi].opcode);
         }
       }
     }
-    for (std::uint32_t mi : cg.map.prologue)
+    for (std::uint32_t mi = 0; mi < cg.map.prologueEnd; ++mi)
       plan.prologueCost.addOpcode(cg.machine.instructions[mi].opcode);
 
     // Fast-forward eligibility per loop.

@@ -1,25 +1,35 @@
 // A vector of trivially copyable elements with inline storage.
 //
 // The symbolic and polyhedral core keeps its per-variable arrays (the
-// factors of a monomial, the terms of an affine expression) in one. Nearly
-// all of them hold a few variables, so building or copying one is a memcpy
-// with no allocation; past the inline capacity the elements move to the
-// heap, so a larger array still works (there is no fixed cap).
+// factors of a monomial, the terms of an affine expression) in one, and a
+// machine instruction keeps its operands in one. Nearly all of them hold a
+// few elements, so building or copying one is a memcpy with no
+// allocation; past the inline capacity the elements move to the heap, so
+// a larger array still works (there is no fixed cap).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <type_traits>
 
 namespace mira {
 
 template <class T, std::uint32_t N> class InlineVector {
-  static_assert(std::is_trivial_v<T>, "elements are moved with memcpy");
+  // Default member initializers are fine (the inline slots are never
+  // default-constructed); copying and dropping elements must be memcpy and
+  // nothing.
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    std::is_trivially_destructible_v<T>,
+                "elements are moved with memcpy");
   static_assert(N > 0, "inline capacity must be positive");
 
 public:
   InlineVector() {}
+  InlineVector(std::initializer_list<T> values) {
+    append(values.begin(), static_cast<std::uint32_t>(values.size()));
+  }
   InlineVector(const InlineVector &other) { append(other.data(), other.size_); }
   InlineVector(InlineVector &&other) noexcept { steal(other); }
   InlineVector &operator=(const InlineVector &other) {

@@ -46,8 +46,7 @@ TEST(BinaryAst, InstructionLinesMatchLineForAddress) {
   }
 }
 
-Instruction inst(Opcode op, std::vector<Operand> operands,
-                 std::uint32_t line) {
+Instruction inst(Opcode op, isa::Operands operands, std::uint32_t line) {
   return Instruction(op, std::move(operands), line);
 }
 

@@ -132,8 +132,13 @@ TEST(Fleet, WorkerCrashMidShardLeaseReissuedByteIdentical) {
 
   // Worker B dies with SIGKILL (no unwinding, no flush — see
   // fault_injection.h) on its second full compute, i.e. mid-shard.
+  // Worker A stalls 500 ms on its first compute, well under the 2 s
+  // lease timeout: the coordinator leases to whichever worker asks
+  // first, and without the stall A can finish both shards before B's
+  // thread asks for one, leaving nothing to re-issue.
   Daemon a, b;
-  const int pa = startWorker(a, dir, "worker_a");
+  const int pa =
+      startWorker(a, dir, "worker_a", {"MIRA_FAULT=compute:stall:1:500"});
   const int pb =
       startWorker(b, dir, "worker_b", {"MIRA_FAULT=compute:crash:2"});
   ASSERT_TRUE(pa && pb);
@@ -178,9 +183,13 @@ TEST(Fleet, StalledWorkerLeaseExpiresAndLateReplyIsFenced) {
   // Worker B freezes for 6 s on its first compute — far past the 0.5 s
   // lease timeout, so its lease expires and the shard re-runs on A; far
   // under the coordinator's read timeout (10x the lease), so B's late
-  // reply does arrive and must be discarded by the epoch fence.
+  // reply does arrive and must be discarded by the epoch fence. Worker A
+  // stalls 200 ms on its first compute, under the lease timeout, so B's
+  // thread leases the other shard while A holds its first (leases go to
+  // whichever worker asks first).
   Daemon a, b;
-  const int pa = startWorker(a, dir, "worker_a");
+  const int pa =
+      startWorker(a, dir, "worker_a", {"MIRA_FAULT=compute:stall:1:200"});
   const int pb =
       startWorker(b, dir, "worker_b", {"MIRA_FAULT=compute:stall:1:6000"});
   ASSERT_TRUE(pa && pb);

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "frontend/lexer.h"
 #include "frontend/parser.h"
 
 namespace mira::frontend {
 namespace {
 
-std::vector<Token> lex(const std::string &src, DiagnosticEngine &diags) {
+/// Tokens view their source, so every caller passes a string literal or
+/// a string that outlives the tokens.
+std::vector<Token> lex(std::string_view src, DiagnosticEngine &diags) {
   Lexer lexer(src, diags);
   return lexer.tokenize();
 }
@@ -96,12 +104,78 @@ TEST(Lexer, PragmaBackslashContinuation) {
   auto toks = lex("#pragma @Annotation \\\n{lp_init:x,lp_cond:y}\nz;", diags);
   EXPECT_EQ(toks[0].kind, TokenKind::Pragma);
   EXPECT_NE(toks[0].text.find("lp_cond:y"), std::string::npos);
+  // The token views the source, continuation included; its spelling is
+  // the directive with the continuation spliced out.
+  EXPECT_EQ(toks[0].text, "pragma @Annotation \\\n{lp_init:x,lp_cond:y}");
+  EXPECT_EQ(toks[0].spelling(), "pragma @Annotation {lp_init:x,lp_cond:y}");
+  EXPECT_EQ(toks[1].location.line, 3u);
 }
 
 TEST(Lexer, UnexpectedCharacterDiagnosed) {
   DiagnosticEngine diags;
   lex("a $ b", diags);
   EXPECT_TRUE(diags.hasErrors());
+}
+
+TEST(Lexer, EveryKeywordSpellingMapsToItsKind) {
+  const std::pair<const char *, TokenKind> keywords[] = {
+      {"int", TokenKind::KwInt},         {"long", TokenKind::KwLong},
+      {"float", TokenKind::KwFloat},     {"double", TokenKind::KwDouble},
+      {"bool", TokenKind::KwBool},       {"void", TokenKind::KwVoid},
+      {"class", TokenKind::KwClass},     {"public", TokenKind::KwPublic},
+      {"for", TokenKind::KwFor},         {"while", TokenKind::KwWhile},
+      {"if", TokenKind::KwIf},           {"else", TokenKind::KwElse},
+      {"return", TokenKind::KwReturn},   {"true", TokenKind::KwTrue},
+      {"false", TokenKind::KwFalse},     {"const", TokenKind::KwConst},
+      {"operator", TokenKind::KwOperator},
+  };
+  for (const auto &[spelling, kind] : keywords) {
+    DiagnosticEngine diags;
+    auto toks = lex(spelling, diags);
+    ASSERT_EQ(toks.size(), 2u) << spelling;
+    EXPECT_EQ(toks[0].kind, kind) << spelling;
+    EXPECT_EQ(toks[0].text, spelling);
+  }
+  // Near misses: a prefix, an extension, another case, a suffix.
+  for (const char *spelling :
+       {"fo", "form", "Int", "operator_", "i", "iff", "Return", "doubles",
+        "operato", "_if", "whilE", "cons", "publics"}) {
+    DiagnosticEngine diags;
+    auto toks = lex(spelling, diags);
+    ASSERT_EQ(toks.size(), 2u) << spelling;
+    EXPECT_EQ(toks[0].kind, TokenKind::Identifier) << spelling;
+    EXPECT_EQ(toks[0].text, spelling);
+  }
+}
+
+TEST(Lexer, NumbersEndWhereTheirViewEnds) {
+  // The lexer may be handed part of a buffer: a number that ends the view
+  // must not run on into the bytes after it.
+  static const char buffer[] = "x = 12345 2.5e-37";
+  DiagnosticEngine diags;
+  auto toks = lex(std::string_view(buffer, 6), diags); // "x = 12"
+  ASSERT_EQ(toks.size(), 4u);
+  EXPECT_EQ(toks[2].text, "12");
+  EXPECT_EQ(toks[2].intValue, 12);
+  toks = lex(std::string_view(buffer + 10, 6), diags); // "2.5e-3"
+  ASSERT_EQ(toks.size(), 2u);
+  EXPECT_DOUBLE_EQ(toks[0].floatValue, 2.5e-3);
+  EXPECT_FALSE(diags.hasErrors()) << diags.str();
+}
+
+TEST(Lexer, OutOfRangeIntegerDiagnosticTextIsExact) {
+  DiagnosticEngine diags;
+  lex("x = 99999999999999999999;", diags);
+  ASSERT_EQ(diags.all().size(), 1u);
+  EXPECT_EQ(diags.all()[0].message,
+            "integer literal out of range: 99999999999999999999");
+  // A literal longer than any fixed parse buffer quotes in full too.
+  const std::string digits(80, '9');
+  DiagnosticEngine longDiags;
+  lex(digits, longDiags);
+  ASSERT_EQ(longDiags.all().size(), 1u);
+  EXPECT_EQ(longDiags.all()[0].message,
+            "integer literal out of range: " + digits);
 }
 
 // ------------------------------------------------------------------ parser
@@ -239,6 +313,49 @@ TEST(Parser, AnnotationSkipAndMultiKey) {
   EXPECT_EQ(stmts[0]->annotation->get("lp_cond"), "y");
   ASSERT_TRUE(stmts[1]->annotation.has_value());
   EXPECT_TRUE(stmts[1]->annotation->skip());
+}
+
+TEST(Parser, ContinuationPragmaParsesItsEntries) {
+  auto unit = parseOk("void f(int n) {\n"
+                      "  #pragma @Annotation \\\n"
+                      "    {lp_init:x, \\\n"
+                      "     lp_cond:y}\n"
+                      "  for (int i = 0; i < n; i++) { n = n; }\n"
+                      "}");
+  const Statement &loop = *unit->functions[0]->bodyStmt->body[0];
+  ASSERT_TRUE(loop.annotation.has_value());
+  const std::map<std::string, std::string> expected = {{"lp_init", "x"},
+                                                       {"lp_cond", "y"}};
+  EXPECT_EQ(loop.annotation->entries, expected);
+  EXPECT_EQ(loop.annotation->location.line, 2u);
+  EXPECT_EQ(loop.range.begin.line, 5u);
+}
+
+TEST(Parser, DiagnosticsQuoteTokensExactly) {
+  DiagnosticEngine diags;
+  Parser::parse("void f() {\n"
+                "  int x = 1 foo;\n"
+                "  #pragma omp \\\n"
+                "parallel\n"
+                "  x = #pragma a \\\n"
+                "b\n"
+                ";\n"
+                "}",
+                "t.mc", diags);
+  std::vector<std::string> messages;
+  for (const Diagnostic &d : diags.all())
+    messages.push_back(d.message);
+  const std::vector<std::string> expected = {
+      "expected ';' after declaration, found identifier 'foo'",
+      "unrecognized pragma ignored: pragma omp parallel",
+      "expected expression, found pragma 'pragma a b'",
+  };
+  EXPECT_EQ(messages, expected) << diags.str();
+  ASSERT_GE(diags.all().size(), 2u);
+  EXPECT_EQ(diags.all()[0].location.line, 2u);
+  EXPECT_EQ(diags.all()[0].location.column, 13u);
+  EXPECT_EQ(diags.all()[1].severity, DiagSeverity::Warning);
+  EXPECT_EQ(diags.all()[1].location.line, 3u);
 }
 
 TEST(Parser, MalformedAnnotationDiagnosed) {

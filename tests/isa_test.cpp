@@ -98,6 +98,21 @@ Instruction randomInstruction(std::mt19937 &rng) {
   return inst;
 }
 
+/// Decode a whole function body laid out from address 0, the way
+/// binast walks a symbol's bytes.
+std::optional<std::vector<Instruction>>
+decodeAll(const std::vector<std::uint8_t> &bytes, DiagnosticEngine &diags) {
+  std::vector<Instruction> out;
+  std::size_t offset = 0;
+  while (offset < bytes.size()) {
+    Instruction &inst = out.emplace_back();
+    inst.address = offset;
+    if (!decodeInstruction(bytes.data(), bytes.size(), offset, inst, diags))
+      return std::nullopt;
+  }
+  return out;
+}
+
 class EncodingRoundTrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(EncodingRoundTrip, RandomStreamsDecodeExactly) {
@@ -109,8 +124,10 @@ TEST_P(EncodingRoundTrip, RandomStreamsDecodeExactly) {
   fn.layout(0);
 
   std::vector<std::uint8_t> bytes = encodeFunction(fn);
+  EXPECT_EQ(countInstructions(bytes.data(), bytes.size()),
+            fn.instructions.size());
   DiagnosticEngine diags;
-  auto decoded = decodeFunction(bytes, 0, diags);
+  auto decoded = decodeAll(bytes, diags);
   ASSERT_TRUE(decoded.has_value()) << diags.str();
   ASSERT_EQ(decoded->size(), fn.instructions.size());
   for (std::size_t i = 0; i < decoded->size(); ++i) {
@@ -140,7 +157,7 @@ TEST(Encoding, TruncatedBytesAreDiagnosed) {
   encodeInstruction(inst, bytes);
   bytes.resize(bytes.size() - 3); // chop the immediate
   DiagnosticEngine diags;
-  auto decoded = decodeFunction(bytes, 0, diags);
+  auto decoded = decodeAll(bytes, diags);
   EXPECT_FALSE(decoded.has_value());
   EXPECT_TRUE(diags.hasErrors());
 }
@@ -149,9 +166,42 @@ TEST(Encoding, InvalidOpcodeDiagnosed) {
   std::vector<std::uint8_t> bytes = {0xFF, 0xFF, 0x00}; // opcode 0xFFFF
   DiagnosticEngine diags;
   std::size_t off = 0;
-  auto inst = decodeInstruction(bytes, off, diags);
-  EXPECT_FALSE(inst.has_value());
+  Instruction inst;
+  EXPECT_FALSE(decodeInstruction(bytes.data(), bytes.size(), off, inst, diags));
   EXPECT_TRUE(diags.containsMessage("invalid opcode"));
+}
+
+TEST(Encoding, OperandsPastTheInlineTwoSpillAndRoundTrip) {
+  // Codegen never emits more than two operands, but the encoded count is
+  // a u8: a decoded instruction with more moves its operands to the heap.
+  MemRef m;
+  m.base = Reg::RBP;
+  m.index = Reg::RCX;
+  m.scale = 8;
+  m.disp = -24;
+  Instruction inst(Opcode::LEA,
+                   {Operand::makeReg(Reg::RAX), Operand::makeMem(m),
+                    Operand::makeImm(-7)},
+                   9);
+  ASSERT_EQ(inst.operands.size(), 3u);
+  std::vector<std::uint8_t> bytes;
+  encodeInstruction(inst, bytes);
+  EXPECT_EQ(bytes.size(), inst.encodedSize());
+  DiagnosticEngine diags;
+  std::size_t off = 0;
+  Instruction decoded;
+  decoded.line = inst.line; // lines travel in the line table, not .text
+  ASSERT_TRUE(
+      decodeInstruction(bytes.data(), bytes.size(), off, decoded, diags))
+      << diags.str();
+  EXPECT_EQ(off, bytes.size());
+  EXPECT_EQ(decoded, inst);
+  // Copies and moves of the spilled list keep every operand.
+  Instruction copy = decoded;
+  EXPECT_EQ(copy, inst);
+  Instruction moved = std::move(copy);
+  EXPECT_EQ(moved, inst);
+  EXPECT_EQ(moved.operands[2].imm, -7);
 }
 
 // --------------------------------------------------------------- objfile
@@ -160,15 +210,12 @@ TEST(ObjFile, SerializeParseRoundTrip) {
   MachineFunction fn;
   fn.name = "f";
   fn.instructions.emplace_back(
-      Opcode::MOV,
-      std::vector<Operand>{Operand::makeReg(Reg::RAX), Operand::makeImm(1)},
+      Opcode::MOV, Operands{Operand::makeReg(Reg::RAX), Operand::makeImm(1)},
       3);
   fn.instructions.emplace_back(
       Opcode::ADDSD,
-      std::vector<Operand>{Operand::makeReg(Reg::XMM0),
-                           Operand::makeReg(Reg::XMM1)},
-      4);
-  fn.instructions.emplace_back(Opcode::RET, std::vector<Operand>{}, 5);
+      Operands{Operand::makeReg(Reg::XMM0), Operand::makeReg(Reg::XMM1)}, 4);
+  fn.instructions.emplace_back(Opcode::RET, Operands{}, 5);
   fn.layout(0);
 
   objfile::MiraObject obj = objfile::buildObject({fn}, {"mc_print"});
@@ -197,7 +244,7 @@ TEST(ObjFile, BadMagicRejected) {
 TEST(ObjFile, TruncatedTextRejected) {
   MachineFunction fn;
   fn.name = "f";
-  fn.instructions.emplace_back(Opcode::RET, std::vector<Operand>{}, 1);
+  fn.instructions.emplace_back(Opcode::RET, Operands{}, 1);
   fn.layout(0);
   objfile::MiraObject obj = objfile::buildObject({fn}, {});
   std::vector<std::uint8_t> bytes = obj.serialize();
@@ -210,7 +257,7 @@ TEST(ObjFile, TruncatedTextRejected) {
 TEST(ObjFile, SymbolRangeValidated) {
   MachineFunction fn;
   fn.name = "f";
-  fn.instructions.emplace_back(Opcode::RET, std::vector<Operand>{}, 1);
+  fn.instructions.emplace_back(Opcode::RET, Operands{}, 1);
   fn.layout(0);
   objfile::MiraObject obj = objfile::buildObject({fn}, {});
   obj.symbols[0].size += 1000; // corrupt
@@ -218,6 +265,15 @@ TEST(ObjFile, SymbolRangeValidated) {
   DiagnosticEngine diags;
   EXPECT_FALSE(objfile::MiraObject::parse(bytes, diags).has_value());
   EXPECT_TRUE(diags.containsMessage("extends past"));
+
+  // An offset whose sum with the size wraps past 2^64 is past .text too
+  // (binast decodes the symbol's bytes where they lie).
+  obj.symbols[0].offset = ~std::uint64_t{0};
+  obj.symbols[0].size = 2;
+  bytes = obj.serialize();
+  DiagnosticEngine wrapDiags;
+  EXPECT_FALSE(objfile::MiraObject::parse(bytes, wrapDiags).has_value());
+  EXPECT_TRUE(wrapDiags.containsMessage("extends past"));
 }
 
 } // namespace

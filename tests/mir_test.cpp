@@ -526,15 +526,30 @@ TEST(Codegen, ExpansionCoversEveryInstruction) {
   // Every machine instruction is either prologue or owned by exactly one
   // MIR instruction.
   std::vector<int> owners(result.machine.instructions.size(), 0);
-  for (std::uint32_t mi : result.map.prologue)
+  for (std::uint32_t mi = 0; mi < result.map.prologueEnd; ++mi)
     ++owners[mi];
-  for (const auto &block : result.map.expansion)
-    for (const auto &instList : block)
-      for (std::uint32_t mi : instList)
+  for (std::uint32_t b = 0; b < fn->blocks.size(); ++b)
+    for (std::uint32_t i = 0; i < fn->blocks[b].insts.size(); ++i) {
+      const auto run = result.map.range(b, i);
+      for (std::uint32_t mi = run.begin; mi < run.end; ++mi)
         ++owners[mi];
+    }
   for (std::size_t i = 0; i < owners.size(); ++i)
     EXPECT_EQ(owners[i], 1) << "machine instr " << i << " "
                             << result.machine.instructions[i].str();
+
+  // The runs tile [prologueEnd, size) in MIR order: each starts where the
+  // previous one ended, and the last ends at the last instruction.
+  std::uint32_t next = result.map.prologueEnd;
+  for (std::uint32_t b = 0; b < fn->blocks.size(); ++b)
+    for (std::uint32_t i = 0; i < fn->blocks[b].insts.size(); ++i) {
+      const auto run = result.map.range(b, i);
+      EXPECT_EQ(run.begin, next) << "block " << b << " inst " << i;
+      EXPECT_LE(run.begin, run.end) << "block " << b << " inst " << i;
+      next = run.end;
+    }
+  EXPECT_EQ(next, result.machine.instructions.size());
+  EXPECT_GT(result.map.prologueEnd, 0u);
 }
 
 TEST(Codegen, BranchesResolveToValidOffsets) {

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/diagnostics.h"
+#include "support/inline_vector.h"
 #include "support/source_location.h"
 #include "support/string_utils.h"
 #include "support/thread_pool.h"
@@ -124,6 +128,86 @@ TEST(StringUtils, Padding) {
   EXPECT_EQ(padRight("ab", 4), "ab  ");
   EXPECT_EQ(padLeft("ab", 4), "  ab");
   EXPECT_EQ(padRight("abcdef", 4), "abcdef");
+}
+
+// -------------------------------------------------------------- inline vector
+
+/// Like isa::Operand: default member initializers make it non-trivial,
+/// but it is still trivially copyable and destructible.
+struct Slot {
+  std::uint8_t tag = 7;
+  std::int64_t value = -1;
+
+  bool operator==(const Slot &o) const {
+    return tag == o.tag && value == o.value;
+  }
+};
+static_assert(!std::is_trivial_v<Slot>);
+static_assert(std::is_trivially_copyable_v<Slot>);
+
+using Slots = InlineVector<Slot, 2>;
+
+TEST(InlineVector, HoldsElementsWithDefaultMemberInitializers) {
+  Slots v;
+  EXPECT_TRUE(v.empty());
+  v.push_back(Slot());
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0].tag, 7);
+  EXPECT_EQ(v[0].value, -1);
+}
+
+TEST(InlineVector, InitializerListConstruction) {
+  const Slots empty{};
+  EXPECT_TRUE(empty.empty());
+  const Slots two{{1, 10}, {2, 20}};
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_EQ(two[0], (Slot{1, 10}));
+  EXPECT_EQ(two[1], (Slot{2, 20}));
+  // More elements than the inline capacity start on the heap.
+  const Slots three{{1, 10}, {2, 20}, {3, 30}};
+  ASSERT_EQ(three.size(), 3u);
+  EXPECT_EQ(three[2], (Slot{3, 30}));
+}
+
+TEST(InlineVector, Equality) {
+  const Slots a{{1, 10}, {2, 20}};
+  EXPECT_EQ(a, (Slots{{1, 10}, {2, 20}}));
+  EXPECT_FALSE(a == (Slots{{1, 10}}));
+  EXPECT_FALSE(a == (Slots{{1, 10}, {2, 21}}));
+  EXPECT_FALSE(a == (Slots{{1, 10}, {2, 20}, {3, 30}}));
+  EXPECT_EQ(Slots(), Slots{});
+}
+
+TEST(InlineVector, SpillThenCopyAndMoveBack) {
+  Slots spilled;
+  for (std::int64_t i = 0; i < 5; ++i)
+    spilled.push_back({static_cast<std::uint8_t>(i), i * 100});
+  ASSERT_EQ(spilled.size(), 5u);
+
+  Slots copy(spilled);
+  EXPECT_EQ(copy, spilled);
+  copy[4].value = 1; // the copy owns its own heap block
+  EXPECT_EQ(spilled[4].value, 400);
+
+  Slots moved(std::move(copy));
+  EXPECT_TRUE(copy.empty()); // a moved-from list is empty and inline
+  ASSERT_EQ(moved.size(), 5u);
+  EXPECT_EQ(moved[4].value, 1);
+
+  // Move back into the emptied source, then copy-assign over a list that
+  // is still inline, and reuse the moved-from one.
+  copy = std::move(moved);
+  ASSERT_EQ(copy.size(), 5u);
+  EXPECT_EQ(copy[3], (Slot{3, 300}));
+  Slots small{{9, 9}};
+  small = spilled;
+  EXPECT_EQ(small, spilled);
+  moved.push_back({1, 1});
+  moved.push_back({2, 2});
+  moved.push_back({3, 3});
+  EXPECT_EQ(moved, (Slots{{1, 1}, {2, 2}, {3, 3}}));
+  spilled = Slots{{4, 4}};
+  EXPECT_EQ(spilled, (Slots{{4, 4}}));
 }
 
 // ---------------------------------------------------------------- thread pool
