@@ -1,15 +1,14 @@
 /// \file
 /// One shared registry of named monotonic counters and gauges.
 ///
-/// The serving stack used to keep three disjoint counter surfaces — the
-/// daemon's atomics behind ServerStats, BatchAnalyzer's disk/fulfillment
-/// atomics behind BatchStats, and whatever the CLI printed — which could
-/// drift apart because each counter was defined (and bumped) more than
-/// once. MetricsRegistry replaces them: a counter or gauge is registered
-/// exactly once by name, every layer bumps the same cell, and every view
-/// (the cacheStats wire block, the Metrics wire reply, the --metrics-file
-/// text dump, `mira-cli client metrics`) renders from one snapshot of the
-/// same registry, so the views cannot disagree by construction.
+/// A counter or gauge is registered exactly once by name, and every
+/// layer that shares a registry (the daemon and the batch analyzer
+/// behind it) bumps the same cell. Every view renders from one snapshot
+/// of it: the Metrics wire reply, the --metrics-file text dump, and
+/// `mira-cli client metrics` and `client cache-stats`, which both print
+/// that reply. The views therefore cannot disagree by construction. A
+/// new number is a new name here, never a new field in a fixed wire
+/// layout.
 ///
 /// Concurrency: counter()/gauge() registration takes a mutex; the
 /// returned references are stable for the registry's lifetime, and all

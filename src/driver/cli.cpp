@@ -30,6 +30,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -1459,6 +1460,17 @@ extern "C" void onStopSignal(int) {
   }
 }
 
+/// A daemon's registry samples by name, as %llu prints them. A name the
+/// daemon never set reads 0: the disk gauges of a daemon without
+/// --cache-dir.
+std::map<std::string, unsigned long long>
+samplesByName(const std::vector<server::MetricSample> &samples) {
+  std::map<std::string, unsigned long long> values;
+  for (const server::MetricSample &sample : samples)
+    values.emplace(sample.name, sample.value);
+  return values;
+}
+
 int cmdServe(std::vector<std::string> args) {
   CommonFlags flags;
   if (!parseFlags(args, flags) || !args.empty())
@@ -1523,15 +1535,15 @@ int cmdServe(std::vector<std::string> args) {
 
   daemon.serve();
 
-  const server::ServerStats stats = daemon.snapshotStats();
+  std::map<std::string, unsigned long long> m =
+      samplesByName(daemon.metricsSamples());
   g_serverStopFd = -1;
   std::printf("daemon stopped: %llu requests over %llu connections, "
               "%llu analyses (%llu cache hits / %llu computed)\n",
-              static_cast<unsigned long long>(stats.requestsServed),
-              static_cast<unsigned long long>(stats.connectionsAccepted),
-              static_cast<unsigned long long>(stats.sourcesAnalyzed),
-              static_cast<unsigned long long>(stats.cacheHits),
-              static_cast<unsigned long long>(stats.computed));
+              m["server_requests_served_total"],
+              m["server_connections_accepted_total"],
+              m["server_sources_analyzed_total"], m["server_cache_hits_total"],
+              m["server_computed_total"]);
   return 0;
 }
 
@@ -1574,10 +1586,10 @@ int cmdClient(std::vector<std::string> args) {
     return 0;
   }
 
+  std::vector<server::MetricSample> samples;
+  if (!client.metrics(samples))
+    return daemon->failure();
   if (action == "metrics") {
-    std::vector<server::MetricSample> samples;
-    if (!client.metrics(samples))
-      return daemon->failure();
     // Same names and `mira_` prefix as the --metrics-file dump; the
     // wire reply does not carry the counter/gauge kind, so no # TYPE
     // comment lines here.
@@ -1587,42 +1599,32 @@ int cmdClient(std::vector<std::string> args) {
     return 0;
   }
 
-  server::ServerStats stats;
-  if (!client.cacheStats(stats))
-    return daemon->failure();
-  // Field meanings: docs/PROTOCOL.md, CacheStatsReply.
+  // cache-stats: a summary of the same reply; docs/SERVING.md,
+  // "Monitoring", maps each line to its registry names.
+  std::map<std::string, unsigned long long> m = samplesByName(samples);
   std::printf("uptime          : %.1f s\n",
-              static_cast<double>(stats.uptimeMicros) / 1e6);
+              static_cast<double>(m["server_uptime_micros"]) / 1e6);
   std::printf("connections     : %llu\n",
-              static_cast<unsigned long long>(stats.connectionsAccepted));
-  std::printf("requests served : %llu\n",
-              static_cast<unsigned long long>(stats.requestsServed));
-  std::printf("analyze         : %llu\n",
-              static_cast<unsigned long long>(stats.analyzeRequests));
+              m["server_connections_accepted_total"]);
+  std::printf("requests served : %llu\n", m["server_requests_served_total"]);
+  std::printf("analyze         : %llu\n", m["server_analyze_requests_total"]);
   std::printf("coverage / sim  : %llu / %llu (%llu recompiles)\n",
-              static_cast<unsigned long long>(stats.coverageRequests),
-              static_cast<unsigned long long>(stats.simulateRequests),
-              static_cast<unsigned long long>(stats.recompiles));
+              m["server_coverage_requests_total"],
+              m["server_simulate_requests_total"],
+              m["server_recompiles_total"]);
   std::printf("sources analyzed: %llu (%llu cache hits, %llu computed, "
               "%llu failed)\n",
-              static_cast<unsigned long long>(stats.sourcesAnalyzed),
-              static_cast<unsigned long long>(stats.cacheHits),
-              static_cast<unsigned long long>(stats.computed),
-              static_cast<unsigned long long>(stats.failures));
-  std::printf("protocol errors : %llu\n",
-              static_cast<unsigned long long>(stats.protocolErrors));
-  std::printf("memory entries  : %llu\n",
-              static_cast<unsigned long long>(stats.memoryEntries));
+              m["server_sources_analyzed_total"], m["server_cache_hits_total"],
+              m["server_computed_total"], m["server_failures_total"]);
+  std::printf("protocol errors : %llu\n", m["server_protocol_errors_total"]);
+  std::printf("memory entries  : %llu\n", m["server_cache_memory_entries"]);
   std::printf("disk cache      : %llu hit / %llu miss, %llu stored, "
               "%llu entries, %llu bytes (%s)\n",
-              static_cast<unsigned long long>(stats.diskHits),
-              static_cast<unsigned long long>(stats.diskMisses),
-              static_cast<unsigned long long>(stats.diskStores),
-              static_cast<unsigned long long>(stats.diskEntries),
-              static_cast<unsigned long long>(stats.diskBytes),
-              formatBytes(stats.diskBytes).c_str());
-  std::printf("session threads : %llu\n",
-              static_cast<unsigned long long>(stats.threads));
+              m["analyzer_disk_hits_total"], m["analyzer_disk_misses_total"],
+              m["analyzer_disk_stores_total"], m["server_disk_entries"],
+              m["server_disk_bytes"],
+              formatBytes(m["server_disk_bytes"]).c_str());
+  std::printf("session threads : %llu\n", m["server_threads"]);
   return 0;
 }
 

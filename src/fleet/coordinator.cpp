@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <set>
 #include <thread>
 
 #include "corpus/manifest.h"
 #include "server/client.h"
+#include "support/file_io.h"
 
 namespace mira::fleet {
 
@@ -110,20 +109,11 @@ private:
     metrics_.shardsPending.set(state_.shardsRemaining);
   }
 
-  /// Atomically (re)write options_.metricsFile; no-op when unset.
-  void writeMetricsFile() const {
-    if (options_.metricsFile.empty())
-      return;
-    const std::string tmp = options_.metricsFile + ".tmp";
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (!out)
-        return;
-      out << registry_.renderText();
-      if (!out)
-        return;
-    }
-    ::rename(tmp.c_str(), options_.metricsFile.c_str());
+  /// Atomically (re)write options_.metricsFile; true when it was written
+  /// or none is configured.
+  bool writeMetricsFile() const {
+    return options_.metricsFile.empty() ||
+           replaceFile(options_.metricsFile, registry_.renderText());
   }
 
   /// Is shard `i` leasable by worker `w` right now? Prefer workers that
@@ -405,7 +395,14 @@ CoordinatorResult Coordinator::run() {
   state_.shardsRemaining = shardCount_;
   state_.workersAlive = options_.workers.size();
   refreshGauges();
-  writeMetricsFile();
+  // The first write is the check that the file can be written at all:
+  // an unwritable one stops the run before any lease.
+  if (!writeMetricsFile()) {
+    result.status = CoordinatorStatus::daemonFailed;
+    result.error =
+        "cannot write metrics file '" + options_.metricsFile + "'";
+    return result;
+  }
   event("fleet: " + std::to_string(options_.workers.size()) + " worker(s), " +
         std::to_string(shardCount_) + " shard(s), lease timeout " +
         std::to_string(options_.leaseTimeoutMillis) + " ms");

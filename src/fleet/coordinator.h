@@ -53,8 +53,9 @@ enum class CoordinatorStatus {
   connectFailed,   ///< no worker ever accepted a connection + handshake
   transportFailed, ///< a shard exhausted its attempts on transport-class
                    ///< failures (workers dying/vanishing mid-shard)
-  daemonFailed,    ///< a worker daemon rejected the work itself (Error
-                   ///< reply), which retrying elsewhere cannot fix
+  daemonFailed,    ///< the work itself was refused — a worker's Error
+                   ///< reply, an invalid manifest, an unwritable
+                   ///< metrics file — which retrying elsewhere cannot fix
 };
 
 /// Coordinator configuration. The manifest travels as raw
@@ -83,7 +84,8 @@ struct CoordinatorOptions {
   std::string secret;
   /// When non-empty, rewritten (write-temp-then-rename) on every
   /// monitor tick and once at start/end with the registry's Prometheus
-  /// text dump — same contract as the daemon's --metrics-file.
+  /// text dump — same contract as the daemon's --metrics-file: a first
+  /// write that fails ends the run (daemonFailed) before any lease.
   std::string metricsFile;
   /// Optional human-readable event stream (lease grants, expiries,
   /// fences, worker deaths); the CLI points this at stderr.

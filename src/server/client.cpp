@@ -317,16 +317,6 @@ bool Client::manifestBatch(const std::string &manifestBytes,
       &onProgress);
 }
 
-bool Client::cacheStats(ServerStats &stats) {
-  return roundTrip(encodeEmptyMessage(MessageType::cacheStats),
-                   MessageType::cacheStatsReply,
-                   [&](std::size_t, bio::Reader &body) {
-                     return decodeCacheStatsReply(body, stats) ||
-                            fail(ErrorKind::protocol,
-                                 "malformed cache-stats reply");
-                   });
-}
-
 bool Client::metrics(std::vector<MetricSample> &samples) {
   return roundTrip(encodeMetricsRequest(), MessageType::metricsReply,
                    [&](std::size_t, bio::Reader &body) {

@@ -167,12 +167,10 @@ public:
                      const core::MiraOptions &options,
                      const ProgressFn &onProgress, std::string &reportBytes);
 
-  /// Fetch the daemon's counter block.
-  bool cacheStats(ServerStats &stats);
-
-  /// Fetch the daemon's full metrics registry: every
-  /// named counter and gauge, name-sorted — the same numbers the
-  /// --metrics-file dump renders.
+  /// Fetch the daemon's full metrics registry: every named counter and
+  /// gauge, name-sorted — the same numbers the --metrics-file dump
+  /// renders, and the one way to read the daemon's counters (`mira-cli
+  /// client cache-stats` prints a summary of this reply).
   bool metrics(std::vector<MetricSample> &samples);
 
   /// Ask the daemon to shut down cleanly. True once the daemon

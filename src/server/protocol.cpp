@@ -342,31 +342,6 @@ std::string encodeSimulateReply(const SimulateReply &reply) {
   return out;
 }
 
-std::string encodeCacheStatsReply(const ServerStats &stats) {
-  std::string out;
-  beginMessage(out, MessageType::cacheStatsReply);
-  bio::putU64(out, stats.uptimeMicros);
-  bio::putU64(out, stats.connectionsAccepted);
-  bio::putU64(out, stats.requestsServed);
-  bio::putU64(out, stats.analyzeRequests);
-  bio::putU64(out, stats.sourcesAnalyzed);
-  bio::putU64(out, stats.cacheHits);
-  bio::putU64(out, stats.computed);
-  bio::putU64(out, stats.failures);
-  bio::putU64(out, stats.protocolErrors);
-  bio::putU64(out, stats.memoryEntries);
-  bio::putU64(out, stats.diskHits);
-  bio::putU64(out, stats.diskMisses);
-  bio::putU64(out, stats.diskStores);
-  bio::putU64(out, stats.diskEntries);
-  bio::putU64(out, stats.diskBytes);
-  bio::putU64(out, stats.threads);
-  bio::putU64(out, stats.coverageRequests);
-  bio::putU64(out, stats.simulateRequests);
-  bio::putU64(out, stats.recompiles);
-  return out;
-}
-
 bool decodeAnalyzeRequest(bio::Reader &r, SourceItem &item,
                           std::uint8_t &flags) {
   return decodeSourceRequestBody(r, item, flags) && r.remaining() == 0;
@@ -487,19 +462,6 @@ bool decodeMetricsReply(bio::Reader &r, std::vector<MetricSample> &samples) {
     samples.push_back(std::move(sample));
   }
   return r.remaining() == 0;
-}
-
-bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats) {
-  return r.u64(stats.uptimeMicros) && r.u64(stats.connectionsAccepted) &&
-         r.u64(stats.requestsServed) && r.u64(stats.analyzeRequests) &&
-         r.u64(stats.sourcesAnalyzed) && r.u64(stats.cacheHits) &&
-         r.u64(stats.computed) && r.u64(stats.failures) &&
-         r.u64(stats.protocolErrors) && r.u64(stats.memoryEntries) &&
-         r.u64(stats.diskHits) && r.u64(stats.diskMisses) &&
-         r.u64(stats.diskStores) && r.u64(stats.diskEntries) &&
-         r.u64(stats.diskBytes) && r.u64(stats.threads) &&
-         r.u64(stats.coverageRequests) && r.u64(stats.simulateRequests) &&
-         r.u64(stats.recompiles) && r.remaining() == 0;
 }
 
 } // namespace mira::server

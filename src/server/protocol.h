@@ -20,12 +20,12 @@
 /// extensions (new message types, no layout changes); older v2 daemons
 /// answer them with Error-and-close like any unknown type, which
 /// clients must treat as "not supported". Types 3 and 103 (the retired
-/// Batch pair) and 8 and 108 (the retired ManifestDiff pair) get the
-/// same answer and are never reused. Busy and
-/// BatchProgress are the two replies that do NOT close the connection:
-/// Busy reports the in-flight cap was hit and carries a retry-after
-/// hint; BatchProgress precedes a manifestBatchReply on the same
-/// request. Hello is the optional shared-secret handshake used on TCP
+/// Batch pair), 4 and 104 (the retired CacheStats pair) and 8 and 108
+/// (the retired ManifestDiff pair) get the same answer and are never
+/// reused. Busy and BatchProgress are the two replies that do NOT close
+/// the connection: Busy reports the in-flight cap was hit and carries a
+/// retry-after hint; BatchProgress precedes a manifestBatchReply on the
+/// same request. Hello is the optional shared-secret handshake used on TCP
 /// endpoints: a daemon started with a secret answers every other
 /// request with Error-and-close until the session's first frame is a
 /// Hello carrying the matching secret. See docs/PROTOCOL.md,
@@ -71,7 +71,7 @@ enum class MessageType : std::uint8_t {
   ping = 1,       ///< liveness probe; empty body
   analyze = 2,    ///< one source: [flags u8][name str][source str]
   // 3 is retired (Batch) and never reused.
-  cacheStats = 4, ///< server/cache counters; empty body
+  // 4 is retired (CacheStats) and never reused.
   shutdown = 5,   ///< stop accepting, drain, exit; empty body
   coverage = 6,   ///< loop coverage: same body as analyze
   simulate = 7,   ///< run the simulator: analyze body + sim args
@@ -85,7 +85,7 @@ enum class MessageType : std::uint8_t {
   pong = 101,            ///< empty body
   analyzeReply = 102,    ///< one result (see AnalyzeReply)
   // 103 is retired (BatchReply) and never reused.
-  cacheStatsReply = 104, ///< fixed u64 counter block (see ServerStats)
+  // 104 is retired (CacheStatsReply) and never reused.
   shutdownReply = 105,   ///< empty body; sent before the daemon drains
   coverageReply = 106,   ///< one coverage summary (see CoverageReply)
   simulateReply = 107,   ///< one simulation result (see SimulateReply)
@@ -216,30 +216,6 @@ struct MetricSample {
   std::uint64_t value = 0;
 };
 
-/// Counter block answered to cacheStats, all u64, in this wire order.
-/// Lifetime counters cover everything since the daemon started.
-struct ServerStats {
-  std::uint64_t uptimeMicros = 0;        ///< since the daemon started
-  std::uint64_t connectionsAccepted = 0; ///< client sessions opened
-  std::uint64_t requestsServed = 0;      ///< frames answered (errors too)
-  std::uint64_t analyzeRequests = 0;     ///< analyze messages
-  std::uint64_t sourcesAnalyzed = 0;     ///< items across request kinds
-  std::uint64_t cacheHits = 0;           ///< items served without recompute
-  std::uint64_t computed = 0;            ///< items that ran the pipeline
-  std::uint64_t failures = 0;            ///< items whose analysis failed
-  std::uint64_t protocolErrors = 0;      ///< error replies + bad frames
-  std::uint64_t memoryEntries = 0;       ///< in-memory cache entries now
-  std::uint64_t diskHits = 0;            ///< disk-cache loads that hit
-  std::uint64_t diskMisses = 0;          ///< disk-cache loads that missed
-  std::uint64_t diskStores = 0;          ///< disk-cache entries written
-  std::uint64_t diskEntries = 0;         ///< disk entries on disk now
-  std::uint64_t diskBytes = 0;           ///< disk bytes on disk now
-  std::uint64_t threads = 0;             ///< concurrent session workers
-  std::uint64_t coverageRequests = 0;    ///< coverage messages
-  std::uint64_t simulateRequests = 0;    ///< simulate messages
-  std::uint64_t recompiles = 0;          ///< recompile-on-demand runs
-};
-
 /// Append the message header (magic, kProtocolVersion, type) to `out`.
 void beginMessage(std::string &out, MessageType type);
 
@@ -250,8 +226,8 @@ bool readHeader(bio::Reader &r, MessageType &type, std::string &error);
 
 // Encoders.
 
-/// Build a complete header-only message (ping, pong, cacheStats,
-/// shutdown, shutdownReply).
+/// Build a complete header-only message (ping, pong, shutdown,
+/// shutdownReply).
 std::string encodeEmptyMessage(MessageType type);
 /// Build an analyze request for one source under OptionFlags `flags`.
 std::string encodeAnalyzeRequest(const SourceItem &item, std::uint8_t flags);
@@ -286,9 +262,6 @@ std::string encodeAnalyzeReply(const AnalyzeReply &reply);
 std::string encodeCoverageReply(const CoverageReply &reply);
 /// Build a simulateReply.
 std::string encodeSimulateReply(const SimulateReply &reply);
-/// Build a cacheStatsReply (the 19-field ServerStats block) from a
-/// counter snapshot.
-std::string encodeCacheStatsReply(const ServerStats &stats);
 
 // Body decoders take a Reader positioned just past the header. Each
 // returns false on any structural problem, including a body that does
@@ -326,8 +299,6 @@ bool decodeSimulateReply(bio::Reader &r, SimulateReply &reply);
 bool decodeBusyReply(bio::Reader &r, BusyReply &reply);
 /// Decode a metricsReply body.
 bool decodeMetricsReply(bio::Reader &r, std::vector<MetricSample> &samples);
-/// Decode a cacheStatsReply body.
-bool decodeCacheStatsReply(bio::Reader &r, ServerStats &stats);
 
 /// Canonical byte encoding of a full sim::SimResult (ok, error, return
 /// value, total counters with a sparse category block, per-function

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <utility>
 #include <vector>
@@ -15,6 +13,8 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
+
+#include "support/file_io.h"
 
 namespace mira::server {
 
@@ -166,16 +166,28 @@ bool AnalysisServer::start(std::string &error) {
       return false;
     ::chmod(options_.socketPath.c_str(), 0600);
   }
+  // From here on a refusal unbinds what was bound.
+  const auto unbind = [this] {
+    listener_.close();
+    tcp_listener_.close();
+    if (!options_.socketPath.empty())
+      ::unlink(options_.socketPath.c_str());
+  };
   if (options_.tcpListen) {
     tcp_listener_ =
         net::listenTcp(options_.tcpHost, options_.tcpPortRequested, error);
     if (!tcp_listener_.valid()) {
-      if (!options_.socketPath.empty()) {
-        listener_.close();
-        ::unlink(options_.socketPath.c_str());
-      }
+      unbind();
       return false;
     }
+  }
+  // The first metrics write is the check that the file can be written at
+  // all. It comes after binding, so a daemon refused for a taken socket
+  // leaves the running daemon's file alone.
+  if (!writeMetricsFile()) {
+    error = "cannot write metrics file '" + options_.metricsFile + "'";
+    unbind();
+    return false;
   }
   bound_ = true;
   return true;
@@ -191,9 +203,9 @@ void AnalysisServer::requestStop() {
 }
 
 void AnalysisServer::serve() {
-  writeMetricsFile();
   // With a metrics file configured, wake up about once a second to
-  // refresh it; otherwise block in poll indefinitely.
+  // refresh it; otherwise block in poll indefinitely. A refresh that
+  // fails (a full disk) leaves the last good file and keeps serving.
   const int pollTimeoutMillis = options_.metricsFile.empty() ? -1 : 1000;
   for (;;) {
     // Endpoint fds first, the stop pipe last; either listener may be
@@ -427,10 +439,6 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
     });
     return true;
   }
-
-  case MessageType::cacheStats:
-    enqueueReply(session, seq, encodeCacheStatsReply(snapshotStats()), false);
-    return true;
 
   case MessageType::metrics:
     enqueueReply(session, seq, encodeMetricsReply(metricsSamples()), false);
@@ -702,7 +710,7 @@ void AnalysisServer::refreshGauges() const {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     metrics_.gauge("server_inflight_requests").set(inflight_);
   }
-  metrics_.gauge("server_threads").set(options_.threads);
+  metrics_.gauge("server_threads").set(sessions_->threadCount());
   metrics_.gauge("server_cache_memory_entries").set(analyzer_->cacheSize());
   driver::publishInternGauges(metrics_);
   if (CacheStore *disk = analyzer_->diskCache()) {
@@ -727,49 +735,9 @@ std::string AnalysisServer::renderMetricsText() const {
   return metrics_.renderText();
 }
 
-void AnalysisServer::writeMetricsFile() const {
-  if (options_.metricsFile.empty())
-    return;
-  const std::string tmp = options_.metricsFile + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      return;
-    out << renderMetricsText();
-    if (!out)
-      return;
-  }
-  ::rename(tmp.c_str(), options_.metricsFile.c_str());
-}
-
-ServerStats AnalysisServer::snapshotStats() const {
-  ServerStats stats;
-  stats.uptimeMicros = microsSince(started_);
-  stats.connectionsAccepted = connections_accepted_.value();
-  stats.requestsServed = requests_served_.value();
-  stats.analyzeRequests = analyze_requests_.value();
-  stats.sourcesAnalyzed = sources_analyzed_.value();
-  stats.cacheHits = cache_hits_.value();
-  stats.computed = computed_.value();
-  stats.failures = failures_.value();
-  stats.protocolErrors = protocol_errors_.value();
-  stats.coverageRequests = coverage_requests_.value();
-  stats.simulateRequests = simulate_requests_.value();
-  stats.recompiles = recompiles_.value();
-  stats.memoryEntries = analyzer_->cacheSize();
-  if (CacheStore *disk = analyzer_->diskCache()) {
-    const CacheStoreStats diskStats = disk->statsSnapshot();
-    stats.diskHits = diskStats.hits;
-    stats.diskMisses = diskStats.misses;
-    stats.diskStores = diskStats.stores;
-    std::size_t entries = 0;
-    std::uint64_t bytes = 0;
-    disk->usage(entries, bytes); // one scan for both numbers
-    stats.diskEntries = entries;
-    stats.diskBytes = bytes;
-  }
-  stats.threads = sessions_->threadCount();
-  return stats;
+bool AnalysisServer::writeMetricsFile() const {
+  return options_.metricsFile.empty() ||
+         replaceFile(options_.metricsFile, renderMetricsText());
 }
 
 } // namespace mira::server

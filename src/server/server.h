@@ -22,12 +22,12 @@
 /// once daemon-wide; one more is answered with a Busy reply carrying a
 /// retry hint instead of queueing without bound.
 ///
-/// Life cycle: construct -> start() binds the socket -> serve() accepts
-/// and dispatches until a shutdown request (protocol message or
-/// requestStop()) -> graceful drain: accepting stops, in-flight requests
-/// get up to `drainTimeoutMillis` to finish, stragglers are cut, the
-/// socket file is removed and the metrics file (if any) gets a final
-/// write. docs/SERVING.md is the operator guide; tests/server_test.cpp
+/// Life cycle: construct -> start() binds the socket and writes the
+/// metrics file (if any) once -> serve() accepts and dispatches until a
+/// shutdown request (protocol message or requestStop()) -> graceful
+/// drain: accepting stops, in-flight requests get up to
+/// `drainTimeoutMillis` to finish, stragglers are cut, the socket file
+/// is removed and the metrics file (if any) gets a final write. docs/SERVING.md is the operator guide; tests/server_test.cpp
 /// pins the pipelining, backpressure, and malformed-input behavior.
 #pragma once
 
@@ -95,7 +95,8 @@ struct ServerOptions {
   /// When non-empty, the daemon rewrites this file about once a second
   /// (and once at startup and shutdown) with the Prometheus-style text
   /// dump of the metrics registry, via write-temp-then-rename so
-  /// scrapers never see a torn file.
+  /// scrapers never see a torn file. start() fails when the first write
+  /// does; a later failed write keeps the last good file.
   std::string metricsFile;
 };
 
@@ -110,10 +111,11 @@ public:
   AnalysisServer(const AnalysisServer &) = delete;
   AnalysisServer &operator=(const AnalysisServer &) = delete;
 
-  /// Bind the listening socket and the internal stop event. Returns
-  /// false (with a description in `error`) when the path is unusable,
-  /// another daemon already listens there, or the cache directory could
-  /// not be opened as a directory.
+  /// Bind the listening socket and the internal stop event, then write
+  /// the metrics file once. Returns false (with a description in
+  /// `error`, and nothing left bound) when the path is unusable, another
+  /// daemon already listens there, the cache directory could not be
+  /// opened as a directory, or the metrics file cannot be written.
   bool start(std::string &error);
 
   /// Accept and dispatch until shutdown; blocks the calling thread.
@@ -132,13 +134,10 @@ public:
   /// handlers use exactly this).
   int stopEventFd() const { return stop_write_.fd(); }
 
-  /// Lifetime counters plus current cache occupancy — the cacheStats
-  /// wire reply, assembled from the metrics registry. Safe to call
+  /// The full registry contents as wire samples — the Metrics reply,
+  /// and the one way to read the daemon's counters. Gauges (uptime,
+  /// in-flight, cache occupancy) are refreshed first. Safe to call
   /// concurrently with serving.
-  ServerStats snapshotStats() const;
-
-  /// The full registry contents as wire samples — the Metrics reply.
-  /// Gauges (uptime, in-flight, cache occupancy) are refreshed first.
   std::vector<MetricSample> metricsSamples() const;
 
   /// Prometheus-style text dump of the registry (the --metrics-file
@@ -200,8 +199,9 @@ private:
   void releaseInflight();
   /// Refresh the point-in-time gauges before a registry snapshot.
   void refreshGauges() const;
-  /// Atomically (re)write options_.metricsFile; no-op when unset.
-  void writeMetricsFile() const;
+  /// Atomically (re)write options_.metricsFile; true when it was written
+  /// or none is configured.
+  bool writeMetricsFile() const;
 
   /// Record a served result in the counters (cache hit vs computed,
   /// failures, recompiles).
@@ -221,9 +221,10 @@ private:
 
   ServerOptions options_;
   /// The one registry behind every surface: the analyzer registers its
-  /// lifetime counters here too, so cacheStats, the Metrics reply, and
-  /// --metrics-file all render the same numbers. Mutable because gauge
-  /// refreshes are logically const snapshot preparation.
+  /// lifetime counters here too, so the Metrics reply (and the `client
+  /// cache-stats` summary printed from it) and --metrics-file render the
+  /// same numbers. Mutable because gauge refreshes are logically const
+  /// snapshot preparation.
   mutable core::MetricsRegistry metrics_;
   std::unique_ptr<driver::BatchAnalyzer> analyzer_;
   /// Readers: one task per live connection, blocked on frame I/O.
@@ -263,10 +264,6 @@ private:
   core::MetricsRegistry::Counter &recompiles_;
   core::MetricsRegistry::Counter &protocol_errors_;
   core::MetricsRegistry::Counter &busy_rejections_;
-  // ManifestBatch counters live in the registry only (Metrics reply and
-  // --metrics-file): the cacheStatsReply wire block is frozen — its
-  // decoder rejects trailing bytes, so growing it would break deployed
-  // clients.
   core::MetricsRegistry::Counter &manifest_batch_requests_;
   core::MetricsRegistry::Counter &manifest_batch_cancelled_;
 };

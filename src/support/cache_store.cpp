@@ -342,7 +342,7 @@ void CacheStore::clear() {
   approx_bytes_ = 0;
 }
 
-CacheStoreStats CacheStore::statsSnapshot() const {
+CacheStoreStats CacheStore::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
 }

@@ -109,19 +109,15 @@ public:
   std::uint64_t totalBytes() const;
 
   /// entryCount() and totalBytes() in one directory scan — what pollers
-  /// (the daemon's cache-stats endpoint, `mira-cli cache stats`) should
-  /// use instead of two walks.
+  /// (the daemon's disk gauges, `mira-cli cache stats`) should use
+  /// instead of two walks.
   void usage(std::size_t &entries, std::uint64_t &bytes) const;
 
-  /// Counters since this CacheStore was constructed. The reference is
-  /// unsynchronized — fine after the store has quiesced (tests, end of a
-  /// run); concurrent readers (the serving daemon's stats endpoint) use
-  /// statsSnapshot() instead.
-  const CacheStoreStats &stats() const { return stats_; }
-
-  /// Locked copy of the counters, safe while other threads are actively
-  /// hitting the store.
-  CacheStoreStats statsSnapshot() const;
+  /// Counters since this CacheStore was constructed: a copy taken under
+  /// the lock, so safe while other threads are hitting the store. They
+  /// count what the store saw; whether a payload it served decoded is
+  /// the analyzer's business (driver/batch.h's analyzer_disk_* counters).
+  CacheStoreStats stats() const;
 
   const std::string &directory() const { return directory_; }
   std::uint64_t bytesLimit() const { return bytes_limit_; }

@@ -128,6 +128,24 @@ inline int runCli(const std::vector<std::string> &args, const fs::path &log,
   return waitFor(spawnCli(args, log, env));
 }
 
+/// runCli for a command that runs until stopped when it does not refuse
+/// its arguments (`serve`): a child still running after `seconds` is
+/// killed and reads as -1.
+inline int runCliWithin(int seconds, const std::vector<std::string> &args,
+                        const fs::path &log) {
+  const pid_t pid = spawnCli(args, log);
+  for (int waited = 0; pid > 0 && waited < seconds * 1000; waited += 20) {
+    int status = 0;
+    if (::waitpid(pid, &status, WNOHANG) == pid)
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  if (pid > 0)
+    ::kill(pid, SIGKILL);
+  waitFor(pid);
+  return -1;
+}
+
 inline driver::BatchReport loadReport(const fs::path &path) {
   driver::BatchReport report;
   std::string error;

@@ -21,7 +21,10 @@
 
 #include "cli_harness.h"
 #include "server/protocol.h"
+#include "support/cache_store.h"
+#include "support/hash.h"
 #include "support/socket.h"
+#include "support/string_utils.h"
 
 namespace mira {
 namespace {
@@ -321,6 +324,126 @@ TEST(CliExitContract, ACacheDirThatIsAFileIsOneOnEveryCommand) {
     EXPECT_EQ(readFile(file), "precious bytes\n") << command[0];
   }
   EXPECT_FALSE(fs::exists(sock)) << "the refused daemon must not bind";
+}
+
+TEST(CliExitContract, AnUnwritableMetricsFileIsOne) {
+  // A metrics file that cannot be written is refused before any work:
+  // the daemon binds nothing, the fleet leases nothing, and neither
+  // leaves its temporary behind.
+  TempDir dir("metrics_file");
+  const fs::path manifest = buildManifest(dir);
+  const fs::path target = dir.path / "a_directory";
+  fs::create_directories(target);
+  const std::string sock = (dir.path / "unused.sock").string();
+  for (const std::vector<std::string> &command :
+       {std::vector<std::string>{"serve", "--socket", sock},
+        std::vector<std::string>{"batch", "--manifest", manifest.string(),
+                                 "--workers", "127.0.0.1:1"}}) {
+    const fs::path log = dir.path / "run.log";
+    EXPECT_EQ(
+        runCliWithin(10, with(command, {"--metrics-file", target.string()}),
+                     log),
+        1)
+        << command[0] << ": " << slurp(log);
+    EXPECT_NE(slurp(log).find("cannot write metrics file '" +
+                              target.string() + "'"),
+              std::string::npos)
+        << command[0] << ": " << slurp(log);
+    EXPECT_FALSE(fs::exists(target.string() + ".tmp")) << command[0];
+  }
+  EXPECT_FALSE(fs::exists(sock)) << "the refused daemon must not bind";
+}
+
+/// `client <action>`'s output against the daemon at `socket`.
+std::string clientOutput(const TempDir &dir, const std::string &action,
+                         const std::string &socket) {
+  const fs::path log = dir.path / (action + ".log");
+  EXPECT_EQ(runCli({"client", action, "--socket", socket}, log), 0)
+      << slurp(log);
+  return slurp(log);
+}
+
+/// The `disk cache` line of `client cache-stats` after one disk miss
+/// and one store, `entry` being the directory's only entry.
+std::string diskLine(const fs::path &entry) {
+  const std::uint64_t bytes = fs::file_size(entry);
+  return "disk cache      : 0 hit / 1 miss, 1 stored, 1 entries, " +
+         std::to_string(bytes) + " bytes (" + formatBytes(bytes) + ")\n";
+}
+
+/// Expect `client metrics` against the daemon at `socket` to count no
+/// disk hit, one disk miss and one store: the numbers the `0 hit / 1
+/// miss, 1 stored` disk line of `client cache-stats` prints.
+void expectOneDiskMissAndStore(const TempDir &dir, const std::string &socket) {
+  const std::string metrics = clientOutput(dir, "metrics", socket);
+  for (const char *line : {"mira_analyzer_disk_hits_total 0\n",
+                           "mira_analyzer_disk_misses_total 1\n",
+                           "mira_analyzer_disk_stores_total 1\n"})
+    EXPECT_NE(metrics.find(line), std::string::npos) << line << metrics;
+}
+
+TEST(CliClient, CacheStatsSummarizesTheMetricsReply) {
+  // `client cache-stats` prints the Metrics reply in the ten lines it
+  // has always had, so its disk line is the analyzer's count and agrees
+  // with `client metrics`.
+  TempDir dir("cache_stats");
+  const fs::path cache = dir.path / "cache";
+  const std::string sock = (dir.path / "daemon.sock").string();
+  const fs::path log = dir.path / "run.log";
+  fs::path entry;
+  {
+    Daemon daemon;
+    ASSERT_TRUE(daemon.start({"--socket", sock, "--cache-dir", cache.string(),
+                              "--threads", "2"},
+                             dir.path / "daemon.log"));
+    for (const std::vector<std::string> &command :
+         {std::vector<std::string>{"analyze", "@fig5"},
+          std::vector<std::string>{"analyze", "@fig5"},
+          std::vector<std::string>{"coverage", "@fig5"},
+          std::vector<std::string>{"simulate", "@fig5", "--function",
+                                   "fig5_main", "--sim-arg", "64"}})
+      ASSERT_EQ(runCli(with(command, {"--socket", sock}), log), 0)
+          << command[0] << ": " << slurp(log);
+    for (const auto &it : fs::directory_iterator(cache))
+      entry = it.path();
+    ASSERT_FALSE(entry.empty());
+    const std::string stats = clientOutput(dir, "cache-stats", sock);
+    ASSERT_EQ(stats.rfind("uptime          : ", 0), 0u) << stats;
+    EXPECT_EQ(stats.substr(stats.find('\n') + 1),
+              "connections     : 5\n"
+              "requests served : 4\n"
+              "analyze         : 2\n"
+              "coverage / sim  : 1 / 1 (0 recompiles)\n"
+              "sources analyzed: 4 (3 cache hits, 1 computed, 0 failed)\n"
+              "protocol errors : 0\n"
+              "memory entries  : 1\n" +
+                  diskLine(entry) + "session threads : 2\n");
+    expectOneDiskMissAndStore(dir, sock);
+    ASSERT_EQ(runCli({"client", "shutdown", "--socket", sock}, log), 0);
+    EXPECT_EQ(daemon.wait(), 0);
+  }
+
+  // An entry the store validates (header and FNV-1a checksum) but whose
+  // one-byte payload does not decode: the daemon recomputes it, which
+  // both views count as a disk miss.
+  const std::string payload = "\x01";
+  std::string bytes;
+  bio::putU32(bytes, 0x4172694d); // "MirA"
+  bio::putU32(bytes, kCacheSchemaVersion);
+  bio::putU64(bytes, payload.size());
+  bio::putU64(bytes, fnv1a(payload));
+  writeFile(entry, bytes + payload);
+  Daemon daemon;
+  ASSERT_TRUE(daemon.start({"--socket", sock, "--cache-dir", cache.string(),
+                            "--threads", "2"},
+                           dir.path / "daemon2.log"));
+  ASSERT_EQ(runCli({"analyze", "@fig5", "--socket", sock}, log), 0)
+      << slurp(log);
+  EXPECT_NE(slurp(log).find("(computed)"), std::string::npos) << slurp(log);
+  const std::string stats = clientOutput(dir, "cache-stats", sock);
+  EXPECT_NE(stats.find(diskLine(entry)), std::string::npos)
+      << stats;
+  expectOneDiskMissAndStore(dir, sock);
 }
 
 TEST(CliFlags, JunkNumbersAndFlagsThatDoNotApplyAreUsageErrors) {

@@ -464,6 +464,37 @@ TEST(ManifestExecution, ReadFileTakesBytesAsIsAndRefusesDirectories) {
   EXPECT_EQ(bytes, "kept");
 }
 
+TEST(FileIo, ReplaceFileSwapsWholeFilesAndLeavesNoTemporary) {
+  TempDir dir("replacefile");
+  const std::string path = (dir.path / "metrics.txt").string();
+  std::string bytes;
+  ASSERT_TRUE(mira::replaceFile(path, "first\n"));
+  ASSERT_TRUE(mira::replaceFile(path, "second\n"));
+  ASSERT_TRUE(mira::readFile(path, bytes));
+  EXPECT_EQ(bytes, "second\n");
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+
+  // A directory at the path cannot be replaced: false, the directory
+  // stays, and the temporary written beside it is gone again.
+  const fs::path taken = dir.path / "taken";
+  fs::create_directory(taken);
+  EXPECT_FALSE(mira::replaceFile(taken.string(), "x"));
+  EXPECT_TRUE(fs::is_directory(taken));
+  EXPECT_FALSE(fs::exists(taken.string() + ".tmp"));
+
+  // No parent directory: nothing to create, nothing left.
+  EXPECT_FALSE(
+      mira::replaceFile((dir.path / "missing" / "m.txt").string(), "x"));
+  EXPECT_FALSE(fs::exists(dir.path / "missing"));
+
+  // A temporary path this call did not create is not removed.
+  fs::create_directory(path + ".tmp");
+  EXPECT_FALSE(mira::replaceFile(path, "third\n"));
+  EXPECT_TRUE(fs::is_directory(path + ".tmp"));
+  ASSERT_TRUE(mira::readFile(path, bytes));
+  EXPECT_EQ(bytes, "second\n");
+}
+
 TEST(ManifestExecution, EntryReplacedByADirectoryIsUnreadable) {
   // A manifest promises its sources: an entry that became a directory
   // after the build fails the whole run, instead of analyzing as an

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -327,7 +328,12 @@ TEST(ProtocolFuzz, MutatedFramesNeverCrashTheDecoders) {
         return frame;
       }(),
       encodeEmptyMessage(MessageType::ping),
-      encodeEmptyMessage(MessageType::cacheStats),
+      [] {
+        // The retired CacheStats request (type 4): refused undecoded.
+        std::string frame;
+        beginMessage(frame, static_cast<MessageType>(4));
+        return frame;
+      }(),
       encodeEmptyMessage(MessageType::metrics),
       [] {
         ManifestBatchRequest request;
@@ -818,7 +824,7 @@ TEST(ServerFuzz, WrongSecretAnswersErrorThenCloseWithZeroCompute) {
       encodeAnalyzeRequest({"probe", "int f() { return 1; }"}, 0x3);
   for (const std::string &frame :
        {analyze, encodeEmptyMessage(MessageType::ping),
-        encodeEmptyMessage(MessageType::cacheStats)}) {
+        encodeEmptyMessage(MessageType::metrics)}) {
     const auto replies = rawExchangeTcp(fixture.port(), frame);
     ASSERT_EQ(replies.size(), 1u);
     EXPECT_TRUE(isErrorReply(replies[0]));
@@ -846,10 +852,12 @@ TEST(ServerFuzz, WrongSecretAnswersErrorThenCloseWithZeroCompute) {
 
   // None of the above reached the pipeline: an unauthenticated peer
   // costs the daemon parsing, never compute.
-  const ServerStats stats = fixture.server.snapshotStats();
-  EXPECT_EQ(stats.sourcesAnalyzed, 0u);
-  EXPECT_EQ(stats.computed, 0u);
-  EXPECT_GT(stats.protocolErrors, 0u);
+  std::map<std::string, std::uint64_t> stats;
+  for (const MetricSample &sample : fixture.server.metricsSamples())
+    stats[sample.name] = sample.value;
+  EXPECT_EQ(stats.at("server_sources_analyzed_total"), 0u);
+  EXPECT_EQ(stats.at("server_computed_total"), 0u);
+  EXPECT_GT(stats.at("server_protocol_errors_total"), 0u);
 
   // The correct secret still opens a fully working session.
   Client client;

@@ -72,21 +72,6 @@ TEST(ProtocolCodec, RepliesRoundTrip) {
   EXPECT_TRUE(decoded.cacheHit);
   EXPECT_EQ(decoded.micros, 123456u);
   EXPECT_EQ(decoded.payload, reply.payload);
-
-  ServerStats stats;
-  stats.uptimeMicros = 1;
-  stats.cacheHits = 42;
-  stats.diskBytes = 1ull << 40;
-  stats.threads = 8;
-  std::string statsWire = encodeCacheStatsReply(stats);
-  bio::Reader sr{statsWire, 0};
-  ASSERT_TRUE(readHeader(sr, type, error)) << error;
-  EXPECT_EQ(type, MessageType::cacheStatsReply);
-  ServerStats decodedStats;
-  ASSERT_TRUE(decodeCacheStatsReply(sr, decodedStats));
-  EXPECT_EQ(decodedStats.cacheHits, 42u);
-  EXPECT_EQ(decodedStats.diskBytes, 1ull << 40);
-  EXPECT_EQ(decodedStats.threads, 8u);
 }
 
 TEST(ProtocolCodec, RejectsBadMagicAndVersion) {
@@ -189,6 +174,26 @@ private:
   bool started_ = false;
 };
 
+/// Every sample of the daemon's registry (the Metrics reply), by name.
+std::map<std::string, std::uint64_t> samplesOf(Client &client) {
+  std::vector<MetricSample> samples;
+  EXPECT_TRUE(client.metrics(samples)) << client.lastError();
+  std::map<std::string, std::uint64_t> values;
+  for (const MetricSample &sample : samples)
+    values[sample.name] = sample.value;
+  return values;
+}
+
+/// Every `_total` counter of the daemon's registry, by name: unlike the
+/// gauges, equal traffic gives equal values.
+std::map<std::string, std::uint64_t> countersOf(Client &client) {
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto &[name, value] : samplesOf(client))
+    if (name.size() > 6 && name.compare(name.size() - 6, 6, "_total") == 0)
+      counters[name] = value;
+  return counters;
+}
+
 TEST(AnalysisServerTest, ColdAndWarmPayloadsAreByteIdenticalToOneShot) {
   DaemonFixture daemon;
   ASSERT_TRUE(daemon.started());
@@ -231,13 +236,12 @@ TEST(AnalysisServerTest, ColdAndWarmPayloadsAreByteIdenticalToOneShot) {
 
   // Zero recomputation on the warm repeat, per the server's own
   // counters: exactly one pipeline run for two requests.
-  ServerStats stats;
-  ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-  EXPECT_EQ(stats.sourcesAnalyzed, 2u);
-  EXPECT_EQ(stats.computed, 1u);
-  EXPECT_EQ(stats.cacheHits, 1u);
-  EXPECT_EQ(stats.failures, 0u);
-  EXPECT_EQ(stats.memoryEntries, 1u);
+  const std::map<std::string, std::uint64_t> stats = samplesOf(client);
+  EXPECT_EQ(stats.at("server_sources_analyzed_total"), 2u);
+  EXPECT_EQ(stats.at("server_computed_total"), 1u);
+  EXPECT_EQ(stats.at("server_cache_hits_total"), 1u);
+  EXPECT_EQ(stats.at("server_failures_total"), 0u);
+  EXPECT_EQ(stats.at("server_cache_memory_entries"), 1u);
 }
 
 TEST(AnalysisServerTest, BatchKeepsInputOrderAndSharesCache) {
@@ -269,11 +273,10 @@ TEST(AnalysisServerTest, BatchKeepsInputOrderAndSharesCache) {
   // Payload names echo the requesting item (docs/CACHING.md).
   EXPECT_EQ(outcomes[0].name, "first");
 
-  ServerStats stats;
-  ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-  EXPECT_EQ(stats.sourcesAnalyzed, 4u);
-  EXPECT_EQ(stats.cacheHits, 1u);
-  EXPECT_EQ(stats.failures, 1u);
+  const std::map<std::string, std::uint64_t> stats = countersOf(client);
+  EXPECT_EQ(stats.at("server_sources_analyzed_total"), 4u);
+  EXPECT_EQ(stats.at("server_cache_hits_total"), 1u);
+  EXPECT_EQ(stats.at("server_failures_total"), 1u);
 }
 
 TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
@@ -282,8 +285,8 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
 
   // Well-framed messages the daemon must refuse: one that is not a
   // protocol message at all, a ping and an analyze whose headers say
-  // protocol version 1, and the retired Batch and ManifestDiff requests
-  // (types 3 and 8, never reused).
+  // protocol version 1, and the retired Batch, CacheStats and
+  // ManifestDiff requests (types 3, 4 and 8, never reused).
   const auto versionOne = [](std::string message) {
     message[4] = 1; // the version field is bytes [4, 8) of the header
     return message;
@@ -294,6 +297,8 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
   bio::putU32(retiredBatch, 1);
   bio::putString(retiredBatch, "@fig5");
   bio::putString(retiredBatch, workloads::fig5Source());
+  std::string retiredStats; // header only, as a CacheStats request was
+  beginMessage(retiredStats, static_cast<MessageType>(4));
   std::string retiredDiff;
   beginMessage(retiredDiff, static_cast<MessageType>(8));
   bio::putString(retiredDiff, "old manifest");
@@ -305,6 +310,7 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
       {versionOne(encodeAnalyzeRequest({"@fig5", workloads::fig5Source()}, 0)),
        "unsupported protocol version 1"},
       {retiredBatch, "unexpected message type 3"},
+      {retiredStats, "unexpected message type 4"},
       {retiredDiff, "unexpected message type 8"},
   };
   for (const auto &[frame, expected] : refused) {
@@ -347,16 +353,16 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
   Client client;
   ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
   EXPECT_TRUE(client.ping()) << client.lastError();
-  ServerStats stats;
+  std::map<std::string, std::uint64_t> stats;
   for (int attempt = 0; attempt < 100; ++attempt) {
-    ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-    if (stats.protocolErrors >= 6)
+    stats = countersOf(client);
+    if (stats.at("server_protocol_errors_total") >= 7)
       break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_GE(stats.protocolErrors, 6u);
-  EXPECT_EQ(stats.analyzeRequests, 0u);
-  EXPECT_EQ(stats.computed, 0u);
+  EXPECT_GE(stats.at("server_protocol_errors_total"), 7u);
+  EXPECT_EQ(stats.at("server_analyze_requests_total"), 0u);
+  EXPECT_EQ(stats.at("server_computed_total"), 0u);
   ClientOutcome outcome;
   ASSERT_TRUE(client.analyze("@fig5", workloads::fig5Source(),
                              core::MiraOptions(), outcome))
@@ -453,12 +459,11 @@ TEST(AnalysisServerTest, ConcurrentClientsAllGetCorrectReplies) {
   // pipeline runs, everything else served from the shared cache.
   Client client;
   ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
-  ServerStats stats;
-  ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-  EXPECT_EQ(stats.sourcesAnalyzed,
+  const std::map<std::string, std::uint64_t> stats = countersOf(client);
+  EXPECT_EQ(stats.at("server_sources_analyzed_total"),
             static_cast<std::uint64_t>(kClients * kRequestsEach));
-  EXPECT_EQ(stats.computed, 2u);
-  EXPECT_EQ(stats.cacheHits,
+  EXPECT_EQ(stats.at("server_computed_total"), 2u);
+  EXPECT_EQ(stats.at("server_cache_hits_total"),
             static_cast<std::uint64_t>(kClients * kRequestsEach - 2));
 }
 
@@ -539,10 +544,9 @@ TEST(AnalysisServerTest, DiskCacheServesAcrossDaemonRestarts) {
     EXPECT_TRUE(outcome.cacheHit);
     EXPECT_EQ(outcome.payload, coldPayload);
 
-    ServerStats stats;
-    ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-    EXPECT_EQ(stats.computed, 0u);
-    EXPECT_EQ(stats.diskHits, 1u);
+    const std::map<std::string, std::uint64_t> stats = countersOf(client);
+    EXPECT_EQ(stats.at("server_computed_total"), 0u);
+    EXPECT_EQ(stats.at("analyzer_disk_hits_total"), 1u);
   }
   std::filesystem::remove_all(cacheDir);
 }
@@ -637,12 +641,11 @@ TEST(AnalysisServerTest, CoverageRoundTripMatchesOneShotCounters) {
   EXPECT_FALSE(warm.recompiled);
   EXPECT_EQ(warm.coverage.loops, cold.coverage.loops);
 
-  ServerStats stats;
-  ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-  EXPECT_EQ(stats.coverageRequests, 2u);
-  EXPECT_EQ(stats.computed, 1u);
-  EXPECT_EQ(stats.cacheHits, 1u);
-  EXPECT_EQ(stats.recompiles, 0u);
+  const std::map<std::string, std::uint64_t> stats = countersOf(client);
+  EXPECT_EQ(stats.at("server_coverage_requests_total"), 2u);
+  EXPECT_EQ(stats.at("server_computed_total"), 1u);
+  EXPECT_EQ(stats.at("server_cache_hits_total"), 1u);
+  EXPECT_EQ(stats.at("server_recompiles_total"), 0u);
 }
 
 TEST(AnalysisServerTest, SimulateRoundTripMatchesOneShotCounters) {
@@ -686,11 +689,11 @@ TEST(AnalysisServerTest, SimulateRoundTripMatchesOneShotCounters) {
   EXPECT_LT(small.result.total.totalInstructions,
             reply.result.total.totalInstructions);
 
-  ServerStats stats;
-  ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-  EXPECT_EQ(stats.simulateRequests, 2u);
-  EXPECT_EQ(stats.computed, 1u);
-  EXPECT_EQ(stats.recompiles, 0u); // live program in the memory cache
+  const std::map<std::string, std::uint64_t> stats = countersOf(client);
+  EXPECT_EQ(stats.at("server_simulate_requests_total"), 2u);
+  EXPECT_EQ(stats.at("server_computed_total"), 1u);
+  // The live program is in the memory cache.
+  EXPECT_EQ(stats.at("server_recompiles_total"), 0u);
 }
 
 TEST(AnalysisServerTest, WarmDiskSimulateRecompilesWithoutRecomputing) {
@@ -749,12 +752,11 @@ TEST(AnalysisServerTest, WarmDiskSimulateRecompilesWithoutRecomputing) {
     putSimResult(warmSim, reply.result);
     EXPECT_EQ(warmSim, coldSim);
 
-    ServerStats stats;
-    ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
-    EXPECT_EQ(stats.computed, 0u) << "warm daemon must not re-run the "
-                                     "full pipeline";
-    EXPECT_EQ(stats.recompiles, 1u);
-    EXPECT_EQ(stats.diskHits, 1u);
+    const std::map<std::string, std::uint64_t> stats = countersOf(client);
+    EXPECT_EQ(stats.at("server_computed_total"), 0u)
+        << "warm daemon must not re-run the full pipeline";
+    EXPECT_EQ(stats.at("server_recompiles_total"), 1u);
+    EXPECT_EQ(stats.at("analyzer_disk_hits_total"), 1u);
   }
   std::filesystem::remove_all(cacheDir);
 }
@@ -1040,7 +1042,7 @@ TEST(AnalysisServerTest, GracefulDrainAnswersInFlightRequestThenExits) {
   EXPECT_FALSE(std::filesystem::exists(daemon.socketPath()));
 }
 
-TEST(AnalysisServerTest, MetricsAndCacheStatsRenderTheSameRegistry) {
+TEST(AnalysisServerTest, MetricsReplyCountsTheTrafficInNameOrder) {
   DaemonFixture daemon;
   ASSERT_TRUE(daemon.started());
   Client client;
@@ -1055,8 +1057,6 @@ TEST(AnalysisServerTest, MetricsAndCacheStatsRenderTheSameRegistry) {
                              core::MiraOptions(), outcome))
       << client.lastError();
 
-  ServerStats stats;
-  ASSERT_TRUE(client.cacheStats(stats)) << client.lastError();
   std::vector<MetricSample> samples;
   ASSERT_TRUE(client.metrics(samples)) << client.lastError();
 
@@ -1067,15 +1067,10 @@ TEST(AnalysisServerTest, MetricsAndCacheStatsRenderTheSameRegistry) {
     ADD_FAILURE() << "metrics reply is missing " << name;
     return ~0ull;
   };
-  // Both views are rendered from the one MetricsRegistry, so the
-  // numbers must agree (no request ran between the two reads that
-  // would bump these counters).
-  EXPECT_EQ(sampleValue("server_cache_hits_total"), stats.cacheHits);
-  EXPECT_EQ(sampleValue("server_computed_total"), stats.computed);
-  EXPECT_EQ(sampleValue("server_analyze_requests_total"),
-            stats.analyzeRequests);
-  EXPECT_EQ(sampleValue("server_connections_accepted_total"),
-            stats.connectionsAccepted);
+  EXPECT_EQ(sampleValue("server_cache_hits_total"), 1u);
+  EXPECT_EQ(sampleValue("server_computed_total"), 1u);
+  EXPECT_EQ(sampleValue("server_analyze_requests_total"), 2u);
+  EXPECT_EQ(sampleValue("server_connections_accepted_total"), 1u);
   // The sorted-name contract the text renderer relies on.
   for (std::size_t i = 1; i < samples.size(); ++i)
     EXPECT_LT(samples[i - 1].name, samples[i].name);
@@ -1349,18 +1344,6 @@ std::string oneShotPayload(const SourceItem &item, const std::string &name) {
   return driver::serializeArtifactPayload(
       direct.model.get(), direct.coverage ? &*direct.coverage : nullptr,
       diagnostics, name);
-}
-
-/// Every `_total` counter of the daemon's registry, by name.
-std::map<std::string, std::uint64_t> countersOf(Client &client) {
-  std::vector<MetricSample> samples;
-  EXPECT_TRUE(client.metrics(samples)) << client.lastError();
-  std::map<std::string, std::uint64_t> counters;
-  for (const MetricSample &sample : samples)
-    if (sample.name.size() > 6 &&
-        sample.name.compare(sample.name.size() - 6, 6, "_total") == 0)
-      counters[sample.name] = sample.value;
-  return counters;
 }
 
 TEST(AnalysisServerTest, HitPayloadsAreSplicedByteIdenticalToOneShots) {
