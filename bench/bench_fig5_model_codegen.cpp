@@ -28,8 +28,7 @@ void printFig5() {
   bench::printHeader(
       "Fig. 5: statically generated Python model for the class-A example\n"
       "(b) generated foo function and (c) generated driver follow");
-  model::PythonEmitOptions options;
-  std::puts(model::emitPython(*a.model, options).c_str());
+  std::puts(model::emitPython(*a.model).c_str());
   bench::printRule();
 
   // Cross-check: evaluating the model with the annotation parameter y=8

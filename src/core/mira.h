@@ -46,8 +46,6 @@ namespace mira::core {
 struct MiraOptions {
   CompileOptions compile;
   metrics::MetricOptions metrics;
-  /// Architecture description used for category aggregation/prediction.
-  const arch::ArchDescription *arch = &arch::haswellDescription();
 };
 
 /// A model as the payload codec (driver::deserializeArtifactPayload)

@@ -14,7 +14,6 @@
 #include "support/fault_injection.h"
 #include "support/file_io.h"
 #include "support/hash.h"
-#include "symbolic/interner.h"
 
 namespace mira::driver {
 
@@ -45,9 +44,9 @@ std::uint64_t requestKeyFromContentHash(std::uint64_t contentHash,
   flags |= o.compile.compiler.vectorize ? 2 : 0;
   flags |= o.metrics.assumeBranchesTaken ? 4 : 0;
   key = fnv1a(&flags, sizeof(flags), key);
-  if (o.arch)
-    key = fnv1a(o.arch->name, key);
-  return key;
+  // Every key ends with the fixed architecture name "haswell-arya", so
+  // cache file names and report keys already written stay valid.
+  return fnv1a(arch::haswellDescription().name, key);
 }
 
 std::uint64_t requestKey(const core::AnalysisSpec &spec) {
@@ -106,9 +105,6 @@ ManifestSelection selectManifestEntries(const corpus::Manifest &manifest,
   std::vector<corpus::ManifestEntry> candidates;
   if (since) {
     const corpus::ManifestDiff diff = corpus::diffManifests(*since, manifest);
-    selection.added = diff.added.size();
-    selection.changed = diff.changed.size();
-    selection.removed = diff.removed.size();
     // Both diff vectors are path-sorted; merging keeps manifest order,
     // which is what makes reports byte-comparable across invocations.
     std::merge(diff.added.begin(), diff.added.end(), diff.changed.begin(),
@@ -117,9 +113,7 @@ ManifestSelection selectManifestEntries(const corpus::Manifest &manifest,
                   const corpus::ManifestEntry &b) { return a.path < b.path; });
   } else {
     candidates = manifest.entries;
-    selection.added = candidates.size();
   }
-  selection.candidates = candidates.size();
   for (corpus::ManifestEntry &entry : candidates) {
     if (keyInShard(requestKeyFromContentHash(entry.contentHash, options),
                    shard))
@@ -460,27 +454,15 @@ bool deserializeArtifactPayload(
 
 // -------------------------------------------------------- BatchAnalyzer
 
-void publishInternGauges(core::MetricsRegistry &metrics) {
-  const symbolic::InternStats stats = symbolic::ExprInterner::globalStats();
-  metrics.gauge("intern_hits").set(stats.hits);
-  metrics.gauge("intern_misses").set(stats.misses);
-  metrics.gauge("intern_nodes").set(stats.nodes);
-}
-
 BatchAnalyzer::BatchAnalyzer(BatchOptions options)
     : options_(std::move(options)), pool_(options_.threads),
       owned_metrics_(options_.metrics ? nullptr : new core::MetricsRegistry()),
       metrics_(options_.metrics ? options_.metrics : owned_metrics_.get()),
-      requests_(metrics_->counter("analyzer_requests_total")),
-      failures_(metrics_->counter("analyzer_failures_total")),
-      cache_hits_(metrics_->counter("analyzer_cache_hits_total")),
-      computed_(metrics_->counter("analyzer_computed_total")),
       disk_hits_(metrics_->counter("analyzer_disk_hits_total")),
       disk_misses_(metrics_->counter("analyzer_disk_misses_total")),
       disk_stores_(metrics_->counter("analyzer_disk_stores_total")),
       coverage_from_cache_(
           metrics_->counter("analyzer_coverage_from_cache_total")),
-      recompiles_(metrics_->counter("analyzer_recompiles_total")),
       model_encodes_(metrics_->counter("analyzer_model_encodes_total")) {
   if (options_.useCache && !options_.cacheDir.empty())
     disk_ = std::make_unique<CacheStore>(options_.cacheDir,
@@ -653,10 +635,7 @@ core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
     // that actually recompiled counts toward `recompiles`.
     bool compiledNow = false;
     auto program = value.program ? value.program->get(&compiledNow) : nullptr;
-    if (compiledNow) {
-      artifacts.recompiled = true;
-      recompiles_.increment();
-    }
+    artifacts.recompiled = compiledNow;
     if (program) {
       artifacts.simulation = std::make_shared<const sim::SimResult>(
           core::simulate(*program, spec.simulation.function,
@@ -670,21 +649,6 @@ core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
     }
   }
   return artifacts;
-}
-
-void BatchAnalyzer::record(const core::Artifacts &artifacts) {
-  // Lifetime tallies live in the registry, shared by every entry point
-  // (the daemon's included); per-run BatchStats come from the results'
-  // provenance flags instead (tallyBatchStats).
-  requests_.increment();
-  if (!artifacts.ok)
-    failures_.increment();
-  if (options_.useCache) {
-    if (artifacts.cacheHit)
-      cache_hits_.increment();
-    else
-      computed_.increment();
-  }
 }
 
 core::Artifacts
@@ -703,7 +667,6 @@ BatchAnalyzer::serve(const core::AnalysisSpec &spec, const CacheValue &value,
     artifacts.diskStored = value.stored;
   }
   artifacts.seconds = secondsSince(start);
-  record(artifacts);
   if (payload)
     *payload = splicePayload(value.model != nullptr, artifacts.name,
                              artifacts.diagnostics, payloadTail(value));
@@ -775,7 +738,6 @@ core::Artifacts BatchAnalyzer::analyzeArtifacts(const core::AnalysisSpec &spec,
     artifacts.ok = false;
     artifacts.diagnostics = spec.name + ": internal error: " + e.what();
     artifacts.seconds = secondsSince(start);
-    record(artifacts);
     if (payload)
       *payload = serializeArtifactPayload(nullptr, nullptr,
                                           artifacts.diagnostics, spec.name);
@@ -847,7 +809,6 @@ BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
   // daemon's ManifestBatch reports.
   stats_ = tallyBatchStats(results, options_.useCache);
   stats_.wallSeconds = secondsSince(start);
-  publishInternGauges(*metrics_);
   return results;
 }
 

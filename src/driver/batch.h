@@ -106,7 +106,8 @@ struct BatchStats {
 };
 
 /// Cache key: FNV-1a fingerprint of the source bytes and every
-/// model-affecting option (compiler toggles, metric options, arch).
+/// model-affecting option (compiler toggles, metric options), ending
+/// with a fixed architecture name.
 /// Stable across processes and runs by construction — it is the on-disk
 /// cache's file name (support/cache_store.h). The artifact mask and
 /// simulation arguments are deliberately NOT keyed: every mask reuses
@@ -150,15 +151,10 @@ bool parseShardSpec(const std::string &text, ShardSpec &shard);
 /// computes the same partition with no coordination.
 bool keyInShard(std::uint64_t key, const ShardSpec &shard);
 
-/// The work one manifest-batch invocation owns, plus the diff view it
-/// was derived from.
+/// The work one manifest-batch invocation owns.
 struct ManifestSelection {
   /// Entries to analyze, in manifest (path) order.
   std::vector<corpus::ManifestEntry> entries;
-  std::size_t candidates = 0; ///< added + changed (pre-shard-filter)
-  std::size_t added = 0;      ///< diff view; == entries.size() pre-shard
-  std::size_t changed = 0;    ///< when no baseline, all count as added
-  std::size_t removed = 0;    ///< baseline-only paths (never analyzed)
 };
 
 /// Select the entries `manifest` obliges this invocation to analyze:
@@ -185,13 +181,6 @@ BatchStats mergeBatchStats(const std::vector<BatchStats> &parts);
 /// left 0 (the caller owns the clock).
 BatchStats tallyBatchStats(const std::vector<core::Artifacts> &results,
                            bool useCache);
-
-/// Copy the process-wide symbolic::ExprInterner tallies into the
-/// registry as gauges (rendered as mira_intern_{hits,misses,nodes}).
-/// The hash-consing hot path never touches the registry itself; callers
-/// with a metrics view (batch runs, the daemon's refreshGauges) publish
-/// on render instead.
-void publishInternGauges(core::MetricsRegistry &metrics);
 
 /// One line of a shard report: which request, under which cache key,
 /// with what outcome. Deliberately excludes timing so reports are
@@ -316,12 +305,15 @@ public:
   const BatchStats &stats() const { return stats_; }
 
   /// The registry holding this analyzer's lifetime counters
-  /// (analyzer_requests_total, analyzer_disk_hits_total, ...): the one
-  /// passed in BatchOptions::metrics, or the analyzer's own. Counters
-  /// accumulate across every entry point, including the concurrent-safe
-  /// ones that never touch stats(). analyzer_model_encodes_total counts
-  /// models serialized into payload tails: at most one per cached value,
-  /// none for a memory hit.
+  /// (analyzer_disk_{hits,misses,stores}_total,
+  /// analyzer_coverage_from_cache_total, analyzer_model_encodes_total):
+  /// the one passed in BatchOptions::metrics, or the analyzer's own.
+  /// Counters accumulate across every entry point, including the
+  /// concurrent-safe ones that never touch stats().
+  /// analyzer_model_encodes_total counts models serialized into payload
+  /// tails: at most one per cached value, none for a memory hit. Served
+  /// results are counted by whoever serves them, from each result's
+  /// provenance flags (the daemon's server_*_total counters).
   core::MetricsRegistry &metrics() { return *metrics_; }
 
   /// Workers of the batch pool. They start with the first
@@ -388,9 +380,6 @@ private:
   core::Artifacts fulfill(const core::AnalysisSpec &spec,
                           const CacheValue &value, bool cacheHit);
 
-  /// Count one fulfilled request in the lifetime counters.
-  void record(const core::Artifacts &artifacts);
-
   /// The producer path: disk lookup, then compute + disk store.
   void produceValue(const core::AnalysisSpec &spec, std::uint64_t key,
                     CacheValue &value);
@@ -410,15 +399,10 @@ private:
   // bind into it at construction. Counters are lifetime-monotonic.
   std::unique_ptr<core::MetricsRegistry> owned_metrics_;
   core::MetricsRegistry *metrics_ = nullptr;
-  core::MetricsRegistry::Counter &requests_;
-  core::MetricsRegistry::Counter &failures_;
-  core::MetricsRegistry::Counter &cache_hits_;
-  core::MetricsRegistry::Counter &computed_;
   core::MetricsRegistry::Counter &disk_hits_;
   core::MetricsRegistry::Counter &disk_misses_;
   core::MetricsRegistry::Counter &disk_stores_;
   core::MetricsRegistry::Counter &coverage_from_cache_;
-  core::MetricsRegistry::Counter &recompiles_;
   core::MetricsRegistry::Counter &model_encodes_;
 
   mutable std::mutex cache_mutex_;

@@ -1396,8 +1396,6 @@ int cmdCache(std::vector<std::string> args) {
     // every given --manifest (repeatable) and every combination of the
     // wire-visible option flags, so a directory serving several
     // configurations of the same corpus survives one prune intact.
-    // Entries keyed with a non-default arch (API callers only — the
-    // CLI cannot set one) are not protected (docs/MANIFESTS.md).
     if (flags.manifestPaths.empty()) {
       std::fprintf(stderr, "cache prune requires --manifest FILE\n");
       return 2;

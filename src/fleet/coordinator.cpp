@@ -15,6 +15,12 @@ namespace mira::fleet {
 
 namespace {
 
+/// A shard failing this many leases gives up and fails the run (a
+/// backstop against a poisoned shard consuming the fleet forever).
+constexpr std::size_t kMaxAttemptsPerShard = 5;
+/// Consecutive failed connects after which a worker is declared dead.
+constexpr std::size_t kMaxConnectFailures = 2;
+
 /// One shard's place in the lease state machine.
 enum class ShardPhase { pending, leased, done };
 
@@ -161,7 +167,7 @@ private:
   void repoolShard(std::size_t i, server::Client::ErrorKind kind,
                    const std::string &why) {
     ShardState &shard = state_.shards[i];
-    if (shard.attempts >= options_.maxAttemptsPerShard) {
+    if (shard.attempts >= kMaxAttemptsPerShard) {
       if (!state_.failed) {
         state_.failed = true;
         state_.failStatus = kind == server::Client::ErrorKind::daemon
@@ -216,7 +222,7 @@ void Coordinator::workerLoop(std::size_t w) {
         std::unique_lock<std::mutex> lock(state_.mutex);
         if (state_.failed || state_.shardsRemaining == 0)
           return;
-        if (consecutiveConnectFailures >= options_.maxConnectFailures) {
+        if (consecutiveConnectFailures >= kMaxConnectFailures) {
           workerDied(w, client.lastError());
           return;
         }

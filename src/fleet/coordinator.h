@@ -75,11 +75,6 @@ struct CoordinatorOptions {
   std::uint32_t leaseTimeoutMillis = 10000;
   /// Bound on establishing each worker TCP connection.
   int connectTimeoutMillis = 5000;
-  /// A shard failing this many leases gives up and fails the run (a
-  /// backstop against a poisoned shard consuming the fleet forever).
-  std::size_t maxAttemptsPerShard = 5;
-  /// Consecutive failed connects after which a worker is declared dead.
-  std::size_t maxConnectFailures = 2;
   /// Shared secret for workers started with --secret; empty = none.
   std::string secret;
   /// When non-empty, rewritten (write-temp-then-rename) on every

@@ -21,16 +21,7 @@ enum class Reg : std::uint8_t {
 };
 
 inline constexpr int kNumGPR = 16;
-inline constexpr int kNumXMM = 16;
 
-inline bool isGPR(Reg r) {
-  return static_cast<int>(r) < kNumGPR;
-}
-inline bool isXMM(Reg r) {
-  return static_cast<int>(r) >= kNumGPR &&
-         static_cast<int>(r) < kNumGPR + kNumXMM;
-}
-inline int regIndex(Reg r) { return static_cast<int>(r); }
 inline Reg gpr(int index) { return static_cast<Reg>(index); }
 inline Reg xmm(int index) { return static_cast<Reg>(kNumGPR + index); }
 

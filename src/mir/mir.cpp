@@ -50,24 +50,6 @@ const char *toString(MirCmp cmp) {
   return "?";
 }
 
-MirCmp negateCmp(MirCmp cmp) {
-  switch (cmp) {
-  case MirCmp::Lt:
-    return MirCmp::Ge;
-  case MirCmp::Le:
-    return MirCmp::Gt;
-  case MirCmp::Gt:
-    return MirCmp::Le;
-  case MirCmp::Ge:
-    return MirCmp::Lt;
-  case MirCmp::Eq:
-    return MirCmp::Ne;
-  case MirCmp::Ne:
-    return MirCmp::Eq;
-  }
-  return MirCmp::Eq;
-}
-
 const char *toString(MirOp op) {
   switch (op) {
   case MirOp::Nop:

@@ -27,7 +27,6 @@ std::size_t typeSize(MirType type);
 
 enum class MirCmp : std::uint8_t { Lt, Le, Gt, Ge, Eq, Ne };
 const char *toString(MirCmp cmp);
-MirCmp negateCmp(MirCmp cmp);
 
 enum class MirOp : std::uint8_t {
   Nop,

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <set>
 
+#include "arch/arch.h"
+
 namespace mira::model {
 
 namespace {
@@ -17,20 +19,14 @@ std::string sanitizeParam(const std::string &name) {
   return out;
 }
 
-std::string metricKey(isa::Opcode op, const PythonEmitOptions &options) {
-  if (options.categoryKeys) {
-    const arch::ArchDescription &desc =
-        options.arch ? *options.arch : arch::haswellDescription();
-    return isa::categoryName(desc.categoryOf(op));
-  }
-  return isa::opcodeName(op);
+/// Metric keys are the paper's Table II instruction categories.
+std::string metricKey(isa::Opcode op) {
+  return isa::categoryName(arch::haswellDescription().categoryOf(op));
 }
 
-} // namespace
-
+/// Emit a single function's model (Fig. 5-style output).
 std::string emitPythonFunction(const PerformanceModel &model,
-                               const FunctionModel &fn,
-                               const PythonEmitOptions &options) {
+                               const FunctionModel &fn) {
   // The model function's signature: source parameters that are actually
   // used, plus any unbound parameters (annotation variables like y_16).
   std::set<std::string> params = fn.parameters();
@@ -61,7 +57,7 @@ std::string emitPythonFunction(const PerformanceModel &model,
       out += "    # " + step.comment + "\n";
     std::map<std::string, std::int64_t> byKey;
     for (const auto &[op, n] : step.opcodes)
-      byKey[metricKey(op, options)] += n;
+      byKey[metricKey(op)] += n;
     std::string mult = step.multiplier.toPython();
     for (const auto &[key, n] : byKey) {
       out += "    _bump(metrics, '" + key + "', " + std::to_string(n) +
@@ -101,17 +97,16 @@ std::string emitPythonFunction(const PerformanceModel &model,
   return out;
 }
 
-std::string emitPython(const PerformanceModel &model,
-                       const PythonEmitOptions &options) {
+} // namespace
+
+std::string emitPython(const PerformanceModel &model) {
   std::string out;
   out += "# Performance model generated by Mira";
   if (!model.sourceFile.empty())
     out += " from " + model.sourceFile;
   out += "\n";
-  out += "# Keys are ";
-  out += options.categoryKeys ? "instruction categories"
-                              : "opcode mnemonics";
-  out += "; values are estimated executed-instruction counts.\n\n";
+  out += "# Keys are instruction categories; values are estimated "
+         "executed-instruction counts.\n\n";
   out += "def _bump(metrics, key, count):\n";
   out += "    metrics[key] = metrics.get(key, 0) + count\n\n";
   out += "def handle_function_call(caller, callee, iterations):\n";
@@ -123,7 +118,7 @@ std::string emitPython(const PerformanceModel &model,
   // by the metric generator; Python needs definitions before use at call
   // time only, so any order works, but sorted reads better).
   for (const FunctionModel &fn : model.functions) {
-    out += emitPythonFunction(model, fn, options);
+    out += emitPythonFunction(model, fn);
     out += "\n";
   }
 

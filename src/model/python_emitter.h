@@ -9,26 +9,13 @@
 
 #include <string>
 
-#include "arch/arch.h"
 #include "model/model.h"
 
 namespace mira::model {
 
-struct PythonEmitOptions {
-  /// Emit per-category dictionaries (like the paper's Table II keys).
-  /// When false, emits raw opcode mnemonics as keys.
-  bool categoryKeys = true;
-  /// Architecture used to map opcodes to categories.
-  const arch::ArchDescription *arch = nullptr;
-};
-
-/// Emit the whole model as one Python module source string.
-std::string emitPython(const PerformanceModel &model,
-                       const PythonEmitOptions &options = {});
-
-/// Emit a single function's model (for inspection / Fig. 5-style output).
-std::string emitPythonFunction(const PerformanceModel &model,
-                               const FunctionModel &fn,
-                               const PythonEmitOptions &options = {});
+/// Emit the whole model as one Python module source string. Metric keys
+/// are the instruction categories of the Haswell description (the
+/// paper's Table II keys).
+std::string emitPython(const PerformanceModel &model);
 
 } // namespace mira::model

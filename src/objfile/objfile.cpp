@@ -254,20 +254,6 @@ std::optional<MiraObject> MiraObject::parse(
   return obj;
 }
 
-const FunctionSymbol *MiraObject::findSymbol(const std::string &name) const {
-  for (const FunctionSymbol &sym : symbols)
-    if (sym.name == name)
-      return &sym;
-  return nullptr;
-}
-
-const FunctionSymbol *MiraObject::symbolById(int id) const {
-  for (const FunctionSymbol &sym : symbols)
-    if (sym.id == id)
-      return &sym;
-  return nullptr;
-}
-
 std::uint32_t MiraObject::lineForAddress(std::uint64_t address) const {
   std::uint32_t line = 0;
   for (const LineEntry &entry : lineTable) {

@@ -50,9 +50,6 @@ public:
   static std::optional<MiraObject> parse(const std::vector<std::uint8_t> &data,
                                          DiagnosticEngine &diags);
 
-  const FunctionSymbol *findSymbol(const std::string &name) const;
-  const FunctionSymbol *symbolById(int id) const;
-
   /// Line for an absolute .text address (nearest entry at or before it),
   /// 0 if none.
   std::uint32_t lineForAddress(std::uint64_t address) const;

@@ -187,24 +187,6 @@ const char *toString(CmpRel rel) {
   return "?";
 }
 
-CmpRel negate(CmpRel rel) {
-  switch (rel) {
-  case CmpRel::LT:
-    return CmpRel::GE;
-  case CmpRel::LE:
-    return CmpRel::GT;
-  case CmpRel::GT:
-    return CmpRel::LE;
-  case CmpRel::GE:
-    return CmpRel::LT;
-  case CmpRel::EQ:
-    return CmpRel::NE;
-  case CmpRel::NE:
-    return CmpRel::EQ;
-  }
-  return CmpRel::EQ;
-}
-
 std::vector<AffineConstraint> AffineConstraint::make(const AffineExpr &lhs,
                                                      CmpRel rel,
                                                      const AffineExpr &rhs) {

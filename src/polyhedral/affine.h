@@ -94,7 +94,6 @@ private:
 enum class CmpRel { LT, LE, GT, GE, EQ, NE };
 
 const char *toString(CmpRel rel);
-CmpRel negate(CmpRel rel);
 
 /// An affine constraint `expr REL 0`. Normal form used by the solver is
 /// GE: expr >= 0; helpers convert LT/LE/GT from source-level comparisons.

@@ -32,20 +32,6 @@ LoopLevel LoopLevel::make(Symbol var, AffineExpr lb, AffineExpr ub,
   return l;
 }
 
-ConstraintSystem IterationDomain::toConstraintSystem() const {
-  ConstraintSystem sys;
-  for (const auto &l : levels) {
-    AffineExpr var = AffineExpr::variable(l.var);
-    for (const auto &lb : l.lowerBounds)
-      sys.add(AffineConstraint{var - lb}); // var - lb >= 0
-    for (const auto &ub : l.upperBounds)
-      sys.add(AffineConstraint{ub - var}); // ub - var >= 0
-  }
-  for (const auto &g : guards)
-    sys.add(g);
-  return sys;
-}
-
 IterationDomain IterationDomain::withGuard(const AffineConstraint &guard) const {
   IterationDomain d = *this;
   d.guards.push_back(guard);

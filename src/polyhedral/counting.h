@@ -50,9 +50,6 @@ struct IterationDomain {
   std::vector<AffineConstraint> guards;
   std::vector<Congruence> congruences;
 
-  /// Bounds + guards as one constraint system (congruences excluded).
-  ConstraintSystem toConstraintSystem() const;
-
   /// Domain restricted by an additional guard (used for if-in-loop
   /// modeling: the branch body's domain = loop domain + condition).
   IterationDomain withGuard(const AffineConstraint &guard) const;

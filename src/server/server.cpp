@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "support/file_io.h"
+#include "symbolic/interner.h"
 
 namespace mira::server {
 
@@ -39,6 +40,17 @@ core::AnalysisSpec specFor(SourceItem item, std::uint8_t flags,
   spec.options = unpackOptions(flags);
   spec.artifacts = artifacts;
   return spec;
+}
+
+/// Copy the process-wide symbolic::ExprInterner tallies into the
+/// registry as gauges (rendered as mira_intern_{hits,misses,nodes}).
+/// The hash-consing hot path never touches the registry itself, so the
+/// gauges are published on render instead.
+void publishInternGauges(core::MetricsRegistry &metrics) {
+  const symbolic::InternStats stats = symbolic::ExprInterner::globalStats();
+  metrics.gauge("intern_hits").set(stats.hits);
+  metrics.gauge("intern_misses").set(stats.misses);
+  metrics.gauge("intern_nodes").set(stats.nodes);
 }
 
 } // namespace
@@ -712,7 +724,7 @@ void AnalysisServer::refreshGauges() const {
   }
   metrics_.gauge("server_threads").set(sessions_->threadCount());
   metrics_.gauge("server_cache_memory_entries").set(analyzer_->cacheSize());
-  driver::publishInternGauges(metrics_);
+  publishInternGauges(metrics_);
   if (CacheStore *disk = analyzer_->diskCache()) {
     std::size_t entries = 0;
     std::uint64_t bytes = 0;

@@ -204,7 +204,7 @@ private:
   bool writeMetricsFile() const;
 
   /// Record a served result in the counters (cache hit vs computed,
-  /// failures, recompiles).
+  /// failures, recompiles): the registry's one count of served results.
   void recordServed(const core::Artifacts &artifacts);
   /// Serve one analyze, coverage or simulate request (`type`). A ready
   /// memory hit is answered on the calling reader thread; anything else
@@ -221,10 +221,10 @@ private:
 
   ServerOptions options_;
   /// The one registry behind every surface: the analyzer registers its
-  /// lifetime counters here too, so the Metrics reply (and the `client
-  /// cache-stats` summary printed from it) and --metrics-file render the
-  /// same numbers. Mutable because gauge refreshes are logically const
-  /// snapshot preparation.
+  /// disk, summary and encode counters here too, so the Metrics reply
+  /// (and the `client cache-stats` summary printed from it) and
+  /// --metrics-file render the same numbers. Mutable because gauge
+  /// refreshes are logically const snapshot preparation.
   mutable core::MetricsRegistry metrics_;
   std::unique_ptr<driver::BatchAnalyzer> analyzer_;
   /// Readers: one task per live connection, blocked on frame I/O.

@@ -71,10 +71,6 @@ public:
     return b <= a;
   }
 
-  double toDouble() const {
-    return static_cast<double>(num_) / static_cast<double>(den_);
-  }
-
   std::string str() const;
 
 private:

@@ -119,12 +119,15 @@ TEST(PythonEmitter, ModuleContainsHelpersAndFunctions) {
   EXPECT_NE(py.find("__main__"), std::string::npos);
 }
 
-TEST(PythonEmitter, OpcodeKeysWhenRequested) {
-  PerformanceModel m = twoFunctionModel();
-  PythonEmitOptions options;
-  options.categoryKeys = false;
-  std::string py = emitPython(m, options);
-  EXPECT_NE(py.find("'addsd'"), std::string::npos);
+TEST(PythonEmitter, KeysAreInstructionCategories) {
+  std::string py = emitPython(twoFunctionModel());
+  for (isa::Opcode op : {isa::Opcode::MOVSD_RM, isa::Opcode::ADDSD}) {
+    const std::string category = isa::categoryName(
+        arch::haswellDescription().categoryOf(op));
+    EXPECT_NE(py.find("_bump(metrics, '" + category + "'"), std::string::npos)
+        << category;
+    EXPECT_EQ(py.find("'" + isa::opcodeName(op) + "'"), std::string::npos);
+  }
 }
 
 // ------------------------------------------------------ model byte pins

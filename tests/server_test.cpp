@@ -1076,6 +1076,56 @@ TEST(AnalysisServerTest, MetricsReplyCountsTheTrafficInNameOrder) {
     EXPECT_LT(samples[i - 1].name, samples[i].name);
 }
 
+TEST(AnalysisServerTest, MetricsReplyCountsEachServedResultOnce) {
+  // The server_* counters are the one count of served results; the
+  // analyzer's names in the same registry count only what the serving
+  // layer cannot see (disk traffic, summaries, model encodes).
+  DaemonFixture daemon;
+  ASSERT_TRUE(daemon.started());
+  Client client;
+  ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
+
+  ClientOutcome outcome;
+  for (int round = 0; round < 2; ++round) // computed, then a memory hit
+    ASSERT_TRUE(client.analyze("@fig5", workloads::fig5Source(),
+                               core::MiraOptions(), outcome))
+        << client.lastError();
+  ASSERT_TRUE(client.analyze("broken.mc", "int broken(",
+                             core::MiraOptions(), outcome))
+      << client.lastError();
+  EXPECT_FALSE(outcome.ok);
+  CoverageReply coverage;
+  ASSERT_TRUE(client.coverage("@fig5", workloads::fig5Source(),
+                              core::MiraOptions(), coverage))
+      << client.lastError();
+  core::SimulationArgs simulation;
+  simulation.function = "fig5_main";
+  simulation.args = {sim::Value::ofInt(64)};
+  SimulateReply simulate;
+  ASSERT_TRUE(client.simulate("@fig5", workloads::fig5Source(),
+                              core::MiraOptions(), simulation, simulate))
+      << client.lastError();
+  ASSERT_TRUE(simulate.ok);
+
+  const std::map<std::string, std::uint64_t> samples = samplesOf(client);
+  for (const char *retired :
+       {"analyzer_requests_total", "analyzer_failures_total",
+        "analyzer_cache_hits_total", "analyzer_computed_total",
+        "analyzer_recompiles_total"})
+    EXPECT_EQ(samples.count(retired), 0u) << retired;
+  EXPECT_EQ(samples.at("server_sources_analyzed_total"),
+            samples.at("server_cache_hits_total") +
+                samples.at("server_computed_total"));
+  EXPECT_EQ(samples.at("server_sources_analyzed_total"), 5u);
+  EXPECT_EQ(samples.at("server_cache_hits_total"), 3u);
+  EXPECT_EQ(samples.at("server_computed_total"), 2u);
+  EXPECT_EQ(samples.at("server_failures_total"), 1u);
+  EXPECT_EQ(samples.at("server_recompiles_total"), 0u);
+  EXPECT_EQ(samples.at("server_analyze_requests_total"), 3u);
+  EXPECT_EQ(samples.at("server_coverage_requests_total"), 1u);
+  EXPECT_EQ(samples.at("server_simulate_requests_total"), 1u);
+}
+
 // ---------------------------------------------------- manifest batch
 
 TEST(ProtocolCodec, ManifestBatchMessagesRoundTrip) {
@@ -1446,7 +1496,7 @@ TEST(AnalysisServerTest, DiskRestoredValuesServeTheTailTheyWereStoredWith) {
   }
   std::map<std::string, std::uint64_t> counters = countersOf(client);
   EXPECT_EQ(counters["analyzer_disk_hits_total"], items.size());
-  EXPECT_EQ(counters["analyzer_computed_total"], 0u);
+  EXPECT_EQ(counters["server_computed_total"], 0u);
   EXPECT_EQ(counters["analyzer_model_encodes_total"], 0u)
       << "a disk hit already holds its tail";
   std::filesystem::remove_all(cacheDir);
