@@ -82,21 +82,11 @@ void printSeries() {
   bench::printRule();
 }
 
-void BM_SeriesPointStatic(benchmark::State &state) {
-  auto &a = bench::analyzeCached(workloads::streamSource(), "stream.mc");
-  for (auto _ : state) {
-    auto s = a.staticFPI("stream_main",
-                         {{"n", state.range(0)}, {"ntimes", 10}});
-    benchmark::DoNotOptimize(s);
-  }
-}
-BENCHMARK(BM_SeriesPointStatic)->Arg(500'000)->Arg(20'000'000);
-
 } // namespace
 
-int main(int argc, char **argv) {
+// The series' model evaluation and simulation are timed once, by
+// bench_table3_stream (BM_StaticModelEvaluation, BM_DynamicSimulation).
+int main() {
   printSeries();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -68,32 +68,11 @@ void printTradeoff() {
   bench::printRule();
 }
 
-void BM_ModelEvalPerInput(benchmark::State &state) {
-  auto &a = bench::analyzeCached(workloads::streamSource(), "stream.mc");
-  std::int64_t n = 1;
-  for (auto _ : state) {
-    n = (n % 20'000'000) + 1'000'003; // vary the input each time
-    auto s = a.staticFPI("stream_main", {{"n", n}, {"ntimes", 10}});
-    benchmark::DoNotOptimize(s);
-  }
-}
-BENCHMARK(BM_ModelEvalPerInput);
-
-void BM_SimulationPerInput(benchmark::State &state) {
-  auto &a = bench::analyzeCached(workloads::streamSource(), "stream.mc");
-  for (auto _ : state) {
-    auto r = bench::simulateFF(a, "stream_main",
-                               {Value::ofInt(1'000'000), Value::ofInt(10)});
-    benchmark::DoNotOptimize(r.total.fpInstructions);
-  }
-}
-BENCHMARK(BM_SimulationPerInput)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
-int main(int argc, char **argv) {
+// Per-input model evaluation and simulation are timed once, by
+// bench_table3_stream (BM_StaticModelEvaluation, BM_DynamicSimulation).
+int main() {
   printTradeoff();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

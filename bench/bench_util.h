@@ -1,7 +1,7 @@
 // Shared helpers for the reproduction benches: workload analysis caching,
 // paper-style table printing, and error formatting. Each bench binary
 // regenerates one table or figure of the paper (see DESIGN.md experiment
-// index) and then runs its google-benchmark timings.
+// index) and then runs its google-benchmark timings, if it registers any.
 #pragma once
 
 #include <benchmark/benchmark.h>

@@ -67,6 +67,22 @@ std::optional<double> Artifacts::staticFPI(const std::string &function,
   return counts->fpInstructions;
 }
 
+void putCoverageSummary(std::string &out, const sema::LoopCoverage &coverage) {
+  bio::putU64(out, coverage.loops);
+  bio::putU64(out, coverage.statements);
+  bio::putU64(out, coverage.inLoopStatements);
+}
+
+bool readCoverageSummary(bio::Reader &r, sema::LoopCoverage &coverage) {
+  std::uint64_t loops = 0, statements = 0, inLoop = 0;
+  if (!r.u64(loops) || !r.u64(statements) || !r.u64(inLoop))
+    return false;
+  coverage.loops = static_cast<std::size_t>(loops);
+  coverage.statements = static_cast<std::size_t>(statements);
+  coverage.inLoopStatements = static_cast<std::size_t>(inLoop);
+  return true;
+}
+
 Artifacts analyze(const AnalysisSpec &spec) {
   DiagnosticEngine diags;
   return analyze(spec, diags);

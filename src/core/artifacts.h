@@ -34,6 +34,7 @@
 
 #include "core/mira.h"
 #include "sema/ast_stats.h"
+#include "support/binary_io.h"
 
 namespace mira::core {
 
@@ -158,13 +159,22 @@ struct Artifacts {
   std::shared_ptr<const sim::SimResult> simulation;
   double seconds = 0; ///< wall time spent fulfilling this spec
 
-  /// Shorthand mirroring AnalysisResult::staticFPI: evaluate FPI (the
-  /// paper's headline metric) from the model artifact; nullopt when the
-  /// model is absent or parameters are missing.
+  /// Shorthand: evaluate FPI (the paper's headline metric) from the
+  /// model artifact; nullopt when the model is absent or parameters are
+  /// missing.
   std::optional<double> staticFPI(const std::string &function,
                                   const model::Env &env,
                                   std::string *error = nullptr) const;
 };
+
+/// The one encoding of a loop-coverage summary,
+/// `[loops u64][statements u64][inLoop u64]`, which both the artifact
+/// payload (driver::serializeArtifactPayload) and the daemon's coverage
+/// reply carry.
+void putCoverageSummary(std::string &out, const sema::LoopCoverage &coverage);
+
+/// Read a putCoverageSummary encoding; false when it is truncated.
+bool readCoverageSummary(bio::Reader &r, sema::LoopCoverage &coverage);
 
 /// One-shot, uncached fulfillment of `spec`: runs the pipeline stages
 /// the mask needs (model generation only under kArtifactModel) and

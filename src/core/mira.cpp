@@ -4,13 +4,30 @@
 
 namespace mira::core {
 
-std::optional<double> AnalysisResult::staticFPI(const std::string &function,
-                                                const model::Env &env,
-                                                std::string *error) const {
-  auto counts = model.evaluate(function, env, error);
-  if (!counts)
-    return std::nullopt;
-  return counts->fpInstructions;
+std::uint8_t packOptions(const MiraOptions &options) {
+  // Tripwire: adding a field to either options struct changes its size.
+  // Give a model-affecting field a bit here and in unpackOptions (and
+  // extend the driver_test key tests), then adjust these expected sizes.
+  static_assert(sizeof(mir::CompilerOptions) == 2 &&
+                    sizeof(metrics::MetricOptions) == 1,
+                "options gained a field: packOptions must carry it too");
+  std::uint8_t flags = 0;
+  if (options.compile.compiler.optimize)
+    flags |= kOptionOptimize;
+  if (options.compile.compiler.vectorize)
+    flags |= kOptionVectorize;
+  if (options.metrics.assumeBranchesTaken)
+    flags |= kOptionAssumeBranchesTaken;
+  return flags;
+}
+
+MiraOptions unpackOptions(std::uint8_t flags) {
+  MiraOptions options;
+  options.compile.compiler.optimize = (flags & kOptionOptimize) != 0;
+  options.compile.compiler.vectorize = (flags & kOptionVectorize) != 0;
+  options.metrics.assumeBranchesTaken =
+      (flags & kOptionAssumeBranchesTaken) != 0;
+  return options;
 }
 
 sim::SimResult simulate(const CompiledProgram &program,

@@ -30,6 +30,7 @@
 // that runs core::analyze, in that request's own ExprInterner.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,17 +49,28 @@ struct MiraOptions {
   metrics::MetricOptions metrics;
 };
 
+/// The model-affecting options as one byte, written once for every
+/// place options are keyed or travel: the cache key hashes it
+/// (driver::requestKeyFromContentHash), analysis requests carry it on
+/// the wire (docs/PROTOCOL.md), and `cache prune` enumerates it. Equal
+/// bytes and equal sources mean equal cache keys.
+enum OptionFlags : std::uint8_t {
+  kOptionOptimize = 1 << 0,
+  kOptionVectorize = 1 << 1,
+  kOptionAssumeBranchesTaken = 1 << 2,
+};
+
+/// Pack the model-affecting subset of MiraOptions into OptionFlags bits.
+std::uint8_t packOptions(const MiraOptions &options);
+
+/// Expand OptionFlags into a MiraOptions (all other fields default).
+MiraOptions unpackOptions(std::uint8_t flags);
+
 /// A model as the payload codec (driver::deserializeArtifactPayload)
 /// restores it. Compiled programs never travel with it: the artifact
 /// API's ProgramHandle (core/artifacts.h) recompiles on demand.
 struct AnalysisResult {
   model::PerformanceModel model;
-
-  /// Shorthand: evaluate FPI (the paper's headline metric) for a
-  /// function; nullopt if parameters are missing.
-  std::optional<double> staticFPI(const std::string &function,
-                                  const model::Env &env,
-                                  std::string *error = nullptr) const;
 };
 
 /// Dynamic ground truth on the same compiled program.

@@ -28,22 +28,15 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
 } // namespace
 
 std::uint64_t requestKeyFromContentHash(std::uint64_t contentHash,
-                                        const core::MiraOptions &o) {
-  // Tripwire: adding a field to either options struct changes its size;
-  // update the fingerprint below (and the driver_test key tests), then
-  // adjust these expected sizes. The artifact mask, simulation
-  // arguments, and everything in BatchOptions must stay OUT of the key:
-  // they never change what the pipeline computes, and hashing them would
-  // make the on-disk cache miss across equivalent configurations.
-  static_assert(sizeof(mir::CompilerOptions) == 2 &&
-                    sizeof(metrics::MetricOptions) == 1,
-                "options gained a field: requestKey must hash it too");
-  std::uint64_t key = contentHash;
-  std::uint8_t flags = 0;
-  flags |= o.compile.compiler.optimize ? 1 : 0;
-  flags |= o.compile.compiler.vectorize ? 2 : 0;
-  flags |= o.metrics.assumeBranchesTaken ? 4 : 0;
-  key = fnv1a(&flags, sizeof(flags), key);
+                                        const core::MiraOptions &options) {
+  // The options enter the key as their one packed byte
+  // (core::packOptions, whose tripwire catches a new option field). The
+  // artifact mask, simulation arguments, and everything in BatchOptions
+  // must stay OUT of the key: they never change what the pipeline
+  // computes, and hashing them would make the on-disk cache miss across
+  // equivalent configurations.
+  const std::uint8_t flags = core::packOptions(options);
+  const std::uint64_t key = fnv1a(&flags, sizeof(flags), contentHash);
   // Every key ends with the fixed architecture name "haswell-arya", so
   // cache file names and report keys already written stay valid.
   return fnv1a(arch::haswellDescription().name, key);
@@ -147,19 +140,16 @@ BatchStats mergeBatchStats(const std::vector<BatchStats> &parts) {
   return merged;
 }
 
-BatchStats tallyBatchStats(const std::vector<core::Artifacts> &results,
-                           bool useCache) {
+BatchStats tallyBatchStats(const std::vector<core::Artifacts> &results) {
   BatchStats stats;
   stats.requests = results.size();
   for (const core::Artifacts &artifacts : results) {
     if (!artifacts.ok)
       ++stats.failures;
-    if (useCache) {
-      if (artifacts.cacheHit)
-        ++stats.cacheHits;
-      else
-        ++stats.cacheMisses;
-    }
+    if (artifacts.cacheHit)
+      ++stats.cacheHits;
+    else
+      ++stats.cacheMisses;
     if ((artifacts.requested & core::kArtifactModel) && artifacts.model)
       ++stats.modelArtifacts;
     if ((artifacts.requested & core::kArtifactProgram) && artifacts.program)
@@ -339,11 +329,8 @@ void putPayloadTail(std::string &out, const model::PerformanceModel *model,
   if (!model)
     return;
   bio::putU8(out, coverage ? 1 : 0);
-  if (coverage) {
-    bio::putU64(out, coverage->loops);
-    bio::putU64(out, coverage->statements);
-    bio::putU64(out, coverage->inLoopStatements);
-  }
+  if (coverage)
+    core::putCoverageSummary(out, *coverage);
   model::serializeModel(*model, out);
 }
 
@@ -387,16 +374,8 @@ bool readArtifactPayload(const std::string &payload,
   std::uint8_t hasCoverage = 0;
   if (!r.u8(hasCoverage) || hasCoverage > 1)
     return false;
-  if (hasCoverage) {
-    std::uint64_t loops = 0, statements = 0, inLoop = 0;
-    if (!r.u64(loops) || !r.u64(statements) || !r.u64(inLoop))
-      return false;
-    sema::LoopCoverage summary;
-    summary.loops = static_cast<std::size_t>(loops);
-    summary.statements = static_cast<std::size_t>(statements);
-    summary.inLoopStatements = static_cast<std::size_t>(inLoop);
-    coverage = summary;
-  }
+  if (hasCoverage && !core::readCoverageSummary(r, coverage.emplace()))
+    return false;
   auto result = std::make_shared<core::AnalysisResult>();
   std::size_t offset = r.offset;
   if (!model::deserializeModel(payload, offset, result->model))
@@ -432,9 +411,9 @@ bool measureArtifactPayload(const std::string &payload,
     return true;
   const std::size_t coverageStart = r.offset;
   std::uint8_t hasCoverage = 0;
-  std::uint64_t summary = 0;
+  sema::LoopCoverage summary;
   if (!r.u8(hasCoverage) || hasCoverage > 1 ||
-      (hasCoverage && (!r.u64(summary) || !r.u64(summary) || !r.u64(summary))))
+      (hasCoverage && !core::readCoverageSummary(r, summary)))
     return false;
   sizes.ok = true;
   sizes.coverageBytes = r.offset - coverageStart;
@@ -495,22 +474,16 @@ void BatchAnalyzer::computeValue(const core::AnalysisSpec &spec,
     // a crash rule, death at an arbitrary point mid-batch).
     if (fault::shouldFail("compute"))
       throw std::runtime_error("injected compute fault");
+    // Every miss computes the same value, whatever the requesting mask
+    // and whether or not the analyzer keeps it: the model (the expensive
+    // stage, and one that can warn), the coverage summary (one cheap AST
+    // walk) and the live program. A request's diagnostics therefore never
+    // depend on its mask or on the cache, and later requests for any mask
+    // are free. Simulation is per call and deliberately excluded (serve()
+    // runs it on the handle).
     core::AnalysisSpec full = spec;
-    if (options_.useCache) {
-      // Full compute populates every cache layer regardless of the
-      // requesting mask: the model (the expensive stage), the coverage
-      // summary (one cheap AST walk), and the live program — later
-      // requests for any mask are then free. Simulation is per-call
-      // and deliberately excluded (fulfill() runs it on the handle).
-      full.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
-                       core::kArtifactProgram | core::kArtifactCoverage;
-    } else {
-      // No cache to populate: run only what this request asked for
-      // (minus simulation, which fulfill() executes), so a no-cache
-      // coverage or simulate request never pays for model generation.
-      full.artifacts = (spec.artifacts & ~core::kArtifactSimulation) |
-                       core::kArtifactDiagnostics;
-    }
+    full.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
+                     core::kArtifactProgram | core::kArtifactCoverage;
     DiagnosticEngine diags;
     core::Artifacts artifacts = core::analyze(full, diags);
     value.diagnostics = std::move(artifacts.diagnostics);
@@ -594,8 +567,14 @@ void BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
   }
 }
 
-core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
-                                       const CacheValue &value, bool cacheHit) {
+core::Artifacts
+BatchAnalyzer::serve(const core::AnalysisSpec &spec, const CacheValue &value,
+                     bool producer,
+                     std::chrono::steady_clock::time_point start,
+                     std::string *payload) {
+  // A hit is a request the value was not computed for: every waiter, and
+  // the producer of a disk restore.
+  const bool cacheHit = !producer || value.fromDisk;
   core::Artifacts artifacts;
   artifacts.name = spec.name;
   artifacts.requested = spec.artifacts;
@@ -610,54 +589,6 @@ core::Artifacts BatchAnalyzer::fulfill(const core::AnalysisSpec &spec,
     artifacts.diagnostics = "(diagnostics from identical source '" +
                             value.producerName + "')\n" +
                             artifacts.diagnostics;
-  if (!artifacts.ok)
-    return artifacts;
-
-  if (spec.artifacts & core::kArtifactModel)
-    artifacts.model = value.model;
-  if (spec.artifacts & core::kArtifactProgram)
-    artifacts.program = value.program;
-
-  // Every cached value carries its coverage summary (the no-cache path
-  // computes it when asked), so attaching it is free: the serving
-  // layers forward it in payloads even when it was not requested.
-  if (value.coverage) {
-    artifacts.coverage = *value.coverage;
-    if ((spec.artifacts & core::kArtifactCoverage) && cacheHit) {
-      coverage_from_cache_.increment();
-      artifacts.coverageFromCache = true;
-    }
-  }
-
-  if (spec.artifacts & core::kArtifactSimulation) {
-    // Simulation materializes the handle exactly once per cache value,
-    // no matter how many requests want it concurrently; only the request
-    // that actually recompiled counts toward `recompiles`.
-    bool compiledNow = false;
-    auto program = value.program ? value.program->get(&compiledNow) : nullptr;
-    artifacts.recompiled = compiledNow;
-    if (program) {
-      artifacts.simulation = std::make_shared<const sim::SimResult>(
-          core::simulate(*program, spec.simulation.function,
-                         spec.simulation.args, spec.simulation.options));
-    } else {
-      sim::SimResult failed;
-      failed.ok = false;
-      failed.error = "compiled program unavailable (recompile failed)";
-      artifacts.simulation =
-          std::make_shared<const sim::SimResult>(std::move(failed));
-    }
-  }
-  return artifacts;
-}
-
-core::Artifacts
-BatchAnalyzer::serve(const core::AnalysisSpec &spec, const CacheValue &value,
-                     bool producer,
-                     std::chrono::steady_clock::time_point start,
-                     std::string *payload) {
-  core::Artifacts artifacts =
-      fulfill(spec, value, options_.useCache && (!producer || value.fromDisk));
   if (producer) {
     // Disk-level provenance belongs to exactly one request per value —
     // the producer — so flag sums over any result set count each disk
@@ -665,6 +596,45 @@ BatchAnalyzer::serve(const core::AnalysisSpec &spec, const CacheValue &value,
     artifacts.diskHit = value.fromDisk;
     artifacts.diskMiss = disk_ != nullptr && !value.fromDisk;
     artifacts.diskStored = value.stored;
+  }
+
+  if (value.ok) {
+    if (spec.artifacts & core::kArtifactModel)
+      artifacts.model = value.model;
+    if (spec.artifacts & core::kArtifactProgram)
+      artifacts.program = value.program;
+
+    // Every value carries its coverage summary, so attaching it is free:
+    // the serving layers forward it in payloads even when it was not
+    // requested.
+    if (value.coverage) {
+      artifacts.coverage = *value.coverage;
+      if ((spec.artifacts & core::kArtifactCoverage) && cacheHit) {
+        coverage_from_cache_.increment();
+        artifacts.coverageFromCache = true;
+      }
+    }
+
+    if (spec.artifacts & core::kArtifactSimulation) {
+      // Simulation materializes the handle exactly once per cache value,
+      // no matter how many requests want it concurrently; only the
+      // request that actually recompiled counts toward `recompiles`.
+      bool compiledNow = false;
+      auto program =
+          value.program ? value.program->get(&compiledNow) : nullptr;
+      artifacts.recompiled = compiledNow;
+      if (program) {
+        artifacts.simulation = std::make_shared<const sim::SimResult>(
+            core::simulate(*program, spec.simulation.function,
+                           spec.simulation.args, spec.simulation.options));
+      } else {
+        sim::SimResult failed;
+        failed.ok = false;
+        failed.error = "compiled program unavailable (recompile failed)";
+        artifacts.simulation =
+            std::make_shared<const sim::SimResult>(std::move(failed));
+      }
+    }
   }
   artifacts.seconds = secondsSince(start);
   if (payload)
@@ -749,7 +719,7 @@ core::Artifacts BatchAnalyzer::analyzeArtifacts(const core::AnalysisSpec &spec,
 std::optional<core::Artifacts>
 BatchAnalyzer::analyzeIfReady(const core::AnalysisSpec &spec,
                               std::uint64_t key, std::string *payload) {
-  if (!options_.useCache || (spec.artifacts & core::kArtifactSimulation))
+  if (spec.artifacts & core::kArtifactSimulation)
     return std::nullopt;
   const auto start = std::chrono::steady_clock::now();
   CacheFuture future;
@@ -807,7 +777,7 @@ BatchAnalyzer::runArtifacts(const std::vector<core::AnalysisSpec> &specs) {
   // Per-result provenance flags keep the per-run view correct even when
   // the registry is shared with daemon traffic — the same tally the
   // daemon's ManifestBatch reports.
-  stats_ = tallyBatchStats(results, options_.useCache);
+  stats_ = tallyBatchStats(results);
   stats_.wallSeconds = secondsSince(start);
   return results;
 }
@@ -863,8 +833,7 @@ ManifestOutcome runManifestBatch(BatchAnalyzer &analyzer,
     }
   }
 
-  outcome.report.stats =
-      tallyBatchStats(outcome.results, analyzer.options().useCache);
+  outcome.report.stats = tallyBatchStats(outcome.results);
   outcome.report.entries.reserve(outcome.results.size());
   for (std::size_t i = 0; i < outcome.results.size(); ++i)
     outcome.report.entries.push_back(

@@ -16,8 +16,12 @@
 ///   3. recompile — a ProgramHandle re-runs parse→sema→codegen (never
 ///                 model generation) when a cache hit must answer a
 ///                 program-needing artifact (simulation);
-///   4. full compute — a miss runs the whole pipeline once and
+///   4. full compute — a miss runs the whole pipeline once (model,
+///                 coverage and live program, whatever the mask) and
 ///                 populates every layer for future callers.
+/// A miss computes the same value whether or not the analyzer keeps it
+/// (BatchOptions::useCache), so neither the cache nor the mask changes
+/// a request's diagnostics or the bytes of an artifact it asks for.
 /// BatchStats counts each plan step so tests and the CLI can prove a
 /// warm run recomputed nothing.
 ///
@@ -65,7 +69,10 @@ namespace mira::driver {
 struct BatchOptions {
   /// Worker threads analyzing requests concurrently.
   std::size_t threads = ThreadPool::defaultThreadCount();
-  /// Master switch for both cache levels (memory and disk).
+  /// Keep computed values. False bypasses both cache levels (memory and
+  /// disk): nothing is kept, so a huge batch runs in bounded memory, and
+  /// every request counts as a miss. A miss computes the same value
+  /// either way.
   bool useCache = true;
   /// Directory for the persistent cache; empty disables the disk level.
   std::string cacheDir;
@@ -179,8 +186,7 @@ BatchStats mergeBatchStats(const std::vector<BatchStats> &parts);
 /// correct when other traffic shares the registry — which is how the
 /// daemon builds a report byte-identical to a local run. wallSeconds is
 /// left 0 (the caller owns the clock).
-BatchStats tallyBatchStats(const std::vector<core::Artifacts> &results,
-                           bool useCache);
+BatchStats tallyBatchStats(const std::vector<core::Artifacts> &results);
 
 /// One line of a shard report: which request, under which cache key,
 /// with what outcome. Deliberately excludes timing so reports are
@@ -278,8 +284,9 @@ public:
 
   /// Serve `spec` only when a ready in-memory entry answers it; never
   /// computes, reads the disk level, or waits for an entry still being
-  /// computed. Nullopt on a miss, on an entry still computing, on an
-  /// analyzer without a cache, and for masks asking for simulation;
+  /// computed. Nullopt on a miss (always, on an analyzer without a
+  /// cache: it keeps no entry), on an entry still computing, and for
+  /// masks asking for simulation;
   /// otherwise the same result, payload and counters as
   /// analyzeArtifacts(spec, key, payload). The daemon's session readers
   /// answer hits through this.
@@ -321,8 +328,6 @@ public:
   /// analyzeArtifacts() starts no thread.
   std::size_t threadCount() const { return pool_.threadCount(); }
 
-  const BatchOptions &options() const { return options_; }
-
   /// Entries in the in-memory level (the disk level is inspected through
   /// diskCache()).
   std::size_t cacheSize() const;
@@ -339,16 +344,13 @@ private:
   /// same (source, options): the artifact views and the live-or-deferred
   /// program handle.
   struct CacheValue {
-    /// The analysis succeeded. With caching on this implies `model` and
-    /// `coverage` are set (full compute produces both, and a disk entry
-    /// lacking either is recomputed); on the no-cache path only the
-    /// requested artifacts are.
+    /// The analysis succeeded. This implies `model` and `coverage` are
+    /// set: every compute produces both, and a disk entry lacking either
+    /// is recomputed.
     bool ok = false;
-    /// Null on failure or when the model was not requested (no-cache
-    /// path).
+    /// Null on failure.
     std::shared_ptr<const model::PerformanceModel> model;
-    /// Loop-coverage summary; absent on failure or when not requested
-    /// (no-cache path).
+    /// Loop-coverage summary; absent on failure.
     std::optional<sema::LoopCoverage> coverage;
     /// Live for computed values, deferred for disk restores; null on
     /// failure.
@@ -369,21 +371,21 @@ private:
   };
   using CacheFuture = std::shared_future<std::shared_ptr<const CacheValue>>;
 
-  /// Fulfill `spec` out of a resolved value: artifacts, disk provenance
-  /// (the producer's alone), counters and, when asked, the payload.
+  /// Fulfill `spec` out of a resolved value: the requested artifacts
+  /// (simulation runs here, per call), disk provenance (the producer's
+  /// alone), counters and, when asked, the payload. The result is a
+  /// cache hit unless `producer` computed the value.
   core::Artifacts serve(const core::AnalysisSpec &spec,
                         const CacheValue &value, bool producer,
                         std::chrono::steady_clock::time_point start,
                         std::string *payload);
 
-  /// Serve `spec`'s artifacts out of a resolved cache value.
-  core::Artifacts fulfill(const core::AnalysisSpec &spec,
-                          const CacheValue &value, bool cacheHit);
-
   /// The producer path: disk lookup, then compute + disk store.
   void produceValue(const core::AnalysisSpec &spec, std::uint64_t key,
                     CacheValue &value);
 
+  /// The full value of `spec`'s source: model, diagnostics, coverage and
+  /// live program, whatever the mask and whether or not it is kept.
   void computeValue(const core::AnalysisSpec &spec, CacheValue &value);
 
   /// `value`'s payload tail, encoded on the first call.

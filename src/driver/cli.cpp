@@ -473,15 +473,6 @@ driver::BatchOptions batchOptionsFor(const CommonFlags &flags,
   return options;
 }
 
-/// One request (analyze, simulate): a one-thread pool, and a cache only
-/// as the disk level — --no-cache still wins over --cache-dir. Without
-/// a cache the request runs only the stages its artifacts need.
-driver::BatchOptions singleRequestOptions(const CommonFlags &flags) {
-  driver::BatchOptions options = batchOptionsFor(flags, 1);
-  options.useCache = flags.useCache && !flags.cacheDir.empty();
-  return options;
-}
-
 /// Load every positional source into a spec asking for `artifacts`.
 bool loadSpecs(const std::vector<std::string> &args, const CommonFlags &flags,
                core::ArtifactMask artifacts,
@@ -539,8 +530,6 @@ public:
                   std::vector<core::Artifacts> &results) = 0;
   /// Where the work ran, for summary lines.
   virtual std::string where() const = 0;
-  /// Whether results count toward cache hit/miss tallies.
-  virtual bool caches() const = 0;
 };
 
 class LocalBackend : public Backend {
@@ -581,7 +570,6 @@ public:
   std::string where() const override {
     return "on " + std::to_string(analyzer_.threadCount()) + " threads";
   }
-  bool caches() const override { return analyzer_.options().useCache; }
 
 private:
   /// 0, or 1 after naming a --cache-dir the store could not open as a
@@ -730,7 +718,6 @@ public:
   }
 
   std::string where() const override { return "via daemon at " + endpoint_; }
-  bool caches() const override { return true; }
 
 private:
   /// The artifacts every coverage or simulate reply to `spec` carries.
@@ -850,7 +837,7 @@ int runTimed(Backend &backend, const std::vector<core::AnalysisSpec> &specs,
   const auto start = std::chrono::steady_clock::now();
   if (int rc = backend.run(specs, results))
     return rc;
-  stats = driver::tallyBatchStats(results, backend.caches());
+  stats = driver::tallyBatchStats(results);
   stats.wallSeconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - start)
                           .count();
@@ -1007,7 +994,7 @@ int cmdAnalyze(std::vector<std::string> args) {
     return 2;
   auto backend = selectBackend(flags, "analyze", kCompileFlags | kEmitPython,
                                kLocalFlags & ~kThreads,
-                               singleRequestOptions(flags));
+                               batchOptionsFor(flags, 1));
   if (!backend)
     return 2;
   std::vector<core::AnalysisSpec> specs;
@@ -1177,7 +1164,7 @@ int cmdSimulate(std::vector<std::string> args) {
   }
   auto backend = selectBackend(flags, "simulate", kCompileFlags | kSimFlags,
                                kLocalFlags & ~kThreads,
-                               singleRequestOptions(flags));
+                               batchOptionsFor(flags, 1));
   if (!backend)
     return 2;
   std::vector<core::AnalysisSpec> specs;
@@ -1394,7 +1381,7 @@ int cmdCache(std::vector<std::string> args) {
     // (driver::requestKeyFromContentHash), so no source bytes are
     // read. The keep-set is deliberately conservative: the union over
     // every given --manifest (repeatable) and every combination of the
-    // wire-visible option flags, so a directory serving several
+    // option flags (core::OptionFlags), so a directory serving several
     // configurations of the same corpus survives one prune intact.
     if (flags.manifestPaths.empty()) {
       std::fprintf(stderr, "cache prune requires --manifest FILE\n");
@@ -1413,7 +1400,7 @@ int cmdCache(std::vector<std::string> args) {
       for (const auto &entry : manifest.entries)
         for (std::uint8_t bits = 0; bits < 8; ++bits)
           keep.insert(driver::requestKeyFromContentHash(
-              entry.contentHash, server::unpackOptions(bits)));
+              entry.contentHash, core::unpackOptions(bits)));
     }
     std::size_t total = 0, removed = 0, failed = 0;
     for (std::uint64_t key : store.keys()) {

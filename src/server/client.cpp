@@ -11,7 +11,7 @@ namespace mira::server {
 
 namespace {
 
-/// One request frame per item, all under one OptionFlags byte.
+/// One request frame per item, all under one core::OptionFlags byte.
 std::vector<std::string>
 encodeEach(const std::vector<SourceItem> &items, std::uint8_t flags,
            std::string (*encode)(const SourceItem &, std::uint8_t)) {
@@ -228,11 +228,11 @@ bool Client::decodeOutcome(bio::Reader &body, ClientOutcome &outcome) {
 bool Client::analyze(const std::string &name, const std::string &source,
                      const core::MiraOptions &options,
                      ClientOutcome &outcome) {
-  return roundTrip(encodeAnalyzeRequest({name, source}, packOptions(options)),
-                   MessageType::analyzeReply,
-                   [&](std::size_t, bio::Reader &body) {
-                     return decodeOutcome(body, outcome);
-                   });
+  return roundTrip(
+      encodeAnalyzeRequest({name, source}, core::packOptions(options)),
+      MessageType::analyzeReply, [&](std::size_t, bio::Reader &body) {
+        return decodeOutcome(body, outcome);
+      });
 }
 
 bool Client::analyzePipelined(const std::vector<SourceItem> &items,
@@ -241,7 +241,8 @@ bool Client::analyzePipelined(const std::vector<SourceItem> &items,
   // Decode into a local vector so a failure leaves the caller's outcomes
   // untouched.
   std::vector<ClientOutcome> decoded(items.size());
-  if (!exchange(encodeEach(items, packOptions(options), encodeAnalyzeRequest),
+  if (!exchange(encodeEach(items, core::packOptions(options),
+                           encodeAnalyzeRequest),
                 MessageType::analyzeReply,
                 [&](std::size_t i, bio::Reader &body) {
                   return decodeOutcome(body, decoded[i]);
@@ -254,20 +255,20 @@ bool Client::analyzePipelined(const std::vector<SourceItem> &items,
 bool Client::coverage(const std::string &name, const std::string &source,
                       const core::MiraOptions &options,
                       CoverageReply &reply) {
-  return roundTrip(encodeCoverageRequest({name, source}, packOptions(options)),
-                   MessageType::coverageReply,
-                   [&](std::size_t, bio::Reader &body) {
-                     return decodeCoverageReply(body, reply) ||
-                            fail(ErrorKind::protocol,
-                                 "malformed coverage reply");
-                   });
+  return roundTrip(
+      encodeCoverageRequest({name, source}, core::packOptions(options)),
+      MessageType::coverageReply, [&](std::size_t, bio::Reader &body) {
+        return decodeCoverageReply(body, reply) ||
+               fail(ErrorKind::protocol, "malformed coverage reply");
+      });
 }
 
 bool Client::coveragePipelined(const std::vector<SourceItem> &items,
                                const core::MiraOptions &options,
                                std::vector<CoverageReply> &replies) {
   std::vector<CoverageReply> decoded(items.size());
-  if (!exchange(encodeEach(items, packOptions(options), encodeCoverageRequest),
+  if (!exchange(encodeEach(items, core::packOptions(options),
+                           encodeCoverageRequest),
                 MessageType::coverageReply,
                 [&](std::size_t i, bio::Reader &body) {
                   return decodeCoverageReply(body, decoded[i]) ||
@@ -282,7 +283,7 @@ bool Client::simulate(const std::string &name, const std::string &source,
                       const core::MiraOptions &options,
                       const core::SimulationArgs &sim, SimulateReply &reply) {
   return roundTrip(
-      encodeSimulateRequest({name, source}, packOptions(options), sim),
+      encodeSimulateRequest({name, source}, core::packOptions(options), sim),
       MessageType::simulateReply, [&](std::size_t, bio::Reader &body) {
         return decodeSimulateReply(body, reply) ||
                fail(ErrorKind::protocol, "malformed simulate reply");
@@ -297,7 +298,7 @@ bool Client::manifestBatch(const std::string &manifestBytes,
                            const ProgressFn &onProgress,
                            std::string &reportBytes) {
   ManifestBatchRequest request;
-  request.flags = packOptions(options);
+  request.flags = core::packOptions(options);
   request.progress = onProgress != nullptr;
   request.shardIndex = static_cast<std::uint32_t>(shard.index);
   request.shardCount = static_cast<std::uint32_t>(shard.count);

@@ -106,8 +106,8 @@ public:
   /// Round-trip a ping. True when the daemon answered pong.
   bool ping();
 
-  /// Analyze one named source under `options` (only the wire-visible
-  /// option bits travel; see protocol OptionFlags).
+  /// Analyze one named source under `options` (only the model-affecting
+  /// option bits travel; see core::packOptions).
   bool analyze(const std::string &name, const std::string &source,
                const core::MiraOptions &options, ClientOutcome &outcome);
 

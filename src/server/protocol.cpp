@@ -124,26 +124,6 @@ bool readSimResult(bio::Reader &r, sim::SimResult &result) {
   return true;
 }
 
-std::uint8_t packOptions(const core::MiraOptions &options) {
-  std::uint8_t flags = 0;
-  if (options.compile.compiler.optimize)
-    flags |= kOptionOptimize;
-  if (options.compile.compiler.vectorize)
-    flags |= kOptionVectorize;
-  if (options.metrics.assumeBranchesTaken)
-    flags |= kOptionAssumeBranchesTaken;
-  return flags;
-}
-
-core::MiraOptions unpackOptions(std::uint8_t flags) {
-  core::MiraOptions options;
-  options.compile.compiler.optimize = (flags & kOptionOptimize) != 0;
-  options.compile.compiler.vectorize = (flags & kOptionVectorize) != 0;
-  options.metrics.assumeBranchesTaken =
-      (flags & kOptionAssumeBranchesTaken) != 0;
-  return options;
-}
-
 void beginMessage(std::string &out, MessageType type) {
   bio::putU32(out, kProtocolMagic);
   bio::putU32(out, kProtocolVersion);
@@ -324,11 +304,8 @@ std::string encodeCoverageReply(const CoverageReply &reply) {
   beginMessage(out, MessageType::coverageReply);
   putServedReplyPrefix(out, reply.cacheHit, reply.recompiled, reply.micros,
                        reply.ok, reply.diagnostics);
-  if (reply.ok) {
-    bio::putU64(out, reply.coverage.loops);
-    bio::putU64(out, reply.coverage.statements);
-    bio::putU64(out, reply.coverage.inLoopStatements);
-  }
+  if (reply.ok)
+    core::putCoverageSummary(out, reply.coverage);
   return out;
 }
 
@@ -424,13 +401,7 @@ bool decodeCoverageReply(bio::Reader &r, CoverageReply &reply) {
     return false;
   if (!reply.ok)
     return r.remaining() == 0;
-  std::uint64_t loops = 0, statements = 0, inLoop = 0;
-  if (!r.u64(loops) || !r.u64(statements) || !r.u64(inLoop))
-    return false;
-  reply.coverage.loops = static_cast<std::size_t>(loops);
-  reply.coverage.statements = static_cast<std::size_t>(statements);
-  reply.coverage.inLoopStatements = static_cast<std::size_t>(inLoop);
-  return r.remaining() == 0;
+  return core::readCoverageSummary(r, reply.coverage) && r.remaining() == 0;
 }
 
 bool decodeSimulateReply(bio::Reader &r, SimulateReply &reply) {

@@ -100,21 +100,6 @@ enum class MessageType : std::uint8_t {
                          ///< connection stays open for requests
 };
 
-/// Model-affecting option bits carried by analysis requests —
-/// exactly the options driver::requestKey hashes, so equal flags mean
-/// equal cache keys for equal sources.
-enum OptionFlags : std::uint8_t {
-  kOptionOptimize = 1 << 0,
-  kOptionVectorize = 1 << 1,
-  kOptionAssumeBranchesTaken = 1 << 2,
-};
-
-/// Pack the wire-visible subset of MiraOptions into OptionFlags bits.
-std::uint8_t packOptions(const core::MiraOptions &options);
-
-/// Expand OptionFlags into a MiraOptions (all other fields default).
-core::MiraOptions unpackOptions(std::uint8_t flags);
-
 /// One named source, the unit of analyze/coverage/simulate requests.
 struct SourceItem {
   std::string name;   ///< display name; echoed as the payload's producer
@@ -171,7 +156,7 @@ struct SimulateReply {
 /// `progress` is 1 the daemon streams cumulative BatchProgress frames
 /// before the final manifestBatchReply.
 struct ManifestBatchRequest {
-  std::uint8_t flags = 0;       ///< OptionFlags for every entry
+  std::uint8_t flags = 0;       ///< core::OptionFlags for every entry
   bool progress = false;        ///< stream batchProgress frames
   std::uint32_t shardIndex = 0; ///< 0-based; < shardCount
   std::uint32_t shardCount = 1; ///< 1 = unsharded
@@ -229,7 +214,8 @@ bool readHeader(bio::Reader &r, MessageType &type, std::string &error);
 /// Build a complete header-only message (ping, pong, shutdown,
 /// shutdownReply).
 std::string encodeEmptyMessage(MessageType type);
-/// Build an analyze request for one source under OptionFlags `flags`.
+/// Build an analyze request for one source under core::OptionFlags
+/// `flags` (core::packOptions).
 std::string encodeAnalyzeRequest(const SourceItem &item, std::uint8_t flags);
 /// Build a coverage request: same body as analyze.
 std::string encodeCoverageRequest(const SourceItem &item, std::uint8_t flags);

@@ -37,20 +37,19 @@ core::AnalysisSpec specFor(SourceItem item, std::uint8_t flags,
   core::AnalysisSpec spec;
   spec.name = std::move(item.name);
   spec.source = std::move(item.source);
-  spec.options = unpackOptions(flags);
+  spec.options = core::unpackOptions(flags);
   spec.artifacts = artifacts;
   return spec;
 }
 
 /// Copy the process-wide symbolic::ExprInterner tallies into the
-/// registry as gauges (rendered as mira_intern_{hits,misses,nodes}).
+/// registry as gauges (rendered as mira_intern_{hits,misses}).
 /// The hash-consing hot path never touches the registry itself, so the
 /// gauges are published on render instead.
 void publishInternGauges(core::MetricsRegistry &metrics) {
   const symbolic::InternStats stats = symbolic::ExprInterner::globalStats();
   metrics.gauge("intern_hits").set(stats.hits);
   metrics.gauge("intern_misses").set(stats.misses);
-  metrics.gauge("intern_nodes").set(stats.nodes);
 }
 
 } // namespace
@@ -122,7 +121,6 @@ AnalysisServer::AnalysisServer(ServerOptions options)
   // analyzer registers its lifetime counters in the daemon's registry so
   // one scrape covers both layers.
   batchOptions.threads = options_.threads;
-  batchOptions.useCache = true;
   batchOptions.cacheDir = options_.cacheDir;
   batchOptions.cacheBytesLimit = options_.cacheBytesLimit;
   batchOptions.metrics = &metrics_;
@@ -437,7 +435,7 @@ bool AnalysisServer::handleFrame(const std::shared_ptr<Session> &session,
       return false;
     }
     job.root = request.root;
-    job.options = unpackOptions(request.flags);
+    job.options = core::unpackOptions(request.flags);
     job.shard.index = request.shardIndex;
     job.shard.count = request.shardCount;
     manifest_batch_requests_.increment();

@@ -14,7 +14,6 @@ namespace {
 // (mira_intern_*), not synchronization.
 std::atomic<std::uint64_t> gHits{0};
 std::atomic<std::uint64_t> gMisses{0};
-std::atomic<std::uint64_t> gNodes{0};
 
 std::atomic<std::uint64_t> gNextInternerId{1};
 
@@ -163,10 +162,6 @@ void addSlot(std::vector<std::uint32_t> &slots, std::uint32_t count,
 ExprInterner::ExprInterner()
     : id_(gNextInternerId.fetch_add(1, std::memory_order_relaxed)) {}
 
-ExprInterner::~ExprInterner() {
-  gNodes.fetch_sub(nodes_.size(), std::memory_order_relaxed);
-}
-
 ExprNodeRef ExprInterner::intern(ExprKind kind, std::int64_t value,
                                  std::string_view name,
                                  const ExprNodeRef *operands,
@@ -274,7 +269,6 @@ ExprNodeRef ExprInterner::lookup(ExprKind kind, std::int64_t value,
   addSlot(nodeSlots_, static_cast<std::uint32_t>(nodes_.size()), 64,
           [&](std::uint32_t id) { return nodes_[id]->hash; });
   gMisses.fetch_add(1, std::memory_order_relaxed);
-  gNodes.fetch_add(1, std::memory_order_relaxed);
   return node;
 }
 
@@ -303,7 +297,6 @@ InternStats ExprInterner::globalStats() {
   InternStats stats;
   stats.hits = gHits.load(std::memory_order_relaxed);
   stats.misses = gMisses.load(std::memory_order_relaxed);
-  stats.nodes = gNodes.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -55,10 +55,12 @@
 // returned nodes are immutable and shared_ptr-owned: they outlive the
 // interner wherever models still reference them.
 //
-// Counters: process-wide hit/miss/node tallies are exported as
-// mira_intern_{hits,misses,nodes} through core::MetricsRegistry (the
-// server publishes them on every metrics render; bench_batch_throughput
-// prints them after its cold phase).
+// Counters: process-wide hit/miss tallies are exported as
+// mira_intern_{hits,misses} through core::MetricsRegistry (the server
+// publishes them on every metrics render), and perfbench's traced run
+// reports their per-file deltas. There is no live-node gauge: each
+// request's interner dies with its analysis while cached models keep
+// their nodes outside any table, so it would read 0 between requests.
 #pragma once
 
 #include <array>
@@ -76,14 +78,12 @@ namespace mira::symbolic {
 struct InternStats {
   std::uint64_t hits = 0;   ///< intern() calls answered by an existing node
   std::uint64_t misses = 0; ///< intern() calls that created a new node
-  std::uint64_t nodes = 0;  ///< unique nodes currently alive in tables
 };
 
 /// A hash-consing arena: one canonical ExprNode per structure.
 class ExprInterner {
 public:
   ExprInterner();
-  ~ExprInterner();
   ExprInterner(const ExprInterner &) = delete;
   ExprInterner &operator=(const ExprInterner &) = delete;
 

@@ -7,6 +7,8 @@
 //   * every ArtifactMask combination yields exactly the requested
 //     artifacts, one-shot and batched, with byte-identical models and
 //     identical coverage/simulation counters through every layer;
+//   * for every mask, an analyzer that keeps nothing serves what a
+//     caching one serves, the model stage's warnings included;
 //   * warm-disk coverage is answered from the serialized summary with
 //     zero recompiles and zero model generation;
 //   * warm-disk simulation recompiles parse->codegen exactly once per
@@ -57,6 +59,35 @@ core::AnalysisSpec fig5Spec(core::ArtifactMask mask) {
     spec.simulation.args = {sim::Value::ofInt(64)};
   }
   return spec;
+}
+
+/// A source whose one diagnostic, a warning, comes from the model stage.
+core::AnalysisSpec ratioSpec(core::ArtifactMask mask) {
+  core::AnalysisSpec spec;
+  spec.name = "ratio.mc";
+  spec.source = "double f(int n) {\n"
+                "  double acc = 0.0;\n"
+                "  for (int i = 0; i < n; i++) {\n"
+                "    #pragma @Annotation {ratio:abc}\n"
+                "    if (acc < 3.0) {\n"
+                "      acc = acc + 1.0;\n"
+                "    }\n"
+                "  }\n"
+                "  return acc;\n"
+                "}\n";
+  spec.artifacts = mask;
+  if (mask & core::kArtifactSimulation) {
+    spec.simulation.function = "f";
+    spec.simulation.args = {sim::Value::ofInt(10)};
+  }
+  return spec;
+}
+
+/// Canonical bytes of a model, for equality assertions across paths.
+std::string modelBytes(const model::PerformanceModel &model) {
+  std::string out;
+  model::serializeModel(model, out);
+  return out;
 }
 
 /// Canonical bytes of a SimResult (the wire encoding), for equality
@@ -237,27 +268,46 @@ TEST(ArtifactBatch, ModelOnlyRequestsAttachCoverageOpportunistically) {
   EXPECT_TRUE(results[0].coverage.has_value());
 }
 
-TEST(ArtifactBatch, NoCacheRequestsComputeOnlyWhatWasAsked) {
-  // With caching off there is no layer to populate, so a coverage- or
-  // simulation-only request must not pay for model generation (the
-  // expensive stage). Observable contract: no model artifact exists
-  // anywhere on the result, yet the requested artifacts are served.
-  driver::BatchOptions options;
-  options.threads = 1;
-  options.useCache = false;
-  driver::BatchAnalyzer analyzer(options);
-
-  auto coverageRun =
-      analyzer.runArtifacts({fig5Spec(core::kArtifactCoverage)});
-  ASSERT_TRUE(coverageRun[0].ok);
-  EXPECT_TRUE(coverageRun[0].coverage.has_value());
-  EXPECT_EQ(coverageRun[0].model, nullptr);
-
-  auto simRun = analyzer.runArtifacts({fig5Spec(core::kArtifactSimulation)});
-  ASSERT_TRUE(simRun[0].ok);
-  ASSERT_NE(simRun[0].simulation, nullptr);
-  EXPECT_TRUE(simRun[0].simulation->ok) << simRun[0].simulation->error;
-  EXPECT_EQ(simRun[0].model, nullptr);
+TEST(ArtifactBatch, NoCacheAnalyzerServesWhatACachedOneServes) {
+  // With caching off nothing is kept, yet a miss computes the same value:
+  // for every mask, a no-cache analyzer matches a caching one in outcome,
+  // diagnostics, coverage, simulation bytes and, when asked, model bytes.
+  // The ratio source's warning comes from the model stage alone, which
+  // one-shot analysis runs only when the mask asks for it.
+  const std::string warning = "invalid ratio annotation 'abc'";
+  ASSERT_NE(core::analyze(ratioSpec(core::kArtifactModel))
+                .diagnostics.find(warning),
+            std::string::npos);
+  ASSERT_EQ(core::analyze(ratioSpec(core::kArtifactCoverage))
+                .diagnostics.find(warning),
+            std::string::npos);
+  for (auto makeSpec : {&fig5Spec, &ratioSpec}) {
+    driver::BatchOptions options;
+    options.threads = 1;
+    driver::BatchAnalyzer cached(options);
+    options.useCache = false;
+    driver::BatchAnalyzer uncached(options);
+    for (core::ArtifactMask mask = 1; mask <= core::kArtifactAll; ++mask) {
+      const core::AnalysisSpec spec = makeSpec(mask);
+      SCOPED_TRACE(spec.name + " mask " + std::to_string(mask));
+      const core::Artifacts want = cached.analyzeArtifacts(spec);
+      const core::Artifacts got = uncached.analyzeArtifacts(spec);
+      ASSERT_TRUE(want.ok) << want.diagnostics;
+      EXPECT_EQ(got.ok, want.ok);
+      EXPECT_EQ(got.diagnostics, want.diagnostics);
+      ASSERT_TRUE(got.coverage.has_value());
+      EXPECT_EQ(got.coverage->loops, want.coverage->loops);
+      EXPECT_EQ(got.coverage->statements, want.coverage->statements);
+      EXPECT_EQ(got.coverage->inLoopStatements,
+                want.coverage->inLoopStatements);
+      ASSERT_EQ(got.simulation != nullptr, want.simulation != nullptr);
+      if (want.simulation)
+        EXPECT_EQ(simBytes(*got.simulation), simBytes(*want.simulation));
+      ASSERT_EQ(got.model != nullptr, want.model != nullptr);
+      if (want.model)
+        EXPECT_EQ(modelBytes(*got.model), modelBytes(*want.model));
+    }
+  }
 }
 
 // ------------------------------------------------- warm-disk planning

@@ -96,16 +96,64 @@ TEST(CliBackends, AnalyzeWithPythonAgreesApartFromTiming) {
   }
 }
 
+/// Occurrences of `needle` in `text`.
+std::size_t countOf(const std::string &text, const std::string &needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size()))
+    ++count;
+  return count;
+}
+
 TEST(CliBackends, SimulateCountersAgree) {
   TempDir dir("simulate");
-  const auto outputs = runOnEveryBackend(
-      dir, "simulate",
-      {"simulate", "@fig5", "--function", "fig5_main", "--sim-arg", "64"});
-  ASSERT_EQ(outputs.size(), 3u);
-  EXPECT_NE(outputs[0].find("total instructions"), std::string::npos)
-      << outputs[0];
-  for (std::size_t i = 1; i < outputs.size(); ++i)
-    EXPECT_EQ(withoutTimings(outputs[i]), withoutTimings(outputs[0]));
+  // A model-stage warning must reach every backend: the local analyzer
+  // computes the same value with or without a cache, so simulate prints
+  // the same diagnostics as a daemon.
+  const fs::path ratio = dir.path / "ratio.mc";
+  writeFile(ratio, "double f(int n) {\n"
+                   "  double acc = 0.0;\n"
+                   "  for (int i = 0; i < n; i++) {\n"
+                   "    #pragma @Annotation {ratio:abc}\n"
+                   "    if (acc < 3.0) {\n"
+                   "      acc = acc + 1.0;\n"
+                   "    }\n"
+                   "  }\n"
+                   "  return acc;\n"
+                   "}\n");
+  const struct {
+    std::string tag;
+    std::vector<std::string> args;
+    std::size_t warnings;
+  } cases[] = {
+      {"fig5",
+       {"simulate", "@fig5", "--function", "fig5_main", "--sim-arg", "64"},
+       0},
+      {"ratio",
+       {"simulate", ratio.string(), "--function", "f", "--sim-arg", "10"},
+       1},
+  };
+  for (const auto &c : cases) {
+    auto outputs = runOnEveryBackend(dir, c.tag, c.args);
+    // Locally again: keeping nothing, and with a disk level.
+    const auto local = [&](const std::string &backend,
+                           const std::vector<std::string> &extra) {
+      const fs::path log = dir.path / (c.tag + "_" + backend + ".log");
+      EXPECT_EQ(runCli(with(c.args, extra), log), 0) << slurp(log);
+      outputs.push_back(slurp(log));
+    };
+    local("nocache", {"--no-cache"});
+    local("disk", {"--cache-dir", (dir.path / (c.tag + "_cache")).string()});
+    ASSERT_EQ(outputs.size(), 5u);
+    EXPECT_NE(outputs[0].find("total instructions"), std::string::npos)
+        << outputs[0];
+    EXPECT_EQ(countOf(outputs[0], "warning: invalid ratio annotation 'abc'"),
+              c.warnings)
+        << outputs[0];
+    for (std::size_t i = 1; i < outputs.size(); ++i)
+      EXPECT_EQ(withoutTimings(outputs[i]), withoutTimings(outputs[0]))
+          << c.tag << " run " << i;
+  }
 }
 
 TEST(CliBackends, ColdBatchTablesAgree) {

@@ -269,8 +269,9 @@ TEST(BatchAnalyzerTest, CacheCanBeDisabled) {
   options.useCache = false;
   BatchAnalyzer analyzer(options);
   auto outcomes = analyzer.runArtifacts({spec, spec});
+  // Nothing is kept, so both requests run the pipeline: two misses.
   EXPECT_EQ(analyzer.stats().cacheHits, 0u);
-  EXPECT_EQ(analyzer.stats().cacheMisses, 0u);
+  EXPECT_EQ(analyzer.stats().cacheMisses, 2u);
   EXPECT_EQ(analyzer.cacheSize(), 0u);
   ASSERT_TRUE(outcomes[0].ok);
   ASSERT_TRUE(outcomes[1].ok);

@@ -39,7 +39,7 @@ namespace {
 
 TEST(ProtocolCodec, AnalyzeRequestRoundTrips) {
   SourceItem item{"kernel.mc", "int f() { return 1; }"};
-  std::string wire = encodeAnalyzeRequest(item, kOptionOptimize);
+  std::string wire = encodeAnalyzeRequest(item, core::kOptionOptimize);
 
   bio::Reader r{wire, 0};
   MessageType type{};
@@ -52,7 +52,7 @@ TEST(ProtocolCodec, AnalyzeRequestRoundTrips) {
   ASSERT_TRUE(decodeAnalyzeRequest(r, decoded, flags));
   EXPECT_EQ(decoded.name, item.name);
   EXPECT_EQ(decoded.source, item.source);
-  EXPECT_EQ(flags, kOptionOptimize);
+  EXPECT_EQ(flags, core::kOptionOptimize);
 }
 
 TEST(ProtocolCodec, RepliesRoundTrip) {
@@ -123,7 +123,7 @@ TEST(ProtocolCodec, OptionFlagsMatchRequestKeyInputs) {
   options.compile.compiler.optimize = false;
   options.compile.compiler.vectorize = true;
   options.metrics.assumeBranchesTaken = false;
-  core::MiraOptions round = unpackOptions(packOptions(options));
+  core::MiraOptions round = core::unpackOptions(core::packOptions(options));
   EXPECT_EQ(round.compile.compiler.optimize, false);
   EXPECT_EQ(round.compile.compiler.vectorize, true);
   EXPECT_EQ(round.metrics.assumeBranchesTaken, false);
@@ -1527,7 +1527,7 @@ std::string slowSource(int functions = 300) {
 
 /// The option flags of a default Client request, so raw frames share
 /// its cache keys.
-std::uint8_t defaultFlags() { return packOptions(core::MiraOptions()); }
+std::uint8_t defaultFlags() { return core::packOptions(core::MiraOptions()); }
 
 /// One reply frame off a raw connection: its type, and a reader over its
 /// body.
