@@ -68,8 +68,7 @@ public:
     std::size_t mirInsts = 0;
     for (const MirBlock &block : fn_.blocks)
       mirInsts += block.insts.size();
-    // About two machine instructions per MIR instruction; the list is
-    // trimmed below, since cached compiled programs keep it.
+    // About two machine instructions per MIR instruction.
     machine.instructions.reserve(2 * mirInsts + 8);
     map.runStarts.reserve(mirInsts + 1);
     map.blockRuns.reserve(fn_.blocks.size());
@@ -89,7 +88,6 @@ public:
     }
     map.runStarts.push_back(
         static_cast<std::uint32_t>(machine.instructions.size()));
-    machine.instructions.shrink_to_fit();
 
     // Layout and patch intra-function jump labels to byte offsets.
     machine.layout(0);

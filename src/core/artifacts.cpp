@@ -23,29 +23,56 @@ std::shared_ptr<ProgramHandle> ProgramHandle::deferred(std::string source,
   return handle;
 }
 
+namespace {
+
+// Recompile = parse -> sema -> optimize -> codegen -> object ->
+// disassembly -> bridge. Model generation (the expensive stage) is what
+// the cache hit already paid for, so it is skipped here. The diagnostics
+// are discarded: the original analysis already rendered them, and a
+// source that analyzed cleanly recompiles cleanly.
+std::shared_ptr<const CompiledProgram>
+recompile(const std::string &source, const std::string &name,
+          const CompileOptions &options) {
+  DiagnosticEngine diags;
+  // Recompilation gets its own expression arena, like a full analyze:
+  // symbolic churn from this one compile stays out of the calling
+  // thread's default interner (nodes the program keeps stay alive
+  // through their shared_ptrs after the arena dies).
+  symbolic::ExprInterner interner;
+  symbolic::ExprInterner::Scope scope(interner);
+  return compileProgram(source, name, options, diags);
+}
+
+} // namespace
+
 std::shared_ptr<const CompiledProgram> ProgramHandle::get(bool *compiledNow) {
   if (compiledNow)
     *compiledNow = false;
   std::lock_guard<std::mutex> lock(mutex_);
   if (!attempted_) {
     attempted_ = true;
-    // Recompile = parse -> sema -> optimize -> codegen -> object ->
-    // disassembly -> bridge. Model generation (the expensive stage) is
-    // what the cache hit already paid for, so it is skipped here. The
-    // diagnostics are discarded: the original analysis already rendered
-    // them, and a source that analyzed cleanly recompiles cleanly.
-    DiagnosticEngine diags;
-    // Recompilation gets its own expression arena, like a full analyze:
-    // symbolic churn from this one compile stays out of the calling
-    // thread's default interner (nodes the program keeps stay alive
-    // through their shared_ptrs after the arena dies).
-    symbolic::ExprInterner interner;
-    symbolic::ExprInterner::Scope scope(interner);
-    program_ = compileProgram(source_, name_, options_, diags);
+    program_ = recompile(source_, name_, options_);
     if (compiledNow)
       *compiledNow = program_ != nullptr;
   }
   return program_;
+}
+
+std::shared_ptr<const CompiledProgram>
+ProgramHandle::getUnkept(bool *compiledNow) {
+  if (compiledNow)
+    *compiledNow = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (program_ || !deferred_)
+      return program_;
+  }
+  // The inputs never change after construction, so no lock is needed.
+  std::shared_ptr<const CompiledProgram> program =
+      recompile(source_, name_, options_);
+  if (compiledNow)
+    *compiledNow = program != nullptr;
+  return program;
 }
 
 bool ProgramHandle::materialized() const {

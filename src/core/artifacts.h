@@ -58,7 +58,7 @@ inline constexpr ArtifactMask kArtifactAll =
 /// Per-call simulation request carried by AnalysisSpec when
 /// kArtifactSimulation is set. Unlike every other artifact, simulation
 /// results depend on these arguments and are therefore executed per
-/// request (the compiled program they run on is what caching reuses).
+/// request (the simulation image they run on is what caching reuses).
 struct SimulationArgs {
   std::string function;         ///< entry function to execute
   std::vector<sim::Value> args; ///< scalar arguments, in order
@@ -104,6 +104,14 @@ public:
   /// the recompile (at most one caller per handle sees true; waiters and
   /// live handles see false) — the batch layer's recompile counter.
   std::shared_ptr<const CompiledProgram> get(bool *compiledNow = nullptr);
+
+  /// The program for a caller that must not make the handle keep one:
+  /// get()'s program when the handle holds one, otherwise a recompile
+  /// the handle does not keep. The batch cache builds a restored value's
+  /// simulation image from it (driver/batch.h). `compiledNow` as for
+  /// get(), except that concurrent callers each compile.
+  std::shared_ptr<const CompiledProgram>
+  getUnkept(bool *compiledNow = nullptr);
 
   /// True for recompile-on-demand handles (even after materializing).
   bool isDeferred() const { return deferred_; }

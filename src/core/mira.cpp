@@ -34,8 +34,8 @@ sim::SimResult simulate(const CompiledProgram &program,
                         const std::string &function,
                         const std::vector<sim::Value> &args,
                         const sim::SimOptions &options) {
-  sim::Simulator simulator(program.mir, program.codegen);
-  return simulator.run(function, args, options);
+  return sim::run(sim::Image(program.mir, program.codegen), function, args,
+                  options);
 }
 
 double relativeError(double modeled, double measured) {

@@ -464,8 +464,23 @@ void BatchAnalyzer::clearCache() {
   cache_.clear();
 }
 
-void BatchAnalyzer::computeValue(const core::AnalysisSpec &spec,
-                                 CacheValue &value) {
+const sim::Image *
+BatchAnalyzer::CacheValue::simulationImage(bool *compiledNow) const {
+  *compiledNow = false;
+  std::call_once(imageOnce, [&] {
+    if (image || !program)
+      return;
+    if (std::shared_ptr<const core::CompiledProgram> compiled =
+            program->getUnkept(compiledNow))
+      image = std::make_shared<const sim::Image>(compiled->mir,
+                                                 compiled->codegen);
+  });
+  return image.get();
+}
+
+std::shared_ptr<core::ProgramHandle>
+BatchAnalyzer::computeValue(const core::AnalysisSpec &spec,
+                            CacheValue &value) {
   value.producerName = spec.name;
   // The pipeline reports through diagnostics, but an escaping exception
   // (e.g. bad_alloc) must fail one request, not terminate the pool.
@@ -477,10 +492,10 @@ void BatchAnalyzer::computeValue(const core::AnalysisSpec &spec,
     // Every miss computes the same value, whatever the requesting mask
     // and whether or not the analyzer keeps it: the model (the expensive
     // stage, and one that can warn), the coverage summary (one cheap AST
-    // walk) and the live program. A request's diagnostics therefore never
-    // depend on its mask or on the cache, and later requests for any mask
-    // are free. Simulation is per call and deliberately excluded (serve()
-    // runs it on the handle).
+    // walk) and the program's simulation image. A request's diagnostics
+    // therefore never depend on its mask or on the cache, and later
+    // requests for any mask are free. Simulation is per call and
+    // deliberately excluded (serve() runs it on the image).
     core::AnalysisSpec full = spec;
     full.artifacts = core::kArtifactModel | core::kArtifactDiagnostics |
                      core::kArtifactProgram | core::kArtifactCoverage;
@@ -488,19 +503,29 @@ void BatchAnalyzer::computeValue(const core::AnalysisSpec &spec,
     core::Artifacts artifacts = core::analyze(full, diags);
     value.diagnostics = std::move(artifacts.diagnostics);
     if (artifacts.ok) {
-      value.ok = true;
+      // Of the program, only its MIR and machine code outlive the
+      // request, as the image; the rest dies with the last live handle.
+      const std::shared_ptr<const core::CompiledProgram> program =
+          artifacts.program->get();
+      value.image =
+          std::make_shared<const sim::Image>(program->mir, program->codegen);
+      value.program = core::ProgramHandle::deferred(spec.source, spec.name,
+                                                    spec.options.compile);
       value.model = std::move(artifacts.model);
       value.coverage = artifacts.coverage;
-      value.program = std::move(artifacts.program);
+      value.ok = true;
+      return std::move(artifacts.program);
     }
   } catch (const std::exception &e) {
     value.ok = false;
     value.model.reset();
     value.coverage.reset();
+    value.image.reset();
     value.program.reset();
     value.diagnostics = spec.name + ": internal error: " + e.what();
     value.transientFailure = true;
   }
+  return nullptr;
 }
 
 const std::string &BatchAnalyzer::payloadTail(const CacheValue &value) {
@@ -513,8 +538,9 @@ const std::string &BatchAnalyzer::payloadTail(const CacheValue &value) {
   return value.tail;
 }
 
-void BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
-                                 std::uint64_t key, CacheValue &value) {
+std::shared_ptr<core::ProgramHandle>
+BatchAnalyzer::produceValue(const core::AnalysisSpec &spec, std::uint64_t key,
+                            CacheValue &value) {
   if (disk_) {
     if (std::optional<std::string> payload = disk_->load(key)) {
       std::shared_ptr<const core::AnalysisResult> analysis;
@@ -544,7 +570,7 @@ void BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
         std::call_once(value.tailOnce,
                        [&] { value.tail = std::move(*payload); });
         disk_hits_.increment();
-        return;
+        return nullptr;
       }
       // Validated by the store but structurally unusable (e.g. written
       // by a build with different serializer semantics under the same
@@ -553,7 +579,7 @@ void BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
     }
     disk_misses_.increment();
   }
-  computeValue(spec, value);
+  std::shared_ptr<core::ProgramHandle> live = computeValue(spec, value);
   // Deterministic results (models and compile errors alike) persist;
   // exception-path failures do not — caching a one-off bad_alloc would
   // replay it on every future run of this source. The store encodes the
@@ -565,11 +591,12 @@ void BatchAnalyzer::produceValue(const core::AnalysisSpec &spec,
     disk_stores_.increment();
     value.stored = true;
   }
+  return live;
 }
 
 core::Artifacts
 BatchAnalyzer::serve(const core::AnalysisSpec &spec, const CacheValue &value,
-                     bool producer,
+                     bool producer, std::shared_ptr<core::ProgramHandle> live,
                      std::chrono::steady_clock::time_point start,
                      std::string *payload) {
   // A hit is a request the value was not computed for: every waiter, and
@@ -581,9 +608,9 @@ BatchAnalyzer::serve(const core::AnalysisSpec &spec, const CacheValue &value,
   artifacts.cacheHit = cacheHit;
   artifacts.ok = value.ok;
   artifacts.diagnostics = value.diagnostics;
-  // Cached diagnostics cite the producing request's file name; when an
-  // identically-sourced request under a different name hits the entry,
-  // say where the text came from instead of misattributing it.
+  // Diagnostics name no file; when an identically-sourced request under
+  // a different name hits the entry, say which request's analysis
+  // produced the text.
   if (cacheHit && !artifacts.diagnostics.empty() &&
       value.producerName != spec.name)
     artifacts.diagnostics = "(diagnostics from identical source '" +
@@ -602,7 +629,7 @@ BatchAnalyzer::serve(const core::AnalysisSpec &spec, const CacheValue &value,
     if (spec.artifacts & core::kArtifactModel)
       artifacts.model = value.model;
     if (spec.artifacts & core::kArtifactProgram)
-      artifacts.program = value.program;
+      artifacts.program = live ? std::move(live) : value.program;
 
     // Every value carries its coverage summary, so attaching it is free:
     // the serving layers forward it in payloads even when it was not
@@ -616,17 +643,16 @@ BatchAnalyzer::serve(const core::AnalysisSpec &spec, const CacheValue &value,
     }
 
     if (spec.artifacts & core::kArtifactSimulation) {
-      // Simulation materializes the handle exactly once per cache value,
-      // no matter how many requests want it concurrently; only the
-      // request that actually recompiled counts toward `recompiles`.
+      // A restored value recompiles for its image exactly once, no matter
+      // how many requests want it concurrently; only the request that
+      // actually recompiled counts toward `recompiles`.
       bool compiledNow = false;
-      auto program =
-          value.program ? value.program->get(&compiledNow) : nullptr;
+      const sim::Image *image = value.simulationImage(&compiledNow);
       artifacts.recompiled = compiledNow;
-      if (program) {
+      if (image) {
         artifacts.simulation = std::make_shared<const sim::SimResult>(
-            core::simulate(*program, spec.simulation.function,
-                           spec.simulation.args, spec.simulation.options));
+            sim::run(*image, spec.simulation.function, spec.simulation.args,
+                     spec.simulation.options));
       } else {
         sim::SimResult failed;
         failed.ok = false;
@@ -654,13 +680,15 @@ core::Artifacts BatchAnalyzer::analyzeArtifacts(const core::AnalysisSpec &spec,
   const auto start = std::chrono::steady_clock::now();
   if (!options_.useCache) {
     CacheValue value;
-    computeValue(spec, value);
-    return serve(spec, value, /*producer=*/true, start, payload);
+    std::shared_ptr<core::ProgramHandle> live = computeValue(spec, value);
+    return serve(spec, value, /*producer=*/true, std::move(live), start,
+                 payload);
   }
 
   std::promise<std::shared_ptr<const CacheValue>> promise;
   CacheFuture future;
   bool producer = false;
+  std::shared_ptr<core::ProgramHandle> live;
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     auto it = cache_.find(key);
@@ -677,7 +705,7 @@ core::Artifacts BatchAnalyzer::analyzeArtifacts(const core::AnalysisSpec &spec,
     bool dropEntry = false;
     try {
       auto value = std::make_shared<CacheValue>();
-      produceValue(spec, key, *value);
+      live = produceValue(spec, key, *value);
       dropEntry = value->transientFailure;
       promise.set_value(std::move(value));
     } catch (...) {
@@ -713,7 +741,7 @@ core::Artifacts BatchAnalyzer::analyzeArtifacts(const core::AnalysisSpec &spec,
                                           artifacts.diagnostics, spec.name);
     return artifacts;
   }
-  return serve(spec, *value, producer, start, payload);
+  return serve(spec, *value, producer, std::move(live), start, payload);
 }
 
 std::optional<core::Artifacts>
@@ -738,7 +766,7 @@ BatchAnalyzer::analyzeIfReady(const core::AnalysisSpec &spec,
   } catch (...) {
     return std::nullopt; // a failed producer: its entry is on its way out
   }
-  return serve(spec, *value, /*producer=*/false, start, payload);
+  return serve(spec, *value, /*producer=*/false, nullptr, start, payload);
 }
 
 std::vector<core::Artifacts> BatchAnalyzer::analyzeArtifactsMany(

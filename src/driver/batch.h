@@ -11,13 +11,14 @@
 ///
 /// Fulfillment planning: each requested artifact is served from the
 /// cheapest layer that has it —
-///   1. memory   — a live or previously restored entry in-process;
+///   1. memory   — a computed or previously restored entry in-process:
+///                 model, coverage summary and simulation image;
 ///   2. disk     — model + diagnostics + coverage summary;
 ///   3. recompile — a ProgramHandle re-runs parse→sema→codegen (never
-///                 model generation) when a cache hit must answer a
-///                 program-needing artifact (simulation);
+///                 model generation) for a restored entry's simulation
+///                 image, or when a hit asks for the program itself;
 ///   4. full compute — a miss runs the whole pipeline once (model,
-///                 coverage and live program, whatever the mask) and
+///                 coverage and program, whatever the mask) and
 ///                 populates every layer for future callers.
 /// A miss computes the same value whether or not the analyzer keeps it
 /// (BatchOptions::useCache), so neither the cache nor the mask changes
@@ -341,8 +342,9 @@ public:
 
 private:
   /// One cached analysis value, shared by every mask that asks for the
-  /// same (source, options): the artifact views and the live-or-deferred
-  /// program handle.
+  /// same (source, options): the artifact views, a simulation image and a
+  /// recompile-on-demand program handle. A value never keeps a compiled
+  /// program unless a kArtifactProgram request materializes the handle.
   struct CacheValue {
     /// The analysis succeeded. This implies `model` and `coverage` are
     /// set: every compute produces both, and a disk entry lacking either
@@ -352,9 +354,15 @@ private:
     std::shared_ptr<const model::PerformanceModel> model;
     /// Loop-coverage summary; absent on failure.
     std::optional<sema::LoopCoverage> coverage;
-    /// Live for computed values, deferred for disk restores; null on
-    /// failure.
+    /// Deferred, for computed and restored values alike; null on
+    /// failure. Only the request that computed the value gets its live
+    /// program (computeValue).
     std::shared_ptr<core::ProgramHandle> program;
+    /// What simulations run on. A computed value builds it from its live
+    /// program; a restored one on its first simulation
+    /// (simulationImage()).
+    mutable std::shared_ptr<const sim::Image> image;
+    mutable std::once_flag imageOnce;
     std::string diagnostics;
     std::string producerName; // request whose analysis populated the entry
     bool fromDisk = false;    // restored from the disk level, not computed
@@ -368,25 +376,38 @@ private:
     /// written once under `tailOnce` (payloadTail()), never afterwards.
     mutable std::string tail;
     mutable std::once_flag tailOnce;
+
+    /// The simulation image, built at most once: a restored value builds
+    /// it from one recompile the handle does not keep, and
+    /// `*compiledNow` says whether this call ran it. Null when that
+    /// recompile fails.
+    const sim::Image *simulationImage(bool *compiledNow) const;
   };
   using CacheFuture = std::shared_future<std::shared_ptr<const CacheValue>>;
 
   /// Fulfill `spec` out of a resolved value: the requested artifacts
   /// (simulation runs here, per call), disk provenance (the producer's
   /// alone), counters and, when asked, the payload. The result is a
-  /// cache hit unless `producer` computed the value.
+  /// cache hit unless `producer` computed the value; `live`, the
+  /// program the producer compiled, is its kArtifactProgram.
   core::Artifacts serve(const core::AnalysisSpec &spec,
                         const CacheValue &value, bool producer,
+                        std::shared_ptr<core::ProgramHandle> live,
                         std::chrono::steady_clock::time_point start,
                         std::string *payload);
 
-  /// The producer path: disk lookup, then compute + disk store.
-  void produceValue(const core::AnalysisSpec &spec, std::uint64_t key,
-                    CacheValue &value);
+  /// The producer path: disk lookup, then compute + disk store. Returns
+  /// what computeValue returns, null for a disk restore.
+  std::shared_ptr<core::ProgramHandle>
+  produceValue(const core::AnalysisSpec &spec, std::uint64_t key,
+               CacheValue &value);
 
-  /// The full value of `spec`'s source: model, diagnostics, coverage and
-  /// live program, whatever the mask and whether or not it is kept.
-  void computeValue(const core::AnalysisSpec &spec, CacheValue &value);
+  /// The full value of `spec`'s source: model, diagnostics, coverage,
+  /// simulation image and program handle, whatever the mask and whether
+  /// or not it is kept. Returns the live program, which the value does
+  /// not keep (null on failure).
+  std::shared_ptr<core::ProgramHandle>
+  computeValue(const core::AnalysisSpec &spec, CacheValue &value);
 
   /// `value`'s payload tail, encoded on the first call.
   const std::string &payloadTail(const CacheValue &value);

@@ -510,6 +510,13 @@ void printProgress(std::size_t done, std::size_t total, std::size_t failures,
                done, total, failures, cacheHits);
 }
 
+/// A failed source's diagnostics, after a line naming the source:
+/// diagnostics carry no file name, and a batch prints many.
+void printFailure(const core::Artifacts &artifacts) {
+  std::fprintf(stderr, "analysis of %s failed:\n%s\n", artifacts.name.c_str(),
+               artifacts.diagnostics.c_str());
+}
+
 /// Runs `batch --manifest`: locally, on one daemon, or across a fleet.
 class ManifestBackend {
 public:
@@ -561,7 +568,7 @@ public:
     }
     for (const core::Artifacts &artifacts : outcome.results)
       if (!artifacts.ok)
-        std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
+        printFailure(artifacts);
     report = std::move(outcome.report);
     reportBytes = driver::serializeBatchReport(report);
     return 0;
@@ -891,7 +898,7 @@ bool printResults(const std::vector<core::Artifacts> &results,
                                                       : "no        | ",
                 artifacts.seconds);
     if (!artifacts.ok)
-      std::fprintf(stderr, "%s\n", artifacts.diagnostics.c_str());
+      printFailure(artifacts);
   }
   std::printf("%zu sources, %zu failures, cache %zu hit / %zu miss, "
               "%.4f s %s\n",
@@ -1005,8 +1012,7 @@ int cmdAnalyze(std::vector<std::string> args) {
     return rc;
   const core::Artifacts &artifacts = results[0];
   if (!artifacts.ok) {
-    std::fprintf(stderr, "analysis of %s failed:\n%s\n",
-                 artifacts.name.c_str(), artifacts.diagnostics.c_str());
+    printFailure(artifacts);
     return 1;
   }
   if (!artifacts.diagnostics.empty())

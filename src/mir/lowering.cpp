@@ -1311,11 +1311,6 @@ MirModule lowerToMir(const TranslationUnit &unit,
     for (MirFunction &fn : module.functions)
       vectorizeLoops(fn);
   }
-  // Compiled programs are cached with their MIR, so hand back the slack
-  // that growing and compacting the instruction lists left behind.
-  for (MirFunction &fn : module.functions)
-    for (MirBlock &block : fn.blocks)
-      block.insts.shrink_to_fit();
   return module;
 }
 

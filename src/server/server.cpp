@@ -631,6 +631,11 @@ void AnalysisServer::serveSource(const std::shared_ptr<Session> &session,
   }
   if (!admitOrRefuse(session, seq))
     return;
+  // A miss keeps its live program in its Artifacts, so the program is
+  // freed after the reply is sent; the cached value keeps only its
+  // simulation image. Freeing it before the reply made the median miss
+  // about 5% slower.
+  spec.artifacts |= core::kArtifactProgram;
   compute_->submit([this, session, seq, type, spec = std::move(spec), key,
                     wantsPayload] {
     std::string payload;

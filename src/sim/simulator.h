@@ -20,7 +20,7 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,19 +74,36 @@ struct SimResult {
   double fpiPerCall(const std::string &fn) const;
 };
 
-class Simulator {
+class Image;
+
+/// Execute `function` of `image` with `args` (one Value per parameter).
+SimResult run(const Image &image, const std::string &function,
+              const std::vector<Value> &args, const SimOptions &options = {});
+
+/// An immutable execution plan of one compiled program, built once from
+/// its MIR and machine code, which may die afterwards. Per function it
+/// holds the instructions in the simulator's compact form, with jump
+/// targets and callees resolved to indices; the retire cost of every
+/// instruction, of every taken branch and of the prologue, flattened from
+/// the expansion map; and the loops fast-forward mode may skip. Nothing
+/// in it changes while it runs, so any number of threads may run one
+/// image at once.
+class Image {
 public:
   /// `codegen[i]` must correspond to `module.functions[i]`.
-  Simulator(const mir::MirModule &module,
-            const std::vector<codegen::CodegenResult> &codegen);
-
-  SimResult run(const std::string &function, const std::vector<Value> &args,
-                const SimOptions &options = {});
+  Image(const mir::MirModule &module,
+        const std::vector<codegen::CodegenResult> &codegen);
+  ~Image();
+  Image(const Image &) = delete;
+  Image &operator=(const Image &) = delete;
 
 private:
-  struct Impl;
-  const mir::MirModule &module_;
-  const std::vector<codegen::CodegenResult> &codegen_;
+  struct Plan;
+  class Machine;
+  friend SimResult run(const Image &image, const std::string &function,
+                       const std::vector<Value> &args,
+                       const SimOptions &options);
+  std::unique_ptr<const Plan> plan_;
 };
 
 /// Synthetic retired-instruction cost of an opaque library call — the

@@ -57,8 +57,13 @@ void ThreadPool::waitIdle() {
 }
 
 std::size_t ThreadPool::defaultThreadCount() {
-  std::size_t n = std::thread::hardware_concurrency();
-  return n == 0 ? 4 : n;
+  // Asked once per process: glibc answers hardware_concurrency by reading
+  // a /sys file, and every BatchOptions default-constructs through here.
+  static const std::size_t count = [] {
+    const std::size_t n = std::thread::hardware_concurrency();
+    return n == 0 ? std::size_t{4} : n;
+  }();
+  return count;
 }
 
 void ThreadPool::workerLoop() {

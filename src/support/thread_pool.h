@@ -85,7 +85,8 @@ public:
   /// threadCount() unless a start failed.
   std::size_t startedThreads() const;
 
-  /// std::thread::hardware_concurrency with a sane fallback of 4.
+  /// std::thread::hardware_concurrency with a sane fallback of 4, read
+  /// once per process.
   static std::size_t defaultThreadCount();
 
 private:

@@ -17,8 +17,10 @@
 //     recomputed and overwritten — never served.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -256,7 +258,104 @@ TEST(ArtifactBatch, DifferentMasksShareOneCacheEntry) {
   EXPECT_TRUE(second[0].cacheHit);
   ASSERT_TRUE(second[0].coverage.has_value());
   EXPECT_EQ(analyzer.cacheSize(), 1u);
-  EXPECT_EQ(analyzer.stats().recompiles, 0u); // live program, no recompile
+  EXPECT_EQ(analyzer.stats().recompiles, 0u);
+}
+
+TEST(ArtifactBatch, ACachedValueKeepsNoCompiledProgram) {
+  // Only the request that computed a value holds its live program. Once
+  // that request's artifacts die the program is gone, while the analyzer
+  // still caches the value and simulates from the value's image.
+  driver::BatchOptions options;
+  options.threads = 1;
+  driver::BatchAnalyzer analyzer(options);
+  std::weak_ptr<const core::CompiledProgram> program;
+  {
+    const core::Artifacts computed =
+        analyzer.analyzeArtifacts(fig5Spec(core::kArtifactProgram));
+    ASSERT_TRUE(computed.ok && computed.program) << computed.diagnostics;
+    EXPECT_FALSE(computed.cacheHit);
+    EXPECT_FALSE(computed.program->isDeferred());
+    program = computed.program->get();
+    EXPECT_FALSE(program.expired());
+  }
+  EXPECT_TRUE(program.expired());
+  EXPECT_EQ(analyzer.cacheSize(), 1u);
+
+  const core::Artifacts oneShot =
+      core::analyze(fig5Spec(core::kArtifactSimulation));
+  const auto results =
+      analyzer.runArtifacts({fig5Spec(core::kArtifactSimulation)});
+  ASSERT_TRUE(results[0].ok && results[0].simulation);
+  EXPECT_TRUE(results[0].cacheHit);
+  EXPECT_EQ(simBytes(*results[0].simulation), simBytes(*oneShot.simulation));
+  EXPECT_EQ(analyzer.stats().recompiles, 0u);
+}
+
+TEST(ArtifactBatch, ConcurrentSimulationsShareOneImage) {
+  // Eight threads simulate one memory-cached value, each with its own
+  // arguments and half of them fast-forwarded: every result matches a
+  // one-shot simulation byte for byte, and nothing recompiles.
+  driver::BatchOptions options;
+  options.threads = 1;
+  driver::BatchAnalyzer analyzer(options);
+  ASSERT_TRUE(analyzer.analyzeArtifacts(fig5Spec(core::kArtifactModel)).ok);
+  const core::Artifacts live = core::analyze(fig5Spec(core::kArtifactProgram));
+  ASSERT_TRUE(live.ok);
+  constexpr int kThreads = 8;
+  auto specFor = [](int t) {
+    core::AnalysisSpec spec = fig5Spec(core::kArtifactSimulation);
+    spec.simulation.args = {sim::Value::ofInt(16 + 8 * t)};
+    spec.simulation.options.fastForward = t % 2 == 1;
+    return spec;
+  };
+  std::vector<core::Artifacts> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back(
+        [&, t] { results[t] = analyzer.analyzeArtifacts(specFor(t)); });
+  for (std::thread &thread : threads)
+    thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(results[t].ok && results[t].simulation) << t;
+    EXPECT_TRUE(results[t].cacheHit) << t;
+    const core::SimulationArgs &sim = specFor(t).simulation;
+    EXPECT_EQ(simBytes(*results[t].simulation),
+              simBytes(core::simulate(*live.program->get(), sim.function,
+                                      sim.args, sim.options)))
+        << t;
+  }
+  EXPECT_EQ(driver::tallyBatchStats(results).recompiles, 0u);
+}
+
+TEST(ArtifactBatch, ProgramMemoryHitsShareOneRecompile) {
+  // A kArtifactProgram memory hit gets the value's recompile-on-demand
+  // handle; concurrent callers compile once between them.
+  driver::BatchOptions options;
+  options.threads = 1;
+  driver::BatchAnalyzer analyzer(options);
+  ASSERT_TRUE(analyzer.analyzeArtifacts(fig5Spec(core::kArtifactModel)).ok);
+  constexpr int kThreads = 8;
+  std::vector<core::Artifacts> hits(kThreads);
+  std::vector<std::shared_ptr<const core::CompiledProgram>> programs(kThreads);
+  std::vector<int> compiled(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      hits[t] = analyzer.analyzeArtifacts(fig5Spec(core::kArtifactProgram));
+      bool compiledNow = false;
+      if (hits[t].program)
+        programs[t] = hits[t].program->get(&compiledNow);
+      compiled[t] = compiledNow ? 1 : 0;
+    });
+  for (std::thread &thread : threads)
+    thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(hits[t].cacheHit) << t;
+    ASSERT_TRUE(hits[t].program && programs[t]) << t;
+    EXPECT_TRUE(hits[t].program->isDeferred()) << t;
+    EXPECT_EQ(programs[t], programs[0]) << t;
+  }
+  EXPECT_EQ(std::count(compiled.begin(), compiled.end(), 1), 1);
 }
 
 TEST(ArtifactBatch, ModelOnlyRequestsAttachCoverageOpportunistically) {
@@ -386,6 +485,10 @@ TEST(ArtifactBatch, WarmDiskSimulationRecompilesOnceNeverRemodels) {
     EXPECT_EQ(stats.simulationArtifacts, 2u);
     // Exactly one of the two requests performed the recompile.
     EXPECT_NE(results[0].recompiled, results[1].recompiled);
+    // The image keeps the program's simulation plan, not the program.
+    auto program = warm.runArtifacts({fig5Spec(core::kArtifactProgram)});
+    ASSERT_TRUE(program[0].program);
+    EXPECT_FALSE(program[0].program->materialized());
   }
 }
 

@@ -191,6 +191,41 @@ TEST(CliBackends, ColdCoverageAgreesForTheSuiteAndForGivenSources) {
     EXPECT_EQ(withoutTimings(given[i]), withoutTimings(given[0]));
 }
 
+TEST(CliBackends, FailedSourcesAreNamedBeforeTheirDiagnostics) {
+  TempDir dir("failed");
+  const std::string bad = (dir.path / "bad.mc").string();
+  const std::string bad2 = (dir.path / "bad2.mc").string();
+  writeFile(bad, "int f( {\n");
+  writeFile(bad2, "double g() { return 1.0 }\n");
+  // Each source's header, then its first diagnostic.
+  const std::string badFailure = "analysis of " + bad +
+                                 " failed:\n1:8: error: expected parameter "
+                                 "type";
+  const std::string bad2Failure = "analysis of " + bad2 +
+                                  " failed:\n1:25: error: expected ';' "
+                                  "after return";
+  for (const std::string command : {"batch", "coverage"}) {
+    const std::vector<std::string> args = {command, bad, bad2};
+    const fs::path local = dir.path / (command + "_local.log");
+    EXPECT_EQ(runCli(args, local), 1) << slurp(local);
+    Daemon daemon;
+    const fs::path socket = dir.path / (command + ".sock");
+    daemon.start({"--socket", socket.string()},
+                 dir.path / (command + "_daemon.log"));
+    const fs::path served = dir.path / (command + "_unix.log");
+    EXPECT_EQ(runCli(with(args, {"--socket", socket.string()}), served), 1)
+        << slurp(served);
+    for (const fs::path &log : {local, served}) {
+      const std::string output = slurp(log);
+      EXPECT_EQ(countOf(output, badFailure), 1u) << output;
+      EXPECT_EQ(countOf(output, bad2Failure), 1u) << output;
+      EXPECT_EQ(countOf(output, " failed:\n"), 2u) << output;
+    }
+    EXPECT_EQ(withoutTimings(slurp(served)), withoutTimings(slurp(local)))
+        << command;
+  }
+}
+
 TEST(CliBackends, ManifestBatchIsByteIdenticalOnEveryBackend) {
   TempDir dir("manifest");
   writeCorpus(dir.path / "corpus", 6);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <map>
 
 #include "arch/arch.h"
@@ -11,6 +12,7 @@
 #include "model/model.h"
 #include "model/python_emitter.h"
 #include "model/serialize.h"
+#include "support/binary_io.h"
 #include "support/hash.h"
 #include "workloads/coverage_suite.h"
 #include "workloads/workloads.h"
@@ -403,6 +405,200 @@ TEST(ModelBytes, PinnedAcrossCommits) {
     const std::uint64_t object = fnv1a(objectBytes.data(), objectBytes.size());
     EXPECT_EQ(object, it->second.object)
         << "object bytes of " << name << " moved; now " << hex(object);
+  }
+}
+
+// Every SimResult field, in a fixed order: ok, error, the return value's
+// three lanes, the total counters, each profile by name, printed values.
+void putSimResult(std::string &out, const sim::SimResult &result) {
+  auto putF64 = [&](double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    bio::putU64(out, bits);
+  };
+  auto putCounters = [&](const sim::Counters &counters) {
+    for (std::uint64_t count : counters.categories)
+      bio::putU64(out, count);
+    bio::putU64(out, counters.totalInstructions);
+    bio::putU64(out, counters.fpInstructions);
+    bio::putU64(out, counters.flops);
+  };
+  bio::putU8(out, result.ok ? 1 : 0);
+  bio::putString(out, result.error);
+  bio::putI64(out, result.returnValue.i);
+  putF64(result.returnValue.f);
+  putF64(result.returnValue.f2);
+  putCounters(result.total);
+  bio::putU64(out, result.functions.size());
+  for (const auto &[name, profile] : result.functions) {
+    bio::putString(out, name);
+    bio::putU64(out, profile.calls);
+    putCounters(profile.inclusive);
+  }
+  bio::putU64(out, result.printed.size());
+  for (double value : result.printed)
+    putF64(value);
+}
+
+// FNV-1a of every SimResult field, per group, in exact and in
+// fast-forward mode: the (function, arguments) pairs workloads_test
+// simulates, the pinned generated programs above at n = 1, 3 and 6, one
+// run per simulator error and two runs that grow the simulated memory.
+// Recorded from an earlier build, like the model pins, so a simulator
+// change that moves a counter, a profile, a printed or returned value or
+// an error string on every path still fails here. A deliberate change to
+// what the simulator counts must update them.
+TEST(SimBytes, PinnedAcrossCommits) {
+  struct Digests {
+    std::uint64_t exact;
+    std::uint64_t fastForward;
+  };
+  const std::map<std::string, Digests> pinned = {
+      {"stream", {0x6c4bb7aab3f45579ull, 0xa9ae51f932889410ull}},
+      {"dgemm", {0x47a2a6b62e735facull, 0xbf569dfe998f3e65ull}},
+      {"minife", {0x4a88a7bb0f212cd7ull, 0x2f1cd47546117c8dull}},
+      {"fig5", {0x35c1cfe7756d998bull, 0x35c1cfe7756d998bull}},
+      {"listings", {0x672ab6392f301bcaull, 0x672ab6392f301bcaull}},
+      {"nest_a", {0x9a3993cc840b9917ull, 0x9a3993cc840b9917ull}},
+      {"nest_b", {0x90c0b30c5321ce9eull, 0x90c0b30c5321ce9eull}},
+      {"nest_c", {0x647718f5f8775cdaull, 0x647718f5f8775cdaull}},
+      {"pipeline_a", {0x66b4285116a38e51ull, 0x66b4285116a38e51ull}},
+      {"pipeline_b", {0x40e8c9670c3ad929ull, 0x40e8c9670c3ad929ull}},
+      {"errors", {0xbba272b622a31242ull, 0xbba272b622a31242ull}},
+      {"memory", {0xd91f0f78cb3ce451ull, 0xd91f0f78cb3ce451ull}},
+  };
+  struct Run {
+    const char *function;
+    std::vector<std::int64_t> args;
+    std::uint64_t budget = 1ull << 62;
+  };
+  struct Group {
+    std::string name;
+    std::string source;
+    std::vector<Run> runs;
+    /// Calls to this function are renamed in the compiled MIR, so the
+    /// program calls a function its module lacks.
+    const char *renameCallee = nullptr;
+  };
+  std::vector<Group> groups = {
+      {"stream",
+       workloads::streamSource(),
+       {{"stream_main", {1, 3}},
+        {"stream_main", {2, 3}},
+        {"stream_main", {17, 3}},
+        {"stream_main", {100, 3}},
+        {"stream_main", {100, 10}},
+        {"stream_main", {1000, 10}},
+        {"stream_main", {4096, 10}},
+        {"stream_main", {64, 2}}}},
+      {"dgemm",
+       workloads::dgemmSource(),
+       {{"dgemm_main", {1}},
+        {"dgemm_main", {2}},
+        {"dgemm_main", {5}},
+        {"dgemm_main", {16}},
+        {"dgemm_main", {8}},
+        {"dgemm_main", {32}},
+        {"dgemm_main", {64}}}},
+      {"minife",
+       workloads::minifeSource(),
+       {{"cg_solve", {6, 6, 6, 60}},
+        {"minife_main", {2, 2, 2, 5}},
+        {"minife_main", {4, 4, 4, 5}},
+        {"minife_main", {6, 6, 6, 5}},
+        {"cg_solve", {8, 8, 8, 20}},
+        {"cg_solve", {12, 12, 12, 20}},
+        {"cg_solve", {10, 10, 10, 10}}}},
+      {"fig5", workloads::fig5Source(), {{"fig5_main", {64}}}},
+      {"listings",
+       workloads::listingsSource(),
+       {{"listing1", {}},
+        {"listing2", {}},
+        {"listing4", {}},
+        {"listing5", {}}}},
+      // Groups sharing a name fold into one digest.
+      {"errors",
+       workloads::listingsSource(),
+       {{"nope", {}}, {"listing1", {1}}}},
+      {"errors", "int f(int a) { return 10 / a; }", {{"f", {0}}}},
+      {"errors",
+       "int f(int n) { int a = 0 - 9223372036854775807 - n; "
+       "int m = 0 - n; return a / m; }",
+       {{"f", {1}}}},
+      {"errors",
+       "int f(int n) { int a = 0 - 9223372036854775807 - n; "
+       "int m = 0 - n; return a % m; }",
+       {{"f", {1}}}},
+      {"errors",
+       "double f(double* p) { return p[0]; }",
+       {{"f", {8}}, {"f", {1ll << 40}}}},
+      {"errors",
+       "int f() {\n  int i = 0;\n  while (i < 1000000000) { i = i + 1; }\n"
+       "  return i;\n}\n",
+       {{"f", {}, 10000}}},
+      {"errors",
+       "double f(int n) { double a[n]; a[0] = 1.0; return a[0]; }",
+       {{"f", {1ll << 31}}}},
+      {"errors",
+       "int g(int x) { return x + 1; }\nint f(int n) { return g(n); }\n",
+       {{"f", {2}}},
+       "g"},
+      // Accesses past the first MiB grow the simulated memory.
+      {"memory", kPinnedPipelineB, {{"driver", {200000}}}},
+      {"memory", "double f(double* p) { return p[0]; }", {{"f", {1ll << 24}}}},
+  };
+  for (const auto &[name, source] :
+       {std::pair{"nest_a", &kPinnedNestA}, std::pair{"nest_b", &kPinnedNestB},
+        std::pair{"nest_c", &kPinnedNestC},
+        std::pair{"pipeline_a", &kPinnedPipelineA},
+        std::pair{"pipeline_b", &kPinnedPipelineB}})
+    groups.push_back(
+        {name, *source, {{"driver", {1}}, {"driver", {3}}, {"driver", {6}}}});
+
+  auto hex = [](std::uint64_t digest) {
+    char text[32];
+    std::snprintf(text, sizeof text, "0x%016llxull",
+                  static_cast<unsigned long long>(digest));
+    return std::string(text);
+  };
+  std::map<std::string, std::pair<std::string, std::string>> bytes;
+  for (const Group &group : groups) {
+    DiagnosticEngine diags;
+    std::unique_ptr<core::CompiledProgram> program = core::compileProgram(
+        group.source, group.name + ".mc", core::CompileOptions(), diags);
+    ASSERT_TRUE(program) << group.name << ": " << diags.str();
+    if (group.renameCallee)
+      for (mir::MirFunction &fn : program->mir.functions)
+        for (mir::MirBlock &block : fn.blocks)
+          for (mir::MirInst &inst : block.insts)
+            if (inst.op == mir::MirOp::Call &&
+                inst.callee == group.renameCallee)
+              inst.callee = "missing";
+    for (const Run &run : group.runs) {
+      std::vector<sim::Value> args;
+      for (std::int64_t arg : run.args)
+        args.push_back(sim::Value::ofInt(arg));
+      sim::SimOptions options;
+      options.maxInstructions = run.budget;
+      auto &[exact, fastForward] = bytes[group.name];
+      putSimResult(exact,
+                   core::simulate(*program, run.function, args, options));
+      options.fastForward = true;
+      putSimResult(fastForward,
+                   core::simulate(*program, run.function, args, options));
+    }
+  }
+  ASSERT_EQ(bytes.size(), pinned.size());
+  for (const auto &[name, modes] : bytes) {
+    auto it = pinned.find(name);
+    ASSERT_NE(it, pinned.end()) << name;
+    const std::uint64_t exact = fnv1a(modes.first);
+    const std::uint64_t fastForward = fnv1a(modes.second);
+    EXPECT_EQ(exact, it->second.exact)
+        << "exact simulation of " << name << " moved; now " << hex(exact);
+    EXPECT_EQ(fastForward, it->second.fastForward)
+        << "fast-forward simulation of " << name << " moved; now "
+        << hex(fastForward);
   }
 }
 

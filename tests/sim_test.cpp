@@ -274,6 +274,35 @@ TEST(Simulator, InstructionBudgetStopsRunaways) {
   EXPECT_NE(r.error.find("budget"), std::string::npos);
 }
 
+TEST(Simulator, AnImageOutlivesItsProgramAndRunsAgain) {
+  // An image keeps its own plan: it runs after the program it came from
+  // is gone, as often as asked, and each run matches core::simulate on a
+  // live program.
+  const char *src = "double leaf(double x) { return x * x; }\n"
+                    "double root(int n) {\n"
+                    "  double s = 0.0;\n"
+                    "  for (int i = 0; i < n; i++) { s = s + leaf(1.5); }\n"
+                    "  mc_print(s);\n"
+                    "  return s;\n"
+                    "}";
+  auto program = compile(src);
+  const Image image(program->mir, program->codegen);
+  program.reset();
+  auto live = compile(src);
+  for (int n : {0, 3, 7}) {
+    const SimResult fromImage = run(image, "root", {Value::ofInt(n)});
+    const SimResult fromProgram = runFn(*live, "root", {Value::ofInt(n)});
+    ASSERT_TRUE(fromImage.ok) << fromImage.error;
+    EXPECT_EQ(fromImage.returnValue.f, fromProgram.returnValue.f);
+    EXPECT_EQ(fromImage.printed, fromProgram.printed);
+    EXPECT_EQ(fromImage.total.totalInstructions,
+              fromProgram.total.totalInstructions);
+    EXPECT_EQ(fromImage.functions.at("root").inclusive.fpInstructions,
+              fromProgram.functions.at("root").inclusive.fpInstructions);
+    EXPECT_EQ(fromImage.functions.count("leaf"), n > 0 ? 1u : 0u);
+  }
+}
+
 TEST(Simulator, InclusiveCountsContainCallees) {
   auto p = compile("double leaf(double x) { return x * x; }\n"
                    "double root(double x) { return leaf(x) + leaf(x); }");
