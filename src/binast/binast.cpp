@@ -80,49 +80,56 @@ std::optional<std::uint64_t> jumpTarget(const Instruction &inst) {
   return static_cast<std::uint64_t>(inst.operands[0].imm);
 }
 
-/// Build basic blocks from a decoded instruction stream. Leaders: offset
-/// 0, jump targets, instructions following control transfers. Block
-/// start addresses ascend with block ids, so the block list itself is the
-/// address -> block lookup.
+/// Build basic blocks from a decoded instruction stream. Leaders: the
+/// first instruction, jump targets, instructions following control
+/// transfers. Block start addresses ascend with block ids, so the block
+/// list itself is the address -> block lookup.
 void buildBlocks(AsmFunction &fn) {
   if (fn.instructions.empty())
     return;
-  std::vector<std::uint64_t> leaders{fn.instructions.front().inst.address};
-  for (const AsmInstruction &ai : fn.instructions) {
-    const Instruction &inst = ai.inst;
+  const auto instructionCount =
+      static_cast<std::uint32_t>(fn.instructions.size());
+  // Instruction addresses ascend, so an address maps to an index by
+  // binary search; an address between instructions starts no block.
+  auto indexAt = [&fn](std::uint64_t address) -> std::optional<std::uint32_t> {
+    auto it = std::lower_bound(fn.instructions.begin(), fn.instructions.end(),
+                               address,
+                               [](const AsmInstruction &ai, std::uint64_t a) {
+                                 return ai.inst.address < a;
+                               });
+    if (it == fn.instructions.end() || it->inst.address != address)
+      return std::nullopt;
+    return static_cast<std::uint32_t>(it - fn.instructions.begin());
+  };
+  std::vector<std::uint8_t> leader(instructionCount, 0);
+  leader[0] = 1;
+  for (std::uint32_t i = 0; i < instructionCount; ++i) {
+    const Instruction &inst = fn.instructions[i].inst;
     if (isa::isConditionalJump(inst.opcode) ||
         isa::isUnconditionalJump(inst.opcode))
       if (auto target = jumpTarget(inst))
-        leaders.push_back(*target);
+        if (auto at = indexAt(*target))
+          leader[*at] = 1;
     if (isa::isControlTransfer(inst.opcode) && !isa::isCall(inst.opcode))
-      leaders.push_back(inst.address + inst.encodedSize());
+      if (auto at = indexAt(inst.address + inst.encodedSize()))
+        leader[*at] = 1;
   }
-  std::sort(leaders.begin(), leaders.end());
-  leaders.erase(std::unique(leaders.begin(), leaders.end()), leaders.end());
 
-  // Instruction addresses ascend, so one cursor walks the leaders.
-  std::vector<std::uint32_t> starts;
-  std::size_t leader = 0;
-  for (std::uint32_t i = 0; i < fn.instructions.size(); ++i) {
-    const std::uint64_t address = fn.instructions[i].inst.address;
-    while (leader < leaders.size() && leaders[leader] < address)
-      ++leader;
-    if (leader < leaders.size() && leaders[leader] == address)
-      starts.push_back(i);
-  }
-  const auto instructionCount =
-      static_cast<std::uint32_t>(fn.instructions.size());
-  fn.blocks.resize(starts.size());
-  for (std::size_t b = 0; b < starts.size(); ++b) {
+  fn.blocks.resize(static_cast<std::size_t>(
+      std::count(leader.begin(), leader.end(), std::uint8_t{1})));
+  std::uint32_t b = 0;
+  for (std::uint32_t i = 0; i < instructionCount; ++i) {
+    if (!leader[i])
+      continue;
     AsmBlock &block = fn.blocks[b];
-    block.id = static_cast<std::uint32_t>(b);
-    block.startAddress = fn.instructions[starts[b]].inst.address;
-    const std::uint32_t end =
-        b + 1 < starts.size() ? starts[b + 1] : instructionCount;
-    block.instrIndices.reserve(end - starts[b]);
-    for (std::uint32_t i = starts[b]; i < end; ++i)
-      block.instrIndices.push_back(i);
+    block.id = b;
+    block.startAddress = fn.instructions[i].inst.address;
+    block.firstInstr = i;
+    if (b > 0)
+      fn.blocks[b - 1].endInstr = i;
+    ++b;
   }
+  fn.blocks.back().endInstr = instructionCount;
 
   auto blockAt = [&fn](std::uint64_t address) -> const AsmBlock * {
     auto it = std::lower_bound(fn.blocks.begin(), fn.blocks.end(), address,
@@ -133,7 +140,7 @@ void buildBlocks(AsmFunction &fn) {
                                                                 : nullptr;
   };
   for (AsmBlock &b : fn.blocks) {
-    const Instruction &last = fn.instructions[b.instrIndices.back()].inst;
+    const Instruction &last = fn.instructions[b.endInstr - 1].inst;
     auto addSucc = [&](std::optional<std::uint64_t> address) {
       if (!address)
         return;
@@ -239,12 +246,11 @@ private:
 /// back through register and stack-slot copies until one moves an
 /// immediate. A step constant the allocator spilled travels
 /// `mov r10, imm; mov [slot], r10; mov r11, [slot]; add reg, r11`.
-std::optional<std::int64_t>
-immediateIn(const AsmFunction &fn, const AsmBlock &latch,
-            std::vector<std::uint32_t>::const_reverse_iterator from,
-            Operand operand) {
-  for (auto it = from; it != latch.instrIndices.rend(); ++it) {
-    const Instruction &inst = fn.instructions[*it].inst;
+std::optional<std::int64_t> immediateIn(const AsmFunction &fn,
+                                        const AsmBlock &latch,
+                                        std::uint32_t from, Operand operand) {
+  for (std::uint32_t i = from + 1; i-- > latch.firstInstr;) {
+    const Instruction &inst = fn.instructions[i].inst;
     if (inst.opcode != Opcode::MOV || inst.operands.size() != 2 ||
         !(inst.operands[0] == operand))
       continue;
@@ -262,14 +268,13 @@ immediateIn(const AsmFunction &fn, const AsmBlock &latch,
 /// source holds an immediate, closest to the jump.
 void findInductionStep(const AsmFunction &fn, BinaryLoop &loop) {
   const AsmBlock &latch = fn.blocks[loop.latchBlock];
-  for (auto it = latch.instrIndices.rbegin(); it != latch.instrIndices.rend();
-       ++it) {
-    const Instruction &inst = fn.instructions[*it].inst;
+  for (std::uint32_t i = latch.endInstr; i-- > latch.firstInstr;) {
+    const Instruction &inst = fn.instructions[i].inst;
     if (inst.opcode != Opcode::ADD || inst.operands.size() != 2 ||
         inst.operands[0].kind != OperandKind::Reg)
       continue;
     if (inst.operands[1].kind == OperandKind::Reg) {
-      if (auto step = immediateIn(fn, latch, it, inst.operands[1])) {
+      if (auto step = immediateIn(fn, latch, i, inst.operands[1])) {
         loop.step = *step;
         loop.inductionReg = inst.operands[0].reg;
         if (loop.step)
@@ -322,13 +327,13 @@ void findLoops(AsmFunction &fn) {
 
       // Instruction accounting and source line.
       const AsmBlock &header = fn.blocks[loop.headerBlock];
-      loop.headerInstrCount = header.instrIndices.size();
-      for (std::uint32_t idx : header.instrIndices)
+      loop.headerInstrCount = header.instrCount();
+      for (std::uint32_t idx = header.firstInstr; idx < header.endInstr; ++idx)
         if (!loop.sourceLine && fn.instructions[idx].line)
           loop.sourceLine = fn.instructions[idx].line;
       for (std::uint32_t blk : loop.blocks)
         if (blk != loop.headerBlock)
-          loop.bodyInstrCount += fn.blocks[blk].instrIndices.size();
+          loop.bodyInstrCount += fn.blocks[blk].instrCount();
       fn.loops.push_back(std::move(loop));
     }
   }
@@ -339,6 +344,7 @@ void findLoops(AsmFunction &fn) {
 std::optional<BinaryAst> buildBinaryAst(const objfile::MiraObject &object,
                                         DiagnosticEngine &diags) {
   BinaryAst ast;
+  ast.functions.reserve(object.symbols.size());
   LineCursor lines(object.lineTable);
   for (const objfile::FunctionSymbol &sym : object.symbols) {
     AsmFunction fn;

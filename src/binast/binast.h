@@ -18,6 +18,7 @@
 #include "isa/instruction.h"
 #include "objfile/objfile.h"
 #include "support/diagnostics.h"
+#include "support/inline_vector.h"
 
 namespace mira::binast {
 
@@ -26,11 +27,19 @@ struct AsmInstruction {
   std::uint32_t line = 0;  // from .debug_line (0 = unknown)
 };
 
+/// A basic block: a run of its function's instructions, which are laid
+/// out in address order, so the run is an index range.
 struct AsmBlock {
   std::uint32_t id = 0;
   std::uint64_t startAddress = 0;
-  std::vector<std::uint32_t> instrIndices; // into AsmFunction::instructions
-  std::vector<std::uint32_t> successors;   // block ids
+  /// Its instructions: AsmFunction::instructions[firstInstr, endInstr).
+  std::uint32_t firstInstr = 0;
+  std::uint32_t endInstr = 0;
+  /// Block ids, jump target before fall-through; a block ends in at most
+  /// one jump, so there are at most two.
+  InlineVector<std::uint32_t, 2> successors;
+
+  std::uint32_t instrCount() const { return endInstr - firstInstr; }
 };
 
 /// A natural loop recovered from the machine CFG.

@@ -7,6 +7,22 @@ namespace mira::bridge {
 using binast::AsmFunction;
 using binast::BinaryLoop;
 
+namespace {
+
+/// Counts one more `op`. Entries merge as they are added, so a histogram
+/// holds one entry per distinct opcode (few, so it stays inline) and
+/// needs only sorting (normalizeHistogram) when complete.
+void tally(isa::OpcodeHistogram &histogram, isa::Opcode op) {
+  for (auto &[have, n] : histogram)
+    if (have == op) {
+      ++n;
+      return;
+    }
+  histogram.emplace_back(op, 1);
+}
+
+} // namespace
+
 FunctionBridge::FunctionBridge(const frontend::FunctionDecl &source,
                                const binast::AsmFunction &binary)
     : source_(&source), binary_(&binary) {
@@ -15,7 +31,7 @@ FunctionBridge::FunctionBridge(const frontend::FunctionDecl &source,
     const int li = binary.innermostLoopOf(block.id);
     const BinaryLoop *loop =
         li < 0 ? nullptr : &binary.loops[static_cast<std::size_t>(li)];
-    for (std::uint32_t idx : block.instrIndices)
+    for (std::uint32_t idx = block.firstInstr; idx < block.endInstr; ++idx)
       byLine_.push_back({binary.instructions[idx].line, loop, block.id,
                          binary.instructions[idx].inst.opcode});
   }
@@ -58,22 +74,19 @@ FunctionBridge::opcodesAtLine(std::uint32_t line,
     return instr.loop == loop && !(loop && instr.block == loop->headerBlock);
   };
   isa::OpcodeHistogram out;
-  out.reserve(static_cast<std::size_t>(std::count_if(first, last, counted)));
   for (auto it = first; it != last; ++it)
     if (counted(*it))
-      out.emplace_back(it->opcode, 1);
+      tally(out, it->opcode);
   isa::normalizeHistogram(out);
   return out;
 }
 
 isa::OpcodeHistogram
 FunctionBridge::headerOpcodes(const BinaryLoop &loop) const {
-  const std::vector<std::uint32_t> &indices =
-      binary_->blocks[loop.headerBlock].instrIndices;
+  const binast::AsmBlock &header = binary_->blocks[loop.headerBlock];
   isa::OpcodeHistogram out;
-  out.reserve(indices.size());
-  for (std::uint32_t idx : indices)
-    out.emplace_back(binary_->instructions[idx].inst.opcode, 1);
+  for (std::uint32_t idx = header.firstInstr; idx < header.endInstr; ++idx)
+    tally(out, binary_->instructions[idx].inst.opcode);
   isa::normalizeHistogram(out);
   return out;
 }

@@ -16,13 +16,14 @@
 #include "binast/binast.h"
 #include "frontend/ast.h"
 #include "isa/opcode.h"
+#include "support/inline_vector.h"
 
 namespace mira::bridge {
 
 /// Machine loops implementing one source for statement, sorted by step
 /// descending (vectorized main loop first, scalar remainder last).
 struct LoopBinding {
-  std::vector<const binast::BinaryLoop *> loops;
+  InlineVector<const binast::BinaryLoop *, 2> loops;
 
   bool isVectorized() const {
     return loops.size() >= 2 && loops.front()->step > 1;

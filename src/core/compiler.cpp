@@ -27,12 +27,14 @@ std::unique_ptr<CompiledProgram> compileProgram(const std::string &source,
     program->functionIds[program->mir.functions[i].name] =
         static_cast<int>(i);
 
-  std::vector<isa::MachineFunction> machineFunctions;
-  for (const mir::MirFunction &fn : program->mir.functions) {
+  program->codegen.reserve(program->mir.functions.size());
+  for (const mir::MirFunction &fn : program->mir.functions)
     program->codegen.push_back(
         codegen::generateCode(fn, program->functionIds));
-    machineFunctions.push_back(program->codegen.back().machine);
-  }
+  std::vector<const isa::MachineFunction *> machineFunctions;
+  machineFunctions.reserve(program->codegen.size());
+  for (const codegen::CodegenResult &result : program->codegen)
+    machineFunctions.push_back(&result.machine);
 
   // Serialize and re-parse so the binary side genuinely starts from bytes.
   objfile::MiraObject built =

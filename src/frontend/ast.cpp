@@ -1,5 +1,7 @@
 #include "frontend/ast.h"
 
+#include <algorithm>
+
 namespace mira::frontend {
 
 std::string Type::str() const {
@@ -95,85 +97,130 @@ const char *toString(AssignOp op) {
   return "?";
 }
 
-ExprPtr Expression::intLiteral(std::int64_t value, SourceRange range) {
-  auto e = std::make_unique<Expression>(ExprKind::IntLiteral);
+AstArena::~AstArena() {
+  while (chunks_) {
+    Chunk *previous = chunks_->previous;
+    ::operator delete(chunks_);
+    chunks_ = previous;
+  }
+}
+
+void *AstArena::allocate(std::size_t bytes, std::size_t align) {
+  auto aligned = [align](char *p) {
+    const auto address = reinterpret_cast<std::uintptr_t>(p);
+    return p + ((align - address % align) % align);
+  };
+  if (next_) {
+    char *at = aligned(next_);
+    if (at <= end_ && bytes <= static_cast<std::size_t>(end_ - at)) {
+      next_ = at + bytes;
+      return at;
+    }
+  }
+  // A new chunk: its header, then room for `bytes` at any alignment a
+  // node needs. A request larger than a chunk gets a block of its own,
+  // linked in behind the current chunk so that chunk stays open.
+  constexpr std::size_t header = alignof(std::max_align_t);
+  static_assert(sizeof(Chunk) <= header);
+  const std::size_t payload = std::max(kChunkBytes, bytes + align);
+  auto *chunk = static_cast<Chunk *>(::operator new(header + payload));
+  char *data = reinterpret_cast<char *>(chunk) + header;
+  char *at = aligned(data);
+  if (payload > kChunkBytes && chunks_) {
+    chunk->previous = chunks_->previous;
+    chunks_->previous = chunk;
+    return at;
+  }
+  chunk->previous = chunks_;
+  chunks_ = chunk;
+  next_ = at + bytes;
+  end_ = data + payload;
+  return at;
+}
+
+ExprPtr Expression::intLiteral(AstArena &arena, std::int64_t value,
+                               SourceRange range) {
+  auto e = arena.make<Expression>(ExprKind::IntLiteral);
   e->intValue = value;
   e->range = range;
   return e;
 }
 
-ExprPtr Expression::floatLiteral(double value, SourceRange range) {
-  auto e = std::make_unique<Expression>(ExprKind::FloatLiteral);
+ExprPtr Expression::floatLiteral(AstArena &arena, double value,
+                                 SourceRange range) {
+  auto e = arena.make<Expression>(ExprKind::FloatLiteral);
   e->floatValue = value;
   e->range = range;
   return e;
 }
 
-ExprPtr Expression::boolLiteral(bool value, SourceRange range) {
-  auto e = std::make_unique<Expression>(ExprKind::BoolLiteral);
+ExprPtr Expression::boolLiteral(AstArena &arena, bool value,
+                                SourceRange range) {
+  auto e = arena.make<Expression>(ExprKind::BoolLiteral);
   e->boolValue = value;
   e->range = range;
   return e;
 }
 
-ExprPtr Expression::varRef(std::string name, SourceRange range) {
-  auto e = std::make_unique<Expression>(ExprKind::VarRef);
+ExprPtr Expression::varRef(AstArena &arena, std::string name,
+                           SourceRange range) {
+  auto e = arena.make<Expression>(ExprKind::VarRef);
   e->name = std::move(name);
   e->range = range;
   return e;
 }
 
-ExprPtr Expression::binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs,
-                           SourceRange range) {
-  auto e = std::make_unique<Expression>(ExprKind::Binary);
+ExprPtr Expression::binary(AstArena &arena, BinaryOp op, ExprPtr lhs,
+                           ExprPtr rhs, SourceRange range) {
+  auto e = arena.make<Expression>(ExprKind::Binary);
   e->binaryOp = op;
-  e->children.push_back(std::move(lhs));
-  e->children.push_back(std::move(rhs));
+  e->children = arena.list({std::move(lhs), std::move(rhs)});
   e->range = range;
   return e;
 }
 
-ExprPtr Expression::unary(UnaryOp op, ExprPtr operand, SourceRange range) {
-  auto e = std::make_unique<Expression>(ExprKind::Unary);
+ExprPtr Expression::unary(AstArena &arena, UnaryOp op, ExprPtr operand,
+                          SourceRange range) {
+  auto e = arena.make<Expression>(ExprKind::Unary);
   e->unaryOp = op;
-  e->children.push_back(std::move(operand));
+  e->children = arena.list({std::move(operand)});
   e->range = range;
   return e;
 }
 
-ExprPtr Expression::assign(AssignOp op, ExprPtr target, ExprPtr value,
-                           SourceRange range) {
-  auto e = std::make_unique<Expression>(ExprKind::Assign);
+ExprPtr Expression::assign(AstArena &arena, AssignOp op, ExprPtr target,
+                           ExprPtr value, SourceRange range) {
+  auto e = arena.make<Expression>(ExprKind::Assign);
   e->assignOp = op;
-  e->children.push_back(std::move(target));
-  e->children.push_back(std::move(value));
+  e->children = arena.list({std::move(target), std::move(value)});
   e->range = range;
   return e;
 }
 
-ExprPtr Expression::call(std::string callee, ExprPtr receiver,
-                         std::vector<ExprPtr> args, SourceRange range) {
-  auto e = std::make_unique<Expression>(ExprKind::Call);
+ExprPtr Expression::call(AstArena &arena, std::string callee,
+                         ExprPtr receiver, std::vector<ExprPtr> &scratch,
+                         std::size_t from, SourceRange range) {
+  auto e = arena.make<Expression>(ExprKind::Call);
   e->name = std::move(callee);
   e->receiver = std::move(receiver);
-  e->children = std::move(args);
+  e->children = arena.adopt(scratch, from);
   e->range = range;
   return e;
 }
 
-ExprPtr Expression::index(ExprPtr base, ExprPtr idx, SourceRange range) {
-  auto e = std::make_unique<Expression>(ExprKind::Index);
-  e->children.push_back(std::move(base));
-  e->children.push_back(std::move(idx));
+ExprPtr Expression::index(AstArena &arena, ExprPtr base, ExprPtr idx,
+                          SourceRange range) {
+  auto e = arena.make<Expression>(ExprKind::Index);
+  e->children = arena.list({std::move(base), std::move(idx)});
   e->range = range;
   return e;
 }
 
-ExprPtr Expression::member(ExprPtr base, std::string field,
+ExprPtr Expression::member(AstArena &arena, ExprPtr base, std::string field,
                            SourceRange range) {
-  auto e = std::make_unique<Expression>(ExprKind::Member);
+  auto e = arena.make<Expression>(ExprKind::Member);
   e->name = std::move(field);
-  e->children.push_back(std::move(base));
+  e->children = arena.list({std::move(base)});
   e->range = range;
   return e;
 }
@@ -218,15 +265,16 @@ std::string Expression::str() const {
   return "?";
 }
 
-StmtPtr Statement::compound(std::vector<StmtPtr> stmts, SourceRange range) {
-  auto s = std::make_unique<Statement>(StmtKind::Compound);
-  s->body = std::move(stmts);
+StmtPtr Statement::compound(AstArena &arena, std::vector<StmtPtr> &scratch,
+                            std::size_t from, SourceRange range) {
+  auto s = arena.make<Statement>(StmtKind::Compound);
+  s->body = arena.adopt(scratch, from);
   s->range = range;
   return s;
 }
 
-StmtPtr Statement::empty(SourceRange range) {
-  auto s = std::make_unique<Statement>(StmtKind::Empty);
+StmtPtr Statement::empty(AstArena &arena, SourceRange range) {
+  auto s = arena.make<Statement>(StmtKind::Empty);
   s->range = range;
   return s;
 }
@@ -262,6 +310,10 @@ TranslationUnit::findFunction(const std::string &qualified) const {
 
 std::vector<const FunctionDecl *> TranslationUnit::allFunctions() const {
   std::vector<const FunctionDecl *> out;
+  std::size_t count = functions.size();
+  for (const auto &c : classes)
+    count += c->methods.size();
+  out.reserve(count);
   for (const auto &c : classes)
     for (const auto &m : c->methods)
       out.push_back(m.get());

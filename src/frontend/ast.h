@@ -6,20 +6,124 @@
 // exact line numbers on every node — line numbers are the bridge to the
 // binary AST.
 //
-// Ownership: nodes own their children through std::unique_ptr; non-owning
-// observers use raw pointers.
+// Ownership: a node owns its children through an ArenaPtr, and its child
+// lists are ArenaLists; non-owning observers use raw pointers. Every node
+// and list lives in the AstArena of its TranslationUnit, a few large
+// chunks instead of one heap block per node. Destroying an owner runs its
+// children's destructors (names are strings, annotations maps); the
+// memory goes back when the unit, which owns the arena, is destroyed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/source_location.h"
 
 namespace mira::frontend {
+
+// ------------------------------------------------------------------ arena
+
+/// Owning pointer to an arena-built node: dropping it runs the node's
+/// destructor, and the memory stays with the arena.
+template <class T> struct ArenaDelete {
+  void operator()(T *node) const { node->~T(); }
+};
+template <class T> using ArenaPtr = std::unique_ptr<T, ArenaDelete<T>>;
+
+/// A fixed-size array of T in arena memory. It owns its elements (its
+/// destructor runs theirs) but not their storage.
+template <class T> class ArenaList {
+public:
+  ArenaList() = default;
+  ArenaList(T *items, std::uint32_t size) : items_(items), size_(size) {}
+  ArenaList(ArenaList &&other) noexcept
+      : items_(std::exchange(other.items_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
+  ArenaList &operator=(ArenaList &&other) noexcept {
+    if (this != &other) {
+      std::destroy_n(items_, size_);
+      items_ = std::exchange(other.items_, nullptr);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
+  ~ArenaList() { std::destroy_n(items_, size_); }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  T *begin() { return items_; }
+  T *end() { return items_ + size_; }
+  const T *begin() const { return items_; }
+  const T *end() const { return items_ + size_; }
+  T &operator[](std::size_t i) { return items_[i]; }
+  const T &operator[](std::size_t i) const { return items_[i]; }
+  const T &front() const { return items_[0]; }
+  const T &back() const { return items_[size_ - 1]; }
+
+private:
+  T *items_ = nullptr;
+  std::uint32_t size_ = 0;
+};
+
+/// Chunked bump storage for one translation unit's nodes and lists. A
+/// chunk is one heap block of kChunkBytes (or one block of its own for a
+/// larger request); all of them are freed when the arena is destroyed.
+/// Only its unit's parser and analyzer allocate from it, and nothing
+/// refers to an arena but the unit that owns it.
+class AstArena {
+public:
+  AstArena() = default;
+  AstArena(const AstArena &) = delete;
+  AstArena &operator=(const AstArena &) = delete;
+  ~AstArena();
+
+  /// A T built in place; its owner runs the destructor.
+  template <class T, class... Args> ArenaPtr<T> make(Args &&...args) {
+    return ArenaPtr<T>(new (allocate(sizeof(T), alignof(T)))
+                           T(std::forward<Args>(args)...));
+  }
+
+  /// Moves scratch[from, end) into an arena list and erases it from
+  /// `scratch`, which a parser reuses as a stack across nested lists.
+  template <class T>
+  ArenaList<T> adopt(std::vector<T> &scratch, std::size_t from) {
+    const std::size_t count = scratch.size() - from;
+    if (count == 0)
+      return {};
+    T *items = static_cast<T *>(allocate(count * sizeof(T), alignof(T)));
+    std::uninitialized_move(scratch.begin() + static_cast<std::ptrdiff_t>(from),
+                            scratch.end(), items);
+    scratch.erase(scratch.begin() + static_cast<std::ptrdiff_t>(from),
+                  scratch.end());
+    return ArenaList<T>(items, static_cast<std::uint32_t>(count));
+  }
+
+  /// A list of exactly `items`, moved in.
+  template <class T, std::size_t N> ArenaList<T> list(T (&&items)[N]) {
+    T *out = static_cast<T *>(allocate(N * sizeof(T), alignof(T)));
+    std::uninitialized_move(items, items + N, out);
+    return ArenaList<T>(out, static_cast<std::uint32_t>(N));
+  }
+
+private:
+  static constexpr std::size_t kChunkBytes = 16 * 1024;
+
+  void *allocate(std::size_t bytes, std::size_t align);
+
+  struct Chunk {
+    Chunk *previous;
+  };
+  Chunk *chunks_ = nullptr; // newest first
+  char *next_ = nullptr;
+  char *end_ = nullptr;
+};
 
 // ----------------------------------------------------------------- types
 
@@ -94,7 +198,7 @@ const char *toString(UnaryOp op);
 const char *toString(AssignOp op);
 
 struct Expression;
-using ExprPtr = std::unique_ptr<Expression>;
+using ExprPtr = ArenaPtr<Expression>;
 
 struct Expression {
   ExprKind kind;
@@ -118,7 +222,7 @@ struct Expression {
   //   Binary: [lhs, rhs]; Unary: [operand]; Assign: [target, value];
   //   Call: args (receiver held separately); Index: [base, index];
   //   Member: [base]
-  std::vector<ExprPtr> children;
+  ArenaList<ExprPtr> children;
   ExprPtr receiver; // Call: object expression for method calls
 
   // Call resolution (filled by sema): qualified name of the callee
@@ -131,19 +235,28 @@ struct Expression {
 
   explicit Expression(ExprKind k) : kind(k) {}
 
-  static ExprPtr intLiteral(std::int64_t value, SourceRange range);
-  static ExprPtr floatLiteral(double value, SourceRange range);
-  static ExprPtr boolLiteral(bool value, SourceRange range);
-  static ExprPtr varRef(std::string name, SourceRange range);
-  static ExprPtr binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs,
+  // Factories: each builds the node (and its child list) in `arena`,
+  // which must be the arena of the unit the node will belong to.
+  static ExprPtr intLiteral(AstArena &arena, std::int64_t value,
+                            SourceRange range);
+  static ExprPtr floatLiteral(AstArena &arena, double value,
+                              SourceRange range);
+  static ExprPtr boolLiteral(AstArena &arena, bool value, SourceRange range);
+  static ExprPtr varRef(AstArena &arena, std::string name, SourceRange range);
+  static ExprPtr binary(AstArena &arena, BinaryOp op, ExprPtr lhs,
+                        ExprPtr rhs, SourceRange range);
+  static ExprPtr unary(AstArena &arena, UnaryOp op, ExprPtr operand,
+                       SourceRange range);
+  static ExprPtr assign(AstArena &arena, AssignOp op, ExprPtr target,
+                        ExprPtr value, SourceRange range);
+  /// `args` are scratch[from, end), moved out of `scratch`.
+  static ExprPtr call(AstArena &arena, std::string callee, ExprPtr receiver,
+                      std::vector<ExprPtr> &scratch, std::size_t from,
+                      SourceRange range);
+  static ExprPtr index(AstArena &arena, ExprPtr base, ExprPtr idx,
+                       SourceRange range);
+  static ExprPtr member(AstArena &arena, ExprPtr base, std::string field,
                         SourceRange range);
-  static ExprPtr unary(UnaryOp op, ExprPtr operand, SourceRange range);
-  static ExprPtr assign(AssignOp op, ExprPtr target, ExprPtr value,
-                        SourceRange range);
-  static ExprPtr call(std::string callee, ExprPtr receiver,
-                      std::vector<ExprPtr> args, SourceRange range);
-  static ExprPtr index(ExprPtr base, ExprPtr idx, SourceRange range);
-  static ExprPtr member(ExprPtr base, std::string field, SourceRange range);
 
   std::string str() const; // debugging / model comments
 };
@@ -162,7 +275,7 @@ enum class StmtKind {
 };
 
 struct Statement;
-using StmtPtr = std::unique_ptr<Statement>;
+using StmtPtr = ArenaPtr<Statement>;
 
 struct Statement {
   StmtKind kind;
@@ -172,7 +285,7 @@ struct Statement {
   // Decl
   Type declType;
   std::string declName;
-  std::vector<ExprPtr> arrayDims; // 'double a[N][M]' -> {N, M}
+  ArenaList<ExprPtr> arrayDims;   // 'double a[N][M]' -> {N, M}
   ExprPtr declInit;               // optional
 
   // ExprStmt / Return (value optional) / If+While+For conditions
@@ -188,13 +301,15 @@ struct Statement {
   StmtPtr elseBranch;
 
   // Compound / loop bodies
-  std::vector<StmtPtr> body;
+  ArenaList<StmtPtr> body;
   StmtPtr loopBody; // For/While
 
   explicit Statement(StmtKind k) : kind(k) {}
 
-  static StmtPtr compound(std::vector<StmtPtr> stmts, SourceRange range);
-  static StmtPtr empty(SourceRange range);
+  /// `stmts` are scratch[from, end), moved out of `scratch`.
+  static StmtPtr compound(AstArena &arena, std::vector<StmtPtr> &scratch,
+                          std::size_t from, SourceRange range);
+  static StmtPtr empty(AstArena &arena, SourceRange range);
 };
 
 // ------------------------------------------------------------ declarations
@@ -215,7 +330,7 @@ struct FunctionDecl {
   Type returnType;
   std::string name;       // "operator()" for call operators
   std::string className;  // empty for free functions
-  std::vector<ParamDecl> params;
+  ArenaList<ParamDecl> params;
   StmtPtr bodyStmt; // Compound
   SourceRange range;
 
@@ -228,14 +343,17 @@ struct FunctionDecl {
 
 struct ClassDecl {
   std::string name;
-  std::vector<FieldDecl> fields;
-  std::vector<std::unique_ptr<FunctionDecl>> methods;
+  ArenaList<FieldDecl> fields;
+  ArenaList<ArenaPtr<FunctionDecl>> methods;
   SourceRange range;
 };
 
 struct TranslationUnit {
-  std::vector<std::unique_ptr<ClassDecl>> classes;
-  std::vector<std::unique_ptr<FunctionDecl>> functions;
+  /// Backs every node and list of the unit. Declared first so that it is
+  /// destroyed last, after the lists below have destroyed their nodes.
+  AstArena arena;
+  ArenaList<ArenaPtr<ClassDecl>> classes;
+  ArenaList<ArenaPtr<FunctionDecl>> functions;
   std::string fileName;
 
   /// Find by qualified name ("foo" or "A::foo"); nullptr if absent.

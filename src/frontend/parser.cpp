@@ -113,6 +113,7 @@ std::unique_ptr<TranslationUnit>
 Parser::parseTranslationUnit(std::string fileName) {
   auto unit = std::make_unique<TranslationUnit>();
   unit->fileName = std::move(fileName);
+  arena_ = &unit->arena;
   while (!atEnd()) {
     if (check(TokenKind::Pragma)) {
       diags_.warning(current().location,
@@ -123,7 +124,7 @@ Parser::parseTranslationUnit(std::string fileName) {
     }
     if (check(TokenKind::KwClass)) {
       if (auto c = parseClass())
-        unit->classes.push_back(std::move(c));
+        classes_.push_back(std::move(c));
       continue;
     }
     Type type;
@@ -138,18 +139,22 @@ Parser::parseTranslationUnit(std::string fileName) {
         expect(TokenKind::Identifier, "in function declaration");
     if (auto f = parseFunction(type, std::string(nameTok.text), "")) {
       f->range.begin = begin;
-      unit->functions.push_back(std::move(f));
+      functions_.push_back(std::move(f));
     }
   }
+  unit->classes = arena().adopt(classes_, 0);
+  unit->functions = arena().adopt(functions_, 0);
   return unit;
 }
 
-std::unique_ptr<ClassDecl> Parser::parseClass() {
+ArenaPtr<ClassDecl> Parser::parseClass() {
   SourceLocation begin = current().location;
   expect(TokenKind::KwClass, "at class declaration");
   const Token &nameTok = expect(TokenKind::Identifier, "after 'class'");
-  auto cls = std::make_unique<ClassDecl>();
+  auto cls = arena().make<ClassDecl>();
   cls->name = nameTok.text;
+  const std::size_t fieldMark = fields_.size();
+  const std::size_t methodMark = functions_.size();
   expect(TokenKind::LBrace, "to open class body");
   while (!check(TokenKind::RBrace) && !atEnd()) {
     if (match(TokenKind::KwPublic)) {
@@ -174,25 +179,27 @@ std::unique_ptr<ClassDecl> Parser::parseClass() {
     }
     if (check(TokenKind::LParen)) {
       if (auto m = parseFunction(type, memberName, cls->name))
-        cls->methods.push_back(std::move(m));
+        functions_.push_back(std::move(m));
     } else {
       // field (no array fields in MiniC; use pointers for buffers)
       FieldDecl field;
       field.type = type;
       field.name = memberName;
       field.location = lastEnd_;
-      cls->fields.push_back(field);
+      fields_.push_back(std::move(field));
       expect(TokenKind::Semicolon, "after field declaration");
     }
   }
   expect(TokenKind::RBrace, "to close class body");
   expect(TokenKind::Semicolon, "after class declaration");
+  cls->fields = arena().adopt(fields_, fieldMark);
+  cls->methods = arena().adopt(functions_, methodMark);
   cls->range = rangeFrom(begin);
   return cls;
 }
 
-std::vector<ParamDecl> Parser::parseParams() {
-  std::vector<ParamDecl> params;
+ArenaList<ParamDecl> Parser::parseParams() {
+  const std::size_t mark = params_.size();
   expect(TokenKind::LParen, "to open parameter list");
   if (!check(TokenKind::RParen)) {
     do {
@@ -204,17 +211,17 @@ std::vector<ParamDecl> Parser::parseParams() {
         break;
       }
       p.name = expect(TokenKind::Identifier, "in parameter").text;
-      params.push_back(std::move(p));
+      params_.push_back(std::move(p));
     } while (match(TokenKind::Comma));
   }
   expect(TokenKind::RParen, "to close parameter list");
-  return params;
+  return arena().adopt(params_, mark);
 }
 
-std::unique_ptr<FunctionDecl> Parser::parseFunction(Type returnType,
-                                                    std::string name,
-                                                    std::string className) {
-  auto fn = std::make_unique<FunctionDecl>();
+ArenaPtr<FunctionDecl> Parser::parseFunction(Type returnType,
+                                             std::string name,
+                                             std::string className) {
+  auto fn = arena().make<FunctionDecl>();
   fn->returnType = returnType;
   fn->name = std::move(name);
   fn->className = std::move(className);
@@ -318,7 +325,7 @@ StmtPtr Parser::parseStatement() {
   case TokenKind::Semicolon: {
     SourceLocation loc = current().location;
     advance();
-    stmt = Statement::empty({loc, loc});
+    stmt = Statement::empty(arena(), {loc, loc});
     break;
   }
   default:
@@ -326,7 +333,7 @@ StmtPtr Parser::parseStatement() {
       stmt = parseDeclStatement();
     } else {
       SourceLocation begin = current().location;
-      auto s = std::make_unique<Statement>(StmtKind::ExprStmt);
+      auto s = arena().make<Statement>(StmtKind::ExprStmt);
       s->expr = parseExpression();
       expect(TokenKind::Semicolon, "after expression statement");
       s->range = rangeFrom(begin);
@@ -342,11 +349,11 @@ StmtPtr Parser::parseStatement() {
 StmtPtr Parser::parseCompound() {
   SourceLocation begin = current().location;
   expect(TokenKind::LBrace, "to open block");
-  std::vector<StmtPtr> stmts;
+  const std::size_t mark = stmts_.size();
   while (!check(TokenKind::RBrace) && !atEnd()) {
     std::size_t before = pos_;
     if (auto s = parseStatement())
-      stmts.push_back(std::move(s));
+      stmts_.push_back(std::move(s));
     if (pos_ == before) { // no progress: recover
       synchronizeToStatement();
       if (pos_ == before)
@@ -354,22 +361,25 @@ StmtPtr Parser::parseCompound() {
     }
   }
   expect(TokenKind::RBrace, "to close block");
-  return Statement::compound(std::move(stmts), rangeFrom(begin));
+  return Statement::compound(arena(), stmts_, mark, rangeFrom(begin));
 }
 
 StmtPtr Parser::parseDeclStatement() {
   SourceLocation begin = current().location;
-  auto s = std::make_unique<Statement>(StmtKind::Decl);
+  auto s = arena().make<Statement>(StmtKind::Decl);
   if (!parseTypeSpec(s->declType)) {
     diags_.error(current().location, "expected type in declaration");
     synchronizeToStatement();
-    return Statement::empty(rangeFrom(begin));
+    return Statement::empty(arena(), rangeFrom(begin));
   }
   s->declName = expect(TokenKind::Identifier, "in declaration").text;
+  const std::size_t mark = exprs_.size();
   while (match(TokenKind::LBracket)) {
-    s->arrayDims.push_back(parseExpression());
+    ExprPtr dim = parseExpression();
+    exprs_.push_back(std::move(dim));
     expect(TokenKind::RBracket, "to close array dimension");
   }
+  s->arrayDims = arena().adopt(exprs_, mark);
   if (match(TokenKind::Assign))
     s->declInit = parseExpression();
   expect(TokenKind::Semicolon, "after declaration");
@@ -379,19 +389,19 @@ StmtPtr Parser::parseDeclStatement() {
 
 StmtPtr Parser::parseFor() {
   SourceLocation begin = current().location;
-  auto s = std::make_unique<Statement>(StmtKind::For);
+  auto s = arena().make<Statement>(StmtKind::For);
   expect(TokenKind::KwFor, "at for loop");
   expect(TokenKind::LParen, "after 'for'");
 
   // init: declaration, expression, or empty
   if (check(TokenKind::Semicolon)) {
     advance();
-    s->forInit = Statement::empty({begin, begin});
+    s->forInit = Statement::empty(arena(), {begin, begin});
   } else if (looksLikeType()) {
     s->forInit = parseDeclStatement(); // consumes ';'
   } else {
     SourceLocation initBegin = current().location;
-    auto init = std::make_unique<Statement>(StmtKind::ExprStmt);
+    auto init = arena().make<Statement>(StmtKind::ExprStmt);
     init->expr = parseExpression();
     expect(TokenKind::Semicolon, "after for-init");
     init->range = rangeFrom(initBegin);
@@ -411,7 +421,7 @@ StmtPtr Parser::parseFor() {
 
 StmtPtr Parser::parseWhile() {
   SourceLocation begin = current().location;
-  auto s = std::make_unique<Statement>(StmtKind::While);
+  auto s = arena().make<Statement>(StmtKind::While);
   expect(TokenKind::KwWhile, "at while loop");
   expect(TokenKind::LParen, "after 'while'");
   s->forCond = parseExpression();
@@ -423,7 +433,7 @@ StmtPtr Parser::parseWhile() {
 
 StmtPtr Parser::parseIf() {
   SourceLocation begin = current().location;
-  auto s = std::make_unique<Statement>(StmtKind::If);
+  auto s = arena().make<Statement>(StmtKind::If);
   expect(TokenKind::KwIf, "at if statement");
   expect(TokenKind::LParen, "after 'if'");
   s->expr = parseExpression();
@@ -437,7 +447,7 @@ StmtPtr Parser::parseIf() {
 
 StmtPtr Parser::parseReturn() {
   SourceLocation begin = current().location;
-  auto s = std::make_unique<Statement>(StmtKind::Return);
+  auto s = arena().make<Statement>(StmtKind::Return);
   expect(TokenKind::KwReturn, "at return");
   if (!check(TokenKind::Semicolon))
     s->expr = parseExpression();
@@ -475,7 +485,7 @@ ExprPtr Parser::parseAssignment() {
   }
   advance();
   ExprPtr rhs = parseAssignment(); // right-associative
-  return Expression::assign(op, std::move(lhs), std::move(rhs),
+  return Expression::assign(arena(), op, std::move(lhs), std::move(rhs),
                             rangeFrom(begin));
 }
 
@@ -483,8 +493,8 @@ ExprPtr Parser::parseLogicalOr() {
   SourceLocation begin = current().location;
   ExprPtr lhs = parseLogicalAnd();
   while (match(TokenKind::PipePipe))
-    lhs = Expression::binary(BinaryOp::LOr, std::move(lhs), parseLogicalAnd(),
-                             rangeFrom(begin));
+    lhs = Expression::binary(arena(), BinaryOp::LOr, std::move(lhs),
+                             parseLogicalAnd(), rangeFrom(begin));
   return lhs;
 }
 
@@ -492,8 +502,8 @@ ExprPtr Parser::parseLogicalAnd() {
   SourceLocation begin = current().location;
   ExprPtr lhs = parseEquality();
   while (match(TokenKind::AmpAmp))
-    lhs = Expression::binary(BinaryOp::LAnd, std::move(lhs), parseEquality(),
-                             rangeFrom(begin));
+    lhs = Expression::binary(arena(), BinaryOp::LAnd, std::move(lhs),
+                             parseEquality(), rangeFrom(begin));
   return lhs;
 }
 
@@ -509,7 +519,7 @@ ExprPtr Parser::parseEquality() {
     else
       break;
     advance();
-    lhs = Expression::binary(op, std::move(lhs), parseRelational(),
+    lhs = Expression::binary(arena(), op, std::move(lhs), parseRelational(),
                              rangeFrom(begin));
   }
   return lhs;
@@ -531,7 +541,7 @@ ExprPtr Parser::parseRelational() {
     else
       break;
     advance();
-    lhs = Expression::binary(op, std::move(lhs), parseAdditive(),
+    lhs = Expression::binary(arena(), op, std::move(lhs), parseAdditive(),
                              rangeFrom(begin));
   }
   return lhs;
@@ -549,7 +559,7 @@ ExprPtr Parser::parseAdditive() {
     else
       break;
     advance();
-    lhs = Expression::binary(op, std::move(lhs), parseMultiplicative(),
+    lhs = Expression::binary(arena(), op, std::move(lhs), parseMultiplicative(),
                              rangeFrom(begin));
   }
   return lhs;
@@ -569,7 +579,7 @@ ExprPtr Parser::parseMultiplicative() {
     else
       break;
     advance();
-    lhs = Expression::binary(op, std::move(lhs), parseUnary(),
+    lhs = Expression::binary(arena(), op, std::move(lhs), parseUnary(),
                              rangeFrom(begin));
   }
   return lhs;
@@ -578,13 +588,17 @@ ExprPtr Parser::parseMultiplicative() {
 ExprPtr Parser::parseUnary() {
   SourceLocation begin = current().location;
   if (match(TokenKind::Minus))
-    return Expression::unary(UnaryOp::Neg, parseUnary(), rangeFrom(begin));
+    return Expression::unary(arena(), UnaryOp::Neg, parseUnary(),
+                             rangeFrom(begin));
   if (match(TokenKind::Not))
-    return Expression::unary(UnaryOp::Not, parseUnary(), rangeFrom(begin));
+    return Expression::unary(arena(), UnaryOp::Not, parseUnary(),
+                             rangeFrom(begin));
   if (match(TokenKind::PlusPlus))
-    return Expression::unary(UnaryOp::PreInc, parseUnary(), rangeFrom(begin));
+    return Expression::unary(arena(), UnaryOp::PreInc, parseUnary(),
+                             rangeFrom(begin));
   if (match(TokenKind::MinusMinus))
-    return Expression::unary(UnaryOp::PreDec, parseUnary(), rangeFrom(begin));
+    return Expression::unary(arena(), UnaryOp::PreDec, parseUnary(),
+                             rangeFrom(begin));
   return parsePostfix();
 }
 
@@ -595,32 +609,33 @@ ExprPtr Parser::parsePostfix() {
     if (match(TokenKind::LBracket)) {
       ExprPtr idx = parseExpression();
       expect(TokenKind::RBracket, "to close subscript");
-      expr = Expression::index(std::move(expr), std::move(idx),
+      expr = Expression::index(arena(), std::move(expr), std::move(idx),
                                rangeFrom(begin));
     } else if (match(TokenKind::LParen)) {
       // call on the expression so far: either a free-function call (VarRef
       // callee), a method call (Member callee), or operator() on an
       // object (anything else — sema resolves).
-      std::vector<ExprPtr> args;
+      const std::size_t mark = exprs_.size();
       if (!check(TokenKind::RParen)) {
         do {
-          args.push_back(parseExpression());
+          ExprPtr arg = parseExpression();
+          exprs_.push_back(std::move(arg));
         } while (match(TokenKind::Comma));
       }
       expect(TokenKind::RParen, "to close call");
       if (expr->kind == ExprKind::VarRef) {
         std::string callee = expr->name;
-        expr = Expression::call(callee, nullptr, std::move(args),
+        expr = Expression::call(arena(), callee, nullptr, exprs_, mark,
                                 rangeFrom(begin));
       } else if (expr->kind == ExprKind::Member) {
         std::string callee = expr->name;
         ExprPtr receiver = std::move(expr->children[0]);
-        expr = Expression::call(callee, std::move(receiver), std::move(args),
-                                rangeFrom(begin));
+        expr = Expression::call(arena(), callee, std::move(receiver), exprs_,
+                                mark, rangeFrom(begin));
       } else {
         // operator() call on an arbitrary object expression
-        expr = Expression::call("operator()", std::move(expr),
-                                std::move(args), rangeFrom(begin));
+        expr = Expression::call(arena(), "operator()", std::move(expr),
+                                exprs_, mark, rangeFrom(begin));
       }
     } else if (check(TokenKind::Dot) || check(TokenKind::Arrow)) {
       advance();
@@ -633,12 +648,13 @@ ExprPtr Parser::parsePostfix() {
       } else {
         field = expect(TokenKind::Identifier, "after '.'").text;
       }
-      expr = Expression::member(std::move(expr), field, rangeFrom(begin));
+      expr = Expression::member(arena(), std::move(expr), field,
+                                rangeFrom(begin));
     } else if (match(TokenKind::PlusPlus)) {
-      expr = Expression::unary(UnaryOp::PostInc, std::move(expr),
+      expr = Expression::unary(arena(), UnaryOp::PostInc, std::move(expr),
                                rangeFrom(begin));
     } else if (match(TokenKind::MinusMinus)) {
-      expr = Expression::unary(UnaryOp::PostDec, std::move(expr),
+      expr = Expression::unary(arena(), UnaryOp::PostDec, std::move(expr),
                                rangeFrom(begin));
     } else {
       break;
@@ -652,21 +668,21 @@ ExprPtr Parser::parsePrimary() {
   switch (current().kind) {
   case TokenKind::IntLiteral: {
     const Token &t = advance();
-    return Expression::intLiteral(t.intValue, rangeFrom(begin));
+    return Expression::intLiteral(arena(), t.intValue, rangeFrom(begin));
   }
   case TokenKind::FloatLiteral: {
     const Token &t = advance();
-    return Expression::floatLiteral(t.floatValue, rangeFrom(begin));
+    return Expression::floatLiteral(arena(), t.floatValue, rangeFrom(begin));
   }
   case TokenKind::KwTrue:
     advance();
-    return Expression::boolLiteral(true, rangeFrom(begin));
+    return Expression::boolLiteral(arena(), true, rangeFrom(begin));
   case TokenKind::KwFalse:
     advance();
-    return Expression::boolLiteral(false, rangeFrom(begin));
+    return Expression::boolLiteral(arena(), false, rangeFrom(begin));
   case TokenKind::Identifier: {
     const Token &t = advance();
-    return Expression::varRef(std::string(t.text), rangeFrom(begin));
+    return Expression::varRef(arena(), std::string(t.text), rangeFrom(begin));
   }
   case TokenKind::LParen: {
     advance();
@@ -678,7 +694,7 @@ ExprPtr Parser::parsePrimary() {
     diags_.error(current().location,
                  "expected expression, found " + current().str());
     advance();
-    return Expression::intLiteral(0, rangeFrom(begin));
+    return Expression::intLiteral(arena(), 0, rangeFrom(begin));
   }
 }
 

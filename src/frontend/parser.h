@@ -42,13 +42,12 @@ private:
   void synchronizeToStatement();
 
   // grammar productions
-  std::unique_ptr<ClassDecl> parseClass();
-  std::unique_ptr<FunctionDecl> parseFunction(Type returnType,
-                                              std::string name,
-                                              std::string className);
+  ArenaPtr<ClassDecl> parseClass();
+  ArenaPtr<FunctionDecl> parseFunction(Type returnType, std::string name,
+                                       std::string className);
   bool parseTypeSpec(Type &out); // returns false if current token ≠ type
   bool looksLikeType() const;
-  std::vector<ParamDecl> parseParams();
+  ArenaList<ParamDecl> parseParams();
 
   StmtPtr parseStatement();
   StmtPtr parseCompound();
@@ -72,11 +71,23 @@ private:
   ExprPtr parsePrimary();
 
   SourceRange rangeFrom(SourceLocation begin) const;
+  /// The arena of the unit being parsed.
+  AstArena &arena() { return *arena_; }
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   DiagnosticEngine &diags_;
   SourceLocation lastEnd_;
+  AstArena *arena_ = nullptr;
+  // Stacks the lists under construction share: a production pushes its
+  // items above the mark it took and moves exactly those into the arena
+  // (AstArena::adopt), so nested lists of one kind use one vector.
+  std::vector<ExprPtr> exprs_;
+  std::vector<StmtPtr> stmts_;
+  std::vector<ParamDecl> params_;
+  std::vector<FieldDecl> fields_;
+  std::vector<ArenaPtr<FunctionDecl>> functions_;
+  std::vector<ArenaPtr<ClassDecl>> classes_;
 };
 
 } // namespace mira::frontend

@@ -90,13 +90,6 @@ void encodeInstruction(const Instruction &inst,
   }
 }
 
-std::vector<std::uint8_t> encodeFunction(const MachineFunction &fn) {
-  std::vector<std::uint8_t> out;
-  for (const Instruction &inst : fn.instructions)
-    encodeInstruction(inst, out);
-  return out;
-}
-
 std::size_t countInstructions(const std::uint8_t *bytes, std::size_t size) {
   std::size_t count = 0;
   std::size_t off = 0;

@@ -21,9 +21,6 @@ namespace mira::isa {
 /// Append the encoding of `inst` to `out`.
 void encodeInstruction(const Instruction &inst, std::vector<std::uint8_t> &out);
 
-/// Encode a whole function body.
-std::vector<std::uint8_t> encodeFunction(const MachineFunction &fn);
-
 /// Number of instructions in bytes[0, size), found by walking the
 /// headers and operand kinds only (no validation: a decode still reports
 /// malformed bytes). Sizes a decoder's output list exactly.

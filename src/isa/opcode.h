@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "isa/categories.h"
+#include "support/inline_vector.h"
 
 namespace mira::isa {
 
@@ -120,8 +121,9 @@ inline constexpr std::size_t kNumOpcodes =
 /// Per-execution opcode counts: (opcode, count) pairs sorted by opcode,
 /// each opcode at most once. The bridge builds one per line query, a
 /// model's CountStep stores it, and the model codec writes and reads the
-/// entries in this order.
-using OpcodeHistogram = std::vector<std::pair<Opcode, std::int64_t>>;
+/// entries in this order. Up to four entries (most steps: a statement's
+/// line rarely holds more distinct opcodes) are stored inline.
+using OpcodeHistogram = InlineVector<std::pair<Opcode, std::int64_t>, 4>;
 
 /// Restore the OpcodeHistogram invariant on a list of entries in any
 /// order: sort by opcode and fold repeated opcodes into one entry whose

@@ -1,14 +1,13 @@
 #include "mir/lowering.h"
 
+#include <algorithm>
 #include <cassert>
-#include <functional>
-#include <map>
-#include <set>
 
 #include "mir/passes.h"
 #include "mir/vectorize.h"
 #include "sema/loop_analysis.h"
 #include "sema/sema.h"
+#include "support/inline_vector.h"
 
 namespace mira::mir {
 
@@ -72,7 +71,7 @@ struct VarSlot {
   MirType type = MirType::I64;
   bool isClassObject = false;     // reg holds a pointer to object storage
   std::string className;
-  std::vector<VReg> dims;         // array dimensions (evaluated at decl)
+  InlineVector<VReg, 3> dims;     // array dimensions (evaluated at decl)
   MirType elemType = MirType::I64; // array/pointer element type
 };
 
@@ -96,9 +95,17 @@ public:
   MirFunction run() {
     fn_.name = decl_.qualifiedName();
     fn_.retType = mirTypeOf(decl_.returnType);
+    SizeBound bound;
+    bound.add(*decl_.bodyStmt);
+    const std::size_t params = decl_.params.size() + decl_.isMethod();
+    fn_.blocks.reserve(1 + bound.blocks);
+    fn_.loops.reserve(bound.loops);
+    fn_.vregTypes.reserve(params + bound.vregs);
+    fn_.paramRegs.reserve(params);
+    fn_.paramTypes.reserve(params);
+    vars_.reserve(decl_.params.size() + bound.vars);
     cur_ = fn_.newBlock();
 
-    scopes_.emplace_back();
     if (decl_.isMethod()) {
       thisReg_ = fn_.newVReg(MirType::Ptr);
       fn_.paramRegs.push_back(thisReg_);
@@ -117,7 +124,7 @@ public:
         slot.isClassObject = true, slot.className = p.type.className;
       fn_.paramRegs.push_back(slot.reg);
       fn_.paramTypes.push_back(slot.type);
-      scopes_.back()[p.name] = slot;
+      vars_.emplace_back(p.name, std::move(slot));
     }
 
     lowerStmt(*decl_.bodyStmt);
@@ -137,11 +144,79 @@ public:
   }
 
 private:
+  static constexpr std::size_t kFirstBlockInsts = 8;
+
   // ---------------------------------------------------------- utilities
 
+  /// What lowering a function body creates, from one walk of its tree,
+  /// so the function's vectors are sized once: blocks, loops and
+  /// variables are upper bounds, registers an estimate a body rarely
+  /// exceeds (a vector that does just grows).
+  struct SizeBound {
+    std::size_t blocks = 0; // beyond the entry block
+    std::size_t loops = 0;  // counted for loops
+    std::size_t vars = 0;   // declarations
+    std::size_t vregs = 0;
+
+    /// Two blocks per short-circuit operator; a few registers per node
+    /// (its value and the casts around it).
+    void add(const Expression &e) {
+      if (e.kind == ExprKind::Binary &&
+          (e.binaryOp == BinaryOp::LAnd || e.binaryOp == BinaryOp::LOr))
+        blocks += 2;
+      vregs += 3;
+      for (const auto &c : e.children)
+        add(*c);
+      if (e.receiver)
+        add(*e.receiver);
+    }
+
+    /// Four blocks per counted for, three per while, generic for or if,
+    /// one per return; a few registers per statement (a loop's bound,
+    /// compare and step).
+    void add(const Statement &s) {
+      switch (s.kind) {
+      case StmtKind::For:
+        blocks += 4;
+        ++loops;
+        break;
+      case StmtKind::While:
+      case StmtKind::If:
+        blocks += 3;
+        break;
+      case StmtKind::Return:
+        blocks += 1;
+        break;
+      case StmtKind::Decl:
+        ++vars;
+        break;
+      default:
+        break;
+      }
+      vregs += 5;
+      for (const Expression *e : {s.expr.get(), s.declInit.get(),
+                                  s.forCond.get(), s.forInc.get()})
+        if (e)
+          add(*e);
+      for (const auto &d : s.arrayDims)
+        add(*d);
+      for (const Statement *c : {s.forInit.get(), s.thenBranch.get(),
+                                 s.elseBranch.get(), s.loopBody.get()})
+        if (c)
+          add(*c);
+      for (const auto &c : s.body)
+        add(*c);
+    }
+  };
+
   MirInst &append(MirInst inst) {
-    fn_.blocks[cur_].insts.push_back(std::move(inst));
-    return fn_.blocks[cur_].insts.back();
+    std::vector<MirInst> &insts = fn_.blocks[cur_].insts;
+    // A block whose size is not known up front starts with room for a
+    // few instructions instead of growing from one.
+    if (insts.capacity() == 0)
+      insts.reserve(kFirstBlockInsts);
+    insts.push_back(std::move(inst));
+    return insts.back();
   }
 
   VReg emitConstI(std::int64_t v, std::uint32_t line) {
@@ -182,12 +257,12 @@ private:
     return i.dst;
   }
 
+  /// The innermost visible variable called `name`. The pointer is good
+  /// until the next declaration.
   const VarSlot *lookup(const std::string &name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end())
-        return &found->second;
-    }
+    for (auto it = vars_.rbegin(); it != vars_.rend(); ++it)
+      if (it->first == name)
+        return &it->second;
     return nullptr;
   }
 
@@ -215,12 +290,14 @@ private:
 
   void lowerStmt(const Statement &stmt) {
     switch (stmt.kind) {
-    case StmtKind::Compound:
-      scopes_.emplace_back();
+    case StmtKind::Compound: {
+      const std::size_t scope = vars_.size();
       for (const auto &s : stmt.body)
         lowerStmt(*s);
-      scopes_.pop_back();
+      vars_.erase(vars_.begin() + static_cast<std::ptrdiff_t>(scope),
+                  vars_.end());
       break;
+    }
     case StmtKind::Decl:
       lowerDecl(stmt);
       break;
@@ -341,7 +418,7 @@ private:
         append(cz);
       }
     }
-    scopes_.back()[stmt.declName] = slot;
+    vars_.emplace_back(stmt.declName, std::move(slot));
   }
 
   void lowerIf(const Statement &stmt) {
@@ -414,48 +491,61 @@ private:
     cur_ = exit;
   }
 
-  /// Names assigned anywhere under `stmt` (for bound-invariance checking).
-  static void collectAssignedVars(const Statement &stmt,
-                                  std::set<std::string> &out) {
-    std::function<void(const Expression &)> walkExpr =
-        [&](const Expression &e) {
-          if (e.kind == ExprKind::Assign &&
-              e.children[0]->kind == ExprKind::VarRef)
-            out.insert(e.children[0]->name);
-          if (e.kind == ExprKind::Unary &&
-              (e.unaryOp == UnaryOp::PreInc || e.unaryOp == UnaryOp::PostInc ||
-               e.unaryOp == UnaryOp::PreDec ||
-               e.unaryOp == UnaryOp::PostDec) &&
-              e.children[0]->kind == ExprKind::VarRef)
-            out.insert(e.children[0]->name);
-          for (const auto &c : e.children)
-            walkExpr(*c);
-          if (e.receiver)
-            walkExpr(*e.receiver);
-        };
-    std::function<void(const Statement &)> walk = [&](const Statement &s) {
-      if (s.kind == StmtKind::Decl && !s.declName.empty())
-        out.insert(s.declName); // shadowing: be conservative
-      if (s.expr)
-        walkExpr(*s.expr);
-      if (s.declInit)
-        walkExpr(*s.declInit);
-      if (s.forCond)
-        walkExpr(*s.forCond);
-      if (s.forInc)
-        walkExpr(*s.forInc);
-      if (s.forInit)
-        walk(*s.forInit);
-      if (s.thenBranch)
-        walk(*s.thenBranch);
-      if (s.elseBranch)
-        walk(*s.elseBranch);
-      if (s.loopBody)
-        walk(*s.loopBody);
-      for (const auto &c : s.body)
-        walk(*c);
-    };
-    walk(stmt);
+  /// The variable names an expression reads, each once, in first-read
+  /// order.
+  using NameList = InlineVector<const std::string *, 4>;
+
+  static void collectVarRefs(const Expression &e, NameList &out) {
+    if (e.kind == ExprKind::VarRef &&
+        std::none_of(out.begin(), out.end(),
+                     [&e](const std::string *n) { return *n == e.name; }))
+      out.push_back(&e.name);
+    for (const auto &c : e.children)
+      collectVarRefs(*c, out);
+    if (e.receiver)
+      collectVarRefs(*e.receiver, out);
+  }
+
+  static bool isIn(const std::string &name, const NameList &names) {
+    return std::any_of(names.begin(), names.end(),
+                       [&name](const std::string *n) { return *n == name; });
+  }
+
+  /// True when `e` assigns, increments or decrements a variable in
+  /// `names`.
+  static bool exprAssignsAny(const Expression &e, const NameList &names) {
+    const bool writes =
+        e.kind == ExprKind::Assign ||
+        (e.kind == ExprKind::Unary &&
+         (e.unaryOp == UnaryOp::PreInc || e.unaryOp == UnaryOp::PostInc ||
+          e.unaryOp == UnaryOp::PreDec || e.unaryOp == UnaryOp::PostDec));
+    if (writes && e.children[0]->kind == ExprKind::VarRef &&
+        isIn(e.children[0]->name, names))
+      return true;
+    for (const auto &c : e.children)
+      if (exprAssignsAny(*c, names))
+        return true;
+    return e.receiver && exprAssignsAny(*e.receiver, names);
+  }
+
+  /// True when anything under `s` assigns a variable in `names`, or
+  /// declares one (shadowing: be conservative). Bound-invariance check.
+  static bool assignsAny(const Statement &s, const NameList &names) {
+    if (s.kind == StmtKind::Decl && !s.declName.empty() &&
+        isIn(s.declName, names))
+      return true;
+    for (const Expression *e : {s.expr.get(), s.declInit.get(),
+                                s.forCond.get(), s.forInc.get()})
+      if (e && exprAssignsAny(*e, names))
+        return true;
+    for (const Statement *c : {s.forInit.get(), s.thenBranch.get(),
+                               s.elseBranch.get(), s.loopBody.get()})
+      if (c && assignsAny(*c, names))
+        return true;
+    for (const auto &c : s.body)
+      if (assignsAny(*c, names))
+        return true;
+    return false;
   }
 
   static bool exprContainsCall(const Expression &e) {
@@ -474,15 +564,6 @@ private:
       if (exprContainsLoad(*c))
         return true;
     return false;
-  }
-
-  static void collectVarRefs(const Expression &e, std::set<std::string> &out) {
-    if (e.kind == ExprKind::VarRef)
-      out.insert(e.name);
-    for (const auto &c : e.children)
-      collectVarRefs(*c, out);
-    if (e.receiver)
-      collectVarRefs(*e.receiver, out);
   }
 
   /// Match 'var++ / ++var / var += c / var = var + c' -> step.
@@ -552,14 +633,10 @@ private:
         // Bound must not reference the induction variable or anything the
         // body assigns; loads require the ff/hoist annotation; calls are
         // never hoistable.
-        std::set<std::string> bodyAssigns;
-        collectAssignedVars(*stmt.loopBody, bodyAssigns);
-        std::set<std::string> boundVars;
+        NameList boundVars;
         collectVarRefs(*condRhs, boundVars);
-        bool invariantScalars = !boundVars.count(var);
-        for (const std::string &v : boundVars)
-          if (bodyAssigns.count(v))
-            invariantScalars = false;
+        const bool invariantScalars =
+            !isIn(var, boundVars) && !assignsAny(*stmt.loopBody, boundVars);
         bool hasCall = exprContainsCall(*condRhs);
         bool hasLoad = exprContainsLoad(*condRhs);
         bool ffAnnotated =
@@ -616,7 +693,8 @@ private:
     loop.header = header;
     loop.latch = latch;
     loop.exit = exit;
-    loop.bodyBlocks.insert(body);
+    fn_.blocks[header].insts.reserve(2); // compare, branch
+    fn_.blocks[latch].insts.reserve(3);  // step constant, add, jump
 
     MirInst toHeader;
     toHeader.op = MirOp::Jump;
@@ -653,11 +731,13 @@ private:
       toLatch.line = line;
       append(toLatch);
     }
+    // Ascending: [body, latch), then everything made after the exit.
+    const auto blockCount = static_cast<std::uint32_t>(fn_.blocks.size());
+    loop.bodyBlocks.reserve((latch - body) + (blockCount - exit - 1));
     for (std::uint32_t b = body; b < latch; ++b)
-      loop.bodyBlocks.insert(b);
-    for (std::uint32_t b = latch + 1; b < fn_.blocks.size(); ++b)
-      if (b != exit)
-        loop.bodyBlocks.insert(b);
+      loop.bodyBlocks.push_back(b);
+    for (std::uint32_t b = exit + 1; b < blockCount; ++b)
+      loop.bodyBlocks.push_back(b);
 
     cur_ = latch;
     VReg stepReg = emitConstI(*step, line);
@@ -776,7 +856,7 @@ private:
     }
     case ExprKind::Index: {
       // Collect the full index chain a[i][j]... down to the base VarRef.
-      std::vector<const Expression *> indices;
+      InlineVector<const Expression *, 4> indices;
       const Expression *base = &expr;
       while (base->kind == ExprKind::Index) {
         indices.push_back(base->children[1].get());
@@ -786,7 +866,7 @@ private:
 
       VReg baseReg;
       MirType elemType;
-      std::vector<VReg> dims;
+      InlineVector<VReg, 3> dims;
       if (base->kind == ExprKind::VarRef) {
         const VarSlot *slot = lookup(base->name);
         if (slot) {
@@ -821,7 +901,8 @@ private:
           // linear = linear * dims[k] + idx (dims available for declared
           // arrays; pointer-typed bases must be indexed linearly).
           if (k < dims.size() || !dims.empty()) {
-            VReg d = dims.size() > k ? dims[k] : dims.back();
+            VReg d = dims.size() > k ? dims[static_cast<std::uint32_t>(k)]
+                                     : dims[dims.size() - 1];
             MirInst mul;
             mul.op = MirOp::Mul;
             mul.type = MirType::I64;
@@ -1243,6 +1324,7 @@ private:
     call.callee = expr.resolvedCallee;
     call.externCall = expr.isExtern;
     call.line = line;
+    call.args.reserve(expr.children.size() + (expr.receiver ? 1 : 0));
 
     if (expr.receiver) {
       // Pass the object storage pointer as the implicit first argument.
@@ -1287,7 +1369,9 @@ private:
   MirFunction fn_;
   std::uint32_t cur_ = 0;
   VReg thisReg_ = kNoVReg;
-  std::vector<std::map<std::string, VarSlot>> scopes_;
+  // Variables in scope, outermost first; a block's declarations are
+  // dropped when it ends, and a redeclaration shadows the earlier slot.
+  std::vector<std::pair<std::string, VarSlot>> vars_;
 };
 
 } // namespace
@@ -1295,7 +1379,9 @@ private:
 MirModule lowerToMir(const TranslationUnit &unit,
                      const CompilerOptions &options, DiagnosticEngine &diags) {
   MirModule module;
-  for (const FunctionDecl *decl : unit.allFunctions()) {
+  const std::vector<const FunctionDecl *> functions = unit.allFunctions();
+  module.functions.reserve(functions.size());
+  for (const FunctionDecl *decl : functions) {
     FunctionLowerer lowerer(unit, *decl, diags);
     module.functions.push_back(lowerer.run());
   }

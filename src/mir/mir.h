@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -193,7 +192,8 @@ struct LoopDescriptor {
   std::uint32_t header = 0;     // contains ICmp + Branch only
   std::uint32_t latch = 0;      // induction += step; Jump header
   std::uint32_t exit = 0;
-  std::set<std::uint32_t> bodyBlocks; // excludes header and latch
+  /// Ascending block ids; excludes header and latch.
+  std::vector<std::uint32_t> bodyBlocks;
   VReg induction = kNoVReg;
   VReg limit = kNoVReg; // hoisted loop-invariant bound (in preheader)
   MirCmp rel = MirCmp::Lt; // induction REL limit continues the loop

@@ -1,36 +1,41 @@
 #include "mir/vectorize.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <optional>
 
 namespace mira::mir {
 
 namespace {
 
-struct LoopRegion {
-  std::set<std::uint32_t> blocks; // header + body + latch
-  std::set<VReg> defs;
-};
+/// Register flags of one loop under planning, indexed by VReg: defined
+/// anywhere in the loop (header, body or latch), and defined in its body
+/// block so far. One allocation per function, reused for every loop.
+struct RegionDefs {
+  static constexpr std::uint8_t kInLoop = 1, kInBody = 2;
+  std::vector<std::uint8_t> flags;
 
-LoopRegion regionOf(const MirFunction &fn, const LoopDescriptor &loop) {
-  LoopRegion r;
-  r.blocks.insert(loop.header);
-  r.blocks.insert(loop.latch);
-  for (std::uint32_t b : loop.bodyBlocks)
-    r.blocks.insert(b);
-  for (std::uint32_t b : r.blocks)
-    for (const MirInst &inst : fn.blocks[b].insts)
-      if (inst.def() != kNoVReg)
-        r.defs.insert(inst.def());
-  return r;
-}
+  void build(const MirFunction &fn, const LoopDescriptor &loop) {
+    flags.assign(fn.vregTypes.size(), 0);
+    auto mark = [&](std::uint32_t b) {
+      for (const MirInst &inst : fn.blocks[b].insts)
+        if (inst.def() != kNoVReg)
+          flags[inst.def()] |= kInLoop;
+    };
+    mark(loop.header);
+    mark(loop.latch);
+    for (std::uint32_t b : loop.bodyBlocks)
+      mark(b);
+  }
+  bool inLoop(VReg r) const { return flags[r] & kInLoop; }
+  bool inBody(VReg r) const { return flags[r] & kInBody; }
+};
 
 bool isInnermost(const MirFunction &fn, const LoopDescriptor &loop) {
   for (const LoopDescriptor &other : fn.loops) {
     if (&other == &loop)
       continue;
-    if (loop.bodyBlocks.count(other.header))
+    if (std::binary_search(loop.bodyBlocks.begin(), loop.bodyBlocks.end(),
+                           other.header))
       return false;
   }
   return true;
@@ -41,24 +46,25 @@ struct Plan {
   VReg reductionAcc = kNoVReg;          // scalar accumulator (if any)
   std::size_t reductionAddIdx = 0;      // FAdd index in body
   std::size_t reductionCopyIdx = 0;     // Copy acc = t index in body
-  std::set<VReg> invariantScalars;      // f64 invariants needing a splat
+  /// f64 invariants needing a splat, ascending and distinct.
+  std::vector<VReg> invariantScalars;
 };
 
 /// Check eligibility of the single body block and build the rewrite plan.
 bool planLoop(const MirFunction &fn, const LoopDescriptor &loop,
-              const LoopRegion &region, Plan &plan) {
+              RegionDefs &region, Plan &plan) {
   if (loop.step != 1 || loop.rel != MirCmp::Lt || loop.vectorized)
     return false;
   if (loop.bodyBlocks.size() != 1)
     return false;
-  std::uint32_t bodyId = *loop.bodyBlocks.begin();
+  std::uint32_t bodyId = loop.bodyBlocks.front();
   const MirBlock &body = fn.blocks[bodyId];
   if (body.insts.empty())
     return false;
 
-  auto isInvariant = [&](VReg r) { return !region.defs.count(r); };
+  auto isInvariant = [&](VReg r) { return !region.inLoop(r); };
+  plan.packedInsts.reserve(body.insts.size());
 
-  std::set<VReg> blockDefs;
   for (std::size_t i = 0; i < body.insts.size(); ++i) {
     const MirInst &inst = body.insts[i];
     if (inst.op == MirOp::Jump) {
@@ -77,10 +83,10 @@ bool planLoop(const MirFunction &fn, const LoopDescriptor &loop,
       if (inst.type != MirType::F64 || inst.index != loop.induction ||
           inst.scale != 8 || !isInvariant(inst.base))
         return false;
-      if (!blockDefs.count(inst.a)) {
+      if (!region.inBody(inst.a)) {
         if (!(isInvariant(inst.a) && fn.typeOf(inst.a) == MirType::F64))
           return false;
-        plan.invariantScalars.insert(inst.a);
+        plan.invariantScalars.push_back(inst.a);
       }
       plan.packedInsts.push_back(i);
       break;
@@ -98,15 +104,15 @@ bool planLoop(const MirFunction &fn, const LoopDescriptor &loop,
       for (VReg use : inst.uses()) {
         if (use == loop.induction)
           return false; // induction may appear only as an index
-        if (!blockDefs.count(use)) {
-          if (region.defs.count(use)) {
+        if (!region.inBody(use)) {
+          if (region.inLoop(use)) {
             // Loop-carried value: only allowed as the reduction, matched
             // below.
             continue;
           }
           if (fn.typeOf(use) != MirType::F64)
             return false;
-          plan.invariantScalars.insert(use);
+          plan.invariantScalars.push_back(use);
         }
       }
       plan.packedInsts.push_back(i);
@@ -116,27 +122,32 @@ bool planLoop(const MirFunction &fn, const LoopDescriptor &loop,
       return false; // integer ops, calls, branches: not vectorizable
     }
     if (inst.def() != kNoVReg)
-      blockDefs.insert(inst.def());
+      region.flags[inst.def()] |= RegionDefs::kInBody;
   }
+  std::sort(plan.invariantScalars.begin(), plan.invariantScalars.end());
+  plan.invariantScalars.erase(std::unique(plan.invariantScalars.begin(),
+                                          plan.invariantScalars.end()),
+                              plan.invariantScalars.end());
 
   // Loop-carried scalars: find registers defined both inside the body and
   // used before their in-body definition (classic reduction shape:
-  //   t = fadd acc, x; ...; copy acc = t).
-  std::set<VReg> carried;
-  {
-    std::set<VReg> defined;
-    for (const MirInst &inst : body.insts) {
-      for (VReg use : inst.uses())
-        if (!defined.count(use) && blockDefs.count(use))
-          carried.insert(use);
-      if (inst.def() != kNoVReg)
-        defined.insert(inst.def());
+  //   t = fadd acc, x; ...; copy acc = t). kInBody now marks every body
+  // definition; a second pass clears each as it is reached, so a use of a
+  // still-marked register reads the previous iteration's value.
+  VReg carried = kNoVReg;
+  for (const MirInst &inst : body.insts) {
+    for (VReg use : inst.uses()) {
+      if (!region.inBody(use) || use == carried)
+        continue;
+      if (carried != kNoVReg)
+        return false; // more than one carried register
+      carried = use;
     }
+    if (inst.def() != kNoVReg)
+      region.flags[inst.def()] &= ~RegionDefs::kInBody;
   }
-  if (carried.size() > 1)
-    return false;
-  if (carried.size() == 1) {
-    VReg acc = *carried.begin();
+  if (carried != kNoVReg) {
+    VReg acc = carried;
     if (acc == loop.induction || fn.typeOf(acc) != MirType::F64)
       return false;
     // Match: exactly one FAdd using acc, and exactly one Copy acc = tmp
@@ -179,20 +190,23 @@ bool planLoop(const MirFunction &fn, const LoopDescriptor &loop,
 std::size_t vectorizeLoops(MirFunction &fn) {
   std::size_t vectorizedCount = 0;
   std::size_t numLoops = fn.loops.size();
+  RegionDefs region;
   for (std::size_t li = 0; li < numLoops; ++li) {
-    // Copy the descriptor: we will append to fn.loops (invalidates refs).
-    LoopDescriptor loop = fn.loops[li];
-    if (!isInnermost(fn, loop))
+    if (!isInnermost(fn, fn.loops[li]))
       continue;
-    LoopRegion region = regionOf(fn, loop);
+    region.build(fn, fn.loops[li]);
     Plan plan;
-    if (!planLoop(fn, loop, region, plan))
+    if (!planLoop(fn, fn.loops[li], region, plan))
       continue;
+    // Take the descriptor out: we will append to fn.loops (invalidates
+    // refs), and put it back updated in step 5.
+    LoopDescriptor loop = std::move(fn.loops[li]);
 
-    std::uint32_t bodyId = *loop.bodyBlocks.begin();
+    std::uint32_t bodyId = loop.bodyBlocks.front();
     std::uint32_t line = loop.sourceLine;
 
     // ---- 1. Clone the scalar loop as the remainder. ----
+    fn.blocks.reserve(fn.blocks.size() + 4);
     std::uint32_t mainExit = fn.newBlock();
     std::uint32_t rHeader = fn.newBlock();
     std::uint32_t rBody = fn.newBlock();
@@ -200,6 +214,7 @@ std::size_t vectorizeLoops(MirFunction &fn) {
 
     {
       MirBlock &hdr = fn.blocks[rHeader];
+      hdr.insts.reserve(2);
       MirInst cmpInst;
       cmpInst.op = MirOp::ICmp;
       cmpInst.type = MirType::I64;
@@ -225,6 +240,7 @@ std::size_t vectorizeLoops(MirFunction &fn) {
     }
     {
       MirBlock &l = fn.blocks[rLatch];
+      l.insts.reserve(3);
       MirInst one;
       one.op = MirOp::ConstI;
       one.type = MirType::I64;
@@ -248,15 +264,19 @@ std::size_t vectorizeLoops(MirFunction &fn) {
     }
 
     // ---- 2. Preheader: vecEnd = limit - ((limit - ind) & 1); splats. ----
-    std::map<VReg, VReg> splatOf;
+    // (invariant, its splat), ascending by invariant.
+    std::vector<std::pair<VReg, VReg>> splatOf;
+    splatOf.reserve(plan.invariantScalars.size());
     {
       MirBlock &pre = fn.blocks[loop.preheader];
       // Insert before the terminator.
-      std::vector<MirInst> tail;
+      std::optional<MirInst> tail;
       if (!pre.insts.empty() && pre.insts.back().isTerminator()) {
-        tail.push_back(pre.insts.back());
+        tail = std::move(pre.insts.back());
         pre.insts.pop_back();
       }
+      pre.insts.reserve(pre.insts.size() + 4 + plan.invariantScalars.size() +
+                        (plan.reductionAcc != kNoVReg) + (tail ? 1 : 0));
       MirInst cnt;
       cnt.op = MirOp::Sub;
       cnt.type = MirType::I64;
@@ -298,7 +318,7 @@ std::size_t vectorizeLoops(MirFunction &fn) {
         splat.dst = fn.newVReg(MirType::F64);
         splat.line = line;
         pre.insts.push_back(splat);
-        splatOf[inv] = splat.dst;
+        splatOf.emplace_back(inv, splat.dst);
       }
 
       VReg vacc = kNoVReg;
@@ -313,8 +333,8 @@ std::size_t vectorizeLoops(MirFunction &fn) {
         pre.insts.push_back(z);
         vacc = z.dst;
       }
-      for (MirInst &t : tail)
-        pre.insts.push_back(std::move(t));
+      if (tail)
+        pre.insts.push_back(std::move(*tail));
 
       // ---- 3. Rewrite the main loop. ----
       MirBlock &hdr = fn.blocks[loop.header];
@@ -360,6 +380,7 @@ std::size_t vectorizeLoops(MirFunction &fn) {
 
       // ---- 4. Epilogue block. ----
       MirBlock &ep = fn.blocks[mainExit];
+      ep.insts.reserve(plan.reductionAcc != kNoVReg ? 3 : 1);
       if (plan.reductionAcc != kNoVReg) {
         MirInst h;
         h.op = MirOp::FHAdd;
@@ -402,7 +423,7 @@ std::size_t vectorizeLoops(MirFunction &fn) {
       loop.limit = vecEnd.dst;
       loop.exit = mainExit;
       loop.remainderLoop = static_cast<int>(fn.loops.size());
-      fn.loops[li] = loop;
+      fn.loops[li] = std::move(loop);
       fn.loops.push_back(std::move(remainder));
     }
     ++vectorizedCount;

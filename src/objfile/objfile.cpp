@@ -134,7 +134,16 @@ struct Reader {
 } // namespace
 
 std::vector<std::uint8_t> MiraObject::serialize() const {
+  // Sized once: the fixed fields exactly, the line program at its worst
+  // case (an advance_pc and an advance_line of ten bytes each, and a
+  // copy, per entry).
+  std::size_t bytes = 4 * 6 + text.size() + 1 + 23 * lineTable.size();
+  for (const FunctionSymbol &sym : symbols)
+    bytes += 4 + sym.name.size() + 8 + 8 + 4;
+  for (const std::string &name : externSymbols)
+    bytes += 4 + name.size();
   std::vector<std::uint8_t> out;
+  out.reserve(bytes);
   putU32(out, kMagic);
   putU32(out, kVersion);
 
@@ -152,26 +161,30 @@ std::vector<std::uint8_t> MiraObject::serialize() const {
   putU32(out, static_cast<std::uint32_t>(text.size()));
   out.insert(out.end(), text.begin(), text.end());
 
-  // Line program (state machine: address = 0, line = 1).
-  std::vector<std::uint8_t> program;
+  // Line program (state machine: address = 0, line = 1), written after a
+  // size slot filled in once its length is known.
+  const std::size_t sizeAt = out.size();
+  putU32(out, 0);
   std::uint64_t address = 0;
   std::int64_t line = 1;
   for (const LineEntry &entry : lineTable) {
     if (entry.address != address) {
-      program.push_back(kLineAdvancePc);
-      putULEB(program, entry.address - address);
+      out.push_back(kLineAdvancePc);
+      putULEB(out, entry.address - address);
       address = entry.address;
     }
     if (entry.line != line) {
-      program.push_back(kLineAdvanceLine);
-      putSLEB(program, static_cast<std::int64_t>(entry.line) - line);
+      out.push_back(kLineAdvanceLine);
+      putSLEB(out, static_cast<std::int64_t>(entry.line) - line);
       line = entry.line;
     }
-    program.push_back(kLineCopy);
+    out.push_back(kLineCopy);
   }
-  program.push_back(kLineEnd);
-  putU32(out, static_cast<std::uint32_t>(program.size()));
-  out.insert(out.end(), program.begin(), program.end());
+  out.push_back(kLineEnd);
+  const auto programSize = static_cast<std::uint32_t>(out.size() - sizeAt - 4);
+  for (int i = 0; i < 4; ++i)
+    out[sizeAt + i] =
+        static_cast<std::uint8_t>((programSize >> (8 * i)) & 0xFF);
   return out;
 }
 
@@ -190,6 +203,10 @@ std::optional<MiraObject> MiraObject::parse(
   }
   MiraObject obj;
   std::uint32_t numSyms = r.u32();
+  // Counts come from the bytes: reserve no more than the bytes can hold
+  // (a symbol takes at least 24 of them, an extern name 4).
+  obj.symbols.reserve(
+      std::min<std::size_t>(numSyms, (data.size() - r.pos) / 24));
   for (std::uint32_t i = 0; i < numSyms && !r.failed; ++i) {
     FunctionSymbol sym;
     sym.name = r.str();
@@ -199,6 +216,9 @@ std::optional<MiraObject> MiraObject::parse(
     obj.symbols.push_back(std::move(sym));
   }
   std::uint32_t numExterns = r.u32();
+  if (!r.failed)
+    obj.externSymbols.reserve(
+        std::min<std::size_t>(numExterns, (data.size() - r.pos) / 4));
   for (std::uint32_t i = 0; i < numExterns && !r.failed; ++i)
     obj.externSymbols.push_back(r.str());
 
@@ -217,6 +237,12 @@ std::optional<MiraObject> MiraObject::parse(
     return std::nullopt;
   }
   std::size_t programEnd = r.pos + programSize;
+  // Each row is one copy opcode, so the program's copy-valued bytes bound
+  // the rows (operand bytes may also hold the value).
+  obj.lineTable.reserve(static_cast<std::size_t>(
+      std::count(data.begin() + static_cast<std::ptrdiff_t>(r.pos),
+                 data.begin() + static_cast<std::ptrdiff_t>(programEnd),
+                 kLineCopy)));
   std::uint64_t address = 0;
   std::int64_t line = 1;
   while (r.pos < programEnd && !r.failed) {
@@ -266,30 +292,51 @@ std::uint32_t MiraObject::lineForAddress(std::uint64_t address) const {
 
 MiraObject buildObject(const std::vector<isa::MachineFunction> &functions,
                        const std::vector<std::string> &externs) {
+  std::vector<const isa::MachineFunction *> inPlace;
+  inPlace.reserve(functions.size());
+  for (const isa::MachineFunction &fn : functions)
+    inPlace.push_back(&fn);
+  return buildObject(inPlace, externs);
+}
+
+MiraObject
+buildObject(const std::vector<const isa::MachineFunction *> &functions,
+            const std::vector<std::string> &externs) {
   MiraObject obj;
   obj.externSymbols = externs;
-  std::uint64_t offset = 0;
+  // Every function is encoded straight into one .text, and the line
+  // table gets one entry per change of line: both are sized exactly.
+  std::size_t textBytes = 0, lineEntries = 0;
+  for (const isa::MachineFunction *fn : functions) {
+    std::uint32_t lastLine = 0xFFFFFFFF;
+    for (const isa::Instruction &inst : fn->instructions) {
+      textBytes += inst.encodedSize();
+      lineEntries += inst.line != lastLine;
+      lastLine = inst.line;
+    }
+  }
+  obj.symbols.reserve(functions.size());
+  obj.text.reserve(textBytes);
+  obj.lineTable.reserve(lineEntries);
   int id = 0;
-  for (const isa::MachineFunction &fn : functions) {
+  for (const isa::MachineFunction *fn : functions) {
     // Function bodies are laid out relative to 0 (jump offsets are
     // function-relative); the line table stores absolute offsets.
-    std::vector<std::uint8_t> bytes = isa::encodeFunction(fn);
-    FunctionSymbol sym;
-    sym.name = fn.name;
-    sym.offset = offset;
-    sym.size = bytes.size();
-    sym.id = id++;
-    obj.symbols.push_back(sym);
-
+    const std::uint64_t offset = obj.text.size();
     std::uint32_t lastLine = 0xFFFFFFFF;
-    for (const isa::Instruction &inst : fn.instructions) {
+    for (const isa::Instruction &inst : fn->instructions) {
       if (inst.line != lastLine) {
         obj.lineTable.push_back({offset + inst.address, inst.line});
         lastLine = inst.line;
       }
+      isa::encodeInstruction(inst, obj.text);
     }
-    obj.text.insert(obj.text.end(), bytes.begin(), bytes.end());
-    offset += bytes.size();
+    FunctionSymbol sym;
+    sym.name = fn->name;
+    sym.offset = offset;
+    sym.size = obj.text.size() - offset;
+    sym.id = id++;
+    obj.symbols.push_back(std::move(sym));
   }
   std::sort(obj.lineTable.begin(), obj.lineTable.end(),
             [](const LineEntry &a, const LineEntry &b) {

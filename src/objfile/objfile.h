@@ -60,5 +60,10 @@ public:
 /// order (matching codegen's functionIds map).
 MiraObject buildObject(const std::vector<isa::MachineFunction> &functions,
                        const std::vector<std::string> &externs);
+/// The same from functions kept elsewhere (each codegen result holds
+/// its own), read in place rather than copied into one list.
+MiraObject
+buildObject(const std::vector<const isa::MachineFunction *> &functions,
+            const std::vector<std::string> &externs);
 
 } // namespace mira::objfile

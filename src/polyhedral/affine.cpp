@@ -79,7 +79,7 @@ AffineExpr AffineExpr::without(Symbol var) const {
   AffineExpr out = *this;
   for (std::uint32_t i = 0; i < out.terms_.size(); ++i)
     if (out.terms_[i].var == var) {
-      out.terms_.erase(i);
+      out.terms_.erase(out.terms_.begin() + i);
       break;
     }
   return out;
@@ -117,7 +117,8 @@ Polynomial AffineExpr::toPolynomial() const {
 }
 
 Expr AffineExpr::toExpr() const {
-  std::vector<Expr> terms;
+  // The constant and up to three terms (the inline case) need no heap.
+  InlineVector<Expr, 4> terms;
   terms.reserve(terms_.size() + 1);
   if (constant_ != 0)
     terms.push_back(Expr::intConst(constant_));
@@ -125,7 +126,7 @@ Expr AffineExpr::toExpr() const {
     terms.push_back(Expr::intConst(t.coeff) * Expr::param(t.var));
   if (terms.empty())
     return Expr::intConst(0);
-  return Expr::add(terms);
+  return Expr::add(terms.data(), terms.size());
 }
 
 std::optional<AffineExpr> AffineExpr::fromExpr(const Expr &expr) {

@@ -164,8 +164,8 @@ Expr countCongruenceGuard(const BoundExprs &ib, const Congruence &c,
 
 /// Deduplicate bounds lists (guards may re-add an existing bound).
 void dedupeBounds(LoopLevel &level) {
-  auto dedupe = [](std::vector<AffineExpr> &bounds) {
-    std::vector<AffineExpr> out;
+  auto dedupe = [](LoopLevel::Bounds &bounds) {
+    LoopLevel::Bounds out;
     for (const auto &b : bounds) {
       bool dup = false;
       for (const auto &o : out)

@@ -32,11 +32,15 @@ namespace mira::polyhedral {
 
 /// One loop level: `for (var = lb; var <= ub; var += step)`. Multiple
 /// lower/upper bounds arise when branch guards are folded in; the
-/// effective range is [max(lowerBounds), min(upperBounds)].
+/// effective range is [max(lowerBounds), min(upperBounds)]. Two bounds a
+/// side are stored inline, so copying a level (domains are copied per
+/// guard and per count) makes no allocation.
 struct LoopLevel {
+  using Bounds = InlineVector<AffineExpr, 2>;
+
   Symbol var{};
-  std::vector<AffineExpr> lowerBounds;
-  std::vector<AffineExpr> upperBounds;
+  Bounds lowerBounds;
+  Bounds upperBounds;
   std::int64_t step = 1;
 
   static LoopLevel make(Symbol var, AffineExpr lb, AffineExpr ub,

@@ -279,7 +279,7 @@ private:
       if (const Type *t = lookup(expr.name)) {
         if (t->scalar == ScalarType::Class && !t->isPointer()) {
           expr.receiver =
-              Expression::varRef(expr.name, expr.range);
+              Expression::varRef(unit_.arena, expr.name, expr.range);
           expr.receiver->type = *t;
           expr.name = "operator()";
         }

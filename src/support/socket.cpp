@@ -1,5 +1,6 @@
 #include "support/socket.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -14,6 +15,7 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -335,21 +337,36 @@ bool setReadTimeout(int fd, int millis) {
 
 namespace {
 
-bool sendAll(int fd, const char *data, std::size_t size) {
-  while (size > 0) {
+/// Send every byte of `parts[0, count)` with as few sendmsg calls as the
+/// socket allows: one when its buffer has room for the whole frame, so a
+/// reader blocked in recv wakes once per frame. Consumes `parts`.
+bool sendAll(int fd, iovec *parts, std::size_t count) {
+  while (count > 0) {
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = count;
     // MSG_NOSIGNAL: a peer that vanished mid-reply must surface as a
     // failed send, not a process-killing SIGPIPE.
-    ssize_t sent = ::send(fd, data, size, MSG_NOSIGNAL);
+    ssize_t sent = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (sent < 0) {
       if (errno == EINTR)
         continue;
       return false;
     }
-    data += sent;
-    size -= static_cast<std::size_t>(sent);
+    auto left = static_cast<std::size_t>(sent);
+    for (; count > 0 && left >= parts->iov_len; ++parts, --count)
+      left -= parts->iov_len;
+    if (count > 0) {
+      parts->iov_base = static_cast<char *>(parts->iov_base) + left;
+      parts->iov_len -= left;
+    }
   }
   return true;
 }
+
+/// The first read of a frame body, in bytes; each later read at most
+/// doubles what has arrived.
+constexpr std::size_t kFirstBodyStep = 64 * 1024;
 
 /// Read exactly `size` bytes. `sawAnyByte` distinguishes clean EOF (peer
 /// closed between frames) from truncation (closed mid-frame).
@@ -381,8 +398,9 @@ bool writeFrame(int fd, const std::string &payload) {
   const auto size = static_cast<std::uint32_t>(payload.size());
   for (int i = 0; i < 4; ++i)
     header[i] = static_cast<char>((size >> (8 * i)) & 0xff);
-  return sendAll(fd, header, sizeof(header)) &&
-         sendAll(fd, payload.data(), payload.size());
+  iovec parts[2] = {{header, sizeof(header)},
+                    {const_cast<char *>(payload.data()), payload.size()}};
+  return sendAll(fd, parts, 2);
 }
 
 FrameStatus readFrame(int fd, std::string &payload, std::uint32_t maxBytes) {
@@ -397,13 +415,23 @@ FrameStatus readFrame(int fd, std::string &payload, std::uint32_t maxBytes) {
     size = (size << 8) | static_cast<std::uint8_t>(header[i]);
   if (size > maxBytes)
     return FrameStatus::oversized;
-  std::string body(size, '\0');
-  if (size > 0) {
-    status = recvAll(fd, body.data(), size, sawAnyByte);
+  // The body buffer grows with the bytes received: each step asks for
+  // at most max(kFirstBodyStep, received) more, so a header that claims
+  // the cap and sends nothing costs the reader one step, not the claimed
+  // size.
+  std::string body;
+  std::size_t received = 0;
+  while (received < size) {
+    const std::size_t step =
+        std::min<std::size_t>(size - received,
+                              std::max(kFirstBodyStep, received));
+    body.resize(received + step);
+    status = recvAll(fd, body.data() + received, step, sawAnyByte);
     if (status == FrameStatus::closed)
       status = FrameStatus::truncated; // header arrived, body did not
     if (status != FrameStatus::ok)
       return status;
+    received += step;
   }
   payload = std::move(body);
   return FrameStatus::ok;

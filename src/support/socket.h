@@ -116,14 +116,16 @@ enum class FrameStatus {
   ioError,   ///< recv failed outright
 };
 
-/// Write `payload.size()` as little-endian u32, then the payload bytes.
-/// Loops over partial sends; false on any send failure.
+/// Write `payload.size()` as little-endian u32, then the payload bytes,
+/// in one sendmsg when the socket takes them all. Loops over partial
+/// sends; false on any send failure.
 bool writeFrame(int fd, const std::string &payload);
 
 /// Read one frame into `payload`. `maxBytes` caps the declared length;
 /// an oversized declaration is reported *without* reading the body, so
-/// the caller can answer with an error before closing. Anything but
-/// FrameStatus::ok leaves `payload` empty.
+/// the caller can answer with an error before closing. The body buffer
+/// grows with the bytes received, not with the declared length. Anything
+/// but FrameStatus::ok leaves `payload` empty.
 FrameStatus readFrame(int fd, std::string &payload, std::uint32_t maxBytes);
 
 } // namespace mira::net

@@ -244,16 +244,24 @@ Expr Expr::param(Symbol symbol) {
 }
 
 Expr Expr::add(const std::vector<Expr> &operands) {
-  AddBuilder sum(ExprInterner::current());
-  for (const Expr &e : operands)
-    sum.absorb(e.node_);
-  return Expr(sum.finish());
+  return add(operands.data(), operands.size());
 }
 
 Expr Expr::mul(const std::vector<Expr> &operands) {
+  return mul(operands.data(), operands.size());
+}
+
+Expr Expr::add(const Expr *operands, std::size_t count) {
+  AddBuilder sum(ExprInterner::current());
+  for (std::size_t i = 0; i < count; ++i)
+    sum.absorb(operands[i].node_);
+  return Expr(sum.finish());
+}
+
+Expr Expr::mul(const Expr *operands, std::size_t count) {
   MulBuilder product(ExprInterner::current());
-  for (const Expr &e : operands)
-    product.absorb(e.node_);
+  for (std::size_t i = 0; i < count; ++i)
+    product.absorb(operands[i].node_);
   return Expr(product.finish());
 }
 

@@ -72,6 +72,10 @@ public:
   static Expr param(Symbol symbol);
   static Expr add(const std::vector<Expr> &operands);
   static Expr mul(const std::vector<Expr> &operands);
+  /// The same over operands[0, count), for callers that keep their
+  /// operands somewhere other than a std::vector.
+  static Expr add(const Expr *operands, std::size_t count);
+  static Expr mul(const Expr *operands, std::size_t count);
   static Expr floorDiv(Expr a, Expr b);
   static Expr exactDiv(Expr a, Expr b);
   static Expr mod(Expr a, Expr b);

@@ -104,7 +104,6 @@ void Polynomial::addTerm(Monomial m, const Rational &c) {
 Polynomial Polynomial::merge(const Polynomial &a, const Polynomial &b,
                              bool subtract) {
   Polynomial out;
-  out.terms_.reserve(a.terms_.size() + b.terms_.size());
   std::size_t i = 0, j = 0;
   while (i < a.terms_.size() || j < b.terms_.size()) {
     if (j == b.terms_.size() ||
@@ -146,7 +145,6 @@ Polynomial operator*(const Polynomial &a, const Polynomial &b) {
   Polynomial out;
   if (a.isZero() || b.isZero())
     return out;
-  out.terms_.reserve(a.terms_.size() * b.terms_.size());
   for (const Polynomial::Term &ta : a.terms_)
     for (const Polynomial::Term &tb : b.terms_)
       out.addTerm(mergeMonomials(ta.first, tb.first), ta.second * tb.second);
@@ -239,9 +237,11 @@ Expr Polynomial::toExpr() const {
     std::int64_t d = t.second.den();
     lcm = checkedMul(lcm / gcd64(lcm, d), d);
   }
-  std::vector<Expr> sum;
+  // One summand per term, one factor per unit of degree: the few terms
+  // and low degrees of loop counts stay inline.
+  InlineVector<Expr, 4> sum;
   sum.reserve(terms_.size());
-  std::vector<Expr> factors;
+  InlineVector<Expr, 4> factors;
   for (const Term &t : terms_) {
     const Rational &c = t.second;
     factors.clear();
@@ -251,9 +251,9 @@ Expr Polynomial::toExpr() const {
       for (int k = 0; k < f.exponent; ++k)
         factors.push_back(v);
     }
-    sum.push_back(Expr::mul(factors));
+    sum.push_back(Expr::mul(factors.data(), factors.size()));
   }
-  Expr numerator = Expr::add(sum);
+  Expr numerator = Expr::add(sum.data(), sum.size());
   if (lcm == 1)
     return numerator;
   return Expr::exactDiv(numerator, Expr::intConst(lcm));

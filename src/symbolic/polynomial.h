@@ -7,10 +7,11 @@
 //
 // Variables are Symbols of the calling thread's ExprInterner (interner.h),
 // never strings: a monomial is an inline array of (Symbol, exponent)
-// pairs, and a polynomial a sorted flat vector of (monomial, coefficient)
-// terms. Both orders are by Symbol id, which is mint order; no output
-// depends on them, since toExpr() hands its terms to the canonicalizing
-// Expr builders.
+// pairs, and a polynomial a sorted inline array of (monomial, coefficient)
+// terms, so the few-term polynomials of loop counting and their sums and
+// products make no allocation. Both orders are by Symbol id, which is
+// mint order; no output depends on them, since toExpr() hands its terms
+// to the canonicalizing Expr builders.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +49,7 @@ using Monomial = InlineVector<VarPower, 3>;
 class Polynomial {
 public:
   using Term = std::pair<Monomial, Rational>;
+  using Terms = InlineVector<Term, 4>;
 
   Polynomial() = default;
   explicit Polynomial(Rational constant);
@@ -101,10 +103,10 @@ public:
   std::string str() const;
 
   /// Terms sorted by monomial.
-  const std::vector<Term> &terms() const { return terms_; }
+  const Terms &terms() const { return terms_; }
 
 private:
-  std::vector<Term> terms_;
+  Terms terms_;
 
   void addTerm(Monomial m, const Rational &c);
   // a + b, or a - b when `subtract`: one merge of the sorted term lists.

@@ -3,6 +3,9 @@
 // machine code whose shape the compiler never emits on its own.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "binast/binast.h"
 #include "core/compiler.h"
 #include "objfile/objfile.h"
@@ -126,6 +129,10 @@ MachineFunction deadBlockEntersInnerLoop() {
   return resolveJumps(std::move(fn));
 }
 
+std::vector<std::uint32_t> successorsOf(const AsmBlock &block) {
+  return {block.successors.begin(), block.successors.end()};
+}
+
 TEST(BinaryAst, LoopsOfHandBuiltNestsArePinned) {
   const objfile::MiraObject object = objfile::buildObject(
       {nestedWithDeadBlock(), deadBlockEntersInnerLoop()}, {});
@@ -139,7 +146,16 @@ TEST(BinaryAst, LoopsOfHandBuiltNestsArePinned) {
   const std::vector<std::vector<std::uint32_t>> successors = {
       {2}, {7}, {7, 3}, {4}, {6, 5}, {4}, {2}, {}};
   for (std::uint32_t b = 0; b < 8; ++b)
-    EXPECT_EQ(nested.blocks[b].successors, successors[b]) << "block " << b;
+    EXPECT_EQ(successorsOf(nested.blocks[b]), successors[b]) << "block " << b;
+  // Blocks are consecutive instruction ranges covering the function.
+  for (std::uint32_t b = 0; b < 8; ++b) {
+    EXPECT_EQ(nested.blocks[b].firstInstr,
+              b ? nested.blocks[b - 1].endInstr : 0u)
+        << "block " << b;
+    EXPECT_LT(nested.blocks[b].firstInstr, nested.blocks[b].endInstr)
+        << "block " << b;
+  }
+  EXPECT_EQ(nested.blocks.back().endInstr, nested.instructions.size());
 
   // Back edges in block order: the inner latch B5 comes first.
   ASSERT_EQ(nested.loops.size(), 2u);
@@ -169,7 +185,15 @@ TEST(BinaryAst, LoopsOfHandBuiltNestsArePinned) {
   // dominates the outer latch, and only the inner back edge is a loop.
   const AsmFunction &entered = ast->functions[1];
   ASSERT_EQ(entered.blocks.size(), 8u);
-  EXPECT_EQ(entered.blocks[1].successors, (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(successorsOf(entered.blocks[1]), (std::vector<std::uint32_t>{4}));
+  // The instruction ranges of the blocks marked in the listing above.
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges = {
+      {0, 2}, {2, 4}, {4, 6}, {6, 7}, {7, 9}, {9, 14}, {14, 16}, {16, 17}};
+  for (std::uint32_t b = 0; b < 8; ++b)
+    EXPECT_EQ(std::make_pair(entered.blocks[b].firstInstr,
+                             entered.blocks[b].endInstr),
+              ranges[b])
+        << "block " << b;
   ASSERT_EQ(entered.loops.size(), 1u);
   const BinaryLoop &only = entered.loops[0];
   EXPECT_EQ(only.headerBlock, 4u);

@@ -3,6 +3,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -415,6 +416,112 @@ TEST(Parser, FindFunctionQualifiedLookup) {
   EXPECT_NE(unit->findFunction("g"), nullptr);
   EXPECT_EQ(unit->findFunction("nope"), nullptr);
   EXPECT_EQ(unit->allFunctions().size(), 2u);
+}
+
+// -------------------------------------------------------------- AST arena
+//
+// Nodes live in their unit's arena and their destructors run when the unit
+// dies. The names below are longer than a string's inline buffer, so every
+// node holding one owns a heap block: a destructor that does not run leaks
+// it, which the sanitizer job's leak check reports.
+
+/// A source whose every identifier and annotation value owns heap memory,
+/// with `statements` statements in one function body (enough of them
+/// spill the body list and the nodes over several arena chunks).
+std::string longNamedSource(int statements) {
+  const std::string v = "a_variable_name_longer_than_any_inline_buffer";
+  std::string src = "class A_class_name_longer_than_any_inline_buffer {\n"
+                    "public:\n"
+                    "  double a_field_name_longer_than_any_inline_buffer;\n"
+                    "  int a_method_name_longer_than_any_inline_buffer("
+                    "int a_parameter_name_longer_than_any_inline_buffer) {\n"
+                    "    return a_parameter_name_longer_than_any_inline_buffer;"
+                    "\n  }\n};\n";
+  src += "double f(int n, double* a_pointer_longer_than_any_inline_buffer) {\n";
+  src += "  double " + v + " = 0.0;\n";
+  for (int i = 0; i < statements; ++i) {
+    if (i % 50 == 0)
+      src += "  #pragma @Annotation {lp_iters:a_long_annotation_value_" +
+             std::to_string(i) + "_longer_than_any_inline_buffer}\n";
+    src += "  for (int i = 0; i < n; i++) " + v + " = " + v +
+           " + a_pointer_longer_than_any_inline_buffer[i] * 0.5;\n";
+  }
+  src += "  return " + v + ";\n}\n";
+  return src;
+}
+
+TEST(AstArena, FullParseBuildsEveryNodeAndFreesThemWithTheUnit) {
+  const std::string src = longNamedSource(2000);
+  auto unit = parseOk(src);
+  ASSERT_NE(unit, nullptr);
+  ASSERT_EQ(unit->classes.size(), 1u);
+  ASSERT_EQ(unit->classes[0]->methods.size(), 1u);
+  EXPECT_EQ(unit->classes[0]->methods[0]->params[0].name,
+            "a_parameter_name_longer_than_any_inline_buffer");
+  ASSERT_EQ(unit->functions.size(), 1u);
+  const Statement &body = *unit->functions[0]->bodyStmt;
+  // The declaration, 2000 loops and the return: a list past one chunk.
+  ASSERT_EQ(body.body.size(), 2002u);
+  const Statement &last = *body.body[2000];
+  ASSERT_EQ(last.kind, StmtKind::For);
+  EXPECT_EQ(last.range.begin.line, 2049u); // 9 + 2000 loops + 40 pragmas
+  const Expression &assign = *last.loopBody->expr;
+  ASSERT_EQ(assign.kind, ExprKind::Assign);
+  EXPECT_EQ(assign.children[1]->children[1]->children[0]->children[0]->name,
+            "a_pointer_longer_than_any_inline_buffer");
+  ASSERT_TRUE(body.body[1951]->annotation);
+  EXPECT_EQ(*body.body[1951]->annotation->get("lp_iters"),
+            "a_long_annotation_value_1950_longer_than_any_inline_buffer");
+  unit.reset();
+}
+
+TEST(AstArena, ParseFailingMidStatementFreesItsPartialTree) {
+  // Each of these stops inside a statement or declaration, leaving built
+  // nodes and lists behind that no unit list adopts (the function without
+  // a body is dropped whole).
+  const char *const sources[] = {
+      "double f(int a_parameter_name_longer_than_any_inline_buffer) {\n"
+      "  double a_variable_name_longer_than_any_inline_buffer = (1.0 + ;\n"
+      "}\n",
+      "int g(int a_parameter_name_longer_than_any_inline_buffer,"
+      " double another_parameter_longer_than_any_inline_buffer)\n",
+      "void h() { for (int i = 0; i < a_bound_longer_than_any_inline_buffer(",
+      "class A_class_name_longer_than_any_inline_buffer { public: int "
+      "a_method_name_longer_than_any_inline_buffer(int x) "};
+  for (const char *src : sources) {
+    DiagnosticEngine diags;
+    auto unit = Parser::parse(src, "broken.mc", diags);
+    EXPECT_TRUE(diags.hasErrors()) << src;
+    ASSERT_NE(unit, nullptr) << src;
+  }
+}
+
+TEST(AstArena, UnitsParsedOnOneThreadAreDestroyedOnAnother) {
+  // No arena is shared or thread-local: a unit parsed on one thread and
+  // destroyed on another touches only its own chunks (the ThreadSanitizer
+  // job runs this suite).
+  constexpr int kThreads = 4;
+  std::vector<std::unique_ptr<TranslationUnit>> units(kThreads);
+  std::vector<std::thread> parsers;
+  for (int t = 0; t < kThreads; ++t)
+    parsers.emplace_back([&units, t] {
+      DiagnosticEngine diags;
+      units[t] = Parser::parse(longNamedSource(100 + t), "t.mc", diags);
+    });
+  for (std::thread &parser : parsers)
+    parser.join();
+  std::vector<std::thread> destroyers;
+  std::vector<std::size_t> sizes(kThreads);
+  for (int t = 0; t < kThreads; ++t)
+    destroyers.emplace_back(
+        [&sizes, t, unit = std::move(units[(t + 1) % kThreads])]() mutable {
+          sizes[t] = unit->functions[0]->bodyStmt->body.size();
+          unit.reset();
+        });
+  for (std::thread &destroyer : destroyers)
+    destroyer.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(sizes[t], 102u + static_cast<std::size_t>((t + 1) % kThreads));
 }
 
 } // namespace

@@ -3,7 +3,9 @@
 // invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <set>
 
 #include "codegen/codegen.h"
 #include "codegen/regalloc.h"
@@ -429,7 +431,9 @@ TEST(RegAlloc, ValueUsedInInnerLoopKeepsItsRegisterAcrossOuterLoop) {
   ASSERT_EQ(fn->loops.size(), 2u);
   const LoopDescriptor &inner = fn->loops[0];
   const LoopDescriptor &outer = fn->loops[1];
-  ASSERT_TRUE(outer.bodyBlocks.count(inner.header));
+  ASSERT_TRUE(std::is_sorted(outer.bodyBlocks.begin(), outer.bodyBlocks.end()));
+  ASSERT_TRUE(std::binary_search(outer.bodyBlocks.begin(),
+                                 outer.bodyBlocks.end(), inner.header));
 
   VReg k = kNoVReg;
   for (const MirInst &inst : fn->blocks[outer.preheader].insts)
@@ -446,7 +450,8 @@ TEST(RegAlloc, ValueUsedInInnerLoopKeepsItsRegisterAcrossOuterLoop) {
   auto alloc = codegen::allocateRegisters(*fn);
   ASSERT_TRUE(alloc.of(k).inRegister);
   const isa::Reg reg = alloc.of(k).reg;
-  std::set<std::uint32_t> region = outer.bodyBlocks;
+  std::set<std::uint32_t> region(outer.bodyBlocks.begin(),
+                                 outer.bodyBlocks.end());
   region.insert(outer.header);
   region.insert(outer.latch);
   for (std::uint32_t b : region)

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/artifacts.h"
@@ -127,6 +128,85 @@ TEST(ProtocolCodec, OptionFlagsMatchRequestKeyInputs) {
   EXPECT_EQ(round.compile.compiler.optimize, false);
   EXPECT_EQ(round.compile.compiler.vectorize, true);
   EXPECT_EQ(round.metrics.assumeBranchesTaken, false);
+}
+
+// ------------------------------------------------------------ frame I/O
+
+TEST(FrameIo, FramesLargerThanTheSocketBufferRoundTrip) {
+  // Two frames well past a socket pair's buffer, back to back, so the
+  // writer's sendmsg returns partway through the header-plus-body pair
+  // and must resume mid-body while a reader drains the other end.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  net::Socket writer(fds[0]), reader(fds[1]);
+  std::vector<std::string> frames;
+  for (std::size_t size : {std::size_t{3} << 20, (std::size_t{1} << 20) + 7}) {
+    std::string frame(size, '\0');
+    for (std::size_t i = 0; i < size; ++i)
+      frame[i] = static_cast<char>((i * 131 + size) & 0xff);
+    frames.push_back(std::move(frame));
+  }
+  std::vector<std::string> received(frames.size());
+  std::vector<net::FrameStatus> statuses(frames.size(),
+                                         net::FrameStatus::ioError);
+  std::thread drain([&] {
+    for (std::size_t i = 0; i < frames.size(); ++i)
+      statuses[i] = net::readFrame(reader.fd(), received[i], kMaxFrameBytes);
+  });
+  for (const std::string &frame : frames)
+    EXPECT_TRUE(net::writeFrame(writer.fd(), frame));
+  drain.join();
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(statuses[i], net::FrameStatus::ok) << "frame " << i;
+    EXPECT_TRUE(received[i] == frames[i]) << "frame " << i;
+  }
+}
+
+/// This process's peak resident set (VmHWM), in KiB; -1 if unreadable.
+long peakResidentKiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmHWM:", 0) == 0)
+      return std::strtol(line.c_str() + 6, nullptr, 10);
+  return -1;
+}
+
+TEST(FrameIo, HeaderOnlyPeerDoesNotCostTheReaderItsClaimedSize) {
+  // A peer that declares the largest frame the cap allows and then sends
+  // nothing must not make the reader allocate (and zero) that much: the
+  // daemon reads a frame before any Hello check, so this is open to any
+  // peer that can connect. Measured in a forked child, whose peak
+  // resident set starts at its resident set when forked.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+      ::_exit(2);
+    const std::uint32_t claimed = kMaxFrameBytes;
+    unsigned char header[4];
+    for (int i = 0; i < 4; ++i)
+      header[i] = static_cast<unsigned char>((claimed >> (8 * i)) & 0xff);
+    if (::send(fds[0], header, sizeof(header), 0) !=
+            static_cast<ssize_t>(sizeof(header)) ||
+        !net::setReadTimeout(fds[1], 200))
+      ::_exit(2);
+    const long before = peakResidentKiB();
+    std::string payload;
+    const net::FrameStatus status =
+        net::readFrame(fds[1], payload, kMaxFrameBytes);
+    const long after = peakResidentKiB();
+    if (status != net::FrameStatus::ioError || before < 0 || after < 0)
+      ::_exit(2);
+    ::_exit(after - before < 1024 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: the reader's peak resident set grew by 1 MiB or more; "
+         "2: the probe itself failed";
 }
 
 // ---------------------------------------------------------------- daemon

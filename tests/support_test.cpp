@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <system_error>
 #include <thread>
 #include <type_traits>
@@ -208,6 +209,42 @@ TEST(InlineVector, SpillThenCopyAndMoveBack) {
   EXPECT_EQ(moved, (Slots{{1, 1}, {2, 2}, {3, 3}}));
   spilled = Slots{{4, 4}};
   EXPECT_EQ(spilled, (Slots{{4, 4}}));
+}
+
+TEST(InlineVector, OwnsElementsThatAreNotTriviallyCopyable) {
+  // Strings longer than the small-string buffer own heap blocks: a missed
+  // destructor leaks (the ASan job's leak check), a shallow copy frees
+  // twice.
+  using Names = InlineVector<std::string, 2>;
+  auto name = [](int i) { return std::string(40, 'a') + std::to_string(i); };
+  Names names;
+  for (int i = 0; i < 5; ++i)
+    names.push_back(name(i));
+  ASSERT_EQ(names.size(), 5u);
+  names.emplace_back(names[0]); // an element of the list, while it grows
+  names.erase(names.begin() + 1);
+  names.erase(names.begin() + 2, names.begin() + 4);
+  EXPECT_EQ(names, (Names{name(0), name(2), name(0)}));
+  names.pop_back();
+  names.emplace(names.begin() + 1, name(1));
+  names.emplace(names.begin(), name(8));
+  EXPECT_EQ(names, (Names{name(8), name(0), name(1), name(2)}));
+  names.erase(names.begin());
+  names.erase(names.begin() + 1);
+
+  Names copy(names);
+  copy[0] += "!";
+  EXPECT_EQ(names[0], name(0));
+  Names inlineMoved(Names{name(7)});
+  EXPECT_EQ(inlineMoved, Names{name(7)});
+  inlineMoved = std::move(copy);
+  EXPECT_TRUE(copy.empty());
+  EXPECT_EQ(inlineMoved, (Names{name(0) + "!", name(2)}));
+  copy = inlineMoved;
+  copy.clear();
+  copy.push_back(name(9));
+  EXPECT_EQ(copy.back(), name(9));
+  EXPECT_EQ(names.front(), name(0));
 }
 
 // ---------------------------------------------------------------- thread pool
