@@ -1,7 +1,5 @@
 #include "baseline/pbound.h"
 
-#include <algorithm>
-
 #include "polyhedral/counting.h"
 #include "sema/loop_analysis.h"
 #include "support/string_utils.h"
@@ -149,36 +147,31 @@ void tallyExpr(const Expression &expr, OpTally &tally, bool asLValue) {
 }
 
 void collectCalls(const Expression &expr, const Expr &multiplier,
-                  const frontend::TranslationUnit &unit,
                   FunctionModel &model) {
-  if (expr.kind == ExprKind::Call && !expr.isBuiltin && !expr.isExtern &&
-      !expr.resolvedCallee.empty()) {
+  if (const FunctionDecl *callee = expr.callee) {
     CallStep step;
     step.multiplier = multiplier;
     step.callee = expr.resolvedCallee;
     step.line = expr.range.begin.line;
-    if (const FunctionDecl *callee = unit.findFunction(expr.resolvedCallee)) {
-      for (std::size_t i = 0;
-           i < callee->params.size() && i < expr.children.size(); ++i) {
-        if (!callee->params[i].type.isInteger())
-          continue;
-        if (auto affine = sema::exprToAffine(*expr.children[i]))
-          step.argBindings[callee->params[i].name] = affine->toExpr();
-        else
-          step.argBindings[callee->params[i].name] = Expr::param(
-              callee->params[i].name + "_" + std::to_string(step.line));
-      }
+    for (std::size_t i = 0;
+         i < callee->params.size() && i < expr.children.size(); ++i) {
+      if (!callee->params[i].type.isInteger())
+        continue;
+      if (auto affine = sema::exprToAffine(*expr.children[i]))
+        step.argBindings[callee->params[i].name] = affine->toExpr();
+      else
+        step.argBindings[callee->params[i].name] = Expr::param(
+            callee->params[i].name + "_" + std::to_string(step.line));
     }
     model.calls.push_back(std::move(step));
   }
   for (const auto &child : expr.children)
-    collectCalls(*child, multiplier, unit, model);
+    collectCalls(*child, multiplier, model);
   if (expr.receiver)
-    collectCalls(*expr.receiver, multiplier, unit, model);
+    collectCalls(*expr.receiver, multiplier, model);
 }
 
 struct Walker {
-  const frontend::TranslationUnit &unit;
   FunctionModel &model;
 
   void walk(const Statement &stmt, const IterationDomain &domain,
@@ -193,7 +186,7 @@ struct Walker {
       OpTally tally;
       if (stmt.declInit) {
         tallyExpr(*stmt.declInit, tally, false);
-        collectCalls(*stmt.declInit, count, unit, model);
+        collectCalls(*stmt.declInit, count, model);
       }
       emit(tally, count, stmt.range.begin.line);
       break;
@@ -203,7 +196,7 @@ struct Walker {
       OpTally tally;
       if (stmt.expr) {
         tallyExpr(*stmt.expr, tally, false);
-        collectCalls(*stmt.expr, count, unit, model);
+        collectCalls(*stmt.expr, count, model);
       }
       emit(tally, count, stmt.range.begin.line);
       break;
@@ -292,23 +285,15 @@ model::PerformanceModel generateSourceOnlyModel(
   model::PerformanceModel out;
   out.sourceFile = unit.fileName + " (source-only baseline)";
 
-  bool hasCycle = false;
-  std::vector<std::string> order = callGraph.topologicalOrder(hasCycle);
-  std::vector<const FunctionDecl *> decls;
-  for (const std::string &name : order)
-    if (const FunctionDecl *fn = unit.findFunction(name))
-      decls.push_back(fn);
-  for (const FunctionDecl *fn : unit.allFunctions())
-    if (std::find(decls.begin(), decls.end(), fn) == decls.end())
-      decls.push_back(fn);
-
-  for (const FunctionDecl *fn : decls) {
+  const std::vector<const FunctionDecl *> functions = unit.allFunctions();
+  for (std::uint32_t f : callGraph.order) {
+    const FunctionDecl *fn = functions[f];
     FunctionModel fm;
     fm.sourceName = fn->qualifiedName();
     fm.modelName = fn->modelName() + "_srconly";
     for (const auto &p : fn->params)
       fm.paramNames.push_back(p.name);
-    Walker walker{unit, fm};
+    Walker walker{fm};
     walker.walk(*fn->bodyStmt, IterationDomain{}, Expr::intConst(1));
     out.functions.push_back(std::move(fm));
   }

@@ -303,8 +303,8 @@ BatchReport mergeBatchReports(const std::vector<BatchReport> &parts) {
 
 // ------------------------------------------------------ payload codecs
 
-// Payload layout (schema 2 — bump kCacheSchemaVersion when changing
-// this): the header [ok u8][producerName str][diagnostics str] then, when
+// Payload layout (schemas 2 and 3 — bump kCacheSchemaVersion when
+// changing this): the header [ok u8][producerName str][diagnostics str] then, when
 // ok, the tail [hasCoverage u8][loops u64][statements u64][inLoop u64]?
 // [model bytes]. Shared by the disk cache and the wire protocol
 // (docs/PROTOCOL.md), which is what makes a daemon-served result

@@ -225,12 +225,13 @@ bool deserializeBatchReport(const std::string &bytes, BatchReport &report,
 /// subsets — and stats merge via mergeBatchStats.
 BatchReport mergeBatchReports(const std::vector<BatchReport> &parts);
 
-/// Serialize one analysis value into the schema-v2 artifact payload
+/// Serialize one analysis value into the artifact payload
 /// shared by the disk cache and the wire protocol: the header
 /// `[ok u8][producerName str][diagnostics str]` then, when ok, the tail
 /// `[hasCoverage u8][loops u64 stmts u64 inLoop u64]?[model bytes]`
 /// (docs/CACHING.md "Entry format"). `model` null = a cached failure
-/// (`coverage` is then ignored). Versioned by kCacheSchemaVersion == 2.
+/// (`coverage` is then ignored). The layout of kCacheSchemaVersion 2
+/// and 3.
 /// The analyzer writes payloads with the same header and tail encoders,
 /// splicing each request's header onto a value's memoized tail.
 std::string serializeArtifactPayload(const model::PerformanceModel *model,

@@ -198,6 +198,7 @@ const char *toString(UnaryOp op);
 const char *toString(AssignOp op);
 
 struct Expression;
+struct FunctionDecl;
 using ExprPtr = ArenaPtr<Expression>;
 
 struct Expression {
@@ -232,6 +233,15 @@ struct Expression {
   std::string resolvedCallee;
   bool isBuiltin = false;
   bool isExtern = false;
+
+  // Name binding (filled by sema). A VarRef names local `slot` of its
+  // function (parameters first, then each declaration), or, when slot is
+  // -1, `field` of the enclosing method's class; a Member names `field`
+  // of its base's class; a user-function Call names `callee` (null for
+  // builtins and externals).
+  std::int32_t slot = -1;
+  std::int32_t field = -1;
+  const FunctionDecl *callee = nullptr;
 
   explicit Expression(ExprKind k) : kind(k) {}
 
@@ -285,6 +295,7 @@ struct Statement {
   // Decl
   Type declType;
   std::string declName;
+  std::int32_t declSlot = -1;     // the local slot sema gives it
   ArenaList<ExprPtr> arrayDims;   // 'double a[N][M]' -> {N, M}
   ExprPtr declInit;               // optional
 
@@ -333,6 +344,7 @@ struct FunctionDecl {
   ArenaList<ParamDecl> params;
   StmtPtr bodyStmt; // Compound
   SourceRange range;
+  std::uint32_t index = 0; // position in allFunctions(), set by sema
 
   bool isMethod() const { return !className.empty(); }
   /// Key used to resolve calls: "Class::name" or "name".

@@ -1,7 +1,7 @@
 #include "metrics/metric_generator.h"
 
-#include <algorithm>
 #include <set>
+#include <utility>
 
 #include "polyhedral/counting.h"
 #include "sema/loop_analysis.h"
@@ -128,11 +128,9 @@ matchAffineGuard(const Expression &cond) {
 
 class FunctionModeler {
 public:
-  FunctionModeler(const frontend::TranslationUnit &unit,
-                  const FunctionDecl &decl, const FunctionBridge *bridge,
+  FunctionModeler(const FunctionDecl &decl, const FunctionBridge *bridge,
                   const MetricOptions &options, DiagnosticEngine &diags)
-      : unit_(unit), decl_(decl), bridge_(bridge), options_(options),
-        diags_(diags) {}
+      : decl_(decl), bridge_(bridge), options_(options), diags_(diags) {}
 
   FunctionModel run() {
     model_.sourceName = decl_.qualifiedName();
@@ -205,34 +203,27 @@ private:
   }
 
   void collectCalls(const Expression &expr, const Expr &multiplier) {
-    if (expr.kind == ExprKind::Call && !expr.isBuiltin && !expr.isExtern &&
-        !expr.resolvedCallee.empty()) {
+    if (const FunctionDecl *callee = expr.callee) {
       CallStep step;
       step.multiplier = multiplier;
       step.callee = expr.resolvedCallee;
       step.line = expr.range.begin.line;
-      const FunctionDecl *callee = unit_.findFunction(expr.resolvedCallee);
-      if (callee) {
-        std::size_t argBase = 0; // receiver is not a model parameter
-        for (std::size_t i = 0;
-             i < callee->params.size() && i + argBase < expr.children.size();
-             ++i) {
-          if (!callee->params[i].type.isInteger())
-            continue;
-          auto affine = sema::exprToAffine(*expr.children[i + argBase]);
-          if (affine) {
-            step.argBindings[callee->params[i].name] = affine->toExpr();
-          } else {
-            std::string paramName = callee->params[i].name + "_" +
-                                    std::to_string(step.line);
-            step.argBindings[callee->params[i].name] =
-                Expr::param(paramName);
-            note("argument '" + callee->params[i].name + "' of call to " +
-                 expr.resolvedCallee + " at line " +
-                 std::to_string(step.line) +
-                 " is not statically resolvable; supply model parameter '" +
-                 paramName + "'");
-          }
+      // The receiver is not a model parameter.
+      for (std::size_t i = 0;
+           i < callee->params.size() && i < expr.children.size(); ++i) {
+        if (!callee->params[i].type.isInteger())
+          continue;
+        auto affine = sema::exprToAffine(*expr.children[i]);
+        if (affine) {
+          step.argBindings[callee->params[i].name] = affine->toExpr();
+        } else {
+          std::string paramName =
+              callee->params[i].name + "_" + std::to_string(step.line);
+          step.argBindings[callee->params[i].name] = Expr::param(paramName);
+          note("argument '" + callee->params[i].name + "' of call to " +
+               expr.resolvedCallee + " at line " + std::to_string(step.line) +
+               " is not statically resolvable; supply model parameter '" +
+               paramName + "'");
         }
       }
       model_.calls.push_back(std::move(step));
@@ -635,7 +626,6 @@ private:
     currentBinaryLoop_ = saved;
   }
 
-  const frontend::TranslationUnit &unit_;
   const FunctionDecl &decl_;
   const FunctionBridge *bridge_;
   MetricOptions options_;
@@ -654,19 +644,11 @@ model::PerformanceModel generateModel(const frontend::TranslationUnit &unit,
   model::PerformanceModel model;
   model.sourceFile = unit.fileName;
 
-  bool hasCycle = false;
-  std::vector<std::string> order = callGraph.topologicalOrder(hasCycle);
-  std::vector<const FunctionDecl *> decls;
-  for (const std::string &name : order)
-    if (const FunctionDecl *fn = unit.findFunction(name))
-      decls.push_back(fn);
-  for (const FunctionDecl *fn : unit.allFunctions())
-    if (std::find(decls.begin(), decls.end(), fn) == decls.end())
-      decls.push_back(fn);
-
-  for (const FunctionDecl *fn : decls) {
-    FunctionModeler modeler(unit, *fn, bridge.of(fn->qualifiedName()),
-                            options, diags);
+  const std::vector<const FunctionDecl *> functions = unit.allFunctions();
+  model.functions.reserve(callGraph.order.size());
+  for (std::uint32_t f : callGraph.order) {
+    const FunctionDecl &fn = *functions[f];
+    FunctionModeler modeler(fn, bridge.of(fn.qualifiedName()), options, diags);
     model.functions.push_back(modeler.run());
   }
   return model;

@@ -1,12 +1,10 @@
 #include "mir/lowering.h"
 
 #include <algorithm>
-#include <cassert>
+#include <optional>
 
 #include "mir/passes.h"
 #include "mir/vectorize.h"
-#include "sema/loop_analysis.h"
-#include "sema/sema.h"
 #include "support/inline_vector.h"
 
 namespace mira::mir {
@@ -65,12 +63,11 @@ MirCmp mirCmpOf(BinaryOp op) {
   }
 }
 
-/// Per-variable lowering info.
+/// Per-variable lowering info, one per local slot.
 struct VarSlot {
   VReg reg = kNoVReg;
   MirType type = MirType::I64;
   bool isClassObject = false;     // reg holds a pointer to object storage
-  std::string className;
   InlineVector<VReg, 3> dims;     // array dimensions (evaluated at decl)
   MirType elemType = MirType::I64; // array/pointer element type
 };
@@ -103,7 +100,7 @@ public:
     fn_.vregTypes.reserve(params + bound.vregs);
     fn_.paramRegs.reserve(params);
     fn_.paramTypes.reserve(params);
-    vars_.reserve(decl_.params.size() + bound.vars);
+    locals_.resize(decl_.params.size() + bound.vars);
     cur_ = fn_.newBlock();
 
     if (decl_.isMethod()) {
@@ -111,8 +108,9 @@ public:
       fn_.paramRegs.push_back(thisReg_);
       fn_.paramTypes.push_back(MirType::Ptr);
     }
-    for (const auto &p : decl_.params) {
-      VarSlot slot;
+    for (std::size_t i = 0; i < decl_.params.size(); ++i) {
+      const frontend::ParamDecl &p = decl_.params[i];
+      VarSlot &slot = locals_[i];
       slot.type = mirTypeOf(p.type);
       slot.reg = fn_.newVReg(slot.type);
       if (p.type.isPointer()) {
@@ -120,11 +118,10 @@ public:
         --elem.pointerDepth;
         slot.elemType = mirTypeOf(elem);
       }
-      if (p.type.scalar == ScalarType::Class && !p.type.isPointer())
-        slot.isClassObject = true, slot.className = p.type.className;
+      slot.isClassObject =
+          p.type.scalar == ScalarType::Class && !p.type.isPointer();
       fn_.paramRegs.push_back(slot.reg);
       fn_.paramTypes.push_back(slot.type);
-      vars_.emplace_back(p.name, std::move(slot));
     }
 
     lowerStmt(*decl_.bodyStmt);
@@ -155,7 +152,7 @@ private:
   struct SizeBound {
     std::size_t blocks = 0; // beyond the entry block
     std::size_t loops = 0;  // counted for loops
-    std::size_t vars = 0;   // declarations
+    std::size_t vars = 0;   // declarations: one local slot each
     std::size_t vregs = 0;
 
     /// Two blocks per short-circuit operator; a few registers per node
@@ -257,29 +254,21 @@ private:
     return i.dst;
   }
 
-  /// The innermost visible variable called `name`. The pointer is good
-  /// until the next declaration.
-  const VarSlot *lookup(const std::string &name) const {
-    for (auto it = vars_.rbegin(); it != vars_.rend(); ++it)
-      if (it->first == name)
-        return &it->second;
-    return nullptr;
+  /// The local a variable reference names; null for a field.
+  const VarSlot *localOf(const Expression &varRef) const {
+    return varRef.slot >= 0 ? &locals_[static_cast<std::size_t>(varRef.slot)]
+                            : nullptr;
   }
 
-  /// Field lookup in the enclosing class (methods access fields directly).
-  std::optional<std::pair<std::int32_t, MirType>>
-  fieldOf(const std::string &className, const std::string &field) const {
-    const ClassDecl *cls = unit_.findClass(className);
-    if (!cls)
-      return std::nullopt;
-    std::int32_t offset = 0;
-    for (const auto &f : cls->fields) {
-      if (f.name == field)
-        return std::make_pair(offset, mirTypeOf(f.type));
-      offset += 8; // every field occupies one 8-byte slot
-    }
-    return std::nullopt;
+  /// The storage pointer of a class-typed object expression.
+  VReg objectPointer(const Expression &obj) {
+    const VarSlot *slot =
+        obj.kind == ExprKind::VarRef ? localOf(obj) : nullptr;
+    return slot && slot->isClassObject ? slot->reg : lowerExpr(obj);
   }
+
+  /// Every field occupies one 8-byte slot.
+  static std::int32_t fieldOffset(const Expression &e) { return e.field * 8; }
 
   std::int64_t classSize(const std::string &className) const {
     const ClassDecl *cls = unit_.findClass(className);
@@ -290,14 +279,10 @@ private:
 
   void lowerStmt(const Statement &stmt) {
     switch (stmt.kind) {
-    case StmtKind::Compound: {
-      const std::size_t scope = vars_.size();
+    case StmtKind::Compound:
       for (const auto &s : stmt.body)
         lowerStmt(*s);
-      vars_.erase(vars_.begin() + static_cast<std::ptrdiff_t>(scope),
-                  vars_.end());
       break;
-    }
     case StmtKind::Decl:
       lowerDecl(stmt);
       break;
@@ -335,7 +320,7 @@ private:
 
   void lowerDecl(const Statement &stmt) {
     std::uint32_t line = stmt.range.begin.line;
-    VarSlot slot;
+    VarSlot &slot = locals_[static_cast<std::size_t>(stmt.declSlot)];
     if (!stmt.arrayDims.empty()) {
       // Local array: allocate dims product * element size.
       slot.type = MirType::Ptr;
@@ -373,13 +358,12 @@ private:
       // Object: allocate field storage.
       slot.type = MirType::Ptr;
       slot.isClassObject = true;
-      slot.className = stmt.declType.className;
       VReg one = emitConstI(1, line);
       MirInst alloc;
       alloc.op = MirOp::Alloca;
       alloc.type = MirType::Ptr;
       alloc.a = one;
-      alloc.imm = classSize(slot.className);
+      alloc.imm = classSize(stmt.declType.className);
       alloc.dst = fn_.newVReg(MirType::Ptr);
       alloc.line = line;
       append(alloc);
@@ -418,7 +402,6 @@ private:
         append(cz);
       }
     }
-    vars_.emplace_back(stmt.declName, std::move(slot));
   }
 
   void lowerIf(const Statement &stmt) {
@@ -599,22 +582,27 @@ private:
   void lowerFor(const Statement &stmt) {
     std::uint32_t line = stmt.range.begin.line;
 
-    // Try the canonical counted-loop shape.
+    // Try the canonical counted-loop shape, over a local induction
+    // variable (a field falls through to the generic for).
     std::string var;
+    std::int32_t indSlot = -1;
     const Expression *condRhs = nullptr;
     MirCmp rel = MirCmp::Lt;
     std::optional<std::int64_t> step;
     bool counted = false;
 
     if (stmt.forInit && stmt.forCond && stmt.forInc) {
-      if (stmt.forInit->kind == StmtKind::Decl)
+      if (stmt.forInit->kind == StmtKind::Decl) {
         var = stmt.forInit->declName;
-      else if (stmt.forInit->kind == StmtKind::ExprStmt &&
-               stmt.forInit->expr->kind == ExprKind::Assign &&
-               stmt.forInit->expr->assignOp == AssignOp::Assign &&
-               stmt.forInit->expr->children[0]->kind == ExprKind::VarRef)
+        indSlot = stmt.forInit->declSlot;
+      } else if (stmt.forInit->kind == StmtKind::ExprStmt &&
+                 stmt.forInit->expr->kind == ExprKind::Assign &&
+                 stmt.forInit->expr->assignOp == AssignOp::Assign &&
+                 stmt.forInit->expr->children[0]->kind == ExprKind::VarRef) {
         var = stmt.forInit->expr->children[0]->name;
-      if (!var.empty() && stmt.forCond->kind == ExprKind::Binary) {
+        indSlot = stmt.forInit->expr->children[0]->slot;
+      }
+      if (indSlot >= 0 && stmt.forCond->kind == ExprKind::Binary) {
         const Expression *lhs = stmt.forCond->children[0].get();
         const Expression *rhs = stmt.forCond->children[1].get();
         BinaryOp bop = stmt.forCond->binaryOp;
@@ -654,9 +642,7 @@ private:
 
     // init
     lowerStmt(*stmt.forInit);
-    const VarSlot *slot = lookup(var);
-    assert(slot && "sema guarantees the induction variable exists");
-    VReg ind = slot->reg;
+    VReg ind = locals_[static_cast<std::size_t>(indSlot)].reg;
 
     LoopDescriptor loop;
     loop.preheader = cur_;
@@ -831,29 +817,17 @@ private:
     std::uint32_t line = expr.range.begin.line;
     LValue lv;
     switch (expr.kind) {
-    case ExprKind::VarRef: {
-      const VarSlot *slot = lookup(expr.name);
-      if (!slot) {
-        // A method-scope field reference.
-        if (decl_.isMethod()) {
-          if (auto field = fieldOf(decl_.className, expr.name)) {
-            lv.isReg = false;
-            lv.base = thisReg_;
-            lv.disp = field->first;
-            lv.type = field->second;
-            return lv;
-          }
-        }
-        diags_.error(expr.range.begin,
-                     "lowering: unknown variable '" + expr.name + "'");
-        lv.reg = fn_.newVReg(MirType::I64);
-        return lv;
+    case ExprKind::VarRef:
+      if (const VarSlot *slot = localOf(expr)) {
+        lv.reg = slot->reg;
+        lv.type = slot->type;
+      } else { // a field of the method's class
+        lv.isReg = false;
+        lv.base = thisReg_;
+        lv.disp = fieldOffset(expr);
+        lv.type = mirTypeOf(expr.type);
       }
-      lv.isReg = true;
-      lv.reg = slot->reg;
-      lv.type = slot->type;
       return lv;
-    }
     case ExprKind::Index: {
       // Collect the full index chain a[i][j]... down to the base VarRef.
       InlineVector<const Expression *, 4> indices;
@@ -867,24 +841,14 @@ private:
       VReg baseReg;
       MirType elemType;
       InlineVector<VReg, 3> dims;
-      if (base->kind == ExprKind::VarRef) {
-        const VarSlot *slot = lookup(base->name);
-        if (slot) {
-          baseReg = slot->reg;
-          elemType = slot->elemType;
-          dims = slot->dims;
-        } else {
-          // pointer field used directly inside a method
-          LValue fieldLv = lowerLValue(*base);
-          baseReg = loadLValue(fieldLv, line);
-          Type t = base->type;
-          --t.pointerDepth;
-          elemType = mirTypeOf(t);
-        }
+      if (const VarSlot *slot =
+              base->kind == ExprKind::VarRef ? localOf(*base) : nullptr) {
+        baseReg = slot->reg;
+        elemType = slot->elemType;
+        dims = slot->dims;
       } else {
-        // e.g. member pointer: obj.data[i]
-        VReg ptr = lowerExpr(*base);
-        baseReg = ptr;
+        // A pointer field, bare inside a method or as obj.data[i].
+        baseReg = lowerExpr(*base);
         Type t = base->type;
         --t.pointerDepth;
         elemType = mirTypeOf(t);
@@ -936,35 +900,12 @@ private:
       lv.type = elemType;
       return lv;
     }
-    case ExprKind::Member: {
-      const Expression &obj = *expr.children[0];
-      VReg objPtr;
-      std::string className = obj.type.className;
-      if (obj.kind == ExprKind::VarRef) {
-        const VarSlot *slot = lookup(obj.name);
-        if (slot && slot->isClassObject) {
-          objPtr = slot->reg;
-          className = slot->className;
-        } else {
-          objPtr = lowerExpr(obj);
-        }
-      } else {
-        objPtr = lowerExpr(obj);
-      }
-      auto field = fieldOf(className, expr.name);
-      if (!field) {
-        diags_.error(expr.range.begin, "lowering: unknown field '" +
-                                           expr.name + "' of class '" +
-                                           className + "'");
-        lv.reg = fn_.newVReg(MirType::I64);
-        return lv;
-      }
+    case ExprKind::Member:
       lv.isReg = false;
-      lv.base = objPtr;
-      lv.disp = field->first;
-      lv.type = field->second;
+      lv.base = objectPointer(*expr.children[0]);
+      lv.disp = fieldOffset(expr);
+      lv.type = mirTypeOf(expr.type);
       return lv;
-    }
     default:
       diags_.error(expr.range.begin, "expression is not an lvalue");
       lv.reg = fn_.newVReg(MirType::I64);
@@ -1326,26 +1267,11 @@ private:
     call.line = line;
     call.args.reserve(expr.children.size() + (expr.receiver ? 1 : 0));
 
-    if (expr.receiver) {
-      // Pass the object storage pointer as the implicit first argument.
-      VReg objPtr;
-      if (expr.receiver->kind == ExprKind::VarRef) {
-        const VarSlot *slot = lookup(expr.receiver->name);
-        if (slot && slot->isClassObject) {
-          objPtr = slot->reg;
-        } else {
-          objPtr = lowerExpr(*expr.receiver);
-        }
-      } else {
-        objPtr = lowerExpr(*expr.receiver);
-      }
-      call.args.push_back(objPtr);
-    }
+    // The object storage pointer is the implicit first argument.
+    if (expr.receiver)
+      call.args.push_back(objectPointer(*expr.receiver));
 
-    const FunctionDecl *callee =
-        expr.isExtern || expr.isBuiltin
-            ? nullptr
-            : unit_.findFunction(expr.resolvedCallee);
+    const FunctionDecl *callee = expr.callee;
     for (std::size_t i = 0; i < expr.children.size(); ++i) {
       VReg v = lowerExpr(*expr.children[i]);
       MirType argType = mirTypeOf(expr.children[i]->type);
@@ -1369,9 +1295,7 @@ private:
   MirFunction fn_;
   std::uint32_t cur_ = 0;
   VReg thisReg_ = kNoVReg;
-  // Variables in scope, outermost first; a block's declarations are
-  // dropped when it ends, and a redeclaration shadows the earlier slot.
-  std::vector<std::pair<std::string, VarSlot>> vars_;
+  std::vector<VarSlot> locals_; // by the slot sema bound
 };
 
 } // namespace

@@ -28,7 +28,9 @@ struct CompilerOptions {
   bool vectorize = true; // SSE2 2-lane vectorization of eligible loops
 };
 
-/// Lower a semantically-checked translation unit. Returns a module with
+/// Lower a unit that passed sema (SemaResult::success): lowering reads
+/// the names sema bound, each variable's local slot or field and each
+/// call's FunctionDecl, and looks none up itself. Returns a module with
 /// one MirFunction per source function (methods get an implicit 'this').
 MirModule lowerToMir(const frontend::TranslationUnit &unit,
                      const CompilerOptions &options, DiagnosticEngine &diags);

@@ -1,7 +1,8 @@
 #include "sema/sema.h"
 
-#include <cassert>
-#include <functional>
+#include <algorithm>
+#include <tuple>
+#include <utility>
 
 namespace mira::sema {
 
@@ -46,56 +47,91 @@ Type promote(const Type &a, const Type &b) {
   return rank(a.scalar) >= rank(b.scalar) ? a : b;
 }
 
-struct Scope {
-  std::map<std::string, Type> vars;
+/// The index of `cls`'s first field called `name`, or -1.
+std::int32_t fieldIndex(const ClassDecl &cls, const std::string &name) {
+  for (std::size_t f = 0; f < cls.fields.size(); ++f)
+    if (cls.fields[f].name == name)
+      return static_cast<std::int32_t>(f);
+  return -1;
+}
+
+/// What a name denotes at one point of a function: a local slot, or a
+/// field of the method's class.
+struct Binding {
+  const Type *type = nullptr; // null when the name is undeclared
+  std::int32_t slot = -1;
+  std::int32_t field = -1;
 };
 
+/// Checks and binds one function body at a time.
 class FunctionChecker {
 public:
-  FunctionChecker(TranslationUnit &unit, FunctionDecl &fn,
-                  DiagnosticEngine &diags, CallGraph &graph)
-      : unit_(unit), fn_(fn), diags_(diags), graph_(graph) {}
+  FunctionChecker(TranslationUnit &unit, DiagnosticEngine &diags)
+      : unit_(unit), diags_(diags) {}
 
-  void run() {
-    scopes_.emplace_back();
-    for (const auto &p : fn_.params)
+  /// Checks `fn`, a method of `cls` or a free function (`cls` null), and
+  /// appends the index of each user function it calls to `calls`.
+  void run(const FunctionDecl &fn, const ClassDecl *cls,
+           std::vector<std::uint32_t> &calls) {
+    fn_ = &fn;
+    cls_ = cls;
+    calls_ = &calls;
+    slots_ = 0;
+    for (const auto &p : fn.params)
       declare(p.name, p.type, p.location);
-    checkStmt(*fn_.bodyStmt);
-    scopes_.pop_back();
+    checkStmt(*fn.bodyStmt);
+    scope_.clear();
   }
 
 private:
-  void declare(const std::string &name, const Type &type,
-               SourceLocation loc) {
-    if (scopes_.back().vars.count(name))
-      diags_.error(loc, "redeclaration of '" + name + "'");
-    scopes_.back().vars[name] = type;
+  /// A declaration visible at the current point.
+  struct Local {
+    const std::string *name;
+    Type type;
+    std::int32_t slot;
+  };
+
+  /// Declares `name` in the innermost block; returns its new slot.
+  std::int32_t declare(const std::string &name, const Type &type,
+                       SourceLocation loc) {
+    for (std::size_t i = blockStart_; i < scope_.size(); ++i)
+      if (*scope_[i].name == name) {
+        diags_.error(loc, "redeclaration of '" + name + "'");
+        break;
+      }
+    scope_.push_back({&name, type, slots_});
+    return slots_++;
   }
 
-  const Type *lookup(const std::string &name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->vars.find(name);
-      if (found != it->vars.end())
-        return &found->second;
-    }
-    // class fields of the enclosing class
-    if (!fn_.className.empty()) {
-      if (const ClassDecl *cls = unit_.findClass(fn_.className)) {
-        for (const auto &f : cls->fields)
-          if (f.name == name)
-            return &f.type;
-      }
-    }
-    return nullptr;
+  /// The innermost declaration of `name`, else the method's field. The
+  /// type pointer is good until the next declaration.
+  Binding lookup(const std::string &name) const {
+    for (auto it = scope_.rbegin(); it != scope_.rend(); ++it)
+      if (*it->name == name)
+        return {&it->type, it->slot, -1};
+    if (cls_)
+      if (const std::int32_t f = fieldIndex(*cls_, name); f >= 0)
+        return {&cls_->fields[static_cast<std::size_t>(f)].type, -1, f};
+    return {};
+  }
+
+  /// Checks what `body` does as one block: its declarations end with it.
+  template <class Body> void block(Body body) {
+    const std::size_t outer = blockStart_;
+    blockStart_ = scope_.size();
+    body();
+    scope_.erase(scope_.begin() + static_cast<std::ptrdiff_t>(blockStart_),
+                 scope_.end());
+    blockStart_ = outer;
   }
 
   void checkStmt(Statement &stmt) {
     switch (stmt.kind) {
     case StmtKind::Compound:
-      scopes_.emplace_back();
-      for (auto &s : stmt.body)
-        checkStmt(*s);
-      scopes_.pop_back();
+      block([&] {
+        for (auto &s : stmt.body)
+          checkStmt(*s);
+      });
       break;
     case StmtKind::Decl: {
       for (auto &dim : stmt.arrayDims)
@@ -109,7 +145,7 @@ private:
           diags_.error(stmt.range.begin,
                        "class-typed variables cannot have initializers");
       }
-      declare(stmt.declName, varType, stmt.range.begin);
+      stmt.declSlot = declare(stmt.declName, varType, stmt.range.begin);
       break;
     }
     case StmtKind::ExprStmt:
@@ -117,16 +153,16 @@ private:
         checkExpr(*stmt.expr);
       break;
     case StmtKind::For:
-      scopes_.emplace_back();
-      if (stmt.forInit)
-        checkStmt(*stmt.forInit);
-      if (stmt.forCond)
-        checkExpr(*stmt.forCond);
-      if (stmt.forInc)
-        checkExpr(*stmt.forInc);
-      if (stmt.loopBody)
-        checkStmt(*stmt.loopBody);
-      scopes_.pop_back();
+      block([&] {
+        if (stmt.forInit)
+          checkStmt(*stmt.forInit);
+        if (stmt.forCond)
+          checkExpr(*stmt.forCond);
+        if (stmt.forInc)
+          checkExpr(*stmt.forInc);
+        if (stmt.loopBody)
+          checkStmt(*stmt.loopBody);
+      });
       break;
     case StmtKind::While:
       if (stmt.forCond)
@@ -145,13 +181,13 @@ private:
     case StmtKind::Return:
       if (stmt.expr) {
         checkExpr(*stmt.expr);
-        if (fn_.returnType.isVoid())
+        if (fn_->returnType.isVoid())
           diags_.error(stmt.range.begin,
-                       "void function '" + fn_.qualifiedName() +
+                       "void function '" + fn_->qualifiedName() +
                            "' returns a value");
-      } else if (!fn_.returnType.isVoid()) {
+      } else if (!fn_->returnType.isVoid()) {
         diags_.error(stmt.range.begin,
-                     "non-void function '" + fn_.qualifiedName() +
+                     "non-void function '" + fn_->qualifiedName() +
                          "' returns nothing");
       }
       break;
@@ -172,13 +208,15 @@ private:
       expr.type = makeType(ScalarType::Bool);
       break;
     case ExprKind::VarRef: {
-      const Type *t = lookup(expr.name);
-      if (!t) {
+      const Binding b = lookup(expr.name);
+      if (!b.type) {
         diags_.error(expr.range.begin,
                      "use of undeclared identifier '" + expr.name + "'");
         expr.type = makeType(ScalarType::Int);
       } else {
-        expr.type = *t;
+        expr.type = *b.type;
+        expr.slot = b.slot;
+        expr.field = b.field;
       }
       break;
     }
@@ -252,18 +290,14 @@ private:
         break;
       }
       const ClassDecl *cls = unit_.findClass(base.className);
-      const frontend::FieldDecl *field = nullptr;
-      if (cls)
-        for (const auto &f : cls->fields)
-          if (f.name == expr.name)
-            field = &f;
-      if (!field) {
+      expr.field = cls ? fieldIndex(*cls, expr.name) : -1;
+      if (expr.field < 0) {
         diags_.error(expr.range.begin, "no field '" + expr.name +
                                            "' in class '" + base.className +
                                            "'");
         expr.type = makeType(ScalarType::Int);
       } else {
-        expr.type = field->type;
+        expr.type = cls->fields[static_cast<std::size_t>(expr.field)].type;
       }
       break;
     }
@@ -276,13 +310,11 @@ private:
   void checkCall(Expression &expr) {
     // `x(args)` where x is a class-typed variable is an operator() call.
     if (!expr.receiver && !expr.name.empty()) {
-      if (const Type *t = lookup(expr.name)) {
-        if (t->scalar == ScalarType::Class && !t->isPointer()) {
-          expr.receiver =
-              Expression::varRef(unit_.arena, expr.name, expr.range);
-          expr.receiver->type = *t;
-          expr.name = "operator()";
-        }
+      const Binding b = lookup(expr.name);
+      if (b.type && b.type->scalar == ScalarType::Class &&
+          !b.type->isPointer()) {
+        expr.receiver = Expression::varRef(unit_.arena, expr.name, expr.range);
+        expr.name = "operator()";
       }
     }
 
@@ -312,9 +344,7 @@ private:
                          std::to_string(expr.children.size()) +
                          " arguments; expected " +
                          std::to_string(callee->params.size()));
-      expr.resolvedCallee = qualified;
-      expr.type = callee->returnType;
-      graph_.edges[fn_.qualifiedName()].insert(qualified);
+      bindCall(expr, *callee, std::move(qualified));
       return;
     }
 
@@ -326,9 +356,7 @@ private:
                          std::to_string(expr.children.size()) +
                          " arguments; expected " +
                          std::to_string(callee->params.size()));
-      expr.resolvedCallee = expr.name;
-      expr.type = callee->returnType;
-      graph_.edges[fn_.qualifiedName()].insert(expr.name);
+      bindCall(expr, *callee, expr.name);
       return;
     }
     for (const KnownFunction &kf : SemanticAnalyzer::knownFunctions()) {
@@ -342,7 +370,6 @@ private:
       expr.isBuiltin = !kf.isExtern;
       expr.isExtern = kf.isExtern;
       expr.type = kf.returnType;
-      graph_.externCalls[fn_.qualifiedName()].insert(expr.name);
       return;
     }
     diags_.error(expr.range.begin,
@@ -350,11 +377,25 @@ private:
     expr.type = makeType(ScalarType::Int);
   }
 
+  void bindCall(Expression &expr, const FunctionDecl &callee,
+                std::string qualified) {
+    expr.resolvedCallee = std::move(qualified);
+    expr.callee = &callee;
+    expr.type = callee.returnType;
+    calls_->push_back(callee.index);
+  }
+
   TranslationUnit &unit_;
-  FunctionDecl &fn_;
   DiagnosticEngine &diags_;
-  CallGraph &graph_;
-  std::vector<Scope> scopes_;
+  const FunctionDecl *fn_ = nullptr;
+  const ClassDecl *cls_ = nullptr;
+  std::vector<std::uint32_t> *calls_ = nullptr;
+  // Visible declarations, outermost first; the innermost block's start
+  // at blockStart_. A block's declarations end with it, and a later
+  // declaration of a name shadows an earlier one.
+  std::vector<Local> scope_;
+  std::size_t blockStart_ = 0;
+  std::int32_t slots_ = 0;
 };
 
 } // namespace
@@ -384,57 +425,87 @@ const std::vector<KnownFunction> &SemanticAnalyzer::knownFunctions() {
   return table;
 }
 
-std::vector<std::string> CallGraph::topologicalOrder(bool &hasCycle) const {
-  hasCycle = false;
-  std::vector<std::string> order;
-  std::map<std::string, int> state; // 0=unseen 1=visiting 2=done
-  std::function<void(const std::string &)> visit =
-      [&](const std::string &node) {
-        int &s = state[node];
-        if (s == 2)
-          return;
-        if (s == 1) {
-          hasCycle = true;
-          return;
-        }
-        s = 1;
-        auto it = edges.find(node);
-        if (it != edges.end())
-          for (const std::string &callee : it->second)
-            visit(callee);
-        s = 2;
-        order.push_back(node);
-      };
-  for (const auto &[caller, callees] : edges)
-    visit(caller);
-  return order;
-}
-
 SemaResult SemanticAnalyzer::analyze(TranslationUnit &unit) {
   SemaResult result;
-  // Pre-populate call-graph nodes so leaf functions appear too.
-  for (const FunctionDecl *fn : unit.allFunctions())
-    result.callGraph.edges[fn->qualifiedName()];
+  CallGraph &graph = result.callGraph;
 
-  // Duplicate detection.
-  {
-    std::set<std::string> seen;
-    for (const FunctionDecl *fn : unit.allFunctions()) {
-      if (!seen.insert(fn->qualifiedName()).second)
-        diags_.error(fn->range.begin,
-                     "redefinition of function '" + fn->qualifiedName() +
-                         "'");
+  for (const auto &cls : unit.classes) {
+    if (unit.findClass(cls->name) != cls.get())
+      diags_.error(cls->range.begin,
+                   "redefinition of class '" + cls->name + "'");
+    for (std::size_t f = 0; f < cls->fields.size(); ++f) {
+      const std::string &name = cls->fields[f].name;
+      if (fieldIndex(*cls, name) != static_cast<std::int32_t>(f))
+        diags_.error(cls->fields[f].location,
+                     "redeclaration of field '" + name + "'");
     }
   }
 
+  // Every function in allFunctions() order, with its class if a method.
+  std::vector<std::pair<FunctionDecl *, const ClassDecl *>> functions;
   for (const auto &cls : unit.classes)
     for (const auto &method : cls->methods)
-      FunctionChecker(unit, *method, diags_, result.callGraph).run();
+      functions.emplace_back(method.get(), cls.get());
   for (const auto &fn : unit.functions)
-    FunctionChecker(unit, *fn, diags_, result.callGraph).run();
+    functions.emplace_back(fn.get(), nullptr);
+  const auto count = static_cast<std::uint32_t>(functions.size());
 
+  // byName: the functions in qualified-name order, declaration order
+  // among equal names; rank is its inverse.
+  std::vector<std::string> names(count);
+  std::vector<std::uint32_t> byName(count);
+  for (std::uint32_t f = 0; f < count; ++f) {
+    functions[f].first->index = f;
+    names[f] = functions[f].first->qualifiedName();
+    byName[f] = f;
+  }
+  std::sort(byName.begin(), byName.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return std::tie(names[a], a) < std::tie(names[b], b);
+            });
+  std::vector<std::uint32_t> rank(count);
+  for (std::uint32_t k = 0; k < count; ++k)
+    rank[byName[k]] = k;
+  for (std::uint32_t f = 0; f < count; ++f)
+    if (rank[f] > 0 && names[byName[rank[f] - 1]] == names[f])
+      diags_.error(functions[f].first->range.begin,
+                   "redefinition of function '" + names[f] + "'");
+
+  FunctionChecker checker(unit, diags_);
+  graph.callees.resize(count);
+  std::vector<std::uint32_t> calls;
+  for (std::uint32_t f = 0; f < count; ++f) {
+    calls.clear();
+    checker.run(*functions[f].first, functions[f].second, calls);
+    std::sort(calls.begin(), calls.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return rank[a] < rank[b];
+              });
+    calls.erase(std::unique(calls.begin(), calls.end()), calls.end());
+    graph.callees[f].assign(calls.begin(), calls.end());
+  }
+
+  // Depth-first post-order from each root in name order; meeting a
+  // function that is still being visited closes a call cycle.
+  enum : std::uint8_t { kUnseen, kVisiting, kDone };
+  std::vector<std::uint8_t> state(count, kUnseen);
   bool hasCycle = false;
-  result.callGraph.topologicalOrder(hasCycle);
+  graph.order.reserve(count);
+  auto visit = [&](auto &self, std::uint32_t f) -> void {
+    if (state[f] == kDone)
+      return;
+    if (state[f] == kVisiting) {
+      hasCycle = true;
+      return;
+    }
+    state[f] = kVisiting;
+    for (std::uint32_t callee : graph.callees[f])
+      self(self, callee);
+    state[f] = kDone;
+    graph.order.push_back(f);
+  };
+  for (std::uint32_t f : byName)
+    visit(visit, f);
   if (hasCycle)
     diags_.error({}, "recursive call cycle detected; MiniC models are "
                      "non-recursive");

@@ -1,13 +1,18 @@
-// Semantic analysis for MiniC: scopes, types, call resolution, call graph.
+// Semantic analysis for MiniC: the one name resolver of the pipeline.
 //
-// Fills Expression::type and Expression::resolvedCallee in place, rewrites
-// `obj(args)` into operator() method calls, and builds the call graph the
+// Types every expression and binds every name on the AST in place: a
+// variable to its local slot (Expression::slot, Statement::declSlot) or
+// to a field of the method's class, a member access to its field, and a
+// call to its FunctionDecl (Expression::callee, with resolvedCallee the
+// qualified name). It rewrites `obj(args)` into operator() method calls
+// and builds the call graph, with the callee-first function order the
 // metric generator walks when combining per-function models (paper
-// Sec. III-B5: handle_function_call).
+// Sec. III-B5: handle_function_call). Lowering, the metric generator
+// and the source-only baseline read these bindings instead of looking
+// names up again.
 #pragma once
 
-#include <map>
-#include <set>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,17 +33,16 @@ struct KnownFunction {
   bool isExtern = false; // externals are opaque to static analysis
 };
 
-/// Callees of each function, split by kind.
+/// The calls between user functions, by index in
+/// TranslationUnit::allFunctions().
 struct CallGraph {
-  /// qualified caller -> qualified callees (user functions only)
-  std::map<std::string, std::set<std::string>> edges;
-  /// qualified caller -> extern/builtin callees
-  std::map<std::string, std::set<std::string>> externCalls;
-
-  /// Topological order (callees before callers); empty + error flag when
-  /// recursion is present (MiniC models are non-recursive, like the
-  /// paper's evaluation codes).
-  std::vector<std::string> topologicalOrder(bool &hasCycle) const;
+  /// callees[f]: the functions f calls, each once, in qualified-name order.
+  std::vector<std::vector<std::uint32_t>> callees;
+  /// Every function, callees before callers: a depth-first post-order
+  /// that visits roots and callees in qualified-name order. Complete when
+  /// analysis succeeded (MiniC models are non-recursive, like the paper's
+  /// evaluation codes).
+  std::vector<std::uint32_t> order;
 };
 
 struct SemaResult {

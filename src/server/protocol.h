@@ -14,9 +14,9 @@
 ///
 /// Versioning: every message carries the protocol version, and peers
 /// accept exactly kProtocolVersion (2); any other version is answered
-/// with Error-and-close. Analyze replies embed the schema-v2 artifact
-/// payload. The ManifestBatch request and the
-/// Metrics/Busy/BatchProgress/Hello messages are additive late-v2
+/// with Error-and-close. Analyze replies embed the artifact payload in
+/// the layout of cache schemas 2 and 3. The ManifestBatch request and
+/// the Metrics/Busy/BatchProgress/Hello messages are additive late-v2
 /// extensions (new message types, no layout changes); older v2 daemons
 /// answer them with Error-and-close like any unknown type, which
 /// clients must treat as "not supported". Types 3 and 103 (the retired
@@ -56,8 +56,9 @@ inline constexpr std::uint32_t kProtocolMagic = 0x5072694du;
 
 /// The protocol version every message carries and the only one peers
 /// accept. Bump on any change to the message layouts below or to the
-/// artifact payload they embed (i.e. whenever kCacheSchemaVersion
-/// bumps, bump this too).
+/// layout of the artifact payload they embed. It follows the payload
+/// layout, not kCacheSchemaVersion: a schema bump that keeps the layout
+/// (schema 3 only marks schema-2 values stale) leaves it alone.
 inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Default cap on one frame's payload, enforced by both sides. A

@@ -26,14 +26,19 @@ namespace mira {
 
 /// On-disk format version written by store(). Bump whenever the
 /// serialized payload layout (driver/batch.h artifact payload,
-/// model/serialize.h) or the header itself changes.
+/// model/serialize.h) or the header itself changes, and whenever the
+/// value stored for some source changes (keys hash only source and
+/// options).
 ///
 /// Version history:
 ///   1 — `[ok][producerName][diagnostics][model]` outcome payload; no
 ///       longer read (an out-of-range miss, like any other version).
 ///   2 — artifact payload: a loop-coverage summary rides alongside the
 ///       model so coverage can be served without the compiled program.
-inline constexpr std::uint32_t kCacheSchemaVersion = 2;
+///   3 — the layout of 2. Names are resolved once, by sema, so a `for`
+///       variable no longer outlives its loop and a class may not
+///       repeat a field: some sources' models moved or now fail.
+inline constexpr std::uint32_t kCacheSchemaVersion = 3;
 
 /// Process-lifetime counters of one CacheStore (all operations since
 /// construction; not persisted).

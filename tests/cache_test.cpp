@@ -141,7 +141,8 @@ void setEntryVersion(const fs::path &file, std::uint32_t version) {
 }
 
 TEST(CacheStoreTest, WrongSchemaVersionIsAMissButNotDestroyed) {
-  for (std::uint32_t version : {0u, 1u, kCacheSchemaVersion + 1}) {
+  for (std::uint32_t version :
+       {0u, 1u, kCacheSchemaVersion - 1, kCacheSchemaVersion + 1}) {
     SCOPED_TRACE("schema version " + std::to_string(version));
     TempDir dir("version");
     CacheStore store(dir.str());

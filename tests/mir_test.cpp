@@ -10,6 +10,7 @@
 #include "codegen/codegen.h"
 #include "codegen/regalloc.h"
 #include "core/artifacts.h"
+#include "core/mira.h"
 #include "frontend/parser.h"
 #include "mir/lowering.h"
 #include "mir/passes.h"
@@ -113,6 +114,35 @@ TEST(Lowering, MultiDimArrayLinearizes) {
   // linearization multiplies by the row size: at least one Mul.
   EXPECT_GE(countOps(*fn, MirOp::Mul), 2u);
   EXPECT_EQ(countOps(*fn, MirOp::Alloca), 1u);
+}
+
+TEST(Lowering, ForInitDeclarationEndsWithItsLoop) {
+  // The loop's `i` shadows the outer one only inside the loop.
+  const char *const body =
+      "double f(int n) {\n"
+      "  int i = 3;\n"
+      "  for (int i = 0; i < n; i++) {\n"
+      "  }\n";
+  const std::pair<std::string, double> cases[] = {
+      {std::string(body) + "  double s = 0;\n"
+                           "  for (int j = 0; j < i; j++) {\n"
+                           "    s = s + 1.5;\n"
+                           "  }\n"
+                           "  return s;\n"
+                           "}",
+       4.5},
+      {std::string(body) + "  return i;\n"
+                           "}",
+       3.0},
+  };
+  for (const auto &[src, expected] : cases) {
+    DiagnosticEngine diags;
+    auto program = core::compileProgram(src, "t.mc", {}, diags);
+    ASSERT_NE(program, nullptr) << diags.str();
+    auto r = core::simulate(*program, "f", {sim::Value::ofInt(10)});
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_DOUBLE_EQ(r.returnValue.f, expected) << src;
+  }
 }
 
 TEST(Passes, ConstantFoldingFoldsLiteralArithmetic) {

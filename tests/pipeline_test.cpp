@@ -257,6 +257,41 @@ TEST(Pipeline, FunctionCallsCombineLikeHandleFunctionCall) {
   EXPECT_DOUBLE_EQ(*staticFPI, dynamicFPI);
 }
 
+TEST(Pipeline, MethodLoopOverAFieldFPIExact) {
+  // A method's loop whose variable is a field of its class: lowering
+  // takes it through the generic for, and the model still counts every
+  // instruction the simulator retires.
+  auto a = analyzeOk("class A {\n"
+                     "public:\n"
+                     "  int i;\n"
+                     "  double s;\n"
+                     "  void m(int n) {\n"
+                     "    for (i = 0; i < n; i++) {\n"
+                     "      s = s + 1.0;\n"
+                     "    }\n"
+                     "  }\n"
+                     "};\n"
+                     "int main_fn(int n) {\n"
+                     "  A a;\n"
+                     "  a.m(n);\n"
+                     "  return 0;\n"
+                     "}");
+  ASSERT_TRUE(a.ok);
+  for (std::int64_t n : {0, 1, 3, 6}) {
+    std::string error;
+    auto counts = a.model->evaluate("main_fn", {{"n", n}}, &error);
+    ASSERT_TRUE(counts.has_value()) << error;
+    auto r = simulate(*a.program->get(), "main_fn", {Value::ofInt(n)});
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_DOUBLE_EQ(counts->totalInstructions,
+                     static_cast<double>(r.total.totalInstructions))
+        << "n=" << n;
+    EXPECT_DOUBLE_EQ(counts->fpInstructions,
+                     static_cast<double>(r.total.fpInstructions))
+        << "n=" << n;
+  }
+}
+
 TEST(Pipeline, MethodCallWithAnnotatedInnerLoop) {
   // The Fig. 5 pattern: annotation parameter surfaces in the model.
   auto a = analyzeOk(workloadFig5());

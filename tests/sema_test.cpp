@@ -167,35 +167,197 @@ TEST(Sema, UnknownFieldIsError) {
 
 // -------------------------------------------------------------- call graph
 
+/// The index sema gave function `name`.
+std::uint32_t indexOf(const Analyzed &a, const std::string &name) {
+  const frontend::FunctionDecl *fn = a.unit->findFunction(name);
+  EXPECT_NE(fn, nullptr) << name;
+  return fn ? fn->index : 0;
+}
+
 TEST(Sema, CallGraphEdges) {
   auto a = analyzeOk("int leaf(int x) { return x; }\n"
                      "int mid(int x) { return leaf(x); }\n"
                      "int top(int x) { return mid(x) + leaf(x); }");
-  const auto &edges = a.result.callGraph.edges;
-  EXPECT_TRUE(edges.at("top").count("mid"));
-  EXPECT_TRUE(edges.at("top").count("leaf"));
-  EXPECT_TRUE(edges.at("mid").count("leaf"));
-  EXPECT_TRUE(edges.at("leaf").empty());
+  const auto &callees = a.result.callGraph.callees;
+  ASSERT_EQ(callees.size(), 3u);
+  // Each callee once, in qualified-name order.
+  EXPECT_EQ(callees[indexOf(a, "top")],
+            (std::vector<std::uint32_t>{indexOf(a, "leaf"),
+                                        indexOf(a, "mid")}));
+  EXPECT_EQ(callees[indexOf(a, "mid")],
+            std::vector<std::uint32_t>{indexOf(a, "leaf")});
+  EXPECT_TRUE(callees[indexOf(a, "leaf")].empty());
 }
 
 TEST(Sema, TopologicalOrderPutsCalleesFirst) {
   auto a = analyzeOk("int leaf(int x) { return x; }\n"
                      "int mid(int x) { return leaf(x); }\n"
                      "int top(int x) { return mid(x); }");
-  bool hasCycle = true;
-  auto order = a.result.callGraph.topologicalOrder(hasCycle);
-  EXPECT_FALSE(hasCycle);
+  const auto &order = a.result.callGraph.order;
+  ASSERT_EQ(order.size(), 3u);
   auto pos = [&](const std::string &n) {
-    return std::find(order.begin(), order.end(), n) - order.begin();
+    return std::find(order.begin(), order.end(), indexOf(a, n)) -
+           order.begin();
   };
   EXPECT_LT(pos("leaf"), pos("mid"));
   EXPECT_LT(pos("mid"), pos("top"));
+}
+
+TEST(Sema, CallOrderVisitsRootsAndCalleesByQualifiedName) {
+  // A depth-first post-order whose roots and callee lists go in
+  // qualified-name order, whatever the declaration order: the model
+  // lists its functions in exactly this order.
+  auto a = analyzeOk("class B { public: int m(int x) { return x; } };\n"
+                     "int c(int x) { return x; }\n"
+                     "int b(int x) { return x; }\n"
+                     "int a(int x) { B o; return c(x) + o.m(x) + b(x); }\n"
+                     "int d(int x) { return x; }");
+  std::vector<std::uint32_t> expected;
+  for (const char *name : {"B::m", "b", "c", "a", "d"})
+    expected.push_back(indexOf(a, name));
+  EXPECT_EQ(a.result.callGraph.order, expected);
 }
 
 TEST(Sema, RecursionIsDiagnosed) {
   auto a = analyze("int f(int x) { return f(x - 1); }");
   EXPECT_FALSE(a.result.success);
   EXPECT_TRUE(a.diags.containsMessage("recursive"));
+}
+
+// ----------------------------------------------------------------- bindings
+
+/// The expression of the `k`th statement of `fn`'s body.
+const frontend::Expression &returned(const Analyzed &a, const std::string &fn,
+                                     std::size_t k) {
+  return *a.unit->findFunction(fn)->bodyStmt->body[k]->expr;
+}
+
+TEST(SemaBinding, ParametersThenDeclarationsGetSlotsInOrder) {
+  auto a = analyzeOk("double f(int n, double x) {\n"
+                     "  int i = 1;\n"
+                     "  double s = x;\n"
+                     "  return s + n + i;\n"
+                     "}");
+  const auto &body = a.unit->findFunction("f")->bodyStmt->body;
+  EXPECT_EQ(body[0]->declSlot, 2);
+  EXPECT_EQ(body[1]->declSlot, 3);
+  EXPECT_EQ(body[1]->declInit->slot, 1); // x
+  const auto &sum = returned(a, "f", 2);     // (s + n) + i
+  EXPECT_EQ(sum.children[0]->children[0]->slot, 3);
+  EXPECT_EQ(sum.children[0]->children[1]->slot, 0);
+  EXPECT_EQ(sum.children[1]->slot, 2);
+  EXPECT_EQ(sum.children[1]->field, -1);
+}
+
+TEST(SemaBinding, InnerRedeclarationGetsANewSlotAndEndsWithItsBlock) {
+  auto a = analyzeOk("int f(int n) {\n"
+                     "  int x = 1;\n"
+                     "  {\n"
+                     "    int x = 2;\n"
+                     "    n = x;\n"
+                     "  }\n"
+                     "  return x;\n"
+                     "}");
+  const auto &body = a.unit->findFunction("f")->bodyStmt->body;
+  const auto &inner = body[1]->body;
+  EXPECT_EQ(body[0]->declSlot, 1);
+  EXPECT_EQ(inner[0]->declSlot, 2);
+  EXPECT_EQ(inner[1]->expr->children[0]->slot, 0); // n
+  EXPECT_EQ(inner[1]->expr->children[1]->slot, 2); // the inner x
+  EXPECT_EQ(returned(a, "f", 2).slot, 1);          // the outer x
+}
+
+TEST(SemaBinding, ForInitDeclarationEndsWithItsLoop) {
+  auto a = analyzeOk("double f(int n) {\n"
+                     "  int i = 3;\n"
+                     "  for (int i = 0; i < n; i++) {\n"
+                     "  }\n"
+                     "  double s = 0;\n"
+                     "  for (int j = 0; j < i; j++) {\n"
+                     "    s = s + 1.5;\n"
+                     "  }\n"
+                     "  return s;\n"
+                     "}");
+  const auto &body = a.unit->findFunction("f")->bodyStmt->body;
+  EXPECT_EQ(body[0]->declSlot, 1);
+  const Statement &first = *body[1];
+  EXPECT_EQ(first.forInit->declSlot, 2);
+  EXPECT_EQ(first.forCond->children[0]->slot, 2);
+  EXPECT_EQ(first.forInc->children[0]->slot, 2);
+  EXPECT_EQ(body[2]->declSlot, 3);
+  const Statement &second = *body[3];
+  EXPECT_EQ(second.forInit->declSlot, 4);
+  EXPECT_EQ(second.forCond->children[1]->slot, 1); // the outer i
+}
+
+TEST(SemaBinding, FieldsBindTheirIndexBareAndThroughMember) {
+  auto a = analyzeOk("class A {\n"
+                     "public:\n"
+                     "  int n;\n"
+                     "  double s;\n"
+                     "  double get() { return s; }\n"
+                     "};\n"
+                     "double f() { A a; return a.s; }");
+  const auto &bare = returned(a, "A::get", 0);
+  EXPECT_EQ(bare.kind, ExprKind::VarRef);
+  EXPECT_EQ(bare.slot, -1);
+  EXPECT_EQ(bare.field, 1);
+  const auto &member = returned(a, "f", 1);
+  EXPECT_EQ(member.kind, ExprKind::Member);
+  EXPECT_EQ(member.field, 1);
+  EXPECT_EQ(member.children[0]->slot, 0);
+}
+
+TEST(SemaBinding, OperatorCallReceiverBindsItsLocal) {
+  auto a = analyzeOk(
+      "class M { public: double operator()(double x) { return x; } };\n"
+      "double f(double y) { M m; return m(y); }");
+  const auto &call = returned(a, "f", 1);
+  ASSERT_NE(call.receiver, nullptr);
+  EXPECT_EQ(call.receiver->slot, 1);
+  EXPECT_EQ(call.children[0]->slot, 0);
+}
+
+TEST(SemaBinding, CallsBindTheirFunctionDecl) {
+  auto a = analyzeOk("class A { public: int m(int x) { return x; } };\n"
+                     "int g(int x) { return x; }\n"
+                     "double f(double d) { A a; return g(a.m(1)) + sqrt(d); }");
+  const auto &sum = returned(a, "f", 1);
+  const auto &freeCall = *sum.children[0];
+  EXPECT_EQ(freeCall.callee, a.unit->findFunction("g"));
+  EXPECT_EQ(freeCall.resolvedCallee, "g");
+  const auto &method = *freeCall.children[0];
+  EXPECT_EQ(method.callee, a.unit->findFunction("A::m"));
+  EXPECT_EQ(method.resolvedCallee, "A::m");
+  const auto &builtin = *sum.children[1];
+  EXPECT_EQ(builtin.callee, nullptr);
+  EXPECT_EQ(builtin.resolvedCallee, "sqrt");
+}
+
+TEST(Sema, DuplicateFieldIsError) {
+  auto a = analyze("class A {\n"
+                   "public:\n"
+                   "  int n;\n"
+                   "  double n;\n"
+                   "  double get() { return n; }\n"
+                   "};\n"
+                   "double f(int k) {\n"
+                   "  A a;\n"
+                   "  a.n = 2.5;\n"
+                   "  return a.get() + a.n;\n"
+                   "}");
+  EXPECT_FALSE(a.result.success);
+  EXPECT_TRUE(a.diags.containsMessage("redeclaration of field 'n'"))
+      << a.diags.str();
+}
+
+TEST(Sema, DuplicateClassIsError) {
+  auto a = analyze("class A { public: int n; };\n"
+                   "class A { public: double m; };\n"
+                   "int f() { A a; return a.n; }");
+  EXPECT_FALSE(a.result.success);
+  EXPECT_TRUE(a.diags.containsMessage("redefinition of class 'A'"))
+      << a.diags.str();
 }
 
 // ------------------------------------------------------------ loop analysis

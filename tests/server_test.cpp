@@ -451,25 +451,43 @@ TEST(AnalysisServerTest, MalformedFrameGetsErrorReplyAndServerSurvives) {
 }
 
 TEST(AnalysisServerTest, IntMinByMinusOneRequestLeavesTheDaemonServing) {
-  // INT64_MIN / -1 in a guard once trapped the compute thread (SIGFPE),
-  // killing the daemon with the request in flight.
+  // Each source once killed the daemon with the request in flight:
+  // INT64_MIN / -1 in a guard trapped the compute thread (SIGFPE), and a
+  // method's loop over a field of its class crashed lowering (SIGSEGV).
   DaemonFixture daemon;
   ASSERT_TRUE(daemon.started());
   Client client;
   ASSERT_TRUE(client.connect(daemon.socketPath())) << client.lastError();
-  ClientOutcome outcome;
-  ASSERT_TRUE(client.analyze(
-      "fpe.mc",
-      "void f(double* a, int n) {\n"
-      "  for (int i = 0; i < n; i++) {\n"
-      "    if (i < (-9223372036854775807 - 1 + 0 * n) / -1)\n"
-      "      a[i] = a[i] * 2.0;\n"
-      "  }\n"
-      "}",
-      core::MiraOptions(), outcome))
-      << client.lastError();
-  EXPECT_TRUE(outcome.ok);
-  EXPECT_TRUE(client.ping()) << client.lastError();
+  const std::pair<const char *, const char *> sources[] = {
+      {"fpe.mc", "void f(double* a, int n) {\n"
+                 "  for (int i = 0; i < n; i++) {\n"
+                 "    if (i < (-9223372036854775807 - 1 + 0 * n) / -1)\n"
+                 "      a[i] = a[i] * 2.0;\n"
+                 "  }\n"
+                 "}"},
+      {"field_loop.mc", "class A {\n"
+                        "public:\n"
+                        "  int i;\n"
+                        "  double s;\n"
+                        "  void m(int n) {\n"
+                        "    for (i = 0; i < n; i++) {\n"
+                        "      s = s + 1.0;\n"
+                        "    }\n"
+                        "  }\n"
+                        "};\n"
+                        "int main_fn(int n) {\n"
+                        "  A a;\n"
+                        "  a.m(n);\n"
+                        "  return 0;\n"
+                        "}"},
+  };
+  for (const auto &[name, source] : sources) {
+    ClientOutcome outcome;
+    ASSERT_TRUE(client.analyze(name, source, core::MiraOptions(), outcome))
+        << name << ": " << client.lastError();
+    EXPECT_TRUE(outcome.ok) << name;
+    EXPECT_TRUE(client.ping()) << name << ": " << client.lastError();
+  }
 }
 
 TEST(AnalysisServerTest, OversizedFrameIsRejectedWithoutReadingBody) {
